@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -62,11 +63,12 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunSourceOutOfRangeFallsBack(t *testing.T) {
-	// A too-large -source silently falls back to node 0 (documented
-	// behaviour): the run must succeed.
-	if err := run([]string{"-graph", "complete", "-n", "16", "-trials", "3", "-source", "9999", "-timing", "sync"}); err != nil {
-		t.Fatal(err)
+func TestRunSourceOutOfRangeFails(t *testing.T) {
+	// A -source outside the built graph fails the cell; it is never
+	// rewritten to node 0 (distinct cache keys, identical results).
+	err := run([]string{"-graph", "complete", "-n", "16", "-trials", "3", "-source", "9999", "-timing", "sync"})
+	if !errors.Is(err, core.ErrBadSource) || !errors.Is(err, service.ErrBadSpec) {
+		t.Fatalf("err = %v, want ErrBadSpec wrapping core.ErrBadSource", err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"rumor/internal/eventq"
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
@@ -34,47 +32,16 @@ func defaultMaxSteps(n int) int64 {
 // If the step budget is exhausted, the partial result is returned together
 // with an error wrapping ErrBudget.
 func RunAsync(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncResult, error) {
-	prob, err := validateCommon(g, src, cfg.Protocol, cfg.TransmitProb)
-	if err != nil {
-		return nil, err
-	}
-	view := cfg.View
-	if view == 0 {
-		view = GlobalClock
-	}
-	if !view.valid() {
-		return nil, fmt.Errorf("%w: %d", ErrBadView, int(view))
-	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps(g.NumNodes())
-	}
-	// With uniform clock rates (no crash schedule) every view reduces to
-	// the Gillespie direct-method stepper: one Exp draw for the tick time
-	// and one uniform draw for the actor, no event heap. Crash-only
-	// schedules keep the heap-based engines, whose clock-stopping
-	// semantics are the reference for the stepper's thinning (see
-	// AsyncStepper). Churn schedules run on the stepper in the
-	// GlobalClock and PerNodeClocks views (thinning models a rejoining
-	// clock exactly); the per-edge heap engine cannot restart stopped
-	// edge clocks, so churn is rejected there.
-	switch view {
-	case GlobalClock:
-		return runAsyncFast(g, src, cfg, maxSteps, rng)
-	case PerNodeClocks:
-		if len(cfg.Crashes) == 0 || len(cfg.Churn) > 0 {
-			return runAsyncFast(g, src, cfg, maxSteps, rng)
-		}
-		return runAsyncPerNode(g, src, cfg, prob, maxSteps, rng)
-	default:
-		if len(cfg.Churn) > 0 {
-			return nil, fmt.Errorf("%w: churn schedules are not supported in the per-edge-clocks view", ErrBadView)
-		}
-		if len(cfg.Crashes) == 0 {
-			return runAsyncFast(g, src, cfg, maxSteps, rng)
-		}
-		return runAsyncPerEdge(g, src, cfg, prob, maxSteps, rng)
-	}
+	return RunAsyncTopo(graph.NewStatic(g), src, cfg, rng)
+}
+
+// RunAsyncTopo is RunAsync over a time-varying topology (GlobalClock
+// and PerNodeClocks views only): the contact at each tick uses topo's
+// graph at the tick time. A topology materialization failure is
+// returned as an error alongside the partial result.
+func RunAsyncTopo(topo graph.Provider, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncResult, error) {
+	out, err := runOnce(topo, src, cfg, 0, false, rng)
+	return out.Async, err
 }
 
 // asyncRun bundles the state shared by the three view implementations.
@@ -241,8 +208,8 @@ func (a *asyncRun) inform(t float64, v, from graph.NodeID) {
 	}
 }
 
-func (a *asyncRun) result(t float64, steps int64) *AsyncResult {
-	return &AsyncResult{
+func (a *asyncRun) result(t float64, steps int64) AsyncResult {
+	return AsyncResult{
 		Time:        t,
 		Steps:       steps,
 		InformedAt:  a.informedAt,
@@ -252,28 +219,11 @@ func (a *asyncRun) result(t float64, steps int64) *AsyncResult {
 	}
 }
 
-func budgetErr(steps int64, cfg AsyncConfig, g *graph.Graph) error {
-	return fmt.Errorf("%w: %d steps (async %v on %v)", ErrBudget, steps, cfg.Protocol, g)
-}
-
-func runAsyncFast(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, maxSteps int64, rng *xrand.RNG) (*AsyncResult, error) {
-	stepper, err := NewAsyncStepper(g, src, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	for stepper.Step() {
-		if stepper.Steps() >= maxSteps && !stepper.Finished() {
-			return stepper.Result(), budgetErr(stepper.Steps(), cfg, g)
-		}
-	}
-	return stepper.Result(), nil
-}
-
-func runAsyncPerNode(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, prob float64, maxSteps int64, rng *xrand.RNG) (*AsyncResult, error) {
-	a, err := newAsyncRun(g, src, cfg, prob)
-	if err != nil {
-		return nil, err
-	}
+// runAsyncPerNode runs a on the per-node-clocks heap engine: one event
+// per node, a crashed node's clock stops. It reports whether the run
+// ended inside the step budget.
+func runAsyncPerNode(a *asyncRun, maxSteps int64, rng *xrand.RNG) (AsyncResult, bool) {
+	g := a.st.g
 	n := g.NumNodes()
 	q := eventq.New(n)
 	for v := 0; v < n; v++ {
@@ -283,7 +233,7 @@ func runAsyncPerNode(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, prob flo
 	var steps int64
 	for !a.st.done() {
 		if steps >= maxSteps {
-			return a.result(t, steps), budgetErr(steps, cfg, g)
+			return a.result(t, steps), false
 		}
 		steps++
 		it, ok := q.Pop()
@@ -305,14 +255,13 @@ func runAsyncPerNode(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, prob flo
 		w := g.RandomNeighbor(v, rng)
 		a.contact(t, v, w, rng)
 	}
-	return a.result(t, steps), nil
+	return a.result(t, steps), true
 }
 
-func runAsyncPerEdge(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, prob float64, maxSteps int64, rng *xrand.RNG) (*AsyncResult, error) {
-	a, err := newAsyncRun(g, src, cfg, prob)
-	if err != nil {
-		return nil, err
-	}
+// runAsyncPerEdge is runAsyncPerNode for the per-edge-clocks view: one
+// event per directed edge, a crashed owner's edge clocks stop.
+func runAsyncPerEdge(a *asyncRun, maxSteps int64, rng *xrand.RNG) (AsyncResult, bool) {
+	g := a.st.g
 	n := g.NumNodes()
 	// Directed edges are indexed by position in the CSR adjacency array;
 	// owner[i] is the contacting node of directed edge i.
@@ -333,7 +282,7 @@ func runAsyncPerEdge(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, prob flo
 	var steps int64
 	for !a.st.done() {
 		if steps >= maxSteps {
-			return a.result(t, steps), budgetErr(steps, cfg, g)
+			return a.result(t, steps), false
 		}
 		it, ok := q.Pop()
 		if !ok {
@@ -354,7 +303,7 @@ func runAsyncPerEdge(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, prob flo
 		}
 		a.contact(t, v, w, rng)
 	}
-	return a.result(t, steps), nil
+	return a.result(t, steps), true
 }
 
 // AsyncSpreadingTime runs pp-a with the given protocol (GlobalClock view)
@@ -362,12 +311,9 @@ func runAsyncPerEdge(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, prob flo
 // It returns an error if the graph is disconnected or the budget is
 // exhausted.
 func AsyncSpreadingTime(g *graph.Graph, src graph.NodeID, p Protocol, rng *xrand.RNG) (float64, error) {
-	res, err := RunAsync(g, src, AsyncConfig{Protocol: p}, rng)
+	out, err := runOnce(graph.NewStatic(g), src, AsyncConfig{Protocol: p}, 0, false, rng)
 	if err != nil {
 		return 0, err
 	}
-	if !res.Complete {
-		return 0, fmt.Errorf("core: graph %v is disconnected; spreading time undefined", g)
-	}
-	return res.Time, nil
+	return out.SpreadingTime()
 }

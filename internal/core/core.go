@@ -16,11 +16,15 @@
 //     that validates the optimized engine), a quasirandom variant
 //     (reference [11]), and round-/tick-level steppers.
 //
+// Every spreading-time path runs through one contract: NewTrial compiles
+// a scenario to the engine that simulates it and Trial.Run replays it;
+// RunSync, RunAsync, and friends are one-shot callers of it.
+//
 // All processes are deterministic functions of (graph, source, config,
 // RNG seed) and support trace observers, partial-coverage queries,
 // spreading curves, lossy transmission, multi-source starts, and
-// fail-stop crash injection (the latter three are extensions flagged in
-// DESIGN.md §6).
+// fail-stop crash injection (the latter three are extensions beyond the
+// paper's model).
 package core
 
 import (

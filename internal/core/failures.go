@@ -13,7 +13,7 @@ import (
 // number for synchronous runs, continuous time for asynchronous runs),
 // the node neither initiates contacts nor responds to them, so any
 // rumor it holds is lost to the network. Crash injection is an extension
-// beyond the paper's model (flagged in DESIGN.md §6) used to study the
+// beyond the paper's model, used to study the
 // protocol's robustness. A crash is churn that never rejoins: crash
 // schedules and churn schedules share one tracker.
 type Crash struct {

@@ -321,16 +321,21 @@ func TestAsyncFastPathMatchesHeap(t *testing.T) {
 			heap := make([]float64, 0, trials)
 			fast := make([]float64, 0, trials)
 			maxSteps := defaultMaxSteps(g.NumNodes())
+			run, err := newAsyncRun(g, 0, cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine := runAsyncPerNode
+			if view == PerEdgeClocks {
+				engine = runAsyncPerEdge
+			}
 			for i := 0; i < trials; i++ {
-				var rh *AsyncResult
-				var err error
-				if view == PerNodeClocks {
-					rh, err = runAsyncPerNode(g, 0, cfg, 1, maxSteps, xrand.New(uint64(i)))
-				} else {
-					rh, err = runAsyncPerEdge(g, 0, cfg, 1, maxSteps, xrand.New(uint64(i)))
+				if i > 0 {
+					run.reset()
 				}
-				if err != nil {
-					t.Fatal(err)
+				rh, ok := engine(run, maxSteps, xrand.New(uint64(i)))
+				if !ok {
+					t.Fatalf("%s/%v: heap engine exhausted its budget", name, view)
 				}
 				rf, err := RunAsync(g, 0, cfg, xrand.New(uint64(i+trials)))
 				if err != nil {

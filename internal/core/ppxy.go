@@ -44,100 +44,45 @@ func (v PPVariant) String() string {
 //	Tδ(ppy) ≤ 2·Tδ/2(ppx) + O(log(n/δ))   (Lemma 9)
 //	Tδ(pp-a) ≤ 4·Tδ/2(ppy) + O(log(n/δ))  (Lemma 10)
 //
-// Push behaviour and round semantics are identical to RunSync.
+// Push behaviour and round semantics are identical to RunSync;
+// ExtraSources and Crashes in cfg are ignored.
 func RunPPVariant(g *graph.Graph, src graph.NodeID, variant PPVariant, cfg SyncConfig, rng *xrand.RNG) (*SyncResult, error) {
-	if variant != PPX && variant != PPY {
+	if variant == 0 {
 		return nil, fmt.Errorf("%w: variant %d", ErrBadProtocol, int(variant))
 	}
-	if cfg.Protocol != 0 && cfg.Protocol != PushPull {
-		return nil, fmt.Errorf("%w: %v is defined for push-pull only", ErrBadProtocol, variant)
-	}
-	if len(cfg.Churn) > 0 {
-		return nil, fmt.Errorf("%w: %v does not support churn", ErrBadChurn, variant)
-	}
-	prob, err := validateCommon(g, src, PushPull, cfg.TransmitProb)
-	if err != nil {
-		return nil, err
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds(g.NumNodes())
-	}
-	n := g.NumNodes()
-	st := newSpreadState(g, src)
-	informedAt := make([]int32, n)
-	for i := range informedAt {
-		informedAt[i] = -1
-	}
-	informedAt[src] = 0
-	if cfg.Observer != nil {
-		cfg.Observer.OnInformed(0, src, -1)
-	}
+	out, err := runOnce(graph.NewStatic(g), src, cfg, variant, false, rng)
+	return out.Sync, err
+}
 
-	type pending struct{ v, from graph.NodeID }
-	var newly []pending
-
-	round := 0
-	var updates int64
-	for !st.done() {
-		if round >= maxRounds {
-			res := &SyncResult{
-				Rounds:      round,
-				InformedAt:  informedAt,
-				Parent:      st.parent,
-				NumInformed: st.num,
-				Complete:    st.num == n,
-				Updates:     updates,
-			}
-			return res, fmt.Errorf("%w: %d rounds (%v on %v)", ErrBudget, round, variant, g)
-		}
-		round++
-		newly = newly[:0]
-		updates += int64(len(st.order))
-		// Push half: identical to pp.
-		for _, v := range st.order {
-			w := g.RandomNeighbor(v, rng)
-			if !st.informed.get(w) && (prob >= 1 || rng.Bernoulli(prob)) {
-				newly = append(newly, pending{w, v})
-			}
-		}
-		// Pull half: modified probabilities of Definitions 5/7.
-		st.compactBoundary()
-		updates += int64(len(st.boundary))
-		for _, v := range st.boundary {
-			k := st.infNbrs[v]
-			deg := g.Degree(v)
-			var p float64
-			if variant == PPX && 2*k >= deg {
-				p = 1
-			} else {
-				p = -math.Expm1(-2 * float64(k) / float64(deg))
-			}
-			if !rng.Bernoulli(p) {
-				continue
-			}
-			w := st.randomInformedNeighbor(v, rng)
-			if prob >= 1 || rng.Bernoulli(prob) {
-				newly = append(newly, pending{v, w})
-			}
-		}
-		for _, p := range newly {
-			if st.informed.get(p.v) {
-				continue
-			}
-			st.markInformed(p.v, p.from)
-			informedAt[p.v] = int32(round)
-			if cfg.Observer != nil {
-				cfg.Observer.OnInformed(float64(round), p.v, p.from)
-			}
+// variantRound collects one ppx/ppy round's transmissions into
+// s.pending: the push half of pp, then a pull half with the modified
+// probabilities of Definitions 5/7.
+func (s *SyncStepper) variantRound() {
+	g, st := s.g, s.st
+	s.updates += int64(len(st.order))
+	for _, v := range st.order {
+		w := g.RandomNeighbor(v, s.rng)
+		if !st.informed.get(w) && (s.prob >= 1 || s.rng.Bernoulli(s.prob)) {
+			s.pending = append(s.pending, syncPending{w, v})
 		}
 	}
-	return &SyncResult{
-		Rounds:      round,
-		InformedAt:  informedAt,
-		Parent:      st.parent,
-		NumInformed: st.num,
-		Complete:    st.num == n,
-		Updates:     updates,
-	}, nil
+	st.compactBoundary()
+	s.updates += int64(len(st.boundary))
+	for _, v := range st.boundary {
+		k := st.infNbrs[v]
+		deg := g.Degree(v)
+		var p float64
+		if s.variant == PPX && 2*k >= deg {
+			p = 1
+		} else {
+			p = -math.Expm1(-2 * float64(k) / float64(deg))
+		}
+		if !s.rng.Bernoulli(p) {
+			continue
+		}
+		w := st.randomInformedNeighbor(v, s.rng)
+		if s.prob >= 1 || s.rng.Bernoulli(s.prob) {
+			s.pending = append(s.pending, syncPending{v, w})
+		}
+	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
 )
@@ -27,110 +25,44 @@ import (
 // crash schedule would not disturb anyway — configure Crashes and the
 // call fails).
 func RunQuasirandomSync(g *graph.Graph, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncResult, error) {
-	prob, err := validateCommon(g, src, cfg.Protocol, cfg.TransmitProb)
-	if err != nil {
-		return nil, err
-	}
-	if len(cfg.Crashes) > 0 {
-		return nil, fmt.Errorf("%w: quasirandom engine does not support crash injection", ErrBadCrash)
-	}
-	if len(cfg.Churn) > 0 {
-		return nil, fmt.Errorf("%w: quasirandom engine does not support churn", ErrBadChurn)
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds(g.NumNodes())
-	}
-	sources, err := gatherSources(g, src, cfg.ExtraSources)
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumNodes()
-	st := newSpreadStateMulti(g, sources)
-	informedAt := make([]int32, n)
-	for i := range informedAt {
-		informedAt[i] = -1
-	}
-	for _, s := range sources {
-		informedAt[s] = 0
-		if cfg.Observer != nil {
-			cfg.Observer.OnInformed(0, s, -1)
-		}
-	}
+	out, err := runOnce(graph.NewStatic(g), src, cfg, 0, true, rng)
+	return out.Sync, err
+}
 
-	// offsets are sampled lazily on a node's first relevant contact; the
-	// contact position in round r is (offset + r - 1) mod deg, so nodes
-	// whose early rounds were skipped (no informed neighbor, cannot
-	// transmit) still contact the right neighbor later.
-	offsets := make([]int32, n)
-	for i := range offsets {
-		offsets[i] = -1
-	}
-	contact := func(v graph.NodeID, round int) graph.NodeID {
-		deg := g.Degree(v)
-		if offsets[v] < 0 {
-			offsets[v] = rng.Int32n(deg)
+// quasirandomRound collects one quasirandom round's transmissions into
+// s.pending.
+func (s *SyncStepper) quasirandomRound() {
+	st := s.st
+	if s.doPush {
+		s.updates += int64(len(st.order))
+		for _, v := range st.order {
+			w := s.quasirandomContact(v)
+			if !st.informed.get(w) && (s.prob >= 1 || s.rng.Bernoulli(s.prob)) {
+				s.pending = append(s.pending, syncPending{w, v})
+			}
 		}
-		pos := (offsets[v] + int32(round-1)) % deg
-		return g.Neighbor(v, pos)
 	}
+	if s.doPull {
+		st.compactBoundary()
+		s.updates += int64(len(st.boundary))
+		for _, v := range st.boundary {
+			w := s.quasirandomContact(v)
+			if st.informed.get(w) && (s.prob >= 1 || s.rng.Bernoulli(s.prob)) {
+				s.pending = append(s.pending, syncPending{v, w})
+			}
+		}
+	}
+}
 
-	doPush := cfg.Protocol == Push || cfg.Protocol == PushPull
-	doPull := cfg.Protocol == Pull || cfg.Protocol == PushPull
-	type pending struct{ v, from graph.NodeID }
-	var newly []pending
-	round := 0
-	var updates int64
-	for !st.done() {
-		if round >= maxRounds {
-			res := &SyncResult{
-				Rounds:      round,
-				InformedAt:  informedAt,
-				Parent:      st.parent,
-				NumInformed: st.num,
-				Complete:    st.num == n,
-				Updates:     updates,
-			}
-			return res, fmt.Errorf("%w: %d rounds (quasirandom %v on %v)", ErrBudget, round, cfg.Protocol, g)
-		}
-		round++
-		newly = newly[:0]
-		if doPush {
-			updates += int64(len(st.order))
-			for _, v := range st.order {
-				w := contact(v, round)
-				if !st.informed.get(w) && (prob >= 1 || rng.Bernoulli(prob)) {
-					newly = append(newly, pending{w, v})
-				}
-			}
-		}
-		if doPull {
-			st.compactBoundary()
-			updates += int64(len(st.boundary))
-			for _, v := range st.boundary {
-				w := contact(v, round)
-				if st.informed.get(w) && (prob >= 1 || rng.Bernoulli(prob)) {
-					newly = append(newly, pending{v, w})
-				}
-			}
-		}
-		for _, p := range newly {
-			if st.informed.get(p.v) {
-				continue
-			}
-			st.markInformed(p.v, p.from)
-			informedAt[p.v] = int32(round)
-			if cfg.Observer != nil {
-				cfg.Observer.OnInformed(float64(round), p.v, p.from)
-			}
-		}
+// quasirandomContact returns v's contact in the current round. Offsets
+// are sampled lazily on a node's first relevant contact; the contact
+// position in round r is (offset + r - 1) mod deg, so nodes whose early
+// rounds were skipped (no informed neighbor, cannot transmit) still
+// contact the right neighbor later.
+func (s *SyncStepper) quasirandomContact(v graph.NodeID) graph.NodeID {
+	deg := s.g.Degree(v)
+	if s.offsets[v] == 0 {
+		s.offsets[v] = s.rng.Int32n(deg) + 1
 	}
-	return &SyncResult{
-		Rounds:      round,
-		InformedAt:  informedAt,
-		Parent:      st.parent,
-		NumInformed: st.num,
-		Complete:    st.num == n,
-		Updates:     updates,
-	}, nil
+	return s.g.Neighbor(v, (s.offsets[v]-1+int32(s.round-1))%deg)
 }

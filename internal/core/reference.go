@@ -17,7 +17,7 @@ import (
 // boundary callers for pull — which is distribution-preserving but not
 // obviously so; the test suite verifies the two engines' spreading-time
 // laws are statistically indistinguishable, and the benchmark suite
-// quantifies the optimization (the ablation DESIGN.md calls out).
+// quantifies the optimization.
 //
 // The oracle deliberately shares no state machinery with the optimized
 // engines: informed/boundary tracking is plain bool slices and per-draw

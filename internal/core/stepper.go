@@ -11,7 +11,8 @@ import (
 // SyncStepper advances a synchronous rumor spreading process one round at
 // a time, so callers can inspect the informed set between rounds (e.g. to
 // record spreading curves, stop at a coverage threshold, or interleave
-// several processes). RunSync is implemented on top of it.
+// several processes). Trial runs it to completion; ppx/ppy and the
+// quasirandom protocol are alternative round bodies on the same skeleton.
 //
 // All working storage is arena-allocated against the graph once, and
 // Reset rewinds the stepper to round 0 for a fresh trial without
@@ -39,6 +40,11 @@ type SyncStepper struct {
 	terr          error
 	pending       []syncPending
 	draws         []uint64
+	// variant != 0 selects the ppx/ppy round body, offsets != nil the
+	// quasirandom one (offsets[v] is v's list offset plus one; 0 means
+	// not sampled yet).
+	variant PPVariant
+	offsets []int32
 }
 
 type syncPending struct{ v, from graph.NodeID }
@@ -50,22 +56,13 @@ func NewSyncStepper(g *graph.Graph, src graph.NodeID, cfg SyncConfig, rng *xrand
 	return newSyncStepper(g, nil, src, cfg, rng)
 }
 
-// NewSyncStepperTopo is NewSyncStepper over a time-varying topology:
-// round r executes on topo's graph at time r-1 (round 1 runs on the
-// epoch-0 graph). Reachability-based early termination is disabled — a
-// future epoch may reconnect the rumor — so runs on topologies that
-// never reach some node end only at the caller's round budget (or when
-// churn has permanently removed the unreachable nodes). Topology
-// materialization errors surface through Err.
-func NewSyncStepperTopo(topo graph.Provider, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncStepper, error) {
-	if st, ok := topo.(*graph.Static); ok {
-		g, _ := st.At(0)
-		return newSyncStepper(g, nil, src, cfg, rng)
-	}
-	g, _ := topo.At(0)
-	return newSyncStepper(g, topo, src, cfg, rng)
-}
-
+// newSyncStepper is NewSyncStepper over an optional time-varying
+// topology (nil means static): round r executes on topo's graph at
+// time r-1 (round 1 on the epoch-0 graph g). Reachability-based early
+// termination is disabled there — a future epoch may reconnect the
+// rumor — so runs that never reach some node end only at the caller's
+// round budget (or when churn has permanently removed the unreachable
+// nodes). Topology materialization errors surface through Err.
 func newSyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncStepper, error) {
 	prob, err := validateCommon(g, src, cfg.Protocol, cfg.TransmitProb)
 	if err != nil {
@@ -134,6 +131,7 @@ func (s *SyncStepper) startTrial() {
 	for i := range s.informedAt {
 		s.informedAt[i] = -1
 	}
+	clear(s.offsets)
 	for _, src := range s.sources {
 		s.informedAt[src] = 0
 		if s.observer != nil {
@@ -156,11 +154,6 @@ func (s *SyncStepper) fillDraws(k int) []uint64 {
 // Step executes one round and returns true, or returns false without
 // executing anything if the process can make no further progress (all
 // reachable nodes informed, or crashes isolated the rumor).
-//
-// Neighbor draws are batched: the round's raw 64-bit values are filled
-// into one buffer up front and reduced to each caller's degree by
-// Lemire's multiply-shift, so the generator state stays in registers and
-// the reduction needs no division.
 func (s *SyncStepper) Step() bool {
 	if s.finished {
 		return false
@@ -206,6 +199,35 @@ func (s *SyncStepper) Step() bool {
 	s.round++
 	round := int32(s.round)
 	s.pending = s.pending[:0]
+	switch {
+	case s.variant != 0:
+		s.variantRound()
+	case s.offsets != nil:
+		s.quasirandomRound()
+	default:
+		s.ppRound()
+	}
+	for _, p := range s.pending {
+		if s.st.informed.get(p.v) {
+			continue
+		}
+		s.st.markInformed(p.v, p.from)
+		s.informedAt[p.v] = round
+		s.aliveInformed++
+		if s.observer != nil {
+			s.observer.OnInformed(float64(round), p.v, p.from)
+		}
+	}
+	return true
+}
+
+// ppRound collects one pp round's transmissions into s.pending.
+//
+// Neighbor draws are batched: the round's raw 64-bit values are filled
+// into one buffer up front and reduced to each caller's degree by
+// Lemire's multiply-shift, so the generator state stays in registers and
+// the reduction needs no division.
+func (s *SyncStepper) ppRound() {
 	g := s.g
 	if s.doPush {
 		order := s.st.order
@@ -239,18 +261,6 @@ func (s *SyncStepper) Step() bool {
 			}
 		}
 	}
-	for _, p := range s.pending {
-		if s.st.informed.get(p.v) {
-			continue
-		}
-		s.st.markInformed(p.v, p.from)
-		s.informedAt[p.v] = round
-		s.aliveInformed++
-		if s.observer != nil {
-			s.observer.OnInformed(float64(round), p.v, p.from)
-		}
-	}
-	return true
 }
 
 // applyChurn is the availTracker transition callback: it keeps the
@@ -306,7 +316,12 @@ func (s *SyncStepper) Updates() int64 { return s.updates }
 // Result snapshots the current state as a SyncResult. The slices alias
 // the stepper's arenas: they are valid until the next Reset.
 func (s *SyncStepper) Result() *SyncResult {
-	return &SyncResult{
+	r := s.snapshot()
+	return &r
+}
+
+func (s *SyncStepper) snapshot() SyncResult {
+	return SyncResult{
 		Rounds:      s.round,
 		InformedAt:  s.informedAt,
 		Parent:      s.st.parent,
@@ -355,23 +370,11 @@ func NewAsyncStepper(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, rng *xra
 	return newAsyncStepper(g, nil, src, cfg, rng)
 }
 
-// NewAsyncStepperTopo is NewAsyncStepper over a time-varying topology:
-// the contact at each tick uses topo's graph at the tick time.
-// Reachability-based early termination is disabled, and the
-// PerEdgeClocks view is rejected — its per-edge rates are tied to a
-// fixed adjacency. Topology materialization errors surface through Err.
-func NewAsyncStepperTopo(topo graph.Provider, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncStepper, error) {
-	if st, ok := topo.(*graph.Static); ok {
-		g, _ := st.At(0)
-		return newAsyncStepper(g, nil, src, cfg, rng)
-	}
-	if cfg.View == PerEdgeClocks {
-		return nil, fmt.Errorf("%w: per-edge-clocks is not supported on a dynamic topology", ErrBadView)
-	}
-	g, _ := topo.At(0)
-	return newAsyncStepper(g, topo, src, cfg, rng)
-}
-
+// newAsyncStepper is NewAsyncStepper over an optional time-varying
+// topology (nil means static): the contact at each tick uses topo's
+// graph at the tick time. Reachability-based early termination is
+// disabled there and the PerEdgeClocks view rejected — its rates are
+// tied to a fixed adjacency. Topology errors surface through Err.
 func newAsyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncStepper, error) {
 	prob, err := validateCommon(g, src, cfg.Protocol, cfg.TransmitProb)
 	if err != nil {
@@ -386,6 +389,9 @@ func newAsyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg 
 	}
 	if view == PerEdgeClocks && len(cfg.Churn) > 0 {
 		return nil, fmt.Errorf("%w: churn schedules are not supported in the per-edge-clocks view", ErrBadView)
+	}
+	if view == PerEdgeClocks && topo != nil {
+		return nil, fmt.Errorf("%w: per-edge-clocks is not supported on a dynamic topology", ErrBadView)
 	}
 	run, err := newAsyncRun(g, src, cfg, prob)
 	if err != nil {
@@ -493,7 +499,8 @@ func (s *AsyncStepper) Finished() bool {
 
 // Result snapshots the current state as an AsyncResult.
 func (s *AsyncStepper) Result() *AsyncResult {
-	return s.run.result(s.t, s.steps)
+	r := s.run.result(s.t, s.steps)
+	return &r
 }
 
 // Curve is a spreading curve: informed fraction as a function of time

@@ -1,21 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
 )
-
-// DefaultMaxRounds returns the synchronous round budget RunSync applies
-// when SyncConfig.MaxRounds is zero. Exported so callers driving a
-// SyncStepper loop directly (e.g. the service's pooled steppers) can
-// enforce the same budget.
-func DefaultMaxRounds(n int) int { return defaultMaxRounds(n) }
-
-// DefaultMaxSteps is the asynchronous analogue of DefaultMaxRounds: the
-// step budget RunAsync applies when AsyncConfig.MaxSteps is zero.
-func DefaultMaxSteps(n int) int64 { return defaultMaxSteps(n) }
 
 // defaultMaxRounds returns a generous cap on synchronous rounds: far above
 // any realistic spreading time (which is O(n log n) even for push on the
@@ -54,68 +42,15 @@ func ilog2(n int) int {
 // If the round budget is exhausted, the partial result is returned
 // together with an error wrapping ErrBudget.
 func RunSync(g *graph.Graph, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncResult, error) {
-	stepper, err := NewSyncStepper(g, src, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds(g.NumNodes())
-	}
-	for stepper.Step() {
-		if stepper.Round() >= maxRounds && !stepper.Finished() {
-			return stepper.Result(), fmt.Errorf("%w: %d rounds (sync %v on %v)", ErrBudget, stepper.Round(), cfg.Protocol, g)
-		}
-	}
-	return stepper.Result(), nil
+	return RunSyncTopo(graph.NewStatic(g), src, cfg, rng)
 }
 
-// RunSyncTopo is RunSync over a time-varying topology (see
-// NewSyncStepperTopo for the epoch semantics). A topology
-// materialization failure is returned as an error alongside the
-// partial result.
+// RunSyncTopo is RunSync over a time-varying topology: round r executes
+// on topo's graph at time r-1. A topology materialization failure is
+// returned as an error alongside the partial result.
 func RunSyncTopo(topo graph.Provider, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncResult, error) {
-	stepper, err := NewSyncStepperTopo(topo, src, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds(topo.NumNodes())
-	}
-	for stepper.Step() {
-		if stepper.Round() >= maxRounds && !stepper.Finished() {
-			return stepper.Result(), fmt.Errorf("%w: %d rounds (sync %v, dynamic topology)", ErrBudget, stepper.Round(), cfg.Protocol)
-		}
-	}
-	if err := stepper.Err(); err != nil {
-		return stepper.Result(), err
-	}
-	return stepper.Result(), nil
-}
-
-// RunAsyncTopo is RunAsync over a time-varying topology (GlobalClock
-// and PerNodeClocks views only; see NewAsyncStepperTopo). A topology
-// materialization failure is returned as an error alongside the
-// partial result.
-func RunAsyncTopo(topo graph.Provider, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncResult, error) {
-	stepper, err := NewAsyncStepperTopo(topo, src, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps(topo.NumNodes())
-	}
-	for stepper.Step() {
-		if stepper.Steps() >= maxSteps && !stepper.Finished() {
-			return stepper.Result(), fmt.Errorf("%w: %d steps (async %v, dynamic topology)", ErrBudget, stepper.Steps(), cfg.Protocol)
-		}
-	}
-	if err := stepper.Err(); err != nil {
-		return stepper.Result(), err
-	}
-	return stepper.Result(), nil
+	out, err := runOnce(topo, src, cfg, 0, false, rng)
+	return out.Sync, err
 }
 
 // SyncSpreadingTime runs pp with the given protocol and returns only
@@ -123,12 +58,10 @@ func RunAsyncTopo(topo graph.Provider, src graph.NodeID, cfg AsyncConfig, rng *x
 // It returns an error if the graph is disconnected (the spreading time is
 // infinite) or the budget is exhausted.
 func SyncSpreadingTime(g *graph.Graph, src graph.NodeID, p Protocol, rng *xrand.RNG) (int, error) {
-	res, err := RunSync(g, src, SyncConfig{Protocol: p}, rng)
+	out, err := runOnce(graph.NewStatic(g), src, SyncConfig{Protocol: p}, 0, false, rng)
 	if err != nil {
 		return 0, err
 	}
-	if !res.Complete {
-		return 0, fmt.Errorf("core: graph %v is disconnected; spreading time undefined", g)
-	}
-	return res.Rounds, nil
+	rounds, err := out.SpreadingTime()
+	return int(rounds), err
 }

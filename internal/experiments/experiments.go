@@ -1,9 +1,9 @@
 // Package experiments regenerates every empirical claim extracted from
-// the paper (see DESIGN.md §5 for the claim-to-experiment index). The
-// paper is a theory paper with no tables or figures; its "evaluation" is
-// a set of theorems, corollaries, lemmas, and worked examples, each of
-// which maps here to one experiment (E1–E15) that prints the measured
-// analogue next to the paper's prediction and issues a verdict.
+// the paper. The paper is a theory paper with no tables or figures; its
+// "evaluation" is a set of theorems, corollaries, lemmas, and worked
+// examples, each of which maps here to one experiment (E1–E15) that
+// prints the measured analogue next to the paper's prediction and issues
+// a verdict.
 //
 // Every experiment is a grid of service cells plus a pure reducer: the
 // Cells function declares what to measure (as service.CellSpec values,

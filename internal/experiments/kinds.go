@@ -117,17 +117,8 @@ func validateEngineSteps(c service.CellSpec) error {
 	return nil
 }
 
-// clampSource mirrors the time kind's source handling.
-func clampSource(cell service.CellSpec, g *graph.Graph) graph.NodeID {
-	src := graph.NodeID(cell.Source)
-	if int(src) >= g.NumNodes() {
-		return 0
-	}
-	return src
-}
-
 func runCouplingUpper(ctx context.Context, cell service.CellSpec, g *graph.Graph, trialWorkers int) (*service.KindResult, error) {
-	src := clampSource(cell, g)
+	src := graph.NodeID(cell.Source)
 	async := make([]float64, cell.Trials)
 	r := harness.Runner{Trials: cell.Trials, Seed: cell.TrialSeed, Workers: trialWorkers}
 	times, err := r.Run(func(t int, rng *xrand.RNG) (float64, error) {
@@ -151,7 +142,7 @@ func runCouplingUpper(ctx context.Context, cell service.CellSpec, g *graph.Graph
 }
 
 func runCouplingLower(ctx context.Context, cell service.CellSpec, g *graph.Graph, trialWorkers int) (*service.KindResult, error) {
-	src := clampSource(cell, g)
+	src := graph.NodeID(cell.Source)
 	series := map[string][]float64{
 		"rho":         make([]float64, cell.Trials),
 		"rho_left":    make([]float64, cell.Trials),
@@ -347,43 +338,12 @@ func runSpectralGap(ctx context.Context, cell service.CellSpec, g *graph.Graph, 
 }
 
 func runEngineSteps(ctx context.Context, cell service.CellSpec, g *graph.Graph, trialWorkers int) (*service.KindResult, error) {
-	proto, err := service.ParseProtocol(cell.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	src := clampSource(cell, g)
-	r := harness.Runner{Trials: cell.Trials, Seed: cell.TrialSeed, Workers: trialWorkers}
-	var times []float64
-	switch cell.Timing {
-	case service.TimingSync:
-		times, err = r.Run(func(_ int, rng *xrand.RNG) (float64, error) {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			res, err := core.RunSync(g, src, core.SyncConfig{Protocol: proto}, rng)
-			if err != nil {
-				return 0, err
-			}
-			return float64(res.Rounds), nil
-		})
-	case service.TimingAsync:
-		view, verr := service.ParseView(cell.View)
-		if verr != nil {
-			return nil, verr
+	times, err := service.RunTrials(ctx, cell, g, trialWorkers, func(_ int, out core.Outcome) (float64, error) {
+		if out.Async != nil {
+			return float64(out.Async.Steps), nil
 		}
-		times, err = r.Run(func(_ int, rng *xrand.RNG) (float64, error) {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			res, err := core.RunAsync(g, src, core.AsyncConfig{Protocol: proto, View: view}, rng)
-			if err != nil {
-				return 0, err
-			}
-			return float64(res.Steps), nil
-		})
-	default:
-		return nil, fmt.Errorf("unknown timing %q", cell.Timing)
-	}
+		return out.Time(), nil
+	})
 	if err != nil {
 		return nil, err
 	}

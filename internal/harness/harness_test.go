@@ -242,6 +242,54 @@ func TestMeasureErrorsPropagate(t *testing.T) {
 	}
 }
 
+// TestMeasureCompletenessRule: on two disjoint cliques the rumor stops
+// at the source's component. Every spreading-time sampler reports that
+// as an error (ppx/ppy used to return finite "spreading times"); the
+// coverage samplers tolerate it and mark unreached fractions with -1.
+func TestMeasureCompletenessRule(t *testing.T) {
+	b := graph.NewBuilder(16).SetName("two-cliques")
+	for u := 0; u < 8; u++ {
+		for v := u + 1; v < 8; v++ {
+			b.AddEdge(graph.NodeID(u), graph.NodeID(v))
+			b.AddEdge(graph.NodeID(u+8), graph.NodeID(v+8))
+		}
+	}
+	g := b.MustBuild()
+	samplers := map[string]func() (*Measurement, error){
+		"MeasureSync":           func() (*Measurement, error) { return MeasureSync(g, 0, core.PushPull, 5, 1, 0) },
+		"MeasureAsync":          func() (*Measurement, error) { return MeasureAsync(g, 0, core.PushPull, 5, 1, 0) },
+		"MeasureAsyncView/node": func() (*Measurement, error) { return MeasureAsyncView(g, 0, core.Push, core.PerNodeClocks, 5, 1, 0) },
+		"MeasureAsyncView/edge": func() (*Measurement, error) { return MeasureAsyncView(g, 0, core.Pull, core.PerEdgeClocks, 5, 1, 0) },
+		"MeasurePPVariant/ppx":  func() (*Measurement, error) { return MeasurePPVariant(g, 0, core.PPX, 5, 1, 0) },
+		"MeasurePPVariant/ppy":  func() (*Measurement, error) { return MeasurePPVariant(g, 0, core.PPY, 5, 1, 0) },
+	}
+	for name, sample := range samplers {
+		if m, err := sample(); err == nil {
+			t.Errorf("%s: disconnected graph accepted (times %v)", name, m.Times)
+		}
+	}
+	profiles := map[string]func() ([][]float64, error){
+		"sync": func() ([][]float64, error) {
+			return MeasureSyncCoverageProfile(g, 0, core.PushPull, []float64{0.5, 1}, 5, 1, 0)
+		},
+		"async": func() ([][]float64, error) {
+			return MeasureAsyncCoverageProfile(g, 0, core.PushPull, []float64{0.5, 1}, 5, 1, 0)
+		},
+	}
+	for name, sample := range profiles {
+		profile, err := sample()
+		if err != nil {
+			t.Fatalf("%s coverage profile: %v", name, err)
+		}
+		for trial := range profile[0] {
+			if half, full := profile[0][trial], profile[1][trial]; half <= 0 || full != -1 {
+				t.Errorf("%s trial %d: half = %v, full = %v; want the component covered and full coverage unreached (-1)",
+					name, trial, half, full)
+			}
+		}
+	}
+}
+
 func ExampleRunner() {
 	r := Runner{Trials: 3, Seed: 42, Workers: 1}
 	results, _ := r.Run(func(trial int, rng *xrand.RNG) (float64, error) {

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"rumor/internal/core"
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
@@ -19,18 +17,60 @@ type Measurement struct {
 	Source graph.NodeID
 }
 
-// MeasureSync samples the synchronous spreading time T(pp/push/pull, G, u)
-// over the given number of trials.
-func MeasureSync(g *graph.Graph, src graph.NodeID, p core.Protocol, trials int, seed uint64, workers int) (*Measurement, error) {
+// measure runs trials of one scenario on g (cfg's type is the timing)
+// and returns the per-trial times and, indexed [frac][trial], the
+// earliest times at which each fraction of all nodes was informed (one
+// simulation and one sort per trial serve all fractions).
+//
+// One completeness rule for every caller: with no fractions requested
+// the times are spreading times, so a trial that leaves a node
+// uninformed (a disconnected graph) is an error; a coverage query
+// tolerates partial spread and reports unreached fractions as -1.
+func measure[C core.SyncConfig | core.AsyncConfig](g *graph.Graph, src graph.NodeID, cfg C, variant core.PPVariant, fracs []float64, trials int, seed uint64, workers int) ([]float64, [][]float64, error) {
+	if trials < 1 {
+		return nil, nil, ErrNoTrials
+	}
+	profile := make([][]float64, len(fracs))
+	for i := range profile {
+		profile[i] = make([]float64, trials)
+	}
 	r := Runner{Trials: trials, Seed: seed, Workers: workers}
-	times, err := r.Run(func(_ int, rng *xrand.RNG) (float64, error) {
-		rounds, err := core.SyncSpreadingTime(g, src, p, rng)
-		return float64(rounds), err
+	times, err := r.Run(func(t int, rng *xrand.RNG) (float64, error) {
+		trial, err := core.NewTrial(graph.NewStatic(g), src, cfg, variant, false)
+		if err != nil {
+			return 0, err
+		}
+		out, err := trial.Run(rng)
+		if err != nil {
+			return 0, err
+		}
+		if len(fracs) == 0 {
+			return out.SpreadingTime()
+		}
+		for i, v := range out.Coverage(fracs) {
+			profile[i][t] = v
+		}
+		return out.Time(), nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return times, profile, nil
+}
+
+// spreadingTimes samples the scenario's spreading time.
+func spreadingTimes[C core.SyncConfig | core.AsyncConfig](g *graph.Graph, src graph.NodeID, cfg C, variant core.PPVariant, trials int, seed uint64, workers int) (*Measurement, error) {
+	times, _, err := measure(g, src, cfg, variant, nil, trials, seed, workers)
 	if err != nil {
 		return nil, err
 	}
 	return &Measurement{Times: times, Graph: g, Source: src}, nil
+}
+
+// MeasureSync samples the synchronous spreading time T(pp/push/pull, G, u)
+// over the given number of trials.
+func MeasureSync(g *graph.Graph, src graph.NodeID, p core.Protocol, trials int, seed uint64, workers int) (*Measurement, error) {
+	return spreadingTimes(g, src, core.SyncConfig{Protocol: p}, 0, trials, seed, workers)
 }
 
 // MeasureAsync samples the asynchronous spreading time T(pp-a/..., G, u)
@@ -41,37 +81,12 @@ func MeasureAsync(g *graph.Graph, src graph.NodeID, p core.Protocol, trials int,
 
 // MeasureAsyncView is MeasureAsync with an explicit process view.
 func MeasureAsyncView(g *graph.Graph, src graph.NodeID, p core.Protocol, view core.AsyncView, trials int, seed uint64, workers int) (*Measurement, error) {
-	r := Runner{Trials: trials, Seed: seed, Workers: workers}
-	times, err := r.Run(func(_ int, rng *xrand.RNG) (float64, error) {
-		res, err := core.RunAsync(g, src, core.AsyncConfig{Protocol: p, View: view}, rng)
-		if err != nil {
-			return 0, err
-		}
-		if !res.Complete {
-			return 0, fmt.Errorf("harness: graph %v is disconnected; spreading time undefined", g)
-		}
-		return res.Time, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Measurement{Times: times, Graph: g, Source: src}, nil
+	return spreadingTimes(g, src, core.AsyncConfig{Protocol: p, View: view}, 0, trials, seed, workers)
 }
 
 // MeasurePPVariant samples the spreading time of ppx or ppy.
 func MeasurePPVariant(g *graph.Graph, src graph.NodeID, v core.PPVariant, trials int, seed uint64, workers int) (*Measurement, error) {
-	r := Runner{Trials: trials, Seed: seed, Workers: workers}
-	times, err := r.Run(func(_ int, rng *xrand.RNG) (float64, error) {
-		res, err := core.RunPPVariant(g, src, v, core.SyncConfig{}, rng)
-		if err != nil {
-			return 0, err
-		}
-		return float64(res.Rounds), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Measurement{Times: times, Graph: g, Source: src}, nil
+	return spreadingTimes(g, src, core.SyncConfig{}, v, trials, seed, workers)
 }
 
 // MeasureAsyncCoverage samples the earliest time at which a fraction frac
@@ -86,29 +101,10 @@ func MeasureAsyncCoverage(g *graph.Graph, src graph.NodeID, p core.Protocol, fra
 
 // MeasureAsyncCoverageProfile samples, for every fraction in fracs, the
 // earliest time at which that fraction of all nodes is informed under the
-// asynchronous process. Each trial is simulated once and queried for all
-// fractions through the batch CoverageTimes helper (one sort per trial).
-// The result is indexed [frac][trial].
+// asynchronous process. The result is indexed [frac][trial].
 func MeasureAsyncCoverageProfile(g *graph.Graph, src graph.NodeID, p core.Protocol, fracs []float64, trials int, seed uint64, workers int) ([][]float64, error) {
-	profile := make([][]float64, len(fracs))
-	for i := range profile {
-		profile[i] = make([]float64, trials)
-	}
-	r := Runner{Trials: trials, Seed: seed, Workers: workers}
-	_, err := r.Run(func(t int, rng *xrand.RNG) (float64, error) {
-		res, err := core.RunAsync(g, src, core.AsyncConfig{Protocol: p}, rng)
-		if err != nil {
-			return 0, err
-		}
-		for i, v := range res.CoverageTimes(fracs) {
-			profile[i][t] = v
-		}
-		return 0, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return profile, nil
+	_, profile, err := measure(g, src, core.AsyncConfig{Protocol: p}, 0, fracs, trials, seed, workers)
+	return profile, err
 }
 
 // MeasureSyncCoverage samples the earliest round at which a fraction frac
@@ -124,23 +120,6 @@ func MeasureSyncCoverage(g *graph.Graph, src graph.NodeID, p core.Protocol, frac
 // MeasureSyncCoverageProfile is MeasureAsyncCoverageProfile for the
 // synchronous process; times are (integer) round numbers.
 func MeasureSyncCoverageProfile(g *graph.Graph, src graph.NodeID, p core.Protocol, fracs []float64, trials int, seed uint64, workers int) ([][]float64, error) {
-	profile := make([][]float64, len(fracs))
-	for i := range profile {
-		profile[i] = make([]float64, trials)
-	}
-	r := Runner{Trials: trials, Seed: seed, Workers: workers}
-	_, err := r.Run(func(t int, rng *xrand.RNG) (float64, error) {
-		res, err := core.RunSync(g, src, core.SyncConfig{Protocol: p}, rng)
-		if err != nil {
-			return 0, err
-		}
-		for i, v := range res.CoverageRounds(fracs) {
-			profile[i][t] = float64(v)
-		}
-		return 0, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return profile, nil
+	_, profile, err := measure(g, src, core.SyncConfig{Protocol: p}, 0, fracs, trials, seed, workers)
+	return profile, err
 }

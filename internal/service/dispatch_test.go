@@ -5,12 +5,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"rumor/internal/core"
 	_ "rumor/internal/experiments" // registers the engine-steps kind
 	"rumor/internal/service"
 )
@@ -160,5 +164,70 @@ func TestDispatchGolden(t *testing.T) {
 		if len(wantLines) > len(gotLines) {
 			t.Errorf("golden file has %d lines, run produced %d", len(wantLines), len(gotLines))
 		}
+	}
+}
+
+// TestOutOfRangeSourceFailsCell: a source the built graph does not have
+// fails the cell — it is never rewritten to node 0, which made distinct
+// cache keys return identical results — on every engine, through the
+// executor and through the scheduler, and nothing is cached under the
+// failed key.
+func TestOutOfRangeSourceFailsCell(t *testing.T) {
+	type S = service.CellSpec
+	cells := map[string]S{
+		"sync":         {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"async":        {Family: "complete", N: 16, Protocol: "push", Timing: "async", Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"first absent": {Family: "complete", N: 16, Protocol: "pull", Timing: "sync", Source: 16, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"async heap": {Family: "complete", N: 16, Protocol: "push-pull", Timing: "async", View: "per-node-clocks", Source: 9999,
+			Crashes: []service.CrashSpec{{Node: 1, Time: 1}}, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"ppx":          {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", Variant: "ppx", Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"quasirandom":  {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", Quasirandom: true, Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"dynamic":      {Family: "gnp", N: 16, Protocol: "push-pull", Timing: "sync", Dynamic: service.DynamicResample, Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"extra source": {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", ExtraSources: []int{9999}, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"engine-steps": {Kind: "engine-steps", Family: "complete", N: 16, Protocol: "push-pull", Timing: "async", Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+	}
+	for name, cell := range cells {
+		t.Run(name, func(t *testing.T) {
+			results := service.NewResultCache(0)
+			exec := &service.Executor{Results: results, Graphs: service.NewGraphCache(0)}
+			res, _, err := exec.Run(context.Background(), 0, cell)
+			if !errors.Is(err, service.ErrBadSpec) || !errors.Is(err, core.ErrBadSource) {
+				t.Fatalf("Executor.Run = %v, %v; want an error matching ErrBadSpec and core.ErrBadSource", res, err)
+			}
+			bad := cell.Source
+			if len(cell.ExtraSources) > 0 {
+				bad = cell.ExtraSources[0]
+			}
+			if msg := err.Error(); !strings.Contains(msg, strconv.Itoa(bad)) || !strings.Contains(msg, "n=16") {
+				t.Errorf("error %q does not name the source %d and the graph's n", msg, bad)
+			}
+			if _, ok := results.Get(cell.Key()); ok {
+				t.Error("a failed cell was written to the result cache")
+			}
+
+			sched := service.NewScheduler(service.SchedulerConfig{Workers: 2, Results: results})
+			defer sched.Shutdown(context.Background())
+			job, err := sched.SubmitCells([]S{cell}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-job.Terminal():
+			case <-time.After(30 * time.Second):
+				t.Fatal("job with an out-of-range source is wedged")
+			}
+			if st := job.Status(); st.State != service.JobFailed || !errors.Is(job.Err(), core.ErrBadSource) {
+				t.Errorf("job state = %s (err %v), want failed with core.ErrBadSource", st.State, job.Err())
+			}
+			if _, ok := results.Get(cell.Key()); ok {
+				t.Error("the scheduler cached a failed cell")
+			}
+		})
+	}
+	// In-range neighbours of the failing specs are distinct measurements.
+	a, b := cells["sync"], cells["sync"]
+	a.Source, b.Source = 0, 1
+	if a.Key() == b.Key() {
+		t.Error("sources 0 and 1 share a key")
 	}
 }

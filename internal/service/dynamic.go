@@ -1,10 +1,8 @@
 package service
 
 import (
-	"rumor/internal/core"
 	"rumor/internal/graph"
 	"rumor/internal/harness"
-	"rumor/internal/xrand"
 )
 
 // perturbSeedSalt derives the perturb evolution seed from the cell's
@@ -12,59 +10,36 @@ import (
 // epoch seeds mixSeed(GraphSeed, e).
 const perturbSeedSalt uint64 = 0x64796e2d70657274 // "dyn-pert"
 
-// dynamicTopology returns a factory producing fresh topology Providers
-// for the cell over base graph g, or nil for a static cell. Providers
-// are stateful cursors, so each pooled stepper owns one; every provider
-// from one factory replays the identical graph sequence — a pure
-// function of (Family, N, GraphSeed, Dynamic, DynamicPeriod,
-// PerturbRate) and never of the trial — which is what keeps dynamic
-// cells cacheable.
-func dynamicTopology(cell CellSpec, g *graph.Graph) func() (graph.Provider, error) {
+// topology returns a factory of the cell's topology Providers over base
+// graph g. Dynamic providers are stateful cursors, so each pooled trial
+// owns one; every provider from one factory replays the identical graph
+// sequence — a pure function of (Family, N, GraphSeed, Dynamic,
+// DynamicPeriod, PerturbRate) and never of the trial — which is what
+// keeps dynamic cells cacheable. A static cell's provider is the
+// stateless graph.Static, which the engines unwrap onto their static
+// fast path.
+func topology(cell CellSpec, g *graph.Graph) (func() (graph.Provider, error), error) {
 	switch cell.Dynamic {
 	case DynamicResample:
 		// The family was already resolved by Validate and BuildGraph.
 		fam, err := harness.FamilyByName(cell.Family)
 		if err != nil {
-			return func() (graph.Provider, error) { return nil, err }
+			return nil, err
 		}
 		period := cell.effectiveDynamicPeriod()
 		return func() (graph.Provider, error) {
 			return graph.NewResample(g, period, func(epoch uint64) (*graph.Graph, error) {
 				return fam.Build(cell.N, mixSeed(cell.GraphSeed, epoch))
 			})
-		}
+		}, nil
 	case DynamicPerturb:
 		period := cell.effectiveDynamicPeriod()
 		seed := mixSeed(cell.GraphSeed, perturbSeedSalt)
 		return func() (graph.Provider, error) {
 			return graph.NewPerturb(g, period, cell.PerturbRate, seed)
-		}
+		}, nil
 	default:
-		return nil
+		static := graph.NewStatic(g)
+		return func() (graph.Provider, error) { return static, nil }, nil
 	}
-}
-
-// newSyncStepperFor builds a sync stepper for a static or dynamic cell.
-func newSyncStepperFor(makeTopo func() (graph.Provider, error), g *graph.Graph, src graph.NodeID, cfg core.SyncConfig, rng *xrand.RNG) (*core.SyncStepper, error) {
-	if makeTopo == nil {
-		return core.NewSyncStepper(g, src, cfg, rng)
-	}
-	topo, err := makeTopo()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSyncStepperTopo(topo, src, cfg, rng)
-}
-
-// newAsyncStepperFor builds an async stepper for a static or dynamic
-// cell.
-func newAsyncStepperFor(makeTopo func() (graph.Provider, error), g *graph.Graph, src graph.NodeID, cfg core.AsyncConfig, rng *xrand.RNG) (*core.AsyncStepper, error) {
-	if makeTopo == nil {
-		return core.NewAsyncStepper(g, src, cfg, rng)
-	}
-	topo, err := makeTopo()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewAsyncStepperTopo(topo, src, cfg, rng)
 }

@@ -158,11 +158,12 @@ type CellSpec struct {
 	GraphSeed uint64 `json:"graph_seed"`
 	// TrialSeed roots the per-trial RNG streams (trial t uses Child(t)).
 	TrialSeed uint64 `json:"trial_seed"`
-	// Source is the rumor source node (clamped to 0 if out of range).
+	// Source is the rumor source node; one outside the built graph
+	// fails the cell at run time (the family may round N, so the node
+	// count is not known at submit time).
 	Source int `json:"source"`
 	// ExtraSources are additional nodes informed at time 0
-	// (multi-source extension). Unlike Source they are not clamped: an
-	// entry outside the built graph fails the cell.
+	// (multi-source extension), range-checked like Source.
 	ExtraSources []int `json:"extra_sources,omitempty"`
 	// Crashes is an optional fail-stop schedule (extension).
 	Crashes []CrashSpec `json:"crashes,omitempty"`

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -200,19 +201,66 @@ func CoverageName(frac float64) string {
 	return "q" + fmtFloat(pct)
 }
 
-// runTimeCell runs the cell's trials on the built graph. Per-trial
-// seeding comes from harness.Runner, so the sample is identical for any
-// worker count; coverage milestones are extracted per trial with the
-// batch helpers (one sort per trial) and aggregated.
+// runTimeCell samples the cell's spreading times and coverage
+// milestones; the latter are extracted per trial with the batch helper
+// (one sort per trial) and aggregated.
 func runTimeCell(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorkers int) (*KindResult, error) {
+	// Crash injection can legitimately cut the rumor off from part of
+	// the graph, churn can strand it, and a dynamic topology may never
+	// visit the edges some node needs; only cells free of all three
+	// insist on full coverage.
+	requireComplete := len(cell.Crashes) == 0 && len(cell.Churn) == 0 && cell.Dynamic == ""
+	fracs := cell.effectiveCoverage()
+	coverage := make([][]float64, len(fracs))
+	for i := range coverage {
+		coverage[i] = make([]float64, cell.Trials)
+	}
+	var work atomic.Int64
+	times, err := RunTrials(ctx, cell, g, trialWorkers, func(t int, out core.Outcome) (float64, error) {
+		work.Add(out.Work())
+		for i, v := range out.Coverage(fracs) {
+			coverage[i][t] = v
+		}
+		if requireComplete {
+			return out.SpreadingTime()
+		}
+		return out.Time(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	cov := make(map[string]float64, len(fracs))
+	for i, frac := range fracs {
+		cov[CoverageName(frac)] = meanOrUnreached(coverage[i])
+	}
+	return &KindResult{Times: times, Coverage: cov, Work: work.Load()}, nil
+}
+
+// RunTrials compiles the cell's scenario fields into core trials on g,
+// runs cell.Trials of them, and returns measure's value per trial.
+// Per-trial seeding comes from harness.Runner, so the sample is
+// identical for any worker count. Trials are pooled across the runner's
+// workers: Run rewinds the engine's arenas, so steady-state trials
+// allocate nothing. A scenario the built graph cannot host (a source or
+// schedule node outside it) fails with ErrBadSpec wrapping the core cause.
+func RunTrials(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorkers int, measure func(trial int, out core.Outcome) (float64, error)) ([]float64, error) {
 	proto, err := ParseProtocol(cell.Protocol)
 	if err != nil {
 		return nil, err
 	}
-	src := graph.NodeID(cell.Source)
-	if int(src) >= g.NumNodes() {
-		src = 0
+	view, err := ParseView(cell.View)
+	if err != nil {
+		return nil, err
 	}
+	variant, err := ParseVariant(cell.Variant)
+	if err != nil {
+		return nil, err
+	}
+	newTopo, err := topology(cell, g)
+	if err != nil {
+		return nil, err
+	}
+	src := graph.NodeID(cell.Source)
 	extra := make([]graph.NodeID, len(cell.ExtraSources))
 	for i, s := range cell.ExtraSources {
 		extra[i] = graph.NodeID(s)
@@ -229,164 +277,51 @@ func runTimeCell(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorker
 		}
 		churn[i] = core.ChurnEvent{Node: graph.NodeID(ev.Node), Time: ev.Time, Op: op, DropState: ev.DropState}
 	}
-	makeTopo := dynamicTopology(cell, g)
-	transmit := 1 - cell.LossProb
-	// Crash injection can legitimately cut the rumor off from part of
-	// the graph, churn can strand it, and a dynamic topology may never
-	// visit the edges some node needs; only cells free of all three
-	// insist on full coverage.
-	requireComplete := len(crashes) == 0 && len(churn) == 0 && cell.Dynamic == ""
-	// Dynamic topologies also lose reachability-based early
-	// termination, so a never-connecting sequence runs to the budget;
-	// those trials report the partial spread (unreached milestones
-	// collapse to -1) instead of failing the cell.
-	tolerateBudget := cell.Dynamic != ""
-
-	fracs := cell.effectiveCoverage()
-	coverage := make([][]float64, len(fracs))
-	for i := range coverage {
-		coverage[i] = make([]float64, cell.Trials)
+	newTrial := func() (*core.Trial, error) {
+		topo, err := newTopo()
+		if err != nil {
+			return nil, err
+		}
+		var trial *core.Trial
+		switch cell.Timing {
+		case TimingSync:
+			trial, err = core.NewTrial(topo, src, core.SyncConfig{Protocol: proto, TransmitProb: 1 - cell.LossProb,
+				ExtraSources: extra, Crashes: crashes, Churn: churn}, variant, cell.Quasirandom)
+		case TimingAsync:
+			trial, err = core.NewTrial(topo, src, core.AsyncConfig{Protocol: proto, View: view, TransmitProb: 1 - cell.LossProb,
+				ExtraSources: extra, Crashes: crashes, Churn: churn}, variant, cell.Quasirandom)
+		default:
+			return nil, fmt.Errorf("%w: unknown timing %q", ErrBadSpec, cell.Timing)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
+		}
+		return trial, nil
 	}
-
+	var pool sync.Pool // per cell, so pooled trials always match it
 	r := harness.Runner{Trials: cell.Trials, Seed: cell.TrialSeed, Workers: trialWorkers}
-	// Steppers are pooled across trials: Reset reuses the bitset and
-	// draw arenas, so steady-state trials allocate nothing. The pool
-	// is per-cell, so pooled steppers always match (g, src, cfg).
-	var pool sync.Pool
-	var work atomic.Int64
-	var times []float64
-	switch cell.Timing {
-	case TimingSync:
-		variant, err := ParseVariant(cell.Variant)
-		if err != nil {
-			return nil, err
+	return r.Run(func(t int, rng *xrand.RNG) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
-		cfg := core.SyncConfig{
-			Protocol:     proto,
-			TransmitProb: transmit,
-			ExtraSources: extra,
-			Crashes:      crashes,
-			Churn:        churn,
-		}
-		maxRounds := core.DefaultMaxRounds(g.NumNodes())
-		times, err = r.Run(func(t int, rng *xrand.RNG) (float64, error) {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			var res *core.SyncResult
+		trial, _ := pool.Get().(*core.Trial)
+		if trial == nil {
 			var err error
-			switch {
-			case variant != 0:
-				res, err = core.RunPPVariant(g, src, variant, cfg, rng)
-			case cell.Quasirandom:
-				res, err = core.RunQuasirandomSync(g, src, cfg, rng)
-			default:
-				var s *core.SyncStepper
-				if v := pool.Get(); v != nil {
-					s = v.(*core.SyncStepper)
-					s.Reset(rng)
-				} else if s, err = newSyncStepperFor(makeTopo, g, src, cfg, rng); err != nil {
-					return 0, err
-				}
-				defer pool.Put(s)
-				for s.Step() {
-					if s.Round() >= maxRounds && !s.Finished() {
-						if tolerateBudget {
-							break
-						}
-						return 0, fmt.Errorf("%w: %d rounds (sync %v on %v)", core.ErrBudget, s.Round(), cfg.Protocol, g)
-					}
-				}
-				if err := s.Err(); err != nil {
-					return 0, err
-				}
-				res = s.Result()
-			}
-			if err != nil {
+			if trial, err = newTrial(); err != nil {
 				return 0, err
 			}
-			work.Add(res.Updates)
-			if requireComplete && !res.Complete {
-				return 0, fmt.Errorf("service: graph %v is disconnected; spreading time undefined", g)
-			}
-			for i, v := range res.CoverageRounds(fracs) {
-				coverage[i][t] = float64(v)
-			}
-			return float64(res.Rounds), nil
-		})
-		if err != nil {
-			return nil, err
 		}
-	case TimingAsync:
-		view, err := ParseView(cell.View)
-		if err != nil {
-			return nil, err
+		defer pool.Put(trial)
+		out, err := trial.Run(rng)
+		// Dynamic topologies lose reachability-based early termination,
+		// so a never-connecting sequence runs to the budget; those
+		// trials report the partial spread (unreached milestones
+		// collapse to -1) instead of failing the cell.
+		if err != nil && !(cell.Dynamic != "" && errors.Is(err, core.ErrBudget)) {
+			return 0, err
 		}
-		cfg := core.AsyncConfig{
-			Protocol:     proto,
-			View:         view,
-			TransmitProb: transmit,
-			ExtraSources: extra,
-			Crashes:      crashes,
-			Churn:        churn,
-		}
-		// Crash-only schedules route through RunAsync, which picks the
-		// heap-based engine for the non-uniform clock views; churn and
-		// dynamic topologies always run on the thinning stepper
-		// (per-edge-clocks is rejected for them at validation).
-		useStepper := len(crashes) == 0 || len(churn) > 0 || makeTopo != nil
-		maxSteps := core.DefaultMaxSteps(g.NumNodes())
-		times, err = r.Run(func(t int, rng *xrand.RNG) (float64, error) {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			var res *core.AsyncResult
-			var err error
-			if useStepper {
-				var s *core.AsyncStepper
-				if v := pool.Get(); v != nil {
-					s = v.(*core.AsyncStepper)
-					s.Reset(rng)
-				} else if s, err = newAsyncStepperFor(makeTopo, g, src, cfg, rng); err != nil {
-					return 0, err
-				}
-				defer pool.Put(s)
-				for s.Step() {
-					if s.Steps() >= maxSteps && !s.Finished() {
-						if tolerateBudget {
-							break
-						}
-						return 0, fmt.Errorf("%w: %d steps (async %v on %v)", core.ErrBudget, s.Steps(), cfg.Protocol, g)
-					}
-				}
-				if err := s.Err(); err != nil {
-					return 0, err
-				}
-				res = s.Result()
-			} else if res, err = core.RunAsync(g, src, cfg, rng); err != nil {
-				return 0, err
-			}
-			work.Add(res.Steps)
-			if requireComplete && !res.Complete {
-				return 0, fmt.Errorf("service: graph %v is disconnected; spreading time undefined", g)
-			}
-			for i, v := range res.CoverageTimes(fracs) {
-				coverage[i][t] = v
-			}
-			return res.Time, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown timing %q", ErrBadSpec, cell.Timing)
-	}
-
-	cov := make(map[string]float64, len(fracs))
-	for i, frac := range fracs {
-		cov[CoverageName(frac)] = meanOrUnreached(coverage[i])
-	}
-	return &KindResult{Times: times, Coverage: cov, Work: work.Load()}, nil
+		return measure(t, out)
+	})
 }
 
 // meanOrUnreached averages a coverage series, collapsing to -1 if any
