@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"rumor/internal/core"
 	"rumor/internal/gossip"
 )
 
@@ -82,6 +84,32 @@ func TestFlagValidation(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) accepted", args)
+		}
+	}
+}
+
+// TestSourceOutOfRangeFails: a -source outside the graph is an error
+// naming it, not a silent trial from vertex 0.
+func TestSourceOutOfRangeFails(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"live only", []string{"-overlay=false", "-source", "99"}},
+		{"live only, negative", []string{"-overlay=false", "-source", "-1"}},
+		{"live only, n", []string{"-overlay=false", "-source", "8"}},
+		{"overlay", []string{"-source", "99"}},
+	} {
+		var out bytes.Buffer
+		args := append([]string{"-coordinator", "-family", "complete", "-n", "8", "-nodes", "8", "-trials", "1"}, tc.args...)
+		err := run(args, &out)
+		if !errors.Is(err, core.ErrBadSource) {
+			t.Errorf("%s: err = %v, want core.ErrBadSource", tc.name, err)
+		} else if !strings.Contains(err.Error(), "source out of range") {
+			t.Errorf("%s: message %q does not name the problem", tc.name, err)
+		}
+		if strings.Contains(out.String(), "informed=") {
+			t.Errorf("%s: a trial ran:\n%s", tc.name, out.String())
 		}
 	}
 }

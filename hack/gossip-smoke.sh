@@ -4,8 +4,15 @@
 # Three phases:
 #
 #   1. Remote fleet: six gossipd node processes on loopback, one
-#      coordinator attaching via -peers, two live push-pull trials at
-#      10% message loss — every trial must reach full coverage.
+#      coordinator attaching via -peers, a live push-pull trial on a
+#      cycle at 10% message loss; then the even nodes (started
+#      -exit-on-shutdown) are restarted on the same ports and a second
+#      coordinator runs another trial. Every neighbor of a surviving
+#      odd node was restarted, so all its idle links are stale. Both
+#      trials must reach full coverage,
+#      the processes must have reused connections (fewer dials than
+#      messages across the fleet), the survivors must have redialled,
+#      and nobody may have lost a message to the transport.
 #   2. Self-hosted E16 overlay (sync): live cluster vs simulator on the
 #      identical cell, 10% loss; the spreading-time ratio must print
 #      and fall inside the -max-ratio bound.
@@ -35,35 +42,73 @@ if [ ! -x "$BIN" ]; then
     go build -o "$BIN" ./cmd/gossipd
 fi
 
-echo "==> phase 1: remote fleet, 6 nodes, push-pull sync, 10% loss"
-ADDRS=()
-for i in $(seq 0 5); do
-    port=$((BASE_PORT + i))
-    "$BIN" -addr "127.0.0.1:$port" >"$workdir/node$i.log" 2>&1 &
-    pids+=($!)
-    ADDRS+=("127.0.0.1:$port")
-done
-for i in $(seq 0 5); do
+echo "==> phase 1: remote fleet, 6 nodes on a cycle, push-pull sync, 10% loss"
+# start_node I GENERATION: even nodes exit on SHUTDOWN, odd ones stay up.
+start_node() {
+    local i=$1 gen=$2 flags=()
+    if [ $((i % 2)) -eq 0 ]; then flags=(-exit-on-shutdown); fi
+    "$BIN" -addr "127.0.0.1:$((BASE_PORT + i))" "${flags[@]}" \
+        -metrics-out "$workdir/node$i.$gen.metrics" >"$workdir/node$i.$gen.log" 2>&1 &
+    pids[i]=$!
     for _ in $(seq 1 100); do
-        grep -q "listening on" "$workdir/node$i.log" 2>/dev/null && break
+        grep -q "listening on" "$workdir/node$i.$gen.log" 2>/dev/null && return
         sleep 0.1
     done
-    grep -q "listening on" "$workdir/node$i.log" || {
-        echo "FAIL: node $i never started" >&2
-        cat "$workdir/node$i.log" >&2
-        exit 1
-    }
+    echo "FAIL: node $i never started" >&2
+    cat "$workdir/node$i.$gen.log" >&2
+    exit 1
+}
+# metric_sum FAMILY FILE...: the family's series, summed over the files.
+metric_sum() {
+    local family=$1
+    shift
+    awk -v f="$family" '$1 == f || index($1, f "{") == 1 {s += $2} END {printf "%d\n", s}' "$@"
+}
+ADDRS=()
+for i in $(seq 0 5); do
+    start_node "$i" a
+    ADDRS+=("127.0.0.1:$((BASE_PORT + i))")
 done
 peers="$(IFS=,; echo "${ADDRS[*]}")"
-"$BIN" -coordinator -overlay=false -peers "$peers" \
-    -family complete -n 6 -protocol push-pull -timing sync \
-    -loss 0.1 -trials 2 -seed 42 | tee "$workdir/fleet.out"
-trials=$(grep -c "informed=6/6" "$workdir/fleet.out" || true)
-if [ "$trials" -ne 2 ]; then
-    echo "FAIL: expected 2 full-coverage trials on the fleet, saw $trials" >&2
+fleet_trial() {
+    "$BIN" -coordinator -overlay=false -peers "$peers" \
+        -family cycle -n 6 -protocol push-pull -timing sync \
+        -loss 0.1 -trials 1 -seed "$1" -metrics-out "$workdir/coord.$1.metrics" | tee "$workdir/fleet.$1.out"
+    grep -q "informed=6/6" "$workdir/fleet.$1.out" || {
+        echo "FAIL: fleet trial (seed $1) fell short of full coverage" >&2
+        exit 1
+    }
+}
+fleet_trial 42
+echo "==> restarting nodes 0, 2, 4 on their ports; nodes 1, 3, 5 keep their now stale links"
+for i in 0 2 4; do
+    wait "${pids[i]}" || {
+        echo "FAIL: node $i did not exit cleanly on SHUTDOWN" >&2
+        exit 1
+    }
+    start_node "$i" b
+done
+fleet_trial 43
+for i in 0 2 4; do wait "${pids[i]}"; done
+for i in 1 3 5; do
+    kill -TERM "${pids[i]}"
+    wait "${pids[i]}" || true
+done
+pids=()
+reuses=$(metric_sum rumor_gossip_conn_reuses_total "$workdir"/coord.42.metrics)
+dials=$(metric_sum rumor_gossip_dials_total "$workdir"/*.metrics)
+msgs=$(metric_sum rumor_gossip_messages_sent_total "$workdir"/*.metrics)
+errs=$(metric_sum rumor_gossip_dial_errors_total "$workdir"/*.metrics)
+# A survivor's call on a stale link counts one reuse and one dial.
+redials=$(($(metric_sum rumor_gossip_dials_total "$workdir"/node[135].a.metrics) \
+    + $(metric_sum rumor_gossip_conn_reuses_total "$workdir"/node[135].a.metrics) \
+    - $(metric_sum rumor_gossip_messages_sent_total "$workdir"/node[135].a.metrics)))
+echo "==> fleet: $msgs messages on $dials dials, $errs transport failures; coordinator reuses $reuses; stale-link redials $redials"
+if [ "$reuses" -le 0 ] || [ "$dials" -ge "$msgs" ] || [ "$errs" -ne 0 ] || [ "$redials" -le 0 ]; then
+    echo "FAIL: connection reuse across processes is not working as expected" >&2
     exit 1
 fi
-echo "==> fleet reached full coverage in both trials"
+echo "==> fleet reached full coverage in both trials, across a restart of half of it"
 
 echo "==> phase 2: self-hosted E16 overlay, sync, 16 nodes, 10% loss"
 "$BIN" -coordinator -family complete -n 16 -protocol push-pull -timing sync \

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rumor/internal/core"
 	"rumor/internal/graph"
 	"rumor/internal/service"
 	"rumor/internal/xrand"
@@ -102,7 +103,12 @@ type TrialResult struct {
 	M     int    `json:"m"`
 	// Informed is the final informed count.
 	Informed int `json:"informed"`
-	// Rounds is the number of synchronous rounds driven (0 async).
+	// Rounds is the number of synchronous rounds driven (0 async). It
+	// can exceed SpreadTime by one: a node acks a round when its own
+	// contact is done, which may be before a peer's push of that round
+	// reaches it, so the coordinator can count it uninformed and drive
+	// one more round. SpreadTime comes from the nodes' final reports and
+	// is exact.
 	Rounds int `json:"rounds"`
 	// SpreadTime is the time to full coverage in protocol units (sync
 	// rounds, or async time units from the source's acceptance stamp);
@@ -131,6 +137,7 @@ type TrialResult struct {
 // processes (Attach). Node i plays graph vertex i.
 type Cluster struct {
 	metrics *Metrics
+	tr      *transport // control-plane calls; one idle link per node
 	addrs   []string
 	nodes   []*Node // nil when attached to remote processes
 }
@@ -141,7 +148,7 @@ func NewSelfHost(n int, metrics *Metrics) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("gossip: cluster size %d", n)
 	}
-	c := &Cluster{metrics: metrics}
+	c := &Cluster{metrics: metrics, tr: newTransport(n, metrics)}
 	for i := 0; i < n; i++ {
 		node := NewNode(metrics)
 		if err := node.Listen("127.0.0.1:0"); err != nil {
@@ -160,8 +167,11 @@ func Attach(addrs []string, metrics *Metrics) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("gossip: attaching to zero nodes")
 	}
-	c := &Cluster{metrics: metrics, addrs: append([]string(nil), addrs...)}
-	return c, nil
+	return &Cluster{
+		metrics: metrics,
+		tr:      newTransport(len(addrs), metrics),
+		addrs:   append([]string(nil), addrs...),
+	}, nil
 }
 
 // Size returns the node count.
@@ -170,10 +180,11 @@ func (c *Cluster) Size() int { return len(c.addrs) }
 // Addrs returns the node addresses (vertex i at index i).
 func (c *Cluster) Addrs() []string { return append([]string(nil), c.addrs...) }
 
-// Close stops self-hosted nodes. Attached remote nodes are left
-// running (Shutdown tells them a trial ended; their process lifetime
-// is their own).
+// Close closes the coordinator's links and stops self-hosted nodes.
+// Attached remote nodes are left running (Shutdown tells them a trial
+// ended; their process lifetime is their own).
 func (c *Cluster) Close() error {
+	c.tr.close()
 	for _, n := range c.nodes {
 		if n != nil {
 			n.Close()
@@ -215,7 +226,7 @@ func (c *Cluster) sweep(method string, payload func(i int) (interface{}, error),
 				return
 			}
 			c.metrics.incSent(method)
-			reply, err := CallChecked(c.addrs[i], env, gossipCallTimeout, c.metrics)
+			reply, err := c.tr.callChecked(c.addrs[i], env, gossipCallTimeout)
 			if err != nil {
 				errs[i] = fmt.Errorf("node %d (%s): %w", i, c.addrs[i], err)
 				return
@@ -250,7 +261,7 @@ func (c *Cluster) RunTrial(spec TrialSpec) (*TrialResult, error) {
 	}
 	source := spec.Cell.Source
 	if source < 0 || source >= n {
-		source = 0
+		return nil, fmt.Errorf("gossip: %w: %d (n=%d)", core.ErrBadSource, source, n)
 	}
 
 	// Per-node seeds derive from the trial seed through one root
@@ -288,7 +299,7 @@ func (c *Cluster) RunTrial(spec TrialSpec) (*TrialResult, error) {
 		return nil, err
 	}
 	c.metrics.incSent(MethodDistribute)
-	if _, err := CallChecked(c.addrs[source], distEnv, gossipCallTimeout, c.metrics); err != nil {
+	if _, err := c.tr.callChecked(c.addrs[source], distEnv, gossipCallTimeout); err != nil {
 		return nil, fmt.Errorf("gossip: distribute to node %d: %w", source, err)
 	}
 

@@ -18,6 +18,9 @@ type Metrics struct {
 	dropped    *obs.Counter    // loss-injected transmission drops
 	contacts   *obs.Counter    // gossip exchanges initiated (push or pull)
 	dialErrors *obs.Counter    // failed gossip-plane deliveries
+	dials      *obs.Counter    // connections opened by transports
+	reuses     *obs.Counter    // calls served by an idle link
+	idleConns  *obs.Gauge      // idle links held by transports
 	rounds     *obs.Counter    // synchronous rounds driven
 	runs       *obs.Counter    // live measurement runs completed
 	informed   *obs.Gauge      // informed nodes at the last report
@@ -39,7 +42,13 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.contacts = reg.NewCounter("rumor_gossip_contacts_total",
 		"Gossip exchanges initiated by nodes (one per sync-round action or async clock tick that acts).")
 	m.dialErrors = reg.NewCounter("rumor_gossip_dial_errors_total",
-		"Gossip-plane deliveries that failed at the transport (dial/write/read), excluding injected loss.")
+		"Gossip-plane calls that failed at the transport after the one permitted redial of a stale link, excluding injected loss.")
+	m.dials = reg.NewCounter("rumor_gossip_dials_total",
+		"Connections opened by node and coordinator transports (one-shot Call dials are not counted).")
+	m.reuses = reg.NewCounter("rumor_gossip_conn_reuses_total",
+		"Calls sent on an idle link instead of a new connection.")
+	m.idleConns = reg.NewGauge("rumor_gossip_idle_conns",
+		"Idle links currently held by the transports in this process.")
 	m.rounds = reg.NewCounter("rumor_gossip_rounds_total",
 		"Synchronous rounds driven by the coordinator.")
 	m.runs = reg.NewCounter("rumor_gossip_live_runs_total",
@@ -101,6 +110,27 @@ func (m *Metrics) incDialError() {
 		return
 	}
 	m.dialErrors.Inc()
+}
+
+func (m *Metrics) incDial() {
+	if m == nil {
+		return
+	}
+	m.dials.Inc()
+}
+
+func (m *Metrics) incReuse() {
+	if m == nil {
+		return
+	}
+	m.reuses.Inc()
+}
+
+func (m *Metrics) addIdleConns(delta int) {
+	if m == nil {
+		return
+	}
+	m.idleConns.Add(float64(delta))
 }
 
 func (m *Metrics) incRound() {

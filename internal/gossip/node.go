@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -46,6 +47,7 @@ const (
 type Node struct {
 	metrics    *Metrics
 	onShutdown func()
+	tr         *transport // outgoing gossip calls
 
 	ln       net.Listener
 	handlers map[string]func(env *Envelope) (interface{}, error)
@@ -79,6 +81,7 @@ type Node struct {
 func NewNode(metrics *Metrics) *Node {
 	n := &Node{
 		metrics: metrics,
+		tr:      newTransport(maxIdleLinks, metrics),
 		done:    make(chan struct{}),
 		conns:   make(map[net.Conn]struct{}),
 	}
@@ -123,8 +126,8 @@ func (n *Node) Addr() string {
 }
 
 // Close stops the async clock, the listener, and every open
-// connection, then waits for all node goroutines to exit. Safe to call
-// more than once.
+// connection, waits for all node goroutines to exit, then closes the
+// idle links to peers. Safe to call more than once.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		close(n.done)
@@ -138,6 +141,7 @@ func (n *Node) Close() error {
 		}
 		n.connMu.Unlock()
 		n.wg.Wait()
+		n.tr.close()
 		n.metrics.nodeDown()
 	})
 	return nil
@@ -166,9 +170,10 @@ func (n *Node) handleConn(conn net.Conn) {
 		delete(n.conns, conn)
 		n.connMu.Unlock()
 	}()
+	br := bufio.NewReaderSize(conn, linkBufSize)
 	for {
 		conn.SetReadDeadline(time.Now().Add(connIdleTimeout))
-		env, err := ReadFrame(conn)
+		env, err := ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -393,7 +398,7 @@ func (n *Node) handlePull(env *Envelope) (interface{}, error) {
 	}
 	n.received.Add(1)
 	n.mu.Lock()
-	informed := n.active && n.informed
+	informed := n.active && n.informedIn(req.Round)
 	var lost bool
 	var delay time.Duration
 	if informed {
@@ -427,7 +432,7 @@ func (n *Node) contact(round int32) {
 		return
 	}
 	cfg := n.cfg
-	informed := n.informed
+	informed := n.informedIn(round)
 	peer := cfg.Neighbors[n.rng.Intn(len(cfg.Neighbors))]
 	doPush := informed && (cfg.Protocol == ProtocolPush || cfg.Protocol == ProtocolPushPull)
 	// An informed node's pull cannot change any state, so it is
@@ -459,7 +464,7 @@ func (n *Node) contact(round int32) {
 			if err == nil {
 				n.sent.Add(1)
 				n.metrics.incSent(MethodPush)
-				if _, err := Call(peer, env, gossipCallTimeout, n.metrics); err != nil {
+				if _, err := n.tr.call(peer, env, gossipCallTimeout); err != nil {
 					n.metrics.incDialError()
 				}
 			}
@@ -472,7 +477,7 @@ func (n *Node) contact(round int32) {
 		}
 		n.sent.Add(1)
 		n.metrics.incSent(MethodPull)
-		reply, err := Call(peer, env, gossipCallTimeout, n.metrics)
+		reply, err := n.tr.call(peer, env, gossipCallTimeout)
 		if err != nil {
 			n.metrics.incDialError()
 			return
@@ -488,6 +493,16 @@ func (n *Node) contact(round int32) {
 			n.hear(round)
 		}
 	}
+}
+
+// informedIn reports whether the node acts as informed in the given
+// round: a synchronous round runs on start-of-round state, so a node
+// that accepted the rumor during round r neither pushes it nor answers
+// a pull with it until round r+1 — whatever order the round's messages
+// happen to arrive in. Async operation (round -1) has no rounds to
+// separate. Callers hold n.mu.
+func (n *Node) informedIn(round int32) bool {
+	return n.informed && (round == asyncRound || n.informedRound < round)
 }
 
 // hear records one hearing of the rumor; the node accepts it (becomes

@@ -1,11 +1,15 @@
 package gossip
 
 import (
+	"errors"
+	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"rumor/internal/core"
 	"rumor/internal/obs"
 	"rumor/internal/service"
 )
@@ -238,19 +242,34 @@ func TestAttachRunsTrial(t *testing.T) {
 	checkFullCoverage(t, res)
 }
 
+// openFDs counts the process's open file descriptors, -1 where /proc
+// does not list them.
+func openFDs() int {
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(entries)
+}
+
 // TestRepeatedLifecycleNoLeaks drives several full
 // STARTUP→DISTRIBUTE→…→SHUTDOWN cycles (sync and async) on one
-// cluster and verifies the process returns to its goroutine baseline —
-// the acceptance criterion for clean shutdown under the race detector.
+// cluster and verifies the process returns to its goroutine and open
+// file descriptor baselines — the acceptance criterion for clean
+// shutdown under the race detector, idle links included.
 func TestRepeatedLifecycleNoLeaks(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	c, err := NewSelfHost(5, nil)
+	// A first socket makes the runtime open its poller's descriptors,
+	// which stay; keep them out of the baseline's way.
+	startNode(t, "127.0.0.1:0", nil).Close()
+	baseline, baselineFDs := runtime.NumGoroutine(), openFDs()
+	const n = 16
+	c, err := NewSelfHost(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cycle := 0; cycle < 3; cycle++ {
 		for _, timing := range []string{TimingSync, TimingAsync} {
-			spec := testSpec("complete", 5, ProtocolPushPull, timing)
+			spec := testSpec("complete", n, ProtocolPushPull, timing)
 			spec.Cell.TrialSeed = uint64(100*cycle + len(timing))
 			res, err := c.RunTrial(spec)
 			if err != nil {
@@ -259,20 +278,82 @@ func TestRepeatedLifecycleNoLeaks(t *testing.T) {
 			checkFullCoverage(t, res)
 		}
 	}
+	if held := openFDs(); baselineFDs >= 0 && held < baselineFDs+n {
+		t.Fatalf("%d descriptors open with a %d-node cluster up, baseline %d: the count sees no sockets", held, n, baselineFDs)
+	}
 	c.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
-		now := runtime.NumGoroutine()
-		if now <= baseline+2 {
+		now, fds := runtime.NumGoroutine(), openFDs()
+		if now <= baseline+2 && fds <= baselineFDs {
 			return
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines: baseline %d, now %d\n%s",
-				baseline, now, buf[:runtime.Stack(buf, true)])
+			t.Fatalf("goroutines: baseline %d, now %d; open descriptors: baseline %d, now %d\n%s",
+				baseline, now, baselineFDs, fds, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestSyncCurveDeterministic: a synchronous round acts on start-of-round
+// state, so without loss or latency the per-node informed rounds are a
+// function of (graph, seed), whatever order a round's messages land in —
+// and the rumor moves one hop per round at most.
+func TestSyncCurveDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		family    string
+		minSpread float64
+	}{{"hypercube", 4}, {"complete", 1}} {
+		c, err := NewSelfHost(16, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var first []int32
+		for rep := 0; rep < 5; rep++ {
+			res, err := c.RunTrial(testSpec(tc.family, 16, ProtocolPushPull, TimingSync))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFullCoverage(t, res)
+			if res.SpreadTime < tc.minSpread {
+				t.Fatalf("%s: spread time %v below the diameter %v", tc.family, res.SpreadTime, tc.minSpread)
+			}
+			if d := float64(res.Rounds) - res.SpreadTime; d != 0 && d != 1 {
+				t.Fatalf("%s: drove %d rounds for a spread time of %v", tc.family, res.Rounds, res.SpreadTime)
+			}
+			rounds := make([]int32, len(res.Reports))
+			for i, r := range res.Reports {
+				rounds[i] = r.InformedRound
+			}
+			if first == nil {
+				first = rounds
+			} else if !reflect.DeepEqual(rounds, first) {
+				t.Fatalf("%s: repeat %d informed rounds %v, first run %v", tc.family, rep, rounds, first)
+			}
+		}
+	}
+}
+
+func TestRunTrialRejectsBadSource(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, err := NewSelfHost(4, NewMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, source := range []int{-1, 4, 99} {
+		spec := testSpec("complete", 4, ProtocolPush, TimingSync)
+		spec.Cell.Source = source
+		if _, err := c.RunTrial(spec); !errors.Is(err, core.ErrBadSource) {
+			t.Errorf("source %d: err = %v, want core.ErrBadSource", source, err)
+		}
+	}
+	if got := metricValue(t, reg, "rumor_gossip_messages_sent_total"); got != 0 {
+		t.Fatalf("%v messages sent for trials that must fail before STARTUP", got)
 	}
 }
 
@@ -299,6 +380,23 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 	if got, _ := scrape.Sum("rumor_gossip_nodes"); got != 0 {
 		t.Fatalf("nodes gauge = %v after Close", got)
+	}
+	// Each of the 8 nodes needs at most one link per neighbor, the
+	// coordinator one per node; everything beyond that is reuse.
+	dials, _ := scrape.Sum("rumor_gossip_dials_total")
+	reuses, _ := scrape.Sum("rumor_gossip_conn_reuses_total")
+	if dials <= 0 || dials > 8*7+8 || reuses <= 0 {
+		t.Fatalf("dials = %v (want 1..64), reuses = %v (want > 0)", dials, reuses)
+	}
+	sent, _ := scrape.Sum("rumor_gossip_messages_sent_total")
+	if dials+reuses != sent {
+		t.Fatalf("dials %v + reuses %v != messages sent %v", dials, reuses, sent)
+	}
+	if got, _ := scrape.Sum("rumor_gossip_idle_conns"); got != 0 {
+		t.Fatalf("idle links gauge = %v after Close", got)
+	}
+	if got, _ := scrape.Sum("rumor_gossip_dial_errors_total"); got != 0 {
+		t.Fatalf("dial errors = %v", got)
 	}
 }
 

@@ -103,26 +103,35 @@ func (e *Envelope) Decode(out interface{}) error {
 	return nil
 }
 
-// WriteFrame writes env as one length-prefixed frame: a 4-byte
+// encodeFrame renders env as one length-prefixed frame: a 4-byte
 // big-endian length followed by the JSON envelope.
-func WriteFrame(w io.Writer, env *Envelope) error {
+func encodeFrame(env *Envelope) ([]byte, error) {
 	body, err := json.Marshal(env)
 	if err != nil {
-		return fmt.Errorf("gossip: marshal envelope: %w", err)
+		return nil, fmt.Errorf("gossip: marshal envelope: %w", err)
 	}
 	if len(body) > MaxFrame {
-		return fmt.Errorf("gossip: frame of %d bytes exceeds the %d-byte limit", len(body), MaxFrame)
+		return nil, fmt.Errorf("gossip: frame of %d bytes exceeds the %d-byte limit", len(body), MaxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	frame := make([]byte, 4, 4+len(body))
+	binary.BigEndian.PutUint32(frame, uint32(len(body)))
+	return append(frame, body...), nil
+}
+
+// WriteFrame writes env as one length-prefixed frame, in one Write (on
+// a socket, one segment instead of a 4-byte one and its body).
+func WriteFrame(w io.Writer, env *Envelope) error {
+	frame, err := encodeFrame(env)
+	if err != nil {
 		return err
 	}
-	_, err = w.Write(body)
+	_, err = w.Write(frame)
 	return err
 }
 
 // ReadFrame reads one length-prefixed frame and decodes the envelope.
+// It reads the header and the body separately; over a socket, pass a
+// bufio.Reader so that is one receive.
 func ReadFrame(r io.Reader) (*Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -7,14 +7,30 @@ import (
 	"testing"
 )
 
+// writeCounter is a buffer that counts the Write calls it receives.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	env, err := NewEnvelope(MethodPush, 3, Rumor{Round: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	var buf writeCounter
 	if err := WriteFrame(&buf, env); err != nil {
 		t.Fatal(err)
+	}
+	// The wire format is pinned: nodes of different builds interoperate.
+	const body = `{"method":"push","from":3,"payload":{"round":7}}`
+	if want := "\x00\x00\x00" + string(rune(len(body))) + body; buf.String() != want || buf.writes != 1 {
+		t.Fatalf("frame = %q in %d writes, want %q in 1", buf.String(), buf.writes, want)
 	}
 	got, err := ReadFrame(&buf)
 	if err != nil {
