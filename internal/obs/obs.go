@@ -131,6 +131,18 @@ func (r *Registry) Type(name string) (string, bool) {
 	return f.typ, true
 }
 
+// Labels returns a family's label names in registration order (empty
+// for an unlabelled family).
+func (r *Registry) Labels(name string) ([]string, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.families[name]
+	if !ok {
+		return nil, false
+	}
+	return append([]string(nil), f.labels...), true
+}
+
 // family is one metric family: a name, type, help, a label schema, and
 // the set of label-value children.
 type family struct {
