@@ -1,8 +1,8 @@
 package rumor_test
 
-// One benchmark per experiment (E1–E15; see DESIGN.md §5 and
-// EXPERIMENTS.md), each regenerating that experiment's measurement in
-// quick mode, plus engine micro-benchmarks. Run with:
+// One benchmark per experiment (E1–E15; internal/experiments holds each
+// one's claim and reducer), each regenerating that experiment's
+// measurement in quick mode, plus engine micro-benchmarks. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -159,7 +159,7 @@ func BenchmarkGraphGenPowerLaw(b *testing.B) {
 }
 
 // Ablation: the literal-semantics reference engine vs the optimized
-// engine (the boundary-scan optimization DESIGN.md calls out). Pull-only
+// engine (the active-boundary scan of core's round stepper). Pull-only
 // on a path is the extreme case: the active boundary is O(1) nodes per
 // round while the reference engine scans all n every round.
 func BenchmarkSyncReferencePullPath(b *testing.B) {

@@ -269,13 +269,6 @@ func (c *Client) Health(ctx context.Context) (api.Health, error) {
 	return h, err
 }
 
-// Metrics returns the scheduler + cache metrics snapshot.
-func (c *Client) Metrics(ctx context.Context) (service.Metrics, error) {
-	var m service.Metrics
-	err := c.doJSON(ctx, http.MethodGet, "/metricsz", nil, nil, &m)
-	return m, err
-}
-
 // CacheStats returns the cache-tier snapshot (GET /v1/cache).
 func (c *Client) CacheStats(ctx context.Context) (service.CacheSnapshot, error) {
 	var snap service.CacheSnapshot

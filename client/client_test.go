@@ -15,6 +15,7 @@ import (
 	"rumor/client/clienttest"
 	"rumor/internal/api"
 	"rumor/internal/experiments"
+	"rumor/internal/obs"
 	"rumor/internal/service"
 )
 
@@ -23,7 +24,7 @@ import (
 func newService(t *testing.T, cfg service.SchedulerConfig, opts ...client.Option) (*client.Client, *service.Scheduler) {
 	t.Helper()
 	sched := service.NewScheduler(cfg)
-	srv := service.NewServer(sched)
+	srv := service.NewServer(sched, service.WithObservability(cfg.Obs))
 	experiments.Mount(srv, sched)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
@@ -349,6 +350,7 @@ func TestWatchCancelledJob(t *testing.T) {
 func TestCacheStatsAndMetrics(t *testing.T) {
 	c, _ := newService(t, service.SchedulerConfig{
 		Workers: 2, Results: service.NewResultCache(64), Graphs: service.NewGraphCache(8),
+		Obs: service.NewObservability(obs.NewRegistry(), nil),
 	})
 	ctx := context.Background()
 	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
@@ -364,12 +366,15 @@ func TestCacheStatsAndMetrics(t *testing.T) {
 	if snap.ResultCache == nil || snap.ResultCache.Size == 0 {
 		t.Errorf("cache snapshot = %+v", snap.ResultCache)
 	}
-	m, err := c.Metrics(ctx)
+	scrape, err := c.PromMetrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.CellsComputed != 8 || m.Workers != 2 {
-		t.Errorf("metrics = %+v", m)
+	computed, _ := scrape.Value("rumor_scheduler_cells_total",
+		map[string]string{"kind": service.KindTime, "outcome": "computed"})
+	workers, _ := scrape.Value("rumor_scheduler_workers", nil)
+	if computed != 8 || workers != 2 {
+		t.Errorf("scraped computed cells = %v, workers = %v, want 8 and 2", computed, workers)
 	}
 	infos, err := c.Experiments(ctx)
 	if err != nil || len(infos) != 16 {

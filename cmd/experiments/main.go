@@ -1,7 +1,7 @@
 // Command experiments regenerates the paper's evaluation: it runs the
 // E1–E15 experiment suite (every theorem, corollary, lemma, and worked
-// example the paper states; see DESIGN.md §5) and prints paper-expected
-// versus measured results with a verdict per experiment.
+// example the paper states) and prints paper-expected versus measured
+// results with a verdict per experiment.
 //
 // Every experiment is a grid of service cells reduced by a pure
 // function; this command runs the grids through the same executor the
@@ -16,7 +16,6 @@
 //	experiments -run E11             # a single experiment
 //	experiments -quick -cache        # serve repeated cells from the result LRU
 //	experiments -quick -cache-dir D  # persistent cache: warm replay survives restarts
-//	experiments -quick -bench B.json # cold vs warm suite timing to B.json
 //	experiments -quick -metrics-out M.prom
 //	                                 # dump a Prometheus snapshot of the
 //	                                 # run's latency histograms and cache
@@ -37,46 +36,23 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"rumor/client"
-	"rumor/internal/cachestore"
-	"rumor/internal/core"
 	"rumor/internal/experiments"
-	"rumor/internal/graph"
 	"rumor/internal/obs"
-	peerlist "rumor/internal/peers"
-	"rumor/internal/service"
-	"rumor/internal/shard"
-	"rumor/internal/xrand"
+	"rumor/internal/runmode"
 )
 
-// newServerRunner builds the SDK-backed cell runner for -server (test
-// hook: fault-injection tests swap in a client with a cutting
-// transport to force a mid-suite stream reconnect).
-var newServerRunner = func(baseURL string) (service.CellRunner, error) {
-	return client.New(baseURL)
-}
-
-// newPeersRunner builds the sharding cell runner for -peers (test hook:
-// fault-injection tests swap in coordinator clients with peer-killing
-// transports to force a mid-suite failover). reg, when non-nil,
-// receives the rumor_shard_* instruments for -metrics-out.
-var newPeersRunner = func(peers []string, reg *obs.Registry) (service.CellRunner, error) {
-	cfg := shard.Config{Peers: peers}
-	if reg != nil {
-		cfg.Metrics = shard.NewMetrics(reg)
-	}
-	return shard.New(cfg)
-}
+// clientOptions are applied to the SDK clients -server and -peers build
+// (test hook: fault-injection tests install cutting or peer-killing
+// transports to force a mid-suite stream reconnect or failover).
+var clientOptions []client.Option
 
 // errVerdictFailed reports that an experiment contradicted the paper:
 // run returns it (rather than calling os.Exit directly) so deferred
@@ -104,8 +80,6 @@ func run(args []string, stdout io.Writer) error {
 		markdown   = fs.String("md", "", "also write a Markdown report to this file")
 		cache      = fs.Bool("cache", false, "serve repeated cells from a result LRU (rumord's cache tier)")
 		cacheDir   = fs.String("cache-dir", "", "persistent cell-result store directory: cells computed by any prior run (or a rumord with the same dir) replay from disk")
-		bench      = fs.String("bench", "", "run the suite twice (cold, then warm cache) and write timing JSON to this file")
-		benchLarge = fs.Bool("bench-large", false, "with -bench: also time single sync cells on 10^6- and 10^7-node random graphs (adds minutes and ~2GB)")
 		server     = fs.String("server", "", "run every cell on a rumord server at this base URL via the client SDK (reducers still run locally; output is byte-identical to the in-process path)")
 		peersFlag  = fs.String("peers", "", "comma-separated rumord peer base URLs: shard every cell over the cluster by cell key, with failover (like -server across many daemons; output stays byte-identical)")
 		metricsOut = fs.String("metrics-out", "", "write a Prometheus metrics snapshot to this file after the suite (\"-\" = stderr); with -server, scrapes the daemon")
@@ -113,95 +87,23 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *peersFlag != "" {
-		if *server != "" || *cache || *cacheDir != "" || *bench != "" {
-			return fmt.Errorf("-peers is incompatible with -server/-cache/-cache-dir/-bench: the coordinator computes nothing locally; caching and timing belong to the peers")
-		}
-		// With -metrics-out the coordinator's own registry is the
-		// snapshot source: the rumor_shard_* families record how the
-		// suite's cells spread (and failed over) across the cluster.
-		var reg *obs.Registry
-		if *metricsOut != "" {
-			reg = obs.NewRegistry()
-		}
-		peerURLs, err := peerlist.ParseURLList(*peersFlag)
-		if err != nil {
-			return fmt.Errorf("-peers: %w", err)
-		}
-		remote, err := newPeersRunner(peerURLs, reg)
-		if err != nil {
-			return err
-		}
-		cfg := experiments.Config{
-			Quick:  *quick,
-			Seed:   *seed,
-			Out:    stdout,
-			Runner: remote,
-		}
-		suiteErr := runSuite(cfg, *runID, *markdown, stdout)
-		if suiteErr != nil && !errors.Is(suiteErr, errVerdictFailed) {
-			return suiteErr
-		}
-		if *metricsOut != "" {
-			if err := writeMetricsSnapshot(*metricsOut, reg, nil); err != nil {
-				return err
-			}
-		}
-		return suiteErr
+	// Every mode is a cell runner; with -metrics-out a local or -peers
+	// run carries its own registry (the instruments rumord exports, or
+	// the coordinator's rumor_shard_* families), so a batch leaves behind
+	// a scrape-compatible record.
+	runner, err := runmode.New(runmode.Config{
+		Server:        *server,
+		Peers:         *peersFlag,
+		Cache:         *cache,
+		CacheDir:      *cacheDir,
+		CellWorkers:   *workers,
+		Metrics:       *metricsOut != "",
+		ClientOptions: clientOptions,
+	})
+	if err != nil {
+		return err
 	}
-	if *server != "" {
-		if *cache || *cacheDir != "" || *bench != "" {
-			return fmt.Errorf("-server is incompatible with -cache/-cache-dir/-bench: caching and timing belong to the daemon")
-		}
-		remote, err := newServerRunner(*server)
-		if err != nil {
-			return err
-		}
-		cfg := experiments.Config{
-			Quick:  *quick,
-			Seed:   *seed,
-			Out:    stdout,
-			Runner: remote,
-		}
-		suiteErr := runSuite(cfg, *runID, *markdown, stdout)
-		if suiteErr != nil && !errors.Is(suiteErr, errVerdictFailed) {
-			return suiteErr
-		}
-		if *metricsOut != "" {
-			if err := writeMetricsSnapshot(*metricsOut, nil, remote); err != nil {
-				return err
-			}
-		}
-		return suiteErr
-	}
-	// A suite run with -metrics-out carries the same instruments the
-	// rumord daemon exports, so an experiment batch leaves behind a
-	// scrape-compatible record of its cell latencies and cache traffic.
-	var reg *obs.Registry
-	if *metricsOut != "" {
-		reg = obs.NewRegistry()
-	}
-	// -cache-dir supplies its own tiered result cache below, so only
-	// -cache/-bench ask NewLocalRunner for the plain LRU tier.
-	runner := experiments.NewLocalRunner(*workers, *cache || *bench != "")
-	if reg != nil {
-		runner.Obs = service.NewObservability(reg, nil)
-	}
-	if *cacheDir != "" {
-		store, err := cachestore.Open(cachestore.Options{
-			Dir:            *cacheDir,
-			KeyVersion:     service.CellKeyVersion,
-			CompatVersions: service.CellKeyCompatVersions(),
-		})
-		if err != nil {
-			return fmt.Errorf("opening cache store: %w", err)
-		}
-		runner.Results = service.NewTieredResultCache(service.NewResultCache(0), store)
-		// Close flushes the write-behind queue: everything this run
-		// computed must be durable before the process exits, or the
-		// next run recomputes it.
-		defer store.Close()
-	}
+	defer runner.Close()
 	cfg := experiments.Config{
 		Quick:   *quick,
 		Seed:    *seed,
@@ -209,53 +111,18 @@ func run(args []string, stdout io.Writer) error {
 		Out:     stdout,
 		Runner:  runner,
 	}
-	var suiteErr error
-	if *bench != "" {
-		suiteErr = runBench(*bench, cfg, *benchLarge, stdout)
-	} else {
-		suiteErr = runSuite(cfg, *runID, *markdown, stdout)
-	}
+	suiteErr := runSuite(cfg, *runID, *markdown, stdout)
 	if suiteErr != nil && !errors.Is(suiteErr, errVerdictFailed) {
 		return suiteErr
 	}
 	// A FAILED verdict is still a completed suite: the snapshot (with
 	// its error counters) is most useful exactly then.
 	if *metricsOut != "" {
-		if err := writeMetricsSnapshot(*metricsOut, reg, nil); err != nil {
+		if err := obs.WriteSnapshot(*metricsOut, runner.Snapshot); err != nil {
 			return err
 		}
 	}
 	return suiteErr
-}
-
-// writeMetricsSnapshot dumps a Prometheus text snapshot after the
-// suite: the local registry's state, or — when the cells ran on a
-// daemon — a scrape of its /metrics. path "-" writes to stderr (stdout
-// carries the verdict report).
-func writeMetricsSnapshot(path string, reg *obs.Registry, runner service.CellRunner) error {
-	var data []byte
-	if reg != nil {
-		var buf strings.Builder
-		if err := reg.WriteText(&buf); err != nil {
-			return err
-		}
-		data = []byte(buf.String())
-	} else {
-		c, ok := runner.(*client.Client)
-		if !ok {
-			return fmt.Errorf("-metrics-out: no metrics source for this runner")
-		}
-		var err error
-		data, err = c.PromMetricsText(context.Background())
-		if err != nil {
-			return fmt.Errorf("-metrics-out: scraping daemon: %w", err)
-		}
-	}
-	if path == "-" {
-		_, err := os.Stderr.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // runSuite runs one experiment (runID != "") or the whole suite on
@@ -302,163 +169,4 @@ func runSuite(cfg experiments.Config, runID, markdown string, stdout io.Writer) 
 		}
 	}
 	return nil
-}
-
-// benchReport is the schema of the -bench output (BENCH_3.json): the
-// wall time of one full suite run against a cold result cache and one
-// against the warm cache left by the first, with the cache counters, a
-// verdict-equality check (warm results must be byte-identical — the
-// caches only change speed), the cold run's engine throughput, and —
-// with -bench-large — single-cell timings at 10^6 and 10^7 nodes.
-type benchReport struct {
-	Benchmark         string             `json:"benchmark"`
-	Mode              string             `json:"mode"`
-	Seed              uint64             `json:"seed"`
-	Experiments       int                `json:"experiments"`
-	Cells             int                `json:"cells"`
-	ColdSeconds       float64            `json:"cold_seconds"`
-	WarmSeconds       float64            `json:"warm_seconds"`
-	Speedup           float64            `json:"speedup"`
-	ColdCellsPerSec   float64            `json:"cold_cells_per_sec"`
-	EngineUpdates     int64              `json:"engine_node_updates"`
-	UpdatesPerSec     float64            `json:"node_updates_per_sec"`
-	VerdictsIdentical bool               `json:"verdicts_identical"`
-	ResultCache       service.CacheStats `json:"result_cache"`
-	GraphCache        service.CacheStats `json:"graph_cache"`
-	LargeN            []largeNTiming     `json:"large_n,omitempty"`
-	GeneratedAt       string             `json:"generated_at"`
-}
-
-// largeNTiming times one synchronous push-pull cell on a large G(n,p)
-// graph: streamed CSR construction, then a full spread from node 0.
-type largeNTiming struct {
-	N             int     `json:"n"`
-	M             int     `json:"m"`
-	Graph         string  `json:"graph"`
-	BuildSeconds  float64 `json:"build_seconds"`
-	RunSeconds    float64 `json:"run_seconds"`
-	Rounds        int     `json:"rounds"`
-	Updates       int64   `json:"updates"`
-	UpdatesPerSec float64 `json:"updates_per_sec"`
-}
-
-func runBench(path string, cfg experiments.Config, large bool, stdout io.Writer) error {
-	runner, ok := cfg.Runner.(*service.Executor)
-	if !ok || runner.Results == nil {
-		runner = experiments.NewLocalRunner(cfg.Workers, true)
-		cfg.Runner = runner
-	}
-	cfg.Out = io.Discard
-
-	cells := 0
-	for _, e := range experiments.All() {
-		cells += len(e.Cells(cfg))
-	}
-
-	start := time.Now()
-	cold, err := experiments.RunAll(cfg)
-	if err != nil {
-		return err
-	}
-	coldDur := time.Since(start)
-	coldUpdates := runner.EngineUpdates()
-
-	start = time.Now()
-	warm, err := experiments.RunAll(cfg)
-	if err != nil {
-		return err
-	}
-	warmDur := time.Since(start)
-
-	identical := len(cold) == len(warm)
-	for i := range cold {
-		if !identical {
-			break
-		}
-		identical = cold[i].Verdict == warm[i].Verdict && cold[i].Summary == warm[i].Summary &&
-			cold[i].Details == warm[i].Details
-	}
-
-	mode := "full"
-	if cfg.Quick {
-		mode = "quick"
-	}
-	report := benchReport{
-		Benchmark:         "experiment-suite-warm-vs-cold",
-		Mode:              mode,
-		Seed:              cfg.Seed,
-		Experiments:       len(experiments.All()),
-		Cells:             cells,
-		ColdSeconds:       coldDur.Seconds(),
-		WarmSeconds:       warmDur.Seconds(),
-		Speedup:           coldDur.Seconds() / warmDur.Seconds(),
-		ColdCellsPerSec:   float64(cells) / coldDur.Seconds(),
-		EngineUpdates:     coldUpdates,
-		UpdatesPerSec:     float64(coldUpdates) / coldDur.Seconds(),
-		VerdictsIdentical: identical,
-		ResultCache:       runner.Results.Stats(),
-		GraphCache:        runner.Graphs.Stats(),
-		GeneratedAt:       time.Now().UTC().Format(time.RFC3339),
-	}
-	if large {
-		for _, n := range []int{1_000_000, 10_000_000} {
-			timing, err := timeLargeCell(n, stdout)
-			if err != nil {
-				return err
-			}
-			report.LargeN = append(report.LargeN, timing)
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "suite (%s): cold %.2fs (%.0f cells/sec, %.2gM updates/sec), warm %.2fs (%.1fx), verdicts identical: %v; wrote %s\n",
-		mode, report.ColdSeconds, report.ColdCellsPerSec, report.UpdatesPerSec/1e6,
-		report.WarmSeconds, report.Speedup, identical, path)
-	if !identical {
-		return fmt.Errorf("warm-cache suite run diverged from cold run (determinism violation)")
-	}
-	return nil
-}
-
-// timeLargeCell builds a mean-degree-20 G(n,p) graph with the streamed
-// CSR builder and times one synchronous push-pull spread on it — the
-// scale check behind the repo's "10^7 nodes on one machine" claim.
-func timeLargeCell(n int, stdout io.Writer) (largeNTiming, error) {
-	p := 20.0 / float64(n)
-	start := time.Now()
-	g, err := graph.GNP(n, p, xrand.New(7))
-	if err != nil {
-		return largeNTiming{}, err
-	}
-	buildDur := time.Since(start)
-	start = time.Now()
-	res, err := core.RunSync(g, 0, core.SyncConfig{Protocol: core.PushPull}, xrand.New(42))
-	if err != nil {
-		return largeNTiming{}, err
-	}
-	runDur := time.Since(start)
-	t := largeNTiming{
-		N:             g.NumNodes(),
-		M:             g.NumEdges(),
-		Graph:         g.Name(),
-		BuildSeconds:  buildDur.Seconds(),
-		RunSeconds:    runDur.Seconds(),
-		Rounds:        res.Rounds,
-		Updates:       res.Updates,
-		UpdatesPerSec: float64(res.Updates) / runDur.Seconds(),
-	}
-	fmt.Fprintf(stdout, "large-n: %s built in %.1fs, spread in %d rounds / %.1fs (%.2gM updates/sec)\n",
-		g.Name(), t.BuildSeconds, t.Rounds, t.RunSeconds, t.UpdatesPerSec/1e6)
-	return t, nil
 }

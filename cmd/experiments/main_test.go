@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,9 +16,7 @@ import (
 	"rumor/client"
 	"rumor/client/clienttest"
 	"rumor/internal/experiments"
-	"rumor/internal/obs"
 	"rumor/internal/service"
-	"rumor/internal/shard"
 )
 
 func TestRunSingleQuickExperiment(t *testing.T) {
@@ -38,43 +35,6 @@ func TestRunUnknownExperiment(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}, io.Discard); err == nil {
 		t.Fatal("bad flag accepted")
-	}
-}
-
-func TestRunBenchWritesReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick suite twice")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	if err := run([]string{"-quick", "-bench", path}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Benchmark         string  `json:"benchmark"`
-		Cells             int     `json:"cells"`
-		ColdSeconds       float64 `json:"cold_seconds"`
-		WarmSeconds       float64 `json:"warm_seconds"`
-		VerdictsIdentical bool    `json:"verdicts_identical"`
-		ResultCache       struct {
-			Hits uint64 `json:"hits"`
-		} `json:"result_cache"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Cells == 0 || report.ColdSeconds <= 0 || report.WarmSeconds <= 0 {
-		t.Fatalf("degenerate bench report: %+v", report)
-	}
-	if !report.VerdictsIdentical {
-		t.Fatal("warm-cache run diverged from cold run")
-	}
-	if report.ResultCache.Hits == 0 {
-		t.Fatal("warm run produced no cache hits")
 	}
 }
 
@@ -189,7 +149,6 @@ func TestServerModeFlagConflicts(t *testing.T) {
 	for _, args := range [][]string{
 		{"-server", "http://localhost:1", "-cache"},
 		{"-server", "http://localhost:1", "-cache-dir", "/tmp/x"},
-		{"-server", "http://localhost:1", "-bench", "/tmp/b.json"},
 		{"-server", "://bad"},
 	} {
 		if err := run(args, io.Discard); err == nil {
@@ -209,16 +168,14 @@ func TestServerModeSuiteMatchesLocalWithReconnect(t *testing.T) {
 	}
 	url := startSuiteServer(t)
 
-	// Swap the runner hook for a client whose transport cuts the first
-	// results stream after 900 bytes (mid-row, mid-suite).
+	// Give the SDK client a transport that cuts the first results stream
+	// after 900 bytes (mid-row, mid-suite).
 	cut := &clienttest.CutOnceTransport{Match: "/results", After: 900}
-	old := newServerRunner
-	newServerRunner = func(baseURL string) (service.CellRunner, error) {
-		return client.New(baseURL,
-			client.WithHTTPClient(&http.Client{Transport: cut}),
-			client.WithBackoff(time.Millisecond, 50*time.Millisecond))
+	clientOptions = []client.Option{
+		client.WithHTTPClient(&http.Client{Transport: cut}),
+		client.WithBackoff(time.Millisecond, 50*time.Millisecond),
 	}
-	t.Cleanup(func() { newServerRunner = old })
+	t.Cleanup(func() { clientOptions = nil })
 
 	var local, remote bytes.Buffer
 	if err := run([]string{"-quick"}, &local); err != nil {
@@ -279,7 +236,6 @@ func TestPeersModeFlagConflicts(t *testing.T) {
 		{"-peers", "http://localhost:1", "-server", "http://localhost:2"},
 		{"-peers", "http://localhost:1", "-cache"},
 		{"-peers", "http://localhost:1", "-cache-dir", "/tmp/x"},
-		{"-peers", "http://localhost:1", "-bench", "/tmp/b.json"},
 		{"-peers", " , "},
 	} {
 		if err := run(args, io.Discard); err == nil {
@@ -303,22 +259,12 @@ func TestPeersModeSuiteSurvivesPeerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	kill := &clienttest.PeerDownTransport{Host: victim.Host, Match: "/results", After: 900}
-	old := newPeersRunner
-	newPeersRunner = func(peers []string, reg *obs.Registry) (service.CellRunner, error) {
-		cfg := shard.Config{
-			Peers: peers,
-			ClientOptions: []client.Option{
-				client.WithHTTPClient(&http.Client{Transport: kill}),
-				client.WithRetries(2),
-				client.WithBackoff(time.Millisecond, 5*time.Millisecond),
-			},
-		}
-		if reg != nil {
-			cfg.Metrics = shard.NewMetrics(reg)
-		}
-		return shard.New(cfg)
+	clientOptions = []client.Option{
+		client.WithHTTPClient(&http.Client{Transport: kill}),
+		client.WithRetries(2),
+		client.WithBackoff(time.Millisecond, 5*time.Millisecond),
 	}
-	t.Cleanup(func() { newPeersRunner = old })
+	t.Cleanup(func() { clientOptions = nil })
 
 	var local, remote bytes.Buffer
 	if err := run([]string{"-quick"}, &local); err != nil {

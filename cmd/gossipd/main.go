@@ -43,7 +43,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("gossipd", flag.ContinueOnError)
 	var (
 		coordinator = fs.Bool("coordinator", false, "run the trial coordinator instead of one node")
@@ -85,8 +85,12 @@ func run(args []string, stdout io.Writer) error {
 	reg := obs.NewRegistry()
 	metrics := gossip.NewMetrics(reg)
 	defer func() {
+		// The snapshot is written on every exit path (a failed run's
+		// counters matter most); its own failure fails a clean run.
 		if *metricsOut != "" {
-			writeMetrics(reg, *metricsOut)
+			if werr := obs.WriteSnapshot(*metricsOut, reg.WriteText); werr != nil && err == nil {
+				err = fmt.Errorf("-metrics-out: %w", werr)
+			}
 		}
 	}()
 
@@ -234,21 +238,4 @@ func fmtSpread(v float64) string {
 		return "incomplete"
 	}
 	return fmt.Sprintf("%.3f", v)
-}
-
-// writeMetrics dumps the registry in Prometheus text format.
-func writeMetrics(reg *obs.Registry, path string) {
-	var w io.Writer = os.Stderr
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gossipd: metrics-out:", err)
-			return
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := reg.WriteText(w); err != nil {
-		fmt.Fprintln(os.Stderr, "gossipd: metrics-out:", err)
-	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -169,5 +170,18 @@ func TestNodeModeExitOnShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("node did not exit after SHUTDOWN")
+	}
+}
+
+// TestMetricsOutFailureFailsRun: an unwritable -metrics-out fails an
+// otherwise clean run (non-zero exit), as it does in rumorsim and
+// experiments.
+func TestMetricsOutFailureFailsRun(t *testing.T) {
+	err := run([]string{
+		"-coordinator", "-overlay=false", "-family", "cycle", "-n", "4", "-trials", "1",
+		"-metrics-out", filepath.Join(t.TempDir(), "no-such-dir", "m.prom"),
+	}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "-metrics-out") {
+		t.Fatalf("run with an unwritable -metrics-out = %v, want a -metrics-out error", err)
 	}
 }

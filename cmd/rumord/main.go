@@ -18,14 +18,12 @@
 //	curl -s localhost:8080/v1/experiments
 //	curl -sN localhost:8080/v1/experiments/e11 -d '{"quick": true}'
 //	curl -s localhost:8080/v1/cache
-//	curl -s localhost:8080/metricsz
 //	curl -s localhost:8080/metrics
 //
 // GET /metrics serves the Prometheus text exposition (latency
-// histograms, per-route request counters, queue and cache series);
-// /metricsz keeps the original JSON snapshot. -log-format=json|text
-// selects the structured log encoding, and -pprof mounts
-// net/http/pprof under /debug/pprof/ for live profiling.
+// histograms, per-route request counters, queue and cache series).
+// -log-format=json|text selects the structured log encoding, and
+// -pprof mounts net/http/pprof under /debug/pprof/ for live profiling.
 //
 // With -cache-dir the completed-cell cache gains a persistent tier
 // (internal/cachestore): results survive restarts, so a rebooted

@@ -273,13 +273,16 @@ func TestRumordShardedEndToEnd(t *testing.T) {
 			wire, wantBytes.Bytes())
 	}
 
-	// The coordinator's own metrics surface must show the shard families.
-	metrics, err := c.Metrics(ctx)
+	// The coordinator's own scrape counts every delivered cell, and the
+	// shard families say which peer served it.
+	scrape, err := c.PromMetrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if metrics.CellsComputed != int64(len(cells)) {
-		t.Errorf("coordinator counted %d cells, want %d", metrics.CellsComputed, len(cells))
+	computed, _ := scrape.Value("rumor_scheduler_cells_total",
+		map[string]string{"kind": service.KindTime, "outcome": "computed"})
+	if served, _ := scrape.Sum("rumor_shard_cells_total"); computed != float64(len(cells)) || served != computed {
+		t.Errorf("coordinator counted %v cells (%v served by peers), want %d", computed, served, len(cells))
 	}
 
 	stopRumord(t, errCh)

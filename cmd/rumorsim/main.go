@@ -24,10 +24,10 @@ import (
 	"strings"
 
 	"rumor"
-	"rumor/client"
 	"rumor/internal/core"
 	"rumor/internal/harness"
 	"rumor/internal/obs"
+	"rumor/internal/runmode"
 	"rumor/internal/service"
 	"rumor/internal/stats"
 )
@@ -109,25 +109,31 @@ func run(args []string) error {
 
 	// Summary rows run through the same cell model as the rumord
 	// service: one cell list, executed either by the in-process
-	// executor or — with -server — by a rumord daemon through the
-	// client SDK. Results are byte-identical either way; only where
+	// executor (cells serial, trials parallel — the historical CLI
+	// parallelism shape) or — with -server — by a rumord daemon through
+	// the client SDK. Results are byte-identical either way; only where
 	// they compute changes. Locally the graph tier is always on (sync
 	// and async of one sweep size share one built instance) and -cache
 	// additionally turns on the completed-cell result LRU; on a server
-	// the daemon's own tiers apply.
-	// With -metrics-out a local run carries its own registry (the same
-	// instruments rumord exports), so a CLI sweep's latency histograms
-	// and cache counters land in a scrape-compatible snapshot.
-	var reg *obs.Registry
-	var observ *service.Observability
-	if *metricsOut != "" && *server == "" {
-		reg = obs.NewRegistry()
-		observ = service.NewObservability(reg, nil)
+	// the daemon's own tiers apply. With -metrics-out a local run carries
+	// its own registry (the same instruments rumord exports), so a CLI
+	// sweep's latency histograms and cache counters land in a
+	// scrape-compatible snapshot.
+	trialWorkers := *workers
+	if trialWorkers <= 0 {
+		trialWorkers = runtime.GOMAXPROCS(0)
 	}
-	runner, err := buildRunner(*server, *workers, *useCache, observ)
+	runner, err := runmode.New(runmode.Config{
+		Server:       *server,
+		Cache:        *useCache,
+		CellWorkers:  1,
+		TrialWorkers: trialWorkers,
+		Metrics:      *metricsOut != "",
+	})
 	if err != nil {
 		return err
 	}
+	defer runner.Close()
 	var timings []string
 	if *timing == "sync" || *timing == "both" {
 		timings = append(timings, service.TimingSync)
@@ -183,65 +189,9 @@ func run(args []string) error {
 		return err
 	}
 	if *metricsOut != "" {
-		return writeMetricsSnapshot(*metricsOut, reg, runner)
+		return obs.WriteSnapshot(*metricsOut, runner.Snapshot)
 	}
 	return nil
-}
-
-// writeMetricsSnapshot dumps a Prometheus text snapshot after the run:
-// the local registry's state, or — when the cells ran on a daemon —
-// a scrape of the daemon's /metrics. path "-" writes to stderr (stdout
-// carries the result table).
-func writeMetricsSnapshot(path string, reg *obs.Registry, runner service.CellRunner) error {
-	var data []byte
-	if reg != nil {
-		var buf strings.Builder
-		if err := reg.WriteText(&buf); err != nil {
-			return err
-		}
-		data = []byte(buf.String())
-	} else {
-		c, ok := runner.(*client.Client)
-		if !ok {
-			return fmt.Errorf("-metrics-out: no metrics source for this runner")
-		}
-		var err error
-		data, err = c.PromMetricsText(context.Background())
-		if err != nil {
-			return fmt.Errorf("-metrics-out: scraping daemon: %w", err)
-		}
-	}
-	if path == "-" {
-		_, err := os.Stderr.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// buildRunner picks the cell runner: the rumord server at serverURL
-// via the SDK, or the in-process executor (cells serial, trials
-// parallel — the historical CLI parallelism shape).
-func buildRunner(serverURL string, workers int, useCache bool, observ *service.Observability) (service.CellRunner, error) {
-	if serverURL != "" {
-		if useCache {
-			return nil, fmt.Errorf("-cache is in-process only; with -server, caching is the daemon's (-result-cache/-cache-dir)")
-		}
-		return client.New(serverURL)
-	}
-	trialWorkers := workers
-	if trialWorkers <= 0 {
-		trialWorkers = runtime.GOMAXPROCS(0)
-	}
-	exec := &service.Executor{
-		TrialWorkers: trialWorkers,
-		CellWorkers:  1,
-		Graphs:       service.NewGraphCache(0),
-		Obs:          observ,
-	}
-	if useCache {
-		exec.Results = service.NewResultCache(0)
-	}
-	return exec, nil
 }
 
 func addRow(tab *stats.Table, res *service.CellResult, timing string, proto core.Protocol) {

@@ -38,6 +38,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"rumor/internal/obs"
 )
 
 // Format is the on-disk record format version. Any change to the
@@ -97,7 +99,7 @@ type Options struct {
 	Logf func(format string, args ...interface{})
 	// Metrics instruments the store (flush latency, torn-tail
 	// recoveries, compactions, plus scrape-time mirrors of Stats); nil
-	// disables it. Create it with NewMetrics before Open so recovery is
+	// means off. Create it with NewMetrics before Open so recovery is
 	// already instrumented.
 	Metrics *Metrics
 }
@@ -266,6 +268,7 @@ func Open(opts Options) (*Store, error) {
 	if opts.CompactMinBytes <= 0 {
 		opts.CompactMinBytes = DefaultCompactMinBytes
 	}
+	opts.Metrics = obs.OrZero(opts.Metrics)
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -282,9 +285,7 @@ func Open(opts Options) (*Store, error) {
 		s.closeFiles()
 		return nil, err
 	}
-	if opts.Metrics != nil {
-		opts.Metrics.track(s)
-	}
+	opts.Metrics.track(s)
 	go s.flusher()
 	return s, nil
 }
@@ -412,7 +413,7 @@ func (s *Store) recoverSegment(id int, active bool) error {
 				return fmt.Errorf("cachestore: truncating torn tail of %s: %w", path, err)
 			}
 			s.st.ReclaimedBytes += reclaimed
-			s.opts.Metrics.incTornTail()
+			s.opts.Metrics.tornTails.Inc()
 			s.logf("cachestore: %s: %v at offset %d; truncated, reclaimed %d bytes", segName(id), bad, off, reclaimed)
 		} else {
 			// A sealed segment is never appended to again; count the
@@ -678,7 +679,7 @@ func (s *Store) shouldCompactLocked() bool {
 // and fsyncs once. Only the flusher calls it.
 func (s *Store) writeBatch(batch []queued) {
 	start := time.Now()
-	defer func() { s.opts.Metrics.observeFlush(time.Since(start)) }()
+	defer func() { s.opts.Metrics.flushSeconds.Observe(time.Since(start).Seconds()) }()
 	s.mu.Lock()
 	seg := s.segs[s.active]
 	s.mu.Unlock()
@@ -897,7 +898,7 @@ func (s *Store) runCompaction() {
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.opts.Metrics.incCompaction()
+	s.opts.Metrics.compactionRuns.Inc()
 	s.logf("cachestore: compacted %d segments (%d bytes) into %s (%d bytes, %d records)",
 		len(oldSegs), oldBytes, segName(id), off, len(newLocs))
 }

@@ -1,10 +1,6 @@
 package cachestore
 
-import (
-	"time"
-
-	"rumor/internal/obs"
-)
+import "rumor/internal/obs"
 
 // Metrics instruments a Store on an obs.Registry. The store's own
 // Stats counters are mirrored at scrape time (one consistent snapshot,
@@ -93,28 +89,4 @@ func (m *Metrics) track(s *Store) {
 		m.reclaimed.Set(float64(st.ReclaimedBytes))
 		m.corrupt.Set(float64(st.CorruptRecords))
 	})
-}
-
-// observeFlush records one flush batch's latency.
-func (m *Metrics) observeFlush(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.flushSeconds.Observe(d.Seconds())
-}
-
-// incTornTail records one truncated torn tail.
-func (m *Metrics) incTornTail() {
-	if m == nil {
-		return
-	}
-	m.tornTails.Inc()
-}
-
-// incCompaction records one completed compaction pass.
-func (m *Metrics) incCompaction() {
-	if m == nil {
-		return
-	}
-	m.compactionRuns.Inc()
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // Benchmarks report node-updates/sec — a node update is one simulated
-// contact decision (one batched draw consumed), the unit BENCH_3 tracks.
+// contact decision (one batched draw consumed), the unit the bench/
+// workloads' core.*_updates_per_s metrics track.
 
 func benchSync(b *testing.B, g *graph.Graph, cfg SyncConfig) {
 	root := xrand.New(1)

@@ -11,8 +11,9 @@ import (
 
 // TestLargeNSyncCell builds a 10^7-node G(n,p) graph with the streamed
 // CSR builder and runs one synchronous push-pull cell end to end. Gated
-// behind RUMOR_LARGE_N=1 (takes tens of seconds and ~2GB); the BENCH_3
-// suite runs the same shape via `cmd/experiments -bench -bench-large`.
+// behind RUMOR_LARGE_N=1 (takes tens of seconds and ~2GB); run with -v
+// for the build/run seconds and updates/sec. The benchmark's
+// engine_large_n workload runs the same shape at a smaller n.
 func TestLargeNSyncCell(t *testing.T) {
 	if os.Getenv("RUMOR_LARGE_N") == "" {
 		t.Skip("set RUMOR_LARGE_N=1 to run the 10^7-node cell")

@@ -17,7 +17,8 @@ import (
 // Work-unit counts are a pure function of the spec (cacheable and
 // byte-identical across runs); wall-clock throughput is deliberately
 // excluded here and tracked by the repeatable benchmark run instead
-// (cmd/experiments -bench, BENCH_2.json).
+// (bench/run.sh; the printed pointer to BENCH_2.json below is part of
+// the byte-pinned suite output and names that benchmark's ancestor).
 func E13Throughput() Experiment {
 	return Experiment{
 		ID:     "E13",

@@ -16,7 +16,7 @@ var e15Families = []string{"complete", "hypercube", "star", "gnp", "pref-attach"
 // finding is that the derandomization preserves the spreading time
 // within a small constant (and often slightly improves it); we check
 // that the q99 ratio stays in a tight band across families. This is a
-// flagged extension (DESIGN.md §6), not a claim of the reproduced paper.
+// flagged extension, not a claim of the reproduced paper.
 // The quasirandom sample is a time cell with the v2 spec's Quasirandom
 // flag.
 func E15Quasirandom() Experiment {

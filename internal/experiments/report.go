@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// WriteMarkdownReport renders experiment outcomes as a Markdown document
-// in the style of EXPERIMENTS.md: a summary table followed by one section
-// per experiment with its captured details. generatedAt allows callers to
-// stamp the run (pass the zero time to omit the stamp).
+// WriteMarkdownReport renders experiment outcomes as a Markdown
+// document: a summary table followed by one section per experiment
+// with its captured details. generatedAt allows callers to stamp the
+// run (pass the zero time to omit the stamp).
 func WriteMarkdownReport(w io.Writer, outcomes []*Outcome, cfg Config, generatedAt time.Time) error {
 	mode := "full"
 	if cfg.Quick {

@@ -10,6 +10,7 @@ import (
 
 	"rumor/internal/core"
 	"rumor/internal/graph"
+	"rumor/internal/obs"
 	"rumor/internal/service"
 	"rumor/internal/xrand"
 )
@@ -148,6 +149,7 @@ func NewSelfHost(n int, metrics *Metrics) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("gossip: cluster size %d", n)
 	}
+	metrics = obs.OrZero(metrics)
 	c := &Cluster{metrics: metrics, tr: newTransport(n, metrics)}
 	for i := 0; i < n; i++ {
 		node := NewNode(metrics)
@@ -167,6 +169,7 @@ func Attach(addrs []string, metrics *Metrics) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("gossip: attaching to zero nodes")
 	}
+	metrics = obs.OrZero(metrics)
 	return &Cluster{
 		metrics: metrics,
 		tr:      newTransport(len(addrs), metrics),
@@ -225,7 +228,7 @@ func (c *Cluster) sweep(method string, payload func(i int) (interface{}, error),
 				errs[i] = err
 				return
 			}
-			c.metrics.incSent(method)
+			c.metrics.sent.With(method).Inc()
 			reply, err := c.tr.callChecked(c.addrs[i], env, gossipCallTimeout)
 			if err != nil {
 				errs[i] = fmt.Errorf("node %d (%s): %w", i, c.addrs[i], err)
@@ -298,16 +301,16 @@ func (c *Cluster) RunTrial(spec TrialSpec) (*TrialResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.metrics.incSent(MethodDistribute)
+	c.metrics.sent.With(MethodDistribute).Inc()
 	if _, err := c.tr.callChecked(c.addrs[source], distEnv, gossipCallTimeout); err != nil {
 		return nil, fmt.Errorf("gossip: distribute to node %d: %w", source, err)
 	}
 
 	var rounds int
 	switch spec.Cell.Timing {
-	case TimingSync:
+	case service.TimingSync:
 		rounds, err = c.driveRounds(spec)
-	case TimingAsync:
+	case service.TimingAsync:
 		err = c.waitAsync(spec)
 	default:
 		err = fmt.Errorf("gossip: unknown timing %q", spec.Cell.Timing)
@@ -332,9 +335,9 @@ func (c *Cluster) RunTrial(spec TrialSpec) (*TrialResult, error) {
 
 	res := buildResult(spec, g, source, rounds, reports)
 	res.Wall = wall
-	c.metrics.setInformed(res.Informed)
-	c.metrics.incRun()
-	c.metrics.observeRun(wall)
+	c.metrics.informed.Set(float64(res.Informed))
+	c.metrics.runs.Inc()
+	c.metrics.runSeconds.Observe(wall.Seconds())
 	return res, nil
 }
 
@@ -364,7 +367,7 @@ func (c *Cluster) driveRounds(spec TrialSpec) (int, error) {
 				count++
 			}
 		}
-		c.metrics.setInformed(count)
+		c.metrics.informed.Set(float64(count))
 		if count == n {
 			return r, nil
 		}
@@ -395,7 +398,7 @@ func (c *Cluster) waitAsync(spec TrialSpec) error {
 			return fmt.Errorf("gossip: async poll: %w", err)
 		}
 		informed := int(count.Load())
-		c.metrics.setInformed(informed)
+		c.metrics.informed.Set(float64(informed))
 		if informed == len(c.addrs) {
 			return nil
 		}
@@ -430,7 +433,7 @@ func buildResult(spec TrialSpec, g *graph.Graph, source, rounds int, reports []R
 		}
 		res.Informed++
 		var t float64
-		if spec.Cell.Timing == TimingSync {
+		if spec.Cell.Timing == service.TimingSync {
 			t = float64(rep.InformedRound)
 		} else {
 			delta := rep.InformedAtUnixNano - reports[source].InformedAtUnixNano

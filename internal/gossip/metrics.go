@@ -1,14 +1,11 @@
 package gossip
 
-import (
-	"time"
-
-	"rumor/internal/obs"
-)
+import "rumor/internal/obs"
 
 // Metrics holds the live-cluster instruments, registered as the
-// rumor_gossip_* families. A nil *Metrics disables instrumentation —
-// every method is nil-safe, mirroring shard.Metrics. One Metrics is
+// rumor_gossip_* families. A nil *Metrics disables instrumentation:
+// NewNode, NewSelfHost, Attach and Call resolve it to the zero value,
+// whose nil instruments are no-ops. One Metrics is
 // shared by every node hosted in a process and by the coordinator, so
 // a self-hosted cluster's whole traffic shows up on one registry.
 type Metrics struct {
@@ -61,109 +58,4 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.frameBytes = reg.NewCounterVec("rumor_gossip_frame_bytes_total",
 		"Wire bytes moved by the envelope codec, by direction.", "direction")
 	return m
-}
-
-func (m *Metrics) nodeUp() {
-	if m == nil {
-		return
-	}
-	m.nodes.Inc()
-}
-
-func (m *Metrics) nodeDown() {
-	if m == nil {
-		return
-	}
-	m.nodes.Dec()
-}
-
-func (m *Metrics) incSent(method string) {
-	if m == nil {
-		return
-	}
-	m.sent.With(method).Inc()
-}
-
-func (m *Metrics) incReceived(method string) {
-	if m == nil {
-		return
-	}
-	m.received.With(method).Inc()
-}
-
-func (m *Metrics) incDropped() {
-	if m == nil {
-		return
-	}
-	m.dropped.Inc()
-}
-
-func (m *Metrics) incContact() {
-	if m == nil {
-		return
-	}
-	m.contacts.Inc()
-}
-
-func (m *Metrics) incDialError() {
-	if m == nil {
-		return
-	}
-	m.dialErrors.Inc()
-}
-
-func (m *Metrics) incDial() {
-	if m == nil {
-		return
-	}
-	m.dials.Inc()
-}
-
-func (m *Metrics) incReuse() {
-	if m == nil {
-		return
-	}
-	m.reuses.Inc()
-}
-
-func (m *Metrics) addIdleConns(delta int) {
-	if m == nil {
-		return
-	}
-	m.idleConns.Add(float64(delta))
-}
-
-func (m *Metrics) incRound() {
-	if m == nil {
-		return
-	}
-	m.rounds.Inc()
-}
-
-func (m *Metrics) incRun() {
-	if m == nil {
-		return
-	}
-	m.runs.Inc()
-}
-
-func (m *Metrics) setInformed(n int) {
-	if m == nil {
-		return
-	}
-	m.informed.Set(float64(n))
-}
-
-func (m *Metrics) observeRun(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.runSeconds.Observe(d.Seconds())
-}
-
-func (m *Metrics) addFrameBytes(direction string, n int) {
-	if m == nil {
-		return
-	}
-	m.frameBytes.With(direction).Add(float64(n))
 }

@@ -9,21 +9,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rumor/internal/core"
+	"rumor/internal/obs"
+	"rumor/internal/service"
 	"rumor/internal/xrand"
-)
-
-// Protocol names, matching the simulator's cell vocabulary
-// (core.Protocol.String / service.CellSpec.Protocol).
-const (
-	ProtocolPush     = "push"
-	ProtocolPull     = "pull"
-	ProtocolPushPull = "push-pull"
-)
-
-// Timing names, matching service.TimingSync / service.TimingAsync.
-const (
-	TimingSync  = "sync"
-	TimingAsync = "async"
 )
 
 // asyncRound tags messages sent outside the synchronous round
@@ -64,6 +53,7 @@ type Node struct {
 	mu            sync.Mutex
 	active        bool
 	cfg           StartupConfig
+	proto         core.Protocol // cfg.Protocol as parsed by validateStartup
 	rng           *xrand.RNG
 	informed      bool
 	hearings      int
@@ -79,6 +69,7 @@ type Node struct {
 
 // NewNode builds a node. metrics may be nil.
 func NewNode(metrics *Metrics) *Node {
+	metrics = obs.OrZero(metrics)
 	n := &Node{
 		metrics: metrics,
 		tr:      newTransport(maxIdleLinks, metrics),
@@ -111,7 +102,7 @@ func (n *Node) Listen(addr string) error {
 		return fmt.Errorf("gossip: listen %s: %w", addr, err)
 	}
 	n.ln = ln
-	n.metrics.nodeUp()
+	n.metrics.nodes.Inc()
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return nil
@@ -142,7 +133,7 @@ func (n *Node) Close() error {
 		n.connMu.Unlock()
 		n.wg.Wait()
 		n.tr.close()
-		n.metrics.nodeDown()
+		n.metrics.nodes.Dec()
 	})
 	return nil
 }
@@ -177,7 +168,7 @@ func (n *Node) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		n.metrics.incReceived(env.Method)
+		n.metrics.received.With(env.Method).Inc()
 		reply := n.dispatch(env)
 		conn.SetWriteDeadline(time.Now().Add(gossipCallTimeout))
 		if err := WriteFrame(conn, reply); err != nil {
@@ -221,28 +212,31 @@ func (n *Node) vertex() int {
 
 // ---- control plane ----
 
-func validateStartup(cfg *StartupConfig) error {
-	switch cfg.Protocol {
-	case ProtocolPush, ProtocolPull, ProtocolPushPull:
-	default:
-		return fmt.Errorf("unknown protocol %q", cfg.Protocol)
+// validateStartup checks a STARTUP config and returns its protocol
+// parsed with the cell vocabulary's own parser, so the node dispatches
+// on exactly what validation accepted (any spelling ParseProtocol
+// takes: "push-pull", "pp", "PP", …).
+func validateStartup(cfg *StartupConfig) (core.Protocol, error) {
+	proto, err := service.ParseProtocol(cfg.Protocol)
+	if err != nil {
+		return 0, err
 	}
 	switch cfg.Timing {
-	case TimingSync:
-	case TimingAsync:
+	case service.TimingSync:
+	case service.TimingAsync:
 		if cfg.TimeUnit <= 0 {
-			return fmt.Errorf("async timing needs a positive time unit")
+			return 0, fmt.Errorf("async timing needs a positive time unit")
 		}
 	default:
-		return fmt.Errorf("unknown timing %q", cfg.Timing)
+		return 0, fmt.Errorf("unknown timing %q", cfg.Timing)
 	}
 	if cfg.LossProb < 0 || cfg.LossProb >= 1 {
-		return fmt.Errorf("loss probability %v outside [0, 1)", cfg.LossProb)
+		return 0, fmt.Errorf("loss probability %v outside [0, 1)", cfg.LossProb)
 	}
 	if cfg.Threshold < 0 {
-		return fmt.Errorf("negative acceptance threshold %d", cfg.Threshold)
+		return 0, fmt.Errorf("negative acceptance threshold %d", cfg.Threshold)
 	}
-	return cfg.Latency.Validate()
+	return proto, cfg.Latency.Validate()
 }
 
 func (n *Node) handleStartup(env *Envelope) (interface{}, error) {
@@ -250,19 +244,21 @@ func (n *Node) handleStartup(env *Envelope) (interface{}, error) {
 	if err := env.Decode(&cfg); err != nil {
 		return nil, err
 	}
-	if err := validateStartup(&cfg); err != nil {
+	proto, err := validateStartup(&cfg)
+	if err != nil {
 		return nil, err
 	}
 	n.stopClock() // discard the previous trial's clock before resetting
 	n.mu.Lock()
 	n.cfg = cfg
+	n.proto = proto
 	n.active = true
 	n.rng = xrand.New(cfg.Seed)
 	n.informed = false
 	n.hearings = 0
 	n.informedRound = -1
 	n.informedAt = time.Time{}
-	if cfg.Timing == TimingAsync {
+	if cfg.Timing == service.TimingAsync {
 		stop := make(chan struct{})
 		done := make(chan struct{})
 		n.clockStop, n.clockDone = stop, done
@@ -302,10 +298,10 @@ func (n *Node) handleRound(env *Envelope) (interface{}, error) {
 	if !active {
 		return nil, fmt.Errorf("round before startup")
 	}
-	if timing != TimingSync {
+	if timing != service.TimingSync {
 		return nil, fmt.Errorf("round command on an %s node", timing)
 	}
-	n.metrics.incRound()
+	n.metrics.rounds.Inc()
 	n.contact(cmd.Round)
 	n.mu.Lock()
 	informed := n.informed
@@ -412,7 +408,7 @@ func (n *Node) handlePull(env *Envelope) (interface{}, error) {
 	n.mu.Unlock()
 	if lost {
 		n.dropped.Add(1)
-		n.metrics.incDropped()
+		n.metrics.dropped.Inc()
 		informed = false
 	}
 	if delay > 0 {
@@ -434,10 +430,10 @@ func (n *Node) contact(round int32) {
 	cfg := n.cfg
 	informed := n.informedIn(round)
 	peer := cfg.Neighbors[n.rng.Intn(len(cfg.Neighbors))]
-	doPush := informed && (cfg.Protocol == ProtocolPush || cfg.Protocol == ProtocolPushPull)
+	doPush := informed && n.proto != core.Pull
 	// An informed node's pull cannot change any state, so it is
 	// skipped; spreading dynamics are unaffected.
-	doPull := !informed && (cfg.Protocol == ProtocolPull || cfg.Protocol == ProtocolPushPull)
+	doPull := !informed && n.proto != core.Push
 	var pushLost bool
 	var pushDelay time.Duration
 	if doPush {
@@ -451,11 +447,11 @@ func (n *Node) contact(round int32) {
 	if !doPush && !doPull {
 		return
 	}
-	n.metrics.incContact()
+	n.metrics.contacts.Inc()
 	if doPush {
 		if pushLost {
 			n.dropped.Add(1)
-			n.metrics.incDropped()
+			n.metrics.dropped.Inc()
 		} else {
 			if pushDelay > 0 {
 				n.sleepOrDone(pushDelay)
@@ -463,9 +459,9 @@ func (n *Node) contact(round int32) {
 			env, err := NewEnvelope(MethodPush, cfg.Node, Rumor{Round: round})
 			if err == nil {
 				n.sent.Add(1)
-				n.metrics.incSent(MethodPush)
+				n.metrics.sent.With(MethodPush).Inc()
 				if _, err := n.tr.call(peer, env, gossipCallTimeout); err != nil {
-					n.metrics.incDialError()
+					n.metrics.dialErrors.Inc()
 				}
 			}
 		}
@@ -476,10 +472,10 @@ func (n *Node) contact(round int32) {
 			return
 		}
 		n.sent.Add(1)
-		n.metrics.incSent(MethodPull)
+		n.metrics.sent.With(MethodPull).Inc()
 		reply, err := n.tr.call(peer, env, gossipCallTimeout)
 		if err != nil {
-			n.metrics.incDialError()
+			n.metrics.dialErrors.Inc()
 			return
 		}
 		if reply.Err != "" {

@@ -74,7 +74,7 @@ func checkFullCoverage(t *testing.T, res *TrialResult) {
 }
 
 func TestSyncPushPullComplete(t *testing.T) {
-	res := runLive(t, testSpec("complete", 16, ProtocolPushPull, TimingSync), nil)
+	res := runLive(t, testSpec("complete", 16, "push-pull", service.TimingSync), nil)
 	checkFullCoverage(t, res)
 	if res.Rounds < 1 || res.SpreadTime < 1 {
 		t.Fatalf("rounds = %d, spread = %v", res.Rounds, res.SpreadTime)
@@ -85,7 +85,7 @@ func TestSyncPushPullComplete(t *testing.T) {
 }
 
 func TestSyncPushCycle(t *testing.T) {
-	res := runLive(t, testSpec("cycle", 8, ProtocolPush, TimingSync), nil)
+	res := runLive(t, testSpec("cycle", 8, "push", service.TimingSync), nil)
 	checkFullCoverage(t, res)
 	// A cycle's push time is at least ~n/2 rounds (the rumor walks).
 	if res.SpreadTime < 3 {
@@ -94,12 +94,12 @@ func TestSyncPushCycle(t *testing.T) {
 }
 
 func TestSyncPullComplete(t *testing.T) {
-	res := runLive(t, testSpec("complete", 8, ProtocolPull, TimingSync), nil)
+	res := runLive(t, testSpec("complete", 8, "pull", service.TimingSync), nil)
 	checkFullCoverage(t, res)
 }
 
 func TestAsyncPushPullComplete(t *testing.T) {
-	spec := testSpec("complete", 8, ProtocolPushPull, TimingAsync)
+	spec := testSpec("complete", 8, "push-pull", service.TimingAsync)
 	reg := obs.NewRegistry()
 	metrics := NewMetrics(reg)
 	res := runLive(t, spec, metrics)
@@ -115,14 +115,14 @@ func TestAsyncPushPullComplete(t *testing.T) {
 }
 
 func TestSyncWithLossStillCompletes(t *testing.T) {
-	spec := testSpec("complete", 8, ProtocolPushPull, TimingSync)
+	spec := testSpec("complete", 8, "push-pull", service.TimingSync)
 	spec.Cell.LossProb = 0.3
 	res := runLive(t, spec, nil)
 	checkFullCoverage(t, res)
 }
 
 func TestThresholdAcceptance(t *testing.T) {
-	spec := testSpec("complete", 8, ProtocolPushPull, TimingSync)
+	spec := testSpec("complete", 8, "push-pull", service.TimingSync)
 	spec.Threshold = 2
 	res := runLive(t, spec, nil)
 	checkFullCoverage(t, res)
@@ -137,7 +137,7 @@ func TestThresholdAcceptance(t *testing.T) {
 }
 
 func TestLatencySlowsSyncRounds(t *testing.T) {
-	spec := testSpec("complete", 4, ProtocolPushPull, TimingSync)
+	spec := testSpec("complete", 4, "push-pull", service.TimingSync)
 	spec.Latency = LatencySpec{Dist: LatencyFixed, Mean: 20 * time.Millisecond}
 	start := time.Now()
 	res := runLive(t, spec, nil)
@@ -148,6 +148,25 @@ func TestLatencySlowsSyncRounds(t *testing.T) {
 	}
 }
 
+// TestProtocolSpellingSharedWithValidation: validation and dispatch use
+// one parsed protocol, so every spelling service.ParseProtocol accepts
+// runs the same exchange. (With validation parsing and contact comparing
+// strings, "PP" would pass STARTUP and then neither push nor pull.)
+func TestProtocolSpellingSharedWithValidation(t *testing.T) {
+	want := runLive(t, testSpec("complete", 16, "push-pull", service.TimingSync), nil)
+	checkFullCoverage(t, want)
+	for _, spelling := range []string{"PP", "pushpull"} {
+		got := runLive(t, testSpec("complete", 16, spelling, service.TimingSync), nil)
+		// Not Rounds: rounds driven may overshoot SpreadTime by one
+		// from run to run (see TrialResult.Rounds).
+		if got.SpreadTime != want.SpreadTime || got.Informed != want.Informed ||
+			!reflect.DeepEqual(got.Curve, want.Curve) {
+			t.Errorf("protocol %q: spread=%v informed=%d curve=%v, want spread=%v informed=%d curve=%v (push-pull)",
+				spelling, got.SpreadTime, got.Informed, got.Curve, want.SpreadTime, want.Informed, want.Curve)
+		}
+	}
+}
+
 func TestStartupValidation(t *testing.T) {
 	node := NewNode(nil)
 	if err := node.Listen("127.0.0.1:0"); err != nil {
@@ -155,13 +174,13 @@ func TestStartupValidation(t *testing.T) {
 	}
 	defer node.Close()
 	bad := []StartupConfig{
-		{Protocol: "carrier-pigeon", Timing: TimingSync},
-		{Protocol: ProtocolPush, Timing: "warped"},
-		{Protocol: ProtocolPush, Timing: TimingAsync}, // no time unit
-		{Protocol: ProtocolPush, Timing: TimingSync, LossProb: 1.0},
-		{Protocol: ProtocolPush, Timing: TimingSync, LossProb: -0.1},
-		{Protocol: ProtocolPush, Timing: TimingSync, Threshold: -1},
-		{Protocol: ProtocolPush, Timing: TimingSync, Latency: LatencySpec{Dist: "warp", Mean: time.Millisecond}},
+		{Protocol: "carrier-pigeon", Timing: service.TimingSync},
+		{Protocol: "push", Timing: "warped"},
+		{Protocol: "push", Timing: service.TimingAsync}, // no time unit
+		{Protocol: "push", Timing: service.TimingSync, LossProb: 1.0},
+		{Protocol: "push", Timing: service.TimingSync, LossProb: -0.1},
+		{Protocol: "push", Timing: service.TimingSync, Threshold: -1},
+		{Protocol: "push", Timing: service.TimingSync, Latency: LatencySpec{Dist: "warp", Mean: time.Millisecond}},
 	}
 	for _, cfg := range bad {
 		env, err := NewEnvelope(MethodStartup, CoordinatorFrom, cfg)
@@ -209,7 +228,7 @@ func TestClusterSizeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	spec := testSpec("complete", 8, ProtocolPush, TimingSync)
+	spec := testSpec("complete", 8, "push", service.TimingSync)
 	if _, err := c.RunTrial(spec); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
@@ -235,7 +254,7 @@ func TestAttachRunsTrial(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.RunTrial(testSpec("complete", n, ProtocolPushPull, TimingSync))
+	res, err := c.RunTrial(testSpec("complete", n, "push-pull", service.TimingSync))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +287,8 @@ func TestRepeatedLifecycleNoLeaks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cycle := 0; cycle < 3; cycle++ {
-		for _, timing := range []string{TimingSync, TimingAsync} {
-			spec := testSpec("complete", n, ProtocolPushPull, timing)
+		for _, timing := range []string{service.TimingSync, service.TimingAsync} {
+			spec := testSpec("complete", n, "push-pull", timing)
 			spec.Cell.TrialSeed = uint64(100*cycle + len(timing))
 			res, err := c.RunTrial(spec)
 			if err != nil {
@@ -314,7 +333,7 @@ func TestSyncCurveDeterministic(t *testing.T) {
 		defer c.Close()
 		var first []int32
 		for rep := 0; rep < 5; rep++ {
-			res, err := c.RunTrial(testSpec(tc.family, 16, ProtocolPushPull, TimingSync))
+			res, err := c.RunTrial(testSpec(tc.family, 16, "push-pull", service.TimingSync))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,7 +365,7 @@ func TestRunTrialRejectsBadSource(t *testing.T) {
 	}
 	defer c.Close()
 	for _, source := range []int{-1, 4, 99} {
-		spec := testSpec("complete", 4, ProtocolPush, TimingSync)
+		spec := testSpec("complete", 4, "push", service.TimingSync)
 		spec.Cell.Source = source
 		if _, err := c.RunTrial(spec); !errors.Is(err, core.ErrBadSource) {
 			t.Errorf("source %d: err = %v, want core.ErrBadSource", source, err)
@@ -360,7 +379,7 @@ func TestRunTrialRejectsBadSource(t *testing.T) {
 func TestMetricsAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	metrics := NewMetrics(reg)
-	res := runLive(t, testSpec("complete", 8, ProtocolPushPull, TimingSync), metrics)
+	res := runLive(t, testSpec("complete", 8, "push-pull", service.TimingSync), metrics)
 	checkFullCoverage(t, res)
 	scrape, err := obs.ParseText(strings.NewReader(scrapeText(t, reg)))
 	if err != nil {

@@ -154,7 +154,7 @@ func RunOverlay(c *Cluster, cfg OverlayConfig) (*OverlayResult, error) {
 // normalized coverage curves plus the ratio headline.
 func (r *OverlayResult) RenderText(w io.Writer) error {
 	unit := "rounds"
-	if r.Cell.Timing == TimingAsync {
+	if r.Cell.Timing == service.TimingAsync {
 		unit = "time units"
 	}
 	fmt.Fprintf(w, "E16 overlay: %s, %s/%s, n=%d, m=%d, loss=%g (%s)\n",

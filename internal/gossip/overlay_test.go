@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunOverlaySync(t *testing.T) {
-	spec := testSpec("complete", 8, ProtocolPushPull, TimingSync)
+	spec := testSpec("complete", 8, "push-pull", service.TimingSync)
 	spec.Cell.Trials = 3
 	c, err := NewSelfHost(8, nil)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestRunOverlaySync(t *testing.T) {
 }
 
 func TestRunOverlayFlagsLiveOnlyEffects(t *testing.T) {
-	spec := testSpec("complete", 4, ProtocolPushPull, TimingSync)
+	spec := testSpec("complete", 4, "push-pull", service.TimingSync)
 	spec.Threshold = 2
 	spec.Latency = LatencySpec{Dist: LatencyFixed, Mean: time.Millisecond}
 	c, err := NewSelfHost(4, nil)

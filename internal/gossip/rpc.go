@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"rumor/internal/obs"
 )
 
 // Connection lifecycle. A call used to be one short-lived connection on
@@ -87,7 +89,7 @@ func Call(addr string, env *Envelope, timeout time.Duration, metrics *Metrics) (
 	if err != nil {
 		return nil, fmt.Errorf("gossip: send %s to %s: %w", env.Method, addr, err)
 	}
-	l, err := dialLink(addr, timeout, metrics)
+	l, err := dialLink(addr, timeout, obs.OrZero(metrics))
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +162,7 @@ func (t *transport) call(addr string, env *Envelope, timeout time.Duration) (*En
 			if l, err = dialLink(addr, timeout, t.metrics); err != nil {
 				return nil, err
 			}
-			t.metrics.incDial()
+			t.metrics.dials.Inc()
 		}
 		reply, replyStarted, err := l.roundTrip(env.Method, frame, timeout)
 		if err == nil {
@@ -200,14 +202,14 @@ func (t *transport) takeIdle(addr string) *link {
 		t.setIdle(addr, links)
 		removed := k + 1 - len(links)
 		t.nidle -= removed
-		t.metrics.addIdleConns(-removed)
+		t.metrics.idleConns.Add(float64(-removed))
 	}
 	t.mu.Unlock()
 	for _, e := range expired {
 		e.conn.Close()
 	}
 	if l != nil {
-		t.metrics.incReuse()
+		t.metrics.reuses.Inc()
 	}
 	return l
 }
@@ -235,7 +237,7 @@ func (t *transport) putIdle(l *link) {
 	var evicted *link
 	if t.nidle < t.maxIdle {
 		t.nidle++
-		t.metrics.addIdleConns(1)
+		t.metrics.idleConns.Inc()
 	} else {
 		for _, links := range t.idle {
 			if evicted == nil || links[0].idleSince.Before(evicted.idleSince) {
@@ -262,7 +264,7 @@ func (t *transport) close() {
 			l.conn.Close()
 		}
 	}
-	t.metrics.addIdleConns(-n)
+	t.metrics.idleConns.Add(float64(-n))
 }
 
 // countingConn feeds wire byte counts into the metrics family.
@@ -274,7 +276,7 @@ type countingConn struct {
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 {
-		c.metrics.addFrameBytes("received", n)
+		c.metrics.frameBytes.With("received").Add(float64(n))
 	}
 	return n, err
 }
@@ -282,7 +284,7 @@ func (c *countingConn) Read(p []byte) (int, error) {
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	if n > 0 {
-		c.metrics.addFrameBytes("sent", n)
+		c.metrics.frameBytes.With("sent").Add(float64(n))
 	}
 	return n, err
 }

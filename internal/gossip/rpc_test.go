@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rumor/internal/obs"
+	"rumor/internal/service"
 )
 
 // Proxy behaviours once a request has been forwarded to the backend
@@ -168,7 +169,7 @@ func TestTransportConcurrentCallsDistinctLinks(t *testing.T) {
 			barrier.Wait()
 		}
 	})
-	tr := newTransport(maxIdleLinks, nil)
+	tr := newTransport(maxIdleLinks, &Metrics{})
 	defer tr.close()
 	errs := make(chan error, calls)
 	for i := 0; i < calls; i++ {
@@ -222,7 +223,7 @@ func TestTransportRedialsRestartedPeer(t *testing.T) {
 func TestTransportNoRetryOnceRequestMayHaveLanded(t *testing.T) {
 	node := startNode(t, "127.0.0.1:0", nil)
 	startup, err := NewEnvelope(MethodStartup, CoordinatorFrom, StartupConfig{
-		Protocol: ProtocolPush, Timing: TimingSync, Threshold: 10, // far above the pushes below, so Hearings counts them all
+		Protocol: "push", Timing: service.TimingSync, Threshold: 10, // far above the pushes below, so Hearings counts them all
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +249,7 @@ func TestTransportNoRetryOnceRequestMayHaveLanded(t *testing.T) {
 		t.Fatal(err)
 	}
 	proxy := startProxy(t, node.Addr(), nil)
-	tr := newTransport(maxIdleLinks, nil)
+	tr := newTransport(maxIdleLinks, &Metrics{})
 	defer tr.close()
 
 	// A new link whose server takes the request and closes: no retry,
@@ -316,7 +317,7 @@ func TestTransportEvictsLeastRecentlyUsed(t *testing.T) {
 
 func TestTransportDropsLinksIdleTooLong(t *testing.T) {
 	proxy := startProxy(t, startNode(t, "127.0.0.1:0", nil).Addr(), nil)
-	tr := newTransport(maxIdleLinks, nil)
+	tr := newTransport(maxIdleLinks, &Metrics{})
 	defer tr.close()
 	if _, err := tr.callChecked(proxy.addr(), pingEnv(t), time.Second); err != nil {
 		t.Fatal(err)
@@ -360,8 +361,8 @@ func TestMixedFleetOneShotServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, timing := range []string{TimingSync, TimingAsync} {
-		spec := testSpec("complete", n, ProtocolPushPull, timing)
+	for _, timing := range []string{service.TimingSync, service.TimingAsync} {
+		spec := testSpec("complete", n, "push-pull", timing)
 		spec.Threshold = 2
 		res, err := c.RunTrial(spec)
 		if err != nil {
@@ -369,7 +370,7 @@ func TestMixedFleetOneShotServers(t *testing.T) {
 		}
 		checkFullCoverage(t, res)
 		// An async report sweep can catch a message in flight.
-		if timing == TimingSync && res.Sent != res.Received {
+		if timing == service.TimingSync && res.Sent != res.Received {
 			t.Fatalf("sent %d, received %d", res.Sent, res.Received)
 		}
 	}

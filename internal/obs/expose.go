@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"math"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,7 +21,11 @@ const TextContentType = "text/plain; version=0.0.4; charset=utf-8"
 // Prometheus text exposition format: families sorted by name, each
 // with its # HELP and # TYPE line, series sorted by label values,
 // histograms expanded into cumulative le-buckets plus _sum and _count.
+// A nil registry writes nothing.
 func (r *Registry) WriteText(w io.Writer) error {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	hooks := append([]func(){}, r.collects...)
 	fams := make([]*family, 0, len(r.families))
@@ -134,4 +140,21 @@ func Handler(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", TextContentType)
 		_ = r.WriteText(w)
 	})
+}
+
+// WriteSnapshot is the CLIs' -metrics-out: it renders one exposition
+// from src (a registry's WriteText, or a scrape of a remote daemon)
+// and writes it to path, "-" meaning stderr (stdout carries results).
+// The snapshot is rendered before the file is touched, so a failing
+// source leaves no truncated file behind.
+func WriteSnapshot(path string, src func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := src(&buf); err != nil {
+		return err
+	}
+	if path == "-" {
+		_, err := os.Stderr.Write(buf.Bytes())
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }

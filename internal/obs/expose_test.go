@@ -1,6 +1,11 @@
 package obs
 
 import (
+	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -134,5 +139,60 @@ func TestScrapeSum(t *testing.T) {
 	total, n := sc.Sum("sum_total")
 	if total != 5 || n != 2 {
 		t.Fatalf("Sum = %v over %d series, want 5 over 2", total, n)
+	}
+}
+
+// TestWriteSnapshot covers the CLIs' one -metrics-out writer: a file
+// target holds a parseable exposition, "-" goes to stderr, and an
+// unwritable path or a failing source is an error (so the command
+// exits non-zero) that leaves no partial file behind.
+func TestWriteSnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounterVec("snap_events_total", "events", "kind").With("a").Add(3)
+	dir := t.TempDir()
+
+	// Capture stderr for the "-" row.
+	stderrFile, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	realStderr := os.Stderr
+	os.Stderr = stderrFile
+	t.Cleanup(func() { os.Stderr = realStderr })
+
+	failing := func(io.Writer) error { return errors.New("scrape failed") }
+	for _, tc := range []struct {
+		name    string
+		path    string
+		src     func(io.Writer) error
+		wantErr bool
+		readAt  string // where the exposition must have landed
+	}{
+		{"file", filepath.Join(dir, "m.prom"), r.WriteText, false, filepath.Join(dir, "m.prom")},
+		{"stderr", "-", r.WriteText, false, stderrFile.Name()},
+		{"unwritable path", filepath.Join(dir, "no-such-dir", "m.prom"), r.WriteText, true, ""},
+		{"failing source", filepath.Join(dir, "failed.prom"), failing, true, ""},
+	} {
+		err := WriteSnapshot(tc.path, tc.src)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		if tc.wantErr {
+			if _, statErr := os.Stat(tc.path); statErr == nil {
+				t.Errorf("%s: left a file behind at %s", tc.name, tc.path)
+			}
+			continue
+		}
+		data, err := os.ReadFile(tc.readAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := ParseText(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: not a Prometheus exposition: %v\n%s", tc.name, err, data)
+		}
+		if v, ok := sc.Value("snap_events_total", map[string]string{"kind": "a"}); !ok || v != 3 {
+			t.Errorf("%s: snap_events_total{kind=a} = %v, %v, want 3", tc.name, v, ok)
+		}
 	}
 }

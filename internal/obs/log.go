@@ -108,3 +108,14 @@ func NewLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	}
 	return slog.New(NewContextHandler(inner)), nil
 }
+
+// OrDiscard returns l, or a logger that drops every record when l is
+// nil — the logging half of "instrumentation is optional": subsystems
+// resolve their optional logger once at construction and then log
+// unconditionally.
+func OrDiscard(l *slog.Logger) *slog.Logger {
+	if l == nil {
+		return slog.New(slog.DiscardHandler)
+	}
+	return l
+}

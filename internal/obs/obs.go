@@ -22,6 +22,13 @@
 // consistent snapshot counters (the cache tiers, the cachestore):
 // they run at scrape time and copy the snapshot into registered
 // instruments, instead of double-counting in two places.
+//
+// Instrumentation is optional, and that is decided here, once: a nil
+// *Registry hands out nil instruments, and every method of a nil
+// *Counter, *Gauge, *Histogram or *…Vec is a no-op (With returns nil,
+// Value returns 0). Subsystems therefore hold plain instrument fields
+// and call them unconditionally; "metrics off" is the zero value of
+// their instrument struct, not a guard at every call site.
 package obs
 
 import (
@@ -70,6 +77,17 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
+// OrZero returns p, or a fresh zero T when p is nil. Subsystems whose
+// instruments live in a struct of obs fields use it to resolve an
+// optional *Metrics once at construction: the zero struct's nil
+// instruments are the no-ops described above.
+func OrZero[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
+}
+
 // Registry holds metric families and collect hooks. All methods are
 // safe for concurrent use; registration normally happens at startup
 // and scrapes at runtime.
@@ -88,6 +106,9 @@ func NewRegistry() *Registry {
 // (WriteText). Hooks copy externally maintained consistent snapshots
 // (cache stats, store stats) into registered instruments.
 func (r *Registry) OnCollect(fn func()) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.collects = append(r.collects, fn)
@@ -253,6 +274,9 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds v, which must be non-negative.
 func (c *Counter) Add(v float64) {
+	if c == nil {
+		return
+	}
 	if v < 0 || math.IsNaN(v) {
 		panic(fmt.Sprintf("obs: counter decrement %v", v))
 	}
@@ -266,10 +290,19 @@ func (c *Counter) Add(v float64) {
 }
 
 // Set overwrites the value (collect-hook mirrors only; see type doc).
-func (c *Counter) Set(v float64) { c.bits.Store(math.Float64bits(v)) }
+func (c *Counter) Set(v float64) {
+	if c != nil {
+		c.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Value returns the current value.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+func (c *Counter) Value() float64 {
+	if c == nil {
+		return 0
+	}
+	return math.Float64frombits(c.bits.Load())
+}
 
 // Gauge is a value that can go up and down.
 type Gauge struct {
@@ -277,7 +310,11 @@ type Gauge struct {
 }
 
 // Set overwrites the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Inc adds 1.
 func (g *Gauge) Inc() { g.Add(1) }
@@ -287,6 +324,9 @@ func (g *Gauge) Dec() { g.Add(-1) }
 
 // Add adds v (negative subtracts).
 func (g *Gauge) Add(v float64) {
+	if g == nil {
+		return
+	}
 	for {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -297,7 +337,12 @@ func (g *Gauge) Add(v float64) {
 }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // Histogram counts observations into cumulative buckets and tracks
 // their sum — the raw material of latency quantiles and rate/mean
@@ -318,7 +363,7 @@ func newHistogram(buckets []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) {
+	if h == nil || math.IsNaN(v) {
 		return
 	}
 	i := sort.SearchFloat64s(h.buckets, v) // first bucket with bound >= v
@@ -340,6 +385,9 @@ func (h *Histogram) snapshot() ([]uint64, float64, uint64) {
 
 // Count returns the number of observations so far.
 func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.total
@@ -347,7 +395,12 @@ func (h *Histogram) Count() uint64 {
 
 // Buckets returns the upper bucket boundaries (excluding the implicit
 // +Inf bucket).
-func (h *Histogram) Buckets() []float64 { return append([]float64(nil), h.buckets...) }
+func (h *Histogram) Buckets() []float64 {
+	if h == nil {
+		return nil
+	}
+	return append([]float64(nil), h.buckets...)
+}
 
 // CounterVec is a counter family with labels.
 type CounterVec struct{ fam *family }
@@ -360,12 +413,18 @@ type HistogramVec struct{ fam *family }
 
 // NewCounter registers an unlabelled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
+	if r == nil {
+		return nil
+	}
 	f := r.register(name, help, TypeCounter, nil, nil)
 	return f.get(nil, func() interface{} { return &Counter{} }).(*Counter)
 }
 
 // NewCounterVec registers a labelled counter family.
 func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
+	if r == nil {
+		return nil
+	}
 	if len(labels) == 0 {
 		panic(fmt.Sprintf("obs: counter vec %q needs labels (use NewCounter)", name))
 	}
@@ -375,17 +434,26 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 // With returns the counter for the given label values (created on
 // first use).
 func (v *CounterVec) With(values ...string) *Counter {
+	if v == nil {
+		return nil
+	}
 	return v.fam.get(values, func() interface{} { return &Counter{} }).(*Counter)
 }
 
 // NewGauge registers an unlabelled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	f := r.register(name, help, TypeGauge, nil, nil)
 	return f.get(nil, func() interface{} { return &Gauge{} }).(*Gauge)
 }
 
 // NewGaugeVec registers a labelled gauge family.
 func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
+	if r == nil {
+		return nil
+	}
 	if len(labels) == 0 {
 		panic(fmt.Sprintf("obs: gauge vec %q needs labels (use NewGauge)", name))
 	}
@@ -394,12 +462,18 @@ func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
 
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
+	if v == nil {
+		return nil
+	}
 	return v.fam.get(values, func() interface{} { return &Gauge{} }).(*Gauge)
 }
 
 // NewHistogram registers an unlabelled histogram. nil buckets select
 // DefBuckets.
 func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	f := r.register(name, help, TypeHistogram, nil, buckets)
 	return f.get(nil, func() interface{} { return newHistogram(f.buckets) }).(*Histogram)
 }
@@ -407,6 +481,9 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram
 // NewHistogramVec registers a labelled histogram family. nil buckets
 // select DefBuckets.
 func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
+	if r == nil {
+		return nil
+	}
 	if len(labels) == 0 {
 		panic(fmt.Sprintf("obs: histogram vec %q needs labels (use NewHistogram)", name))
 	}
@@ -415,5 +492,8 @@ func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels 
 
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
+	if v == nil {
+		return nil
+	}
 	return v.fam.get(values, func() interface{} { return newHistogram(v.fam.buckets) }).(*Histogram)
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"context"
+	"log/slog"
 	"math"
 	"strings"
 	"sync"
@@ -173,5 +175,75 @@ func TestOnCollectRunsAtScrape(t *testing.T) {
 	}
 	if g.Value() != 20 {
 		t.Fatalf("mirror = %v, want 20", g.Value())
+	}
+}
+
+// TestNilInstrumentsAreNoOps is the "instrumentation is optional"
+// contract: a nil registry hands out nil instruments, and every method
+// of a nil instrument or vec does nothing, allocates nothing, and never
+// panics — so un-instrumented callers pay no more than a nil check.
+func TestNilInstrumentsAreNoOps(t *testing.T) {
+	var r *Registry
+	c, g, h := r.NewCounter("c_total", "c"), r.NewGauge("g", "g"), r.NewHistogram("h_seconds", "h", nil)
+	cv := r.NewCounterVec("cv_total", "cv", "a", "b")
+	gv := r.NewGaugeVec("gv", "gv", "a")
+	hv := r.NewHistogramVec("hv_seconds", "hv", nil, "a")
+	if c != nil || g != nil || h != nil || cv != nil || gv != nil || hv != nil {
+		t.Fatalf("nil registry handed out a live instrument: %v %v %v %v %v %v", c, g, h, cv, gv, hv)
+	}
+	// The same names twice, and a vec without labels: a nil registry
+	// registers nothing, so nothing can collide or be malformed.
+	r.NewCounter("c_total", "c")
+	r.NewCounterVec("no_labels_total", "x")
+	r.OnCollect(func() { t.Error("collect hook ran on a nil registry") })
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil || sb.Len() != 0 {
+		t.Fatalf("nil registry WriteText = %q, %v", sb.String(), err)
+	}
+	if err := WriteSnapshot("-", r.WriteText); err != nil {
+		t.Fatalf("snapshot of a nil registry: %v", err)
+	}
+
+	kind, outcome := "time", "computed" // variables, as at real call sites
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		c.Add(3)
+		c.Add(-1) // not even the decrement check runs
+		c.Set(7)
+		g.Set(1)
+		g.Inc()
+		g.Dec()
+		g.Add(-2)
+		h.Observe(0.5)
+		cv.With(kind, outcome).Inc()
+		cv.With("wrong arity").Add(2)
+		gv.With(kind).Set(4)
+		release := gv.With(kind).Dec // a bound method of a nil gauge
+		release()
+		hv.With(kind).Observe(1)
+		if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Buckets() != nil {
+			t.Error("nil instrument reported a value")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("nil instruments allocated %v times per run, want 0", allocs)
+	}
+}
+
+func TestOrZeroAndOrDiscard(t *testing.T) {
+	type metrics struct{ hits *Counter }
+	var none *metrics
+	m := OrZero(none)
+	m.hits.Inc() // the zero struct's nil instrument
+	if some := (&metrics{}); OrZero(some) != some {
+		t.Error("OrZero replaced a non-nil pointer")
+	}
+	l := OrDiscard(nil)
+	l.Info("dropped", "k", "v")
+	if l.Enabled(context.Background(), slog.LevelError) {
+		t.Error("discard logger is enabled")
+	}
+	if real := slog.Default(); OrDiscard(real) != real {
+		t.Error("OrDiscard replaced a non-nil logger")
 	}
 }

@@ -55,7 +55,7 @@ type Executor struct {
 	// for daemon runs.
 	CellWorkers int
 	// Obs instruments cell execution (per-kind latency and outcome
-	// counters); nil disables it. Because the scheduler's workers and
+	// counters); nil means off. Because the scheduler's workers and
 	// local RunCells both funnel through Run, one instrument covers the
 	// daemon and the CLI alike.
 	Obs *Observability
@@ -78,12 +78,13 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 	if err := cell.Validate(); err != nil {
 		return nil, false, err
 	}
+	o := e.Obs.orOff()
 	key := cell.Key()
 	if e.Results != nil {
 		if cached, ok := e.Results.Get(key); ok {
 			res := *cached
 			res.Index = index
-			e.Obs.observeCell(cell.kind(), "cached", 0)
+			o.observeCell(cell.kind(), "cached", 0)
 			return &res, true, nil
 		}
 	}
@@ -94,7 +95,7 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 	start := time.Now()
 	kind, err := KindByName(cell.kind())
 	if err != nil {
-		e.Obs.observeCell(cell.kind(), "error", 0)
+		o.observeCell(cell.kind(), "error", 0)
 		return nil, false, err
 	}
 	var g *graph.Graph
@@ -105,7 +106,7 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 			g, err = BuildGraph(cell)
 		}
 		if err != nil {
-			e.Obs.observeCell(cell.kind(), "error", 0)
+			o.observeCell(cell.kind(), "error", 0)
 			return nil, false, fmt.Errorf("service: building %s(%d): %w", cell.Family, cell.N, err)
 		}
 	}
@@ -118,12 +119,12 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 	if err != nil {
 		if ctx.Err() == nil {
 			// A context abort is a cancellation, not a kind failure.
-			e.Obs.observeCell(cell.kind(), "error", 0)
+			o.observeCell(cell.kind(), "error", 0)
 		}
 		return nil, false, err
 	}
 	e.engineUpdates.Add(kr.Work)
-	e.Obs.addEngineUpdates(kr.Work)
+	o.engineUpdates.Add(float64(kr.Work))
 	res := &CellResult{
 		Cell:     cell,
 		Key:      key,
@@ -141,7 +142,7 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 	if e.Results != nil {
 		e.Results.Put(key, res)
 	}
-	e.Obs.observeCell(cell.kind(), "computed", time.Since(start))
+	o.observeCell(cell.kind(), "computed", time.Since(start))
 	out := *res
 	out.Index = index
 	return &out, false, nil

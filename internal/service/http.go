@@ -40,7 +40,8 @@ import (
 //	DELETE /v1/jobs/{id}         cancel a job
 //	GET    /v1/cache             cache-tier stats (LRU + disk store)
 //	GET    /healthz              liveness
-//	GET    /metricsz             scheduler + cache metrics snapshot
+//	GET    /metrics              Prometheus text exposition (only with
+//	                             WithObservability)
 //
 // Additional resources (the experiment suite) mount versioned subtrees
 // via Mount. Every error response is the structured envelope of
@@ -49,7 +50,7 @@ import (
 type Server struct {
 	sched *Scheduler
 	mux   *http.ServeMux
-	obs   *Observability
+	obs   *Observability // never nil; without a registry the middleware is bypassed
 }
 
 // ServerOption customises NewServer.
@@ -70,6 +71,7 @@ func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.obs = s.obs.orOff()
 	s.mux.HandleFunc("POST /v1/jobs", s.submit)
 	s.mux.HandleFunc("GET /v1/jobs", s.list)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.status)
@@ -78,8 +80,7 @@ func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.cancel)
 	s.mux.HandleFunc("GET /v1/cache", s.cache)
 	s.mux.HandleFunc("GET /healthz", s.healthz)
-	s.mux.HandleFunc("GET /metricsz", s.metricsz)
-	if s.obs != nil {
+	if s.obs.Reg != nil {
 		s.mux.Handle("GET /metrics", obs.Handler(s.obs.Reg))
 	}
 	return s
@@ -90,7 +91,7 @@ func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
 // duration and status counters, the in-flight gauge, and one access log
 // line per request.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.obs == nil {
+	if s.obs.Reg == nil {
 		s.mux.ServeHTTP(w, r)
 		return
 	}
@@ -115,11 +116,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	s.obs.httpRequests.With(route, r.Method, strconv.Itoa(sw.status())).Inc()
 	s.obs.httpDuration.With(route).Observe(elapsed.Seconds())
-	if l := s.obs.Log; l != nil {
-		l.InfoContext(r.Context(), "http request",
-			"method", r.Method, "path", r.URL.Path, "route", route,
-			"status", sw.status(), "duration_ms", float64(elapsed.Microseconds())/1000)
-	}
+	s.obs.Log.InfoContext(r.Context(), "http request",
+		"method", r.Method, "path", r.URL.Path, "route", route,
+		"status", sw.status(), "duration_ms", float64(elapsed.Microseconds())/1000)
 }
 
 // TrackStream marks a live result stream (kind "ndjson" or "sse") on
@@ -464,10 +463,6 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	api.WriteJSON(w, http.StatusOK, h)
-}
-
-func (s *Server) metricsz(w http.ResponseWriter, _ *http.Request) {
-	api.WriteJSON(w, http.StatusOK, s.sched.Metrics())
 }
 
 // cache reports the cache tiers: LRU size and hit/miss counters, the

@@ -14,12 +14,13 @@ import (
 	"time"
 
 	"rumor/internal/api"
+	"rumor/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg SchedulerConfig) (*httptest.Server, *Scheduler) {
 	t.Helper()
 	sched := NewScheduler(cfg)
-	srv := httptest.NewServer(NewServer(sched))
+	srv := httptest.NewServer(NewServer(sched, WithObservability(cfg.Obs)))
 	t.Cleanup(func() {
 		srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -278,6 +279,7 @@ func TestHTTPUnknownJob404(t *testing.T) {
 func TestHTTPHealthAndMetrics(t *testing.T) {
 	srv, _ := newTestServer(t, SchedulerConfig{
 		Workers: 2, Results: NewResultCache(16), Graphs: NewGraphCache(4),
+		Obs: NewObservability(obs.NewRegistry(), nil),
 	})
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -292,29 +294,28 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	st := submitJob(t, srv.URL, spec)
 	_ = streamResults(t, srv.URL, st.ID) // wait for completion
 
+	// GET /metrics is the one metrics endpoint: the scheduler snapshot
+	// the retired /metricsz JSON carried is all in the scrape.
+	sc := scrapeMetrics(t, srv.URL)
+	if n := sumWhere(sc, "rumor_scheduler_cells_total", map[string]string{"outcome": "computed"}); n != 8 {
+		t.Errorf("computed cells = %v, want 8", n)
+	}
+	if n, _ := sc.Value("rumor_scheduler_jobs", map[string]string{"state": "done"}); n != 1 {
+		t.Errorf("jobs{state=done} = %v, want 1", n)
+	}
+	if n, ok := sc.Value("rumor_cache_misses_total", map[string]string{"cache": "result"}); !ok || n != 8 {
+		t.Errorf("result cache misses = %v, %v, want 8", n, ok)
+	}
+	if n := sumWhere(sc, "rumor_cache_hits_total", map[string]string{"cache": "graph"}); n == 0 {
+		t.Error("graph cache saw no hits across timing pairs")
+	}
 	resp, err = http.Get(srv.URL + "/metricsz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.CellsComputed != 8 {
-		t.Errorf("cells_computed = %d, want 8", m.CellsComputed)
-	}
-	if m.Jobs["done"] != 1 {
-		t.Errorf("jobs = %v", m.Jobs)
-	}
-	if m.ResultCache == nil || m.GraphCache == nil {
-		t.Error("metrics missing cache stats")
-	}
-	if m.CellsPerSec <= 0 {
-		t.Errorf("cells_per_sec = %v", m.CellsPerSec)
-	}
-	if m.GraphCache.Hits == 0 {
-		t.Errorf("graph cache saw no hits across timing pairs: %+v", m.GraphCache)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("retired /metricsz = %d, want 404", resp.StatusCode)
 	}
 
 	// GET /v1/cache with a plain (single-tier) result cache: the tier

@@ -9,9 +9,10 @@ import (
 
 // Observability bundles the service spine's instruments: one metrics
 // registry (scraped on GET /metrics) and one structured logger. A nil
-// *Observability disables instrumentation everywhere — every method is
-// nil-safe, so the scheduler, executor, and HTTP server carry a single
-// optional pointer instead of conditional wiring.
+// *Observability means "off": the scheduler, executor, and HTTP server
+// resolve it once (orOff) to a value whose instruments are obs's no-op
+// nils and whose logger discards, then call instruments and log
+// unconditionally.
 //
 // Counter-style subsystems that already keep their own consistent
 // snapshots (the cache tiers, the persistent store) are mirrored into
@@ -47,10 +48,10 @@ type Observability struct {
 }
 
 // NewObservability registers the service's metric families on reg and
-// attaches log (nil log degrades to a discard-equivalent: call sites
-// guard with o.logger()). reg must be non-nil.
+// attaches log. Either may be nil: a nil registry yields no-op
+// instruments (a log-only Observability), a nil log discards.
 func NewObservability(reg *obs.Registry, log *slog.Logger) *Observability {
-	o := &Observability{Reg: reg, Log: log}
+	o := &Observability{Reg: reg, Log: obs.OrDiscard(log)}
 	o.httpRequests = reg.NewCounterVec("rumor_http_requests_total",
 		"HTTP requests served, by route pattern, method, and status code.",
 		"route", "method", "code")
@@ -94,58 +95,24 @@ func NewObservability(reg *obs.Registry, log *slog.Logger) *Observability {
 	return o
 }
 
-// logger returns the attached logger, or nil. Call sites use
-// `if l := o.logger(); l != nil` so a metrics-only Observability works.
-func (o *Observability) logger() *slog.Logger {
-	if o == nil {
-		return nil
-	}
-	return o.Log
-}
+// off is what a nil *Observability resolves to.
+var off = NewObservability(nil, nil)
 
-// observeQueueWait records one cell's time on the pending heap.
-func (o *Observability) observeQueueWait(d time.Duration) {
+func (o *Observability) orOff() *Observability {
 	if o == nil {
-		return
+		return off
 	}
-	o.queueWait.Observe(d.Seconds())
+	return o
 }
 
 // observeCell records one finished cell: outcome is "computed",
 // "cached", or "error"; duration is observed for computed cells only
 // (a cache hit's latency is the cache's, not the kind's).
 func (o *Observability) observeCell(kind string, outcome string, d time.Duration) {
-	if o == nil {
-		return
-	}
 	o.cellsTotal.With(kind, outcome).Inc()
 	if outcome == "computed" {
 		o.cellDuration.With(kind).Observe(d.Seconds())
 	}
-}
-
-// addEngineUpdates counts engine node updates from one computed cell.
-func (o *Observability) addEngineUpdates(n int64) {
-	if o == nil || n == 0 {
-		return
-	}
-	o.engineUpdates.Add(float64(n))
-}
-
-// incRejection counts one backpressure rejection.
-func (o *Observability) incRejection() {
-	if o == nil {
-		return
-	}
-	o.rejections.Inc()
-}
-
-// incCancellation counts one job cancellation.
-func (o *Observability) incCancellation() {
-	if o == nil {
-		return
-	}
-	o.cancellations.Inc()
 }
 
 // trackStream marks a live result stream of the given kind ("ndjson" or
@@ -154,45 +121,26 @@ func (o *Observability) incCancellation() {
 // handler's way out — the gauge counts streams actually being served,
 // not streams ever started.
 func (o *Observability) trackStream(kind string) func() {
-	if o == nil {
-		return func() {}
-	}
 	g := o.activeStreams.With(kind)
 	g.Inc()
 	return g.Dec
 }
 
-// observeScheduler registers the scrape-time mirrors for scheduler and
-// cache state: queue depth, jobs by state, and the cache tiers'
-// consistent snapshots. Called once from NewScheduler.
+// observeScheduler registers the scrape-time mirror of the scheduler's
+// own Metrics snapshot: queue depth, jobs by state, and the cache tiers.
+// Called once from NewScheduler.
 func (o *Observability) observeScheduler(s *Scheduler) {
-	if o == nil {
-		return
-	}
 	o.workers.Set(float64(s.workers))
 	o.Reg.OnCollect(func() {
-		s.mu.Lock()
-		depth := len(s.pending)
-		jobs := make([]*Job, 0, len(s.jobs))
-		for _, j := range s.jobs {
-			jobs = append(jobs, j)
+		m := s.Metrics()
+		o.queueDepth.Set(float64(m.QueueDepth))
+		for _, st := range []JobState{JobQueued, JobRunning, JobDone, JobFailed, JobCancelled} {
+			o.jobsByState.With(string(st)).Set(float64(m.Jobs[string(st)]))
 		}
-		s.mu.Unlock()
-		o.queueDepth.Set(float64(depth))
-		byState := map[JobState]int{
-			JobQueued: 0, JobRunning: 0, JobDone: 0, JobFailed: 0, JobCancelled: 0,
+		if m.ResultCache != nil {
+			o.mirrorResultCache(*m.ResultCache)
 		}
-		for _, j := range jobs {
-			byState[j.Status().State]++
-		}
-		for st, n := range byState {
-			o.jobsByState.With(string(st)).Set(float64(n))
-		}
-		if s.exec.Results != nil {
-			o.mirrorResultCache(s.exec.Results.Stats())
-		}
-		if s.exec.Graphs != nil {
-			gs := s.exec.Graphs.Stats()
+		if gs := m.GraphCache; gs != nil {
 			o.cacheHits.With("graph", "mem").Set(float64(gs.Hits))
 			o.cacheMisses.With("graph").Set(float64(gs.Misses))
 			o.cacheEntries.With("graph").Set(float64(gs.Size))

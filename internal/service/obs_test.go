@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -388,43 +387,6 @@ func TestActiveStreamGaugeOnDisconnect(t *testing.T) {
 	}
 	waitGauge("ndjson", 0)
 	waitGauge("sse", 0)
-}
-
-// TestMetricszJSONUnchangedByObservability pins the /metricsz contract:
-// attaching the observability layer must not change the JSON snapshot's
-// key set — the Prometheus endpoint is additive, not a rewrite.
-func TestMetricszJSONUnchangedByObservability(t *testing.T) {
-	keysAfterJob := func(srv *httptest.Server) []string {
-		t.Helper()
-		st := submitJob(t, srv.URL, gridSpec())
-		_ = streamResults(t, srv.URL, st.ID)
-		resp, err := http.Get(srv.URL + "/metricsz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var m map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return keys
-	}
-
-	plain, _ := newTestServer(t, SchedulerConfig{
-		Workers: 2, Results: NewResultCache(128), Graphs: NewGraphCache(16),
-	})
-	instrumented, _, _, _ := newObsServer(t, 2)
-
-	got := keysAfterJob(instrumented)
-	want := keysAfterJob(plain)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("/metricsz key set changed with observability on:\nplain:        %v\ninstrumented: %v", want, got)
-	}
 }
 
 // TestHealthzBuildInfo: /healthz reports uptime and toolchain metadata

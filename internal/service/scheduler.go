@@ -126,7 +126,7 @@ type Scheduler struct {
 	cellsHit   int64 // cells served from the result cache
 	cellErrors int64
 
-	obs *Observability // nil-safe; see Observability
+	obs *Observability // never nil; see Observability.orOff
 }
 
 // NewScheduler starts the worker pool and returns the scheduler.
@@ -143,12 +143,13 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if retention <= 0 {
 		retention = 256
 	}
+	observ := cfg.Obs.orOff()
 	s := &Scheduler{
 		exec: Executor{
 			Results:      cfg.Results,
 			Graphs:       cfg.Graphs,
 			TrialWorkers: cfg.TrialWorkers,
-			Obs:          cfg.Obs,
+			Obs:          observ,
 		},
 		remote:     cfg.Remote,
 		workers:    workers,
@@ -157,9 +158,9 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		jobs:       make(map[string]*Job),
 		idem:       make(map[string]idemEntry),
 		started:    time.Now(),
-		obs:        cfg.Obs,
+		obs:        observ,
 	}
-	cfg.Obs.observeScheduler(s)
+	observ.observeScheduler(s)
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
@@ -276,11 +277,9 @@ func (s *Scheduler) enqueue(spec JobSpec, cells []CellSpec, idemKey string) (*Jo
 		}
 	}
 	if len(s.pending)+len(cells) > s.queueLimit {
-		s.obs.incRejection()
-		if l := s.obs.logger(); l != nil {
-			l.Warn("job rejected: queue full",
-				"pending", len(s.pending), "cells", len(cells), "limit", s.queueLimit)
-		}
+		s.obs.rejections.Inc()
+		s.obs.Log.Warn("job rejected: queue full",
+			"pending", len(s.pending), "cells", len(cells), "limit", s.queueLimit)
 		return nil, false, fmt.Errorf("%w: %d pending + %d new > limit %d",
 			ErrQueueFull, len(s.pending), len(cells), s.queueLimit)
 	}
@@ -323,11 +322,9 @@ func (s *Scheduler) enqueue(spec JobSpec, cells []CellSpec, idemKey string) (*Jo
 	}
 	s.pruneJobsLocked()
 	s.cond.Broadcast()
-	if l := s.obs.logger(); l != nil {
-		l.Info("job submitted",
-			"job_id", job.id, "cells", len(cells), "priority", spec.Priority,
-			"queue_depth", len(s.pending))
-	}
+	s.obs.Log.Info("job submitted",
+		"job_id", job.id, "cells", len(cells), "priority", spec.Priority,
+		"queue_depth", len(s.pending))
 	return job, false, nil
 }
 
@@ -460,7 +457,7 @@ func (s *Scheduler) worker() {
 		}
 		t := heap.Pop(&s.pending).(task)
 		s.mu.Unlock()
-		s.obs.observeQueueWait(time.Since(t.enqueuedAt))
+		s.obs.queueWait.Observe(time.Since(t.enqueuedAt).Seconds())
 		s.runTask(t)
 	}
 }
@@ -509,6 +506,8 @@ func (s *Scheduler) runRemote(job *Job) {
 		s.mu.Lock()
 		s.cellsRun++
 		s.mu.Unlock()
+		// No duration: the cell's latency was observed on the peer that ran it.
+		s.obs.cellsTotal.With(job.cells[res.Index].kind(), "computed").Inc()
 		job.completeCell(res.Index, res, false)
 		return nil
 	}
@@ -533,7 +532,8 @@ func (s *Scheduler) runRemote(job *Job) {
 	}
 }
 
-// Metrics is the scheduler's /metricsz snapshot.
+// Metrics is the scheduler's throughput and queue snapshot; the
+// scrape-time collect hook mirrors it into the registry.
 type Metrics struct {
 	UptimeSeconds float64        `json:"uptime_seconds"`
 	Workers       int            `json:"workers"`
@@ -573,14 +573,8 @@ func (s *Scheduler) Metrics() Metrics {
 	if m.UptimeSeconds > 0 {
 		m.CellsPerSec = float64(m.CellsComputed+m.CellsCached) / m.UptimeSeconds
 	}
-	if s.exec.Results != nil {
-		st := s.exec.Results.Stats()
-		m.ResultCache = &st
-	}
-	if s.exec.Graphs != nil {
-		st := s.exec.Graphs.Stats()
-		m.GraphCache = &st
-	}
+	caches := s.CacheStats()
+	m.ResultCache, m.GraphCache = caches.ResultCache, caches.GraphCache
 	return m
 }
 
@@ -766,10 +760,8 @@ func (j *Job) Cancel() {
 	j.mu.Unlock()
 	j.cancel()
 	if j.sched != nil {
-		j.sched.obs.incCancellation()
-		if l := j.sched.obs.logger(); l != nil {
-			l.Info("job cancelled", "job_id", j.id)
-		}
+		j.sched.obs.cancellations.Inc()
+		j.sched.obs.Log.Info("job cancelled", "job_id", j.id)
 		j.sched.purgeJob(j)
 	}
 }
@@ -857,9 +849,7 @@ func (j *Job) completeCell(i int, res *CellResult, cached bool) {
 	}
 	j.mu.Unlock()
 	if finished && j.sched != nil {
-		if l := j.sched.obs.logger(); l != nil {
-			l.Info("job done", "job_id", j.id, "cells", len(j.cells), "cache_hits", hits)
-		}
+		j.sched.obs.Log.Info("job done", "job_id", j.id, "cells", len(j.cells), "cache_hits", hits)
 	}
 }
 
@@ -879,9 +869,7 @@ func (j *Job) failJob(err error) {
 	j.mu.Unlock()
 	j.cancel()
 	if j.sched != nil {
-		if l := j.sched.obs.logger(); l != nil {
-			l.Warn("job failed", "job_id", j.id, "error", err.Error())
-		}
+		j.sched.obs.Log.Warn("job failed", "job_id", j.id, "error", err.Error())
 		j.sched.purgeJob(j)
 	}
 }
@@ -900,9 +888,7 @@ func (j *Job) fail(i int, err error) {
 	j.mu.Unlock()
 	j.cancel()
 	if j.sched != nil {
-		if l := j.sched.obs.logger(); l != nil {
-			l.Warn("job failed", "job_id", j.id, "cell", i, "error", err.Error())
-		}
+		j.sched.obs.Log.Warn("job failed", "job_id", j.id, "cell", i, "error", err.Error())
 		j.sched.purgeJob(j)
 	}
 }

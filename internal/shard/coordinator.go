@@ -11,6 +11,7 @@ import (
 
 	"rumor/client"
 	"rumor/internal/api"
+	"rumor/internal/obs"
 	"rumor/internal/peers"
 	"rumor/internal/service"
 )
@@ -42,7 +43,7 @@ type Config struct {
 type Coordinator struct {
 	ring    *Ring
 	clients map[string]*client.Client
-	obs     *Metrics
+	metrics *Metrics
 	log     *slog.Logger
 }
 
@@ -58,8 +59,8 @@ func New(cfg Config) (*Coordinator, error) {
 	co := &Coordinator{
 		ring:    NewRing(cfg.Replicas),
 		clients: make(map[string]*client.Client, len(urls)),
-		obs:     cfg.Metrics,
-		log:     cfg.Log,
+		metrics: obs.OrZero(cfg.Metrics),
+		log:     obs.OrDiscard(cfg.Log),
 	}
 	for _, u := range urls {
 		c, err := client.New(u, cfg.ClientOptions...)
@@ -69,7 +70,7 @@ func New(cfg Config) (*Coordinator, error) {
 		co.ring.Add(u)
 		co.clients[u] = c
 	}
-	co.obs.setPeers(co.ring.Len())
+	co.metrics.peers.Set(float64(co.ring.Len()))
 	return co, nil
 }
 
@@ -139,11 +140,11 @@ func (co *Coordinator) StreamCells(ctx context.Context, cells []service.CellSpec
 			if prev.Key != out.Key {
 				return fatalError{fmt.Errorf("shard: cell %d key mismatch across peers: %s vs %s", global, prev.Key, out.Key)}
 			}
-			co.obs.incDuplicate()
+			co.metrics.duplicates.Inc()
 			return nil
 		}
 		results[global] = &out
-		co.obs.incCell(peer)
+		co.metrics.cells.With(peer).Inc()
 		if fn != nil {
 			if err := fn(&out); err != nil {
 				return fatalError{err}
@@ -179,9 +180,9 @@ func (co *Coordinator) StreamCells(ctx context.Context, cells []service.CellSpec
 		errs := make([]error, len(peers))
 		var wg sync.WaitGroup
 		for pi, peer := range peers {
-			co.obs.addAssigned(peer, len(parts[peer]))
+			co.metrics.assigned.With(peer).Add(float64(len(parts[peer])))
 			if round > 0 {
-				co.obs.addReassigned(len(parts[peer]))
+				co.metrics.reassignments.Add(float64(len(parts[peer])))
 			}
 			wg.Add(1)
 			go func(pi int, peer string) {
@@ -208,11 +209,9 @@ func (co *Coordinator) StreamCells(ctx context.Context, cells []service.CellSpec
 			// The peer died: take it off this batch's ring; its
 			// undelivered cells go back to pending below.
 			ring.Remove(peers[pi])
-			co.obs.incPeerFailure(peers[pi])
-			if co.log != nil {
-				co.log.Warn("shard peer failed, reassigning its unfinished cells",
-					"peer", peers[pi], "error", err.Error(), "survivors", ring.Len())
-			}
+			co.metrics.peerFailures.With(peers[pi]).Inc()
+			co.log.Warn("shard peer failed, reassigning its unfinished cells",
+				"peer", peers[pi], "error", err.Error(), "survivors", ring.Len())
 		}
 
 		mu.Lock()
@@ -240,7 +239,7 @@ func (co *Coordinator) runPartition(ctx context.Context, peer string, cells []se
 	}
 	cl := co.clients[peer]
 	start := time.Now()
-	defer func() { co.obs.observeStream(peer, time.Since(start)) }()
+	defer func() { co.metrics.streamSecs.With(peer).Observe(time.Since(start).Seconds()) }()
 	st, err := cl.SubmitJob(ctx, service.JobSpec{CellList: sub},
 		client.WithIdempotencyKey(client.CellsIdempotencyKey(sub)))
 	if err != nil {

@@ -1,14 +1,10 @@
 package shard
 
-import (
-	"time"
-
-	"rumor/internal/obs"
-)
+import "rumor/internal/obs"
 
 // Metrics holds the coordinator's instruments, registered as the
-// rumor_shard_* families. A nil *Metrics disables instrumentation —
-// every method is nil-safe, mirroring service.Observability.
+// rumor_shard_* families. A nil *Metrics disables instrumentation:
+// New resolves it to the zero value, whose nil instruments are no-ops.
 type Metrics struct {
 	peers         *obs.Gauge        // configured peer count
 	cells         *obs.CounterVec   // peer: results delivered by each peer
@@ -39,53 +35,4 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		"Per-partition latency from submit to the end of the peer's result stream, by peer.",
 		nil, "peer")
 	return m
-}
-
-func (m *Metrics) setPeers(n int) {
-	if m == nil {
-		return
-	}
-	m.peers.Set(float64(n))
-}
-
-func (m *Metrics) addAssigned(peer string, n int) {
-	if m == nil {
-		return
-	}
-	m.assigned.With(peer).Add(float64(n))
-}
-
-func (m *Metrics) incCell(peer string) {
-	if m == nil {
-		return
-	}
-	m.cells.With(peer).Inc()
-}
-
-func (m *Metrics) addReassigned(n int) {
-	if m == nil {
-		return
-	}
-	m.reassignments.Add(float64(n))
-}
-
-func (m *Metrics) incPeerFailure(peer string) {
-	if m == nil {
-		return
-	}
-	m.peerFailures.With(peer).Inc()
-}
-
-func (m *Metrics) incDuplicate() {
-	if m == nil {
-		return
-	}
-	m.duplicates.Inc()
-}
-
-func (m *Metrics) observeStream(peer string, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.streamSecs.With(peer).Observe(d.Seconds())
 }
