@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
@@ -171,4 +173,251 @@ func RunSyncReference(g *graph.Graph, src graph.NodeID, cfg SyncConfig, rng *xra
 		}
 	}
 	return result(round, updates), nil
+}
+
+// refClock is one Poisson clock of an asynchronous view.
+type refClock struct {
+	owner  graph.NodeID // the contacting node; -1 for the global clock, which picks one per tick
+	target graph.NodeID // the callee of a per-edge clock; -1 means drawn per tick
+	rate   float64
+	next   float64 // time of the next tick; +Inf while the owner is offline
+}
+
+// RunAsyncReference executes the asynchronous process by the literal
+// Section 2 definitions, one Poisson clock record per clock of the view:
+//
+//   - GlobalClock: one clock of rate n; on a tick a uniformly random
+//     node contacts a uniformly random neighbor.
+//   - PerNodeClocks: n clocks of rate 1; on v's tick, v contacts a
+//     uniformly random neighbor.
+//   - PerEdgeClocks: one clock of rate 1/deg(v) per directed edge
+//     (v, w); on its tick, v contacts w.
+//
+// The next tick is found by scanning every clock, and each clock draws
+// its own inverse-CDF exponential gap. A node that crashes or leaves has
+// its clocks removed, a node that rejoins starts fresh ones, and the
+// crash + churn schedule is a plain time-sorted slice applied between
+// ticks. The run ends the first time every node reachable from the
+// sources is informed, or when nothing can be informed ever again (no
+// online uninformed node has an online informed neighbor and no join is
+// pending); Time is the time of the last informing.
+//
+// This is the executable specification of the one production engine
+// (AsyncStepper, which superposes the clocks into one Exp draw and thins
+// offline actors). It shares no state machinery with it — plain slices,
+// no bitsets, no availability tracker, no ziggurat — and the test suite
+// verifies that the two produce statistically indistinguishable
+// informing times on every static scenario shape.
+//
+// Static topologies only; cost is Θ(clocks) per tick, so use it on small
+// graphs.
+func RunAsyncReference(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncResult, error) {
+	prob, err := validateCommon(g, src, cfg.Protocol, cfg.TransmitProb)
+	if err != nil {
+		return nil, err
+	}
+	view := cfg.View
+	if view == 0 {
+		view = GlobalClock
+	}
+	if !view.valid() {
+		return nil, fmt.Errorf("%w: %d", ErrBadView, int(view))
+	}
+	n := g.NumNodes()
+	sources, err := gatherSources(g, src, cfg.ExtraSources)
+	if err != nil {
+		return nil, err
+	}
+	maxSteps := cfg.MaxSteps
+	if maxSteps <= 0 {
+		maxSteps = defaultMaxSteps(n)
+	}
+
+	// The schedule: crashes are leaves that never rejoin and apply
+	// before churn events of the same time.
+	sched := make([]ChurnEvent, 0, len(cfg.Crashes)+len(cfg.Churn))
+	for _, c := range cfg.Crashes {
+		sched = append(sched, ChurnEvent{Node: c.Node, Time: c.Time, Op: ChurnLeave})
+	}
+	sched = append(sched, cfg.Churn...)
+	for i, ev := range sched {
+		if ev.Node < 0 || int(ev.Node) >= n || !(ev.Time >= 0) || math.IsInf(ev.Time, 0) ||
+			(ev.Op != ChurnLeave && ev.Op != ChurnJoin) || (ev.DropState && ev.Op != ChurnJoin) {
+			bad := ErrBadChurn
+			if i < len(cfg.Crashes) {
+				bad = ErrBadCrash
+			}
+			return nil, fmt.Errorf("%w: %+v", bad, ev)
+		}
+	}
+	sort.SliceStable(sched, func(i, j int) bool { return sched[i].Time < sched[j].Time })
+	scheduled := len(sched) > 0
+	joinsLeft := 0
+	for _, ev := range sched {
+		if ev.Op == ChurnJoin {
+			joinsLeft++
+		}
+	}
+
+	var clocks []refClock
+	switch view {
+	case GlobalClock:
+		clocks = []refClock{{owner: -1, target: -1, rate: float64(n)}}
+	case PerNodeClocks:
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			clocks = append(clocks, refClock{owner: v, target: -1, rate: 1})
+		}
+	case PerEdgeClocks:
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			for _, w := range g.Neighbors(v) {
+				clocks = append(clocks, refClock{owner: v, target: w, rate: 1 / float64(g.Degree(v))})
+			}
+		}
+	}
+	for i := range clocks {
+		clocks[i].next = rng.ExpInv(clocks[i].rate)
+	}
+
+	informed := make([]bool, n)
+	down := make([]bool, n)
+	parent := make([]graph.NodeID, n)
+	informedAt := make([]float64, n)
+	for i := range parent {
+		parent[i] = -1
+		informedAt[i] = -1
+	}
+	num := 0
+	inform := func(t float64, v, from graph.NodeID) {
+		informed[v] = true
+		parent[v] = from
+		informedAt[v] = t
+		num++
+		if cfg.Observer != nil {
+			cfg.Observer.OnInformed(t, v, from)
+		}
+	}
+	for _, s := range sources {
+		inform(0, s, -1)
+	}
+
+	// Nodes reachable from the sources, by a plain BFS.
+	visited := make([]bool, n)
+	queue := append([]graph.NodeID(nil), sources...)
+	for _, s := range sources {
+		visited[s] = true
+	}
+	for head := 0; head < len(queue); head++ {
+		for _, w := range g.Neighbors(queue[head]) {
+			if !visited[w] {
+				visited[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	reachable := len(queue)
+
+	canProgress := func() bool {
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			if informed[v] || down[v] {
+				continue
+			}
+			for _, w := range g.Neighbors(v) {
+				if informed[w] && !down[w] {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	result := func(steps int64) *AsyncResult {
+		last := 0.0
+		for _, t := range informedAt {
+			last = math.Max(last, t)
+		}
+		return &AsyncResult{
+			Time:        last,
+			Steps:       steps,
+			InformedAt:  informedAt,
+			Parent:      parent,
+			NumInformed: num,
+			Complete:    num == n,
+		}
+	}
+
+	var steps int64
+	for num < reachable {
+		if scheduled && joinsLeft == 0 && !canProgress() {
+			break
+		}
+		tick := -1
+		for i := range clocks {
+			if !math.IsInf(clocks[i].next, 1) && (tick < 0 || clocks[i].next < clocks[tick].next) {
+				tick = i
+			}
+		}
+		if len(sched) > 0 && (tick < 0 || sched[0].Time <= clocks[tick].next) {
+			ev := sched[0]
+			sched = sched[1:]
+			if ev.Op == ChurnJoin {
+				joinsLeft--
+			}
+			if down[ev.Node] == (ev.Op == ChurnLeave) {
+				continue // already offline, or already online
+			}
+			down[ev.Node] = ev.Op == ChurnLeave
+			for i := range clocks {
+				if clocks[i].owner != ev.Node {
+					continue
+				}
+				if ev.Op == ChurnLeave {
+					clocks[i].next = math.Inf(1)
+				} else {
+					clocks[i].next = ev.Time + rng.ExpInv(clocks[i].rate)
+				}
+			}
+			if ev.DropState && informed[ev.Node] {
+				informed[ev.Node] = false
+				parent[ev.Node] = -1
+				informedAt[ev.Node] = -1
+				num--
+			}
+			continue
+		}
+		if tick < 0 {
+			break // every clock is removed and no event is left
+		}
+		if steps >= maxSteps {
+			return result(steps), fmt.Errorf("%w: %d steps (reference async %v on %v)", ErrBudget, steps, cfg.Protocol, g)
+		}
+		steps++
+		c := &clocks[tick]
+		t := c.next
+		c.next = t + rng.ExpInv(c.rate)
+		v, w := c.owner, c.target
+		if v < 0 {
+			v = graph.NodeID(rng.Uint64n(uint64(n)))
+		}
+		if down[v] || g.Degree(v) == 0 {
+			continue
+		}
+		if w < 0 {
+			w = g.RandomNeighbor(v, rng)
+		}
+		if down[w] || informed[v] == informed[w] {
+			continue
+		}
+		if (informed[v] && cfg.Protocol == Pull) || (informed[w] && cfg.Protocol == Push) {
+			continue
+		}
+		if prob < 1 && !rng.Bernoulli(prob) {
+			continue
+		}
+		if informed[v] {
+			inform(t, w, v)
+		} else {
+			inform(t, v, w)
+		}
+	}
+	return result(steps), nil
 }

@@ -1,0 +1,157 @@
+package core
+
+import (
+	"errors"
+	"sort"
+	"testing"
+
+	"rumor/internal/graph"
+	"rumor/internal/stats"
+	"rumor/internal/xrand"
+)
+
+// asyncSample collects, per trial, the quantities of an asynchronous
+// run that the model itself defines. AsyncResult.Time is deliberately
+// not among them: on a run halted by the strandedness scan it is the
+// detection time, which depends on how an engine counts steps.
+type asyncSample struct {
+	last, informed, q50 []float64
+}
+
+func (s *asyncSample) add(r *AsyncResult) {
+	last := 0.0
+	for _, t := range r.InformedAt {
+		if t > last {
+			last = t
+		}
+	}
+	s.last = append(s.last, last)
+	s.informed = append(s.informed, float64(r.NumInformed))
+	s.q50 = append(s.q50, r.CoverageTime(0.5))
+}
+
+// mustMatch fails unless every quantity of the two samples passes a KS
+// test at p > 0.001.
+func (s *asyncSample) mustMatch(t *testing.T, leg string, ref *asyncSample) {
+	t.Helper()
+	for _, q := range []struct {
+		name     string
+		got, ref []float64
+	}{
+		{"time of last informing", s.last, ref.last},
+		{"informed count", s.informed, ref.informed},
+		{"q50 coverage time", s.q50, ref.q50},
+	} {
+		if ks := stats.KolmogorovSmirnov(q.got, q.ref); ks.PValue <= 0.001 {
+			t.Errorf("%s: %s differs from the reference (KS=%.3f p=%.5f)", leg, q.name, ks.Statistic, ks.PValue)
+		}
+	}
+}
+
+// TestAsyncEnginesMatchReference: on every static asynchronous scenario
+// shape — each view, lossy and one-way protocols, crashes, leave-only
+// churn, churn with an amnesiac rejoin, a degree-0 vertex, a crashed hub
+// — the engine NewTrial compiles has the same law as the literal
+// exponential-clock specification. The crash rows in the per-node and
+// per-edge views run on the event-heap engines; there the thinning
+// stepper is checked as well, built directly.
+func TestAsyncEnginesMatchReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("statistical test")
+	}
+	b := graph.NewBuilder(34).SetName("star33+isolated")
+	for i := graph.NodeID(1); i <= 32; i++ {
+		b.AddEdge(0, i)
+	}
+	withIso := mustGraph(b.Build())
+	cube := mustGraph(graph.Hypercube(5))
+	star20 := mustGraph(graph.Star(20))
+	hubCrash := []Crash{{Node: 0, Time: 0.7}}
+
+	type scenario struct {
+		g   *graph.Graph
+		cfg AsyncConfig
+	}
+	cases := map[string]scenario{
+		"hypercube per-edge":         {cube, AsyncConfig{Protocol: PushPull, View: PerEdgeClocks}},
+		"star+isolated per-node":     {withIso, AsyncConfig{Protocol: PushPull, View: PerNodeClocks}},
+		"star+isolated per-edge":     {withIso, AsyncConfig{Protocol: PushPull, View: PerEdgeClocks}},
+		"star hub crash global":      {star20, AsyncConfig{Protocol: PushPull, Crashes: hubCrash}},
+		"star hub crash per-node":    {star20, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: hubCrash}},
+		"star hub crash per-edge":    {star20, AsyncConfig{Protocol: PushPull, View: PerEdgeClocks, Crashes: hubCrash}},
+		"hypercube crashes per-edge": {cube, AsyncConfig{Protocol: PushPull, View: PerEdgeClocks, Crashes: []Crash{{Node: 3, Time: 2}, {Node: 11, Time: 4}}}},
+	}
+	for name, sc := range trialScenarios(t) {
+		if sc.g != nil {
+			cases[name] = scenario{sc.g, sc.async}
+		}
+	}
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	const trials = 2000
+	for i, name := range names {
+		sc := cases[name]
+		seed := uint64(i) * 3 * trials
+		t.Run(name, func(t *testing.T) {
+			var ref, compiled, stepper asyncSample
+			trial, err := NewTrial(graph.NewStatic(sc.g), 0, sc.cfg, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < trials; i++ {
+				r, err := RunAsyncReference(sc.g, 0, sc.cfg, xrand.New(seed+i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.add(r)
+				out, err := trial.Run(xrand.New(seed + trials + i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				compiled.add(out.Async)
+			}
+			compiled.mustMatch(t, trial.engineName()+" engine", &ref)
+			if trial.heap == nil {
+				return
+			}
+			s, err := newAsyncStepper(sc.g, nil, 0, sc.cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < trials; i++ {
+				s.Reset(xrand.New(seed + 2*trials + i))
+				for s.Step() {
+				}
+				stepper.add(s.Result())
+			}
+			stepper.mustMatch(t, "thinning stepper", &ref)
+		})
+	}
+}
+
+// TestAsyncReferenceValidation: the specification rejects what the
+// engines reject, and reports budget exhaustion the same way.
+func TestAsyncReferenceValidation(t *testing.T) {
+	g := mustGraph(graph.Cycle(16))
+	for name, tc := range map[string]struct {
+		src  graph.NodeID
+		cfg  AsyncConfig
+		want error
+	}{
+		"source":     {16, AsyncConfig{Protocol: Push}, ErrBadSource},
+		"protocol":   {0, AsyncConfig{}, ErrBadProtocol},
+		"view":       {0, AsyncConfig{Protocol: Push, View: 9}, ErrBadView},
+		"crash node": {0, AsyncConfig{Protocol: Push, Crashes: []Crash{{Node: 16, Time: 1}}}, ErrBadCrash},
+		"churn time": {0, AsyncConfig{Protocol: Push, Churn: []ChurnEvent{{Node: 1, Time: -1, Op: ChurnLeave}}}, ErrBadChurn},
+		"churn drop": {0, AsyncConfig{Protocol: Push, Churn: []ChurnEvent{{Node: 1, Time: 1, Op: ChurnLeave, DropState: true}}}, ErrBadChurn},
+		"budget":     {0, AsyncConfig{Protocol: Push, MaxSteps: 3}, ErrBudget},
+	} {
+		if _, err := RunAsyncReference(g, tc.src, tc.cfg, xrand.New(1)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
+		}
+	}
+}

@@ -8,17 +8,23 @@ import (
 	"rumor/internal/xrand"
 )
 
-// trialScenarios is one scenario per engine behind the trial contract
-// (and per round body / schedule shape within an engine), each with the
-// engine it must compile to.
-func trialScenarios(t *testing.T) map[string]struct {
+// trialScenario is one compiled scenario and the engine it must compile
+// to. The asynchronous static-topology rows also carry their graph and
+// configuration, so the reference oracle can run the same scenario.
+type trialScenario struct {
 	engine string
 	build  func() (*Trial, error)
-} {
+	g      *graph.Graph
+	async  AsyncConfig
+}
+
+// trialScenarios is one scenario per engine behind the trial contract
+// (and per round body / schedule shape within an engine).
+func trialScenarios(t *testing.T) map[string]trialScenario {
 	t.Helper()
 	g := mustGraph(graph.Hypercube(5))
 	static := graph.NewStatic(g)
-	star := graph.NewStatic(mustGraph(graph.Star(33)))
+	star := mustGraph(graph.Star(33))
 	// A topology that alternates between the hypercube and a cycle, so
 	// reuse must also rewind the provider.
 	cycle := mustGraph(graph.Cycle(32))
@@ -42,38 +48,38 @@ func trialScenarios(t *testing.T) map[string]struct {
 		{Node: 7, Time: 5, Op: ChurnJoin},
 		{Node: 9, Time: 3, Op: ChurnLeave},
 	}
-	syncOn := func(topo func() graph.Provider, cfg SyncConfig, v PPVariant, qr bool) func() (*Trial, error) {
-		return func() (*Trial, error) { return NewTrial(topo(), 0, cfg, v, qr) }
+	syncOn := func(engine string, topo func() graph.Provider, cfg SyncConfig, v PPVariant, qr bool) trialScenario {
+		return trialScenario{engine: engine, build: func() (*Trial, error) { return NewTrial(topo(), 0, cfg, v, qr) }}
 	}
-	asyncOn := func(topo func() graph.Provider, cfg AsyncConfig) func() (*Trial, error) {
-		return func() (*Trial, error) { return NewTrial(topo(), 0, cfg, 0, false) }
+	asyncOn := func(engine string, g *graph.Graph, cfg AsyncConfig) trialScenario {
+		return trialScenario{engine: engine, g: g, async: cfg,
+			build: func() (*Trial, error) { return NewTrial(graph.NewStatic(g), 0, cfg, 0, false) }}
 	}
 	fixed := func(p graph.Provider) func() graph.Provider { return func() graph.Provider { return p } }
-	return map[string]struct {
-		engine string
-		build  func() (*Trial, error)
-	}{
-		"sync push-pull":    {"sync", syncOn(fixed(static), SyncConfig{Protocol: PushPull}, 0, false)},
-		"sync lossy pull":   {"sync", syncOn(fixed(static), SyncConfig{Protocol: Pull, TransmitProb: 0.6}, 0, false)},
-		"sync multi-source": {"sync", syncOn(fixed(static), SyncConfig{Protocol: Push, ExtraSources: []graph.NodeID{7, 21}}, 0, false)},
-		"sync crashes":      {"sync", syncOn(fixed(static), SyncConfig{Protocol: PushPull, Crashes: crashes}, 0, false)},
-		"sync churn":        {"sync", syncOn(fixed(static), SyncConfig{Protocol: PushPull, Churn: churn}, 0, false)},
-		"sync dynamic":      {"sync", syncOn(dynamic, SyncConfig{Protocol: PushPull, Churn: churn[:2]}, 0, false)},
-		"ppx":               {"sync", syncOn(fixed(static), SyncConfig{}, PPX, false)},
-		"ppy lossy":         {"sync", syncOn(fixed(static), SyncConfig{Protocol: PushPull, TransmitProb: 0.7}, PPY, false)},
-		"quasirandom":       {"sync", syncOn(fixed(static), SyncConfig{Protocol: PushPull}, 0, true)},
-		"quasirandom lossy push multi-source": {"sync", syncOn(fixed(static),
-			SyncConfig{Protocol: Push, TransmitProb: 0.8, ExtraSources: []graph.NodeID{17}}, 0, true)},
+	return map[string]trialScenario{
+		"sync push-pull":    syncOn("sync", fixed(static), SyncConfig{Protocol: PushPull}, 0, false),
+		"sync lossy pull":   syncOn("sync", fixed(static), SyncConfig{Protocol: Pull, TransmitProb: 0.6}, 0, false),
+		"sync multi-source": syncOn("sync", fixed(static), SyncConfig{Protocol: Push, ExtraSources: []graph.NodeID{7, 21}}, 0, false),
+		"sync crashes":      syncOn("sync", fixed(static), SyncConfig{Protocol: PushPull, Crashes: crashes}, 0, false),
+		"sync churn":        syncOn("sync", fixed(static), SyncConfig{Protocol: PushPull, Churn: churn}, 0, false),
+		"sync dynamic":      syncOn("sync", dynamic, SyncConfig{Protocol: PushPull, Churn: churn[:2]}, 0, false),
+		"ppx":               syncOn("sync", fixed(static), SyncConfig{}, PPX, false),
+		"ppy lossy":         syncOn("sync", fixed(static), SyncConfig{Protocol: PushPull, TransmitProb: 0.7}, PPY, false),
+		"quasirandom":       syncOn("sync", fixed(static), SyncConfig{Protocol: PushPull}, 0, true),
+		"quasirandom lossy push multi-source": syncOn("sync", fixed(static),
+			SyncConfig{Protocol: Push, TransmitProb: 0.8, ExtraSources: []graph.NodeID{17}}, 0, true),
 
-		"async global":           {"thinning", asyncOn(fixed(static), AsyncConfig{Protocol: PushPull})},
-		"async per-node":         {"thinning", asyncOn(fixed(static), AsyncConfig{Protocol: Pull, View: PerNodeClocks, TransmitProb: 0.5})},
-		"async per-edge":         {"thinning", asyncOn(fixed(star), AsyncConfig{Protocol: Push, View: PerEdgeClocks})},
-		"async crash global":     {"thinning", asyncOn(fixed(static), AsyncConfig{Protocol: PushPull, Crashes: crashes})},
-		"async leave-only churn": {"thinning", asyncOn(fixed(static), AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Churn: churn[4:]})},
-		"async crashes + churn":  {"thinning", asyncOn(fixed(static), AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: crashes, Churn: churn})},
-		"async dynamic crashes":  {"thinning", asyncOn(dynamic, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: crashes})},
-		"async crash per-node":   {"heap-node", asyncOn(fixed(static), AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: crashes})},
-		"async crash per-edge":   {"heap-edge", asyncOn(fixed(star), AsyncConfig{Protocol: PushPull, View: PerEdgeClocks, Crashes: crashes[:1], TransmitProb: 0.9})},
+		"async global":           asyncOn("thinning", g, AsyncConfig{Protocol: PushPull}),
+		"async per-node":         asyncOn("thinning", g, AsyncConfig{Protocol: Pull, View: PerNodeClocks, TransmitProb: 0.5}),
+		"async per-edge":         asyncOn("thinning", star, AsyncConfig{Protocol: Push, View: PerEdgeClocks}),
+		"async crash global":     asyncOn("thinning", g, AsyncConfig{Protocol: PushPull, Crashes: crashes}),
+		"async leave-only churn": asyncOn("thinning", g, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Churn: churn[4:]}),
+		"async crashes + churn":  asyncOn("thinning", g, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: crashes, Churn: churn}),
+		"async dynamic crashes": {engine: "thinning", build: func() (*Trial, error) {
+			return NewTrial(dynamic(), 0, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: crashes}, 0, false)
+		}},
+		"async crash per-node": asyncOn("heap-node", g, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: crashes}),
+		"async crash per-edge": asyncOn("heap-edge", star, AsyncConfig{Protocol: PushPull, View: PerEdgeClocks, Crashes: crashes[:1], TransmitProb: 0.9}),
 	}
 }
 
