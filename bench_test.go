@@ -1,6 +1,6 @@
 package rumor_test
 
-// One benchmark per experiment (E1–E15; internal/experiments holds each
+// One sub-benchmark per experiment (internal/experiments holds each
 // one's claim and reducer), each regenerating that experiment's
 // measurement in quick mode, plus engine micro-benchmarks. Run with:
 //
@@ -17,38 +17,23 @@ import (
 	"rumor/internal/experiments"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		o, err := e.Run(experiments.Config{Quick: true, Seed: uint64(i + 1), Out: io.Discard})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if o.Verdict == experiments.Failed {
-			b.Fatalf("%s FAILED: %s", id, o.Summary)
-		}
+// BenchmarkExperiment has one sub-benchmark per registered experiment
+// (BenchmarkExperiment/E1 …), so the list cannot go stale.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				o, err := e.Run(experiments.Config{Quick: true, Seed: uint64(i + 1), Out: io.Discard})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if o.Verdict == experiments.Failed {
+					b.Fatalf("%s FAILED: %s", e.ID, o.Summary)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkE01Star(b *testing.B)                { benchExperiment(b, "E1") }
-func BenchmarkE02Theorem1(b *testing.B)            { benchExperiment(b, "E2") }
-func BenchmarkE03Theorem2(b *testing.B)            { benchExperiment(b, "E3") }
-func BenchmarkE04Corollary3(b *testing.B)          { benchExperiment(b, "E4") }
-func BenchmarkE05PushVsPP(b *testing.B)            { benchExperiment(b, "E5") }
-func BenchmarkE06SyncPushVsAsyncPush(b *testing.B) { benchExperiment(b, "E6") }
-func BenchmarkE07CouplingLadder(b *testing.B)      { benchExperiment(b, "E7") }
-func BenchmarkE08BlockCoupling(b *testing.B)       { benchExperiment(b, "E8") }
-func BenchmarkE09SocialNetworks(b *testing.B)      { benchExperiment(b, "E9") }
-func BenchmarkE10AsyncViews(b *testing.B)          { benchExperiment(b, "E10") }
-func BenchmarkE11DiamondChain(b *testing.B)        { benchExperiment(b, "E11") }
-func BenchmarkE12Lemma8(b *testing.B)              { benchExperiment(b, "E12") }
-func BenchmarkE13EngineThroughput(b *testing.B)    { benchExperiment(b, "E13") }
-func BenchmarkE14ExpansionBounds(b *testing.B)     { benchExperiment(b, "E14") }
-func BenchmarkE15Quasirandom(b *testing.B)         { benchExperiment(b, "E15") }
 
 // Engine micro-benchmarks.
 

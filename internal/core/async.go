@@ -1,7 +1,6 @@
 package core
 
 import (
-	"rumor/internal/eventq"
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
 )
@@ -44,7 +43,8 @@ func RunAsyncTopo(topo graph.Provider, src graph.NodeID, cfg AsyncConfig, rng *x
 	return out.Async, err
 }
 
-// asyncRun bundles the state shared by the three view implementations.
+// asyncRun is the view-independent half of the AsyncStepper: the informed
+// set, the crash/churn schedule, and the strandedness check.
 type asyncRun struct {
 	st         *spreadState
 	informedAt []float64
@@ -217,93 +217,6 @@ func (a *asyncRun) result(t float64, steps int64) AsyncResult {
 		NumInformed: a.st.num,
 		Complete:    a.st.num == len(a.informedAt),
 	}
-}
-
-// runAsyncPerNode runs a on the per-node-clocks heap engine: one event
-// per node, a crashed node's clock stops. It reports whether the run
-// ended inside the step budget.
-func runAsyncPerNode(a *asyncRun, maxSteps int64, rng *xrand.RNG) (AsyncResult, bool) {
-	g := a.st.g
-	n := g.NumNodes()
-	q := eventq.New(n)
-	for v := 0; v < n; v++ {
-		q.Push(int32(v), rng.Exp(1))
-	}
-	t := 0.0
-	var steps int64
-	for !a.st.done() {
-		if steps >= maxSteps {
-			return a.result(t, steps), false
-		}
-		steps++
-		it, ok := q.Pop()
-		if !ok {
-			break
-		}
-		t = it.Priority
-		v := graph.NodeID(it.ID)
-		if a.tick(t, steps) {
-			break
-		}
-		// A crashed node's clock stops: do not reschedule it.
-		if aliveIn(a.avail, v) {
-			q.Push(it.ID, t+rng.Exp(1))
-		}
-		if g.Degree(v) == 0 || !aliveIn(a.avail, v) {
-			continue
-		}
-		w := g.RandomNeighbor(v, rng)
-		a.contact(t, v, w, rng)
-	}
-	return a.result(t, steps), true
-}
-
-// runAsyncPerEdge is runAsyncPerNode for the per-edge-clocks view: one
-// event per directed edge, a crashed owner's edge clocks stop.
-func runAsyncPerEdge(a *asyncRun, maxSteps int64, rng *xrand.RNG) (AsyncResult, bool) {
-	g := a.st.g
-	n := g.NumNodes()
-	// Directed edges are indexed by position in the CSR adjacency array;
-	// owner[i] is the contacting node of directed edge i.
-	var owners []graph.NodeID
-	var targets []graph.NodeID
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		for _, w := range g.Neighbors(v) {
-			owners = append(owners, v)
-			targets = append(targets, w)
-		}
-	}
-	q := eventq.New(len(owners))
-	for i := range owners {
-		rate := 1 / float64(g.Degree(owners[i]))
-		q.Push(int32(i), rng.Exp(rate))
-	}
-	t := 0.0
-	var steps int64
-	for !a.st.done() {
-		if steps >= maxSteps {
-			return a.result(t, steps), false
-		}
-		it, ok := q.Pop()
-		if !ok {
-			break // graph has no edges
-		}
-		steps++
-		t = it.Priority
-		v := owners[it.ID]
-		w := targets[it.ID]
-		if a.tick(t, steps) {
-			break
-		}
-		// A crashed owner's edge clocks stop: do not reschedule.
-		if aliveIn(a.avail, v) {
-			q.Push(it.ID, t+rng.Exp(1/float64(g.Degree(v))))
-		} else {
-			continue
-		}
-		a.contact(t, v, w, rng)
-	}
-	return a.result(t, steps), true
 }
 
 // AsyncSpreadingTime runs pp-a with the given protocol (GlobalClock view)

@@ -12,9 +12,10 @@
 //   - the paper's auxiliary synchronous processes ppx and ppy
 //     (Definitions 5 and 7), whose modified pull probabilities bridge pp
 //     and pp-a in the upper-bound proof;
-//   - a literal-semantics reference engine (the executable specification
-//     that validates the optimized engine), a quasirandom variant
-//     (reference [11]), and round-/tick-level steppers.
+//   - literal-semantics reference engines for both timings (the
+//     executable specifications that validate the optimized engines), a
+//     quasirandom variant (reference [11]), and round-/tick-level
+//     steppers.
 //
 // Every spreading-time path runs through one contract: NewTrial compiles
 // a scenario to the engine that simulates it and Trial.Run replays it;
@@ -73,12 +74,12 @@ type AsyncView int
 // Equivalent asynchronous process views.
 const (
 	// GlobalClock: a single Poisson clock of rate n; on each tick a
-	// uniformly random node takes a step. O(1) per step.
+	// uniformly random node takes a step.
 	GlobalClock AsyncView = iota + 1
-	// PerNodeClocks: one rate-1 Poisson clock per node. O(log n) per step.
+	// PerNodeClocks: one rate-1 Poisson clock per node.
 	PerNodeClocks
 	// PerEdgeClocks: one Poisson clock of rate 1/deg(v) per directed edge
-	// (v, w); on a tick, v contacts w. O(log m) per step.
+	// (v, w); on a tick, v contacts w.
 	PerEdgeClocks
 )
 
@@ -104,7 +105,7 @@ func (v AsyncView) valid() bool { return v >= GlobalClock && v <= PerEdgeClocks 
 // rumor came from.
 //
 // Observers run on the simulation hot path; implementations should be
-// cheap and must not retain the arguments beyond the call.
+// fast and must not retain the arguments beyond the call.
 type Observer interface {
 	OnInformed(time float64, v, from graph.NodeID)
 }
@@ -166,8 +167,9 @@ type AsyncConfig struct {
 	// Crashes: nodes go offline and may rejoin, with or without their
 	// rumor state. Crashes and Churn merge into one schedule; crashes
 	// apply first at equal times. Churn requires the GlobalClock or
-	// PerNodeClocks view (per-edge clocks would need clock restarts the
-	// heap engines do not model).
+	// PerNodeClocks view: thinning would model per-edge clocks that
+	// restart, but no golden or oracle row covers that combination yet,
+	// so it stays rejected.
 	Churn []ChurnEvent
 	// Observer, if non-nil, receives informing events.
 	Observer Observer
@@ -196,8 +198,13 @@ type SyncResult struct {
 
 // AsyncResult reports an asynchronous run.
 type AsyncResult struct {
-	// Time is the continuous time at which the last informing occurred
-	// (or at which the run stopped).
+	// Time is the continuous time at which the last informing occurred.
+	// On a run that stopped short — the budget ran out, or crashes or
+	// churn stranded the rumor — it is the time of the last tick
+	// executed instead. The strandedness scan runs every 2n+16 ticks, so
+	// on a stranded run Time is the detection time, up to about two
+	// time units after the last informing; max(InformedAt) is the
+	// model's quantity there.
 	Time float64
 	// Steps is the number of clock ticks executed.
 	Steps int64

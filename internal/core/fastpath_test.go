@@ -291,69 +291,6 @@ func TestBitsetEngineLawMatchesOracleAllFamilies(t *testing.T) {
 	}
 }
 
-// --- Heap-based async engines vs the Gillespie fast path ---
-
-// The uniform-rate direct-method stepper must reproduce the event-heap
-// engines' spreading-time law for both non-global views.
-func TestAsyncFastPathMatchesHeap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical test")
-	}
-	// The star stresses per-edge rates (leaf degree 1 vs hub degree n-1);
-	// the extra isolated vertex exercises the eligible-node list.
-	b := graph.NewBuilder(34).SetName("star33+isolated")
-	for i := graph.NodeID(1); i <= 32; i++ {
-		b.AddEdge(0, i)
-	}
-	withIso, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := map[string]*graph.Graph{
-		"hypercube": mustGraph(graph.Hypercube(5)),
-		"star+iso":  withIso,
-	}
-	views := []AsyncView{PerNodeClocks, PerEdgeClocks}
-	const trials = 300
-	for name, g := range graphs {
-		for _, view := range views {
-			cfg := AsyncConfig{Protocol: PushPull, View: view}
-			heap := make([]float64, 0, trials)
-			fast := make([]float64, 0, trials)
-			maxSteps := defaultMaxSteps(g.NumNodes())
-			run, err := newAsyncRun(g, 0, cfg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			engine := runAsyncPerNode
-			if view == PerEdgeClocks {
-				engine = runAsyncPerEdge
-			}
-			for i := 0; i < trials; i++ {
-				if i > 0 {
-					run.reset()
-				}
-				rh, ok := engine(run, maxSteps, xrand.New(uint64(i)))
-				if !ok {
-					t.Fatalf("%s/%v: heap engine exhausted its budget", name, view)
-				}
-				rf, err := RunAsync(g, 0, cfg, xrand.New(uint64(i+trials)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Disconnected graphs: compare time to inform the
-				// reachable component.
-				heap = append(heap, rh.Time)
-				fast = append(fast, rf.Time)
-			}
-			ks := stats.KolmogorovSmirnov(heap, fast)
-			if ks.PValue < 0.001 {
-				t.Errorf("%s/%v: fast path law differs from heap (KS=%.3f p=%.5f)", name, view, ks.Statistic, ks.PValue)
-			}
-		}
-	}
-}
-
 // The three views remain one law through the fast path (the paper's
 // equivalence, Section 2).
 func TestAsyncViewsEquivalentThroughFastPath(t *testing.T) {

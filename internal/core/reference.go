@@ -251,7 +251,6 @@ func RunAsyncReference(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, rng *x
 		}
 	}
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].Time < sched[j].Time })
-	scheduled := len(sched) > 0
 	joinsLeft := 0
 	for _, ev := range sched {
 		if ev.Op == ChurnJoin {
@@ -347,7 +346,7 @@ func RunAsyncReference(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, rng *x
 
 	var steps int64
 	for num < reachable {
-		if scheduled && joinsLeft == 0 && !canProgress() {
+		if joinsLeft == 0 && !canProgress() {
 			break
 		}
 		tick := -1

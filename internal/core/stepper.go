@@ -343,10 +343,11 @@ func (s *SyncStepper) snapshot() SyncResult {
 //     rate 1, so ticks select a uniform degree-positive node, which then
 //     contacts a uniform neighbor.
 //
-// Crash schedules are handled by thinning: time keeps advancing at the
-// full rate and a crashed actor's ticks are discarded, which leaves every
-// alive clock a unit-rate Poisson process (the same law as stopping the
-// crashed clocks, as the heap-based engines in async.go do).
+// Crash and churn schedules are handled by thinning: time keeps advancing
+// at the full rate and an offline actor's ticks are discarded, which
+// leaves every online clock a unit-rate Poisson process — the same law as
+// removing the offline clocks and restarting them on rejoin, which is how
+// RunAsyncReference, the specification, does it.
 //
 // Reset rewinds to time 0 for a fresh trial without allocating.
 type AsyncStepper struct {

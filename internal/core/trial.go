@@ -15,15 +15,13 @@ import (
 // safe for concurrent use.
 type Trial struct {
 	// Exactly one engine is set.
-	sync    *SyncStepper  // every synchronous process
-	async   *AsyncStepper // asynchronous, Gillespie/thinning
-	heap    *asyncRun     // asynchronous, per-node or (perEdge) per-edge event heap
-	perEdge bool
-	budget  int64  // rounds or clock ticks
-	label   string // process name for budget errors
-	fresh   bool   // the engine has not run since construction
-	sres    SyncResult
-	ares    AsyncResult
+	sync   *SyncStepper  // every synchronous process
+	async  *AsyncStepper // every asynchronous process
+	budget int64         // rounds or clock ticks
+	label  string        // process name for budget errors
+	fresh  bool          // the engine has not run since construction
+	sres   SyncResult
+	ares   AsyncResult
 }
 
 // NewTrial compiles a scenario. cfg's type is the timing: a SyncConfig
@@ -33,18 +31,15 @@ type Trial struct {
 // push-pull only) and quasirandom select the auxiliary synchronous
 // processes; both need a static topology and no churn.
 //
-// The engine is a pure function of the scenario:
+// There is one engine per timing:
 //
 //   - SyncConfig: the round stepper, with the pp, ppx/ppy, or
 //     quasirandom round body.
-//   - AsyncConfig, PerNodeClocks or PerEdgeClocks view, static topology,
-//     crashes but no churn: the event-heap engine of that view, whose
-//     stopped clocks are the reference semantics (and the pinned RNG
-//     consumption) for crash schedules.
-//   - every other AsyncConfig: the Gillespie stepper. With uniform clock
-//     rates all three views reduce to one Exp draw for the tick time and
-//     one uniform draw for the actor; schedules are handled by thinning,
-//     which also models a rejoining clock exactly.
+//   - AsyncConfig: the Gillespie stepper. With uniform clock rates all
+//     three views reduce to one Exp draw for the tick time and one
+//     uniform draw for the actor; schedules are handled by thinning,
+//     which models a stopped and a rejoining clock exactly
+//     (RunAsyncReference is the specification it is tested against).
 //
 // MaxRounds/MaxSteps in cfg bound Run; 0 selects a generous default.
 func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID, cfg C, variant PPVariant, quasirandom bool) (*Trial, error) {
@@ -83,18 +78,7 @@ func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID,
 		if t.budget <= 0 {
 			t.budget = defaultMaxSteps(g.NumNodes())
 		}
-		crashOnly := static && len(cfg.Crashes) > 0 && len(cfg.Churn) == 0
-		if crashOnly && (cfg.View == PerNodeClocks || cfg.View == PerEdgeClocks) {
-			var prob float64
-			if prob, err = validateCommon(g, src, cfg.Protocol, cfg.TransmitProb); err != nil {
-				return nil, err
-			}
-			t.perEdge = cfg.View == PerEdgeClocks
-			t.heap, err = newAsyncRun(g, src, cfg, prob)
-		} else {
-			t.async, err = newAsyncStepper(g, topo, src, cfg, nil)
-		}
-		if err != nil {
+		if t.async, err = newAsyncStepper(g, topo, src, cfg, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -139,9 +123,7 @@ func (t *Trial) Run(rng *xrand.RNG) (Outcome, error) {
 	fresh := t.fresh
 	t.fresh = false
 	var err error
-	switch {
-	case t.sync != nil:
-		s := t.sync
+	if s := t.sync; s != nil {
 		if fresh {
 			s.rng = rng
 		} else {
@@ -157,35 +139,22 @@ func (t *Trial) Run(rng *xrand.RNG) (Outcome, error) {
 		}
 		t.sres = s.snapshot()
 		return Outcome{Sync: &t.sres}, err
-	case t.async != nil:
-		s := t.async
-		if fresh {
-			s.rng = rng
-		} else {
-			s.Reset(rng)
-		}
-		for err == nil && s.Step() {
-			if s.steps >= t.budget && !s.Finished() {
-				err = t.budgetErr(s.steps, "steps", s.g)
-			}
-		}
-		if err == nil {
-			err = s.terr
-		}
-		t.ares = s.run.result(s.t, s.steps)
-	default:
-		if !fresh {
-			t.heap.reset()
-		}
-		run := runAsyncPerNode
-		if t.perEdge {
-			run = runAsyncPerEdge
-		}
-		var ok bool
-		if t.ares, ok = run(t.heap, t.budget, rng); !ok {
-			err = t.budgetErr(t.ares.Steps, "steps", t.heap.st.g)
+	}
+	s := t.async
+	if fresh {
+		s.rng = rng
+	} else {
+		s.Reset(rng)
+	}
+	for err == nil && s.Step() {
+		if s.steps >= t.budget && !s.Finished() {
+			err = t.budgetErr(s.steps, "steps", s.g)
 		}
 	}
+	if err == nil {
+		err = s.terr
+	}
+	t.ares = s.run.result(s.t, s.steps)
 	return Outcome{Async: &t.ares}, err
 }
 

@@ -48,52 +48,46 @@ func trialScenarios(t *testing.T) map[string]trialScenario {
 		{Node: 7, Time: 5, Op: ChurnJoin},
 		{Node: 9, Time: 3, Op: ChurnLeave},
 	}
-	syncOn := func(engine string, topo func() graph.Provider, cfg SyncConfig, v PPVariant, qr bool) trialScenario {
-		return trialScenario{engine: engine, build: func() (*Trial, error) { return NewTrial(topo(), 0, cfg, v, qr) }}
+	syncOn := func(topo func() graph.Provider, cfg SyncConfig, v PPVariant, qr bool) trialScenario {
+		return trialScenario{engine: "sync", build: func() (*Trial, error) { return NewTrial(topo(), 0, cfg, v, qr) }}
 	}
-	asyncOn := func(engine string, g *graph.Graph, cfg AsyncConfig) trialScenario {
-		return trialScenario{engine: engine, g: g, async: cfg,
+	asyncOn := func(g *graph.Graph, cfg AsyncConfig) trialScenario {
+		return trialScenario{engine: "thinning", g: g, async: cfg,
 			build: func() (*Trial, error) { return NewTrial(graph.NewStatic(g), 0, cfg, 0, false) }}
 	}
 	fixed := func(p graph.Provider) func() graph.Provider { return func() graph.Provider { return p } }
 	return map[string]trialScenario{
-		"sync push-pull":    syncOn("sync", fixed(static), SyncConfig{Protocol: PushPull}, 0, false),
-		"sync lossy pull":   syncOn("sync", fixed(static), SyncConfig{Protocol: Pull, TransmitProb: 0.6}, 0, false),
-		"sync multi-source": syncOn("sync", fixed(static), SyncConfig{Protocol: Push, ExtraSources: []graph.NodeID{7, 21}}, 0, false),
-		"sync crashes":      syncOn("sync", fixed(static), SyncConfig{Protocol: PushPull, Crashes: crashes}, 0, false),
-		"sync churn":        syncOn("sync", fixed(static), SyncConfig{Protocol: PushPull, Churn: churn}, 0, false),
-		"sync dynamic":      syncOn("sync", dynamic, SyncConfig{Protocol: PushPull, Churn: churn[:2]}, 0, false),
-		"ppx":               syncOn("sync", fixed(static), SyncConfig{}, PPX, false),
-		"ppy lossy":         syncOn("sync", fixed(static), SyncConfig{Protocol: PushPull, TransmitProb: 0.7}, PPY, false),
-		"quasirandom":       syncOn("sync", fixed(static), SyncConfig{Protocol: PushPull}, 0, true),
-		"quasirandom lossy push multi-source": syncOn("sync", fixed(static),
+		"sync push-pull":    syncOn(fixed(static), SyncConfig{Protocol: PushPull}, 0, false),
+		"sync lossy pull":   syncOn(fixed(static), SyncConfig{Protocol: Pull, TransmitProb: 0.6}, 0, false),
+		"sync multi-source": syncOn(fixed(static), SyncConfig{Protocol: Push, ExtraSources: []graph.NodeID{7, 21}}, 0, false),
+		"sync crashes":      syncOn(fixed(static), SyncConfig{Protocol: PushPull, Crashes: crashes}, 0, false),
+		"sync churn":        syncOn(fixed(static), SyncConfig{Protocol: PushPull, Churn: churn}, 0, false),
+		"sync dynamic":      syncOn(dynamic, SyncConfig{Protocol: PushPull, Churn: churn[:2]}, 0, false),
+		"ppx":               syncOn(fixed(static), SyncConfig{}, PPX, false),
+		"ppy lossy":         syncOn(fixed(static), SyncConfig{Protocol: PushPull, TransmitProb: 0.7}, PPY, false),
+		"quasirandom":       syncOn(fixed(static), SyncConfig{Protocol: PushPull}, 0, true),
+		"quasirandom lossy push multi-source": syncOn(fixed(static),
 			SyncConfig{Protocol: Push, TransmitProb: 0.8, ExtraSources: []graph.NodeID{17}}, 0, true),
 
-		"async global":           asyncOn("thinning", g, AsyncConfig{Protocol: PushPull}),
-		"async per-node":         asyncOn("thinning", g, AsyncConfig{Protocol: Pull, View: PerNodeClocks, TransmitProb: 0.5}),
-		"async per-edge":         asyncOn("thinning", star, AsyncConfig{Protocol: Push, View: PerEdgeClocks}),
-		"async crash global":     asyncOn("thinning", g, AsyncConfig{Protocol: PushPull, Crashes: crashes}),
-		"async leave-only churn": asyncOn("thinning", g, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Churn: churn[4:]}),
-		"async crashes + churn":  asyncOn("thinning", g, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: crashes, Churn: churn}),
+		"async global":           asyncOn(g, AsyncConfig{Protocol: PushPull}),
+		"async per-node":         asyncOn(g, AsyncConfig{Protocol: Pull, View: PerNodeClocks, TransmitProb: 0.5}),
+		"async per-edge":         asyncOn(star, AsyncConfig{Protocol: Push, View: PerEdgeClocks}),
+		"async crash global":     asyncOn(g, AsyncConfig{Protocol: PushPull, Crashes: crashes}),
+		"async leave-only churn": asyncOn(g, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Churn: churn[4:]}),
+		"async crashes + churn":  asyncOn(g, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: crashes, Churn: churn}),
 		"async dynamic crashes": {engine: "thinning", build: func() (*Trial, error) {
 			return NewTrial(dynamic(), 0, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: crashes}, 0, false)
 		}},
-		"async crash per-node": asyncOn("heap-node", g, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: crashes}),
-		"async crash per-edge": asyncOn("heap-edge", star, AsyncConfig{Protocol: PushPull, View: PerEdgeClocks, Crashes: crashes[:1], TransmitProb: 0.9}),
+		"async crash per-node": asyncOn(g, AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: crashes}),
+		"async crash per-edge": asyncOn(star, AsyncConfig{Protocol: PushPull, View: PerEdgeClocks, Crashes: crashes[:1], TransmitProb: 0.9}),
 	}
 }
 
 func (t *Trial) engineName() string {
-	switch {
-	case t.sync != nil:
+	if t.sync != nil {
 		return "sync"
-	case t.async != nil:
-		return "thinning"
-	case t.perEdge:
-		return "heap-edge"
-	default:
-		return "heap-node"
 	}
+	return "thinning"
 }
 
 func equalOutcome(a, b Outcome) bool {
@@ -108,9 +102,9 @@ func equalOutcome(a, b Outcome) bool {
 
 // TestTrialReuseEqualsFresh: Run on one reused trial is bit-identical to
 // a freshly compiled trial driven by the same RNG stream — for every
-// engine, including the heap engines and the ppx/ppy and quasirandom
-// round bodies — and every scenario compiles to the engine the
-// selection table promises.
+// scenario shape, including every crash and churn schedule and the
+// ppx/ppy and quasirandom round bodies — and every scenario compiles to
+// the engine of its timing.
 func TestTrialReuseEqualsFresh(t *testing.T) {
 	const trials = 6
 	for name, sc := range trialScenarios(t) {
@@ -149,8 +143,7 @@ func TestTrialReuseEqualsFresh(t *testing.T) {
 }
 
 // TestStaticProviderIsTheStaticScenario: a graph and its Static provider
-// are one scenario, so RunAsync and RunAsyncTopo pick the same engine
-// (here the per-node heap) and agree draw for draw.
+// are one scenario, so RunAsync and RunAsyncTopo agree draw for draw.
 func TestStaticProviderIsTheStaticScenario(t *testing.T) {
 	g := mustGraph(graph.Hypercube(5))
 	cfg := AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: []Crash{{Node: 3, Time: 2}}}
@@ -172,6 +165,9 @@ func TestStaticProviderIsTheStaticScenario(t *testing.T) {
 func TestTrialBudget(t *testing.T) {
 	g := graph.NewStatic(mustGraph(graph.Cycle(64)))
 	crash := []Crash{{Node: 40, Time: 1e9}}
+	// The heap-node and heap-edge rows are the crash-only per-node and
+	// per-edge scenarios that once had engines of their own; the row
+	// names are test IDs and stay.
 	builds := map[string]func(budget int) (*Trial, error){
 		"sync":        func(b int) (*Trial, error) { return NewTrial(g, 0, SyncConfig{Protocol: Push, MaxRounds: b}, 0, false) },
 		"ppx":         func(b int) (*Trial, error) { return NewTrial(g, 0, SyncConfig{MaxRounds: b}, PPX, false) },
@@ -231,10 +227,10 @@ func TestTrialRejectsUnsupportedScenarios(t *testing.T) {
 		want  error
 	}{
 		"source out of range": {func() (*Trial, error) { return NewTrial(static, 16, SyncConfig{Protocol: Push}, 0, false) }, ErrBadSource},
-		"heap source out of range": {func() (*Trial, error) {
+		"crash per-node source out of range": {func() (*Trial, error) {
 			return NewTrial(static, 16, AsyncConfig{Protocol: Push, View: PerNodeClocks, Crashes: []Crash{{Node: 1, Time: 1}}}, 0, false)
 		}, ErrBadSource},
-		"heap crash node out of range": {func() (*Trial, error) {
+		"crash per-edge crash node out of range": {func() (*Trial, error) {
 			return NewTrial(static, 0, AsyncConfig{Protocol: Push, View: PerEdgeClocks, Crashes: []Crash{{Node: 99, Time: 1}}}, 0, false)
 		}, ErrBadCrash},
 		"async variant":         {func() (*Trial, error) { return NewTrial(static, 0, AsyncConfig{Protocol: PushPull}, PPX, false) }, ErrBadProtocol},

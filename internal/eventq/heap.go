@@ -1,8 +1,8 @@
-// Package eventq provides the discrete-event simulation substrate: an
-// indexed binary min-heap keyed by float64 priorities (event times) with
-// O(log n) insert, pop, update, and remove. The index allows decrease-key,
-// which the asynchronous engines and the paper's couplings need (a node's
-// pending pull event moves earlier when a new neighbor becomes informed).
+// Package eventq provides the discrete-event substrate of the paper's
+// couplings: an indexed binary min-heap keyed by float64 priorities
+// (event times) with O(log n) insert, pop, decrease-key, and remove. The
+// index allows decrease-key, which the couplings need (a node's pending
+// pull event moves earlier when a new neighbor becomes informed).
 package eventq
 
 // Item is an entry in the queue: an opaque integer identifier with a
@@ -29,21 +29,8 @@ func New(maxID int) *Queue {
 	return &Queue{pos: pos}
 }
 
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.heap) }
-
 // Contains reports whether an item with the given ID is queued.
 func (q *Queue) Contains(id int32) bool { return q.pos[id] >= 0 }
-
-// Priority returns the priority of the queued item with the given ID.
-// It panics if the ID is not queued.
-func (q *Queue) Priority(id int32) float64 {
-	p := q.pos[id]
-	if p < 0 {
-		panic("eventq: Priority of absent ID")
-	}
-	return q.heap[p].Priority
-}
 
 // Push inserts an item. It panics if the ID is already queued.
 func (q *Queue) Push(id int32, priority float64) {
@@ -53,31 +40,6 @@ func (q *Queue) Push(id int32, priority float64) {
 	q.heap = append(q.heap, Item{ID: id, Priority: priority})
 	q.pos[id] = int32(len(q.heap) - 1)
 	q.up(len(q.heap) - 1)
-}
-
-// Update changes the priority of a queued item (either direction).
-// It panics if the ID is not queued.
-func (q *Queue) Update(id int32, priority float64) {
-	i := q.pos[id]
-	if i < 0 {
-		panic("eventq: Update of absent ID")
-	}
-	old := q.heap[i].Priority
-	q.heap[i].Priority = priority
-	if priority < old {
-		q.up(int(i))
-	} else {
-		q.down(int(i))
-	}
-}
-
-// PushOrUpdate inserts the item if absent and otherwise updates it.
-func (q *Queue) PushOrUpdate(id int32, priority float64) {
-	if q.pos[id] >= 0 {
-		q.Update(id, priority)
-	} else {
-		q.Push(id, priority)
-	}
 }
 
 // DecreaseTo lowers the item's priority to the given value if the item is
@@ -135,38 +97,6 @@ func (q *Queue) Remove(id int32) bool {
 		q.up(int(i))
 	}
 	return true
-}
-
-// Clear removes all items without freeing storage.
-func (q *Queue) Clear() {
-	for _, it := range q.heap {
-		q.pos[it.ID] = -1
-	}
-	q.heap = q.heap[:0]
-}
-
-// Reset clears the queue and re-bounds the admitted ID range to
-// [0, maxID), reusing the existing storage when it is large enough. A
-// reset queue is indistinguishable from New(maxID); steppers reuse one
-// queue arena across a cell's trials this way.
-func (q *Queue) Reset(maxID int) {
-	q.Clear()
-	if maxID <= cap(q.pos) {
-		prev := len(q.pos)
-		q.pos = q.pos[:maxID]
-		// Clear only grounds IDs that were queued; positions beyond the
-		// previous bound may hold stale values from an earlier, larger
-		// incarnation.
-		for i := prev; i < maxID; i++ {
-			q.pos[i] = -1
-		}
-		return
-	}
-	pos := make([]int32, maxID)
-	for i := range pos {
-		pos[i] = -1
-	}
-	q.pos = pos
 }
 
 func (q *Queue) swap(i, j int) {

@@ -39,8 +39,8 @@ func TestMinDoesNotRemove(t *testing.T) {
 	if !ok || it.ID != 1 || it.Priority != 1 {
 		t.Fatalf("Min = %+v, %v", it, ok)
 	}
-	if q.Len() != 2 {
-		t.Fatalf("Min removed an item: len = %d", q.Len())
+	if again, _ := q.Pop(); again != it {
+		t.Fatalf("Min removed an item: Pop = %+v after Min = %+v", again, it)
 	}
 }
 
@@ -51,37 +51,23 @@ func TestMinEmpty(t *testing.T) {
 	}
 }
 
-func TestUpdateBothDirections(t *testing.T) {
-	q := New(4)
-	q.Push(0, 10)
-	q.Push(1, 20)
-	q.Push(2, 30)
-	q.Update(2, 5) // decrease
-	if it, _ := q.Min(); it.ID != 2 {
-		t.Fatalf("after decrease, min ID = %d, want 2", it.ID)
-	}
-	q.Update(2, 25) // increase
-	if it, _ := q.Min(); it.ID != 0 {
-		t.Fatalf("after increase, min ID = %d, want 0", it.ID)
-	}
-	if got := q.Priority(2); got != 25 {
-		t.Fatalf("Priority(2) = %v, want 25", got)
-	}
-}
-
 func TestDecreaseTo(t *testing.T) {
 	q := New(4)
+	priority := func() float64 {
+		it, _ := q.Min()
+		return it.Priority
+	}
 	q.DecreaseTo(0, 10) // absent: insert
-	if !q.Contains(0) || q.Priority(0) != 10 {
+	if !q.Contains(0) || priority() != 10 {
 		t.Fatal("DecreaseTo did not insert absent item")
 	}
 	q.DecreaseTo(0, 5) // lower: update
-	if q.Priority(0) != 5 {
-		t.Fatalf("DecreaseTo did not lower priority: %v", q.Priority(0))
+	if priority() != 5 {
+		t.Fatalf("DecreaseTo did not lower priority: %v", priority())
 	}
 	q.DecreaseTo(0, 8) // higher: no-op
-	if q.Priority(0) != 5 {
-		t.Fatalf("DecreaseTo raised priority: %v", q.Priority(0))
+	if priority() != 5 {
+		t.Fatalf("DecreaseTo raised priority: %v", priority())
 	}
 }
 
@@ -125,29 +111,6 @@ func TestPushDuplicatePanics(t *testing.T) {
 	q.Push(0, 2)
 }
 
-func TestUpdateAbsentPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Update of absent ID did not panic")
-		}
-	}()
-	New(2).Update(0, 1)
-}
-
-func TestClear(t *testing.T) {
-	q := New(4)
-	q.Push(0, 1)
-	q.Push(1, 2)
-	q.Clear()
-	if q.Len() != 0 || q.Contains(0) || q.Contains(1) {
-		t.Fatal("Clear did not empty the queue")
-	}
-	q.Push(0, 3) // must not panic
-	if got := q.Priority(0); got != 3 {
-		t.Fatalf("Priority after Clear+Push = %v", got)
-	}
-}
-
 func TestRandomizedAgainstSort(t *testing.T) {
 	rng := xrand.New(42)
 	const n = 500
@@ -157,12 +120,12 @@ func TestRandomizedAgainstSort(t *testing.T) {
 		prios[i] = rng.Float64()
 		q.Push(int32(i), prios[i])
 	}
-	// Random updates.
+	// Random decrease-keys.
 	for i := 0; i < 200; i++ {
 		id := int32(rng.Intn(n))
 		p := rng.Float64()
-		q.Update(id, p)
-		prios[id] = p
+		q.DecreaseTo(id, p)
+		prios[id] = math.Min(prios[id], p)
 	}
 	sort.Float64s(prios)
 	for i := 0; i < n; i++ {
@@ -211,118 +174,17 @@ func BenchmarkPushPop(b *testing.B) {
 	rng := xrand.New(1)
 	const n = 1024
 	q := New(n)
+	size := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := int32(i % n)
-		if q.Contains(id) {
-			q.Remove(id)
+		if q.Remove(id) {
+			size--
 		}
 		q.Push(id, rng.Float64())
-		if q.Len() > n/2 {
+		if size++; size > n/2 {
 			q.Pop()
-		}
-	}
-}
-
-func TestPushOrUpdate(t *testing.T) {
-	q := New(4)
-	q.PushOrUpdate(2, 9) // absent: insert
-	if !q.Contains(2) || q.Priority(2) != 9 {
-		t.Fatal("PushOrUpdate did not insert")
-	}
-	q.PushOrUpdate(2, 3) // present: update down
-	if q.Priority(2) != 3 {
-		t.Fatal("PushOrUpdate did not update")
-	}
-	q.PushOrUpdate(2, 7) // present: update up
-	if q.Priority(2) != 7 {
-		t.Fatal("PushOrUpdate did not raise priority")
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", q.Len())
-	}
-}
-
-func TestPriorityPanicsOnAbsent(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Priority of absent ID did not panic")
-		}
-	}()
-	New(2).Priority(0)
-}
-
-func TestResetReboundsAndReuses(t *testing.T) {
-	q := New(100)
-	for i := int32(0); i < 100; i++ {
-		q.Push(i, float64(100-i))
-	}
-	// Shrink: queue behaves exactly like New(10).
-	q.Reset(10)
-	if q.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", q.Len())
-	}
-	for i := int32(0); i < 10; i++ {
-		if q.Contains(i) {
-			t.Fatalf("stale Contains(%d) after Reset", i)
-		}
-		q.Push(i, float64(i))
-	}
-	// Grow back within capacity: the re-exposed tail must be clean.
-	q.Reset(60)
-	for i := int32(0); i < 60; i++ {
-		if q.Contains(i) {
-			t.Fatalf("stale Contains(%d) after grow Reset", i)
-		}
-	}
-	for i := int32(0); i < 60; i++ {
-		q.Push(i, float64(60-i))
-	}
-	for want := int32(59); want >= 0; want-- {
-		it, ok := q.Pop()
-		if !ok || it.ID != want {
-			t.Fatalf("Pop = %v,%v, want ID %d", it, ok, want)
-		}
-	}
-	// Grow beyond capacity: fresh storage.
-	q.Reset(500)
-	q.Push(499, 1)
-	if it, ok := q.Pop(); !ok || it.ID != 499 {
-		t.Fatalf("Pop after large Reset = %v,%v", it, ok)
-	}
-}
-
-func TestResetMatchesNewRandomized(t *testing.T) {
-	rng := xrand.New(77)
-	reused := New(1)
-	for round := 0; round < 50; round++ {
-		maxID := 1 + rng.Intn(64)
-		reused.Reset(maxID)
-		fresh := New(maxID)
-		for op := 0; op < 200; op++ {
-			id := int32(rng.Intn(maxID))
-			p := rng.Float64()
-			switch rng.Intn(4) {
-			case 0:
-				reused.PushOrUpdate(id, p)
-				fresh.PushOrUpdate(id, p)
-			case 1:
-				reused.DecreaseTo(id, p)
-				fresh.DecreaseTo(id, p)
-			case 2:
-				if reused.Remove(id) != fresh.Remove(id) {
-					t.Fatal("Remove diverged")
-				}
-			case 3:
-				a, okA := reused.Pop()
-				b, okB := fresh.Pop()
-				if okA != okB || a != b {
-					t.Fatalf("Pop diverged: %v,%v vs %v,%v", a, okA, b, okB)
-				}
-			}
-			if reused.Len() != fresh.Len() {
-				t.Fatal("Len diverged")
-			}
+			size--
 		}
 	}
 }

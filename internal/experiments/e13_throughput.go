@@ -11,9 +11,9 @@ import (
 // E13Throughput documents engine cost in exact, deterministic work
 // units: clock ticks per completed run for the three asynchronous views
 // and rounds per run for the synchronous engine, measured as
-// engine-steps cells on one hypercube. The per-node/per-edge heap views
-// simulate the identical process as the O(1)-per-tick global clock, so
-// their tick counts double as an ablation of the heap machinery.
+// engine-steps cells on one hypercube. All three asynchronous rows run
+// the one Gillespie stepper — the views differ only in how it draws the
+// actor — so their tick counts agree up to sampling noise.
 // Work-unit counts are a pure function of the spec (cacheable and
 // byte-identical across runs); wall-clock throughput is deliberately
 // excluded here and tracked by the repeatable benchmark run instead

@@ -70,9 +70,9 @@ func dispatchCells() []struct {
 		{"async per-edge", S{Family: "star", N: 20, Protocol: "push-pull", Timing: "async", View: perEdge, Trials: 5, GraphSeed: 1, TrialSeed: 19}},
 		{"async loss multi-source per-edge", S{Family: "gnp", N: 48, Protocol: "push-pull", Timing: "async", View: perEdge, LossProb: 0.2, ExtraSources: []int{9}, Trials: 5, GraphSeed: 4, TrialSeed: 20}},
 		{"async crash-only global (thinning)", S{Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "async", View: global, Crashes: crashes, Trials: 5, GraphSeed: 1, TrialSeed: 21}},
-		{"async crash-only per-node (heap)", S{Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "async", View: perNode, Crashes: crashes, Trials: 5, GraphSeed: 1, TrialSeed: 22}},
-		{"async crash-only per-edge (heap)", S{Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "async", View: perEdge, Crashes: crashes, Trials: 5, GraphSeed: 1, TrialSeed: 23}},
-		{"async crash-only per-node loss (heap)", S{Family: "complete", N: 24, Protocol: "push", Timing: "async", View: perNode, Crashes: crashes, LossProb: 0.2, Trials: 5, GraphSeed: 1, TrialSeed: 24}},
+		{"async crash-only per-node (thinning)", S{Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "async", View: perNode, Crashes: crashes, Trials: 5, GraphSeed: 1, TrialSeed: 22}},
+		{"async crash-only per-edge (thinning)", S{Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "async", View: perEdge, Crashes: crashes, Trials: 5, GraphSeed: 1, TrialSeed: 23}},
+		{"async crash-only per-node loss (thinning)", S{Family: "complete", N: 24, Protocol: "push", Timing: "async", View: perNode, Crashes: crashes, LossProb: 0.2, Trials: 5, GraphSeed: 1, TrialSeed: 24}},
 		{"async leave-only churn per-node (thinning)", S{Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "async", View: perNode, Churn: leaveOnly, Trials: 5, GraphSeed: 1, TrialSeed: 22}},
 		{"async leave-only churn global", S{Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "async", View: global, Churn: leaveOnly, Trials: 5, GraphSeed: 1, TrialSeed: 21}},
 		{"async crashes + churn per-node (thinning)", S{Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "async", View: perNode, Crashes: crashes[:1], Churn: churn, Trials: 5, GraphSeed: 1, TrialSeed: 25}},
@@ -112,8 +112,10 @@ const (
 
 // TestDispatchGolden pins, per dispatch branch, the canonical key and
 // the SHA-256 of the executor's CellResult JSON. The file was recorded
-// before the engines moved behind core's trial contract; run with
-// -update only for an intentional, key-version-bumped change.
+// before the engines moved behind core's trial contract; the three
+// crash-only per-node/per-edge async rows were re-recorded under their
+// v4 keys when the event-heap engines were deleted. Run with -update
+// only for an intentional, key-version-bumped change.
 func TestDispatchGolden(t *testing.T) {
 	exec := &service.Executor{TrialWorkers: 2}
 	var b strings.Builder
@@ -178,6 +180,7 @@ func TestOutOfRangeSourceFailsCell(t *testing.T) {
 		"sync":         {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
 		"async":        {Family: "complete", N: 16, Protocol: "push", Timing: "async", Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
 		"first absent": {Family: "complete", N: 16, Protocol: "pull", Timing: "sync", Source: 16, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		// Crash per-node: the row name (a test ID) predates the single async engine.
 		"async heap": {Family: "complete", N: 16, Protocol: "push-pull", Timing: "async", View: "per-node-clocks", Source: 9999,
 			Crashes: []service.CrashSpec{{Node: 1, Time: 1}}, Trials: 3, GraphSeed: 1, TrialSeed: 2},
 		"ppx":          {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", Variant: "ppx", Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},

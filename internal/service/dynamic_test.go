@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
 	"testing"
 
 	"rumor/internal/cachestore"
@@ -177,6 +180,67 @@ func TestV2CacheReplayAfterBump(t *testing.T) {
 	st := warmCache.Stats()
 	if int(st.DiskHits) != len(cells) {
 		t.Errorf("want every v2 cell served from disk after the bump, got %+v", st)
+	}
+}
+
+// TestV3CacheReplayAfterV4Bump: a cache directory written by a v3
+// process holds (a) a plain async cell and (b) a crash-only per-node
+// cell under the key it had then, computed by the event-heap engine.
+// Reopened under v4 with the compat list, (a) is served from disk
+// byte-identically, while (b) — whose key moved with its engine — is
+// recomputed under the new key and the heap-era record is never served.
+func TestV3CacheReplayAfterV4Bump(t *testing.T) {
+	dir := t.TempDir()
+	plain := CellSpec{Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "async",
+		View: "per-node-clocks", Trials: 4, GraphSeed: 1, TrialSeed: 2}
+	crash := plain
+	crash.Crashes = []CrashSpec{{Node: 5, Time: 1.5}}
+	oldSum := sha256.Sum256([]byte(CellKeyVersionV2 + strings.TrimPrefix(crash.canonical(), CellKeyVersion)))
+	oldKey := hex.EncodeToString(oldSum[:16])
+	if oldKey == crash.Key() {
+		t.Fatal("the crash per-node cell kept its pre-v4 key")
+	}
+
+	v3store, err := cachestore.Open(cachestore.Options{Dir: dir, KeyVersion: CellKeyVersionV3,
+		CompatVersions: []string{CellKeyVersionV2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3cache := NewTieredResultCache(NewResultCache(0), v3store)
+	coldRes, err := (&Executor{Results: v3cache, Graphs: NewGraphCache(0)}).RunCells(context.Background(), []CellSpec{plain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3cache.Put(oldKey, &CellResult{Key: oldKey, Times: []float64{-7}})
+	if err := v3cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	v4store, err := cachestore.Open(cachestore.Options{
+		Dir:            dir,
+		KeyVersion:     CellKeyVersion,
+		CompatVersions: CellKeyCompatVersions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v4store.Close()
+	if !v4store.Has(oldKey) {
+		t.Fatal("the v3 store's records were discarded instead of kept under compat")
+	}
+	warmCache := NewTieredResultCache(NewResultCache(0), v4store)
+	warmRes, err := (&Executor{Results: warmCache, Graphs: NewGraphCache(0)}).RunCells(context.Background(), []CellSpec{plain, crash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := marshalResults(t, warmRes[:1]), marshalResults(t, coldRes); string(got) != string(want) {
+		t.Errorf("v3 replay diverged from the pre-bump run\npre:  %s\npost: %s", want, got)
+	}
+	if st := warmCache.Stats(); st.DiskHits != 1 || st.Misses != 1 {
+		t.Errorf("want the plain cell served from disk and the crash cell recomputed, got %+v", st)
+	}
+	if got := warmRes[1]; got.Key != crash.Key() || len(got.Times) != crash.Trials {
+		t.Errorf("crash per-node cell = key %s, %d times; want a fresh result under %s", got.Key, len(got.Times), crash.Key())
 	}
 }
 

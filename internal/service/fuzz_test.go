@@ -181,10 +181,16 @@ func FuzzCellSpecKey(f *testing.F) {
 		}
 
 		// (2a-v3) The version prefix is per spec: dynamic scenarios render
-		// the v3 extension, everything else the exact pre-bump v2 form —
-		// the append-only guarantee that lets v2 caches replay.
+		// the v3 extension, static crash cells of the per-node and
+		// per-edge async views the v4 form, everything else the exact
+		// original v2 form — the append-only guarantee that lets older
+		// caches replay.
 		wantPrefix := CellKeyVersionV2 + "|"
-		if spec.dynamicScenario() {
+		switch {
+		case spec.dynamicScenario():
+			wantPrefix = CellKeyVersionV3 + "|"
+		case spec.kind() == KindTime && spec.Timing == TimingAsync && len(spec.Crashes) > 0 &&
+			(spec.View == "per-node-clocks" || spec.View == "per-edge-clocks"):
 			wantPrefix = CellKeyVersion + "|"
 		}
 		if !strings.HasPrefix(canon, wantPrefix) {

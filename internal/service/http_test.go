@@ -418,6 +418,12 @@ func TestHTTPErrorEnvelopeCodes(t *testing.T) {
 	if e := decodeEnvelope(t, resp); resp.StatusCode != 400 || e.Code != api.CodeInvalidSpec {
 		t.Errorf("invalid spec: %d %q", resp.StatusCode, e.Code)
 	}
+	// A ppx cell with crashes is the crash-free measurement under a
+	// second key: invalid_spec.
+	resp = post(`{"cells":[{"family":"hypercube","n":16,"protocol":"push-pull","timing":"sync","variant":"ppx","crashes":[{"node":1,"time":1}],"trials":1}]}`, nil)
+	if e := decodeEnvelope(t, resp); resp.StatusCode != 400 || e.Code != api.CodeInvalidSpec {
+		t.Errorf("variant with crashes: %d %q", resp.StatusCode, e.Code)
+	}
 	// Oversized job: job_too_large.
 	big, _ := json.Marshal(JobSpec{
 		Families:  []string{"complete", "star"},

@@ -43,24 +43,30 @@ const (
 // (outside an explicit compat list), so a bump invalidates stale
 // entries instead of aliasing them.
 //
-// v3 added the dynamic-topology and churn fields. The bump is
-// append-only: a spec with none of the new fields set still renders
-// the byte-identical v2 canonical form (prefixed "v2|"), so every v2
-// key — and every record in a v2 persistent cache — stays valid. Only
-// dynamic/churn specs render the extended "v3|" form. Callers opening
-// a cachestore should pass CellKeyCompatVersions so v2 stores replay
-// without recomputation.
-const CellKeyVersion = "v3"
+// Bumps are append-only: each version re-keys only the specs whose
+// measurement it changed, and every other spec keeps rendering its
+// byte-identical older form, so every key — and every record in a
+// persistent cache — written for those specs stays valid. v3 added the
+// dynamic-topology and churn fields; only specs that set one render
+// "v3|". v4 moved crash-only per-node/per-edge asynchronous cells from
+// the event-heap engines onto the thinning stepper, which consumes
+// randomness differently; only those cells render "v4|" (see
+// CellSpec.keyVersion). Callers opening a cachestore should pass
+// CellKeyCompatVersions so older stores replay without recomputation.
+const CellKeyVersion = "v4"
 
-// CellKeyVersionV2 is the previous canonical rendering version, still
-// produced verbatim by specs that use no v3 field.
-const CellKeyVersionV2 = "v2"
+// Older canonical rendering versions, still produced verbatim by the
+// specs the later bumps did not touch.
+const (
+	CellKeyVersionV2 = "v2"
+	CellKeyVersionV3 = "v3"
+)
 
 // CellKeyCompatVersions lists older key versions whose canonical
 // renderings (and therefore keys) are still produced unchanged by the
 // current code. Persistent caches opened with these as compat versions
 // serve their existing records instead of discarding them.
-func CellKeyCompatVersions() []string { return []string{CellKeyVersionV2} }
+func CellKeyCompatVersions() []string { return []string{CellKeyVersionV2, CellKeyVersionV3} }
 
 // Dynamic topology modes (CellSpec.Dynamic).
 const (
@@ -219,11 +225,27 @@ func (c CellSpec) effectiveCoverage() []float64 {
 }
 
 // dynamicScenario reports whether any v3 field is set; such cells
-// render the extended v3 canonical form. Everything else renders the
-// byte-identical v2 form, which is what keeps pre-bump cache keys and
-// persisted records valid.
+// render the extended v3 canonical form.
 func (c CellSpec) dynamicScenario() bool {
 	return c.Dynamic != "" || c.DynamicPeriod != 0 || c.PerturbRate != 0 || len(c.Churn) > 0
+}
+
+// keyVersion returns the version prefix of the cell's canonical form:
+// v3 for dynamic scenarios, v4 for the static time cells whose result
+// bytes moved when the event-heap engines were deleted (asynchronous,
+// per-node or per-edge view, with crashes), and the original v2 for
+// everything else, which is what keeps older cache keys and persisted
+// records valid.
+func (c CellSpec) keyVersion() string {
+	switch {
+	case c.dynamicScenario():
+		return CellKeyVersionV3
+	case c.kind() == KindTime && c.Timing == TimingAsync && len(c.Crashes) > 0 &&
+		(c.View == core.PerNodeClocks.String() || c.View == core.PerEdgeClocks.String()):
+		return CellKeyVersion
+	default:
+		return CellKeyVersionV2
+	}
 }
 
 // effectiveDynamicPeriod returns the epoch length with the default made
@@ -258,17 +280,13 @@ func (c CellSpec) Key() string {
 // canonical renders the unambiguous, normalized form Key hashes. Two
 // specs share a canonical form iff they are the same measurement.
 //
-// The form is versioned per spec, not globally: specs using no v3
-// field render the exact pre-bump "v2|..." string (pinned by the
-// golden regression tests), and only dynamic/churn specs render the
-// "v3|..." extension — the v2 body with the dynamic fields appended.
+// The form is versioned per spec, not globally (see keyVersion): the
+// "v2|..." string is the original rendering (pinned by the golden
+// regression tests), "v3|..." is the v2 body with the dynamic fields
+// appended, and "v4|..." is the v2 body unchanged.
 func (c CellSpec) canonical() string {
 	var b strings.Builder
-	if c.dynamicScenario() {
-		b.WriteString(CellKeyVersion)
-	} else {
-		b.WriteString(CellKeyVersionV2)
-	}
+	b.WriteString(c.keyVersion())
 	b.WriteString("|kind=")
 	b.WriteString(c.kind())
 	fmt.Fprintf(&b, "|family=%s|n=%d|protocol=%s|timing=%s|view=%s|variant=%s",

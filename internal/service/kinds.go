@@ -164,6 +164,12 @@ func validateTimeCell(c CellSpec) error {
 		if c.Quasirandom {
 			return fmt.Errorf("variant %q cannot be quasirandom", c.Variant)
 		}
+		// ppx/ppy are single-source, crash-free processes: the engine
+		// would drop these fields, and the cell would be the crash-free
+		// measurement under a second key.
+		if len(c.Crashes) > 0 || len(c.ExtraSources) > 0 {
+			return fmt.Errorf("variant %q takes no crashes or extra sources", c.Variant)
+		}
 	}
 	if c.Quasirandom {
 		if c.Timing != TimingSync {

@@ -82,13 +82,18 @@ func TestCellKeyGoldenV3(t *testing.T) {
 	}
 }
 
-// TestCellKeyV2Regression: the v3 bump is append-only. Every spec that
-// uses no dynamic/churn field must keep rendering the exact pre-bump
-// "v2|..." canonical form (and therefore the exact v2 key), so caches
-// persisted before the bump replay without recomputation. Dynamic specs
-// must render the "v3|..." form, whose body is precisely the v2 body of
-// the same spec with the dynamic fields appended.
+// TestCellKeyV2Regression: key-version bumps are append-only, so the
+// version prefix is per spec. Every spec that uses no dynamic/churn
+// field and is not a crash-only per-node/per-edge async cell must keep
+// rendering the exact original "v2|..." canonical form (and therefore
+// the exact v2 key), so caches persisted before the bumps replay
+// without recomputation. Dynamic specs must render the "v3|..." form,
+// whose body is precisely the v2 body of the same spec with the dynamic
+// fields appended. The cells v4 moved onto the thinning stepper render
+// "v4|..." with the v2 body unchanged.
 func TestCellKeyV2Regression(t *testing.T) {
+	crashes := []CrashSpec{{Node: 2, Time: 1.5}}
+	leave := []ChurnSpec{{Node: 3, Time: 1, Op: ChurnOpLeave}}
 	v2 := []CellSpec{
 		{Family: "hypercube", N: 1024, Protocol: "push-pull", Timing: "sync",
 			Trials: 100, GraphSeed: 1, TrialSeed: 2},
@@ -96,9 +101,17 @@ func TestCellKeyV2Regression(t *testing.T) {
 			View: "per-edge-clocks", Trials: 50, GraphSeed: 3, TrialSeed: 4, Source: 1},
 		{Family: "gnp", N: 128, Protocol: "push", Timing: "sync", LossProb: 0.25,
 			Trials: 10, GraphSeed: 7, TrialSeed: 8, ExtraSources: []int{5, 3},
-			Crashes: []CrashSpec{{Node: 2, Time: 1.5}}},
+			Crashes: crashes},
 		{Kind: "time", Family: "complete", N: 256, Protocol: "push-pull", Timing: "sync",
 			Quasirandom: true, Trials: 80, GraphSeed: 5, TrialSeed: 6},
+		// Crashes on the global clock always ran on the stepper.
+		{Family: "hypercube", N: 64, Protocol: "push-pull", Timing: "async",
+			Crashes: crashes, Trials: 10, GraphSeed: 1, TrialSeed: 2},
+		{Family: "hypercube", N: 64, Protocol: "push-pull", Timing: "async", View: "global-clock",
+			Crashes: crashes, Trials: 10, GraphSeed: 1, TrialSeed: 2},
+		// engine-steps rejects crashes; its key never depended on them.
+		{Kind: "engine-steps", Family: "hypercube", N: 64, Protocol: "push-pull", Timing: "async",
+			View: "per-node-clocks", Crashes: crashes, Trials: 10, GraphSeed: 1, TrialSeed: 2},
 	}
 	for i, spec := range v2 {
 		canon := spec.canonical()
@@ -110,25 +123,52 @@ func TestCellKeyV2Regression(t *testing.T) {
 		}
 	}
 
-	for _, tc := range goldenV3Specs() {
+	v3 := goldenV3Specs()
+	// Crashes in a per-node view stay v3 once churn or a dynamic
+	// topology is involved: those always ran on the stepper.
+	for _, dyn := range []CellSpec{
+		{Family: "hypercube", N: 64, Protocol: "push-pull", Timing: "async", View: "per-node-clocks",
+			Crashes: crashes, Churn: leave, Trials: 10, GraphSeed: 1, TrialSeed: 2},
+		{Family: "gnp", N: 64, Protocol: "push-pull", Timing: "async", View: "per-node-clocks",
+			Crashes: crashes, Dynamic: DynamicResample, Trials: 10, GraphSeed: 1, TrialSeed: 2},
+	} {
+		v3 = append(v3, struct {
+			name string
+			spec CellSpec
+		}{"crash per-node + " + dyn.Dynamic + "/churn", dyn})
+	}
+	for _, tc := range v3 {
 		canon := tc.spec.canonical()
-		if !strings.HasPrefix(canon, CellKeyVersion+"|") {
-			t.Errorf("%s: renders %q, want a %q prefix", tc.name, canon, CellKeyVersion+"|")
+		if !strings.HasPrefix(canon, CellKeyVersionV3+"|") {
+			t.Errorf("%s: renders %q, want a %q prefix", tc.name, canon, CellKeyVersionV3+"|")
 			continue
 		}
-		// Clearing the dynamic fields must recover the exact v2 form of
+		// Clearing the dynamic fields must recover the exact v2 body of
 		// the underlying static measurement: the v3 rendering is the v2
 		// body plus an appended suffix, nothing rearranged.
 		static := tc.spec
 		static.Dynamic, static.DynamicPeriod, static.PerturbRate, static.Churn = "", 0, 0, nil
-		v2canon := static.canonical()
-		if !strings.HasPrefix(v2canon, CellKeyVersionV2+"|") {
-			t.Fatalf("%s: static projection renders %q", tc.name, v2canon)
+		_, staticBody, _ := strings.Cut(static.canonical(), "|")
+		_, v3body, _ := strings.Cut(canon, "|")
+		if !strings.HasPrefix(v3body, staticBody+"|dyn=") {
+			t.Errorf("%s: v3 form is not the v2 body plus a dynamic suffix:\nstatic: %s\nv3:     %s", tc.name, static.canonical(), canon)
 		}
-		v2body := strings.TrimPrefix(v2canon, CellKeyVersionV2)
-		v3body := strings.TrimPrefix(canon, CellKeyVersion)
-		if !strings.HasPrefix(v3body, v2body+"|dyn=") {
-			t.Errorf("%s: v3 form is not the v2 body plus a dynamic suffix:\nv2: %s\nv3: %s", tc.name, v2canon, canon)
+	}
+
+	for _, view := range []string{"per-node-clocks", "per-edge-clocks"} {
+		spec := CellSpec{Family: "hypercube", N: 64, Protocol: "push-pull", Timing: "async", View: view,
+			Crashes: crashes, Trials: 10, GraphSeed: 1, TrialSeed: 2}
+		canon := spec.canonical()
+		if !strings.HasPrefix(canon, CellKeyVersion+"|") {
+			t.Errorf("crash %s: renders %q, want a %q prefix", view, canon, CellKeyVersion+"|")
+		}
+		// The v4 body is the v2 body: dropping the crashes and putting
+		// them back as text must give the same string.
+		crashFree := spec
+		crashFree.Crashes = nil
+		want := strings.Replace(crashFree.canonical(), "|crash=|", "|crash=2@1.5|", 1)
+		if got := CellKeyVersionV2 + strings.TrimPrefix(canon, CellKeyVersion); got != want {
+			t.Errorf("crash %s: v4 body is not the v2 body:\nv4: %s\nv2: %s", view, canon, want)
 		}
 	}
 }

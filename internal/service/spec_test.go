@@ -152,6 +152,10 @@ func TestCellSpecValidateV2(t *testing.T) {
 			Timing: "async", Variant: "ppx", Trials: 1}},
 		{"variant on push", CellSpec{Family: "hypercube", N: 64, Protocol: "push",
 			Timing: "sync", Variant: "ppx", Trials: 1}},
+		{"variant with crashes", CellSpec{Family: "hypercube", N: 64, Protocol: "push-pull",
+			Timing: "sync", Variant: "ppx", Crashes: []CrashSpec{{Node: 1, Time: 1}}, Trials: 1}},
+		{"variant with extra sources", CellSpec{Family: "hypercube", N: 64, Protocol: "push-pull",
+			Timing: "sync", Variant: "ppy", ExtraSources: []int{3}, Trials: 1}},
 		{"quasirandom async", CellSpec{Family: "hypercube", N: 64, Protocol: "push-pull",
 			Timing: "async", Quasirandom: true, Trials: 1}},
 		{"quasirandom with crashes", CellSpec{Family: "hypercube", N: 64, Protocol: "push-pull",
