@@ -76,7 +76,9 @@ func newAsyncRun(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, prob float64
 		return nil, err
 	}
 	a := &asyncRun{
-		st:         newSpreadStateMulti(g, sources),
+		// Only the schedule's strandedness scan and amnesiac rejoins read
+		// the boundary.
+		st:         newSpreadState(g, sources, avail != nil),
 		informedAt: make([]float64, n),
 		cfg:        cfg,
 		prob:       prob,

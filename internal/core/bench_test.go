@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"rumor/internal/graph"
@@ -67,6 +68,18 @@ func BenchmarkSyncPushPullGNP(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchSync(b, g, SyncConfig{Protocol: PushPull})
+}
+
+// BenchmarkAsyncPushPullGNPLarge is the large-n cliff as a `go test
+// -bench` line: the bench/ engine_large_n workload's graph (CSR ~38 MB,
+// many times the L2), where every tick's neighbor lookup misses cache.
+func BenchmarkAsyncPushPullGNPLarge(b *testing.B) {
+	const n = 250_000
+	g, err := graph.GNPConnected(n, 3*math.Log(n)/n, xrand.New(9), 50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchAsync(b, g, AsyncConfig{Protocol: PushPull})
 }
 
 func BenchmarkAsyncGlobalHypercube14(b *testing.B) {

@@ -328,6 +328,11 @@ func validateCommon(g *graph.Graph, src graph.NodeID, p Protocol, prob float64) 
 // spreadState tracks the informed set, first-informer tree, and the
 // uninformed boundary (uninformed nodes with at least one informed
 // neighbor, needed by pull-based engines and by early termination).
+// Maintaining the boundary walks the adjacency list of every node
+// informed — all 2m entries over a trial — so a state whose engine never
+// reads it (an asynchronous run with no crash or churn schedule) is built
+// untracked and skips that; the boundary's readers panic on such a state
+// rather than answer from empty lists.
 //
 // The informed and boundary-membership sets are bit vectors, and every
 // slice is an arena sized to the graph once: reset re-initializes the
@@ -341,12 +346,17 @@ type spreadState struct {
 	infNbrs    []int32        // per-node count of informed neighbors
 	boundary   []graph.NodeID // lazily compacted; may contain stale entries
 	inBoundary bitSet
+	tracked    bool // infNbrs, boundary and inBoundary are maintained
 	num        int
 	reachable  int // size of the sources' union of connected components
 }
 
-func newSpreadState(g *graph.Graph, src graph.NodeID) *spreadState {
-	return newSpreadStateMulti(g, []graph.NodeID{src})
+// mustTrack panics if the boundary reader op was reached on a state that
+// does not maintain the boundary.
+func (s *spreadState) mustTrack(op string) {
+	if !s.tracked {
+		panic("core: " + op + " on a spread state that does not track its boundary")
+	}
 }
 
 // reset re-initializes the state for a new trial with the given sources.
@@ -355,21 +365,25 @@ func newSpreadState(g *graph.Graph, src graph.NodeID) *spreadState {
 func (s *spreadState) reset(sources []graph.NodeID, reachable int) {
 	n := s.g.NumNodes()
 	s.informed.reset(n)
-	s.inBoundary.reset(n)
 	if cap(s.parent) < n {
 		s.parent = make([]graph.NodeID, n)
-		s.infNbrs = make([]int32, n)
 		s.order = make([]graph.NodeID, 0, n)
-		s.boundary = make([]graph.NodeID, 0, n)
 	}
 	s.parent = s.parent[:n]
 	for i := range s.parent {
 		s.parent[i] = -1
 	}
-	s.infNbrs = s.infNbrs[:n]
-	clear(s.infNbrs)
 	s.order = s.order[:0]
-	s.boundary = s.boundary[:0]
+	if s.tracked {
+		s.inBoundary.reset(n)
+		if cap(s.infNbrs) < n {
+			s.infNbrs = make([]int32, n)
+			s.boundary = make([]graph.NodeID, 0, n)
+		}
+		s.infNbrs = s.infNbrs[:n]
+		clear(s.infNbrs)
+		s.boundary = s.boundary[:0]
+	}
 	s.num = 0
 	s.reachable = reachable
 	for _, src := range sources {
@@ -377,7 +391,8 @@ func (s *spreadState) reset(sources []graph.NodeID, reachable int) {
 	}
 }
 
-// markInformed adds v to the informed set and maintains boundary counts.
+// markInformed adds v to the informed set and, on a tracked state,
+// maintains boundary counts.
 func (s *spreadState) markInformed(v, from graph.NodeID) {
 	if s.informed.get(v) {
 		return
@@ -386,6 +401,9 @@ func (s *spreadState) markInformed(v, from graph.NodeID) {
 	s.parent[v] = from
 	s.order = append(s.order, v)
 	s.num++
+	if !s.tracked {
+		return
+	}
 	for _, w := range s.g.Neighbors(v) {
 		s.infNbrs[w]++
 		if !s.informed.get(w) && !s.inBoundary.get(w) {
@@ -402,6 +420,7 @@ func (s *spreadState) markInformed(v, from graph.NodeID) {
 // loop iterates). Churn schedules are short, so the O(n) compaction
 // per uninform is irrelevant.
 func (s *spreadState) uninform(v graph.NodeID) {
+	s.mustTrack("uninform")
 	if !s.informed.get(v) {
 		return
 	}
@@ -425,12 +444,16 @@ func (s *spreadState) uninform(v graph.NodeID) {
 }
 
 // rebind points the state at a new graph over the same node set (a
-// dynamic-topology epoch change) and rebuilds everything derived from
-// adjacency: informed-neighbor counts and the uninformed boundary. The
-// informed set, tree, and order are topology-independent and carry
-// over. O(n + edges incident to informed nodes).
+// dynamic-topology epoch change) and, on a tracked state, rebuilds
+// everything derived from adjacency: informed-neighbor counts and the
+// uninformed boundary. The informed set, tree, and order are
+// topology-independent and carry over. O(n + edges incident to informed
+// nodes) when tracked, O(1) otherwise.
 func (s *spreadState) rebind(g *graph.Graph) {
 	s.g = g
+	if !s.tracked {
+		return
+	}
 	n := g.NumNodes()
 	clear(s.infNbrs)
 	for _, v := range s.order {
@@ -450,6 +473,7 @@ func (s *spreadState) rebind(g *graph.Graph) {
 
 // compactBoundary drops informed entries from the boundary list.
 func (s *spreadState) compactBoundary() {
+	s.mustTrack("compactBoundary")
 	live := s.boundary[:0]
 	for _, v := range s.boundary {
 		if !s.informed.get(v) {
@@ -467,6 +491,7 @@ func (s *spreadState) done() bool { return s.num >= s.reachable }
 // randomInformedNeighbor returns a uniformly random informed neighbor of
 // v, assuming it has at least one (s.infNbrs[v] >= 1).
 func (s *spreadState) randomInformedNeighbor(v graph.NodeID, rng *xrand.RNG) graph.NodeID {
+	s.mustTrack("randomInformedNeighbor")
 	k := s.infNbrs[v]
 	target := rng.Int32n(k)
 	for _, w := range s.g.Neighbors(v) {

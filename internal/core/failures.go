@@ -202,6 +202,7 @@ func (a *availTracker) reset() {
 // hasFutureJoin, and dynamic-topology runs must not use this at all —
 // a future graph may reconnect the rumor.
 func progressPossible(st *spreadState, a *availTracker) bool {
+	st.mustTrack("progressPossible")
 	st.compactBoundary()
 	for _, v := range st.boundary {
 		if !aliveIn(a, v) {
@@ -233,18 +234,24 @@ func gatherSources(g *graph.Graph, src graph.NodeID, extra []graph.NodeID) ([]gr
 	return sources, nil
 }
 
-// newSpreadStateMulti is newSpreadState for a set of sources: all are
-// informed at time 0 and reachability is taken from their union.
-func newSpreadStateMulti(g *graph.Graph, sources []graph.NodeID) *spreadState {
-	s := &spreadState{g: g}
+// newSpreadState returns the state with the sources informed at time 0
+// and reachability taken from their union. tracked says whether the
+// engine has a reader for the uninformed boundary.
+func newSpreadState(g *graph.Graph, sources []graph.NodeID, tracked bool) *spreadState {
+	s := &spreadState{g: g, tracked: tracked}
 	s.reset(sources, reachableFrom(g, sources))
 	return s
 }
 
 // reachableFrom returns the size of the union of the sources' connected
-// components (multi-source BFS).
+// components: n on a connected graph (an answer the graph remembers, so
+// the trials compiled on one graph search it once between them), a
+// multi-source BFS otherwise.
 func reachableFrom(g *graph.Graph, sources []graph.NodeID) int {
 	n := g.NumNodes()
+	if graph.IsConnected(g) {
+		return n
+	}
 	var visited bitSet
 	visited.reset(n)
 	queue := make([]graph.NodeID, 0, n)

@@ -229,3 +229,113 @@ func TestAsyncPushExactlyTwiceOnCycleMeans(t *testing.T) {
 		t.Fatalf("cycle push/pp mean ratio = %v, want ~2", ratio)
 	}
 }
+
+// --- Who maintains the uninformed boundary ---
+
+// TestUntrackedStateFailsLoudly: a boundary reader reached on a state
+// that does not maintain the boundary panics with the reader's name; it
+// must never answer from the empty lists.
+func TestUntrackedStateFailsLoudly(t *testing.T) {
+	g := mustGraph(graph.Cycle(8))
+	readers := map[string]func(st *spreadState){
+		"progressPossible":       func(st *spreadState) { progressPossible(st, nil) },
+		"uninform":               func(st *spreadState) { st.uninform(0) },
+		"randomInformedNeighbor": func(st *spreadState) { st.randomInformedNeighbor(1, xrand.New(1)) },
+		"compactBoundary":        func(st *spreadState) { st.compactBoundary() },
+	}
+	for name, read := range readers {
+		t.Run(name, func(t *testing.T) {
+			read(newSpreadState(g, []graph.NodeID{0}, true)) // fine on a tracked state
+			defer func() {
+				msg, _ := recover().(string)
+				if want := "core: " + name + " on a spread state that does not track its boundary"; msg != want {
+					t.Fatalf("recovered %q, want %q", msg, want)
+				}
+			}()
+			read(newSpreadState(g, []graph.NodeID{0}, false))
+		})
+	}
+}
+
+// TestAsyncBoundaryTracking: an asynchronous run maintains the boundary
+// exactly when it has a reader for it, the crash/churn schedule.
+func TestAsyncBoundaryTracking(t *testing.T) {
+	cube := mustGraph(graph.Hypercube(5))
+	ring := mustGraph(graph.Cycle(32))
+	run := func(t *testing.T, topo graph.Provider, cfg AsyncConfig) *AsyncStepper {
+		t.Helper()
+		trial, err := NewTrial(topo, 0, cfg, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 2; i++ { // the second run goes through Reset
+			if _, err := trial.Run(xrand.New(5 + i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return trial.async
+	}
+	t.Run("no schedule: never grows", func(t *testing.T) {
+		s := run(t, graph.NewStatic(cube), AsyncConfig{Protocol: PushPull})
+		st := s.run.st
+		if st.tracked || st.infNbrs != nil || cap(st.boundary) != 0 || st.num != 32 {
+			t.Fatalf("tracked=%v infNbrs=%d boundary cap=%d informed=%d", st.tracked, len(st.infNbrs), cap(st.boundary), st.num)
+		}
+	})
+	t.Run("crash: tracks and halts", func(t *testing.T) {
+		// The path's bridge node crashes before the rumor can cross it.
+		path := mustGraph(graph.Path(6))
+		s := run(t, graph.NewStatic(path), AsyncConfig{Protocol: PushPull, Crashes: []Crash{{Node: 2, Time: 0}}})
+		st := s.run.st
+		if !st.tracked || !s.run.halted || st.num != 2 || st.infNbrs[2] != 1 {
+			t.Fatalf("tracked=%v halted=%v informed=%d infNbrs[2]=%d", st.tracked, s.run.halted, st.num, st.infNbrs[2])
+		}
+	})
+	t.Run("dynamic: rebind scans nothing", func(t *testing.T) {
+		p, err := graph.NewResample(cube, 0.5, func(epoch uint64) (*graph.Graph, error) {
+			if epoch%2 == 1 {
+				return ring, nil
+			}
+			return cube, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := run(t, p, AsyncConfig{Protocol: PushPull})
+		st := s.run.st
+		if s.t < 0.5 {
+			t.Fatalf("run ended at %v, inside the first epoch", s.t)
+		}
+		if st.g != s.g || st.tracked || st.infNbrs != nil || cap(st.boundary) != 0 || st.num != 32 {
+			t.Fatalf("rebound=%v tracked=%v infNbrs=%d boundary cap=%d informed=%d",
+				st.g == s.g, st.tracked, len(st.infNbrs), cap(st.boundary), st.num)
+		}
+	})
+}
+
+// TestReachableFromUsesRememberedConnectivity: reachability is unchanged
+// on a connected and on a two-component graph, and once the graph is
+// known connected the answer costs no search.
+func TestReachableFromUsesRememberedConnectivity(t *testing.T) {
+	ring := mustGraph(graph.Cycle(64))
+	two := mustGraph(graph.NewBuilder(7).AddEdge(0, 1).AddEdge(1, 2).AddEdge(3, 4).AddEdge(4, 5).AddEdge(5, 6).Build())
+	for _, tc := range []struct {
+		g       *graph.Graph
+		sources []graph.NodeID
+		want    int
+	}{
+		{ring, []graph.NodeID{9}, 64},
+		{two, []graph.NodeID{0}, 3},
+		{two, []graph.NodeID{4}, 4},
+		{two, []graph.NodeID{2, 6}, 7},
+	} {
+		for call := 0; call < 2; call++ {
+			if got := reachableFrom(tc.g, tc.sources); got != tc.want {
+				t.Fatalf("%v from %v, call %d: reachable = %d, want %d", tc.g, tc.sources, call, got, tc.want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { reachableFrom(ring, []graph.NodeID{9}) }); allocs != 0 {
+		t.Fatalf("reachableFrom on a graph known connected allocated %v times: it searched", allocs)
+	}
+}

@@ -80,7 +80,7 @@ func newSyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg S
 		g:          g,
 		topo:       topo,
 		rng:        rng,
-		st:         newSpreadStateMulti(g, sources),
+		st:         newSpreadState(g, sources, true),
 		informedAt: make([]int32, g.NumNodes()),
 		avail:      avail,
 		observer:   cfg.Observer,
@@ -349,7 +349,30 @@ func (s *SyncStepper) snapshot() SyncResult {
 // removing the offline clocks and restarting them on rejoin, which is how
 // RunAsyncReference, the specification, does it.
 //
-// Reset rewinds to time 0 for a fresh trial without allocating.
+// Ticks are drawn a block at a time and executed one per Step. A tick's
+// draws (gap, actor, neighbor index) depend on the graph but never on the
+// informed set, so a first pass takes a whole block of them from the
+// generator in per-tick order and a second pass resolves every tick's
+// contact adj[offsets[v]+k]: those loads are independent, so on a graph
+// larger than the cache their misses overlap instead of each tick paying
+// one in full before the next tick's address is known. Two things force
+// the block down to a single tick, both properties of the scenario:
+// TransmitProb < 1 (the Bernoulli draw of a transmitting contact sits
+// between two ticks' draws, and whether it is taken depends on the
+// informed set) and a dynamic topology (the next tick may run on another
+// graph).
+//
+// The stepper therefore owns its generator between Step calls: while a
+// run is in progress the generator is up to a block ahead of the ticks
+// executed. When the run ends — completion, a schedule tick that halts
+// it, a topology error, or Trial.Run's budget — the generator is put
+// back exactly where a tick-at-a-time engine would have left it, so a
+// caller that threads one generator through several runs sees the same
+// stream. A caller that abandons a run part-way must not reuse the
+// generator.
+//
+// Reset rewinds to time 0 for a fresh trial without allocating, and drops
+// any ticks drawn from the previous generator but not executed.
 type AsyncStepper struct {
 	g        *graph.Graph
 	topo     graph.Provider // nil for a static topology
@@ -362,7 +385,25 @@ type AsyncStepper struct {
 	steps    int64
 	finished bool
 	terr     error
+	// block[head:drawn] are the ticks drawn but not yet executed; mark is
+	// the generator as it stood before block[0] was drawn.
+	block       []asyncTick
+	head, drawn int
+	mark        xrand.RNG
 }
+
+// asyncTick is one pre-drawn clock tick.
+type asyncTick struct {
+	dt float64      // gap since the previous tick
+	v  graph.NodeID // the node whose clock ticked
+	w  graph.NodeID // the neighbor it contacts; -1 if v is isolated
+}
+
+// asyncBlock is the number of ticks drawn ahead when nothing can come
+// between two ticks' draws: enough independent loads in flight to cover
+// a cache miss, few enough that a small cell's one over-drawn block per
+// trial costs nothing.
+const asyncBlock = 64
 
 // NewAsyncStepper validates the configuration and prepares the process.
 // MaxSteps in cfg is ignored — the caller controls the loop. View
@@ -418,6 +459,11 @@ func newAsyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg 
 		s.n = uint64(n)
 	}
 	s.rate = float64(s.n)
+	if prob < 1 || topo != nil {
+		s.block = make([]asyncTick, 1)
+	} else {
+		s.block = make([]asyncTick, asyncBlock)
+	}
 	return s, nil
 }
 
@@ -437,6 +483,7 @@ func (s *AsyncStepper) Reset(rng *xrand.RNG) {
 	s.steps = 0
 	s.finished = false
 	s.terr = nil
+	s.head, s.drawn = 0, 0
 }
 
 // Step executes one clock tick and returns true, or returns false without
@@ -446,35 +493,113 @@ func (s *AsyncStepper) Step() bool {
 		s.finished = true
 		return false
 	}
+	if s.head == s.drawn {
+		s.drawBlock()
+	}
+	tk := &s.block[s.head]
+	s.head++
 	s.steps++
-	s.t += s.rng.Exp(s.rate)
+	s.t += tk.dt
 	if s.run.tick(s.t, s.steps) {
-		s.finished = true
+		s.end(true)
 		return false
 	}
 	if s.topo != nil {
 		g, changed := s.topo.At(s.t)
 		if err := s.topo.Err(); err != nil {
 			s.terr = err
-			s.finished = true
+			s.end(true)
 			return false
 		}
 		if changed {
 			s.g = g
 			s.run.st.rebind(g)
 		}
+		// The one draw that cannot move into drawBlock: which graph this
+		// tick runs on is known only now, and the neighbor draw is taken
+		// over the actor's degree in that graph.
+		s.drawContact(tk)
+		s.resolve(tk)
 	}
-	var v graph.NodeID
-	if s.eligible != nil {
-		v = s.eligible[s.rng.Uint64n(s.n)]
-	} else {
-		v = graph.NodeID(s.rng.Uint64n(s.n))
-	}
-	if s.g.Degree(v) != 0 {
-		w := s.g.RandomNeighbor(v, s.rng)
-		s.run.contact(s.t, v, w, s.rng)
+	if tk.w >= 0 {
+		s.run.contact(s.t, tk.v, tk.w, s.rng)
+		if s.run.st.done() {
+			s.end(false)
+		}
 	}
 	return true
+}
+
+// drawBlock refills the block: one pass of draws, one pass of loads.
+func (s *AsyncStepper) drawBlock() {
+	s.mark = *s.rng
+	s.head, s.drawn = 0, len(s.block)
+	if s.topo != nil {
+		// One tick, and only its gap: Step draws the contact once it
+		// knows the tick's graph.
+		s.block[0].dt = s.rng.Exp(s.rate)
+		return
+	}
+	for i := range s.block {
+		s.block[i].dt = s.rng.Exp(s.rate)
+		s.drawContact(&s.block[i])
+	}
+	for i := range s.block {
+		s.resolve(&s.block[i])
+	}
+}
+
+// drawContact draws tk's actor and, unless the actor is isolated in the
+// current graph, the index of the neighbor it contacts (left in tk.w for
+// resolve).
+func (s *AsyncStepper) drawContact(tk *asyncTick) {
+	if s.eligible != nil {
+		tk.v = s.eligible[s.rng.Uint64n(s.n)]
+	} else {
+		tk.v = graph.NodeID(s.rng.Uint64n(s.n))
+	}
+	tk.w = -1
+	if deg := s.g.Degree(tk.v); deg != 0 {
+		tk.w = graph.NodeID(s.rng.Uint64n(uint64(deg)))
+	}
+}
+
+// resolve replaces the neighbor index drawContact left in tk.w by the
+// neighbor.
+func (s *AsyncStepper) resolve(tk *asyncTick) {
+	if tk.w >= 0 {
+		tk.w = s.g.Neighbor(tk.v, tk.w)
+	}
+}
+
+// end finishes the run and releases the generator; halted says the last
+// tick stopped after its gap draw (the schedule or the topology ended the
+// run before the tick had an actor).
+func (s *AsyncStepper) end(halted bool) {
+	s.finished = true
+	s.release(halted)
+}
+
+// release puts the generator back where executing block[:head] one tick
+// at a time would have left it — after the whole draws of those ticks,
+// or after only the gap draw of the last one if it halted — and forgets
+// the rest of the block. A block executed to its end without halting
+// already is in that position (and a lossy contact's Bernoulli draw may
+// have followed it). Otherwise the executed ticks are replayed from mark,
+// which is exact: their draws are a function of the generator and the
+// graph alone, and a one-tick block only ever replays its gap.
+func (s *AsyncStepper) release(halted bool) {
+	if s.head < s.drawn || halted {
+		*s.rng = s.mark
+		var tk asyncTick
+		for i := 1; i <= s.head; i++ {
+			s.rng.Exp(s.rate)
+			if i < s.head || !halted {
+				s.drawContact(&tk)
+			}
+		}
+	}
+	s.head, s.drawn = 0, 0
 }
 
 // Err returns the deferred topology-materialization error that ended

@@ -205,3 +205,72 @@ func TestSyncStepperWithCrashesFinishes(t *testing.T) {
 		t.Fatalf("rumor crossed crashed node: %d informed", stepper.NumInformed())
 	}
 }
+
+// TestAsyncStepperStepGranularity: the stepper draws ticks a block at a
+// time but executes one per Step, and everything a caller can read
+// between two Steps is that one tick's state. Driven by hand, the
+// per-tick trace of (Time, Steps, NumInformed, Informed) reproduces the
+// whole run's InformedAt — over several block boundaries, and again
+// after a Reset in the middle of a block, which must drop the ticks
+// drawn from the old generator. The generator ends where the whole run
+// leaves it.
+func TestAsyncStepperStepGranularity(t *testing.T) {
+	g := mustGraph(graph.Hypercube(6))
+	cfg := AsyncConfig{Protocol: PushPull}
+	n := g.NumNodes()
+	stepper, err := NewAsyncStepper(g, 0, cfg, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stepper.block) != asyncBlock {
+		t.Fatalf("block length %d, want %d", len(stepper.block), asyncBlock)
+	}
+	for i := 0; i < asyncBlock/2-3; i++ { // abandon the first run mid-block
+		stepper.Step()
+	}
+	for seed := uint64(7); seed < 10; seed++ {
+		wantRNG := xrand.New(seed)
+		want, err := RunAsync(g, 0, cfg, wantRNG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Steps <= 2*asyncBlock {
+			t.Fatalf("seed %d: run of %d ticks does not cross two block boundaries", seed, want.Steps)
+		}
+		rng := xrand.New(seed)
+		stepper.Reset(rng)
+		at := make([]float64, n)
+		for v := range at {
+			at[v] = -1
+		}
+		at[0] = 0
+		informed, prev := 1, 0.0
+		for steps := int64(1); stepper.Step(); steps++ {
+			if stepper.Steps() != steps || stepper.Time() <= prev {
+				t.Fatalf("seed %d tick %d: Steps() = %d, Time() = %v after %v", seed, steps, stepper.Steps(), stepper.Time(), prev)
+			}
+			prev = stepper.Time()
+			for v := 0; v < n; v++ {
+				if at[v] < 0 && stepper.Informed(graph.NodeID(v)) {
+					at[v] = stepper.Time()
+					informed++
+				}
+			}
+			if stepper.NumInformed() != informed {
+				t.Fatalf("seed %d tick %d: NumInformed() = %d, trace has %d", seed, steps, stepper.NumInformed(), informed)
+			}
+		}
+		if stepper.Steps() != want.Steps || stepper.Time() != want.Time {
+			t.Fatalf("seed %d: hand-driven run ended at %v/%d, whole run at %v/%d",
+				seed, stepper.Time(), stepper.Steps(), want.Time, want.Steps)
+		}
+		for v := range at {
+			if at[v] != want.InformedAt[v] {
+				t.Fatalf("seed %d: node %d seen informed at %v, InformedAt says %v", seed, v, at[v], want.InformedAt[v])
+			}
+		}
+		if got, want := rng.Uint64(), wantRNG.Uint64(); got != want {
+			t.Fatalf("seed %d: generator left at %x, the whole run leaves it at %x", seed, got, want)
+		}
+	}
+}

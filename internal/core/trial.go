@@ -149,6 +149,7 @@ func (t *Trial) Run(rng *xrand.RNG) (Outcome, error) {
 	for err == nil && s.Step() {
 		if s.steps >= t.budget && !s.Finished() {
 			err = t.budgetErr(s.steps, "steps", s.g)
+			s.release(false) // the run ends here, not in Step
 		}
 	}
 	if err == nil {

@@ -73,19 +73,21 @@ func BFS(g *Graph, src NodeID) []int32 {
 }
 
 // IsConnected reports whether the graph is connected. The empty graph and
-// single-vertex graph are connected.
+// single-vertex graph are connected. The graph is immutable, so the
+// answer is computed by one BFS the first time and remembered on it;
+// concurrent first calls may each search, and agree.
 func IsConnected(g *Graph) bool {
-	n := g.NumNodes()
-	if n <= 1 {
-		return true
+	const yes, no = 1, 2
+	if c := g.connected.Load(); c != 0 {
+		return c == yes
 	}
 	var s BFSScratch
-	for _, d := range s.BFS(g, 0) {
-		if d < 0 {
-			return false
-		}
+	c := int32(yes)
+	if _, connected := s.eccentricity(g, 0); !connected {
+		c = no
 	}
-	return true
+	g.connected.Store(c)
+	return c == yes
 }
 
 // Eccentricity returns the maximum hop distance from src to any reachable

@@ -227,3 +227,30 @@ func TestInducedSubgraphErrors(t *testing.T) {
 		t.Error("duplicate node accepted")
 	}
 }
+
+// TestIsConnectedMemoized: the answer is recorded on the immutable graph,
+// so only the first call searches — a later one allocates no BFS scratch
+// — for a connected and for a two-component graph alike.
+func TestIsConnectedMemoized(t *testing.T) {
+	ring, _ := Cycle(64)
+	two := NewBuilder(6).AddEdge(0, 1).AddEdge(1, 2).AddEdge(3, 4).AddEdge(4, 5).MustBuild()
+	for _, tc := range []struct {
+		g    *Graph
+		want bool
+	}{{ring, true}, {two, false}} {
+		if tc.g.connected.Load() != 0 {
+			t.Fatalf("%v: connectivity known before anyone asked", tc.g)
+		}
+		if got := IsConnected(tc.g); got != tc.want || tc.g.connected.Load() == 0 {
+			t.Fatalf("%v: IsConnected = %v (memo %d), want %v", tc.g, got, tc.g.connected.Load(), tc.want)
+		}
+		again := testing.AllocsPerRun(10, func() {
+			if IsConnected(tc.g) != tc.want {
+				t.Fatalf("%v: the remembered answer differs", tc.g)
+			}
+		})
+		if again != 0 {
+			t.Fatalf("%v: a repeated call allocated %v times: it searched again", tc.g, again)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"rumor/internal/xrand"
 )
@@ -35,6 +36,8 @@ type Graph struct {
 	offsets []int64
 	adj     []NodeID
 	name    string
+	// connected memoizes IsConnected: 0 until it has been asked.
+	connected atomic.Int32
 }
 
 // NumNodes returns the number of vertices.
