@@ -385,11 +385,11 @@ type AsyncStepper struct {
 	steps    int64
 	finished bool
 	terr     error
-	// block[head:drawn] are the ticks drawn but not yet executed; mark is
-	// the generator as it stood before block[0] was drawn.
-	block       []asyncTick
-	head, drawn int
-	mark        xrand.RNG
+	// block[head:] are the ticks drawn but not yet executed; mark is the
+	// generator as it stood before block[0] was drawn.
+	block []asyncTick
+	head  int
+	mark  xrand.RNG
 }
 
 // asyncTick is one pre-drawn clock tick.
@@ -464,6 +464,7 @@ func newAsyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg 
 	} else {
 		s.block = make([]asyncTick, asyncBlock)
 	}
+	s.head = len(s.block)
 	return s, nil
 }
 
@@ -483,7 +484,7 @@ func (s *AsyncStepper) Reset(rng *xrand.RNG) {
 	s.steps = 0
 	s.finished = false
 	s.terr = nil
-	s.head, s.drawn = 0, 0
+	s.head = len(s.block)
 }
 
 // Step executes one clock tick and returns true, or returns false without
@@ -493,7 +494,7 @@ func (s *AsyncStepper) Step() bool {
 		s.finished = true
 		return false
 	}
-	if s.head == s.drawn {
+	if s.head == len(s.block) {
 		s.drawBlock()
 	}
 	tk := &s.block[s.head]
@@ -533,7 +534,7 @@ func (s *AsyncStepper) Step() bool {
 // drawBlock refills the block: one pass of draws, one pass of loads.
 func (s *AsyncStepper) drawBlock() {
 	s.mark = *s.rng
-	s.head, s.drawn = 0, len(s.block)
+	s.head = 0
 	if s.topo != nil {
 		// One tick, and only its gap: Step draws the contact once it
 		// knows the tick's graph.
@@ -589,7 +590,7 @@ func (s *AsyncStepper) end(halted bool) {
 // which is exact: their draws are a function of the generator and the
 // graph alone, and a one-tick block only ever replays its gap.
 func (s *AsyncStepper) release(halted bool) {
-	if s.head < s.drawn || halted {
+	if s.head < len(s.block) || halted {
 		*s.rng = s.mark
 		var tk asyncTick
 		for i := 1; i <= s.head; i++ {
@@ -599,7 +600,7 @@ func (s *AsyncStepper) release(halted bool) {
 			}
 		}
 	}
-	s.head, s.drawn = 0, 0
+	s.head = len(s.block)
 }
 
 // Err returns the deferred topology-materialization error that ended

@@ -169,7 +169,9 @@ func NewSyncStepper(g *Graph, src NodeID, cfg SyncConfig, rng *RNG) (*SyncSteppe
 }
 
 // NewAsyncStepper prepares an asynchronous process (global-clock view)
-// for tick-by-tick execution under caller control.
+// for tick-by-tick execution under caller control. The stepper draws
+// ticks ahead of the ones it has executed, so rng is its own until Step
+// returns false; it is then where a tick-at-a-time run leaves it.
 func NewAsyncStepper(g *Graph, src NodeID, cfg AsyncConfig, rng *RNG) (*AsyncStepper, error) {
 	return core.NewAsyncStepper(g, src, cfg, rng)
 }
