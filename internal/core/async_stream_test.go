@@ -164,12 +164,19 @@ func TestAsyncStreamGolden(t *testing.T) {
 				sc.name, run, status, math.Float64bits(r.Time), r.Steps, r.NumInformed, h1.Sum64(), h2.Sum64(), rng.Uint64())
 		}
 	}
-	path := filepath.Join("testdata", "async_stream.golden")
+	checkStreamGolden(t, "async_stream.golden", buf.Bytes())
+}
+
+// checkStreamGolden compares got with testdata/<name> line by line, or
+// rewrites the file under -update.
+func checkStreamGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -178,17 +185,17 @@ func TestAsyncStreamGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		gl, wl := bytes.Split(buf.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	if !bytes.Equal(got, want) {
+		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := range wl {
 			if i >= len(gl) || !bytes.Equal(gl[i], wl[i]) {
-				var got []byte
+				var line []byte
 				if i < len(gl) {
-					got = gl[i]
+					line = gl[i]
 				}
-				t.Fatalf("async_stream.golden line %d moved:\n got  %s\n want %s", i+1, got, wl[i])
+				t.Fatalf("%s line %d moved:\n got  %s\n want %s", name, i+1, line, wl[i])
 			}
 		}
-		t.Fatalf("async_stream.golden: %d extra lines", len(gl)-len(wl))
+		t.Fatalf("%s: %d extra lines", name, len(gl)-len(wl))
 	}
 }
