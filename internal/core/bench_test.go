@@ -18,7 +18,7 @@ func benchSync(b *testing.B, g *graph.Graph, cfg SyncConfig) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var updates int64
+	var updates, rounds int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -26,10 +26,12 @@ func benchSync(b *testing.B, g *graph.Graph, cfg SyncConfig) {
 		for s.Step() {
 		}
 		updates += s.Updates()
+		rounds += int64(s.Round())
 	}
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(updates)/secs, "updates/sec")
+		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 	}
 }
 
@@ -70,16 +72,25 @@ func BenchmarkSyncPushPullGNP(b *testing.B) {
 	benchSync(b, g, SyncConfig{Protocol: PushPull})
 }
 
-// BenchmarkAsyncPushPullGNPLarge is the large-n cliff as a `go test
-// -bench` line: the bench/ engine_large_n workload's graph (CSR ~38 MB,
-// many times the L2), where every tick's neighbor lookup misses cache.
-func BenchmarkAsyncPushPullGNPLarge(b *testing.B) {
+// largeGNP is the bench/ engine_large_n workload's graph (CSR ~38 MB,
+// many times the L2), where every neighbor lookup misses cache.
+func largeGNP(b *testing.B) *graph.Graph {
 	const n = 250_000
 	g, err := graph.GNPConnected(n, 3*math.Log(n)/n, xrand.New(9), 50)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchAsync(b, g, AsyncConfig{Protocol: PushPull})
+	return g
+}
+
+// BenchmarkSyncPushPullGNPLarge and BenchmarkAsyncPushPullGNPLarge are
+// the large-n cliff as `go test -bench` lines, one per engine.
+func BenchmarkSyncPushPullGNPLarge(b *testing.B) {
+	benchSync(b, largeGNP(b), SyncConfig{Protocol: PushPull})
+}
+
+func BenchmarkAsyncPushPullGNPLarge(b *testing.B) {
+	benchAsync(b, largeGNP(b), AsyncConfig{Protocol: PushPull})
 }
 
 func BenchmarkAsyncGlobalHypercube14(b *testing.B) {

@@ -120,7 +120,10 @@ var (
 	ErrBudget      = errors.New("core: simulation budget exhausted before spreading completed")
 )
 
-// SyncConfig configures a synchronous run.
+// SyncConfig configures a synchronous run. Every synchronous run
+// maintains the uninformed boundary — the pull half of a round iterates
+// it, and under Crashes or Churn the strandedness scan and amnesiac
+// rejoins read it; informed-neighbor counts are kept for ppx/ppy alone.
 type SyncConfig struct {
 	// Protocol is Push, Pull, or PushPull.
 	Protocol Protocol
@@ -146,7 +149,10 @@ type SyncConfig struct {
 	Observer Observer
 }
 
-// AsyncConfig configures an asynchronous run.
+// AsyncConfig configures an asynchronous run. A tick reads only the
+// informed set, so the uninformed boundary is maintained just when
+// Crashes or Churn is set (the strandedness scan and amnesiac rejoins
+// read it), and informed-neighbor counts never.
 type AsyncConfig struct {
 	// Protocol is Push, Pull, or PushPull.
 	Protocol Protocol
@@ -227,19 +233,31 @@ func (r *SyncResult) CoverageRound(frac float64) int32 {
 
 // CoverageRounds returns, for each fraction, the first round by which at
 // least ceil(frac * n) nodes were informed, or -1 if that coverage was
-// never reached. The informing times are sorted once and shared across
-// all queries, so batching fractions is much cheaper than repeated
-// CoverageRound calls.
+// never reached. Informing rounds lie in [0, Rounds], so one counting
+// pass (nodes per round, then a running total) serves all queries:
+// batching fractions is much cheaper than repeated CoverageRound calls.
 func (r *SyncResult) CoverageRounds(fracs []float64) []int32 {
-	times := sortedInformedTimes32(r.InformedAt)
+	n := len(r.InformedAt)
+	informedBy := make([]int, r.Rounds+1) // nodes informed in round t, then by round t
+	for _, t := range r.InformedAt {
+		if t >= 0 {
+			informedBy[t]++
+		}
+	}
+	for t := 1; t < len(informedBy); t++ {
+		informedBy[t] += informedBy[t-1]
+	}
 	out := make([]int32, len(fracs))
 	for i, frac := range fracs {
-		t := coverageFromSorted(times, len(r.InformedAt), frac)
-		if t < 0 {
-			out[i] = -1
-		} else {
-			out[i] = int32(t)
+		if frac <= 0 {
+			continue
 		}
+		need := max(int(math.Ceil(frac*float64(n))), 1)
+		t := sort.SearchInts(informedBy, need)
+		if t == len(informedBy) {
+			t = -1
+		}
+		out[i] = int32(t)
 	}
 	return out
 }
@@ -270,18 +288,6 @@ func sortedInformedTimes(informedAt []float64) []float64 {
 	for _, t := range informedAt {
 		if t >= 0 {
 			times = append(times, t)
-		}
-	}
-	sort.Float64s(times)
-	return times
-}
-
-// sortedInformedTimes32 is sortedInformedTimes for round-indexed results.
-func sortedInformedTimes32(informedAt []int32) []float64 {
-	times := make([]float64, 0, len(informedAt))
-	for _, t := range informedAt {
-		if t >= 0 {
-			times = append(times, float64(t))
 		}
 	}
 	sort.Float64s(times)
@@ -325,14 +331,24 @@ func validateCommon(g *graph.Graph, src graph.NodeID, p Protocol, prob float64) 
 	return prob, nil
 }
 
-// spreadState tracks the informed set, first-informer tree, and the
-// uninformed boundary (uninformed nodes with at least one informed
-// neighbor, needed by pull-based engines and by early termination).
-// Maintaining the boundary walks the adjacency list of every node
-// informed — all 2m entries over a trial — so a state whose engine never
-// reads it (an asynchronous run with no crash or churn schedule) is built
-// untracked and skips that; the boundary's readers panic on such a state
-// rather than answer from empty lists.
+// spreadState tracks the informed set, first-informer tree, and — only
+// as far as the engine built on it reads them — the uninformed boundary
+// and the informed-neighbor counts. Who reads what:
+//
+//   - informed, parent, order, num, reachable: every engine.
+//   - boundary, inBoundary (uninformed nodes with at least one informed
+//     neighbor): the synchronous pull halves (pp, ppx/ppy, quasirandom),
+//     and progressPossible and uninform under a crash or churn schedule.
+//     An engine with none of these readers (an asynchronous run with no
+//     schedule) builds the state untracked.
+//   - infNbrs: the ppx/ppy round body alone (variantRound and
+//     randomInformedNeighbor); nil until keepCounts.
+//
+// Finding new boundary nodes means walking the adjacency list of every
+// node informed — all 2m entries over a trial. outside counts the nodes
+// the walk could still find; once it is 0 (on a dense graph, long before
+// the trial ends) markInformed skips the walk. The readers of something
+// the state does not maintain panic rather than answer from empty lists.
 //
 // The informed and boundary-membership sets are bit vectors, and every
 // slice is an arena sized to the graph once: reset re-initializes the
@@ -343,10 +359,11 @@ type spreadState struct {
 	informed   bitSet
 	parent     []graph.NodeID
 	order      []graph.NodeID // nodes in informing order; order[0] = source
-	infNbrs    []int32        // per-node count of informed neighbors
 	boundary   []graph.NodeID // lazily compacted; may contain stale entries
-	inBoundary bitSet
-	tracked    bool // infNbrs, boundary and inBoundary are maintained
+	inBoundary bitSet         // on the boundary list; stale bits of informed nodes included
+	infNbrs    []int32        // per-node count of informed neighbors; nil unless kept
+	tracked    bool           // boundary, inBoundary and outside are maintained
+	outside    int            // nodes neither informed nor in inBoundary
 	num        int
 	reachable  int // size of the sources' union of connected components
 }
@@ -356,6 +373,31 @@ type spreadState struct {
 func (s *spreadState) mustTrack(op string) {
 	if !s.tracked {
 		panic("core: " + op + " on a spread state that does not track its boundary")
+	}
+}
+
+// mustCount panics if the count reader op was reached on a state that
+// does not keep informed-neighbor counts.
+func (s *spreadState) mustCount(op string) {
+	if s.infNbrs == nil {
+		panic("core: " + op + " on a spread state that does not count informed neighbors")
+	}
+}
+
+// keepCounts makes the state maintain infNbrs from here on.
+func (s *spreadState) keepCounts() {
+	s.mustTrack("keepCounts")
+	s.infNbrs = make([]int32, s.g.NumNodes())
+	s.recount()
+}
+
+// recount rebuilds infNbrs from the informed set on the current graph.
+func (s *spreadState) recount() {
+	clear(s.infNbrs)
+	for _, v := range s.order {
+		for _, w := range s.g.Neighbors(v) {
+			s.infNbrs[w]++
+		}
 	}
 }
 
@@ -376,13 +418,12 @@ func (s *spreadState) reset(sources []graph.NodeID, reachable int) {
 	s.order = s.order[:0]
 	if s.tracked {
 		s.inBoundary.reset(n)
-		if cap(s.infNbrs) < n {
-			s.infNbrs = make([]int32, n)
+		if cap(s.boundary) < n {
 			s.boundary = make([]graph.NodeID, 0, n)
 		}
-		s.infNbrs = s.infNbrs[:n]
-		clear(s.infNbrs)
 		s.boundary = s.boundary[:0]
+		s.outside = n
+		clear(s.infNbrs)
 	}
 	s.num = 0
 	s.reachable = reachable
@@ -391,8 +432,8 @@ func (s *spreadState) reset(sources []graph.NodeID, reachable int) {
 	}
 }
 
-// markInformed adds v to the informed set and, on a tracked state,
-// maintains boundary counts.
+// markInformed adds v to the informed set and, on a tracked state, puts
+// its uninformed neighbors on the boundary.
 func (s *spreadState) markInformed(v, from graph.NodeID) {
 	if s.informed.get(v) {
 		return
@@ -404,13 +445,29 @@ func (s *spreadState) markInformed(v, from graph.NodeID) {
 	if !s.tracked {
 		return
 	}
-	for _, w := range s.g.Neighbors(v) {
-		s.infNbrs[w]++
-		if !s.informed.get(w) && !s.inBoundary.get(w) {
-			s.inBoundary.set(w)
-			s.boundary = append(s.boundary, w)
+	if !s.inBoundary.get(v) {
+		s.outside--
+	}
+	if s.infNbrs != nil {
+		for _, w := range s.g.Neighbors(v) {
+			s.infNbrs[w]++
 		}
 	}
+	if s.outside == 0 {
+		return // every uninformed node is on the boundary already
+	}
+	for _, w := range s.g.Neighbors(v) {
+		if !s.informed.get(w) && !s.inBoundary.get(w) {
+			s.addBoundary(w)
+		}
+	}
+}
+
+// addBoundary puts the outside node v on the boundary.
+func (s *spreadState) addBoundary(v graph.NodeID) {
+	s.inBoundary.set(v)
+	s.boundary = append(s.boundary, v)
+	s.outside--
 }
 
 // uninform removes v from the informed set (an amnesiac churn rejoin),
@@ -427,12 +484,19 @@ func (s *spreadState) uninform(v graph.NodeID) {
 	s.informed.clearBit(v)
 	s.parent[v] = -1
 	s.num--
+	hasInformed := false
 	for _, w := range s.g.Neighbors(v) {
-		s.infNbrs[w]--
+		if s.infNbrs != nil {
+			s.infNbrs[w]--
+		}
+		hasInformed = hasInformed || s.informed.get(w)
 	}
-	if s.infNbrs[v] > 0 && !s.inBoundary.get(v) {
-		s.inBoundary.set(v)
-		s.boundary = append(s.boundary, v)
+	// A bit left from v's time on the boundary means it is still listed.
+	if !s.inBoundary.get(v) {
+		s.outside++
+		if hasInformed {
+			s.addBoundary(v)
+		}
 	}
 	live := s.order[:0]
 	for _, w := range s.order {
@@ -445,28 +509,36 @@ func (s *spreadState) uninform(v graph.NodeID) {
 
 // rebind points the state at a new graph over the same node set (a
 // dynamic-topology epoch change) and, on a tracked state, rebuilds
-// everything derived from adjacency: informed-neighbor counts and the
-// uninformed boundary. The informed set, tree, and order are
-// topology-independent and carry over. O(n + edges incident to informed
-// nodes) when tracked, O(1) otherwise.
+// everything derived from adjacency: the uninformed boundary (in node-ID
+// order) and the informed-neighbor counts if kept. The informed set,
+// tree, and order are topology-independent and carry over. O(n + edges
+// incident to informed nodes) when tracked, O(1) otherwise.
 func (s *spreadState) rebind(g *graph.Graph) {
 	s.g = g
 	if !s.tracked {
 		return
 	}
 	n := g.NumNodes()
-	clear(s.infNbrs)
-	for _, v := range s.order {
-		for _, w := range g.Neighbors(v) {
-			s.infNbrs[w]++
-		}
+	if s.infNbrs != nil {
+		s.recount()
 	}
 	s.inBoundary.reset(n)
+	for _, v := range s.order {
+		for _, w := range g.Neighbors(v) {
+			s.inBoundary.set(w)
+		}
+	}
 	s.boundary = s.boundary[:0]
+	s.outside = n - s.num
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		if s.infNbrs[v] > 0 && !s.informed.get(v) {
-			s.inBoundary.set(v)
+		if !s.inBoundary.get(v) {
+			continue
+		}
+		if s.informed.get(v) {
+			s.inBoundary.clearBit(v)
+		} else {
 			s.boundary = append(s.boundary, v)
+			s.outside--
 		}
 	}
 }
@@ -491,7 +563,7 @@ func (s *spreadState) done() bool { return s.num >= s.reachable }
 // randomInformedNeighbor returns a uniformly random informed neighbor of
 // v, assuming it has at least one (s.infNbrs[v] >= 1).
 func (s *spreadState) randomInformedNeighbor(v graph.NodeID, rng *xrand.RNG) graph.NodeID {
-	s.mustTrack("randomInformedNeighbor")
+	s.mustCount("randomInformedNeighbor")
 	k := s.infNbrs[v]
 	target := rng.Int32n(k)
 	for _, w := range s.g.Neighbors(v) {

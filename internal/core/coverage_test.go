@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"sort"
 	"testing"
 
 	"rumor/internal/graph"
@@ -68,4 +70,41 @@ func TestCoverageBatchUnreached(t *testing.T) {
 	if times[0] < 0 || times[1] != -1 {
 		t.Errorf("times = %v, want [reached, -1]", times)
 	}
+}
+
+// CoverageRounds counts instead of sorting; it must return what the
+// sorted order statistics say, for every fraction, on complete, partial
+// (disconnected, amnesiac) and empty results.
+func TestCoverageRoundsMatchesSortedOrder(t *testing.T) {
+	fracs := []float64{-1, 0, 1e-9, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
+	check := func(name string, res *SyncResult) {
+		t.Helper()
+		var sorted []float64
+		for _, at := range res.InformedAt {
+			if at >= 0 {
+				sorted = append(sorted, float64(at))
+			}
+		}
+		sort.Float64s(sorted)
+		got := res.CoverageRounds(fracs)
+		for i, f := range fracs {
+			if want := int32(coverageFromSorted(sorted, len(res.InformedAt), f)); got[i] != want {
+				t.Errorf("%s frac %v: got %d, want %d", name, f, got[i], want)
+			}
+		}
+	}
+	for seed := uint64(0); seed < 5; seed++ {
+		for _, sc := range syncStreamScenarios(t) {
+			trial, err := sc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := trial.Run(xrand.New(seed))
+			if err != nil && !errors.Is(err, ErrBudget) {
+				t.Fatal(err)
+			}
+			check(sc.name, out.Sync)
+		}
+	}
+	check("empty", &SyncResult{})
 }

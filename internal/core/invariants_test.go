@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -232,29 +233,58 @@ func TestAsyncPushExactlyTwiceOnCycleMeans(t *testing.T) {
 
 // --- Who maintains the uninformed boundary ---
 
-// TestUntrackedStateFailsLoudly: a boundary reader reached on a state
-// that does not maintain the boundary panics with the reader's name; it
-// must never answer from the empty lists.
+// TestUntrackedStateFailsLoudly: a reader reached on a state that does
+// not maintain what it reads — the boundary on an untracked state, the
+// informed-neighbor counts on one that never called keepCounts — panics
+// with the reader's name; it must never answer from the empty lists.
 func TestUntrackedStateFailsLoudly(t *testing.T) {
 	g := mustGraph(graph.Cycle(8))
-	readers := map[string]func(st *spreadState){
-		"progressPossible":       func(st *spreadState) { progressPossible(st, nil) },
-		"uninform":               func(st *spreadState) { st.uninform(0) },
-		"randomInformedNeighbor": func(st *spreadState) { st.randomInformedNeighbor(1, xrand.New(1)) },
-		"compactBoundary":        func(st *spreadState) { st.compactBoundary() },
+	const (
+		noBoundary = " on a spread state that does not track its boundary"
+		noCounts   = " on a spread state that does not count informed neighbors"
+	)
+	counted := func() *spreadState {
+		st := newSpreadState(g, []graph.NodeID{0}, true)
+		st.keepCounts()
+		return st
 	}
-	for name, read := range readers {
-		t.Run(name, func(t *testing.T) {
-			read(newSpreadState(g, []graph.NodeID{0}, true)) // fine on a tracked state
+	// stepper returns a ppx stepper over st.
+	stepper := func(st *spreadState) *SyncStepper {
+		s, err := NewSyncStepper(g, 0, SyncConfig{Protocol: PushPull}, xrand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.st, s.variant = st, PPX
+		return s
+	}
+	for _, tc := range []struct {
+		name, missing string
+		good, bad     func() *spreadState
+		read          func(st *spreadState)
+	}{
+		{"progressPossible", noBoundary, plainState(g, true), plainState(g, false), func(st *spreadState) { progressPossible(st, nil) }},
+		{"uninform", noBoundary, plainState(g, true), plainState(g, false), func(st *spreadState) { st.uninform(0) }},
+		{"compactBoundary", noBoundary, plainState(g, true), plainState(g, false), func(st *spreadState) { st.compactBoundary() }},
+		{"keepCounts", noBoundary, plainState(g, true), plainState(g, false), func(st *spreadState) { st.keepCounts() }},
+		{"randomInformedNeighbor", noCounts, counted, plainState(g, true), func(st *spreadState) { st.randomInformedNeighbor(1, xrand.New(1)) }},
+		{"variantRound", noCounts, counted, plainState(g, true), func(st *spreadState) { stepper(st).Step() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.read(tc.good()) // fine on a state that maintains it
 			defer func() {
 				msg, _ := recover().(string)
-				if want := "core: " + name + " on a spread state that does not track its boundary"; msg != want {
+				if want := "core: " + tc.name + tc.missing; msg != want {
 					t.Fatalf("recovered %q, want %q", msg, want)
 				}
 			}()
-			read(newSpreadState(g, []graph.NodeID{0}, false))
+			tc.read(tc.bad())
 		})
 	}
+}
+
+// plainState returns a constructor of a count-free state on g with source 0.
+func plainState(g *graph.Graph, tracked bool) func() *spreadState {
+	return func() *spreadState { return newSpreadState(g, []graph.NodeID{0}, tracked) }
 }
 
 // TestAsyncBoundaryTracking: an asynchronous run maintains the boundary
@@ -287,8 +317,9 @@ func TestAsyncBoundaryTracking(t *testing.T) {
 		path := mustGraph(graph.Path(6))
 		s := run(t, graph.NewStatic(path), AsyncConfig{Protocol: PushPull, Crashes: []Crash{{Node: 2, Time: 0}}})
 		st := s.run.st
-		if !st.tracked || !s.run.halted || st.num != 2 || st.infNbrs[2] != 1 {
-			t.Fatalf("tracked=%v halted=%v informed=%d infNbrs[2]=%d", st.tracked, s.run.halted, st.num, st.infNbrs[2])
+		st.compactBoundary()
+		if !st.tracked || !s.run.halted || st.num != 2 || len(st.boundary) != 1 || st.boundary[0] != 2 || !st.inBoundary.get(2) || st.infNbrs != nil {
+			t.Fatalf("tracked=%v halted=%v informed=%d boundary=%v infNbrs=%d", st.tracked, s.run.halted, st.num, st.boundary, len(st.infNbrs))
 		}
 	})
 	t.Run("dynamic: rebind scans nothing", func(t *testing.T) {
@@ -337,5 +368,191 @@ func TestReachableFromUsesRememberedConnectivity(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { reachableFrom(ring, []graph.NodeID{9}) }); allocs != 0 {
 		t.Fatalf("reachableFrom on a graph known connected allocated %v times: it searched", allocs)
+	}
+}
+
+// checkUpkeep recounts by brute force everything a tracked state derives
+// from adjacency: (a) outside is the number of nodes neither informed nor
+// flagged, (b) every uninformed node with an informed neighbor is flagged,
+// and flagged means listed exactly once, (c) the counts, when kept, are
+// the informed neighbors.
+func checkUpkeep(t *testing.T, st *spreadState, when string) {
+	t.Helper()
+	n := st.g.NumNodes()
+	listed := make([]int, n)
+	for _, v := range st.boundary {
+		listed[v]++
+	}
+	outside := 0
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		informed, flagged := st.informed.get(v), st.inBoundary.get(v)
+		var k int32
+		for _, w := range st.g.Neighbors(v) {
+			if st.informed.get(w) {
+				k++
+			}
+		}
+		if listed[v] > 1 || flagged != (listed[v] == 1) {
+			t.Fatalf("%s: node %d flagged=%v but listed %d times", when, v, flagged, listed[v])
+		}
+		if !informed && !flagged {
+			outside++
+			if k > 0 {
+				t.Fatalf("%s: uninformed node %d has %d informed neighbors and is not on the boundary", when, v, k)
+			}
+		}
+		if st.infNbrs != nil && st.infNbrs[v] != k {
+			t.Fatalf("%s: infNbrs[%d] = %d, recount %d", when, v, st.infNbrs[v], k)
+		}
+	}
+	if outside != st.outside {
+		t.Fatalf("%s: outside = %d, recount %d", when, st.outside, outside)
+	}
+}
+
+// upkeepGraphs draws the small graphs the upkeep properties run on.
+func upkeepGraphs(t *testing.T, rng *xrand.RNG) []*graph.Graph {
+	t.Helper()
+	n := 6 + rng.Intn(19)
+	out := []*graph.Graph{
+		mustGraph(graph.GNP(n, 0.08, rng)), // almost surely disconnected
+		mustGraph(graph.GNP(n, 0.6, rng)),  // every node flagged within a round or two
+		mustGraph(graph.Path(n)),
+		mustGraph(graph.Star(n)),
+		mustGraph(graph.RandomRegular(n+n%2, 3, rng)),
+	}
+	if g, err := graph.GNPConnected(n, 0.3, rng, 200); err == nil {
+		out = append(out, g)
+	}
+	return out
+}
+
+// TestBoundaryUpkeepProperty: after every round or tick of every engine
+// that tracks a boundary — each round body and protocol, under no
+// schedule, crashes, churn with amnesiac rejoins, and a changing
+// topology — the state's derived fields equal a brute-force recount.
+func TestBoundaryUpkeepProperty(t *testing.T) {
+	rng := xrand.New(18)
+	for iter := 0; iter < 12; iter++ {
+		for _, g := range upkeepGraphs(t, rng) {
+			n := g.NumNodes()
+			node := func() graph.NodeID { return graph.NodeID(rng.Intn(n)) }
+			src := node()
+			crashes := []Crash{{Node: node(), Time: 1}, {Node: node(), Time: 2.5}}
+			churn := []ChurnEvent{
+				{Node: src, Time: 2, Op: ChurnLeave},
+				{Node: src, Time: 3, Op: ChurnJoin, DropState: true},
+				{Node: node(), Time: 1, Op: ChurnLeave},
+				{Node: node(), Time: 2, Op: ChurnLeave},
+				{Node: node(), Time: 3, Op: ChurnLeave},
+			}
+			for _, ev := range churn[2:4] {
+				churn = append(churn, ChurnEvent{Node: ev.Node, Time: ev.Time + 2.5, Op: ChurnJoin, DropState: true})
+			}
+			static := func() graph.Provider { return graph.NewStatic(g) }
+			dynamic := func() graph.Provider {
+				p, err := graph.NewPerturb(g, 1, 0.4, rng.Uint64())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			type scenario struct {
+				name    string
+				topo    graph.Provider
+				crashes []Crash
+				churn   []ChurnEvent
+			}
+			scenarios := []scenario{
+				{"none", static(), nil, nil},
+				{"crash", static(), crashes, nil},
+				{"churn", static(), nil, churn},
+				{"dynamic", dynamic(), nil, nil},
+				{"dynamic+churn", dynamic(), crashes[:1], churn},
+			}
+			var trials []*Trial
+			var names []string
+			add := func(name string, trial *Trial, err error) {
+				if err != nil {
+					t.Fatalf("%v %s: %v", g, name, err)
+				}
+				trials, names = append(trials, trial), append(names, name)
+			}
+			for _, sc := range scenarios {
+				for _, p := range []Protocol{Push, Pull, PushPull} {
+					scfg := SyncConfig{Protocol: p, TransmitProb: 0.8, Crashes: sc.crashes, Churn: sc.churn}
+					trial, err := NewTrial(sc.topo, src, scfg, 0, false)
+					add("sync/"+sc.name+"/"+p.String(), trial, err)
+					acfg := AsyncConfig{Protocol: p, Crashes: sc.crashes, Churn: sc.churn}
+					trial, err = NewTrial(sc.topo, src, acfg, 0, false)
+					add("async/"+sc.name+"/"+p.String(), trial, err)
+				}
+			}
+			for _, variant := range []PPVariant{PPX, PPY} {
+				trial, err := NewTrial(static(), src, SyncConfig{}, variant, false)
+				add(variant.String(), trial, err)
+			}
+			trial, err := NewTrial(static(), src, SyncConfig{Protocol: PushPull}, 0, true)
+			add("quasirandom", trial, err)
+			for i, trial := range trials {
+				for run := 0; run < 2; run++ { // the second run goes through reset
+					when := func(step int) string { return fmt.Sprintf("%v src %d %s run %d step %d", g, src, names[i], run, step) }
+					if s := trial.sync; s != nil {
+						s.Reset(rng.Child(uint64(run)))
+						checkUpkeep(t, s.st, when(0))
+						for step := 1; step <= 60 && s.Step(); step++ {
+							checkUpkeep(t, s.st, when(step))
+						}
+						continue
+					}
+					s := trial.async
+					s.Reset(rng.Child(uint64(run)))
+					if !s.run.st.tracked {
+						continue // nothing derived from adjacency to check
+					}
+					checkUpkeep(t, s.run.st, when(0))
+					for step := 1; step <= 40*n && s.Step(); step++ {
+						checkUpkeep(t, s.run.st, when(step))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCountsSurviveUninformAndRebind: no engine combines ppx/ppy with
+// churn or a changing topology, but a state that keeps counts keeps them
+// right through both, and through the walk markInformed skips.
+func TestCountsSurviveUninformAndRebind(t *testing.T) {
+	rng := xrand.New(19)
+	for iter := 0; iter < 40; iter++ {
+		n := 6 + rng.Intn(19)
+		graphs := []*graph.Graph{mustGraph(graph.GNP(n, 0.08, rng)), mustGraph(graph.GNP(n, 0.6, rng))}
+		g := graphs[rng.Intn(2)]
+		st := newSpreadState(g, []graph.NodeID{graph.NodeID(rng.Intn(n))}, true)
+		if iter%2 == 0 {
+			st.keepCounts()
+		}
+		checkUpkeep(t, st, "start")
+		for op := 0; op < 6*n; op++ {
+			v := graph.NodeID(rng.Intn(n))
+			var when string
+			switch k := rng.Intn(10); {
+			case k < 6:
+				st.markInformed(v, -1)
+				when = fmt.Sprintf("markInformed(%d)", v)
+			case k < 8:
+				st.uninform(v)
+				when = fmt.Sprintf("uninform(%d)", v)
+			case k < 9:
+				st.compactBoundary()
+				when = "compactBoundary"
+			default:
+				g = graphs[rng.Intn(2)]
+				st.rebind(g)
+				when = "rebind"
+			}
+			checkUpkeep(t, st, fmt.Sprintf("iter %d op %d %s on %v", iter, op, when, g))
+		}
 	}
 }

@@ -59,6 +59,7 @@ func RunPPVariant(g *graph.Graph, src graph.NodeID, variant PPVariant, cfg SyncC
 // probabilities of Definitions 5/7.
 func (s *SyncStepper) variantRound() {
 	g, st := s.g, s.st
+	st.mustCount("variantRound")
 	s.updates += int64(len(st.order))
 	for _, v := range st.order {
 		w := g.RandomNeighbor(v, s.rng)

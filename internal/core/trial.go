@@ -65,7 +65,10 @@ func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID,
 		if t.sync, err = newSyncStepper(g, topo, src, cfg, nil); err != nil {
 			return nil, err
 		}
-		t.sync.variant = variant
+		if variant != 0 {
+			t.sync.variant = variant
+			t.sync.st.keepCounts() // the ppx/ppy round body reads them
+		}
 		if quasirandom {
 			t.sync.offsets = make([]int32, g.NumNodes())
 		}
