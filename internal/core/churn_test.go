@@ -317,3 +317,253 @@ func TestDynamicTopoErrorSurfaces(t *testing.T) {
 		t.Fatal("epoch build failure not surfaced")
 	}
 }
+
+// --- One schedule, two timings ---
+
+// announcements counts, per node, how often the observer heard it become
+// informed.
+type announcements []int
+
+func (a announcements) OnInformed(_ float64, v, _ graph.NodeID) { a[v]++ }
+
+// scheduleRun is what a finished trial shows of its schedule that does not
+// depend on when nodes act.
+type scheduleRun struct {
+	offline   []graph.NodeID // down when the run ended
+	forgotten []graph.NodeID // announced to the observer, InformedAt == -1 at the end
+	announced []int          // observer calls per node
+	informed  int
+	complete  bool
+	end       float64 // time the schedule was last advanced to, at least
+}
+
+// TestScheduleMeansTheSameUnderBothTimings: sources, a crash/churn schedule
+// and a graph sequence are one scenario whether nodes act in rounds or on
+// Poisson clocks. Each row is built so that its outcome does not depend on
+// the order of contacts (events sit at time 0 or long after the graph is
+// covered), runs once under each timing, and must show the same offline
+// set, the same forgotten nodes, the same observer announcements, the same
+// informed count within the row's completion target, and the same choice
+// between stopping short and waiting for a pending join.
+func TestScheduleMeansTheSameUnderBothTimings(t *testing.T) {
+	path3 := mustGraph(graph.Path(3))
+	path5 := mustGraph(graph.Path(5))
+	k4 := mustGraph(graph.Complete(4))
+	k6 := mustGraph(graph.Complete(6))
+	static := func(g *graph.Graph) func() graph.Provider {
+		return func() graph.Provider { return graph.NewStatic(g) }
+	}
+	resample := func(g *graph.Graph) func() graph.Provider {
+		return func() graph.Provider {
+			p, err := graph.NewResample(g, 1, func(uint64) (*graph.Graph, error) { return g, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+	}
+	leave := func(v graph.NodeID, at float64) ChurnEvent { return ChurnEvent{Node: v, Time: at, Op: ChurnLeave} }
+	join := func(v graph.NodeID, at float64, drop bool) ChurnEvent {
+		return ChurnEvent{Node: v, Time: at, Op: ChurnJoin, DropState: drop}
+	}
+	for _, tc := range []struct {
+		name    string
+		topo    func() graph.Provider
+		extra   []graph.NodeID // informed at 0 besides node 0
+		crashes []Crash
+		churn   []ChurnEvent
+
+		offline   []graph.NodeID
+		forgotten []graph.NodeID
+		announced []int
+		target    int     // completion target: informed <= target, == when reached
+		reached   bool    // the run informed its whole target
+		waitUntil float64 // the run must not end before this time
+	}{
+		{name: "bridge crashes before it is informed", topo: static(path5),
+			crashes: []Crash{{Node: 2, Time: 0}},
+			offline: []graph.NodeID{2}, announced: []int{1, 1, 0, 0, 0}, target: 2, reached: true},
+		{name: "bridge crashes after it is informed", topo: static(path5), extra: []graph.NodeID{2},
+			crashes: []Crash{{Node: 2, Time: 0}},
+			offline: []graph.NodeID{2}, announced: []int{1, 1, 1, 0, 0}, target: 3, reached: true},
+		{name: "leave and plain rejoin keep the rumor", topo: static(path3), extra: []graph.NodeID{1},
+			churn:     []ChurnEvent{leave(1, 0), join(1, 10, false)},
+			announced: []int{1, 1, 1}, target: 3, reached: true, waitUntil: 10},
+		{name: "amnesiac rejoin is informed again", topo: static(path3), extra: []graph.NodeID{1},
+			churn:     []ChurnEvent{leave(1, 0), join(1, 10, true)},
+			announced: []int{1, 2, 1}, target: 3, reached: true, waitUntil: 10},
+		{name: "amnesiac rejoin beside a crashed informer stays forgotten", topo: static(path3), extra: []graph.NodeID{1},
+			crashes: []Crash{{Node: 0, Time: 0}},
+			churn:   []ChurnEvent{leave(1, 0), join(1, 5, true)},
+			offline: []graph.NodeID{0}, forgotten: []graph.NodeID{1}, announced: []int{1, 1, 0}, target: 1, reached: true, waitUntil: 5},
+		{name: "lone informed node leaves, join pending", topo: static(k4),
+			churn:     []ChurnEvent{leave(0, 0), join(0, 8, false)},
+			announced: []int{1, 1, 1, 1}, target: 4, reached: true, waitUntil: 8},
+		{name: "lone informed node leaves, no join", topo: static(k4),
+			churn:   []ChurnEvent{leave(0, 0)},
+			offline: []graph.NodeID{0}, announced: []int{1, 0, 0, 0}, target: 1, reached: true},
+		{name: "lone informed node leaves a resampled graph, no join", topo: resample(k4),
+			churn:   []ChurnEvent{leave(0, 0)},
+			offline: []graph.NodeID{0}, announced: []int{1, 0, 0, 0}, target: 1, reached: true},
+		{name: "never-informed node leaves a resampled graph for good", topo: resample(k6),
+			churn:   []ChurnEvent{leave(5, 0)},
+			offline: []graph.NodeID{5}, announced: []int{1, 1, 1, 1, 1, 0}, target: 5, reached: true},
+		{name: "never-informed node leaves a resampled graph and returns", topo: resample(k6),
+			churn:     []ChurnEvent{leave(5, 0), join(5, 12, false)},
+			announced: []int{1, 1, 1, 1, 1, 1}, target: 6, reached: true, waitUntil: 12},
+		{name: "crash applies before churn at equal times", topo: static(path3),
+			crashes:   []Crash{{Node: 1, Time: 0}},
+			churn:     []ChurnEvent{join(1, 0, false)},
+			announced: []int{1, 1, 1}, target: 3, reached: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.topo().NumNodes()
+			run := func(timing string, trial *Trial, err error, seen announcements) scheduleRun {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", timing, err)
+				}
+				out, err := trial.Run(xrand.New(7))
+				if err != nil {
+					t.Fatalf("%s: %v", timing, err)
+				}
+				r := scheduleRun{announced: seen, complete: out.Complete()}
+				for v := graph.NodeID(0); int(v) < n; v++ {
+					if !aliveIn(scheduleOf(trial), v) {
+						r.offline = append(r.offline, v)
+					}
+					known := false
+					if out.Sync != nil {
+						known = out.Sync.InformedAt[v] >= 0
+					} else {
+						known = out.Async.InformedAt[v] >= 0
+					}
+					if known {
+						r.informed++
+					} else if seen[v] > 0 {
+						r.forgotten = append(r.forgotten, v)
+					}
+				}
+				if out.Sync != nil {
+					// The round that found the run over had already applied
+					// the schedule up to its own number.
+					r.end = float64(out.Sync.Rounds + 1)
+					if r.informed != out.Sync.NumInformed {
+						t.Errorf("sync: NumInformed = %d, InformedAt lists %d", out.Sync.NumInformed, r.informed)
+					}
+				} else {
+					r.end = out.Async.Time
+					if r.informed != out.Async.NumInformed {
+						t.Errorf("async: NumInformed = %d, InformedAt lists %d", out.Async.NumInformed, r.informed)
+					}
+				}
+				return r
+			}
+			sseen, aseen := make(announcements, n), make(announcements, n)
+			strial, err := NewTrial(tc.topo(), 0, SyncConfig{Protocol: PushPull, ExtraSources: tc.extra,
+				Crashes: tc.crashes, Churn: tc.churn, Observer: sseen}, 0, false)
+			s := run("sync", strial, err, sseen)
+			atrial, err := NewTrial(tc.topo(), 0, AsyncConfig{Protocol: PushPull, ExtraSources: tc.extra,
+				Crashes: tc.crashes, Churn: tc.churn, Observer: aseen}, 0, false)
+			a := run("async", atrial, err, aseen)
+			for _, r := range []struct {
+				timing string
+				got    scheduleRun
+			}{{"sync", s}, {"async", a}} {
+				got := r.got
+				if !reflect.DeepEqual(got.offline, tc.offline) {
+					t.Errorf("%s: offline at the end = %v, want %v", r.timing, got.offline, tc.offline)
+				}
+				if !reflect.DeepEqual(got.forgotten, tc.forgotten) {
+					t.Errorf("%s: forgotten at the end = %v, want %v", r.timing, got.forgotten, tc.forgotten)
+				}
+				if !reflect.DeepEqual([]int(got.announced), tc.announced) {
+					t.Errorf("%s: observer announcements = %v, want %v", r.timing, got.announced, tc.announced)
+				}
+				if got.informed > tc.target || (got.informed == tc.target) != tc.reached {
+					t.Errorf("%s: %d informed, target %d (reached: want %v)", r.timing, got.informed, tc.target, tc.reached)
+				}
+				if got.complete != (tc.reached && tc.target == n) {
+					t.Errorf("%s: Complete = %v with %d of %d informed", r.timing, got.complete, got.informed, n)
+				}
+				if got.end < tc.waitUntil {
+					t.Errorf("%s: run ended at %v, before the join pending at %v", r.timing, got.end, tc.waitUntil)
+				}
+			}
+		})
+	}
+}
+
+// TestConstructionErrorPrecedence: when two fields of a scenario are bad
+// at once, which error the constructor reports is part of its behaviour
+// (callers match on it and the service prints it). The order is: graph,
+// protocol, source, probability; view and its combinations; extra
+// sources; crashes; churn.
+func TestConstructionErrorPrecedence(t *testing.T) {
+	g := mustGraph(graph.Complete(8))
+	empty := graph.NewBuilder(0).MustBuild()
+	dynamic, err := graph.NewResample(g, 1, func(uint64) (*graph.Graph, error) { return g, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	okChurn := []ChurnEvent{{Node: 1, Time: 1, Op: ChurnLeave}}
+	for _, tc := range []struct {
+		name  string
+		topo  graph.Provider
+		src   graph.NodeID
+		sync  *SyncConfig // nil: the row is about a view
+		async AsyncConfig
+		want  string
+	}{
+		{"empty graph + bad protocol", graph.NewStatic(empty), 0,
+			&SyncConfig{Protocol: 9}, AsyncConfig{Protocol: 9},
+			"core: empty graph"},
+		{"bad protocol + out-of-range source", graph.NewStatic(g), 8,
+			&SyncConfig{Protocol: 9}, AsyncConfig{Protocol: 9},
+			"core: invalid protocol: 9"},
+		{"out-of-range source + bad probability", graph.NewStatic(g), 8,
+			&SyncConfig{Protocol: Push, TransmitProb: 2}, AsyncConfig{Protocol: Push, TransmitProb: 2},
+			"core: source out of range: 8 (n=8)"},
+		{"bad view + out-of-range source", graph.NewStatic(g), -1,
+			nil, AsyncConfig{Protocol: Push, View: 7},
+			"core: source out of range: -1 (n=8)"},
+		{"bad view + bad probability", graph.NewStatic(g), 0,
+			nil, AsyncConfig{Protocol: Push, View: 7, TransmitProb: -0.5},
+			"core: transmit probability outside (0, 1]: -0.5"},
+		{"bad view + out-of-range extra source", graph.NewStatic(g), 0,
+			nil, AsyncConfig{Protocol: Push, View: 7, ExtraSources: []graph.NodeID{8}},
+			"core: invalid async view: 7"},
+		{"out-of-range extra source + bad crash node", graph.NewStatic(g), 0,
+			&SyncConfig{Protocol: Push, ExtraSources: []graph.NodeID{8}, Crashes: []Crash{{Node: 9, Time: 1}}},
+			AsyncConfig{Protocol: Push, ExtraSources: []graph.NodeID{8}, Crashes: []Crash{{Node: 9, Time: 1}}},
+			"core: source out of range: 8 (n=8)"},
+		{"bad crash time + bad churn op", graph.NewStatic(g), 0,
+			&SyncConfig{Protocol: Push, Crashes: []Crash{{Node: 1, Time: -1}}, Churn: []ChurnEvent{{Node: 1, Time: 1}}},
+			AsyncConfig{Protocol: Push, Crashes: []Crash{{Node: 1, Time: -1}}, Churn: []ChurnEvent{{Node: 1, Time: 1}}},
+			"core: invalid crash schedule: time -1"},
+		{"bad crash node + bad churn node", graph.NewStatic(g), 0,
+			&SyncConfig{Protocol: Push, Crashes: []Crash{{Node: 9, Time: 1}}, Churn: []ChurnEvent{{Node: -2, Time: 1, Op: ChurnLeave}}},
+			AsyncConfig{Protocol: Push, Crashes: []Crash{{Node: 9, Time: 1}}, Churn: []ChurnEvent{{Node: -2, Time: 1, Op: ChurnLeave}}},
+			"core: invalid crash schedule: node 9 out of range"},
+		{"per-edge + churn + dynamic", dynamic, 0,
+			nil, AsyncConfig{Protocol: Push, View: PerEdgeClocks, Churn: okChurn},
+			"core: invalid async view: churn schedules are not supported in the per-edge-clocks view"},
+		{"per-edge + dynamic + bad churn op", dynamic, 0,
+			nil, AsyncConfig{Protocol: Push, View: PerEdgeClocks, Churn: []ChurnEvent{{Node: 1, Time: 1}}},
+			"core: invalid async view: churn schedules are not supported in the per-edge-clocks view"},
+		{"per-edge + dynamic + bad crash node", dynamic, 0,
+			nil, AsyncConfig{Protocol: Push, View: PerEdgeClocks, Crashes: []Crash{{Node: 9, Time: 1}}},
+			"core: invalid async view: per-edge-clocks is not supported on a dynamic topology"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.sync != nil {
+				if _, err := NewTrial(tc.topo, tc.src, *tc.sync, 0, false); err == nil || err.Error() != tc.want {
+					t.Errorf("sync: %v, want %s", err, tc.want)
+				}
+			}
+			if _, err := NewTrial(tc.topo, tc.src, tc.async, 0, false); err == nil || err.Error() != tc.want {
+				t.Errorf("async: %v, want %s", err, tc.want)
+			}
+		})
+	}
+}

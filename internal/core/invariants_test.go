@@ -282,6 +282,14 @@ func TestUntrackedStateFailsLoudly(t *testing.T) {
 	}
 }
 
+// scheduleOf returns the trial's crash/churn tracker, nil with no schedule.
+func scheduleOf(tr *Trial) *availTracker {
+	if tr.sync != nil {
+		return tr.sync.avail
+	}
+	return tr.async.run.avail
+}
+
 // plainState returns a constructor of a count-free state on g with source 0.
 func plainState(g *graph.Graph, tracked bool) func() *spreadState {
 	return func() *spreadState { return newSpreadState(g, []graph.NodeID{0}, tracked) }
