@@ -19,7 +19,12 @@
 //
 // Every spreading-time path runs through one contract: NewTrial compiles
 // a scenario to the engine that simulates it and Trial.Run replays it;
-// RunSync, RunAsync, and friends are one-shot callers of it.
+// RunSync, RunAsync, and friends are one-shot callers of it. The two
+// engines are a clock and a contact rule each (lock-step rounds acting on
+// the start-of-round informed set; Poisson ticks acting at once) over one
+// scenario runtime, which alone knows the sources, the crash/churn
+// schedule, when the rumor is stranded, which graph is in effect, and
+// what the observer is told.
 //
 // All processes are deterministic functions of (graph, source, config,
 // RNG seed) and support trace observers, partial-coverage queries,
@@ -341,6 +346,8 @@ func validateCommon(g *graph.Graph, src graph.NodeID, p Protocol, prob float64) 
 //     and progressPossible and uninform under a crash or churn schedule.
 //     An engine with none of these readers (an asynchronous run with no
 //     schedule) builds the state untracked.
+//   - progressPossible, uninform, rebind: the scenario runtime alone
+//     (advance, applyChurn, at), whichever stepper stands on it.
 //   - infNbrs: the ppx/ppy round body alone (variantRound and
 //     randomInformedNeighbor); nil until keepCounts.
 //

@@ -287,7 +287,7 @@ func scheduleOf(tr *Trial) *availTracker {
 	if tr.sync != nil {
 		return tr.sync.avail
 	}
-	return tr.async.run.avail
+	return tr.async.avail
 }
 
 // plainState returns a constructor of a count-free state on g with source 0.
@@ -315,7 +315,7 @@ func TestAsyncBoundaryTracking(t *testing.T) {
 	}
 	t.Run("no schedule: never grows", func(t *testing.T) {
 		s := run(t, graph.NewStatic(cube), AsyncConfig{Protocol: PushPull})
-		st := s.run.st
+		st := s.st
 		if st.tracked || st.infNbrs != nil || cap(st.boundary) != 0 || st.num != 32 {
 			t.Fatalf("tracked=%v infNbrs=%d boundary cap=%d informed=%d", st.tracked, len(st.infNbrs), cap(st.boundary), st.num)
 		}
@@ -324,10 +324,10 @@ func TestAsyncBoundaryTracking(t *testing.T) {
 		// The path's bridge node crashes before the rumor can cross it.
 		path := mustGraph(graph.Path(6))
 		s := run(t, graph.NewStatic(path), AsyncConfig{Protocol: PushPull, Crashes: []Crash{{Node: 2, Time: 0}}})
-		st := s.run.st
+		st := s.st
 		st.compactBoundary()
-		if !st.tracked || !s.run.halted || st.num != 2 || len(st.boundary) != 1 || st.boundary[0] != 2 || !st.inBoundary.get(2) || st.infNbrs != nil {
-			t.Fatalf("tracked=%v halted=%v informed=%d boundary=%v infNbrs=%d", st.tracked, s.run.halted, st.num, st.boundary, len(st.infNbrs))
+		if !st.tracked || !s.finished || st.num != 2 || len(st.boundary) != 1 || st.boundary[0] != 2 || !st.inBoundary.get(2) || st.infNbrs != nil {
+			t.Fatalf("tracked=%v halted=%v informed=%d boundary=%v infNbrs=%d", st.tracked, s.finished, st.num, st.boundary, len(st.infNbrs))
 		}
 	})
 	t.Run("dynamic: rebind scans nothing", func(t *testing.T) {
@@ -341,7 +341,7 @@ func TestAsyncBoundaryTracking(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := run(t, p, AsyncConfig{Protocol: PushPull})
-		st := s.run.st
+		st := s.st
 		if s.t < 0.5 {
 			t.Fatalf("run ended at %v, inside the first epoch", s.t)
 		}
@@ -515,12 +515,12 @@ func TestBoundaryUpkeepProperty(t *testing.T) {
 					}
 					s := trial.async
 					s.Reset(rng.Child(uint64(run)))
-					if !s.run.st.tracked {
+					if !s.st.tracked {
 						continue // nothing derived from adjacency to check
 					}
-					checkUpkeep(t, s.run.st, when(0))
+					checkUpkeep(t, s.st, when(0))
 					for step := 1; step <= 40*n && s.Step(); step++ {
-						checkUpkeep(t, s.run.st, when(step))
+						checkUpkeep(t, s.st, when(step))
 					}
 				}
 			}

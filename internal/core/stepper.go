@@ -19,27 +19,16 @@ import (
 // allocating, so a cell's trials reuse one stepper. Not safe for
 // concurrent use.
 type SyncStepper struct {
-	g          *graph.Graph
-	topo       graph.Provider // nil for a static topology
+	scenario
 	rng        *xrand.RNG
-	st         *spreadState
 	informedAt []int32
-	avail      *availTracker
-	observer   Observer
-	sources    []graph.NodeID
-	prob       float64
 	doPush     bool
 	doPull     bool
 	round      int
 	updates    int64
-	// aliveInformed counts informed nodes currently online; maintained
-	// only when a schedule is present. Zero with no joins pending means
-	// the rumor is stranded regardless of future topology.
-	aliveInformed int
-	finished      bool
-	terr          error
-	pending       []syncPending
-	draws         []uint64
+	finished   bool
+	pending    []syncPending
+	draws      []uint64
 	// variant != 0 selects the ppx/ppy round body, offsets != nil the
 	// quasirandom one (offsets[v] is v's list offset plus one; 0 means
 	// not sampled yet).
@@ -53,49 +42,33 @@ type syncPending struct{ v, from graph.NodeID }
 // the sources informed at round 0. MaxRounds in cfg is ignored — the
 // caller controls the loop.
 func NewSyncStepper(g *graph.Graph, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncStepper, error) {
-	return newSyncStepper(g, nil, src, cfg, rng)
+	return newSyncStepper(graph.NewStatic(g), src, cfg, rng)
 }
 
-// newSyncStepper is NewSyncStepper over an optional time-varying
-// topology (nil means static): round r executes on topo's graph at
-// time r-1 (round 1 on the epoch-0 graph g). Reachability-based early
-// termination is disabled there — a future epoch may reconnect the
-// rumor — so runs that never reach some node end only at the caller's
-// round budget (or when churn has permanently removed the unreachable
-// nodes). Topology materialization errors surface through Err.
-func newSyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncStepper, error) {
-	prob, err := validateCommon(g, src, cfg.Protocol, cfg.TransmitProb)
-	if err != nil {
-		return nil, err
+// newSyncStepper is NewSyncStepper over a possibly time-varying
+// topology: round r executes on topo's graph at time r-1 (round 1 on the
+// epoch-0 graph). Reachability-based early termination is disabled on a
+// dynamic one — a future epoch may reconnect the rumor — so runs that
+// never reach some node end only at the caller's round budget (or when
+// churn has permanently removed the unreachable nodes). Topology
+// materialization errors surface through Err.
+func newSyncStepper(topo graph.Provider, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncStepper, error) {
+	sc, err := newScenario(topo, src, cfg.Protocol, cfg.TransmitProb, cfg.Observer)
+	if err == nil {
+		// Every round body's pull half iterates the boundary.
+		err = sc.build(src, cfg.ExtraSources, cfg.Crashes, cfg.Churn, true)
 	}
-	sources, err := gatherSources(g, src, cfg.ExtraSources)
-	if err != nil {
-		return nil, err
-	}
-	avail, err := newAvailTracker(g.NumNodes(), cfg.Crashes, cfg.Churn)
 	if err != nil {
 		return nil, err
 	}
 	s := &SyncStepper{
-		g:          g,
-		topo:       topo,
-		rng:        rng,
-		st:         newSpreadState(g, sources, true),
-		informedAt: make([]int32, g.NumNodes()),
-		avail:      avail,
-		observer:   cfg.Observer,
-		sources:    sources,
-		prob:       prob,
-		doPush:     cfg.Protocol == Push || cfg.Protocol == PushPull,
-		doPull:     cfg.Protocol == Pull || cfg.Protocol == PushPull,
+		scenario:   sc,
+		informedAt: make([]int32, sc.g.NumNodes()),
+		doPush:     cfg.Protocol != Pull,
+		doPull:     cfg.Protocol != Push,
 	}
-	s.aliveInformed = len(sources)
-	if topo != nil {
-		// Dynamic topology: static reachability means nothing; every
-		// node not permanently churned out is a completion target.
-		s.st.reachable = g.NumNodes()
-	}
-	s.startTrial()
+	s.forget = func(v graph.NodeID) { s.informedAt[v] = -1 }
+	s.Reset(rng)
 	return s, nil
 }
 
@@ -105,39 +78,13 @@ func newSyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg S
 // alias the stepper's arenas and will be overwritten.
 func (s *SyncStepper) Reset(rng *xrand.RNG) {
 	s.rng = rng
-	reachable := s.st.reachable
-	if s.topo != nil {
-		s.topo.Reset()
-		g, _ := s.topo.At(0)
-		s.g = g
-		s.st.g = g
-		reachable = g.NumNodes()
-	}
-	s.st.reset(s.sources, reachable)
-	if s.avail != nil {
-		s.avail.reset()
-	}
+	s.scenario.reset()
+	startTimes(s.informedAt, s.sources)
 	s.round = 0
 	s.updates = 0
-	s.aliveInformed = len(s.sources)
 	s.finished = false
-	s.terr = nil
 	s.pending = s.pending[:0]
-	s.startTrial()
-}
-
-// startTrial stamps the sources into informedAt and notifies the observer.
-func (s *SyncStepper) startTrial() {
-	for i := range s.informedAt {
-		s.informedAt[i] = -1
-	}
 	clear(s.offsets)
-	for _, src := range s.sources {
-		s.informedAt[src] = 0
-		if s.observer != nil {
-			s.observer.OnInformed(0, src, -1)
-		}
-	}
 }
 
 // fillDraws returns a buffer of k raw 64-bit draws from the stepper's
@@ -158,46 +105,16 @@ func (s *SyncStepper) Step() bool {
 	if s.finished {
 		return false
 	}
-	if s.st.done() {
+	// The schedule is applied to the round about to run and strandedness
+	// looked for before every round; round r then executes on the topology
+	// at time r-1, so round 1 runs on the graph the trial started with.
+	if s.st.done() ||
+		s.avail != nil && s.advance(float64(s.round+1), true) ||
+		s.dynamic && !s.at(float64(s.round)) {
 		s.finished = true
 		return false
 	}
-	if s.avail != nil {
-		s.avail.advance(float64(s.round+1), s.applyChurn)
-		if s.st.done() {
-			// An amnesiac rejoin or permanent leave moved the target.
-			s.finished = true
-			return false
-		}
-		if s.topo == nil {
-			if !progressPossible(s.st, s.avail) && !s.avail.hasFutureJoin() {
-				s.finished = true
-				return false
-			}
-		} else if s.aliveInformed == 0 && !s.avail.hasFutureJoin() {
-			// Dynamic topology: a static progress scan is meaningless
-			// (a later epoch may reconnect the rumor), but a network
-			// with no online informed node and no joins left is dead.
-			s.finished = true
-			return false
-		}
-	}
-	if s.topo != nil {
-		// Round r executes on the topology at time r-1, so round 1 runs
-		// on the same epoch-0 graph the trial started with.
-		g, changed := s.topo.At(float64(s.round))
-		if err := s.topo.Err(); err != nil {
-			s.terr = err
-			s.finished = true
-			return false
-		}
-		if changed {
-			s.g = g
-			s.st.rebind(g)
-		}
-	}
 	s.round++
-	round := int32(s.round)
 	s.pending = s.pending[:0]
 	switch {
 	case s.variant != 0:
@@ -208,14 +125,9 @@ func (s *SyncStepper) Step() bool {
 		s.ppRound()
 	}
 	for _, p := range s.pending {
-		if s.st.informed.get(p.v) {
-			continue
-		}
-		s.st.markInformed(p.v, p.from)
-		s.informedAt[p.v] = round
-		s.aliveInformed++
-		if s.observer != nil {
-			s.observer.OnInformed(float64(round), p.v, p.from)
+		if !s.st.informed.get(p.v) {
+			s.informedAt[p.v] = int32(s.round)
+			s.inform(float64(s.round), p.v, p.from)
 		}
 	}
 	return true
@@ -263,47 +175,8 @@ func (s *SyncStepper) ppRound() {
 	}
 }
 
-// applyChurn is the availTracker transition callback: it keeps the
-// online-informed count, the amnesiac-rejoin uninform, and (on dynamic
-// topologies) the completion target in sync with the offline set.
-func (s *SyncStepper) applyChurn(ev ChurnEvent, perm bool) {
-	v := ev.Node
-	switch ev.Op {
-	case ChurnLeave:
-		if s.st.informed.get(v) {
-			s.aliveInformed--
-		} else if perm && s.topo != nil {
-			// Gone for good and never informed: it can no longer count
-			// against completion. Static topologies instead terminate
-			// through the progress scan, which handles disconnected
-			// base graphs correctly.
-			s.st.reachable--
-		}
-	case ChurnJoin:
-		if !s.st.informed.get(v) {
-			return
-		}
-		if ev.DropState {
-			s.st.uninform(v)
-			s.informedAt[v] = -1
-		} else {
-			s.aliveInformed++
-		}
-	}
-}
-
-// Err returns the deferred topology-materialization error that ended
-// the run early, if any. Static-topology steppers always return nil.
-func (s *SyncStepper) Err() error { return s.terr }
-
 // Round returns the number of rounds executed so far.
 func (s *SyncStepper) Round() int { return s.round }
-
-// NumInformed returns the current informed-node count.
-func (s *SyncStepper) NumInformed() int { return s.st.num }
-
-// Informed reports whether v currently knows the rumor.
-func (s *SyncStepper) Informed(v graph.NodeID) bool { return s.st.informed.get(v) }
 
 // Finished reports whether no further progress is possible.
 func (s *SyncStepper) Finished() bool {
@@ -374,17 +247,18 @@ func (s *SyncStepper) snapshot() SyncResult {
 // Reset rewinds to time 0 for a fresh trial without allocating, and drops
 // any ticks drawn from the previous generator but not executed.
 type AsyncStepper struct {
-	g        *graph.Graph
-	topo     graph.Provider // nil for a static topology
-	rng      *xrand.RNG
-	run      *asyncRun
-	eligible []graph.NodeID // PerEdgeClocks: degree-positive nodes; nil if all are
-	rate     float64        // total tick rate of the superposed process
-	n        uint64         // size of the actor draw range
-	t        float64
-	steps    int64
-	finished bool
-	terr     error
+	scenario
+	rng        *xrand.RNG
+	informedAt []float64
+	eligible   []graph.NodeID // PerEdgeClocks: degree-positive nodes; nil if all are
+	rate       float64        // total tick rate of the superposed process
+	n          uint64         // size of the actor draw range
+	// checkEvery throttles the strandedness scan a schedule needs: under
+	// one, every checkEvery-th tick looks for it.
+	checkEvery int64
+	t          float64
+	steps      int64
+	finished   bool
 	// block[head:] are the ticks drawn but not yet executed; mark is the
 	// generator as it stood before block[0] was drawn.
 	block []asyncTick
@@ -409,16 +283,16 @@ const asyncBlock = 64
 // MaxSteps in cfg is ignored — the caller controls the loop. View
 // selects the tick semantics as in RunAsync (0 means GlobalClock).
 func NewAsyncStepper(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncStepper, error) {
-	return newAsyncStepper(g, nil, src, cfg, rng)
+	return newAsyncStepper(graph.NewStatic(g), src, cfg, rng)
 }
 
-// newAsyncStepper is NewAsyncStepper over an optional time-varying
-// topology (nil means static): the contact at each tick uses topo's
-// graph at the tick time. Reachability-based early termination is
-// disabled there and the PerEdgeClocks view rejected — its rates are
-// tied to a fixed adjacency. Topology errors surface through Err.
-func newAsyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncStepper, error) {
-	prob, err := validateCommon(g, src, cfg.Protocol, cfg.TransmitProb)
+// newAsyncStepper is NewAsyncStepper over a possibly time-varying
+// topology: the contact at each tick uses topo's graph at the tick time.
+// On a dynamic one reachability-based early termination is disabled and
+// the PerEdgeClocks view rejected — its rates are tied to a fixed
+// adjacency. Topology errors surface through Err.
+func newAsyncStepper(topo graph.Provider, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncStepper, error) {
+	sc, err := newScenario(topo, src, cfg.Protocol, cfg.TransmitProb, cfg.Observer)
 	if err != nil {
 		return nil, err
 	}
@@ -432,19 +306,16 @@ func newAsyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg 
 	if view == PerEdgeClocks && len(cfg.Churn) > 0 {
 		return nil, fmt.Errorf("%w: churn schedules are not supported in the per-edge-clocks view", ErrBadView)
 	}
-	if view == PerEdgeClocks && topo != nil {
+	if view == PerEdgeClocks && sc.dynamic {
 		return nil, fmt.Errorf("%w: per-edge-clocks is not supported on a dynamic topology", ErrBadView)
 	}
-	run, err := newAsyncRun(g, src, cfg, prob)
-	if err != nil {
+	// A tick reads only the informed set, never the boundary.
+	if err := sc.build(src, cfg.ExtraSources, cfg.Crashes, cfg.Churn, false); err != nil {
 		return nil, err
 	}
-	s := &AsyncStepper{g: g, topo: topo, rng: rng, run: run}
-	n := g.NumNodes()
-	if topo != nil {
-		run.dynamic = true
-		run.st.reachable = n
-	}
+	g, n := sc.g, sc.g.NumNodes()
+	s := &AsyncStepper{scenario: sc, informedAt: make([]float64, n), checkEvery: int64(2*n) + 16}
+	s.forget = func(v graph.NodeID) { s.informedAt[v] = -1 }
 	if view == PerEdgeClocks {
 		for v := graph.NodeID(0); int(v) < n; v++ {
 			if g.Degree(v) > 0 {
@@ -459,12 +330,12 @@ func newAsyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg 
 		s.n = uint64(n)
 	}
 	s.rate = float64(s.n)
-	if prob < 1 || topo != nil {
+	if s.prob < 1 || s.dynamic {
 		s.block = make([]asyncTick, 1)
 	} else {
 		s.block = make([]asyncTick, asyncBlock)
 	}
-	s.head = len(s.block)
+	s.Reset(rng)
 	return s, nil
 }
 
@@ -473,24 +344,18 @@ func newAsyncStepper(g *graph.Graph, topo graph.Provider, src graph.NodeID, cfg 
 // invalidated: their slices alias the stepper's arenas.
 func (s *AsyncStepper) Reset(rng *xrand.RNG) {
 	s.rng = rng
-	if s.topo != nil {
-		s.topo.Reset()
-		g, _ := s.topo.At(0)
-		s.g = g
-		s.run.st.g = g
-	}
-	s.run.reset()
+	s.scenario.reset()
+	startTimes(s.informedAt, s.sources)
 	s.t = 0
 	s.steps = 0
 	s.finished = false
-	s.terr = nil
 	s.head = len(s.block)
 }
 
 // Step executes one clock tick and returns true, or returns false without
 // executing anything if no further progress is possible.
 func (s *AsyncStepper) Step() bool {
-	if s.finished || s.run.st.done() || s.n == 0 {
+	if s.finished || s.st.done() || s.n == 0 {
 		s.finished = true
 		return false
 	}
@@ -501,20 +366,14 @@ func (s *AsyncStepper) Step() bool {
 	s.head++
 	s.steps++
 	s.t += tk.dt
-	if s.run.tick(s.t, s.steps) {
+	if s.avail != nil && s.advance(s.t, s.steps%s.checkEvery == 0) {
 		s.end(true)
 		return false
 	}
-	if s.topo != nil {
-		g, changed := s.topo.At(s.t)
-		if err := s.topo.Err(); err != nil {
-			s.terr = err
+	if s.dynamic {
+		if !s.at(s.t) {
 			s.end(true)
 			return false
-		}
-		if changed {
-			s.g = g
-			s.run.st.rebind(g)
 		}
 		// The one draw that cannot move into drawBlock: which graph this
 		// tick runs on is known only now, and the neighbor draw is taken
@@ -523,8 +382,8 @@ func (s *AsyncStepper) Step() bool {
 		s.resolve(tk)
 	}
 	if tk.w >= 0 {
-		s.run.contact(s.t, tk.v, tk.w, s.rng)
-		if s.run.st.done() {
+		s.contact(tk.v, tk.w)
+		if s.st.done() {
 			s.end(false)
 		}
 	}
@@ -535,7 +394,7 @@ func (s *AsyncStepper) Step() bool {
 func (s *AsyncStepper) drawBlock() {
 	s.mark = *s.rng
 	s.head = 0
-	if s.topo != nil {
+	if s.dynamic {
 		// One tick, and only its gap: Step draws the contact once it
 		// knows the tick's graph.
 		s.block[0].dt = s.rng.Exp(s.rate)
@@ -603,31 +462,33 @@ func (s *AsyncStepper) release(halted bool) {
 	s.head = len(s.block)
 }
 
-// Err returns the deferred topology-materialization error that ended
-// the run early, if any. Static-topology steppers always return nil.
-func (s *AsyncStepper) Err() error { return s.terr }
-
 // Time returns the current simulation time.
 func (s *AsyncStepper) Time() float64 { return s.t }
 
 // Steps returns the number of clock ticks executed so far.
 func (s *AsyncStepper) Steps() int64 { return s.steps }
 
-// NumInformed returns the current informed-node count.
-func (s *AsyncStepper) NumInformed() int { return s.run.st.num }
-
-// Informed reports whether v currently knows the rumor.
-func (s *AsyncStepper) Informed(v graph.NodeID) bool { return s.run.st.informed.get(v) }
-
 // Finished reports whether no further progress is possible.
 func (s *AsyncStepper) Finished() bool {
-	return s.finished || s.run.st.done()
+	return s.finished || s.st.done()
 }
 
-// Result snapshots the current state as an AsyncResult.
+// Result snapshots the current state as an AsyncResult. The slices alias
+// the stepper's arenas: they are valid until the next Reset.
 func (s *AsyncStepper) Result() *AsyncResult {
-	r := s.run.result(s.t, s.steps)
+	r := s.snapshot()
 	return &r
+}
+
+func (s *AsyncStepper) snapshot() AsyncResult {
+	return AsyncResult{
+		Time:        s.t,
+		Steps:       s.steps,
+		InformedAt:  s.informedAt,
+		Parent:      s.st.parent,
+		NumInformed: s.st.num,
+		Complete:    s.st.num == len(s.informedAt),
+	}
 }
 
 // Curve is a spreading curve: informed fraction as a function of time

@@ -43,11 +43,8 @@ type Trial struct {
 //
 // MaxRounds/MaxSteps in cfg bound Run; 0 selects a generous default.
 func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID, cfg C, variant PPVariant, quasirandom bool) (*Trial, error) {
-	g, _ := topo.At(0)
+	n := topo.NumNodes()
 	_, static := topo.(*graph.Static)
-	if static {
-		topo = nil // the steppers' static fast path
-	}
 	t := &Trial{fresh: true}
 	var err error
 	switch cfg := any(cfg).(type) {
@@ -60,9 +57,9 @@ func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID,
 		}
 		t.budget = int64(cfg.MaxRounds)
 		if t.budget <= 0 {
-			t.budget = int64(defaultMaxRounds(g.NumNodes()))
+			t.budget = int64(defaultMaxRounds(n))
 		}
-		if t.sync, err = newSyncStepper(g, topo, src, cfg, nil); err != nil {
+		if t.sync, err = newSyncStepper(topo, src, cfg, nil); err != nil {
 			return nil, err
 		}
 		if variant != 0 {
@@ -70,7 +67,7 @@ func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID,
 			t.sync.st.keepCounts() // the ppx/ppy round body reads them
 		}
 		if quasirandom {
-			t.sync.offsets = make([]int32, g.NumNodes())
+			t.sync.offsets = make([]int32, n)
 		}
 	case AsyncConfig:
 		if variant != 0 || quasirandom {
@@ -79,9 +76,9 @@ func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID,
 		t.label = fmt.Sprintf("async %v", cfg.Protocol)
 		t.budget = cfg.MaxSteps
 		if t.budget <= 0 {
-			t.budget = defaultMaxSteps(g.NumNodes())
+			t.budget = defaultMaxSteps(n)
 		}
-		if t.async, err = newAsyncStepper(g, topo, src, cfg, nil); err != nil {
+		if t.async, err = newAsyncStepper(topo, src, cfg, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -158,7 +155,7 @@ func (t *Trial) Run(rng *xrand.RNG) (Outcome, error) {
 	if err == nil {
 		err = s.terr
 	}
-	t.ares = s.run.result(s.t, s.steps)
+	t.ares = s.snapshot()
 	return Outcome{Async: &t.ares}, err
 }
 
