@@ -201,35 +201,6 @@ func TestMeasurePPVariant(t *testing.T) {
 	}
 }
 
-func TestMeasureCoverageOrdering(t *testing.T) {
-	g, err := graph.Complete(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half, err := MeasureAsyncCoverage(g, 0, core.PushPull, 0.5, 40, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := MeasureAsyncCoverage(g, 0, core.PushPull, 1.0, 40, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Mean(half.Times) >= stats.Mean(full.Times) {
-		t.Fatal("50% coverage not earlier than 100%")
-	}
-	shalf, err := MeasureSyncCoverage(g, 0, core.PushPull, 0.5, 40, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfull, err := MeasureSyncCoverage(g, 0, core.PushPull, 1.0, 40, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Mean(shalf.Times) > stats.Mean(sfull.Times) {
-		t.Fatal("sync 50% coverage later than 100%")
-	}
-}
-
 func TestMeasureErrorsPropagate(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
@@ -244,8 +215,7 @@ func TestMeasureErrorsPropagate(t *testing.T) {
 
 // TestMeasureCompletenessRule: on two disjoint cliques the rumor stops
 // at the source's component. Every spreading-time sampler reports that
-// as an error (ppx/ppy used to return finite "spreading times"); the
-// coverage samplers tolerate it and mark unreached fractions with -1.
+// as an error (ppx/ppy used to return finite "spreading times").
 func TestMeasureCompletenessRule(t *testing.T) {
 	b := graph.NewBuilder(16).SetName("two-cliques")
 	for u := 0; u < 8; u++ {
@@ -266,26 +236,6 @@ func TestMeasureCompletenessRule(t *testing.T) {
 	for name, sample := range samplers {
 		if m, err := sample(); err == nil {
 			t.Errorf("%s: disconnected graph accepted (times %v)", name, m.Times)
-		}
-	}
-	profiles := map[string]func() ([][]float64, error){
-		"sync": func() ([][]float64, error) {
-			return MeasureSyncCoverageProfile(g, 0, core.PushPull, []float64{0.5, 1}, 5, 1, 0)
-		},
-		"async": func() ([][]float64, error) {
-			return MeasureAsyncCoverageProfile(g, 0, core.PushPull, []float64{0.5, 1}, 5, 1, 0)
-		},
-	}
-	for name, sample := range profiles {
-		profile, err := sample()
-		if err != nil {
-			t.Fatalf("%s coverage profile: %v", name, err)
-		}
-		for trial := range profile[0] {
-			if half, full := profile[0][trial], profile[1][trial]; half <= 0 || full != -1 {
-				t.Errorf("%s trial %d: half = %v, full = %v; want the component covered and full coverage unreached (-1)",
-					name, trial, half, full)
-			}
 		}
 	}
 }

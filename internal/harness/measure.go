@@ -1,9 +1,10 @@
 package harness
 
 import (
+	"context"
+
 	"rumor/internal/core"
 	"rumor/internal/graph"
-	"rumor/internal/xrand"
 )
 
 // Measurement is a sample of spreading times with its configuration.
@@ -17,50 +18,19 @@ type Measurement struct {
 	Source graph.NodeID
 }
 
-// measure runs trials of one scenario on g (cfg's type is the timing)
-// and returns the per-trial times and, indexed [frac][trial], the
-// earliest times at which each fraction of all nodes was informed (one
-// simulation and one sort per trial serve all fractions).
-//
-// One completeness rule for every caller: with no fractions requested
-// the times are spreading times, so a trial that leaves a node
-// uninformed (a disconnected graph) is an error; a coverage query
-// tolerates partial spread and reports unreached fractions as -1.
-func measure[C core.SyncConfig | core.AsyncConfig](g *graph.Graph, src graph.NodeID, cfg C, variant core.PPVariant, fracs []float64, trials int, seed uint64, workers int) ([]float64, [][]float64, error) {
-	if trials < 1 {
-		return nil, nil, ErrNoTrials
-	}
-	profile := make([][]float64, len(fracs))
-	for i := range profile {
-		profile[i] = make([]float64, trials)
-	}
-	r := Runner{Trials: trials, Seed: seed, Workers: workers}
-	times, err := r.Run(func(t int, rng *xrand.RNG) (float64, error) {
-		trial, err := core.NewTrial(graph.NewStatic(g), src, cfg, variant, false)
-		if err != nil {
-			return 0, err
-		}
-		out, err := trial.Run(rng)
-		if err != nil {
-			return 0, err
-		}
-		if len(fracs) == 0 {
-			return out.SpreadingTime()
-		}
-		for i, v := range out.Coverage(fracs) {
-			profile[i][t] = v
-		}
-		return out.Time(), nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return times, profile, nil
-}
-
-// spreadingTimes samples the scenario's spreading time.
+// spreadingTimes samples the spreading time of one scenario on g (cfg's
+// type is the timing). A trial that leaves a node uninformed (a
+// disconnected graph) is an error: the spreading time there is infinite.
 func spreadingTimes[C core.SyncConfig | core.AsyncConfig](g *graph.Graph, src graph.NodeID, cfg C, variant core.PPVariant, trials int, seed uint64, workers int) (*Measurement, error) {
-	times, _, err := measure(g, src, cfg, variant, nil, trials, seed, workers)
+	r := Runner{Trials: trials, Seed: seed, Workers: workers}
+	times, err := r.RunTrials(context.Background(), func() (*core.Trial, error) {
+		return core.NewTrial(graph.NewStatic(g), src, cfg, variant, false)
+	}, func(_ int, out core.Outcome, err error) (float64, error) {
+		if err != nil {
+			return 0, err
+		}
+		return out.SpreadingTime()
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -87,39 +57,4 @@ func MeasureAsyncView(g *graph.Graph, src graph.NodeID, p core.Protocol, view co
 // MeasurePPVariant samples the spreading time of ppx or ppy.
 func MeasurePPVariant(g *graph.Graph, src graph.NodeID, v core.PPVariant, trials int, seed uint64, workers int) (*Measurement, error) {
 	return spreadingTimes(g, src, core.SyncConfig{}, v, trials, seed, workers)
-}
-
-// MeasureAsyncCoverage samples the earliest time at which a fraction frac
-// of all nodes is informed under the asynchronous process.
-func MeasureAsyncCoverage(g *graph.Graph, src graph.NodeID, p core.Protocol, frac float64, trials int, seed uint64, workers int) (*Measurement, error) {
-	profile, err := MeasureAsyncCoverageProfile(g, src, p, []float64{frac}, trials, seed, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Measurement{Times: profile[0], Graph: g, Source: src}, nil
-}
-
-// MeasureAsyncCoverageProfile samples, for every fraction in fracs, the
-// earliest time at which that fraction of all nodes is informed under the
-// asynchronous process. The result is indexed [frac][trial].
-func MeasureAsyncCoverageProfile(g *graph.Graph, src graph.NodeID, p core.Protocol, fracs []float64, trials int, seed uint64, workers int) ([][]float64, error) {
-	_, profile, err := measure(g, src, core.AsyncConfig{Protocol: p}, 0, fracs, trials, seed, workers)
-	return profile, err
-}
-
-// MeasureSyncCoverage samples the earliest round at which a fraction frac
-// of all nodes is informed under the synchronous process.
-func MeasureSyncCoverage(g *graph.Graph, src graph.NodeID, p core.Protocol, frac float64, trials int, seed uint64, workers int) (*Measurement, error) {
-	profile, err := MeasureSyncCoverageProfile(g, src, p, []float64{frac}, trials, seed, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Measurement{Times: profile[0], Graph: g, Source: src}, nil
-}
-
-// MeasureSyncCoverageProfile is MeasureAsyncCoverageProfile for the
-// synchronous process; times are (integer) round numbers.
-func MeasureSyncCoverageProfile(g *graph.Graph, src graph.NodeID, p core.Protocol, fracs []float64, trials int, seed uint64, workers int) ([][]float64, error) {
-	_, profile, err := measure(g, src, core.SyncConfig{Protocol: p}, 0, fracs, trials, seed, workers)
-	return profile, err
 }

@@ -7,15 +7,19 @@
 // kinds use Runner for per-trial seeding and (bounded) trial
 // parallelism, while cells themselves are the unit of parallelism in
 // the scheduler and the executor. The Measure* helpers remain the
-// direct, cache-free path used by the public facade and the examples.
+// direct, cache-free path used by the public facade and the examples;
+// they and the cell kinds run their trials through the one pooled loop,
+// Runner.RunTrials.
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 
+	"rumor/internal/core"
 	"rumor/internal/xrand"
 )
 
@@ -80,6 +84,33 @@ func (r Runner) Run(fn func(trial int, rng *xrand.RNG) (float64, error)) ([]floa
 		}
 	}
 	return results, nil
+}
+
+// RunTrials is Run over compiled scenarios, the one place a Runner drives
+// core.Trials. Trials are pooled across the workers for the length of the
+// call: compile makes one when the pool has none, and Trial.Run rewinds
+// the engine's arenas, so steady-state trials allocate nothing. measure
+// gets each trial's index, outcome and run error (a budget or topology
+// failure comes with the partial outcome) and returns the trial's value;
+// the outcome's slices are the trial's arenas, valid only until measure
+// returns. A cancelled ctx fails the trials not yet started.
+func (r Runner) RunTrials(ctx context.Context, compile func() (*core.Trial, error), measure func(trial int, out core.Outcome, err error) (float64, error)) ([]float64, error) {
+	var pool sync.Pool // per call, so pooled trials always match compile
+	return r.Run(func(t int, rng *xrand.RNG) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		trial, _ := pool.Get().(*core.Trial)
+		if trial == nil {
+			var err error
+			if trial, err = compile(); err != nil {
+				return 0, err
+			}
+		}
+		defer pool.Put(trial)
+		out, err := trial.Run(rng)
+		return measure(t, out, err)
+	})
 }
 
 // RunPairs is Run for trial functions returning two values (e.g. a

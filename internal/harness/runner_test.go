@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"rumor/internal/core"
@@ -120,5 +122,69 @@ func TestRunPairsErrorPropagation(t *testing.T) {
 	}
 	if as != nil || bs != nil {
 		t.Fatal("slices returned alongside error")
+	}
+}
+
+// TestRunTrialsPoolsCompiledTrials: the pooled loop compiles a trial only
+// when it has none to reuse, a reused trial gives what a fresh one gives
+// (the sample does not depend on the worker count), the run's error
+// reaches measure beside the partial outcome, and a cancelled context
+// stops it.
+func TestRunTrialsPoolsCompiledTrials(t *testing.T) {
+	g, err := graph.Hypercube(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compiled atomic.Int64
+	compile := func(cfg core.AsyncConfig) func() (*core.Trial, error) {
+		return func() (*core.Trial, error) {
+			compiled.Add(1)
+			return core.NewTrial(graph.NewStatic(g), 0, cfg, 0, false)
+		}
+	}
+	spread := func(_ int, out core.Outcome, err error) (float64, error) {
+		if err != nil {
+			return 0, err
+		}
+		return out.SpreadingTime()
+	}
+	cfg := core.AsyncConfig{Protocol: core.PushPull}
+	one, err := Runner{Trials: 40, Seed: 9, Workers: 1}.RunTrials(context.Background(), compile(cfg), spread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (Under -race sync.Pool drops entries at random, so how few is not
+	// checkable: only that compile is asked when the pool is empty.)
+	if n := compiled.Swap(0); n < 1 || n > 40 {
+		t.Errorf("one worker compiled %d trials for 40 runs", n)
+	}
+	four, err := Runner{Trials: 40, Seed: 9, Workers: 4}.RunTrials(context.Background(), compile(cfg), spread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := compiled.Swap(0); n < 1 || n > 40 {
+		t.Errorf("four workers compiled %d trials for 40 runs", n)
+	}
+	for i := range one {
+		if one[i] != four[i] {
+			t.Fatalf("trial %d: %v on a reused trial, %v across four workers", i, one[i], four[i])
+		}
+	}
+
+	cfg.MaxSteps = 3
+	_, err = Runner{Trials: 2, Seed: 9, Workers: 1}.RunTrials(context.Background(), compile(cfg), func(_ int, out core.Outcome, err error) (float64, error) {
+		if !errors.Is(err, core.ErrBudget) || out.Work() != 3 {
+			t.Errorf("measure got err %v after %d ticks, want the budget error beside 3", err, out.Work())
+		}
+		return 0, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := (Runner{Trials: 2, Seed: 9}).RunTrials(ctx, compile(cfg), spread); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: %v", err)
 	}
 }

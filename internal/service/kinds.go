@@ -12,7 +12,6 @@ import (
 	"rumor/internal/core"
 	"rumor/internal/graph"
 	"rumor/internal/harness"
-	"rumor/internal/xrand"
 )
 
 // KindTime is the builtin cell kind: sample spreading times (and
@@ -243,12 +242,11 @@ func runTimeCell(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorker
 }
 
 // RunTrials compiles the cell's scenario fields into core trials on g,
-// runs cell.Trials of them, and returns measure's value per trial.
-// Per-trial seeding comes from harness.Runner, so the sample is
-// identical for any worker count. Trials are pooled across the runner's
-// workers: Run rewinds the engine's arenas, so steady-state trials
-// allocate nothing. A scenario the built graph cannot host (a source or
-// schedule node outside it) fails with ErrBadSpec wrapping the core cause.
+// runs cell.Trials of them through harness.Runner's pooled trial loop,
+// and returns measure's value per trial. Per-trial seeding comes from
+// the Runner, so the sample is identical for any worker count. A
+// scenario the built graph cannot host (a source or schedule node
+// outside it) fails with ErrBadSpec wrapping the core cause.
 func RunTrials(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorkers int, measure func(trial int, out core.Outcome) (float64, error)) ([]float64, error) {
 	proto, err := ParseProtocol(cell.Protocol)
 	if err != nil {
@@ -304,21 +302,8 @@ func RunTrials(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorkers 
 		}
 		return trial, nil
 	}
-	var pool sync.Pool // per cell, so pooled trials always match it
 	r := harness.Runner{Trials: cell.Trials, Seed: cell.TrialSeed, Workers: trialWorkers}
-	return r.Run(func(t int, rng *xrand.RNG) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		trial, _ := pool.Get().(*core.Trial)
-		if trial == nil {
-			var err error
-			if trial, err = newTrial(); err != nil {
-				return 0, err
-			}
-		}
-		defer pool.Put(trial)
-		out, err := trial.Run(rng)
+	return r.RunTrials(ctx, newTrial, func(t int, out core.Outcome, err error) (float64, error) {
 		// Dynamic topologies lose reachability-based early termination,
 		// so a never-connecting sequence runs to the budget; those
 		// trials report the partial spread (unreached milestones
