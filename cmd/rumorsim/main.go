@@ -83,17 +83,27 @@ func run(args []string) error {
 		return err
 	}
 	if *curve {
-		if *dynamic != "" || len(churn) > 0 {
-			return fmt.Errorf("-curve does not support -dynamic or -churn (it samples static full trajectories)")
+		if *dynamic != "" || len(churn) > 0 || *sweep != "" {
+			return fmt.Errorf("-curve does not support -dynamic, -churn or -sweep (it samples static full trajectories on one graph)")
 		}
 		if *server != "" {
 			return fmt.Errorf("-curve runs in-process only (it samples full trajectories, not cells)")
+		}
+		if !(*loss >= 0 && *loss < 1) {
+			return fmt.Errorf("-loss = %v (want [0, 1))", *loss)
+		}
+		asyncView, err := service.ParseView(*view)
+		if err != nil {
+			return err
 		}
 		g, err := fam.Build(*n, *seed)
 		if err != nil {
 			return err
 		}
-		return emitCurves(g, proto, *timing, *trials, *seed, *curvePts, *csv)
+		return emitCurves(g, rumor.NodeID(*source),
+			rumor.SyncConfig{Protocol: proto, TransmitProb: 1 - *loss},
+			rumor.AsyncConfig{Protocol: proto, TransmitProb: 1 - *loss, View: asyncView},
+			*timing, *trials, *seed, *curvePts, *csv)
 	}
 	sizes := []int{*n}
 	if *sweep != "" {
@@ -203,7 +213,7 @@ func addRow(tab *stats.Table, res *service.CellResult, timing string, proto core
 // emitCurves prints the trial-averaged informed fraction on a uniform
 // time grid, for the sync and/or async process — the data behind a
 // "fraction informed vs time" figure.
-func emitCurves(g *rumor.Graph, proto core.Protocol, timing string, trials int, seed uint64, points int, csv bool) error {
+func emitCurves(g *rumor.Graph, src rumor.NodeID, scfg rumor.SyncConfig, acfg rumor.AsyncConfig, timing string, trials int, seed uint64, points int, csv bool) error {
 	if points < 2 {
 		points = 2
 	}
@@ -216,7 +226,7 @@ func emitCurves(g *rumor.Graph, proto core.Protocol, timing string, trials int, 
 	if timing == "sync" || timing == "both" {
 		s := series{name: "sync"}
 		for i := 0; i < trials; i++ {
-			res, err := rumor.RunSync(g, 0, rumor.SyncConfig{Protocol: proto}, rumor.NewRNG(seed+uint64(i)))
+			res, err := rumor.RunSync(g, src, scfg, rumor.NewRNG(seed+uint64(i)))
 			if err != nil {
 				return err
 			}
@@ -231,7 +241,7 @@ func emitCurves(g *rumor.Graph, proto core.Protocol, timing string, trials int, 
 	if timing == "async" || timing == "both" {
 		s := series{name: "async"}
 		for i := 0; i < trials; i++ {
-			res, err := rumor.RunAsync(g, 0, rumor.AsyncConfig{Protocol: proto}, rumor.NewRNG(seed+uint64(i)+7777777))
+			res, err := rumor.RunAsync(g, src, acfg, rumor.NewRNG(seed+uint64(i)+7777777))
 			if err != nil {
 				return err
 			}

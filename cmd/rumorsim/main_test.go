@@ -49,6 +49,48 @@ func TestRunCurve(t *testing.T) {
 	}
 }
 
+// TestRunCurveHonoursScenarioFlags: -curve samples the scenario the other
+// flags describe — it used to run source 0 on a lossless channel whatever
+// they said.
+func TestRunCurveHonoursScenarioFlags(t *testing.T) {
+	base := []string{"-graph", "star", "-n", "64", "-trials", "5", "-curve", "-curve-points", "6", "-csv"}
+	curve := func(extra ...string) string {
+		t.Helper()
+		return captureStdout(t, func() {
+			if err := run(append(append([]string{}, base...), extra...)); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	hub := curve()
+	for _, tc := range []struct {
+		name string
+		args []string
+		same bool
+	}{
+		{"explicit hub source", []string{"-source", "0"}, true},
+		{"leaf source", []string{"-source", "5"}, false},
+		{"lossy channel", []string{"-loss", "0.5"}, false},
+		{"per-node view draws what the global clock draws", []string{"-view", "per-node-clocks"}, true},
+	} {
+		if got := curve(tc.args...); (got == hub) != tc.same {
+			t.Errorf("%s: curve equal to the default's = %v, want %v\n%s", tc.name, got == hub, tc.same, got)
+		}
+	}
+	if err := run(append(base, "-source", "9999")); !errors.Is(err, core.ErrBadSource) {
+		t.Errorf("-source outside the graph: %v, want core.ErrBadSource", err)
+	}
+	for _, args := range [][]string{
+		{"-sweep", "16,32"},
+		{"-loss", "1"},
+		{"-view", "bogus"},
+	} {
+		if err := run(append(append([]string{}, base...), args...)); err == nil {
+			t.Errorf("-curve with %v accepted", args)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-graph", "nonexistent"},
