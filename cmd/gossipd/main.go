@@ -53,7 +53,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		exitShut = fs.Bool("exit-on-shutdown", false, "node mode: exit the process after a SHUTDOWN message")
 
 		// Coordinator mode: cluster shape.
-		nodes    = fs.Int("nodes", 0, "coordinator: self-host this many loopback nodes (0 = size to the graph)")
 		peerList = fs.String("peers", "", "coordinator: comma-separated gossipd node addresses (host:port); empty = self-host")
 
 		// Coordinator mode: the cell.
@@ -125,7 +124,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	cluster, err := buildCluster(*peerList, *nodes, g.NumNodes(), metrics)
+	cluster, err := buildCluster(*peerList, g.NumNodes(), metrics)
 	if err != nil {
 		return err
 	}
@@ -184,29 +183,20 @@ func runNode(addr string, exitShut bool, metrics *gossip.Metrics, stdout io.Writ
 	return node.Close()
 }
 
-// buildCluster self-hosts loopback nodes or attaches to remote ones.
-func buildCluster(peerList string, nodes, graphN int, metrics *gossip.Metrics) (*gossip.Cluster, error) {
-	if peerList != "" {
-		if nodes != 0 {
-			return nil, fmt.Errorf("-nodes and -peers are mutually exclusive")
-		}
-		addrs, err := peers.ParseAddrList(peerList)
-		if err != nil {
-			return nil, fmt.Errorf("-peers: %w", err)
-		}
-		if len(addrs) != graphN {
-			return nil, fmt.Errorf("-peers lists %d nodes, graph has %d", len(addrs), graphN)
-		}
-		return gossip.Attach(addrs, metrics)
+// buildCluster attaches to the listed remote nodes or, with none listed,
+// self-hosts one loopback node per vertex of the graph.
+func buildCluster(peerList string, graphN int, metrics *gossip.Metrics) (*gossip.Cluster, error) {
+	if peerList == "" {
+		return gossip.NewSelfHost(graphN, metrics)
 	}
-	size := nodes
-	if size == 0 {
-		size = graphN
+	addrs, err := peers.ParseAddrList(peerList)
+	if err != nil {
+		return nil, fmt.Errorf("-peers: %w", err)
 	}
-	if size != graphN {
-		return nil, fmt.Errorf("-nodes=%d does not match the built graph's %d vertices", size, graphN)
+	if len(addrs) != graphN {
+		return nil, fmt.Errorf("-peers lists %d nodes, graph has %d", len(addrs), graphN)
 	}
-	return gossip.NewSelfHost(size, metrics)
+	return gossip.Attach(addrs, metrics)
 }
 
 // runLiveOnly runs live trials without the simulator comparison.

@@ -76,9 +76,7 @@ func TestFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-coordinator", "-peers", "a:1,,b:2", "-family", "complete", "-n", "2"},
 		{"-coordinator", "-peers", "a:1,a:1", "-family", "complete", "-n", "2"},
-		{"-coordinator", "-peers", "a:1,b:2,c:3", "-nodes", "3", "-family", "complete", "-n", "3"},
 		{"-coordinator", "-peers", "a:1", "-family", "complete", "-n", "4"}, // size mismatch
-		{"-coordinator", "-nodes", "3", "-family", "complete", "-n", "8"},   // size mismatch
 		{"-coordinator", "-latency", "warp:1ms"},
 		{"-coordinator", "-family", "klein-bottle", "-n", "8"},
 	}
@@ -102,7 +100,7 @@ func TestSourceOutOfRangeFails(t *testing.T) {
 		{"overlay", []string{"-source", "99"}},
 	} {
 		var out bytes.Buffer
-		args := append([]string{"-coordinator", "-family", "complete", "-n", "8", "-nodes", "8", "-trials", "1"}, tc.args...)
+		args := append([]string{"-coordinator", "-family", "complete", "-n", "8", "-trials", "1"}, tc.args...)
 		err := run(args, &out)
 		if !errors.Is(err, core.ErrBadSource) {
 			t.Errorf("%s: err = %v, want core.ErrBadSource", tc.name, err)
