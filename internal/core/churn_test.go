@@ -428,34 +428,29 @@ func TestScheduleMeansTheSameUnderBothTimings(t *testing.T) {
 					t.Fatalf("%s: %v", timing, err)
 				}
 				r := scheduleRun{announced: seen, complete: out.Complete()}
+				var known func(v graph.NodeID) bool
+				var num int
+				if s := out.Sync; s != nil {
+					// The round that found the run over had already applied
+					// the schedule up to its own number.
+					r.end, num = float64(s.Rounds+1), s.NumInformed
+					known = func(v graph.NodeID) bool { return s.InformedAt[v] >= 0 }
+				} else {
+					r.end, num = out.Async.Time, out.Async.NumInformed
+					known = func(v graph.NodeID) bool { return out.Async.InformedAt[v] >= 0 }
+				}
 				for v := graph.NodeID(0); int(v) < n; v++ {
 					if !aliveIn(scheduleOf(trial), v) {
 						r.offline = append(r.offline, v)
 					}
-					known := false
-					if out.Sync != nil {
-						known = out.Sync.InformedAt[v] >= 0
-					} else {
-						known = out.Async.InformedAt[v] >= 0
-					}
-					if known {
+					if known(v) {
 						r.informed++
 					} else if seen[v] > 0 {
 						r.forgotten = append(r.forgotten, v)
 					}
 				}
-				if out.Sync != nil {
-					// The round that found the run over had already applied
-					// the schedule up to its own number.
-					r.end = float64(out.Sync.Rounds + 1)
-					if r.informed != out.Sync.NumInformed {
-						t.Errorf("sync: NumInformed = %d, InformedAt lists %d", out.Sync.NumInformed, r.informed)
-					}
-				} else {
-					r.end = out.Async.Time
-					if r.informed != out.Async.NumInformed {
-						t.Errorf("async: NumInformed = %d, InformedAt lists %d", out.Async.NumInformed, r.informed)
-					}
+				if r.informed != num {
+					t.Errorf("%s: NumInformed = %d, InformedAt lists %d", timing, num, r.informed)
 				}
 				return r
 			}
