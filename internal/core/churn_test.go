@@ -405,6 +405,9 @@ func TestScheduleMeansTheSameUnderBothTimings(t *testing.T) {
 		{name: "lone informed node leaves a resampled graph, no join", topo: resample(k4),
 			churn:   []ChurnEvent{leave(0, 0)},
 			offline: []graph.NodeID{0}, announced: []int{1, 0, 0, 0}, target: 1, reached: true},
+		{name: "lone informed node leaves a resampled graph, join pending", topo: resample(k4),
+			churn:     []ChurnEvent{leave(0, 0), join(0, 8, false)},
+			announced: []int{1, 1, 1, 1}, target: 4, reached: true, waitUntil: 8},
 		{name: "never-informed node leaves a resampled graph for good", topo: resample(k6),
 			churn:   []ChurnEvent{leave(5, 0)},
 			offline: []graph.NodeID{5}, announced: []int{1, 1, 1, 1, 1, 0}, target: 5, reached: true},
