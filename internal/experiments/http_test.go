@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -203,5 +204,110 @@ func TestExperimentStreamDeterministic(t *testing.T) {
 		if cell.Index != i || cell.Key == "" {
 			t.Errorf("row %d: index %d key %q", i, cell.Index, cell.Key)
 		}
+	}
+}
+
+// scriptedRemote stands in for the peer coordinator behind
+// SchedulerConfig.Remote: it computes and delivers the first deliver
+// cells, announces that on delivered, then ends the batch with err — or,
+// when err is nil, parks until the job's context ends. It is the one way
+// to make a registry experiment's job fail or hang at a known cell.
+type scriptedRemote struct {
+	deliver   int
+	err       error
+	delivered chan struct{}
+}
+
+func (r *scriptedRemote) RunCells(ctx context.Context, cells []service.CellSpec) ([]*service.CellResult, error) {
+	return r.StreamCells(ctx, cells, nil)
+}
+
+func (r *scriptedRemote) StreamCells(ctx context.Context, cells []service.CellSpec, fn func(*service.CellResult) error) ([]*service.CellResult, error) {
+	var exec service.Executor
+	for i := 0; i < r.deliver; i++ {
+		res, _, err := exec.Run(ctx, i, cells[i])
+		if err != nil {
+			return nil, err
+		}
+		if fn != nil {
+			if err := fn(res); err != nil {
+				return nil, err
+			}
+		}
+	}
+	close(r.delivered)
+	if r.err != nil {
+		return nil, r.err
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestExperimentStreamErrorRow: a run stream whose job fails or is
+// cancelled part-way keeps its 200, carries the cells completed so far
+// as the byte-exact prefix of the healthy stream, and ends in exactly
+// one error-envelope row with the job's terminal code.
+func TestExperimentStreamErrorRow(t *testing.T) {
+	const body = `{"quick": true, "seed": 1}`
+	healthyTS, _ := newTestServer(t, 2, false)
+	code, healthy := postExperiment(t, healthyTS, "e1", body)
+	if code != http.StatusOK {
+		t.Fatalf("healthy run: status %d\n%s", code, healthy)
+	}
+	prefix := strings.SplitAfter(healthy, "\n")[:2]
+
+	boom := errors.New("all peers dead")
+	for _, tc := range []struct {
+		name    string
+		err     error // nil: the test cancels the job instead
+		code    string
+		message string
+	}{
+		{"failed", boom, api.CodeJobFailed, "service: job terminated before cell completed: all peers dead"},
+		{"cancelled", nil, api.CodeJobCancelled, "service: job terminated before cell completed: context canceled"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			remote := &scriptedRemote{deliver: len(prefix), err: tc.err, delivered: make(chan struct{})}
+			sched := service.NewScheduler(service.SchedulerConfig{Remote: remote})
+			t.Cleanup(func() { sched.Shutdown(context.Background()) })
+			srv := service.NewServer(sched)
+			Mount(srv, sched)
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
+
+			if tc.err == nil {
+				go func() {
+					<-remote.delivered
+					for _, st := range sched.JobsFiltered(service.JobsFilter{}) {
+						if job, err := sched.Job(st.ID); err == nil {
+							job.Cancel()
+						}
+					}
+				}()
+			}
+			code, stream := postExperiment(t, ts, "e1", body)
+			if code != http.StatusOK {
+				t.Fatalf("status %d, want 200 (the error arrives in-stream)\n%s", code, stream)
+			}
+			rows := strings.SplitAfter(strings.TrimSuffix(stream, "\n"), "\n")
+			if len(rows) != len(prefix)+1 {
+				t.Fatalf("stream has %d rows, want %d cells + 1 error row:\n%s", len(rows), len(prefix), stream)
+			}
+			for i, want := range prefix {
+				if rows[i] != want {
+					t.Errorf("row %d differs from the healthy stream:\n%s\nvs\n%s", i, rows[i], want)
+				}
+			}
+			var env api.Envelope
+			if err := json.Unmarshal([]byte(rows[len(prefix)]), &env); err != nil || env.Error == nil {
+				t.Fatalf("last row %q is not an error envelope (%v)", rows[len(prefix)], err)
+			}
+			if env.Error.Code != tc.code || env.Error.Message != tc.message {
+				t.Errorf("error row = %+v, want code %s, message %q", env.Error, tc.code, tc.message)
+			}
+			if n := strings.Count(stream, `"error"`); n != 1 {
+				t.Errorf("stream carries %d error rows, want exactly 1", n)
+			}
+		})
 	}
 }
