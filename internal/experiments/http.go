@@ -39,22 +39,10 @@ type RunRequest = api.RunExperimentRequest
 // RunCells does — which is exactly how cmd/experiments -server runs the
 // suite.
 func Mount(srv *service.Server, sched *service.Scheduler) {
-	srv.Mount("experiments", handler(sched, srv.TrackStream))
-}
-
-// Handler returns the /v1/experiments resource handler (for mounting
-// via Server.Mount, or standalone in tests). Mount prefers the internal
-// constructor so the run stream counts on the server's active-streams
-// gauge; a standalone Handler has no gauge to count on.
-func Handler(sched *service.Scheduler) http.Handler {
-	return handler(sched, nil)
-}
-
-func handler(sched *service.Scheduler, track func(kind string) func()) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/experiments", listHandler)
-	mux.HandleFunc("POST /v1/experiments/{id}", runHandler(sched, track))
-	return mux
+	mux.HandleFunc("POST /v1/experiments/{id}", runHandler(srv, sched))
+	srv.Mount("experiments", mux)
 }
 
 func listHandler(w http.ResponseWriter, _ *http.Request) {
@@ -71,7 +59,10 @@ func listHandler(w http.ResponseWriter, _ *http.Request) {
 	api.WriteJSON(w, http.StatusOK, infos)
 }
 
-func runHandler(sched *service.Scheduler, track func(kind string) func()) http.HandlerFunc {
+// runHandler submits the experiment's cells as one job and answers with
+// the server's own result stream (the same rows, flushes, gauge and
+// terminal error row as GET /v1/jobs/{id}/results) plus the outcome row.
+func runHandler(srv *service.Server, sched *service.Scheduler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		e, err := ByID(r.PathValue("id"))
 		if err != nil {
@@ -87,64 +78,28 @@ func runHandler(sched *service.Scheduler, track func(kind string) func()) http.H
 			return
 		}
 		cfg := Config{Quick: req.Quick, Seed: req.Seed}
-		cells := e.Cells(cfg)
-		job, err := sched.SubmitCells(cells, req.Priority)
+		job, err := sched.SubmitCells(e.Cells(cfg), req.Priority)
 		if err != nil {
 			service.WriteSchedulerError(w, err)
 			return
 		}
-		if track != nil {
-			defer track("ndjson")()
-		}
-
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		flush := func() {
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		fail := func(code string, err error) {
-			job.Cancel()
-			_ = api.EncodeRow(w, api.Envelope{Error: &api.Error{Code: code, Message: err.Error()}})
-			flush()
-		}
-		results := make([]*service.CellResult, len(cells))
-		for i := range cells {
-			res, err := job.WaitCell(r.Context(), i)
-			if err != nil {
-				if r.Context().Err() != nil {
-					job.Cancel() // client went away; stop computing for nobody
-					return
-				}
-				code := api.CodeJobFailed
-				if job.Status().State == service.JobCancelled {
-					code = api.CodeJobCancelled
-				}
-				fail(code, err)
-				return
-			}
-			results[i] = res
-			if err := api.EncodeRow(w, res); err != nil {
-				job.Cancel()
-				return // client went away
-			}
-			flush()
+		results, ok := srv.StreamResults(w, r, job, -1)
+		if !ok {
+			job.Cancel() // unlike a results stream, this one owns its job: stop computing for nobody
+			return
 		}
 
 		// Reduce with the tables captured into the outcome's Details, so
 		// the stream's last row carries everything cmd/experiments prints.
+		// The handler's return flushes it.
 		var details strings.Builder
-		redCfg := cfg
-		redCfg.Out = &details
-		outcome, err := e.Reduce(redCfg, results)
+		cfg.Out = &details
+		outcome, err := e.Reduce(cfg, results)
 		if err != nil {
-			fail(api.CodeInternal, err)
+			_ = api.EncodeRow(w, api.Envelope{Error: &api.Error{Code: api.CodeInternal, Message: err.Error()}})
 			return
 		}
 		outcome.Details = details.String()
-		_ = api.EncodeRow(w, outcome)
-		flush()
+		_ = api.EncodeRow(w, outcome) // an error here means the client went away
 	}
 }

@@ -121,14 +121,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		"status", sw.status(), "duration_ms", float64(elapsed.Microseconds())/1000)
 }
 
-// TrackStream marks a live result stream (kind "ndjson" or "sse") on
-// the active-streams gauge and returns its release. Mounted resources
-// that stream (the experiment endpoints) call it so their streams count
-// alongside the job streams; it is a no-op without observability.
-func (s *Server) TrackStream(kind string) func() {
-	return s.obs.trackStream(kind)
-}
-
 // statusWriter records the response status for the metrics middleware.
 // It implements http.Flusher unconditionally (delegating when the
 // underlying writer supports it) because the streaming handlers detect
@@ -315,23 +307,17 @@ func cursor(w http.ResponseWriter, r *http.Request, numCells int) (after int, ok
 
 // terminalCode classifies a terminated job for its stream-ending error
 // row or event.
-func terminalCode(job *Job) string {
-	if job.Status().State == JobCancelled {
+func terminalCode(state JobState) string {
+	if state == JobCancelled {
 		return api.CodeJobCancelled
 	}
 	return api.CodeJobFailed
 }
 
-// results streams the job's cell results as NDJSON in canonical cell
-// order, flushing after every row so clients see cells as they
-// complete. Because cell order and cell contents are pure functions of
-// the job spec, the streamed bytes are identical across runs, worker
-// counts, and cache states — and a resumed stream (?after=) is a
-// byte-exact suffix of the full one, served from the job's completed
-// results without recomputation. A job that fails or is cancelled ends
-// the stream with one error-envelope row; a client that disconnects
-// mid-stream just ends the handler (the job keeps running — streaming
-// is observation, not execution).
+// results serves GET /v1/jobs/{id}/results: StreamResults from the
+// request's resume cursor. A client that disconnects mid-stream just
+// ends the handler (the job keeps running — streaming is observation,
+// not execution).
 func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.job(w, r)
 	if !ok {
@@ -341,31 +327,54 @@ func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	s.StreamResults(w, r, job, after)
+}
+
+// StreamResults answers r with the job's cell results after index after
+// as NDJSON in canonical cell order, flushing after every row so
+// clients see cells as they complete, and counts the stream on the
+// active-streams gauge while it lasts. Because cell order and cell
+// contents are pure functions of the job spec, the streamed bytes are
+// identical across runs, worker counts, and cache states — and a
+// resumed stream is a byte-exact suffix of the full one, served from
+// the job's completed results without recomputation.
+//
+// It returns the results it streamed and whether it reached the job's
+// last cell; the caller may then append rows of its own (the experiment
+// endpoint's outcome row). Otherwise the stream is over: the client went
+// away, or the job failed or was cancelled and the one error-envelope
+// row that ends such a stream has been written.
+func (s *Server) StreamResults(w http.ResponseWriter, r *http.Request, job *Job, after int) ([]*CellResult, bool) {
 	defer s.obs.trackStream("ndjson")()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	for i := after + 1; i < job.NumCells(); i++ {
-		res, err := job.WaitCell(r.Context(), i)
+	flush := flushFunc(w)
+	results := make([]*CellResult, 0, job.NumCells()-after-1)
+	for res, err := range job.Results(r.Context(), after) {
 		if err != nil {
-			if r.Context().Err() != nil {
-				return // client went away; nobody is reading
+			if r.Context().Err() == nil { // else the client went away; nobody is reading
+				_ = api.EncodeRow(w, api.Envelope{Error: &api.Error{
+					Code: terminalCode(job.Status().State), Message: err.Error(),
+				}})
+				flush()
 			}
-			_ = api.EncodeRow(w, api.Envelope{Error: &api.Error{
-				Code: terminalCode(job), Message: err.Error(),
-			}})
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return
+			return results, false
 		}
-		if err := api.EncodeRow(w, res); err != nil {
-			return // client went away
+		if api.EncodeRow(w, res) != nil {
+			return results, false // client went away
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		flush()
+		results = append(results, res)
 	}
+	return results, true
+}
+
+// flushFunc returns w's Flush, or a no-op if w cannot flush.
+func flushFunc(w http.ResponseWriter) func() {
+	if f, ok := w.(http.Flusher); ok {
+		return f.Flush
+	}
+	return func() {}
 }
 
 // events pushes the job over Server-Sent Events: one "cell" event per
@@ -387,24 +396,15 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	flush := flushFunc(w)
 	next := after + 1
 	var lastState JobState
 	for {
-		st, changed := job.Watch()
-		// Drain every cell completed so far, in canonical order. The
-		// canonical api.Marshal keeps an SSE cell payload bit-identical
-		// to the same cell's NDJSON results row.
-		for next < job.NumCells() {
-			res, ready := job.Result(next)
-			if !ready {
-				break
-			}
+		ready, st, changed := job.Watch(next)
+		// Every cell completed so far, in canonical order. The canonical
+		// api.Marshal keeps an SSE cell payload bit-identical to the same
+		// cell's NDJSON results row.
+		for _, res := range ready {
 			data, err := api.Marshal(res)
 			if err != nil {
 				return
@@ -424,13 +424,12 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		switch st.State {
-		case JobDone, JobFailed, JobCancelled:
-			// The snapshot was terminal, so the drain above already saw
-			// every cell that will ever complete.
+		if st.State.terminal() {
+			// The snapshot was terminal, so ready held every cell that
+			// will ever complete.
 			if st.State != JobDone {
 				data, _ := api.Marshal(api.Envelope{Error: &api.Error{
-					Code: terminalCode(job), Message: job.Err().Error(),
+					Code: terminalCode(st.State), Message: st.Error,
 				}})
 				_ = api.WriteSSE(w, api.EventError, "", data)
 			}

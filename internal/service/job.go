@@ -745,6 +745,11 @@ const (
 	JobCancelled JobState = "cancelled"
 )
 
+// terminal reports whether a job in this state will never change again.
+func (s JobState) terminal() bool {
+	return s == JobDone || s == JobFailed || s == JobCancelled
+}
+
 // JobStatus is a point-in-time snapshot of a job, as reported by the
 // status endpoint.
 type JobStatus struct {

@@ -194,3 +194,103 @@ func TestWaitCellAfterTermination(t *testing.T) {
 		t.Errorf("WaitCell(3) = %v, want an out-of-range error", err)
 	}
 }
+
+// TestJobCursorContention runs eight Results readers at once — mixed
+// resume offsets, two of them cancelled mid-stream — over one job on four
+// workers. Cells finish in whatever order the workers take their release
+// tokens; every reader must still see a gap-free canonical-order suffix,
+// and a cancelled reader must return while the job is still held open.
+func TestJobCursorContention(t *testing.T) {
+	const n = 24
+	started, release := armOrderKind()
+	s := newTestScheduler(t, SchedulerConfig{Workers: 4})
+	job, err := s.SubmitCells(orderCells(1, n), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { // cells report their starts; this test does not order them
+		for range n {
+			select {
+			case <-started:
+			case <-t.Context().Done():
+				return
+			}
+		}
+	}()
+
+	type reading struct {
+		got []int
+		err error
+	}
+	read := func(ctx context.Context, after int) <-chan reading {
+		out := make(chan reading, 1)
+		go func() {
+			var r reading
+			for res, err := range job.Results(ctx, after) {
+				if err != nil {
+					r.err = err
+					break
+				}
+				r.got = append(r.got, res.Index)
+			}
+			out <- r
+		}()
+		return out
+	}
+	gapFree := func(name string, after int, got []int) {
+		t.Helper()
+		for k, idx := range got {
+			if idx != after+1+k {
+				t.Errorf("%s (after %d) read %v: not a gap-free canonical-order run", name, after, got)
+				return
+			}
+		}
+	}
+
+	cancelCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelled := []<-chan reading{read(cancelCtx, -1), read(cancelCtx, -1)}
+	offsets := []int{-1, 0, 5, 11, 17, n - 2}
+	var full []<-chan reading
+	for _, after := range offsets {
+		full = append(full, read(context.Background(), after))
+	}
+
+	// All but one token: some cell stays parked, so the job cannot finish
+	// and a reader from the start cannot reach the end.
+	token := func() {
+		t.Helper()
+		select {
+		case release <- struct{}{}:
+		case <-time.After(30 * time.Second):
+			t.Fatal("no running cell took the release token")
+		}
+	}
+	for range n - 1 {
+		token()
+	}
+	cancel()
+	for _, ch := range cancelled {
+		r := recv(t, ch, "a cancelled reader to return while the job is held")
+		if !errors.Is(r.err, context.Canceled) || errors.Is(r.err, ErrJobNotDone) {
+			t.Errorf("cancelled reader ended with %v, want its context's error", r.err)
+		}
+		if len(r.got) >= n {
+			t.Errorf("cancelled reader read all %d cells of a job that is still running", len(r.got))
+		}
+		gapFree("cancelled reader", -1, r.got)
+	}
+	if st := job.Status(); st.State != JobRunning {
+		t.Fatalf("job state with one cell parked = %s, want running", st.State)
+	}
+
+	token()
+	recv(t, job.Terminal(), "the job to finish")
+	for i, ch := range full {
+		r := recv(t, ch, "a reader to drain the finished job")
+		if r.err != nil || len(r.got) != n-1-offsets[i] {
+			t.Errorf("reader after %d read %d cells (err %v), want %d and nil", offsets[i], len(r.got), r.err, n-1-offsets[i])
+		}
+		gapFree("reader", offsets[i], r.got)
+	}
+}

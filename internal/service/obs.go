@@ -30,7 +30,7 @@ type Observability struct {
 	activeStreams *obs.GaugeVec // kind: ndjson | sse
 
 	// Scheduler.
-	queueDepth    *obs.Gauge // collect-mirrored from the pending heap
+	queueDepth    *obs.Gauge // collect-mirrored from the pending-cell count
 	workers       *obs.Gauge
 	queueWait     *obs.Histogram
 	cellDuration  *obs.HistogramVec // kind (computed cells only)

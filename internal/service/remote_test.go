@@ -9,27 +9,19 @@ import (
 	"time"
 )
 
-// fakeRemote is a CellRunner backed by a real Executor: delegation
-// semantics under test, real results for byte-comparison.
-type fakeRemote struct {
+// fakeStreamRemote is a CellStreamer backed by a real Executor:
+// delegation semantics under test, real results for byte-comparison.
+// Delivery is gated per cell so tests can observe mid-batch progress
+// deterministically.
+type fakeStreamRemote struct {
 	exec  Executor
 	calls atomic.Int32
 	fail  error
+	gate  chan struct{} // when non-nil, each delivery after the first consumes one token
 }
 
-func (f *fakeRemote) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResult, error) {
-	f.calls.Add(1)
-	if f.fail != nil {
-		return nil, f.fail
-	}
-	return f.exec.RunCells(ctx, cells)
-}
-
-// fakeStreamRemote adds incremental delivery, gated per cell so tests
-// can observe mid-batch progress deterministically.
-type fakeStreamRemote struct {
-	fakeRemote
-	gate chan struct{} // when non-nil, each delivery after the first consumes one token
+func (f *fakeStreamRemote) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResult, error) {
+	return f.StreamCells(ctx, cells, nil)
 }
 
 func (f *fakeStreamRemote) StreamCells(ctx context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error) {
@@ -90,22 +82,6 @@ func TestSchedulerRemoteDelegation(t *testing.T) {
 	}
 	if !sameResults(got, want) {
 		t.Error("delegated results differ from a local run")
-	}
-}
-
-// A plain CellRunner remote (no StreamCells) still completes the job —
-// results land in one burst after RunCells returns.
-func TestSchedulerRemoteRunnerOnly(t *testing.T) {
-	remote := &fakeRemote{}
-	remote.exec.Graphs = NewGraphCache(8)
-	s := newTestScheduler(t, SchedulerConfig{Workers: 1, Remote: remote})
-	job, err := s.Submit(gridSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	collectResults(t, job)
-	if err := job.Wait(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,11 +1,12 @@
 package service
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,6 +40,7 @@ var (
 // SchedulerConfig configures a Scheduler.
 type SchedulerConfig struct {
 	// Workers is the size of the cell worker pool; 0 means GOMAXPROCS.
+	// A scheduler with a Remote starts none.
 	Workers int
 	// QueueLimit bounds the number of pending (not yet started) cells
 	// across all jobs; a submit that would exceed it is rejected with
@@ -64,57 +66,32 @@ type SchedulerConfig struct {
 	// Remote, when non-nil, delegates every job's cells to it instead of
 	// the local worker pool — the coordinator mode behind rumord -peers:
 	// the daemon keeps its whole HTTP surface (jobs, result streams, SSE
-	// watchers, idempotent replay) but the cells run on peer daemons. A
-	// Remote that also implements CellStreamer delivers results
-	// incrementally, so cursor streams and watchers observe per-cell
-	// progress exactly as they do against the local pool.
-	Remote CellRunner
-}
-
-// task is one pending cell of one job.
-type task struct {
-	job        *Job
-	index      int       // cell index within the job
-	enqueuedAt time.Time // when the task joined the pending heap
-}
-
-// taskHeap orders tasks by (priority desc, job submission seq asc, cell
-// index asc): strictly a scheduling order — results never depend on it.
-type taskHeap []task
-
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.job.priority != b.job.priority {
-		return a.job.priority > b.job.priority
-	}
-	if a.job.seq != b.job.seq {
-		return a.job.seq < b.job.seq
-	}
-	return a.index < b.index
-}
-func (h taskHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x interface{}) { *h = append(*h, x.(task)) }
-func (h *taskHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	*h = old[:n-1]
-	return t
+	// watchers, idempotent replay) but the cells run on peer daemons, and
+	// no local workers are started. Results are delivered as they land,
+	// so cursor streams and watchers observe per-cell progress exactly as
+	// they do against the local pool.
+	Remote CellStreamer
 }
 
 // Scheduler runs jobs on a bounded worker pool with priorities,
 // per-job cancellation, explicit backpressure, and graceful drain.
+//
+// A job is a cursor over its cells: the queue holds one entry per job
+// with unstarted cells, ordered by (priority desc, submission seq asc),
+// and workers take the head job's next cell index — so cells start by
+// (priority, seq, index). That is strictly a scheduling order; results
+// never depend on it.
 type Scheduler struct {
 	exec       Executor
-	remote     CellRunner // non-nil delegates jobs to peers (see SchedulerConfig.Remote)
-	workers    int
+	remote     CellStreamer // non-nil delegates jobs to peers (see SchedulerConfig.Remote)
+	workers    int          // local worker goroutines; 0 when remote is set
 	queueLimit int
 	retention  int
 
 	mu      sync.Mutex
-	cond    *sync.Cond // signals workers: new task or shutdown
-	pending taskHeap
+	cond    *sync.Cond // signals workers: new job or shutdown
+	queue   []*Job     // jobs with unstarted cells, in scheduling order
+	pending int        // unstarted cells across queue
 	jobs    map[string]*Job
 	idem    map[string]idemEntry // Idempotency-Key -> submitted job
 	nextSeq int64
@@ -134,6 +111,9 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Remote != nil {
+		workers = 0 // a coordinator computes nothing: its jobs never enter the queue
 	}
 	queueLimit := cfg.QueueLimit
 	if queueLimit <= 0 {
@@ -170,7 +150,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 }
 
 // Submit validates and enqueues a job, returning it immediately. The
-// job's cells run as workers free up; results stream via Job.WaitCell.
+// job's cells run as workers free up; results stream via Job.Results.
 // Submit rejects with ErrQueueFull when the pending queue cannot hold
 // the job's cells and with ErrShuttingDown after Shutdown began.
 func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
@@ -201,19 +181,19 @@ func (s *Scheduler) SubmitIdempotent(key string, spec JobSpec) (*Job, bool, erro
 		return nil, false, fmt.Errorf("%w: %d cells > limit %d; split the job or raise the queue limit",
 			ErrJobTooLarge, count, s.queueLimit)
 	}
-	return s.enqueue(spec, spec.Cells(), key)
+	return s.enqueue(spec.Priority, spec.Cells(), key)
 }
 
 // SubmitCells validates and enqueues an explicit cell sequence (the
 // form the experiment suite uses: arbitrary cell lists rather than
-// grids). Results stream in the given order via Job.WaitCell. It is
+// grids). Results stream in the given order via Job.Results. It is
 // Submit on an explicit-cell JobSpec; validation and size limits are
 // shared.
 func (s *Scheduler) SubmitCells(cells []CellSpec, priority int) (*Job, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("%w: no cells", ErrBadSpec)
 	}
-	return s.Submit(JobSpec{Priority: priority, CellList: append([]CellSpec(nil), cells...)})
+	return s.Submit(JobSpec{Priority: priority, CellList: cells}) // JobSpec.Cells takes the job's own copy
 }
 
 // RunCells implements CellRunner on the scheduler: it submits the cells
@@ -224,14 +204,13 @@ func (s *Scheduler) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResu
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*CellResult, len(cells))
-	for i := range cells {
-		res, err := job.WaitCell(ctx, i)
+	results := make([]*CellResult, 0, len(cells))
+	for res, err := range job.Results(ctx, -1) {
 		if err != nil {
 			job.Cancel()
 			return nil, err
 		}
-		results[i] = res
+		results = append(results, res)
 	}
 	return results, nil
 }
@@ -245,14 +224,14 @@ type idemEntry struct {
 }
 
 // enqueue registers the validated, size-checked job. cells is the
-// spec's expansion (passed in so submission does not expand twice);
-// idemKey, when non-empty, registers the job for idempotent replay.
-// The replay lookup and the enqueue share one critical section, so two
-// racing submits with the same key can never both enqueue.
-func (s *Scheduler) enqueue(spec JobSpec, cells []CellSpec, idemKey string) (*Job, bool, error) {
+// spec's expansion, owned by the job from here on; idemKey, when
+// non-empty, registers the job for idempotent replay. The replay lookup
+// and the enqueue share one critical section, so two racing submits
+// with the same key can never both enqueue.
+func (s *Scheduler) enqueue(priority int, cells []CellSpec, idemKey string) (*Job, bool, error) {
 	var specHash string
 	if idemKey != "" {
-		specHash = hashCells(spec.Priority, cells)
+		specHash = hashCells(priority, cells)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -276,12 +255,12 @@ func (s *Scheduler) enqueue(spec JobSpec, cells []CellSpec, idemKey string) (*Jo
 			delete(s.idem, idemKey)
 		}
 	}
-	if len(s.pending)+len(cells) > s.queueLimit {
+	if s.pending+len(cells) > s.queueLimit {
 		s.obs.rejections.Inc()
 		s.obs.Log.Warn("job rejected: queue full",
-			"pending", len(s.pending), "cells", len(cells), "limit", s.queueLimit)
+			"pending", s.pending, "cells", len(cells), "limit", s.queueLimit)
 		return nil, false, fmt.Errorf("%w: %d pending + %d new > limit %d",
-			ErrQueueFull, len(s.pending), len(cells), s.queueLimit)
+			ErrQueueFull, s.pending, len(cells), s.queueLimit)
 	}
 	s.nextSeq++
 	ctx, cancel := context.WithCancel(context.Background())
@@ -289,42 +268,39 @@ func (s *Scheduler) enqueue(spec JobSpec, cells []CellSpec, idemKey string) (*Jo
 		sched:    s,
 		id:       fmt.Sprintf("job-%08d", s.nextSeq),
 		seq:      s.nextSeq,
-		priority: spec.Priority,
-		spec:     spec,
+		priority: priority,
 		cells:    cells,
 		state:    JobQueued,
 		results:  make([]*CellResult, len(cells)),
-		ready:    make([]chan struct{}, len(cells)),
 		terminal: make(chan struct{}),
 		changed:  make(chan struct{}),
 		ctx:      ctx,
 		cancel:   cancel,
-	}
-	for i := range job.ready {
-		job.ready[i] = make(chan struct{})
 	}
 	s.jobs[job.id] = job
 	if idemKey != "" {
 		s.idem[idemKey] = idemEntry{jobID: job.id, specHash: specHash}
 	}
 	if s.remote != nil {
-		// Delegated job: cells never touch the local heap — one goroutine
+		// Delegated job: cells never touch the local queue — one goroutine
 		// per job drives the remote runner and feeds completions back
 		// through the same Job state machine the workers use, so every
-		// observer (WaitCell, Watch, the NDJSON cursor) is none the wiser.
+		// observer (Results, Watch, the NDJSON stream) is none the wiser.
 		s.wg.Add(1)
 		go s.runRemote(job)
 	} else {
-		now := time.Now()
-		for i := range cells {
-			heap.Push(&s.pending, task{job: job, index: i, enqueuedAt: now})
-		}
+		// The newest job goes behind every queued job of its priority or
+		// higher.
+		at := sort.Search(len(s.queue), func(k int) bool { return s.queue[k].priority < priority })
+		job.enqueuedAt = time.Now()
+		s.queue = slices.Insert(s.queue, at, job)
+		s.pending += len(cells)
 	}
 	s.pruneJobsLocked()
 	s.cond.Broadcast()
 	s.obs.Log.Info("job submitted",
-		"job_id", job.id, "cells", len(cells), "priority", spec.Priority,
-		"queue_depth", len(s.pending))
+		"job_id", job.id, "cells", len(cells), "priority", priority,
+		"queue_depth", s.pending)
 	return job, false, nil
 }
 
@@ -378,11 +354,6 @@ func (s *Scheduler) Job(id string) (*Job, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
 	return j, nil
-}
-
-// Jobs returns status snapshots of all known jobs in submission order.
-func (s *Scheduler) Jobs() []JobStatus {
-	return s.JobsFiltered(JobsFilter{})
 }
 
 // JobsFilter narrows and pages the jobs listing. The zero value selects
@@ -443,32 +414,39 @@ func (s *Scheduler) JobsFiltered(f JobsFilter) []JobStatus {
 	return out
 }
 
-// worker pops tasks in priority order until shutdown drains the queue.
+// worker advances the head job's cursor, one cell at a time, until
+// shutdown drains the queue.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for len(s.pending) == 0 && !s.closed {
+		for len(s.queue) == 0 && !s.closed {
 			s.cond.Wait()
 		}
-		if len(s.pending) == 0 && s.closed {
+		if len(s.queue) == 0 {
 			s.mu.Unlock()
 			return
 		}
-		t := heap.Pop(&s.pending).(task)
+		job := s.queue[0]
+		i := job.next
+		job.next++
+		s.pending--
+		if job.next == len(job.cells) {
+			s.queue[0] = nil // the array outlives the reslice; let the job go
+			s.queue = s.queue[1:]
+		}
 		s.mu.Unlock()
-		s.obs.queueWait.Observe(time.Since(t.enqueuedAt).Seconds())
-		s.runTask(t)
+		s.obs.queueWait.Observe(time.Since(job.enqueuedAt).Seconds())
+		s.runCell(job, i)
 	}
 }
 
-// runTask executes one cell and records the outcome on its job.
-func (s *Scheduler) runTask(t task) {
-	job := t.job
+// runCell executes cell i of job and records the outcome on the job.
+func (s *Scheduler) runCell(job *Job, i int) {
 	if !job.startCell() {
 		return // job already terminal (cancelled or failed)
 	}
-	res, cached, err := s.exec.Run(job.ctx, t.index, job.cells[t.index])
+	res, cached, err := s.exec.Run(job.ctx, i, job.cells[i])
 	s.mu.Lock()
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -483,23 +461,25 @@ func (s *Scheduler) runTask(t task) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		job.fail(t.index, err)
+		// First error wins; a cancelled job's aborted cells land here too
+		// and change nothing.
+		job.mu.Lock()
+		job.finish(JobFailed, fmt.Errorf("cell %d (%s): %w", i, job.cells[i].Key(), err))
 		return
 	}
-	job.completeCell(t.index, res, cached)
+	job.completeCell(i, res, cached)
 }
 
-// runRemote drives one delegated job against the remote runner. A
-// streaming remote (CellStreamer) completes cells as their results
-// land; a plain CellRunner completes them in one burst at the end.
-// Remote results arrive indexed by the job's canonical cell order, so
-// they slot straight into the Job's result array.
+// runRemote drives one delegated job against the remote streamer,
+// completing cells as their results land. Remote results arrive indexed
+// by the job's canonical cell order, so they slot straight into the
+// Job's result array.
 func (s *Scheduler) runRemote(job *Job) {
 	defer s.wg.Done()
 	if !job.startCell() {
 		return // cancelled before the remote run began
 	}
-	deliver := func(res *CellResult) error {
+	_, err := s.remote.StreamCells(job.ctx, job.cells, func(res *CellResult) error {
 		if res.Index < 0 || res.Index >= len(job.cells) {
 			return fmt.Errorf("service: remote returned index %d for a %d-cell job", res.Index, len(job.cells))
 		}
@@ -510,25 +490,14 @@ func (s *Scheduler) runRemote(job *Job) {
 		s.obs.cellsTotal.With(job.cells[res.Index].kind(), "computed").Inc()
 		job.completeCell(res.Index, res, false)
 		return nil
-	}
-	var err error
-	if streamer, ok := s.remote.(CellStreamer); ok {
-		_, err = streamer.StreamCells(job.ctx, job.cells, deliver)
-	} else {
-		var results []*CellResult
-		results, err = s.remote.RunCells(job.ctx, job.cells)
-		for _, res := range results {
-			if err != nil {
-				break
-			}
-			err = deliver(res)
-		}
-	}
+	})
 	if err != nil && job.ctx.Err() == nil {
 		s.mu.Lock()
 		s.cellErrors++
 		s.mu.Unlock()
-		job.failJob(err)
+		// A job-level error: a delegation failure has no culprit cell.
+		job.mu.Lock()
+		job.finish(JobFailed, err)
 	}
 }
 
@@ -556,7 +525,7 @@ func (s *Scheduler) Metrics() Metrics {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Workers:       s.workers,
 		QueueLimit:    s.queueLimit,
-		QueueDepth:    len(s.pending),
+		QueueDepth:    s.pending,
 		Jobs:          make(map[string]int),
 		CellsComputed: s.cellsRun,
 		CellsCached:   s.cellsHit,
@@ -625,33 +594,24 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	}
 }
 
-// purgeJob drops a terminated job's tasks from the pending heap so dead
-// work stops counting against the queue limit.
-func (s *Scheduler) purgeJob(j *Job) {
+// dequeue drops a terminated job's unstarted cells from the queue so
+// dead work stops counting against the queue limit.
+func (s *Scheduler) dequeue(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := s.pending[:0]
-	for _, t := range s.pending {
-		if t.job != j {
-			live = append(live, t)
-		}
+	if at := slices.Index(s.queue, j); at >= 0 {
+		s.pending -= len(j.cells) - j.next
+		s.queue = slices.Delete(s.queue, at, at+1)
 	}
-	if len(live) == len(s.pending) {
-		return
-	}
-	s.pending = live
-	heap.Init(&s.pending)
 }
 
-// cancelAll cancels every non-terminal job and flushes the queue.
+// cancelAll cancels every non-terminal job, which empties the queue.
 func (s *Scheduler) cancelAll() {
 	s.mu.Lock()
 	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
 	}
-	s.pending = nil
-	s.cond.Broadcast()
 	s.mu.Unlock()
 	for _, j := range jobs {
 		j.Cancel()
@@ -661,20 +621,22 @@ func (s *Scheduler) cancelAll() {
 // Job is a submitted batch with live progress. All methods are safe for
 // concurrent use.
 type Job struct {
-	sched    *Scheduler // for purging pending cells on cancel/fail
+	sched    *Scheduler
 	id       string
 	seq      int64
 	priority int
-	spec     JobSpec
 	cells    []CellSpec
 	ctx      context.Context
 	cancel   context.CancelFunc
 
+	// The job's place in the queue; guarded by sched.mu.
+	next       int       // first cell no worker has taken yet
+	enqueuedAt time.Time // when the job joined the queue
+
 	mu        sync.Mutex
 	state     JobState
 	err       error
-	results   []*CellResult   // indexed by cell; nil until computed
-	ready     []chan struct{} // ready[i] closed once results[i] is set
+	results   []*CellResult // indexed by cell; nil until computed
 	done      int
 	cacheHits int
 	terminal  chan struct{} // closed on done/failed/cancelled
@@ -683,12 +645,6 @@ type Job struct {
 
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
-
-// Spec returns the spec the job was submitted with.
-func (j *Job) Spec() JobSpec { return j.spec }
-
-// Cells returns the job's cells in canonical order.
-func (j *Job) Cells() []CellSpec { return j.cells }
 
 // NumCells returns the number of cells.
 func (j *Job) NumCells() int { return len(j.cells) }
@@ -716,54 +672,83 @@ func (j *Job) statusLocked() JobStatus {
 	return st
 }
 
-// notifyLocked wakes every Watch subscriber; caller holds j.mu.
+// notifyLocked wakes every reader blocked on the job; caller holds j.mu.
 func (j *Job) notifyLocked() {
 	close(j.changed)
 	j.changed = make(chan struct{})
 }
 
-// Watch returns a status snapshot plus a channel that is closed at the
-// next observable change (state transition or cell completion). The
-// SSE event stream is a loop over Watch: snapshot, emit what is new,
-// block on the channel. A subscriber that loops until the snapshot is
-// terminal observes every transition.
-func (j *Job) Watch() (JobStatus, <-chan struct{}) {
+// Watch is one look at the job: the results completed so far from cell
+// next on, in canonical order and without gaps (the caller must not
+// modify the slice), a status snapshot, and a channel that is closed at
+// the next observable change (state transition or cell completion).
+// Every reader of a running job is a loop over Watch — take what is
+// ready, emit it, block on the channel — and one that loops until the
+// snapshot is terminal observes every cell and every transition.
+func (j *Job) Watch(next int) ([]*CellResult, JobStatus, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.statusLocked(), j.changed
+	end := next
+	for end < len(j.results) && j.results[end] != nil {
+		end++
+	}
+	return j.results[next:end], j.statusLocked(), j.changed
 }
 
-// Result returns cell i's result if it has already been computed,
-// without blocking (the non-blocking complement of WaitCell, for
-// event-stream drains).
-func (j *Job) Result(i int) (*CellResult, bool) {
-	if i < 0 || i >= len(j.cells) {
-		return nil, false
+// Results is the job's ordered cursor: it yields the cells after index
+// after, in canonical order, as they complete — the basis of
+// deterministic result streaming; a reader resuming at after sees
+// exactly the suffix a reader from -1 would. The sequence ends after the
+// last cell; if ctx is cancelled first, or the job terminates without
+// computing the next cell, it ends with one (nil, error) pair carrying
+// ctx's error or the ErrJobNotDone-wrapped terminal error.
+func (j *Job) Results(ctx context.Context, after int) iter.Seq2[*CellResult, error] {
+	return func(yield func(*CellResult, error) bool) {
+		for next := after + 1; next < len(j.cells); {
+			ready, st, changed := j.Watch(next)
+			for _, res := range ready {
+				if !yield(res, nil) {
+					return
+				}
+			}
+			next += len(ready)
+			switch {
+			case next == len(j.cells):
+				return
+			case st.State.terminal():
+				// The snapshot was terminal, so ready held every cell
+				// from next on that will ever complete.
+				yield(nil, fmt.Errorf("%w: %s", ErrJobNotDone, st.Error))
+				return
+			}
+			select {
+			case <-changed:
+			case <-ctx.Done():
+				yield(nil, ctx.Err())
+				return
+			}
+		}
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.results[i], j.results[i] != nil
+}
+
+// WaitCell blocks until cell i's result is available and returns it: the
+// one-cell case of Results. It fails if the job terminates without
+// computing the cell or ctx is cancelled first.
+func (j *Job) WaitCell(ctx context.Context, i int) (*CellResult, error) {
+	if i < 0 || i >= len(j.cells) {
+		return nil, fmt.Errorf("service: cell index %d out of range [0, %d)", i, len(j.cells))
+	}
+	for res, err := range j.Results(ctx, i-1) {
+		return res, err
+	}
+	panic("unreachable: Results yields at least once for an in-range cell")
 }
 
 // Cancel moves the job to the cancelled state (if not already terminal)
 // and stops its remaining cells; running trials notice via context.
 func (j *Job) Cancel() {
 	j.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCancelled {
-		j.mu.Unlock()
-		return
-	}
-	j.state = JobCancelled
-	j.err = context.Canceled
-	close(j.terminal)
-	j.notifyLocked()
-	j.mu.Unlock()
-	j.cancel()
-	if j.sched != nil {
-		j.sched.obs.cancellations.Inc()
-		j.sched.obs.Log.Info("job cancelled", "job_id", j.id)
-		j.sched.purgeJob(j)
-	}
+	j.finish(JobCancelled, context.Canceled)
 }
 
 // Err returns the job's terminal error (nil while running or if done).
@@ -781,32 +766,6 @@ func (j *Job) Terminal() <-chan struct{} { return j.terminal }
 func (j *Job) Wait() error {
 	<-j.terminal
 	return j.Err()
-}
-
-// WaitCell blocks until cell i's result is available (in canonical
-// order — the basis of deterministic result streaming) and returns it.
-// It fails if the job terminates without computing the cell or ctx is
-// cancelled first.
-func (j *Job) WaitCell(ctx context.Context, i int) (*CellResult, error) {
-	if i < 0 || i >= len(j.cells) {
-		return nil, fmt.Errorf("service: cell index %d out of range [0, %d)", i, len(j.cells))
-	}
-	select {
-	case <-j.ready[i]:
-	case <-j.terminal:
-		// Terminal state: the cell may still have completed (job done,
-		// or failed on a different cell after this one finished).
-		select {
-		case <-j.ready[i]:
-		default:
-			return nil, fmt.Errorf("%w: %v", ErrJobNotDone, j.Err())
-		}
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.results[i], nil
 }
 
 // startCell transitions queued→running and reports whether the cell
@@ -836,59 +795,42 @@ func (j *Job) completeCell(i int, res *CellResult, cached bool) {
 		if cached {
 			j.cacheHits++
 		}
-		close(j.ready[i])
-		j.notifyLocked()
-	}
-	finished := j.done == len(j.cells) && j.state == JobRunning
-	var hits int
-	if finished {
-		j.state = JobDone
-		hits = j.cacheHits
-		close(j.terminal)
+		if j.done == len(j.cells) {
+			j.finish(JobDone, nil)
+			return
+		}
 		j.notifyLocked()
 	}
 	j.mu.Unlock()
-	if finished && j.sched != nil {
-		j.sched.obs.Log.Info("job done", "job_id", j.id, "cells", len(j.cells), "cache_hits", hits)
-	}
 }
 
-// failJob moves the job to failed with a job-level error — a remote
-// delegation failure has no single culprit cell, unlike a worker-pool
-// cell error (see fail).
-func (j *Job) failJob(err error) {
-	j.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCancelled {
+// finish is the job's one terminal transition: the first caller wins
+// and every later call changes nothing. It is entered with j.mu held —
+// so the last completeCell publishes its cell and JobDone in one step —
+// and releases it.
+func (j *Job) finish(state JobState, err error) {
+	if j.state.terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.state = JobFailed
-	j.err = err
+	j.state, j.err = state, err
+	hits := j.cacheHits
 	close(j.terminal)
 	j.notifyLocked()
 	j.mu.Unlock()
-	j.cancel()
-	if j.sched != nil {
-		j.sched.obs.Log.Warn("job failed", "job_id", j.id, "error", err.Error())
-		j.sched.purgeJob(j)
-	}
-}
-
-// fail moves the job to failed (first error wins) and cancels the rest.
-func (j *Job) fail(i int, err error) {
-	j.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCancelled {
-		j.mu.Unlock()
+	log := j.sched.obs.Log
+	if state == JobDone {
+		// Every cell ran, so the job left the queue with its last one and
+		// nothing is left for the context to stop.
+		log.Info("job done", "job_id", j.id, "cells", len(j.cells), "cache_hits", hits)
 		return
 	}
-	j.state = JobFailed
-	j.err = fmt.Errorf("cell %d (%s): %w", i, j.cells[i].Key(), err)
-	close(j.terminal)
-	j.notifyLocked()
-	j.mu.Unlock()
 	j.cancel()
-	if j.sched != nil {
-		j.sched.obs.Log.Warn("job failed", "job_id", j.id, "cell", i, "error", err.Error())
-		j.sched.purgeJob(j)
+	j.sched.dequeue(j)
+	if state == JobCancelled {
+		j.sched.obs.cancellations.Inc()
+		log.Info("job cancelled", "job_id", j.id)
+	} else {
+		log.Warn("job failed", "job_id", j.id, "error", err.Error())
 	}
 }

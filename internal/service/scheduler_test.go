@@ -350,7 +350,7 @@ func TestSchedulerJobRetention(t *testing.T) {
 	if _, err := s.Job(last.ID()); err != nil {
 		t.Errorf("latest job evicted: %v", err)
 	}
-	if n := len(s.Jobs()); n > 3 {
+	if n := len(s.JobsFiltered(JobsFilter{})); n > 3 {
 		t.Errorf("%d jobs retained, want <= 3", n)
 	}
 }
