@@ -74,6 +74,11 @@ func TestSchedulerRemoteDelegation(t *testing.T) {
 	if n := remote.calls.Load(); n != 1 {
 		t.Errorf("remote called %d times, want 1", n)
 	}
+	// A coordinator computes nothing: the Workers it was configured with
+	// are neither started nor reported.
+	if m := s.Metrics(); m.Workers != 0 {
+		t.Errorf("coordinator reports %d local workers, want 0", m.Workers)
+	}
 
 	local := Executor{Graphs: NewGraphCache(8)}
 	want, err := local.RunCells(context.Background(), spec.Cells())
