@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
@@ -29,83 +30,86 @@ type Family struct {
 
 // StandardFamilies returns the graph families exercised by the
 // experiments: classical topologies, random graphs, social-network
-// models, and the adversarial diamond chain.
-func StandardFamilies() []Family {
-	return []Family{
-		{Name: "complete", Regular: true, Build: func(n int, _ uint64) (*graph.Graph, error) {
-			return graph.Complete(n)
-		}},
-		{Name: "star", Build: func(n int, _ uint64) (*graph.Graph, error) {
-			return graph.Star(n)
-		}},
-		{Name: "cycle", Regular: true, Build: func(n int, _ uint64) (*graph.Graph, error) {
-			return graph.Cycle(n)
-		}},
-		{Name: "hypercube", Regular: true, Build: func(n int, _ uint64) (*graph.Graph, error) {
-			dim := int(math.Round(math.Log2(float64(n))))
-			if dim < 1 {
-				dim = 1
-			}
-			return graph.Hypercube(dim)
-		}},
-		{Name: "torus", Regular: true, Build: func(n int, _ uint64) (*graph.Graph, error) {
-			side := int(math.Round(math.Sqrt(float64(n))))
-			if side < 3 {
-				side = 3
-			}
-			return graph.Grid(side, side, true)
-		}},
-		{Name: "binary-tree", Build: func(n int, _ uint64) (*graph.Graph, error) {
-			return graph.CompleteKAryTree(n, 2)
-		}},
-		{Name: "random-regular", Regular: true, Build: func(n int, seed uint64) (*graph.Graph, error) {
-			if n%2 == 1 {
-				n++ // n*d must be even for odd d
-			}
-			return graph.RandomRegular(n, 5, xrand.New(seed))
-		}},
-		{Name: "gnp", Build: func(n int, seed uint64) (*graph.Graph, error) {
-			p := 3 * math.Log(float64(n)) / float64(n)
-			if p > 1 {
-				p = 1
-			}
-			return graph.GNPConnected(n, p, xrand.New(seed), 100)
-		}},
-		// The three G(n,p) presets around the connectivity threshold
-		// p = ln n / n, for the dynamic-graph experiments. At and below
-		// the threshold an instance may be disconnected, which is the
-		// point: under per-epoch re-sampling the union of epochs is
-		// connected in law even when no single epoch is.
-		{Name: "gnp-threshold", MaybeDisconnected: true, Build: func(n int, seed uint64) (*graph.Graph, error) {
-			return graph.GNP(n, clampProb(math.Log(float64(n))/float64(n)), xrand.New(seed))
-		}},
-		{Name: "gnp-below-threshold", MaybeDisconnected: true, Build: func(n int, seed uint64) (*graph.Graph, error) {
-			return graph.GNP(n, clampProb(0.5*math.Log(float64(n))/float64(n)), xrand.New(seed))
-		}},
-		{Name: "gnp-above-threshold", Build: func(n int, seed uint64) (*graph.Graph, error) {
-			return graph.GNPConnected(n, clampProb(2*math.Log(float64(n))/float64(n)), xrand.New(seed), 100)
-		}},
-		{Name: "powerlaw", Build: func(n int, seed uint64) (*graph.Graph, error) {
-			g, err := graph.ChungLuPowerLaw(n, 2.5, 4, xrand.New(seed))
-			if err != nil {
-				return nil, err
-			}
-			lcc, _, err := graph.LargestComponent(g)
-			if err != nil {
-				return nil, err
-			}
-			if lcc.NumNodes() < n/2 {
-				return nil, fmt.Errorf("harness: powerlaw giant component too small (%d of %d)", lcc.NumNodes(), n)
-			}
-			return lcc, nil
-		}},
-		{Name: "pref-attach", Build: func(n int, seed uint64) (*graph.Graph, error) {
-			return graph.PreferentialAttachment(n, 3, xrand.New(seed))
-		}},
-		{Name: "diamond", Build: func(n int, _ uint64) (*graph.Graph, error) {
-			return graph.DiamondChainForSize(n)
-		}},
-	}
+// models, and the adversarial diamond chain. The slice is the caller's
+// own copy.
+func StandardFamilies() []Family { return slices.Clone(standardFamilies) }
+
+// standardFamilies is the family table, built once: every cell
+// validation and graph build looks a name up in it.
+var standardFamilies = []Family{
+	{Name: "complete", Regular: true, Build: func(n int, _ uint64) (*graph.Graph, error) {
+		return graph.Complete(n)
+	}},
+	{Name: "star", Build: func(n int, _ uint64) (*graph.Graph, error) {
+		return graph.Star(n)
+	}},
+	{Name: "cycle", Regular: true, Build: func(n int, _ uint64) (*graph.Graph, error) {
+		return graph.Cycle(n)
+	}},
+	{Name: "hypercube", Regular: true, Build: func(n int, _ uint64) (*graph.Graph, error) {
+		dim := int(math.Round(math.Log2(float64(n))))
+		if dim < 1 {
+			dim = 1
+		}
+		return graph.Hypercube(dim)
+	}},
+	{Name: "torus", Regular: true, Build: func(n int, _ uint64) (*graph.Graph, error) {
+		side := int(math.Round(math.Sqrt(float64(n))))
+		if side < 3 {
+			side = 3
+		}
+		return graph.Grid(side, side, true)
+	}},
+	{Name: "binary-tree", Build: func(n int, _ uint64) (*graph.Graph, error) {
+		return graph.CompleteKAryTree(n, 2)
+	}},
+	{Name: "random-regular", Regular: true, Build: func(n int, seed uint64) (*graph.Graph, error) {
+		if n%2 == 1 {
+			n++ // n*d must be even for odd d
+		}
+		return graph.RandomRegular(n, 5, xrand.New(seed))
+	}},
+	{Name: "gnp", Build: func(n int, seed uint64) (*graph.Graph, error) {
+		p := 3 * math.Log(float64(n)) / float64(n)
+		if p > 1 {
+			p = 1
+		}
+		return graph.GNPConnected(n, p, xrand.New(seed), 100)
+	}},
+	// The three G(n,p) presets around the connectivity threshold
+	// p = ln n / n, for the dynamic-graph experiments. At and below
+	// the threshold an instance may be disconnected, which is the
+	// point: under per-epoch re-sampling the union of epochs is
+	// connected in law even when no single epoch is.
+	{Name: "gnp-threshold", MaybeDisconnected: true, Build: func(n int, seed uint64) (*graph.Graph, error) {
+		return graph.GNP(n, clampProb(math.Log(float64(n))/float64(n)), xrand.New(seed))
+	}},
+	{Name: "gnp-below-threshold", MaybeDisconnected: true, Build: func(n int, seed uint64) (*graph.Graph, error) {
+		return graph.GNP(n, clampProb(0.5*math.Log(float64(n))/float64(n)), xrand.New(seed))
+	}},
+	{Name: "gnp-above-threshold", Build: func(n int, seed uint64) (*graph.Graph, error) {
+		return graph.GNPConnected(n, clampProb(2*math.Log(float64(n))/float64(n)), xrand.New(seed), 100)
+	}},
+	{Name: "powerlaw", Build: func(n int, seed uint64) (*graph.Graph, error) {
+		g, err := graph.ChungLuPowerLaw(n, 2.5, 4, xrand.New(seed))
+		if err != nil {
+			return nil, err
+		}
+		lcc, _, err := graph.LargestComponent(g)
+		if err != nil {
+			return nil, err
+		}
+		if lcc.NumNodes() < n/2 {
+			return nil, fmt.Errorf("harness: powerlaw giant component too small (%d of %d)", lcc.NumNodes(), n)
+		}
+		return lcc, nil
+	}},
+	{Name: "pref-attach", Build: func(n int, seed uint64) (*graph.Graph, error) {
+		return graph.PreferentialAttachment(n, 3, xrand.New(seed))
+	}},
+	{Name: "diamond", Build: func(n int, _ uint64) (*graph.Graph, error) {
+		return graph.DiamondChainForSize(n)
+	}},
 }
 
 // clampProb clamps an edge probability into [0, 1].
@@ -122,7 +126,7 @@ func clampProb(p float64) float64 {
 // RegularFamilies filters StandardFamilies to regular graphs.
 func RegularFamilies() []Family {
 	var out []Family
-	for _, f := range StandardFamilies() {
+	for _, f := range standardFamilies {
 		if f.Regular {
 			out = append(out, f)
 		}
@@ -132,7 +136,7 @@ func RegularFamilies() []Family {
 
 // FamilyByName returns the standard family with the given name.
 func FamilyByName(name string) (Family, error) {
-	for _, f := range StandardFamilies() {
+	for _, f := range standardFamilies {
 		if f.Name == name {
 			return f, nil
 		}
@@ -142,9 +146,8 @@ func FamilyByName(name string) (Family, error) {
 
 // FamilyNames lists the names of the standard families.
 func FamilyNames() []string {
-	fams := StandardFamilies()
-	names := make([]string, len(fams))
-	for i, f := range fams {
+	names := make([]string, len(standardFamilies))
+	for i, f := range standardFamilies {
 		names[i] = f.Name
 	}
 	return names

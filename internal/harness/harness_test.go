@@ -137,6 +137,23 @@ func TestFamilyByName(t *testing.T) {
 	}
 }
 
+// The family table is built once and shared by every lookup, so the
+// slice StandardFamilies hands out must be the caller's own.
+func TestStandardFamiliesReturnsACopy(t *testing.T) {
+	fams := StandardFamilies()
+	first := fams[0].Name
+	fams[0] = Family{Name: "clobbered"}
+	if f, err := FamilyByName(first); err != nil || f.Name != first || f.Build == nil {
+		t.Errorf("FamilyByName(%q) after mutating a returned slice = %+v, %v", first, f, err)
+	}
+	if _, err := FamilyByName("clobbered"); err == nil {
+		t.Error("a caller's write reached the shared family table")
+	}
+	if got := StandardFamilies()[0].Name; got != first {
+		t.Errorf("StandardFamilies()[0] = %q after the mutation, want %q", got, first)
+	}
+}
+
 func TestRegularFamilies(t *testing.T) {
 	for _, f := range RegularFamilies() {
 		if !f.Regular {
