@@ -33,7 +33,6 @@ import (
 	"rumor/internal/coupling"
 	"rumor/internal/graph"
 	"rumor/internal/spectral"
-	"rumor/internal/trace"
 	"rumor/internal/xrand"
 )
 
@@ -63,10 +62,6 @@ type (
 	AsyncResult = core.AsyncResult
 	// Observer receives informing events during a run.
 	Observer = core.Observer
-	// Recorder collects informing events into a Trace.
-	Recorder = trace.Recorder
-	// Trace is an immutable record of one spreading execution.
-	Trace = trace.Trace
 	// UpperCouplingResult reports one run of the Section 4 coupling.
 	UpperCouplingResult = coupling.UpperResult
 	// LowerCouplingResult reports one run of the Section 5 coupling.
@@ -114,9 +109,6 @@ func NewRNG(seed uint64) *RNG { return xrand.New(seed) }
 
 // NewBuilder returns a graph builder for n vertices.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
-
-// NewRecorder returns an empty trace recorder (plug into Config.Observer).
-func NewRecorder() *Recorder { return trace.NewRecorder() }
 
 // RunSync executes a synchronous rumor spreading process.
 func RunSync(g *Graph, src NodeID, cfg SyncConfig, rng *RNG) (*SyncResult, error) {

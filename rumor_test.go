@@ -69,32 +69,30 @@ func TestMeasureAndStatsFacade(t *testing.T) {
 	}
 }
 
+// parentRecorder is a plain Observer: who informed each node.
+type parentRecorder map[rumor.NodeID]rumor.NodeID
+
+func (p parentRecorder) OnInformed(_ float64, v, from rumor.NodeID) { p[v] = from }
+
 func TestTraceFacade(t *testing.T) {
 	g, err := rumor.Star(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := rumor.NewRecorder()
-	if _, err := rumor.RunSync(g, 1, rumor.SyncConfig{Protocol: rumor.PushPull, Observer: rec}, rumor.NewRNG(1)); err != nil {
+	parent := parentRecorder{}
+	if _, err := rumor.RunSync(g, 1, rumor.SyncConfig{Protocol: rumor.PushPull, Observer: parent}, rumor.NewRNG(1)); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := rec.Build(g.NumNodes())
-	if err != nil {
-		t.Fatal(err)
+	if len(parent) != g.NumNodes() {
+		t.Fatalf("observer saw %d informing events, want one per node (%d)", len(parent), g.NumNodes())
 	}
-	if tr.Source() != 1 {
-		t.Fatalf("trace source %d", tr.Source())
+	if from := parent[1]; from != -1 {
+		t.Fatalf("source 1 announced with parent %d, want -1 (nobody)", from)
 	}
-	// The center (node 0) must lie on every leaf's rumor path.
-	path := tr.Path(5)
-	found := false
-	for _, v := range path {
-		if v == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("center missing from path %v", path)
+	// The center (node 0) must lie on every other leaf's rumor path: the
+	// source tells it, and it tells everyone else.
+	if parent[0] != 1 || parent[5] != 0 {
+		t.Fatalf("rumor path to leaf 5 is %d <- %d <- ..., want 5 <- 0 <- 1", parent[5], parent[0])
 	}
 }
 
