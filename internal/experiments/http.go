@@ -91,7 +91,8 @@ func runHandler(srv *service.Server, sched *service.Scheduler) http.HandlerFunc 
 
 		// Reduce with the tables captured into the outcome's Details, so
 		// the stream's last row carries everything cmd/experiments prints.
-		// The handler's return flushes it.
+		// The handler's return flushes it; a failed write means the client
+		// went away.
 		var details strings.Builder
 		cfg.Out = &details
 		outcome, err := e.Reduce(cfg, results)
@@ -100,6 +101,6 @@ func runHandler(srv *service.Server, sched *service.Scheduler) http.HandlerFunc 
 			return
 		}
 		outcome.Details = details.String()
-		_ = api.EncodeRow(w, outcome) // an error here means the client went away
+		_ = api.EncodeRow(w, outcome)
 	}
 }

@@ -463,8 +463,9 @@ func (s *Scheduler) runCell(job *Job, i int) {
 	if err != nil {
 		// First error wins; a cancelled job's aborted cells land here too
 		// and change nothing.
+		err = fmt.Errorf("cell %d (%s): %w", i, job.cells[i].Key(), err)
 		job.mu.Lock()
-		job.finish(JobFailed, fmt.Errorf("cell %d (%s): %w", i, job.cells[i].Key(), err))
+		job.finish(JobFailed, err)
 		return
 	}
 	job.completeCell(i, res, cached)
