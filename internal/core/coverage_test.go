@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -107,4 +110,60 @@ func TestCoverageRoundsMatchesSortedOrder(t *testing.T) {
 		}
 	}
 	check("empty", &SyncResult{})
+}
+
+// TestAsyncCoverageGolden pins CoverageTimes bit for bit on every async
+// scenario shape of async_stream.golden — connected, crash-stranded
+// (unreached fractions are -1), churn with amnesiac rejoins (forgotten
+// nodes are -1 entries in InformedAt), budget hits, several sources
+// (ties at time 0) — and on a G(n,p) large enough that the order
+// statistics are not all neighbours in the array. The file was written
+// by the sort-based implementation.
+func TestAsyncCoverageGolden(t *testing.T) {
+	fracs := []float64{0, 0.5, 0.9, 0.99, 1.0}
+	scenarios := streamScenarios(t)
+	gnp := mustGraph(graph.GNPConnected(3000, 0.01, xrand.New(5), 10))
+	for _, p := range []Protocol{Push, PushPull} {
+		cfg := AsyncConfig{Protocol: p}
+		scenarios = append(scenarios, streamScenario{
+			name:  fmt.Sprintf("gnp3000/%v", p),
+			build: func() (*Trial, error) { return NewTrial(graph.NewStatic(gnp), 0, cfg, 0, false) },
+		})
+	}
+	// streamGraph is disconnected (25 of 31 reachable), so q90 and up
+	// are unreached there; on the cube a crashed node costs only q100.
+	cube := mustGraph(graph.Hypercube(7))
+	for _, row := range []struct {
+		name string
+		cfg  AsyncConfig
+	}{
+		{"cube/plain", AsyncConfig{Protocol: PushPull}},
+		{"cube/crash", AsyncConfig{Protocol: PushPull, View: PerNodeClocks, Crashes: []Crash{{Node: 77, Time: 0}}}},
+		{"cube/churn", AsyncConfig{Protocol: PushPull, Churn: []ChurnEvent{
+			{Node: 1, Time: 1, Op: ChurnLeave}, {Node: 1, Time: 3, Op: ChurnJoin, DropState: true},
+			{Node: 64, Time: 0.5, Op: ChurnLeave}, {Node: 64, Time: 2, Op: ChurnJoin},
+		}}},
+	} {
+		scenarios = append(scenarios, streamScenario{
+			name:  row.name,
+			build: func() (*Trial, error) { return NewTrial(graph.NewStatic(cube), 0, row.cfg, 0, false) },
+		})
+	}
+	var buf bytes.Buffer
+	for i, sc := range scenarios {
+		trial, err := sc.build()
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		out, err := trial.Run(xrand.New(2000 + uint64(i)))
+		if err != nil && !errors.Is(err, ErrBudget) {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		fmt.Fprintf(&buf, "%s informed=%d/%d", sc.name, out.Async.NumInformed, len(out.Async.InformedAt))
+		for j, c := range out.Async.CoverageTimes(fracs) {
+			fmt.Fprintf(&buf, " q%v=%016x", fracs[j]*100, math.Float64bits(c))
+		}
+		buf.WriteByte('\n')
+	}
+	checkStreamGolden(t, "coverage.golden", buf.Bytes())
 }
