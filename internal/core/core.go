@@ -275,44 +275,73 @@ func (r *AsyncResult) CoverageTime(frac float64) float64 {
 
 // CoverageTimes returns, for each fraction, the earliest time by which at
 // least ceil(frac * n) nodes were informed, or -1 if that coverage was
-// never reached. The informing times are sorted once and shared across
-// all queries, so batching fractions is much cheaper than repeated
-// CoverageTime calls.
+// never reached. Each answer is an order statistic of the informing
+// times, found by selection over one shared copy that every query
+// leaves more partitioned for the next, so batching fractions is much
+// cheaper than repeated CoverageTime calls and nothing is sorted.
 func (r *AsyncResult) CoverageTimes(fracs []float64) []float64 {
-	times := sortedInformedTimes(r.InformedAt)
-	out := make([]float64, len(fracs))
-	for i, frac := range fracs {
-		out[i] = coverageFromSorted(times, len(r.InformedAt), frac)
-	}
-	return out
-}
-
-// sortedInformedTimes collects the non-negative informing times, sorted.
-func sortedInformedTimes(informedAt []float64) []float64 {
-	times := make([]float64, 0, len(informedAt))
-	for _, t := range informedAt {
+	times := make([]float64, 0, len(r.InformedAt))
+	for _, t := range r.InformedAt {
 		if t >= 0 {
 			times = append(times, t)
 		}
 	}
-	sort.Float64s(times)
-	return times
+	out := make([]float64, len(fracs))
+	// times[:lo] holds the lo smallest times: a rank at or past lo is
+	// looked for in the rest only, one before it in that prefix only.
+	lo := 0
+	for i, frac := range fracs {
+		k := max(int(math.Ceil(frac*float64(len(r.InformedAt)))), 1) - 1
+		switch {
+		case frac <= 0:
+		case k >= len(times):
+			out[i] = -1
+		case k >= lo:
+			out[i] = selectNth(times[lo:], k-lo)
+			lo = k
+		default:
+			out[i] = selectNth(times[:lo], k)
+		}
+	}
+	return out
 }
 
-// coverageFromSorted returns the ceil(frac*n)-th smallest of the sorted
-// times, or -1 if fewer than that many nodes were ever informed.
-func coverageFromSorted(sorted []float64, n int, frac float64) float64 {
-	if frac <= 0 {
-		return 0
+// selectNth returns the k-th smallest element of xs (0-based), permuting
+// xs so that it sits at xs[k] with nothing larger before it and nothing
+// smaller after it: Hoare's FIND, expected linear time. The pivot
+// position comes from a fixed multiplicative sequence, not from the
+// data, so no arrangement of informing times (sorted along a path,
+// rising then falling around a cycle) is a bad case; the value
+// returned does not depend on the pivots.
+func selectNth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for seq := uint64(1); lo < hi; {
+		seq *= 0x9e3779b97f4a7c15
+		pivot := xs[lo+int((seq>>33)%uint64(hi-lo+1))]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
 	}
-	need := int(math.Ceil(frac * float64(n)))
-	if need < 1 {
-		need = 1
-	}
-	if len(sorted) < need {
-		return -1
-	}
-	return sorted[need-1]
+	return xs[k]
 }
 
 // validateCommon checks parameters shared by all engines and returns the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 )
 
 // The batch helpers must agree exactly with the single-fraction queries
-// (they share one sorted copy instead of sorting per query).
+// (one pass over the informing times serves every fraction).
 func TestCoverageTimesMatchesSingleQueries(t *testing.T) {
 	g := mustGraph(graph.Hypercube(6))
 	res, err := RunAsync(g, 0, AsyncConfig{Protocol: PushPull}, xrand.New(8))
@@ -73,6 +74,20 @@ func TestCoverageBatchUnreached(t *testing.T) {
 	if times[0] < 0 || times[1] != -1 {
 		t.Errorf("times = %v, want [reached, -1]", times)
 	}
+}
+
+// coverageFromSorted is the definition both batch helpers are checked
+// against: the ceil(frac*n)-th smallest of the sorted informing times,
+// 0 for a non-positive fraction, -1 if fewer nodes were ever informed.
+func coverageFromSorted(sorted []float64, n int, frac float64) float64 {
+	if frac <= 0 {
+		return 0
+	}
+	need := max(int(math.Ceil(frac*float64(n))), 1)
+	if len(sorted) < need {
+		return -1
+	}
+	return sorted[need-1]
 }
 
 // CoverageRounds counts instead of sorting; it must return what the
@@ -166,4 +181,58 @@ func TestAsyncCoverageGolden(t *testing.T) {
 		buf.WriteByte('\n')
 	}
 	checkStreamGolden(t, "coverage.golden", buf.Bytes())
+}
+
+// CoverageTimes selects instead of sorting; it must return what the
+// sorted order statistics say on vectors with ties, with never-informed
+// (-1) entries, in the arrangements a deterministic pivot rule would
+// fear (sorted, reversed, rising then falling), and for fractions in any
+// order — a rank below an earlier one is looked for in the prefix the
+// earlier selection left.
+func TestCoverageTimesMatchesSortedOrder(t *testing.T) {
+	rng := xrand.New(31)
+	fracs := []float64{0.5, -1, 1, 0.25, 0.9, 0, 0.99, 1e-9, 0.75, 0.5, 0.01}
+	check := func(name string, informedAt []float64) {
+		t.Helper()
+		var sorted []float64
+		for _, at := range informedAt {
+			if at >= 0 {
+				sorted = append(sorted, at)
+			}
+		}
+		sort.Float64s(sorted)
+		res := &AsyncResult{InformedAt: informedAt}
+		rng.Shuffle(len(fracs), func(i, j int) { fracs[i], fracs[j] = fracs[j], fracs[i] })
+		got := res.CoverageTimes(fracs)
+		for i, f := range fracs {
+			if want := coverageFromSorted(sorted, len(informedAt), f); got[i] != want {
+				t.Errorf("%s frac %v (query %d of %v): got %v, want %v", name, f, i, fracs, got[i], want)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 3, 10, 100, 1000, 4097} {
+		random, ties, holes := make([]float64, n), make([]float64, n), make([]float64, n)
+		rising, falling, pipe := make([]float64, n), make([]float64, n), make([]float64, n)
+		for v := range random {
+			random[v] = rng.Float64() * 10
+			ties[v] = float64(rng.Intn(4))
+			holes[v] = random[v]
+			if rng.Bernoulli(0.3) {
+				holes[v] = -1
+			}
+			rising[v], falling[v] = float64(v), float64(n-v)
+			pipe[v] = float64(min(v, n-v))
+		}
+		for name, informedAt := range map[string][]float64{
+			"random": random, "ties": ties, "holes": holes, "rising": rising, "falling": falling, "pipe": pipe,
+			"none": slices.Repeat([]float64{-1}, n), "equal": slices.Repeat([]float64{2.5}, n),
+		} {
+			before := slices.Clone(informedAt)
+			check(fmt.Sprintf("%s/n=%d", name, n), informedAt)
+			if !slices.Equal(informedAt, before) {
+				t.Fatalf("%s/n=%d: CoverageTimes modified InformedAt", name, n)
+			}
+		}
+	}
+	check("empty", nil)
 }

@@ -246,29 +246,10 @@ func newSpreadState(g *graph.Graph, sources []graph.NodeID, tracked bool) *sprea
 // reachableFrom returns the size of the union of the sources' connected
 // components: n on a connected graph (an answer the graph remembers, so
 // the trials compiled on one graph search it once between them), a
-// multi-source BFS otherwise.
+// multi-source search otherwise.
 func reachableFrom(g *graph.Graph, sources []graph.NodeID) int {
-	n := g.NumNodes()
 	if graph.IsConnected(g) {
-		return n
+		return g.NumNodes()
 	}
-	var visited bitSet
-	visited.reset(n)
-	queue := make([]graph.NodeID, 0, n)
-	for _, src := range sources {
-		if !visited.get(src) {
-			visited.set(src)
-			queue = append(queue, src)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.Neighbors(u) {
-			if !visited.get(v) {
-				visited.set(v)
-				queue = append(queue, v)
-			}
-		}
-	}
-	return len(queue)
+	return graph.Reachable(g, sources)
 }

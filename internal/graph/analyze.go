@@ -74,20 +74,46 @@ func BFS(g *Graph, src NodeID) []int32 {
 
 // IsConnected reports whether the graph is connected. The empty graph and
 // single-vertex graph are connected. The graph is immutable, so the
-// answer is computed by one BFS the first time and remembered on it;
-// concurrent first calls may each search, and agree.
+// answer is computed by one search from vertex 0 the first time — which
+// stops as soon as it has seen every vertex — and remembered on the
+// graph; concurrent first calls may each search, and agree.
 func IsConnected(g *Graph) bool {
 	const yes, no = 1, 2
 	if c := g.connected.Load(); c != 0 {
 		return c == yes
 	}
-	var s BFSScratch
 	c := int32(yes)
-	if _, connected := s.eccentricity(g, 0); !connected {
+	if n := g.NumNodes(); n > 1 && Reachable(g, []NodeID{0}) < n {
 		c = no
 	}
 	g.connected.Store(c)
 	return c == yes
+}
+
+// Reachable returns the size of the union of the sources' connected
+// components. The search keeps one visited bit per vertex and no
+// distances, and returns once every vertex has been seen: on a graph
+// whose frontier soon covers it (a G(n,p) above the connectivity
+// threshold) most adjacency lists are never read.
+func Reachable(g *Graph, sources []NodeID) int {
+	n := g.NumNodes()
+	visited := make([]uint64, (n+63)>>6)
+	queue := make([]NodeID, 0, n)
+	visit := func(v NodeID) {
+		if word, bit := &visited[uint32(v)>>6], uint64(1)<<(uint32(v)&63); *word&bit == 0 {
+			*word |= bit
+			queue = append(queue, v)
+		}
+	}
+	for _, src := range sources {
+		visit(src)
+	}
+	for head := 0; head < len(queue) && len(queue) < n; head++ {
+		for _, v := range g.Neighbors(queue[head]) {
+			visit(v)
+		}
+	}
+	return len(queue)
 }
 
 // Eccentricity returns the maximum hop distance from src to any reachable

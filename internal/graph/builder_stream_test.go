@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -88,6 +90,92 @@ func TestStreamedBuildMatchesNaive(t *testing.T) {
 			}
 			checkAgainstNaive(t, g, tc.n, edges)
 		})
+	}
+}
+
+// One edge set, fed to the Builder in every order and orientation and
+// with repeats, is one CSR: the arrays of the in-order feed (which Build
+// returns unsorted, and the naive construction confirms) are what every
+// other feed must produce through the sort+dedup pass. The feeds that
+// differ from the in-order one by a single edge — its first edge moved
+// to the end, its last edge given twice — are the ones a too-eager
+// "still ordered" test would get wrong.
+func TestBuilderInputOrderDoesNotMatter(t *testing.T) {
+	rng := xrand.New(77)
+	for _, tc := range []struct {
+		n int
+		p float64
+	}{{2, 1}, {3, 1}, {40, 0.2}, {257, 0.05}, {300, 1} /* 44850 edges: two chunks */, {1000, 0.01}} {
+		var ordered [][2]NodeID
+		for u := 0; u < tc.n; u++ {
+			for v := u + 1; v < tc.n; v++ {
+				if rng.Bernoulli(tc.p) {
+					ordered = append(ordered, [2]NodeID{NodeID(u), NodeID(v)})
+				}
+			}
+		}
+		if len(ordered) == 0 {
+			t.Fatalf("n=%d: empty edge set", tc.n)
+		}
+		// build also checks the Builder's own verdict on the feed against
+		// the definition: u < v throughout, each edge after the previous.
+		build := func(edges [][2]NodeID) (*Graph, bool) {
+			t.Helper()
+			b := NewBuilder(tc.n)
+			inOrder := true
+			for i, e := range edges {
+				b.AddEdge(e[0], e[1])
+				if e[0] >= e[1] || (i > 0 && slices.Compare(edges[i-1][:], e[:]) >= 0) {
+					inOrder = false
+				}
+			}
+			if b.unordered == inOrder {
+				t.Fatalf("n=%d: Builder.unordered = %v on a feed with inOrder = %v", tc.n, b.unordered, inOrder)
+			}
+			return mustG(t)(b.Build()), inOrder
+		}
+		want, inOrder := build(ordered)
+		if !inOrder {
+			t.Fatalf("n=%d: the reference feed is not in order", tc.n)
+		}
+		checkAgainstNaive(t, want, tc.n, ordered)
+
+		flipped := make([][2]NodeID, len(ordered))
+		for i, e := range ordered {
+			flipped[i] = [2]NodeID{e[1], e[0]}
+		}
+		backwards := slices.Clone(ordered)
+		slices.Reverse(backwards)
+		shuffled := slices.Clone(ordered)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		var repeated [][2]NodeID
+		for _, e := range ordered {
+			repeated = append(repeated, e)
+			if rng.Bernoulli(0.3) {
+				repeated = append(repeated, ordered[rng.Intn(len(ordered))])
+			}
+		}
+		repeated = append(repeated, flipped[0])
+		feeds := map[string][][2]NodeID{
+			"flipped":       flipped,
+			"shuffled":      shuffled,
+			"repeated":      repeated,
+			"first-at-end":  append(slices.Clone(ordered[1:]), ordered[0]),
+			"last-twice":    append(slices.Clone(ordered), ordered[len(ordered)-1]),
+			"last-flipped":  append(slices.Clone(ordered[:len(ordered)-1]), flipped[len(ordered)-1]),
+			"first-flipped": append([][2]NodeID{flipped[0]}, ordered[1:]...),
+			"backwards":     backwards,
+		}
+		for name, edges := range feeds {
+			got, inOrder := build(edges)
+			// A one-edge set read backwards or rotated is itself.
+			if inOrder && len(ordered) > 3 {
+				t.Errorf("n=%d %s: feed is in order, the sort pass was not exercised", tc.n, name)
+			}
+			if !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.adj, want.adj) {
+				t.Errorf("n=%d %s: CSR differs from the in-order build", tc.n, name)
+			}
+		}
 	}
 }
 
@@ -188,14 +276,42 @@ func TestDiameterUnchangedByScratchReuse(t *testing.T) {
 	}
 }
 
+// gnpLargeN is the benchmark workload's graph: n = 250 000 at
+// p = 3 ln n / n, 4.66M edges, a CSR of 38 MB.
+const gnpLargeN = 250_000
+
+func gnpLargeP() float64 { return 3 * math.Log(gnpLargeN) / gnpLargeN }
+
+// BenchmarkBuildGNP is generation + staging + Build (GNP emits its edges
+// in pair order, so Build sorts nothing), without the connectivity check.
 func BenchmarkBuildGNP(b *testing.B) {
+	for _, tc := range []struct {
+		n int
+		p float64
+	}{{1 << 14, 12.0 / (1 << 14)}, {gnpLargeN, gnpLargeP()}} {
+		b.Run(fmt.Sprintf("n%d", tc.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g, err := GNP(tc.n, tc.p, xrand.New(7))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if g.NumNodes() != tc.n {
+					b.Fatal("bad build")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkIsConnectedGNPLarge is the first, unremembered IsConnected
+// on the large graph.
+func BenchmarkIsConnectedGNPLarge(b *testing.B) {
+	g := mustG(b)(GNP(gnpLargeN, gnpLargeP(), xrand.New(7)))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := GNP(1<<14, 12.0/(1<<14), xrand.New(7))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if g.NumNodes() != 1<<14 {
-			b.Fatal("bad build")
+		g.connected.Store(0)
+		if !IsConnected(g) {
+			b.Fatal("disconnected")
 		}
 	}
 }

@@ -153,8 +153,9 @@ func (g *Graph) String() string {
 }
 
 // Builder accumulates edges and produces an immutable Graph. Adding the
-// same undirected edge twice is tolerated (deduplicated at Build); self
-// loops are rejected immediately.
+// same undirected edge twice, in either direction and any order, is
+// tolerated (deduplicated at Build); self loops are rejected
+// immediately.
 //
 // Edges are staged in fixed-size chunks rather than one growing slice, so
 // recording m edges never re-copies the whole edge list, and Build
@@ -167,6 +168,12 @@ type Builder struct {
 	m      int // total edges recorded
 	name   string
 	err    error
+	// last is the previous edge recorded; unordered is set by the first
+	// edge that is not u < v and strictly after last in (u, v) order.
+	// Generators that walk the pair sequence (GNP, Complete) never set
+	// it, and Build then has no list to sort.
+	last      [2]NodeID
+	unordered bool
 }
 
 // builderChunkEdges is the capacity of every staging chunk after the
@@ -210,7 +217,13 @@ func (b *Builder) AddEdge(u, v NodeID) *Builder {
 		b.chunks = append(b.chunks, make([][2]NodeID, 0, builderChunkEdges))
 		last++
 	}
-	b.chunks[last] = append(b.chunks[last], [2]NodeID{u, v})
+	// The zero last edge {0, 0} precedes every u < v edge, so the first
+	// edge needs no case of its own.
+	if u >= v || u < b.last[0] || (u == b.last[0] && v <= b.last[1]) {
+		b.unordered = true
+	}
+	b.last = [2]NodeID{u, v}
+	b.chunks[last] = append(b.chunks[last], b.last)
 	b.m++
 	return b
 }
@@ -222,9 +235,13 @@ func (b *Builder) NumPendingEdges() int { return b.m }
 // Build produces the immutable graph, deduplicating parallel edges.
 //
 // Construction is streamed: a degree-counting pass over the staged
-// chunks, a prefix sum into the offsets array, a scatter pass that frees
-// each chunk once consumed, then a per-vertex sort+dedup that compacts
-// the adjacency array in place. No global edge sort, no doubling copy.
+// chunks, a prefix sum into the offsets array, and a scatter pass that
+// frees each chunk once consumed. If every edge arrived as u < v in
+// strictly increasing (u, v) order, the scatter filled each list with
+// its smaller neighbours ascending and then its larger ones ascending,
+// nothing repeated, and Build is done. Any other input gets a
+// per-vertex sort+dedup that compacts the adjacency array in place. No
+// global edge sort, no doubling copy.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -252,6 +269,9 @@ func (b *Builder) Build() (*Graph, error) {
 		b.chunks[i] = nil // consumed; release before the sort pass
 	}
 	b.chunks = nil
+	if !b.unordered {
+		return &Graph{offsets: offsets, adj: adj, name: b.name}, nil
+	}
 	// Sort each adjacency list and drop duplicate edges, compacting in
 	// place: the write cursor never passes the read position.
 	var w int64

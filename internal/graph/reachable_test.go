@@ -1,0 +1,97 @@
+package graph_test
+
+import (
+	"fmt"
+	"testing"
+
+	"rumor/internal/graph"
+	"rumor/internal/harness"
+)
+
+// reachableByBFS is the size of the union of the sources' components,
+// from full distance searches.
+func reachableByBFS(g *graph.Graph, sources []graph.NodeID) int {
+	seen := make([]bool, g.NumNodes())
+	for _, src := range sources {
+		for v, d := range graph.BFS(g, src) {
+			if d >= 0 {
+				seen[v] = true
+			}
+		}
+	}
+	count := 0
+	for _, s := range seen {
+		if s {
+			count++
+		}
+	}
+	return count
+}
+
+// The early-exit search behind IsConnected and Reachable must say what
+// the full distance BFS says: on every family at several sizes and
+// seeds — the below-threshold G(n,p) instances are disconnected — and
+// on the shapes where stopping at "n vertices seen" could be off by
+// one: no vertex, one, two with and without the edge, and a connected
+// graph plus an isolated last vertex.
+func TestConnectivityMatchesFullBFS(t *testing.T) {
+	var graphs []*graph.Graph
+	add := func(g *graph.Graph, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	disconnected := 0
+	for _, f := range harness.StandardFamilies() {
+		for _, n := range []int{16, 65, 400} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				add(f.Build(n, seed))
+				if _, ok := graph.Eccentricity(graphs[len(graphs)-1], 0); !ok {
+					disconnected++
+				}
+			}
+		}
+	}
+	if disconnected < 5 {
+		t.Fatalf("only %d disconnected instances generated; the table no longer tests the negative answer", disconnected)
+	}
+	add(&graph.Graph{}, nil)
+	for _, n := range []int{0, 1, 2} {
+		add(graph.NewBuilder(n).Build())
+	}
+	add(graph.NewBuilder(2).AddEdge(0, 1).Build())
+	lastIsolated := graph.NewBuilder(65)
+	for v := graph.NodeID(0); v < 63; v++ {
+		lastIsolated.AddEdge(v, v+1)
+	}
+	add(lastIsolated.Build())
+
+	for i, g := range graphs {
+		name := fmt.Sprintf("#%d %s", i, g)
+		n := g.NumNodes()
+		want := n <= 1
+		if n > 1 {
+			_, want = graph.Eccentricity(g, 0)
+		}
+		if got := graph.IsConnected(g); got != want {
+			t.Errorf("%s: IsConnected = %v, full BFS says %v", name, got, want)
+		}
+		if got := graph.IsConnected(g); got != want {
+			t.Errorf("%s: remembered IsConnected = %v, want %v", name, got, want)
+		}
+		if n == 0 {
+			if got := graph.Reachable(g, nil); got != 0 {
+				t.Errorf("%s: Reachable(nil) = %d", name, got)
+			}
+			continue
+		}
+		last := graph.NodeID(n - 1)
+		for _, sources := range [][]graph.NodeID{{0}, {last}, {last, 0, last}, {graph.NodeID(n / 2), graph.NodeID(n / 3)}} {
+			if got, want := graph.Reachable(g, sources), reachableByBFS(g, sources); got != want {
+				t.Errorf("%s: Reachable(%v) = %d, full BFS says %d", name, sources, got, want)
+			}
+		}
+	}
+}

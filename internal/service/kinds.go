@@ -208,7 +208,8 @@ func CoverageName(frac float64) string {
 
 // runTimeCell samples the cell's spreading times and coverage
 // milestones; the latter are extracted per trial with the batch helper
-// (one sort per trial) and aggregated.
+// (a count per round for sync trials, a selection per fraction for
+// async ones; neither sorts) and aggregated.
 func runTimeCell(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorkers int) (*KindResult, error) {
 	// Crash injection can legitimately cut the rumor off from part of
 	// the graph, churn can strand it, and a dynamic topology may never
