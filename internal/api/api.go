@@ -38,6 +38,10 @@ const (
 	// CodeJobTooLarge: the job exceeds the queue capacity outright and
 	// can never be accepted at any load; do not retry, split the job.
 	CodeJobTooLarge = "job_too_large"
+	// CodeRequestTooLarge: the request body is longer than
+	// MaxRequestBytes (HTTP 413); the server stopped reading it. Do not
+	// retry; split the job.
+	CodeRequestTooLarge = "request_too_large"
 	// CodeShuttingDown: the server is draining and accepts no new work.
 	CodeShuttingDown = "shutting_down"
 	// CodeJobNotFound: no job with the requested ID (never submitted,
@@ -67,6 +71,7 @@ func Codes() []string {
 		CodeInvalidSpec,
 		CodeQueueFull,
 		CodeJobTooLarge,
+		CodeRequestTooLarge,
 		CodeShuttingDown,
 		CodeJobNotFound,
 		CodeExperimentNotFound,
@@ -153,6 +158,34 @@ func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 // WriteError writes the error envelope with the given code and message.
 func WriteError(w http.ResponseWriter, status int, code, message string) {
 	WriteJSON(w, status, Envelope{Error: &Error{Code: code, Message: message}})
+}
+
+// MaxRequestBytes bounds the body of every POST the API decodes: a job
+// that fills the default 4096-cell queue with 2 KiB cell specs fits, a
+// body meant to exhaust the daemon's memory does not.
+const MaxRequestBytes = 8 << 20
+
+// DecodeRequest decodes r's JSON body into v, rejecting unknown fields
+// and reading at most MaxRequestBytes. It answers nothing itself (an
+// empty body is io.EOF, which one endpoint accepts): a caller that
+// rejects the error hands it to WriteDecodeError.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v interface{}) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// WriteDecodeError answers a request whose body DecodeRequest refused:
+// 413 request_too_large when it ran past MaxRequestBytes, 400
+// bad_request otherwise. what names the body ("job spec").
+func WriteDecodeError(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		WriteError(w, http.StatusRequestEntityTooLarge, CodeRequestTooLarge,
+			fmt.Sprintf("decoding %s: body exceeds %d bytes", what, tooLarge.Limit))
+		return
+	}
+	WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("decoding %s: %v", what, err))
 }
 
 // EncodeRow appends one NDJSON row (canonical encoder settings plus the

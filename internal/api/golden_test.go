@@ -21,6 +21,7 @@ func TestErrorCodesGolden(t *testing.T) {
 		"invalid_spec",
 		"queue_full",
 		"job_too_large",
+		"request_too_large",
 		"shutting_down",
 		"job_not_found",
 		"experiment_not_found",
@@ -46,6 +47,7 @@ func TestErrorCodesGolden(t *testing.T) {
 		CodeInvalidSpec:         "invalid_spec",
 		CodeQueueFull:           "queue_full",
 		CodeJobTooLarge:         "job_too_large",
+		CodeRequestTooLarge:     "request_too_large",
 		CodeShuttingDown:        "shutting_down",
 		CodeJobNotFound:         "job_not_found",
 		CodeExperimentNotFound:  "experiment_not_found",

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -70,11 +68,8 @@ func runHandler(srv *service.Server, sched *service.Scheduler) http.HandlerFunc 
 			return
 		}
 		var req RunRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest,
-				fmt.Sprintf("decoding run request: %v", err))
+		if err := api.DecodeRequest(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
+			api.WriteDecodeError(w, "run request", err)
 			return
 		}
 		cfg := Config{Quick: req.Quick, Seed: req.Seed}

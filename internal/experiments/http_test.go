@@ -45,6 +45,28 @@ func postExperiment(t *testing.T, ts *httptest.Server, id, body string) (int, st
 	return resp.StatusCode, string(data)
 }
 
+// TestRunExperimentBodyLimit: POST /v1/experiments/{id} reads at most
+// api.MaxRequestBytes of its body; past that it answers 413
+// request_too_large and submits no job.
+func TestRunExperimentBodyLimit(t *testing.T) {
+	ts, sched := newTestServer(t, 1, false)
+	const req = `{"quick":true,"seed":1}`
+	status, body := postExperiment(t, ts, "e12", strings.Repeat(" ", api.MaxRequestBytes-len(req)+1)+req)
+	var env api.Envelope
+	if err := json.Unmarshal([]byte(body), &env); err != nil || env.Error == nil {
+		t.Fatalf("oversized body: %d, not an envelope: %q", status, body)
+	}
+	if status != http.StatusRequestEntityTooLarge || env.Error.Code != api.CodeRequestTooLarge {
+		t.Errorf("oversized body: %d %q %q", status, env.Error.Code, env.Error.Message)
+	}
+	if jobs := sched.JobsFiltered(service.JobsFilter{}); len(jobs) != 0 {
+		t.Errorf("oversized body submitted %d jobs", len(jobs))
+	}
+	if status, body := postExperiment(t, ts, "e12", strings.Repeat(" ", api.MaxRequestBytes-len(req))+req); status != http.StatusOK || !strings.Contains(body, `"verdict"`) {
+		t.Errorf("body of exactly the limit: %d %q", status, body)
+	}
+}
+
 func TestExperimentListEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, 2, false)
 	resp, err := http.Get(ts.URL + "/v1/experiments")

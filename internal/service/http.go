@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -206,11 +205,8 @@ func WriteSchedulerError(w http.ResponseWriter, err error) {
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest,
-			fmt.Sprintf("decoding job spec: %v", err))
+	if err := api.DecodeRequest(w, r, &spec); err != nil {
+		api.WriteDecodeError(w, "job spec", err)
 		return
 	}
 	job, replayed, err := s.sched.SubmitIdempotent(r.Header.Get(api.IdempotencyKeyHeader), spec)

@@ -389,6 +389,34 @@ func decodeEnvelope(t *testing.T, resp *http.Response) *api.Error {
 	return env.Error
 }
 
+// TestSubmitBodyLimit: POST /v1/jobs stops reading at
+// api.MaxRequestBytes and says so with its own code — a body one byte
+// over is 413 request_too_large and enqueues nothing, the same spec
+// padded to exactly the limit is accepted.
+func TestSubmitBodyLimit(t *testing.T) {
+	srv, sched := newTestServer(t, SchedulerConfig{Workers: 1, QueueLimit: 10})
+	const spec = `{"families":["complete"],"sizes":[8],"protocols":["push"],"timings":["sync"],"trials":1}`
+	post := func(padding int) *http.Response {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(strings.Repeat(" ", padding)+spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := post(api.MaxRequestBytes - len(spec) + 1)
+	if e := decodeEnvelope(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge || e.Code != api.CodeRequestTooLarge {
+		t.Errorf("oversized body: %d %q %q", resp.StatusCode, e.Code, e.Message)
+	}
+	if jobs := sched.JobsFiltered(JobsFilter{}); len(jobs) != 0 {
+		t.Errorf("oversized body enqueued %d jobs", len(jobs))
+	}
+	resp = post(api.MaxRequestBytes - len(spec))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("body of exactly the limit: %d, want 202", resp.StatusCode)
+	}
+}
+
 // TestHTTPErrorEnvelopeCodes: every failure mode answers with the
 // structured envelope and its stable code — the contract the SDK's
 // error classification is built on.
