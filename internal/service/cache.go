@@ -3,6 +3,7 @@ package service
 import (
 	"container/list"
 	"sync"
+	"time"
 
 	"rumor/internal/cachestore"
 	"rumor/internal/graph"
@@ -172,6 +173,13 @@ func NewGraphCache(capacity int) *GraphCache {
 // per key no matter how many goroutines ask concurrently. A failed
 // build is not cached; the next request retries.
 func (c *GraphCache) Get(cell CellSpec) (*graph.Graph, error) {
+	g, _, err := c.get(cell)
+	return g, err
+}
+
+// get is Get, also reporting how long this call spent in BuildGraph: 0
+// for a hit, and for a caller that waited on another's build.
+func (c *GraphCache) get(cell CellSpec) (*graph.Graph, time.Duration, error) {
 	key := cell.GraphKey()
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -180,7 +188,7 @@ func (c *GraphCache) Get(cell CellSpec) (*graph.Graph, error) {
 		entry := el.Value.(*graphEntry)
 		c.mu.Unlock()
 		<-entry.ready
-		return entry.g, entry.err
+		return entry.g, 0, entry.err
 	}
 	c.misses++
 	entry := &graphEntry{key: key, ready: make(chan struct{})}
@@ -192,7 +200,9 @@ func (c *GraphCache) Get(cell CellSpec) (*graph.Graph, error) {
 	}
 	c.mu.Unlock()
 
+	start := time.Now()
 	entry.g, entry.err = BuildGraph(cell)
+	built := time.Since(start)
 	close(entry.ready)
 	if entry.err != nil {
 		c.mu.Lock()
@@ -202,7 +212,7 @@ func (c *GraphCache) Get(cell CellSpec) (*graph.Graph, error) {
 		}
 		c.mu.Unlock()
 	}
-	return entry.g, entry.err
+	return entry.g, built, entry.err
 }
 
 // Stats returns current counters.

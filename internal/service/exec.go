@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -99,15 +100,21 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 		return nil, false, err
 	}
 	var g *graph.Graph
+	var graphBuild time.Duration // this cell's own build; 0 when the graph was cached
 	if kind.NeedsGraph {
 		if e.Graphs != nil {
-			g, err = e.Graphs.Get(cell)
+			g, graphBuild, err = e.Graphs.get(cell)
 		} else {
+			buildStart := time.Now()
 			g, err = BuildGraph(cell)
+			graphBuild = time.Since(buildStart)
 		}
 		if err != nil {
 			o.observeCell(cell.kind(), "error", 0)
 			return nil, false, fmt.Errorf("service: building %s(%d): %w", cell.Family, cell.N, err)
+		}
+		if graphBuild > 0 {
+			o.graphBuild.Observe(graphBuild.Seconds())
 		}
 	}
 
@@ -142,7 +149,12 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 	if e.Results != nil {
 		e.Results.Put(key, res)
 	}
-	o.observeCell(cell.kind(), "computed", time.Since(start))
+	took := time.Since(start)
+	o.observeCell(cell.kind(), "computed", took)
+	o.Log.LogAttrs(ctx, slog.LevelDebug, "cell computed",
+		slog.String("kind", cell.kind()), slog.String("key", key),
+		slog.Float64("duration_ms", took.Seconds()*1e3),
+		slog.Float64("graph_build_ms", graphBuild.Seconds()*1e3))
 	out := *res
 	out.Index = index
 	return &out, false, nil

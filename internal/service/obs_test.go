@@ -407,3 +407,62 @@ func TestHealthzBuildInfo(t *testing.T) {
 		t.Errorf("healthz = %+v", h)
 	}
 }
+
+// TestGraphBuildObserved: rumor_graph_build_seconds counts the builds
+// that ran, not the cells — one per graph through a GraphCache however
+// many cells share it, one per computed cell without a cache — and the
+// debug line of a computed cell says how long its own build took (0 on
+// a graph hit). Result bytes carry none of it.
+func TestGraphBuildObserved(t *testing.T) {
+	var logs strings.Builder
+	log, err := obs.NewLogger(&logs, "json", "debug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	observ := NewObservability(obs.NewRegistry(), log)
+	cell := CellSpec{Family: "gnp", N: 2000, Protocol: "push-pull", Timing: TimingSync, Trials: 1, GraphSeed: 3, TrialSeed: 1}
+	again := cell
+	again.TrialSeed = 2
+
+	cached := &Executor{Graphs: NewGraphCache(4), Obs: observ}
+	for _, c := range []CellSpec{cell, again} {
+		if _, _, err := cached.Run(context.Background(), 0, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := observ.graphBuild.Count(); got != 1 {
+		t.Errorf("two cells on one cached graph observed %d builds, want 1", got)
+	}
+	bare := &Executor{Obs: observ}
+	res, _, err := bare.Run(context.Background(), 0, cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := observ.graphBuild.Count(); got != 2 {
+		t.Errorf("a cache-less cell brought the build count to %d, want 2", got)
+	}
+	if row, _ := api.Marshal(res); strings.Contains(string(row), "build") {
+		t.Errorf("result row mentions the build: %s", row)
+	}
+
+	var builds []float64
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct {
+			Msg          string   `json:"msg"`
+			GraphBuildMs *float64 `json:"graph_build_ms"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec.Msg != "cell computed" {
+			continue
+		}
+		if rec.GraphBuildMs == nil {
+			t.Fatalf("computed-cell line without graph_build_ms: %s", line)
+		}
+		builds = append(builds, *rec.GraphBuildMs)
+	}
+	if len(builds) != 3 || builds[0] <= 0 || builds[1] != 0 || builds[2] <= 0 {
+		t.Errorf("graph_build_ms per computed cell = %v, want [>0, 0, >0]", builds)
+	}
+}
