@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"rumor/internal/graph"
@@ -93,5 +94,35 @@ func TestConnectivityMatchesFullBFS(t *testing.T) {
 				t.Errorf("%s: Reachable(%v) = %d, full BFS says %d", name, sources, got, want)
 			}
 		}
+	}
+}
+
+// Several goroutines asking a fresh graph at once may each run the
+// search; they share nothing but the remembered answer, and agree (the
+// race job runs this package).
+func TestIsConnectedConcurrentFirstCalls(t *testing.T) {
+	// Neither family asks IsConnected while building, so the graphs
+	// arrive with nothing remembered: one disconnected, one connected.
+	for _, name := range []string{"gnp-below-threshold", "hypercube"} {
+		f, err := harness.FamilyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := f.Build(2048, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want := graph.Eccentricity(g, 0)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := graph.IsConnected(g); got != want {
+					t.Errorf("%s: IsConnected = %v, want %v", g, got, want)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -178,8 +178,14 @@ func (c *GraphCache) Get(cell CellSpec) (*graph.Graph, error) {
 }
 
 // get is Get, also reporting how long this call spent in BuildGraph: 0
-// for a hit, and for a caller that waited on another's build.
+// for a hit, and for a caller that waited on another's build. A nil
+// cache builds every time.
 func (c *GraphCache) get(cell CellSpec) (*graph.Graph, time.Duration, error) {
+	if c == nil {
+		start := time.Now()
+		g, err := BuildGraph(cell)
+		return g, time.Since(start), err
+	}
 	key := cell.GraphKey()
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {

@@ -102,13 +102,7 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 	var g *graph.Graph
 	var graphBuild time.Duration // this cell's own build; 0 when the graph was cached
 	if kind.NeedsGraph {
-		if e.Graphs != nil {
-			g, graphBuild, err = e.Graphs.get(cell)
-		} else {
-			buildStart := time.Now()
-			g, err = BuildGraph(cell)
-			graphBuild = time.Since(buildStart)
-		}
+		g, graphBuild, err = e.Graphs.get(cell)
 		if err != nil {
 			o.observeCell(cell.kind(), "error", 0)
 			return nil, false, fmt.Errorf("service: building %s(%d): %w", cell.Family, cell.N, err)
