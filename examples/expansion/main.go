@@ -45,7 +45,6 @@ func main() {
 	fmt.Println("For well-expanding graphs the bound ln(n)/gap is within a small")
 	fmt.Println("factor of the measured asynchronous time; for the cycle it is")
 	fmt.Println("loose (gap ~ 1/n² but T ~ n) — conductance bounds are upper")
-	fmt.Println("bounds, tight on expanders. Exact Φ and vertex expansion are")
-	fmt.Println("available for small graphs via ConductanceExact and")
-	fmt.Println("VertexExpansionExact.")
+	fmt.Println("bounds, tight on expanders. Exact Φ is available for small")
+	fmt.Println("graphs via ConductanceExact.")
 }

@@ -128,29 +128,3 @@ func TestSpectralFacade(t *testing.T) {
 		t.Fatalf("Q_4 conductance = %v, want 0.25", phi)
 	}
 }
-
-func TestSweepFacade(t *testing.T) {
-	fam, err := rumor.FamilyByName("complete")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := rumor.Sweep{
-		Families: []rumor.Family{fam},
-		Sizes:    []int{24, 48},
-		Protocol: rumor.PushPull,
-		Sync:     true,
-		Async:    true,
-		Trials:   8,
-		Seed:     5,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	// Larger complete graphs take (weakly) more rounds in q99 terms.
-	if rows[0].SyncSummary().Mean <= 0 || rows[1].AsyncSummary().Mean <= 0 {
-		t.Fatal("degenerate sweep summaries")
-	}
-}

@@ -26,47 +26,20 @@ func Hypercube(dim int) (*Graph, error) { return graph.Hypercube(dim) }
 // Grid returns the rows x cols grid; torus wraps both dimensions.
 func Grid(rows, cols int, torus bool) (*Graph, error) { return graph.Grid(rows, cols, torus) }
 
-// CompleteKAryTree returns a complete k-ary tree with n vertices.
-func CompleteKAryTree(n, k int) (*Graph, error) { return graph.CompleteKAryTree(n, k) }
-
 // Barbell returns two k-cliques joined by a path of pathLen vertices.
 func Barbell(k, pathLen int) (*Graph, error) { return graph.Barbell(k, pathLen) }
-
-// Lollipop returns a k-clique with a pathLen-vertex tail.
-func Lollipop(k, pathLen int) (*Graph, error) { return graph.Lollipop(k, pathLen) }
-
-// DoubleStar returns two joined stars with leafs leaves each.
-func DoubleStar(leafs int) (*Graph, error) { return graph.DoubleStar(leafs) }
 
 // DiamondChain returns k diamonds in series with m parallel length-2
 // paths each — the adversarial family with the extremal sync/async gap.
 func DiamondChain(k, m int) (*Graph, error) { return graph.DiamondChain(k, m) }
-
-// DiamondChainForSize returns the maximal-gap parameterization
-// (k ≈ n^{1/3}, m ≈ n^{2/3}) at approximately n vertices.
-func DiamondChainForSize(n int) (*Graph, error) { return graph.DiamondChainForSize(n) }
 
 // Random graph families (deterministic given the RNG state).
 
 // GNP returns an Erdős–Rényi G(n, p) graph.
 func GNP(n int, p float64, rng *RNG) (*Graph, error) { return graph.GNP(n, p, rng) }
 
-// GNPConnected retries G(n, p) until connected (up to maxAttempts).
-func GNPConnected(n int, p float64, rng *RNG, maxAttempts int) (*Graph, error) {
-	return graph.GNPConnected(n, p, rng, maxAttempts)
-}
-
 // RandomRegular returns a random d-regular simple graph.
 func RandomRegular(n, d int, rng *RNG) (*Graph, error) { return graph.RandomRegular(n, d, rng) }
-
-// WattsStrogatz returns a small-world graph (ring lattice + rewiring).
-func WattsStrogatz(n, k int, beta float64, rng *RNG) (*Graph, error) {
-	return graph.WattsStrogatz(n, k, beta, rng)
-}
-
-// ChungLu returns a Chung–Lu random graph with the given expected-degree
-// weights.
-func ChungLu(weights []float64, rng *RNG) (*Graph, error) { return graph.ChungLu(weights, rng) }
 
 // ChungLuPowerLaw returns a Chung–Lu graph with power-law expected
 // degrees (the paper's social-network model).
@@ -81,9 +54,6 @@ func PreferentialAttachment(n, m int, rng *RNG) (*Graph, error) {
 }
 
 // Graph analysis helpers.
-
-// BFS returns hop distances from src (-1 when unreachable).
-func BFS(g *Graph, src NodeID) []int32 { return graph.BFS(g, src) }
 
 // IsConnected reports whether g is connected.
 func IsConnected(g *Graph) bool { return graph.IsConnected(g) }

@@ -170,7 +170,7 @@ func TestChurnValidation(t *testing.T) {
 	if _, err := RunSyncReference(g, 0, SyncConfig{Protocol: PushPull, Churn: ok}, xrand.New(1)); !errors.Is(err, ErrBadChurn) {
 		t.Errorf("reference engine accepted churn: %v", err)
 	}
-	if _, err := RunQuasirandomSync(g, 0, SyncConfig{Protocol: PushPull, Churn: ok}, xrand.New(1)); !errors.Is(err, ErrBadChurn) {
+	if _, err := runQuasirandomSync(g, 0, SyncConfig{Protocol: PushPull, Churn: ok}, xrand.New(1)); !errors.Is(err, ErrBadChurn) {
 		t.Errorf("quasirandom engine accepted churn: %v", err)
 	}
 	if _, err := RunPPVariant(g, 0, PPX, SyncConfig{Protocol: PushPull, Churn: ok}, xrand.New(1)); !errors.Is(err, ErrBadChurn) {

@@ -1,36 +1,27 @@
 package core
 
-import (
-	"rumor/internal/graph"
-	"rumor/internal/xrand"
-)
+import "rumor/internal/graph"
 
-// RunQuasirandomSync executes the quasirandom synchronous rumor spreading
+// quasirandomRound collects one round of the quasirandom synchronous
 // protocol (Doerr, Friedrich, Künnemann, Sauerwald — the paper's
-// reference [11]; extension beyond the paper's own model): every node
-// owns a cyclic list of its neighbors (the sorted adjacency order) and an
-// independent uniformly random starting offset; in round r it contacts
-// the neighbor at position (offset + r - 1) mod deg. The only randomness
-// is the per-node offset — all subsequent contacts are deterministic.
+// reference [11]; extension beyond the paper's own model) into
+// s.pending: every node owns a cyclic list of its neighbors (the sorted
+// adjacency order) and an independent uniformly random starting offset;
+// in round r it contacts the neighbor at position (offset + r - 1) mod
+// deg. The only randomness is the per-node offset — all subsequent
+// contacts are deterministic.
 //
 // Informed callers push; uninformed callers pull (subject to the
 // configured protocol), with the same pre-round snapshot semantics as
-// RunSync. The quasirandom literature's headline result is that this
-// derandomization preserves (and often slightly improves) the spreading
-// time of the fully random protocol; experiment E15 measures exactly
-// that.
+// the fully random round. The quasirandom literature's headline result
+// is that this derandomization preserves (and often slightly improves)
+// the spreading time of the fully random protocol; experiment E15
+// measures exactly that.
 //
 // Multi-source and lossy transmission are supported; crash injection is
 // not (the model's contact sequence is a function of the round, which a
-// crash schedule would not disturb anyway — configure Crashes and the
-// call fails).
-func RunQuasirandomSync(g *graph.Graph, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncResult, error) {
-	out, err := runOnce(graph.NewStatic(g), src, cfg, 0, true, rng)
-	return out.Sync, err
-}
-
-// quasirandomRound collects one quasirandom round's transmissions into
-// s.pending.
+// crash schedule would not disturb anyway — configure Crashes and
+// NewTrial fails).
 func (s *SyncStepper) quasirandomRound() {
 	st := s.st
 	if s.doPush {

@@ -8,6 +8,12 @@ import (
 	"rumor/internal/xrand"
 )
 
+// runQuasirandomSync runs the quasirandom protocol once on a static graph.
+func runQuasirandomSync(g *graph.Graph, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncResult, error) {
+	out, err := runOnce(graph.NewStatic(g), src, cfg, 0, true, rng)
+	return out.Sync, err
+}
+
 func TestQuasirandomCompletes(t *testing.T) {
 	graphs := []*graph.Graph{
 		mustGraph(graph.Complete(64)),
@@ -17,7 +23,7 @@ func TestQuasirandomCompletes(t *testing.T) {
 	}
 	for _, g := range graphs {
 		for _, p := range []Protocol{Push, Pull, PushPull} {
-			res, err := RunQuasirandomSync(g, 0, SyncConfig{Protocol: p}, xrand.New(uint64(p)))
+			res, err := runQuasirandomSync(g, 0, SyncConfig{Protocol: p}, xrand.New(uint64(p)))
 			if err != nil {
 				t.Fatalf("%v/%v: %v", g, p, err)
 			}
@@ -31,11 +37,11 @@ func TestQuasirandomCompletes(t *testing.T) {
 
 func TestQuasirandomDeterministic(t *testing.T) {
 	g := mustGraph(graph.Hypercube(6))
-	a, err := RunQuasirandomSync(g, 0, SyncConfig{Protocol: PushPull}, xrand.New(9))
+	a, err := runQuasirandomSync(g, 0, SyncConfig{Protocol: PushPull}, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunQuasirandomSync(g, 0, SyncConfig{Protocol: PushPull}, xrand.New(9))
+	b, err := runQuasirandomSync(g, 0, SyncConfig{Protocol: PushPull}, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +58,7 @@ func TestQuasirandomCyclicCoverage(t *testing.T) {
 	n := 64
 	g := mustGraph(graph.Star(n))
 	for seed := uint64(0); seed < 5; seed++ {
-		res, err := RunQuasirandomSync(g, 0, SyncConfig{Protocol: Push}, xrand.New(seed))
+		res, err := runQuasirandomSync(g, 0, SyncConfig{Protocol: Push}, xrand.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +77,7 @@ func TestQuasirandomMuchFasterThanRandomOnStarPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qr, err := RunQuasirandomSync(g, 0, SyncConfig{Protocol: Push}, xrand.New(1))
+	qr, err := runQuasirandomSync(g, 0, SyncConfig{Protocol: Push}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +95,7 @@ func TestQuasirandomComparableOnExpander(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunQuasirandomSync(g, 0, SyncConfig{Protocol: PushPull}, xrand.New(seed+trials))
+		b, err := runQuasirandomSync(g, 0, SyncConfig{Protocol: PushPull}, xrand.New(seed+trials))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +110,7 @@ func TestQuasirandomComparableOnExpander(t *testing.T) {
 
 func TestQuasirandomRejectsCrashes(t *testing.T) {
 	g := mustGraph(graph.Cycle(8))
-	_, err := RunQuasirandomSync(g, 0, SyncConfig{
+	_, err := runQuasirandomSync(g, 0, SyncConfig{
 		Protocol: PushPull,
 		Crashes:  []Crash{{Node: 1, Time: 1}},
 	}, xrand.New(1))
@@ -115,7 +121,7 @@ func TestQuasirandomRejectsCrashes(t *testing.T) {
 
 func TestQuasirandomMultiSource(t *testing.T) {
 	g := mustGraph(graph.Path(32))
-	res, err := RunQuasirandomSync(g, 0, SyncConfig{
+	res, err := runQuasirandomSync(g, 0, SyncConfig{
 		Protocol:     PushPull,
 		ExtraSources: []graph.NodeID{31},
 	}, xrand.New(2))
@@ -129,7 +135,7 @@ func TestQuasirandomMultiSource(t *testing.T) {
 
 func TestQuasirandomBudget(t *testing.T) {
 	g := mustGraph(graph.Path(64))
-	_, err := RunQuasirandomSync(g, 0, SyncConfig{Protocol: PushPull, MaxRounds: 2}, xrand.New(3))
+	_, err := runQuasirandomSync(g, 0, SyncConfig{Protocol: PushPull, MaxRounds: 2}, xrand.New(3))
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}

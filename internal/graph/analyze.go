@@ -47,7 +47,8 @@ func (s *BFSScratch) BFS(g *Graph, src NodeID) []int32 {
 	return dist
 }
 
-// eccentricity is Eccentricity over a caller-provided scratch.
+// eccentricity returns the maximum hop distance from src to any reachable
+// vertex, and whether all vertices are reachable.
 func (s *BFSScratch) eccentricity(g *Graph, src NodeID) (int32, bool) {
 	dist := s.BFS(g, src)
 	var ecc int32
@@ -114,13 +115,6 @@ func Reachable(g *Graph, sources []NodeID) int {
 		}
 	}
 	return len(queue)
-}
-
-// Eccentricity returns the maximum hop distance from src to any reachable
-// vertex, and whether all vertices are reachable.
-func Eccentricity(g *Graph, src NodeID) (int32, bool) {
-	var s BFSScratch
-	return s.eccentricity(g, src)
 }
 
 // Diameter returns the exact diameter by running BFS from every vertex.
@@ -275,53 +269,4 @@ func Degrees(g *Graph) DegreeStats {
 // String renders the stats compactly.
 func (s DegreeStats) String() string {
 	return fmt.Sprintf("deg[min=%d max=%d mean=%.2f sd=%.2f]", s.Min, s.Max, s.Mean, s.StdDev)
-}
-
-// ContactProbability returns π(v) = (1/n) Σ_{w ∈ Γ(v)} 1/deg(w): the
-// probability that v is contacted in a uniformly random asynchronous step
-// (the quantity used in the proof of Lemma 14).
-func ContactProbability(g *Graph, v NodeID) float64 {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for _, w := range g.Neighbors(v) {
-		sum += 1 / float64(g.Degree(w))
-	}
-	return sum / float64(n)
-}
-
-// InducedSubgraph returns the subgraph induced by the given nodes, along
-// with the mapping from new IDs (positions in nodes) to original IDs.
-// Duplicate entries in nodes are rejected.
-func InducedSubgraph(g *Graph, nodes []NodeID) (*Graph, []NodeID, error) {
-	oldToNew := make(map[NodeID]NodeID, len(nodes))
-	for i, v := range nodes {
-		if v < 0 || int(v) >= g.NumNodes() {
-			return nil, nil, fmt.Errorf("%w: node %d", ErrOutOfRange, v)
-		}
-		if _, dup := oldToNew[v]; dup {
-			return nil, nil, fmt.Errorf("%w: duplicate node %d", ErrInvalidParam, v)
-		}
-		oldToNew[v] = NodeID(i)
-	}
-	b := NewBuilder(len(nodes)).SetName(g.name + "/induced")
-	for _, v := range nodes {
-		for _, w := range g.Neighbors(v) {
-			nw, ok := oldToNew[w]
-			if !ok {
-				continue
-			}
-			if oldToNew[v] < nw {
-				b.AddEdge(oldToNew[v], nw)
-			}
-		}
-	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	mapping := append([]NodeID(nil), nodes...)
-	return sub, mapping, nil
 }

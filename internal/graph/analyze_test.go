@@ -52,11 +52,12 @@ func TestIsConnectedSmall(t *testing.T) {
 
 func TestEccentricity(t *testing.T) {
 	g, _ := Path(6)
-	ecc, conn := Eccentricity(g, 0)
+	var s BFSScratch
+	ecc, conn := s.eccentricity(g, 0)
 	if !conn || ecc != 5 {
 		t.Fatalf("ecc(0) = (%d, %v)", ecc, conn)
 	}
-	ecc, conn = Eccentricity(g, 3)
+	ecc, conn = s.eccentricity(g, 3)
 	if !conn || ecc != 3 {
 		t.Fatalf("ecc(3) = (%d, %v)", ecc, conn)
 	}
@@ -156,75 +157,6 @@ func TestDegrees(t *testing.T) {
 	}
 	if math.Abs(s.Mean-8.0/5) > 1e-12 {
 		t.Fatalf("mean = %v", s.Mean)
-	}
-}
-
-func TestContactProbability(t *testing.T) {
-	// In a star with n nodes: center contacted with prob (n-1)/n * 1
-	// (each leaf has degree 1); leaf contacted with prob (1/n) * 1/(n-1).
-	n := 10
-	g, _ := Star(n)
-	gotCenter := ContactProbability(g, 0)
-	wantCenter := float64(n-1) / float64(n)
-	if math.Abs(gotCenter-wantCenter) > 1e-12 {
-		t.Fatalf("pi(center) = %v, want %v", gotCenter, wantCenter)
-	}
-	gotLeaf := ContactProbability(g, 1)
-	wantLeaf := 1 / float64(n) / float64(n-1)
-	if math.Abs(gotLeaf-wantLeaf) > 1e-12 {
-		t.Fatalf("pi(leaf) = %v, want %v", gotLeaf, wantLeaf)
-	}
-}
-
-func TestContactProbabilitySumsToExpectedContacts(t *testing.T) {
-	// Σ_v π(v) = 1 for any graph: each step contacts exactly one node.
-	rng := xrand.New(21)
-	g, err := GNPConnected(60, 0.1, rng, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-		sum += ContactProbability(g, v)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("sum of contact probabilities = %v, want 1", sum)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g, _ := Complete(6)
-	sub, mapping, err := InducedSubgraph(g, []NodeID{1, 3, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, sub)
-	if sub.NumNodes() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("induced K_3: n=%d m=%d", sub.NumNodes(), sub.NumEdges())
-	}
-	if len(mapping) != 3 || mapping[1] != 3 {
-		t.Fatalf("mapping = %v", mapping)
-	}
-}
-
-func TestInducedSubgraphPreservesNonEdges(t *testing.T) {
-	g, _ := Cycle(6)
-	sub, _, err := InducedSubgraph(g, []NodeID{0, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumEdges() != 0 {
-		t.Fatalf("independent set induced %d edges", sub.NumEdges())
-	}
-}
-
-func TestInducedSubgraphErrors(t *testing.T) {
-	g, _ := Cycle(5)
-	if _, _, err := InducedSubgraph(g, []NodeID{0, 9}); err == nil {
-		t.Error("out-of-range node accepted")
-	}
-	if _, _, err := InducedSubgraph(g, []NodeID{1, 1}); err == nil {
-		t.Error("duplicate node accepted")
 	}
 }
 

@@ -81,9 +81,6 @@ func TestStreamedBuildMatchesNaive(t *testing.T) {
 					edges = append(edges, [2]NodeID{v, u})
 				}
 			}
-			if b.NumPendingEdges() != len(edges) {
-				t.Fatalf("NumPendingEdges = %d, want %d", b.NumPendingEdges(), len(edges))
-			}
 			g, err := b.Build()
 			if err != nil {
 				t.Fatal(err)
@@ -262,7 +259,7 @@ func TestDiameterUnchangedByScratchReuse(t *testing.T) {
 		n := g.NumNodes()
 		var slow int32
 		for v := NodeID(0); int(v) < n; v++ {
-			ecc, ok := Eccentricity(g, v)
+			ecc, ok := new(BFSScratch).eccentricity(g, v)
 			if !ok {
 				t.Fatalf("%s disconnected", g)
 			}

@@ -20,29 +20,6 @@ func CompleteBipartite(a, b int) (*Graph, error) {
 	return bld.Build()
 }
 
-// Circulant returns the circulant graph C_n(offsets): vertex v is
-// adjacent to v ± d (mod n) for every offset d. Offsets must lie in
-// [1, n/2]; duplicate edges (e.g. d = n/2 counted twice) are merged.
-// Circulants are vertex-transitive and regular — a flexible source of
-// regular test topologies beyond the cycle (which is C_n(1)).
-func Circulant(n int, offsets []int) (*Graph, error) {
-	if n < 3 || len(offsets) == 0 {
-		return nil, fmt.Errorf("%w: Circulant(%d, %v)", ErrInvalidParam, n, offsets)
-	}
-	for _, d := range offsets {
-		if d < 1 || d > n/2 {
-			return nil, fmt.Errorf("%w: Circulant offset %d outside [1, %d]", ErrInvalidParam, d, n/2)
-		}
-	}
-	b := NewBuilder(n).SetName(fmt.Sprintf("circulant(%d,%v)", n, offsets))
-	for v := 0; v < n; v++ {
-		for _, d := range offsets {
-			b.AddEdge(NodeID(v), NodeID((v+d)%n))
-		}
-	}
-	return b.Build()
-}
-
 // Wheel returns the wheel graph W_n: a cycle on n-1 vertices (IDs
 // 1..n-1) plus a hub (ID 0) adjacent to all of them. Total n >= 4
 // vertices. The hub gives constant diameter while the rim keeps most

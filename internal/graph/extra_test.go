@@ -45,56 +45,6 @@ func TestCompleteBipartiteIsStarWhenA1(t *testing.T) {
 	}
 }
 
-func TestCirculant(t *testing.T) {
-	g, err := Circulant(10, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, g)
-	if d, ok := g.Regularity(); !ok || d != 4 {
-		t.Fatalf("C_10(1,2) regularity (%d, %v)", d, ok)
-	}
-	if !IsConnected(g) {
-		t.Fatal("circulant disconnected")
-	}
-	// C_n(1) is the cycle.
-	c, err := Circulant(8, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cyc, _ := Cycle(8)
-	if c.NumEdges() != cyc.NumEdges() {
-		t.Fatal("C_8(1) is not the 8-cycle")
-	}
-}
-
-func TestCirculantHalfOffset(t *testing.T) {
-	// d = n/2 yields a perfect matching chord set (each edge once).
-	g, err := Circulant(8, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, g)
-	if g.NumEdges() != 4 {
-		t.Fatalf("C_8(4) edges = %d, want 4", g.NumEdges())
-	}
-}
-
-func TestCirculantValidation(t *testing.T) {
-	if _, err := Circulant(2, []int{1}); !errors.Is(err, ErrInvalidParam) {
-		t.Error("n=2 accepted")
-	}
-	if _, err := Circulant(8, nil); !errors.Is(err, ErrInvalidParam) {
-		t.Error("empty offsets accepted")
-	}
-	if _, err := Circulant(8, []int{5}); !errors.Is(err, ErrInvalidParam) {
-		t.Error("offset > n/2 accepted")
-	}
-	if _, err := Circulant(8, []int{0}); !errors.Is(err, ErrInvalidParam) {
-		t.Error("offset 0 accepted")
-	}
-}
-
 func TestWheel(t *testing.T) {
 	g, err := Wheel(8) // hub + 7-cycle rim
 	if err != nil {

@@ -156,28 +156,6 @@ func Barbell(k, pathLen int) (*Graph, error) {
 	return b.Build()
 }
 
-// Lollipop returns a clique of size k with a path of pathLen extra
-// vertices attached to clique node k-1. Total vertices: k + pathLen.
-func Lollipop(k, pathLen int) (*Graph, error) {
-	if k < 2 || pathLen < 1 {
-		return nil, fmt.Errorf("%w: Lollipop(%d,%d)", ErrInvalidParam, k, pathLen)
-	}
-	n := k + pathLen
-	b := NewBuilder(n).SetName(fmt.Sprintf("lollipop(k=%d,path=%d)", k, pathLen))
-	for u := 0; u < k; u++ {
-		for v := u + 1; v < k; v++ {
-			b.AddEdge(NodeID(u), NodeID(v))
-		}
-	}
-	prev := NodeID(k - 1)
-	for i := 0; i < pathLen; i++ {
-		cur := NodeID(k + i)
-		b.AddEdge(prev, cur)
-		prev = cur
-	}
-	return b.Build()
-}
-
 // DoubleStar returns two stars whose centers are joined by an edge; each
 // center has leafs leaves. Total vertices: 2*leafs + 2. Node 0 and node 1
 // are the centers. A high-degree/high-degree bridge is the classic

@@ -177,20 +177,6 @@ func TestBarbellZeroPath(t *testing.T) {
 	}
 }
 
-func TestLollipop(t *testing.T) {
-	g, err := Lollipop(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, g)
-	if g.NumNodes() != 7 || g.NumEdges() != 6+3 {
-		t.Fatalf("lollipop: n=%d m=%d", g.NumNodes(), g.NumEdges())
-	}
-	if !IsConnected(g) {
-		t.Fatal("lollipop disconnected")
-	}
-}
-
 func TestDoubleStar(t *testing.T) {
 	g, err := DoubleStar(5)
 	if err != nil {
@@ -278,7 +264,6 @@ func TestFamilyParamValidation(t *testing.T) {
 		{"Grid", func() error { _, err := Grid(0, 3, false); return err }()},
 		{"Tree", func() error { _, err := CompleteKAryTree(1, 2); return err }()},
 		{"Barbell", func() error { _, err := Barbell(1, 0); return err }()},
-		{"Lollipop", func() error { _, err := Lollipop(2, 0); return err }()},
 		{"DoubleStar", func() error { _, err := DoubleStar(0); return err }()},
 		{"DiamondChain", func() error { _, err := DiamondChain(0, 1); return err }()},
 	}

@@ -21,7 +21,6 @@ type NodeID = int32
 // Common construction errors.
 var (
 	ErrSelfLoop     = errors.New("graph: self-loop")
-	ErrDuplicate    = errors.New("graph: duplicate edge")
 	ErrOutOfRange   = errors.New("graph: node out of range")
 	ErrInvalidParam = errors.New("graph: invalid parameter")
 )
@@ -116,33 +115,6 @@ func (g *Graph) Regularity() (int32, bool) {
 	return d, true
 }
 
-// MinDegree returns the smallest vertex degree (0 for the empty graph).
-func (g *Graph) MinDegree() int32 {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	min := g.Degree(0)
-	for v := NodeID(1); int(v) < n; v++ {
-		if d := g.Degree(v); d < min {
-			min = d
-		}
-	}
-	return min
-}
-
-// MaxDegree returns the largest vertex degree (0 for the empty graph).
-func (g *Graph) MaxDegree() int32 {
-	n := g.NumNodes()
-	var max int32
-	for v := NodeID(0); int(v) < n; v++ {
-		if d := g.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // String returns a short human-readable summary.
 func (g *Graph) String() string {
 	name := g.name
@@ -165,7 +137,6 @@ func (g *Graph) String() string {
 type Builder struct {
 	n      int
 	chunks [][][2]NodeID
-	m      int // total edges recorded
 	name   string
 	err    error
 	// last is the previous edge recorded; unordered is set by the first
@@ -224,13 +195,8 @@ func (b *Builder) AddEdge(u, v NodeID) *Builder {
 	}
 	b.last = [2]NodeID{u, v}
 	b.chunks[last] = append(b.chunks[last], b.last)
-	b.m++
 	return b
 }
-
-// NumPendingEdges returns the number of edges recorded so far (before
-// deduplication).
-func (b *Builder) NumPendingEdges() int { return b.m }
 
 // Build produces the immutable graph, deduplicating parallel edges.
 //

@@ -176,13 +176,6 @@ func TestRegularity(t *testing.T) {
 	}
 }
 
-func TestMinMaxDegree(t *testing.T) {
-	star, _ := Star(6)
-	if star.MinDegree() != 1 || star.MaxDegree() != 5 {
-		t.Fatalf("star degrees: min=%d max=%d", star.MinDegree(), star.MaxDegree())
-	}
-}
-
 func TestGraphString(t *testing.T) {
 	g, _ := Star(4)
 	if got := g.String(); got != "star(4){n=4, m=3}" {

@@ -168,57 +168,3 @@ func RandomRegular(n, d int, rng *xrand.RNG) (*Graph, error) {
 	}
 	return nil, fmt.Errorf("graph: RandomRegular(%d, %d) repair did not converge", n, d)
 }
-
-// WattsStrogatz returns a Watts–Strogatz small-world graph: a ring lattice
-// where each vertex connects to its k nearest neighbors on each side
-// (degree 2k), with each "forward" edge rewired to a uniform random
-// endpoint with probability beta (avoiding self loops and duplicates;
-// a rewire that cannot find a valid endpoint keeps the original edge).
-func WattsStrogatz(n, k int, beta float64, rng *xrand.RNG) (*Graph, error) {
-	if n < 3 || k < 1 || 2*k >= n || beta < 0 || beta > 1 {
-		return nil, fmt.Errorf("%w: WattsStrogatz(%d, %d, %v)", ErrInvalidParam, n, k, beta)
-	}
-	type edge struct{ u, v NodeID }
-	present := make(map[edge]bool, n*k)
-	norm := func(u, v NodeID) edge {
-		if u > v {
-			u, v = v, u
-		}
-		return edge{u, v}
-	}
-	var edges []edge
-	for u := 0; u < n; u++ {
-		for j := 1; j <= k; j++ {
-			e := norm(NodeID(u), NodeID((u+j)%n))
-			if !present[e] {
-				present[e] = true
-				edges = append(edges, e)
-			}
-		}
-	}
-	for i := range edges {
-		if !rng.Bernoulli(beta) {
-			continue
-		}
-		u := edges[i].u
-		for attempt := 0; attempt < 50; attempt++ {
-			w := NodeID(rng.Intn(n))
-			if w == u {
-				continue
-			}
-			e := norm(u, w)
-			if present[e] {
-				continue
-			}
-			delete(present, edges[i])
-			present[e] = true
-			edges[i] = e
-			break
-		}
-	}
-	b := NewBuilder(n).SetName(fmt.Sprintf("smallworld(%d,k=%d,b=%.2f)", n, k, beta))
-	for _, e := range edges {
-		b.AddEdge(e.u, e.v)
-	}
-	return b.Build()
-}

@@ -147,52 +147,6 @@ func TestRandomRegularDeterministic(t *testing.T) {
 	}
 }
 
-func TestWattsStrogatz(t *testing.T) {
-	rng := xrand.New(8)
-	g, err := WattsStrogatz(100, 3, 0.1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, g)
-	if g.NumEdges() != 300 {
-		t.Fatalf("WS edges = %d, want 300", g.NumEdges())
-	}
-	stats := Degrees(g)
-	if math.Abs(stats.Mean-6) > 1e-9 {
-		t.Fatalf("WS mean degree = %v, want 6", stats.Mean)
-	}
-}
-
-func TestWattsStrogatzBetaZeroIsLattice(t *testing.T) {
-	rng := xrand.New(9)
-	g, err := WattsStrogatz(20, 2, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, ok := g.Regularity(); !ok || d != 4 {
-		t.Fatalf("WS(beta=0) regularity (%d, %v)", d, ok)
-	}
-	for v := NodeID(0); v < 20; v++ {
-		for j := 1; j <= 2; j++ {
-			if !g.HasEdge(v, NodeID((int(v)+j)%20)) {
-				t.Fatalf("lattice edge (%d,+%d) missing", v, j)
-			}
-		}
-	}
-}
-
-func TestWattsStrogatzRejectsBadParams(t *testing.T) {
-	rng := xrand.New(10)
-	for _, tc := range []struct {
-		n, k int
-		beta float64
-	}{{2, 1, 0}, {10, 5, 0}, {10, 0, 0}, {10, 2, -0.1}, {10, 2, 1.5}} {
-		if _, err := WattsStrogatz(tc.n, tc.k, tc.beta, rng); !errors.Is(err, ErrInvalidParam) {
-			t.Errorf("WattsStrogatz(%d,%d,%v) accepted", tc.n, tc.k, tc.beta)
-		}
-	}
-}
-
 func TestChungLuExpectedDegrees(t *testing.T) {
 	rng := xrand.New(11)
 	n := 2000

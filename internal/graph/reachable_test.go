@@ -49,7 +49,7 @@ func TestConnectivityMatchesFullBFS(t *testing.T) {
 		for _, n := range []int{16, 65, 400} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				add(f.Build(n, seed))
-				if _, ok := graph.Eccentricity(graphs[len(graphs)-1], 0); !ok {
+				if g := graphs[len(graphs)-1]; reachableByBFS(g, []graph.NodeID{0}) < g.NumNodes() {
 					disconnected++
 				}
 			}
@@ -72,10 +72,7 @@ func TestConnectivityMatchesFullBFS(t *testing.T) {
 	for i, g := range graphs {
 		name := fmt.Sprintf("#%d %s", i, g)
 		n := g.NumNodes()
-		want := n <= 1
-		if n > 1 {
-			_, want = graph.Eccentricity(g, 0)
-		}
+		want := n <= 1 || reachableByBFS(g, []graph.NodeID{0}) == n
 		if got := graph.IsConnected(g); got != want {
 			t.Errorf("%s: IsConnected = %v, full BFS says %v", name, got, want)
 		}
@@ -112,7 +109,7 @@ func TestIsConnectedConcurrentFirstCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, want := graph.Eccentricity(g, 0)
+		want := reachableByBFS(g, []graph.NodeID{0}) == g.NumNodes()
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {
 			wg.Add(1)

@@ -85,20 +85,6 @@ func TestRunnerRunsEveryTrialOnce(t *testing.T) {
 	}
 }
 
-func TestRunPairs(t *testing.T) {
-	as, bs, err := Runner{Trials: 10, Seed: 3}.RunPairs(func(trial int, _ *xrand.RNG) (float64, float64, error) {
-		return float64(trial), float64(trial * 2), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range as {
-		if as[i] != float64(i) || bs[i] != float64(2*i) {
-			t.Fatalf("pair %d = (%v, %v)", i, as[i], bs[i])
-		}
-	}
-}
-
 func TestStandardFamiliesBuildConnected(t *testing.T) {
 	for _, f := range StandardFamilies() {
 		f := f
@@ -197,7 +183,7 @@ func TestMeasureAsyncViewsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.SameDistribution(a.Times, b.Times, 0.001) {
+	if stats.KolmogorovSmirnov(a.Times, b.Times).PValue < 0.001 {
 		t.Fatal("global-clock and per-node views differ distributionally")
 	}
 }

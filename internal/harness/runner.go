@@ -112,23 +112,3 @@ func (r Runner) RunTrials(ctx context.Context, compile func() (*core.Trial, erro
 		return measure(t, out, err)
 	})
 }
-
-// RunPairs is Run for trial functions returning two values (e.g. a
-// synchronous and an asynchronous measurement per trial).
-func (r Runner) RunPairs(fn func(trial int, rng *xrand.RNG) (a, b float64, err error)) (as, bs []float64, err error) {
-	if r.Trials < 1 {
-		return nil, nil, ErrNoTrials
-	}
-	as = make([]float64, r.Trials)
-	bs = make([]float64, r.Trials)
-	_, err = r.Run(func(t int, rng *xrand.RNG) (float64, error) {
-		a, b, err := fn(t, rng)
-		as[t] = a
-		bs[t] = b
-		return 0, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return as, bs, nil
-}

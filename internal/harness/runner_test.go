@@ -65,66 +65,6 @@ func TestRunnerFirstErrorByTrialIndex(t *testing.T) {
 	}
 }
 
-// RunPairs writes both values of every trial to the correct indices
-// under concurrency, and the two returned slices have distinct backing
-// arrays (no aliasing between the a-sample and the b-sample).
-func TestRunPairsAliasing(t *testing.T) {
-	r := Runner{Trials: 33, Seed: 9, Workers: 8}
-	as, bs, err := r.RunPairs(func(trial int, rng *xrand.RNG) (float64, float64, error) {
-		v := rng.Float64()
-		return v, -v, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != 33 || len(bs) != 33 {
-		t.Fatalf("lengths = %d, %d", len(as), len(bs))
-	}
-	if &as[0] == &bs[0] {
-		t.Fatal("as and bs share a backing array")
-	}
-	for i := range as {
-		if as[i] != -bs[i] {
-			t.Fatalf("pair %d desynchronized: %v vs %v", i, as[i], bs[i])
-		}
-		if as[i] == 0 {
-			t.Fatalf("trial %d never ran", i)
-		}
-	}
-	// The a-sample must reproduce a plain Run with the same seed: the
-	// pair runner must not perturb per-trial seeding.
-	plain, err := Runner{Trials: 33, Seed: 9, Workers: 1}.Run(func(_ int, rng *xrand.RNG) (float64, error) {
-		return rng.Float64(), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		if plain[i] != as[i] {
-			t.Fatalf("trial %d: RunPairs stream %v != Run stream %v", i, as[i], plain[i])
-		}
-	}
-}
-
-// RunPairs propagates the first error by trial index and returns nil
-// slices, mirroring Run.
-func TestRunPairsErrorPropagation(t *testing.T) {
-	sentinel := errors.New("pair boom")
-	as, bs, err := Runner{Trials: 10, Seed: 1, Workers: 4}.RunPairs(
-		func(trial int, _ *xrand.RNG) (float64, float64, error) {
-			if trial >= 3 {
-				return 0, 0, sentinel
-			}
-			return 1, 2, nil
-		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want wrapped sentinel", err)
-	}
-	if as != nil || bs != nil {
-		t.Fatal("slices returned alongside error")
-	}
-}
-
 // TestRunTrialsPoolsCompiledTrials: the pooled loop compiles a trial only
 // when it has none to reuse, a reused trial gives what a fresh one gives
 // (the sample does not depend on the worker count), the run's error

@@ -16,7 +16,7 @@ func fuzzSpec(kindSel, protoSel, timingSel, viewSel, variantSel uint8, family st
 	n, trials, source int, qr bool, loss float64, gseed, tseed uint64,
 	extras, crashes, covs []byte, param float64,
 	dynSel uint8, dynPeriod, perturbRate float64, churn []byte) CellSpec {
-	kinds := append([]string{""}, KindNames()...)
+	kinds := []string{"", KindTime}
 	protos := []string{"push", "pull", "push-pull", ""}
 	timings := []string{TimingSync, TimingAsync, ""}
 	views := []string{"", "global-clock", "per-node-clocks", "per-edge-clocks"}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -108,18 +107,6 @@ func KindByName(name string) (CellKind, error) {
 		return CellKind{}, fmt.Errorf("service: unknown cell kind %q", name)
 	}
 	return k, nil
-}
-
-// KindNames lists the registered kinds, sorted.
-func KindNames() []string {
-	kindMu.RLock()
-	defer kindMu.RUnlock()
-	names := make([]string, 0, len(kindTable))
-	for name := range kindTable {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func init() {

@@ -121,34 +121,3 @@ func HighProbabilityTime(sample []float64, graphN int) float64 {
 	}
 	return Quantile(sample, 1-1/float64(graphN))
 }
-
-// Histogram bins xs into k equal-width buckets over [min, max] and
-// returns the bucket counts plus the bucket width. Empty samples or
-// degenerate ranges return a single bucket.
-func Histogram(xs []float64, k int) (counts []int, lo, width float64) {
-	if len(xs) == 0 || k < 1 {
-		return []int{0}, 0, 0
-	}
-	mn, mx := xs[0], xs[0]
-	for _, x := range xs {
-		if x < mn {
-			mn = x
-		}
-		if x > mx {
-			mx = x
-		}
-	}
-	if mx == mn {
-		return []int{len(xs)}, mn, 0
-	}
-	counts = make([]int, k)
-	width = (mx - mn) / float64(k)
-	for _, x := range xs {
-		b := int((x - mn) / width)
-		if b >= k {
-			b = k - 1
-		}
-		counts[b]++
-	}
-	return counts, mn, width
-}

@@ -77,9 +77,3 @@ func ksProbability(lambda float64) float64 {
 	}
 	return p
 }
-
-// SameDistribution reports whether the KS test fails to reject equality
-// at significance level alpha (i.e. the samples look alike).
-func SameDistribution(xs, ys []float64, alpha float64) bool {
-	return KolmogorovSmirnov(xs, ys).PValue >= alpha
-}

@@ -21,11 +21,6 @@ type PowerLawFit struct {
 // C returns the multiplicative constant e^LogC.
 func (f PowerLawFit) C() float64 { return math.Exp(f.LogC) }
 
-// Predict returns C · x^Alpha.
-func (f PowerLawFit) Predict(x float64) float64 {
-	return math.Exp(f.LogC + f.Alpha*math.Log(x))
-}
-
 // FitPowerLaw fits y = C·x^α by ordinary least squares on (log x, log y).
 // All coordinates must be positive.
 func FitPowerLaw(xs, ys []float64) (PowerLawFit, error) {

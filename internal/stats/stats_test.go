@@ -99,24 +99,6 @@ func TestHighProbabilityTime(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.1, 0.2, 0.5, 0.9, 1.0}
-	counts, lo, width := Histogram(xs, 2)
-	if lo != 0 || width != 0.5 {
-		t.Fatalf("lo=%v width=%v", lo, width)
-	}
-	if counts[0] != 3 || counts[1] != 3 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	counts, _, width := Histogram([]float64{5, 5, 5}, 4)
-	if len(counts) != 1 || counts[0] != 3 || width != 0 {
-		t.Fatalf("degenerate histogram %v %v", counts, width)
-	}
-}
-
 func TestKSIdenticalSamples(t *testing.T) {
 	rng := xrand.New(1)
 	xs := make([]float64, 2000)
@@ -132,9 +114,6 @@ func TestKSIdenticalSamples(t *testing.T) {
 	if res.PValue < 0.01 {
 		t.Fatalf("KS rejected identical distributions: p = %v", res.PValue)
 	}
-	if !SameDistribution(xs, ys, 0.01) {
-		t.Fatal("SameDistribution rejected identical samples")
-	}
 }
 
 func TestKSDifferentSamples(t *testing.T) {
@@ -148,9 +127,6 @@ func TestKSDifferentSamples(t *testing.T) {
 	res := KolmogorovSmirnov(xs, ys)
 	if res.PValue > 1e-6 {
 		t.Fatalf("KS failed to reject different distributions: p = %v", res.PValue)
-	}
-	if SameDistribution(xs, ys, 0.01) {
-		t.Fatal("SameDistribution accepted different samples")
 	}
 }
 
@@ -166,54 +142,6 @@ func TestKSStatisticExact(t *testing.T) {
 	res := KolmogorovSmirnov([]float64{1, 2}, []float64{3, 4})
 	if res.Statistic != 1 {
 		t.Fatalf("disjoint support KS = %v, want 1", res.Statistic)
-	}
-}
-
-func TestBootstrapMeanCI(t *testing.T) {
-	rng := xrand.New(3)
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = rng.Exp(1) // mean 1
-	}
-	ci := BootstrapMeanCI(xs, 0.95, 500, rng)
-	if !ci.Contains(Mean(xs)) {
-		t.Fatal("bootstrap CI excludes sample mean")
-	}
-	if !ci.Contains(1) {
-		t.Fatalf("bootstrap CI %v excludes true mean 1 (unlucky but <1%% chance)", ci)
-	}
-	if ci.Hi-ci.Lo > 0.5 {
-		t.Fatalf("CI suspiciously wide: %v", ci)
-	}
-}
-
-func TestNormalMeanCI(t *testing.T) {
-	rng := xrand.New(4)
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = rng.Float64()
-	}
-	ci := NormalMeanCI(xs, 0.95)
-	if !ci.Contains(0.5) {
-		t.Fatalf("normal CI %v excludes 0.5", ci)
-	}
-	wider := NormalMeanCI(xs, 0.999)
-	if wider.Hi-wider.Lo <= ci.Hi-ci.Lo {
-		t.Fatal("higher confidence did not widen CI")
-	}
-}
-
-func TestNormalQuantileKnownValues(t *testing.T) {
-	cases := []struct{ p, want float64 }{
-		{0.5, 0},
-		{0.975, 1.959964},
-		{0.995, 2.575829},
-		{0.025, -1.959964},
-	}
-	for _, c := range cases {
-		if got := normalQuantile(c.p); math.Abs(got-c.want) > 1e-4 {
-			t.Errorf("normalQuantile(%v) = %v, want %v", c.p, got, c.want)
-		}
 	}
 }
 
@@ -235,9 +163,6 @@ func TestFitPowerLawExact(t *testing.T) {
 	}
 	if fit.R2 < 0.999999 {
 		t.Fatalf("R2 = %v", fit.R2)
-	}
-	if math.Abs(fit.Predict(32)-3*math.Pow(32, 1.5)) > 1e-6 {
-		t.Fatal("Predict wrong")
 	}
 }
 
@@ -272,16 +197,17 @@ func TestTableRender(t *testing.T) {
 	tab := NewTable("name", "value")
 	tab.AddRow("alpha", 1.0)
 	tab.AddRow("beta", 2.5)
-	out := tab.RenderString()
+	var b strings.Builder
+	if err := tab.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
 	if !strings.Contains(out, "alpha") || !strings.Contains(out, "2.500") {
 		t.Fatalf("render missing cells:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 { // header, separator, 2 rows
 		t.Fatalf("got %d lines", len(lines))
-	}
-	if tab.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tab.NumRows())
 	}
 }
 

@@ -33,9 +33,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // formatFloat renders floats compactly: integers without decimals,
 // small values with 4 significant digits, large with 2 decimals.
 func formatFloat(v float64) string {
@@ -86,14 +83,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// RenderString returns the rendered table as a string.
-func (t *Table) RenderString() string {
-	var b strings.Builder
-	// strings.Builder's Write never fails.
-	_ = t.Render(&b)
-	return b.String()
 }
 
 // WriteCSV writes the table in CSV form (comma-separated, quoted only

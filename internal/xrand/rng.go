@@ -184,25 +184,6 @@ func (r *RNG) ExpInv(lambda float64) float64 {
 	return -math.Log(r.Float64Open()) / lambda
 }
 
-// Geometric returns a geometrically distributed value with success
-// probability p: the number of Bernoulli(p) trials up to and including the
-// first success (support {1, 2, ...}). It panics unless 0 < p <= 1.
-func (r *RNG) Geometric(p float64) int64 {
-	if p <= 0 || p > 1 {
-		panic("xrand: Geometric with p outside (0, 1]")
-	}
-	if p == 1 {
-		return 1
-	}
-	// Inverse CDF: ceil(log(1-U) / log(1-p)).
-	u := r.Float64Open()
-	g := math.Ceil(math.Log(u) / math.Log1p(-p))
-	if g < 1 {
-		g = 1
-	}
-	return int64(g)
-}
-
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -212,17 +193,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Perm returns a pseudo-random permutation of [0, n) as a slice.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle performs a Fisher-Yates shuffle of n elements using swap.

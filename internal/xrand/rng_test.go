@@ -216,39 +216,6 @@ func TestExpMemorylessTail(t *testing.T) {
 	}
 }
 
-func TestGeometricSupportAndMean(t *testing.T) {
-	for _, p := range []float64{0.05, 0.5, 0.9, 1} {
-		r := New(8)
-		const n = 100000
-		var sum float64
-		for i := 0; i < n; i++ {
-			g := r.Geometric(p)
-			if g < 1 {
-				t.Fatalf("Geometric(%v) = %d < 1", p, g)
-			}
-			sum += float64(g)
-		}
-		mean := sum / n
-		want := 1 / p
-		if math.Abs(mean-want) > 0.03*want {
-			t.Fatalf("mean of Geometric(%v) = %v, want ~%v", p, mean, want)
-		}
-	}
-}
-
-func TestGeometricPanicsOnBadP(t *testing.T) {
-	for _, p := range []float64{0, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Geometric(%v) did not panic", p)
-				}
-			}()
-			New(1).Geometric(p)
-		}()
-	}
-}
-
 func TestBernoulliEdges(t *testing.T) {
 	r := New(9)
 	for i := 0; i < 100; i++ {
@@ -273,23 +240,6 @@ func TestBernoulliFrequency(t *testing.T) {
 	got := float64(count) / n
 	if math.Abs(got-0.3) > 0.01 {
 		t.Fatalf("Bernoulli(0.3) frequency = %v", got)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(11)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
 	}
 }
 

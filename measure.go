@@ -7,17 +7,10 @@ import (
 
 // Measurement and harness types, re-exported for library users.
 type (
-	// Runner executes independent trials concurrently and
-	// deterministically.
-	Runner = harness.Runner
 	// Measurement is a sample of spreading times.
 	Measurement = harness.Measurement
 	// Family is a named, size-parameterized graph family.
 	Family = harness.Family
-	// Sweep measures spreading times across a (families × sizes) grid.
-	Sweep = harness.Sweep
-	// SweepRow is one (family, size) sweep measurement.
-	SweepRow = harness.SweepRow
 	// Summary holds descriptive statistics of a sample.
 	Summary = stats.Summary
 	// KSResult reports a two-sample Kolmogorov–Smirnov test.
@@ -34,11 +27,6 @@ func MeasureSync(g *Graph, src NodeID, p Protocol, trials int, seed uint64, work
 // MeasureAsync samples the asynchronous spreading time over trials runs.
 func MeasureAsync(g *Graph, src NodeID, p Protocol, trials int, seed uint64, workers int) (*Measurement, error) {
 	return harness.MeasureAsync(g, src, p, trials, seed, workers)
-}
-
-// MeasureAsyncView is MeasureAsync with an explicit process view.
-func MeasureAsyncView(g *Graph, src NodeID, p Protocol, view AsyncView, trials int, seed uint64, workers int) (*Measurement, error) {
-	return harness.MeasureAsyncView(g, src, p, view, trials, seed, workers)
 }
 
 // MeasurePPVariant samples the ppx/ppy spreading time over trials runs.

@@ -25,7 +25,8 @@
 //	fmt.Printf("sync %d rounds, async %.2f time units\n", sync.Rounds, async.Time)
 //
 // All simulations are deterministic functions of (graph, source, config,
-// seed); see the Runner type for parallel multi-trial measurement.
+// seed); see MeasureSync and MeasureAsync for parallel multi-trial
+// measurement.
 package rumor
 
 import (
@@ -70,8 +71,6 @@ type (
 	SyncStepper = core.SyncStepper
 	// AsyncStepper advances an asynchronous process one tick at a time.
 	AsyncStepper = core.AsyncStepper
-	// Curve is a spreading curve (informed fraction over time).
-	Curve = core.Curve
 	// Crash schedules a fail-stop node failure (extension).
 	Crash = core.Crash
 )
@@ -183,15 +182,3 @@ func ConductanceExact(g *Graph) (float64, error) { return spectral.ConductanceEx
 // CheegerBounds converts a lazy-walk spectral gap into conductance
 // bounds: gap ≤ Φ ≤ 2·sqrt(gap).
 func CheegerBounds(gap float64) (lo, hi float64) { return spectral.CheegerBounds(gap) }
-
-// VertexExpansionExact computes α(G) exactly for graphs with at most 24
-// nodes (the parameter of the paper's reference [18], whose bounds carry
-// over to pp-a by Theorem 1).
-func VertexExpansionExact(g *Graph) (float64, error) { return spectral.VertexExpansionExact(g) }
-
-// RunQuasirandomSync executes the quasirandom synchronous protocol
-// (cyclic neighbor lists, one random offset per node — the model of the
-// paper's reference [11]; extension).
-func RunQuasirandomSync(g *Graph, src NodeID, cfg SyncConfig, rng *RNG) (*SyncResult, error) {
-	return core.RunQuasirandomSync(g, src, cfg, rng)
-}
