@@ -4,8 +4,8 @@ import (
 	"errors"
 	"testing"
 
-	"rumor/internal/dist"
 	"rumor/internal/graph"
+	"rumor/internal/stats"
 	"rumor/internal/xrand"
 )
 
@@ -73,7 +73,7 @@ func TestLemma6PPXDominatedByPP(t *testing.T) {
 		}
 		// Allow empirical slack: KS-type deviation of two samples of 300
 		// is ~0.08 at 95%; use 0.12.
-		if !dist.DominatedEmpiricallyInt(ppx, pp, 0.12) {
+		if !stats.DominatedEmpiricallyInt(ppx, pp, 0.12) {
 			t.Errorf("%v: T(ppx) not dominated by T(pp)", g)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"rumor/internal/eventq"
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
 )
@@ -125,15 +124,15 @@ func runCoupledSync(g *graph.Graph, src graph.NodeID, sh *Shared, halfRule bool)
 	for i := range zTrig {
 		zTrig[i] = -1
 	}
-	pullQ := eventq.New(n)
+	pullQ := newEventQueue(n)
 
 	var pending []graph.NodeID
 	inform := func(v graph.NodeID, round int32) {
 		informed[v] = true
 		r[v] = round
 		order = append(order, v)
-		if pullQ.Contains(int32(v)) {
-			pullQ.Remove(int32(v))
+		if pullQ.contains(int32(v)) {
+			pullQ.remove(int32(v))
 		}
 		for _, u := range g.Neighbors(v) {
 			kInf[u]++
@@ -151,7 +150,7 @@ func runCoupledSync(g *graph.Graph, src graph.NodeID, sh *Shared, halfRule bool)
 			if zTrig[u] >= 0 && float64(zTrig[u]+1) < pullRound {
 				pullRound = float64(zTrig[u] + 1)
 			}
-			pullQ.DecreaseTo(int32(u), pullRound)
+			pullQ.decreaseTo(int32(u), pullRound)
 		}
 	}
 	inform(src, 0)
@@ -176,11 +175,11 @@ func runCoupledSync(g *graph.Graph, src graph.NodeID, sh *Shared, halfRule bool)
 		}
 		// Pulls scheduled for this round.
 		for {
-			it, ok := pullQ.Min()
+			it, ok := pullQ.min()
 			if !ok || it.Priority > float64(round) {
 				break
 			}
-			pullQ.Pop()
+			pullQ.pop()
 			v := graph.NodeID(it.ID)
 			if !informed[v] {
 				pending = append(pending, v)
@@ -209,21 +208,21 @@ func runCoupledAsync(g *graph.Graph, src graph.NodeID, sh *Shared, rng *xrand.RN
 	informed := make([]bool, n)
 	pushCount := make([]int, n)
 	// Queue IDs: v in [0, n) = pending pull of v; n+v = next push of v.
-	q := eventq.New(2 * n)
+	q := newEventQueue(2 * n)
 
 	inform := func(v graph.NodeID, tm float64) {
 		informed[v] = true
 		t[v] = tm
-		if q.Contains(int32(v)) {
-			q.Remove(int32(v))
+		if q.contains(int32(v)) {
+			q.remove(int32(v))
 		}
-		q.Push(int32(n)+int32(v), tm+rng.Exp(1))
+		q.push(int32(n)+int32(v), tm+rng.Exp(1))
 		for _, u := range g.Neighbors(v) {
 			if informed[u] {
 				continue
 			}
 			val := tm + 2*sh.Y(u, neighborIndex(g, u, v))
-			q.DecreaseTo(int32(u), val)
+			q.decreaseTo(int32(u), val)
 		}
 	}
 	inform(src, 0)
@@ -239,7 +238,7 @@ func runCoupledAsync(g *graph.Graph, src graph.NodeID, sh *Shared, rng *xrand.RN
 		if guard > maxEvents {
 			return nil, fmt.Errorf("%w: coupled async run exceeded %d events", ErrNoProgress, maxEvents)
 		}
-		it, ok := q.Pop()
+		it, ok := q.pop()
 		if !ok {
 			return nil, fmt.Errorf("%w: event queue drained with %d/%d informed", ErrNoProgress, num, n)
 		}
@@ -253,7 +252,7 @@ func runCoupledAsync(g *graph.Graph, src graph.NodeID, sh *Shared, rng *xrand.RN
 			v := graph.NodeID(int(it.ID) - n)
 			pushCount[v]++
 			w := sh.PushTarget(v, pushCount[v])
-			q.Push(it.ID, it.Priority+rng.Exp(1))
+			q.push(it.ID, it.Priority+rng.Exp(1))
 			if !informed[w] {
 				inform(w, it.Priority)
 				num++

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rumor/internal/dist"
 	"rumor/internal/service"
 	"rumor/internal/stats"
 )
@@ -72,7 +71,7 @@ func e07Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 		ppa := cur.next()
 		coupled := cur.next()
 		logN := math.Log(float64(pp.N))
-		dominated := dist.DominatedEmpirically(ppx.Times, pp.Times, 0.12)
+		dominated := stats.DominatedEmpirically(ppx.Times, pp.Times, 0.12)
 		if !dominated {
 			allDominated = false
 		}

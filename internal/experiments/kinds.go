@@ -9,7 +9,6 @@ import (
 
 	"rumor/internal/core"
 	"rumor/internal/coupling"
-	"rumor/internal/dist"
 	"rumor/internal/graph"
 	"rumor/internal/harness"
 	"rumor/internal/service"
@@ -305,12 +304,8 @@ func runLemma8(ctx context.Context, cell service.CellSpec, _ *graph.Graph, _ int
 	// Reference sample from Exp(kλ), drawn from the same stream (after
 	// the conditional draws, so it is reproducible but independent).
 	ref := make([]float64, cell.Trials)
-	exp, err := dist.NewExp(float64(k) * lambda)
-	if err != nil {
-		return nil, err
-	}
 	for i := range ref {
-		ref[i] = exp.Sample(rng)
+		ref[i] = rng.Exp(float64(k) * lambda)
 	}
 	return &service.KindResult{
 		Times:  conditional,

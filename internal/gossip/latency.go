@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"rumor/internal/dist"
 	"rumor/internal/xrand"
 )
 
@@ -56,19 +55,15 @@ func (s LatencySpec) Validate() error {
 	}
 }
 
-// sample draws one link delay. The exponential case rides
-// internal/dist's Exp so live latency and the simulator's timing model
-// share one sampler.
+// sample draws one link delay of a validated spec. The exponential case
+// is xrand's Exp, so live latency and the simulator's timing model share
+// one sampler.
 func (s LatencySpec) sample(rng *xrand.RNG) time.Duration {
 	switch s.Dist {
 	case LatencyFixed:
 		return s.Mean
 	case LatencyExp:
-		e, err := dist.NewExp(1 / s.Mean.Seconds())
-		if err != nil {
-			return 0
-		}
-		d := time.Duration(e.Sample(rng) * float64(time.Second))
+		d := time.Duration(rng.Exp(1/s.Mean.Seconds()) * float64(time.Second))
 		if d > 4*s.Mean {
 			d = 4 * s.Mean // clip the tail: a run must not stall on one draw
 		}

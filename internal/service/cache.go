@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"context"
 	"sync"
 	"time"
 
@@ -26,22 +27,100 @@ type ResultStore interface {
 	Stats() CacheStats
 }
 
-// ResultCache is a thread-safe LRU of completed cell results keyed by
-// the canonical cell hash. Because every cell is a pure function of its
-// spec, a hit is an exact replay of the computation — the service never
-// needs invalidation, only eviction.
-type ResultCache struct {
+// lru is the list + map + counters both caches stand on: a thread-safe
+// map from string keys to V that evicts the least recently used entry
+// past capacity and counts every lookup as a hit or a miss.
+type lru[V comparable] struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List // front = most recently used
+	ll       *list.List // of *lruEntry[V]; front = most recently used
 	items    map[string]*list.Element
 	hits     uint64
 	misses   uint64
 }
 
-type resultEntry struct {
+type lruEntry[V comparable] struct {
 	key string
-	res *CellResult
+	val V
+}
+
+func newLRU[V comparable](capacity int) *lru[V] {
+	return &lru[V]{
+		capacity: capacity,
+		ll:       list.New(),
+		items:    make(map[string]*list.Element),
+	}
+}
+
+// get returns key's value and marks it most recently used. On a miss a
+// non-nil fill makes the value stored under key: lookup and insert are
+// one critical section, so of any number of concurrent callers exactly
+// one sees the miss.
+func (c *lru[V]) get(key string, fill func() V) (val V, hit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.hits++
+		c.ll.MoveToFront(el)
+		return el.Value.(*lruEntry[V]).val, true
+	}
+	c.misses++
+	if fill != nil {
+		val = fill()
+		c.insert(key, val)
+	}
+	return val, false
+}
+
+// put stores val under key, as the most recently used entry.
+func (c *lru[V]) put(key string, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		el.Value.(*lruEntry[V]).val = val
+		return
+	}
+	c.insert(key, val)
+}
+
+// insert adds an absent key and evicts down to capacity; c.mu is held.
+func (c *lru[V]) insert(key string, val V) {
+	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
+	for c.ll.Len() > c.capacity {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*lruEntry[V]).key)
+	}
+}
+
+// remove deletes key if it still holds val.
+func (c *lru[V]) remove(key string, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok && el.Value.(*lruEntry[V]).val == val {
+		c.ll.Remove(el)
+		delete(c.items, key)
+	}
+}
+
+// stats is one consistent snapshot: size and both counters under one lock.
+func (c *lru[V]) stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := CacheStats{Size: c.ll.Len(), Hits: c.hits, Misses: c.misses}
+	if total := s.Hits + s.Misses; total > 0 {
+		s.Rate = float64(s.Hits) / float64(total)
+	}
+	return s
+}
+
+// ResultCache is a thread-safe LRU of completed cell results keyed by
+// the canonical cell hash. Because every cell is a pure function of its
+// spec, a hit is an exact replay of the computation — the service never
+// needs invalidation, only eviction.
+type ResultCache struct {
+	lru *lru[*CellResult]
 }
 
 // NewResultCache returns an LRU holding up to capacity cell results.
@@ -50,45 +129,22 @@ func NewResultCache(capacity int) *ResultCache {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &ResultCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-	}
+	return &ResultCache{lru: newLRU[*CellResult](capacity)}
 }
 
 // Get returns the cached result for key, if present. The caller must
 // not mutate the returned result (clone it to re-index).
-func (c *ResultCache) Get(key string) (*CellResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*resultEntry).res, true
-}
+func (c *ResultCache) Get(key string) (*CellResult, bool) { return c.lru.get(key, nil) }
 
 // Put stores a result, evicting the least recently used entry if the
 // cache is full.
-func (c *ResultCache) Put(key string, res *CellResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*resultEntry).res = res
-		return
-	}
-	c.items[key] = c.ll.PushFront(&resultEntry{key: key, res: res})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*resultEntry).key)
-	}
-}
+func (c *ResultCache) Put(key string, res *CellResult) { c.lru.put(key, res) }
+
+// Stats returns current counters.
+func (c *ResultCache) Stats() CacheStats { return c.lru.stats() }
+
+// Len returns the number of cached entries.
+func (c *ResultCache) Len() int { return c.lru.stats().Size }
 
 // CacheStats is a point-in-time snapshot of cache counters. Every
 // implementation takes the whole snapshot under one lock, so the
@@ -113,44 +169,18 @@ type CacheStats struct {
 	Disk *cachestore.Stats `json:"disk,omitempty"`
 }
 
-// Stats returns current counters.
-func (c *ResultCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return snapshotStats(c.ll.Len(), c.hits, c.misses)
-}
-
-// Len returns the number of cached entries.
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-func snapshotStats(size int, hits, misses uint64) CacheStats {
-	s := CacheStats{Size: size, Hits: hits, Misses: misses}
-	if total := hits + misses; total > 0 {
-		s.Rate = float64(hits) / float64(total)
-	}
-	return s
-}
-
 // GraphCache is a thread-safe LRU of constructed graph instances keyed
 // by (family, size, graph seed), with duplicate suppression: concurrent
 // requests for the same key block on a single build instead of each
 // constructing their own adjacency. Graphs are immutable after
 // construction, so a shared instance is safe across concurrent cells.
 type GraphCache struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List
-	items    map[string]*list.Element
-	hits     uint64
-	misses   uint64
+	lru *lru[*graphEntry]
+	// build is BuildGraph, except in a test that controls the build.
+	build func(CellSpec) (*graph.Graph, error)
 }
 
 type graphEntry struct {
-	key   string
 	ready chan struct{} // closed once g/err are set
 	g     *graph.Graph
 	err   error
@@ -162,71 +192,49 @@ func NewGraphCache(capacity int) *GraphCache {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &GraphCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-	}
+	return &GraphCache{lru: newLRU[*graphEntry](capacity), build: BuildGraph}
 }
 
 // Get returns the graph instance for the cell, building it at most once
 // per key no matter how many goroutines ask concurrently. A failed
 // build is not cached; the next request retries.
 func (c *GraphCache) Get(cell CellSpec) (*graph.Graph, error) {
-	g, _, err := c.get(cell)
+	g, _, err := c.get(context.Background(), cell)
 	return g, err
 }
 
 // get is Get, also reporting how long this call spent in BuildGraph: 0
-// for a hit, and for a caller that waited on another's build. A nil
-// cache builds every time.
-func (c *GraphCache) get(cell CellSpec) (*graph.Graph, time.Duration, error) {
+// for a hit, and for a caller that waited on another's build. A waiter
+// whose ctx ends returns ctx's error at once; the build it was waiting
+// on carries on for everyone else. A nil cache builds every time.
+func (c *GraphCache) get(ctx context.Context, cell CellSpec) (*graph.Graph, time.Duration, error) {
 	if c == nil {
 		start := time.Now()
 		g, err := BuildGraph(cell)
 		return g, time.Since(start), err
 	}
 	key := cell.GraphKey()
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		entry := el.Value.(*graphEntry)
-		c.mu.Unlock()
-		<-entry.ready
-		return entry.g, 0, entry.err
+	entry, hit := c.lru.get(key, func() *graphEntry { return &graphEntry{ready: make(chan struct{})} })
+	if hit {
+		select {
+		case <-entry.ready:
+			return entry.g, 0, entry.err
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
+		}
 	}
-	c.misses++
-	entry := &graphEntry{key: key, ready: make(chan struct{})}
-	c.items[key] = c.ll.PushFront(entry)
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*graphEntry).key)
-	}
-	c.mu.Unlock()
-
 	start := time.Now()
-	entry.g, entry.err = BuildGraph(cell)
+	entry.g, entry.err = c.build(cell)
 	built := time.Since(start)
 	close(entry.ready)
 	if entry.err != nil {
-		c.mu.Lock()
-		if el, ok := c.items[key]; ok && el.Value == entry {
-			c.ll.Remove(el)
-			delete(c.items, key)
-		}
-		c.mu.Unlock()
+		c.lru.remove(key, entry)
 	}
 	return entry.g, built, entry.err
 }
 
 // Stats returns current counters.
-func (c *GraphCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return snapshotStats(c.ll.Len(), c.hits, c.misses)
-}
+func (c *GraphCache) Stats() CacheStats { return c.lru.stats() }
 
 // BuildGraph constructs the cell's graph instance directly, bypassing
 // any cache.

@@ -102,8 +102,13 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 	var g *graph.Graph
 	var graphBuild time.Duration // this cell's own build; 0 when the graph was cached
 	if kind.NeedsGraph {
-		g, graphBuild, err = e.Graphs.get(cell)
+		g, graphBuild, err = e.Graphs.get(ctx, cell)
 		if err != nil {
+			if ctx.Err() != nil {
+				// Gave up waiting on another cell's build: a
+				// cancellation, not a build failure.
+				return nil, false, ctx.Err()
+			}
 			o.observeCell(cell.kind(), "error", 0)
 			return nil, false, fmt.Errorf("service: building %s(%d): %w", cell.Family, cell.N, err)
 		}

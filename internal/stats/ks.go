@@ -77,3 +77,67 @@ func ksProbability(lambda float64) float64 {
 	}
 	return p
 }
+
+// DominatedEmpirically reports whether the sample xs is (approximately)
+// stochastically dominated by ys: X ≼ Y iff F_X(t) >= F_Y(t) for all t,
+// i.e. X tends to be smaller. Empirically the check allows a one-sided
+// slack tol on the CDF gap, so it passes iff
+//
+//	max_t ( F̂_ys(t) - F̂_xs(t) ) <= tol,
+//
+// the one-sided Kolmogorov–Smirnov statistic of ys over xs. Empty
+// samples are trivially dominated.
+func DominatedEmpirically(xs, ys []float64, tol float64) bool {
+	return dominanceGap(xs, ys) <= tol
+}
+
+// DominatedEmpiricallyInt is DominatedEmpirically for integer samples.
+func DominatedEmpiricallyInt(xs, ys []int64, tol float64) bool {
+	fx := make([]float64, len(xs))
+	for i, v := range xs {
+		fx[i] = float64(v)
+	}
+	fy := make([]float64, len(ys))
+	for i, v := range ys {
+		fy[i] = float64(v)
+	}
+	return DominatedEmpirically(fx, fy, tol)
+}
+
+// dominanceGap returns max_t (F̂_ys(t) - F̂_xs(t)), the worst one-sided
+// deviation of the empirical CDFs; <= 0 means xs is dominated exactly.
+func dominanceGap(xs, ys []float64) float64 {
+	if len(xs) == 0 || len(ys) == 0 {
+		return 0
+	}
+	sx := append([]float64(nil), xs...)
+	sy := append([]float64(nil), ys...)
+	sort.Float64s(sx)
+	sort.Float64s(sy)
+	nx, ny := float64(len(sx)), float64(len(sy))
+	gap := math.Inf(-1)
+	i, j := 0, 0
+	for i < len(sx) || j < len(sy) {
+		var t float64
+		switch {
+		case i >= len(sx):
+			t = sy[j]
+		case j >= len(sy):
+			t = sx[i]
+		case sx[i] <= sy[j]:
+			t = sx[i]
+		default:
+			t = sy[j]
+		}
+		for i < len(sx) && sx[i] <= t {
+			i++
+		}
+		for j < len(sy) && sy[j] <= t {
+			j++
+		}
+		if d := float64(j)/ny - float64(i)/nx; d > gap {
+			gap = d
+		}
+	}
+	return gap
+}

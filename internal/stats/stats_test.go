@@ -272,3 +272,51 @@ func TestQuickKSSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestDominatedEmpirically(t *testing.T) {
+	rng := xrand.New(2)
+	small := make([]float64, 500)
+	big := make([]float64, 500)
+	for i := range small {
+		small[i] = rng.Float64()
+		big[i] = rng.Float64() + 0.5
+	}
+	if !DominatedEmpirically(small, big, 0.05) {
+		t.Error("clearly smaller sample not dominated")
+	}
+	if DominatedEmpirically(big, small, 0.05) {
+		t.Error("clearly bigger sample reported dominated")
+	}
+	// A sample dominates itself exactly (gap 0).
+	if !DominatedEmpirically(small, small, 0) {
+		t.Error("sample does not dominate itself")
+	}
+	// Empty samples are trivially dominated.
+	if !DominatedEmpirically(nil, big, 0) || !DominatedEmpirically(small, nil, 0) {
+		t.Error("empty sample handling wrong")
+	}
+}
+
+func TestDominatedEmpiricallyTolerance(t *testing.T) {
+	// xs slightly above ys: dominated only with enough slack.
+	xs := []float64{1.1, 2.1, 3.1}
+	ys := []float64{1, 2, 3}
+	if DominatedEmpirically(xs, ys, 0.2) {
+		t.Error("shifted-up sample dominated with small tol")
+	}
+	if !DominatedEmpirically(xs, ys, 0.4) {
+		// Each step the ys CDF leads by 1/3 until xs catches up.
+		t.Error("shifted-up sample not dominated with generous tol")
+	}
+}
+
+func TestDominatedEmpiricallyInt(t *testing.T) {
+	xs := []int64{1, 2, 3, 4}
+	ys := []int64{2, 3, 4, 5}
+	if !DominatedEmpiricallyInt(xs, ys, 0) {
+		t.Error("integer domination failed")
+	}
+	if DominatedEmpiricallyInt(ys, xs, 0.1) {
+		t.Error("reverse integer domination accepted")
+	}
+}
