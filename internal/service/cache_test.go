@@ -1,10 +1,16 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"rumor/internal/graph"
 )
 
 func TestResultCacheLRU(t *testing.T) {
@@ -141,6 +147,60 @@ func TestGraphCacheBuildErrorNotCached(t *testing.T) {
 	}
 	if st := c.Stats(); st.Size != 0 {
 		t.Errorf("failed build cached (size %d)", st.Size)
+	}
+}
+
+// A cell parked on another cell's graph build honours its own ctx: the
+// cancelled waiter returns while the build is still blocked, the build
+// carries on, and a later caller gets the one graph it produced.
+func TestGraphCacheWaiterHonoursContext(t *testing.T) {
+	c := NewGraphCache(4)
+	started, release := make(chan struct{}), make(chan struct{})
+	c.build = func(cell CellSpec) (*graph.Graph, error) {
+		close(started)
+		<-release
+		return BuildGraph(cell)
+	}
+	cell := CellSpec{Family: "complete", N: 8, Protocol: "push-pull", Timing: TimingSync, Trials: 1, GraphSeed: 1, TrialSeed: 1}
+	built := make(chan *graph.Graph, 1)
+	go func() {
+		g, _ := c.Get(cell)
+		built <- g
+	}()
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := (&Executor{Graphs: c}).Run(ctx, 0, cell)
+		waiter <- err
+	}()
+	for c.Stats().Hits == 0 { // until the waiter has found the entry and parks on it
+		select {
+		case err := <-waiter:
+			t.Fatalf("the waiter returned %v before it was cancelled", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	cancel()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled waiter is still held by the other cell's build")
+	}
+
+	close(release)
+	first := <-built
+	g, spent, err := c.get(context.Background(), cell)
+	if err != nil || g == nil || g != first || spent != 0 {
+		t.Fatalf("after the build: graph %v (builder got %v), spent %v, err %v", g, first, spent, err)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("hits/misses = %d/%d, want 2/1: the key was built more than once", st.Hits, st.Misses)
 	}
 }
 
