@@ -42,6 +42,9 @@ const (
 	// MaxRequestBytes (HTTP 413); the server stopped reading it. Do not
 	// retry; split the job.
 	CodeRequestTooLarge = "request_too_large"
+	// CodeCellTooLarge: a cell's n or trial count is above MaxCellNodes
+	// or MaxCellTrials; nothing was queued or allocated. Do not retry.
+	CodeCellTooLarge = "cell_too_large"
 	// CodeShuttingDown: the server is draining and accepts no new work.
 	CodeShuttingDown = "shutting_down"
 	// CodeJobNotFound: no job with the requested ID (never submitted,
@@ -72,6 +75,7 @@ func Codes() []string {
 		CodeQueueFull,
 		CodeJobTooLarge,
 		CodeRequestTooLarge,
+		CodeCellTooLarge,
 		CodeShuttingDown,
 		CodeJobNotFound,
 		CodeExperimentNotFound,
@@ -164,6 +168,16 @@ func WriteError(w http.ResponseWriter, status int, code, message string) {
 // that fills the default 4096-cell queue with 2 KiB cell specs fits, a
 // body meant to exhaust the daemon's memory does not.
 const MaxRequestBytes = 8 << 20
+
+// Admission limits on one cell, above every size this repository runs
+// (the benchmark's large cell is n = 250 000, the README's largest run
+// n = 10^7, the longest sample 30 000 trials) and below what takes a
+// daemon down: an n = 10^9 graph, or the 8 GB Times slice of 10^9
+// trials, is refused with CodeCellTooLarge before anything is built.
+const (
+	MaxCellNodes  = 100_000_000
+	MaxCellTrials = 10_000_000
+)
 
 // DecodeRequest decodes r's JSON body into v, rejecting unknown fields
 // and reading at most MaxRequestBytes. It answers nothing itself (an

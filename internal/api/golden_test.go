@@ -22,6 +22,7 @@ func TestErrorCodesGolden(t *testing.T) {
 		"queue_full",
 		"job_too_large",
 		"request_too_large",
+		"cell_too_large",
 		"shutting_down",
 		"job_not_found",
 		"experiment_not_found",
@@ -48,6 +49,7 @@ func TestErrorCodesGolden(t *testing.T) {
 		CodeQueueFull:           "queue_full",
 		CodeJobTooLarge:         "job_too_large",
 		CodeRequestTooLarge:     "request_too_large",
+		CodeCellTooLarge:        "cell_too_large",
 		CodeShuttingDown:        "shutting_down",
 		CodeJobNotFound:         "job_not_found",
 		CodeExperimentNotFound:  "experiment_not_found",

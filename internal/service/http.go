@@ -186,6 +186,8 @@ func ErrorResponse(err error) (status int, code string) {
 		return http.StatusNotFound, api.CodeJobNotFound
 	case errors.Is(err, ErrIdempotencyMismatch):
 		return http.StatusConflict, api.CodeIdempotencyMismatch
+	case errors.Is(err, errCellTooLarge):
+		return http.StatusBadRequest, api.CodeCellTooLarge
 	case errors.Is(err, ErrBadSpec):
 		return http.StatusBadRequest, api.CodeInvalidSpec
 	default:

@@ -421,7 +421,7 @@ func TestSubmitBodyLimit(t *testing.T) {
 // structured envelope and its stable code — the contract the SDK's
 // error classification is built on.
 func TestHTTPErrorEnvelopeCodes(t *testing.T) {
-	srv, _ := newTestServer(t, SchedulerConfig{Workers: 1, QueueLimit: 10})
+	srv, sched := newTestServer(t, SchedulerConfig{Workers: 1, QueueLimit: 10})
 
 	post := func(body string, header map[string]string) *http.Response {
 		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/jobs", strings.NewReader(body))
@@ -463,6 +463,20 @@ func TestHTTPErrorEnvelopeCodes(t *testing.T) {
 	resp = post(string(big), nil)
 	if e := decodeEnvelope(t, resp); resp.StatusCode != 400 || e.Code != api.CodeJobTooLarge {
 		t.Errorf("oversized job: %d %q", resp.StatusCode, e.Code)
+	}
+	// A cell over the admission limits — ROADMAP's n = 10^9 in a grid, a
+	// 10^9-trial sample in a cell list: cell_too_large, nothing queued.
+	for _, body := range []string{
+		`{"families":["complete"],"sizes":[8,1000000000],"protocols":["push"],"timings":["sync"],"trials":1}`,
+		`{"cells":[{"family":"complete","n":8,"protocol":"push","timing":"sync","trials":1000000000}]}`,
+	} {
+		resp = post(body, nil)
+		if e := decodeEnvelope(t, resp); resp.StatusCode != 400 || e.Code != api.CodeCellTooLarge {
+			t.Errorf("%s: %d %q %q", body, resp.StatusCode, e.Code, e.Message)
+		}
+	}
+	if jobs := sched.JobsFiltered(JobsFilter{}); len(jobs) != 0 {
+		t.Errorf("rejected specs enqueued %d jobs", len(jobs))
 	}
 	// Unknown job: job_not_found.
 	for _, path := range []string{"/v1/jobs/job-999", "/v1/jobs/job-999/results", "/v1/jobs/job-999/events"} {

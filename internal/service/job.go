@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"rumor/internal/api"
 	"rumor/internal/core"
 	"rumor/internal/harness"
 	"rumor/internal/stats"
@@ -83,7 +84,23 @@ const (
 // Spec validation errors.
 var (
 	ErrBadSpec = errors.New("service: invalid job spec")
+	// errCellTooLarge marks the ErrBadSpec of a cell over the admission
+	// limits, so HTTP can answer with its own code.
+	errCellTooLarge = errors.New("cell too large")
 )
+
+// checkCellSize refuses an n or a trial count above the admission
+// limits: validation runs before a job is queued or a graph or sample
+// is allocated, so a hostile size costs nothing.
+func checkCellSize(n, trials int) error {
+	if n > api.MaxCellNodes {
+		return fmt.Errorf("%w: n = %d (limit %d): %w", ErrBadSpec, n, api.MaxCellNodes, errCellTooLarge)
+	}
+	if trials > api.MaxCellTrials {
+		return fmt.Errorf("%w: trials = %d (limit %d): %w", ErrBadSpec, trials, api.MaxCellTrials, errCellTooLarge)
+	}
+	return nil
+}
 
 // CrashSpec schedules a fail-stop crash: from Time on (round number for
 // synchronous cells, continuous time for asynchronous ones) the node
@@ -395,6 +412,9 @@ func (c CellSpec) Validate() error {
 	if c.Trials < 1 {
 		return fmt.Errorf("%w: trials = %d", ErrBadSpec, c.Trials)
 	}
+	if err := checkCellSize(c.N, c.Trials); err != nil {
+		return err
+	}
 	if c.Source < 0 {
 		return fmt.Errorf("%w: source = %d", ErrBadSpec, c.Source)
 	}
@@ -603,6 +623,11 @@ func (s JobSpec) Validate() error {
 	}
 	if s.Trials < 1 {
 		return fmt.Errorf("%w: trials = %d", ErrBadSpec, s.Trials)
+	}
+	for _, n := range s.Sizes {
+		if err := checkCellSize(n, s.Trials); err != nil {
+			return err
+		}
 	}
 	if s.Source < 0 {
 		return fmt.Errorf("%w: source = %d", ErrBadSpec, s.Source)

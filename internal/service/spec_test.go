@@ -1,8 +1,11 @@
 package service
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"rumor/internal/api"
 )
 
 // TestCellKeyGoldenV2 pins the v2 cache keys of representative specs.
@@ -116,6 +119,46 @@ func TestCellKeyNormalization(t *testing.T) {
 			t.Errorf("specs %d and %d share a key", prev, i)
 		}
 		seen[s.Key()] = i
+	}
+}
+
+// TestValidateSizeLimits: n and trials are admitted up to the api
+// limits and refused one past them, as ErrBadSpec marked too-large (so
+// HTTP answers cell_too_large) — on a cell and on every size of a grid.
+func TestValidateSizeLimits(t *testing.T) {
+	cell := func(n, trials int) CellSpec {
+		return CellSpec{Family: "complete", N: n, Protocol: "push", Timing: TimingSync, Trials: trials}
+	}
+	grid := func(trials int, sizes ...int) JobSpec {
+		return JobSpec{Families: []string{"complete"}, Sizes: sizes, Protocols: []string{"push"}, Timings: []string{TimingSync}, Trials: trials}
+	}
+	for _, tc := range []struct {
+		name     string
+		spec     interface{ Validate() error }
+		tooLarge bool
+	}{
+		{"cell at both limits", cell(api.MaxCellNodes, api.MaxCellTrials), false},
+		{"cell n over", cell(api.MaxCellNodes+1, 1), true},
+		{"cell n = 10^9", cell(1_000_000_000, 1), true},
+		{"cell trials over", cell(8, api.MaxCellTrials+1), true},
+		{"grid at both limits", grid(api.MaxCellTrials, 8, api.MaxCellNodes), false},
+		{"grid second size over", grid(1, 8, api.MaxCellNodes+1), true},
+		{"grid trials over", grid(api.MaxCellTrials+1, 8), true},
+		{"cell list entry over", JobSpec{CellList: []CellSpec{cell(8, 1), cell(api.MaxCellNodes+1, 1)}}, true},
+	} {
+		err := tc.spec.Validate()
+		if !tc.tooLarge {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, errCellTooLarge) || !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s: err = %v, want ErrBadSpec marked too large", tc.name, err)
+		}
+		if _, code := ErrorResponse(err); code != api.CodeCellTooLarge {
+			t.Errorf("%s: code %q", tc.name, code)
+		}
 	}
 }
 
