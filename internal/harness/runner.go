@@ -39,8 +39,11 @@ type Runner struct {
 }
 
 // Run executes fn for each trial and returns results indexed by trial.
-// The first error (by trial index) aborts the report: remaining workers
-// finish their current trial, and the error is returned.
+// The first error (by trial index) aborts the run: no further trial is
+// handed out, workers finish the one they are in, and the error is
+// returned. Trials are handed out in index order, so every trial below
+// a failing one has been started and finishes — which error is reported
+// does not depend on scheduling.
 func (r Runner) Run(fn func(trial int, rng *xrand.RNG) (float64, error)) ([]float64, error) {
 	if r.Trials < 1 {
 		return nil, ErrNoTrials
@@ -55,8 +58,8 @@ func (r Runner) Run(fn func(trial int, rng *xrand.RNG) (float64, error)) ([]floa
 	root := xrand.New(r.Seed)
 	results := make([]float64, r.Trials)
 	errs := make([]error, r.Trials)
-	var next int64
 	var mu sync.Mutex
+	next := 0 // the next trial to hand out; r.Trials once any trial has failed
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -64,7 +67,7 @@ func (r Runner) Run(fn func(trial int, rng *xrand.RNG) (float64, error)) ([]floa
 			defer wg.Done()
 			for {
 				mu.Lock()
-				t := int(next)
+				t := next
 				next++
 				mu.Unlock()
 				if t >= r.Trials {
@@ -74,6 +77,11 @@ func (r Runner) Run(fn func(trial int, rng *xrand.RNG) (float64, error)) ([]floa
 				v, err := fn(t, rng)
 				results[t] = v
 				errs[t] = err
+				if err != nil {
+					mu.Lock()
+					next = r.Trials
+					mu.Unlock()
+				}
 			}
 		}()
 	}

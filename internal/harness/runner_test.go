@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rumor/internal/core"
 	"rumor/internal/graph"
@@ -61,6 +62,32 @@ func TestRunnerFirstErrorByTrialIndex(t *testing.T) {
 		want := "harness: trial 1: trial-1 failed"
 		if err.Error() != want {
 			t.Errorf("workers=%d: err = %q, want %q (first by trial index)", workers, err, want)
+		}
+	}
+}
+
+// A failed trial stops the run: a cell whose trial 0 fails on every
+// draw (a disconnected static graph) does not run its other 9 999
+// trials. The trials already handed out are parked until well after
+// trial 0 has returned, so they are all that was ever started.
+func TestRunnerStopsHandingOutAfterFailure(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		release := make(chan struct{})
+		_, err := Runner{Trials: 10000, Seed: 1, Workers: workers}.Run(func(trial int, _ *xrand.RNG) (float64, error) {
+			calls.Add(1)
+			if trial == 0 {
+				time.AfterFunc(50*time.Millisecond, func() { close(release) })
+				return 0, errors.New("graph is disconnected")
+			}
+			<-release
+			return 1, nil
+		})
+		if want := "harness: trial 0: graph is disconnected"; err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+		if got := calls.Load(); got > int64(workers)+4 {
+			t.Errorf("workers=%d: %d of 10000 trials ran after trial 0 failed", workers, got)
 		}
 	}
 }
