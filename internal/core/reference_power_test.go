@@ -24,7 +24,7 @@ func (s *asyncSample) scaled(f float64) *asyncSample {
 	return &asyncSample{last: scale(s.last), informed: s.informed, q50: scale(s.q50)}
 }
 
-// TestReferenceGateHasTeeth states what TestAsyncEnginesMatchReference
+// TestAsyncOracleHasTeeth states what TestAsyncEnginesMatchReference
 // would catch, at its committed sample size and on its own seed blocks:
 // a reference whose clocks are 20 % slow is rejected on every scenario
 // row; one whose clocks are 5 % slow is the smallest effect tried, and
@@ -32,7 +32,7 @@ func (s *asyncSample) scaled(f float64) *asyncSample {
 // the trade: over 100 further seed blocks, dealt round the rows, the
 // unmutated pair raises no more false alarms than its 0.001 a quantity
 // allows.
-func TestReferenceGateHasTeeth(t *testing.T) {
+func TestAsyncOracleHasTeeth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}

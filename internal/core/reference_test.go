@@ -124,7 +124,7 @@ func (sc referenceScenario) sample(t *testing.T, block int) (ref, compiled async
 // TestAsyncEnginesMatchReference: on every static asynchronous scenario
 // shape the engine NewTrial compiles has the same law as the literal
 // exponential-clock specification. What the gate would catch is
-// TestReferenceGateHasTeeth's subject.
+// TestAsyncOracleHasTeeth's subject.
 func TestAsyncEnginesMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")

@@ -1,7 +1,9 @@
 // Package harness runs repeated simulation trials in parallel with
 // deterministic per-trial seeding, provides the registry of graph
-// families used across experiments, and offers measurement helpers that
-// collect spreading-time samples for every process the paper studies.
+// families used across experiments, and offers the Measure* helpers
+// that sample the spreading time of one process on one graph. Grids of
+// (family, size) cells are the service's business (JobSpec), not this
+// package's.
 //
 // The harness sits below the service layer: internal/service's cell
 // kinds use Runner for per-trial seeding and (bounded) trial
