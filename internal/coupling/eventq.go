@@ -13,8 +13,9 @@ type eventItem struct {
 	Priority float64
 }
 
-// eventQueue is an indexed min-heap over items with distinct IDs in a bounded
-// range [0, maxID). The zero value is not usable; construct with newEventQueue.
+// eventQueue is an indexed min-heap over items with distinct IDs in a
+// bounded range [0, maxID). The zero value is not usable; construct with
+// newEventQueue.
 type eventQueue struct {
 	heap []eventItem
 	// pos[id] is the heap index of the item with that ID, or -1.

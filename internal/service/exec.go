@@ -104,12 +104,11 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 	if kind.NeedsGraph {
 		g, graphBuild, err = e.Graphs.get(ctx, cell)
 		if err != nil {
-			if ctx.Err() != nil {
-				// Gave up waiting on another cell's build: a
+			if ctx.Err() == nil {
+				// Giving up the wait for another cell's build is a
 				// cancellation, not a build failure.
-				return nil, false, ctx.Err()
+				o.observeCell(cell.kind(), "error", 0)
 			}
-			o.observeCell(cell.kind(), "error", 0)
 			return nil, false, fmt.Errorf("service: building %s(%d): %w", cell.Family, cell.N, err)
 		}
 		if graphBuild > 0 {

@@ -610,6 +610,9 @@ func (s JobSpec) Validate() error {
 		if n < 1 {
 			return fmt.Errorf("%w: n = %d", ErrBadSpec, n)
 		}
+		if err := checkCellSize(n, s.Trials); err != nil {
+			return err
+		}
 	}
 	for _, p := range s.Protocols {
 		if _, err := ParseProtocol(p); err != nil {
@@ -623,11 +626,6 @@ func (s JobSpec) Validate() error {
 	}
 	if s.Trials < 1 {
 		return fmt.Errorf("%w: trials = %d", ErrBadSpec, s.Trials)
-	}
-	for _, n := range s.Sizes {
-		if err := checkCellSize(n, s.Trials); err != nil {
-			return err
-		}
 	}
 	if s.Source < 0 {
 		return fmt.Errorf("%w: source = %d", ErrBadSpec, s.Source)
