@@ -130,6 +130,26 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 	}
 	e.engineUpdates.Add(kr.Work)
 	o.engineUpdates.Add(float64(kr.Work))
+	res := NewCellResult(cell, key, g, kr)
+	if e.Results != nil {
+		e.Results.Put(key, res)
+	}
+	took := time.Since(start)
+	o.observeCell(cell.kind(), "computed", took)
+	o.Log.LogAttrs(ctx, slog.LevelDebug, "cell computed",
+		slog.String("kind", cell.kind()), slog.String("key", key),
+		slog.Float64("duration_ms", took.Seconds()*1e3),
+		slog.Float64("graph_build_ms", graphBuild.Seconds()*1e3))
+	out := *res
+	out.Index = index
+	return &out, false, nil
+}
+
+// NewCellResult wraps what a cell's kind measured on g (nil for a
+// graphless kind) into the cell's result, summarizing Times; the caller
+// sets Index. Every runner builds its results here, so a cell reads the
+// same whichever door it came through.
+func NewCellResult(cell CellSpec, key string, g *graph.Graph, kr *KindResult) *CellResult {
 	res := &CellResult{
 		Cell:     cell,
 		Key:      key,
@@ -144,18 +164,7 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 		res.N = g.NumNodes()
 		res.M = g.NumEdges()
 	}
-	if e.Results != nil {
-		e.Results.Put(key, res)
-	}
-	took := time.Since(start)
-	o.observeCell(cell.kind(), "computed", took)
-	o.Log.LogAttrs(ctx, slog.LevelDebug, "cell computed",
-		slog.String("kind", cell.kind()), slog.String("key", key),
-		slog.Float64("duration_ms", took.Seconds()*1e3),
-		slog.Float64("graph_build_ms", graphBuild.Seconds()*1e3))
-	out := *res
-	out.Index = index
-	return &out, false, nil
+	return res
 }
 
 // RunCells executes the cells on a bounded worker pool (CellWorkers)

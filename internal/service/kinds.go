@@ -193,27 +193,17 @@ func CoverageName(frac float64) string {
 	return "q" + fmtFloat(pct)
 }
 
-// runTimeCell samples the cell's spreading times and coverage
-// milestones; the latter are extracted per trial with the batch helper
-// (a count per round for sync trials, a selection per fraction for
-// async ones; neither sorts) and aggregated.
+// runTimeCell samples the cell's spreading times and folds the trials'
+// coverage milestones into the cell's.
 func runTimeCell(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorkers int) (*KindResult, error) {
 	// Crash injection can legitimately cut the rumor off from part of
 	// the graph, churn can strand it, and a dynamic topology may never
 	// visit the edges some node needs; only cells free of all three
 	// insist on full coverage.
 	requireComplete := len(cell.Crashes) == 0 && len(cell.Churn) == 0 && cell.Dynamic == ""
-	fracs := cell.effectiveCoverage()
-	coverage := make([][]float64, len(fracs))
-	for i := range coverage {
-		coverage[i] = make([]float64, cell.Trials)
-	}
-	var work atomic.Int64
+	fold := NewTimeFold(cell)
 	times, err := RunTrials(ctx, cell, g, trialWorkers, func(t int, out core.Outcome) (float64, error) {
-		work.Add(out.Work())
-		for i, v := range out.Coverage(fracs) {
-			coverage[i][t] = v
-		}
+		fold.Add(t, out)
 		if requireComplete {
 			return out.SpreadingTime()
 		}
@@ -222,11 +212,49 @@ func runTimeCell(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorker
 	if err != nil {
 		return nil, err
 	}
-	cov := make(map[string]float64, len(fracs))
-	for i, frac := range fracs {
-		cov[CoverageName(frac)] = meanOrUnreached(coverage[i])
+	return fold.Result(times), nil
+}
+
+// TimeFold is the per-trial to per-cell fold of a time cell, shared by
+// every runner that measures one (the time kind on simulated trials, the
+// live cluster on real ones): each trial's coverage milestones are
+// extracted with the batch helper (a count per round for sync trials, a
+// selection per fraction for async ones; neither sorts), and Result
+// averages each milestone over the trials.
+type TimeFold struct {
+	fracs    []float64
+	coverage [][]float64 // coverage[i][t]: trial t's time to fracs[i]
+	work     atomic.Int64
+}
+
+// NewTimeFold sizes a fold for cell.Trials trials of cell's milestones.
+func NewTimeFold(cell CellSpec) *TimeFold {
+	f := &TimeFold{fracs: cell.effectiveCoverage()}
+	f.coverage = make([][]float64, len(f.fracs))
+	for i := range f.coverage {
+		f.coverage[i] = make([]float64, cell.Trials)
 	}
-	return &KindResult{Times: times, Coverage: cov, Work: work.Load()}, nil
+	return f
+}
+
+// Add records trial t's outcome. Distinct trials may be added
+// concurrently.
+func (f *TimeFold) Add(t int, out core.Outcome) {
+	f.work.Add(out.Work())
+	for i, v := range out.Coverage(f.fracs) {
+		f.coverage[i][t] = v
+	}
+}
+
+// Result is the cell's KindResult over the added trials: times as given,
+// each milestone under its CoverageName as the mean over the trials, -1
+// if any trial never reached it.
+func (f *TimeFold) Result(times []float64) *KindResult {
+	cov := make(map[string]float64, len(f.fracs))
+	for i, frac := range f.fracs {
+		cov[CoverageName(frac)] = meanOrUnreached(f.coverage[i])
+	}
+	return &KindResult{Times: times, Coverage: cov, Work: f.work.Load()}
 }
 
 // RunTrials compiles the cell's scenario fields into core trials on g,
