@@ -26,7 +26,7 @@ func testSpec(family string, n int, protocol, timing string) TrialSpec {
 			TrialSeed: 11,
 		},
 		TimeUnit: 2 * time.Millisecond,
-		Poll:     5 * time.Millisecond,
+		poll:     5 * time.Millisecond,
 		MaxWait:  30 * time.Second,
 	}
 }
@@ -68,8 +68,8 @@ func checkFullCoverage(t *testing.T, res *TrialResult) {
 		}
 		last = p.T
 	}
-	if len(res.Curve) != res.N {
-		t.Fatalf("curve has %d points for %d nodes", len(res.Curve), res.N)
+	if end := res.Curve[len(res.Curve)-1]; end.Frac != 1 || end.T != res.SpreadTime {
+		t.Fatalf("curve ends at %+v, spread time %v", end, res.SpreadTime)
 	}
 }
 
@@ -301,6 +301,13 @@ func TestRepeatedLifecycleNoLeaks(t *testing.T) {
 		t.Fatalf("%d descriptors open with a %d-node cluster up, baseline %d: the count sees no sockets", held, n, baselineFDs)
 	}
 	c.Close()
+	waitForBaseline(t, baseline, baselineFDs)
+}
+
+// waitForBaseline gives the process five seconds to get back to the
+// goroutine and open-descriptor counts taken before a cluster came up.
+func waitForBaseline(t *testing.T, baseline, baselineFDs int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
