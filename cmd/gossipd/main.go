@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -101,26 +102,18 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	spec := gossip.TrialSpec{
-		Cell: service.CellSpec{
-			Family:    *family,
-			N:         *n,
-			Protocol:  *protocol,
-			Timing:    *timing,
-			LossProb:  *loss,
-			Trials:    *simTrials,
-			GraphSeed: *seed,
-			TrialSeed: *seed + 1,
-			Source:    *source,
-		},
-		Threshold: *threshold,
-		TimeUnit:  *timeUnit,
-		Latency:   lat,
-		MaxRounds: *maxRounds,
-		MaxWait:   *maxWait,
+	cell := service.CellSpec{
+		Family:    *family,
+		N:         *n,
+		Protocol:  *protocol,
+		Timing:    *timing,
+		LossProb:  *loss,
+		Trials:    *simTrials,
+		GraphSeed: *seed,
+		TrialSeed: *seed + 1,
+		Source:    *source,
 	}
-
-	g, err := service.BuildGraph(spec.Cell)
+	g, err := service.BuildGraph(cell)
 	if err != nil {
 		return err
 	}
@@ -132,12 +125,27 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err := cluster.Ping(); err != nil {
 		return fmt.Errorf("cluster ping: %w", err)
 	}
+	live := gossip.LiveRunner{Cluster: cluster, Spec: gossip.TrialSpec{
+		Threshold: *threshold,
+		TimeUnit:  *timeUnit,
+		Latency:   lat,
+		MaxRounds: *maxRounds,
+		MaxWait:   *maxWait,
+	}}
+	// SIGINT/SIGTERM end the trial in flight with its SHUTDOWN sweep.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	if !*overlay {
-		return runLiveOnly(cluster, spec, *trials, *jsonOut, stdout)
+		cell.Trials = *trials
+		_, results, err := live.RunTrials(ctx, cell)
+		if err != nil {
+			return err
+		}
+		return printTrials(results, *jsonOut, stdout)
 	}
 
-	res, err := gossip.RunOverlay(cluster, gossip.OverlayConfig{Spec: spec, LiveTrials: *trials})
+	res, err := gossip.RunOverlay(ctx, live, &service.Executor{}, cell, *trials)
 	if err != nil {
 		return err
 	}
@@ -199,17 +207,11 @@ func buildCluster(peerList string, graphN int, metrics *gossip.Metrics) (*gossip
 	return gossip.Attach(addrs, metrics)
 }
 
-// runLiveOnly runs live trials without the simulator comparison.
-func runLiveOnly(cluster *gossip.Cluster, spec gossip.TrialSpec, trials int, jsonOut bool, stdout io.Writer) error {
-	for t := 0; t < trials; t++ {
-		trial := spec
-		trial.Cell.TrialSeed = spec.Cell.TrialSeed + uint64(t)*0x9E3779B97F4A7C15
-		res, err := cluster.RunTrial(trial)
-		if err != nil {
-			return fmt.Errorf("trial %d: %w", t, err)
-		}
+// printTrials writes the live trials of a run without the simulator
+// comparison, one line each.
+func printTrials(results []*gossip.TrialResult, jsonOut bool, stdout io.Writer) error {
+	for t, res := range results {
 		if jsonOut {
-			res.Reports = nil // per-node detail is overlay/debug fare
 			if err := json.NewEncoder(stdout).Encode(res); err != nil {
 				return err
 			}

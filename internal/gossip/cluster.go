@@ -1,15 +1,16 @@
 package gossip
 
 import (
+	"context"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rumor/internal/core"
 	"rumor/internal/graph"
+	"rumor/internal/harness"
 	"rumor/internal/obs"
 	"rumor/internal/service"
 	"rumor/internal/xrand"
@@ -24,20 +25,18 @@ const (
 	DefaultMaxRounds = 512
 	// DefaultMaxWait caps an asynchronous live trial.
 	DefaultMaxWait = 60 * time.Second
-	// DefaultPoll is the async report-sweep interval.
-	DefaultPoll = 20 * time.Millisecond
+	// defaultPoll is the async report-sweep interval.
+	defaultPoll = 20 * time.Millisecond
 )
 
 // TrialSpec describes one live measurement. Cell carries the shared
 // simulator vocabulary — family, n, protocol, timing, loss, seeds,
-// source — so the identical spec drives both the cluster and the
-// simulator (the overlay depends on this). The remaining fields are
-// live-only effects the simulator does not model.
+// source, milestones — so the identical spec drives both the cluster and
+// the simulator (the overlay depends on this); a cell with a scenario
+// field a cluster cannot host is refused (see LiveRunner). The remaining
+// fields are live-only effects the simulator does not model.
 type TrialSpec struct {
-	// Cell is the simulator-compatible core of the trial. Used fields:
-	// Family, N, GraphSeed (graph construction, via service.BuildGraph),
-	// Protocol, Timing, LossProb, TrialSeed (per-node seeds), Source,
-	// CoverageFracs.
+	// Cell is the simulator-compatible core of the trial.
 	Cell service.CellSpec
 	// Threshold is the counter-based acceptance rule (0/1 = the paper's
 	// immediate acceptance).
@@ -50,43 +49,16 @@ type TrialSpec struct {
 	MaxRounds int
 	// MaxWait caps async trials (0 = DefaultMaxWait).
 	MaxWait time.Duration
-	// Poll is the async report-sweep interval (0 = DefaultPoll).
-	Poll time.Duration
+
+	poll time.Duration // async report-sweep interval (0 = defaultPoll)
 }
 
-func (s TrialSpec) timeUnit() time.Duration {
-	if s.TimeUnit <= 0 {
-		return DefaultTimeUnit
+// orDefault is v, or def where v is unset (zero or negative).
+func orDefault[T int | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
 	}
-	return s.TimeUnit
-}
-
-func (s TrialSpec) maxRounds() int {
-	if s.MaxRounds <= 0 {
-		return DefaultMaxRounds
-	}
-	return s.MaxRounds
-}
-
-func (s TrialSpec) maxWait() time.Duration {
-	if s.MaxWait <= 0 {
-		return DefaultMaxWait
-	}
-	return s.MaxWait
-}
-
-func (s TrialSpec) poll() time.Duration {
-	if s.Poll <= 0 {
-		return DefaultPoll
-	}
-	return s.Poll
-}
-
-func (s TrialSpec) coverageFracs() []float64 {
-	if len(s.Cell.CoverageFracs) == 0 {
-		return []float64{0.5, 0.9, 1.0}
-	}
-	return s.Cell.CoverageFracs
+	return v
 }
 
 // CurvePoint is one step of a coverage curve: Frac of the nodes were
@@ -118,8 +90,8 @@ type TrialResult struct {
 	// Coverage maps milestone names (service.CoverageName) to the time
 	// the milestone was reached, -1 if never.
 	Coverage map[string]float64 `json:"coverage"`
-	// Curve is the full coverage curve, one point per informed node, in
-	// acceptance order.
+	// Curve is the full coverage curve, one point per distinct
+	// acceptance time, in order.
 	Curve []CurvePoint `json:"curve"`
 	// Wall is the coordinator-side wall-clock from injection to the
 	// final report.
@@ -130,7 +102,9 @@ type TrialResult struct {
 	Received int64 `json:"received"`
 	Dropped  int64 `json:"dropped"`
 	// Reports are the per-node final reports, indexed by vertex.
-	Reports []Report `json:"reports,omitempty"`
+	Reports []Report `json:"-"`
+
+	outcome core.Outcome // the reports as the simulator's result type
 }
 
 // Cluster is the coordinator's handle on a set of live nodes — either
@@ -177,9 +151,6 @@ func Attach(addrs []string, metrics *Metrics) (*Cluster, error) {
 	}, nil
 }
 
-// Size returns the node count.
-func (c *Cluster) Size() int { return len(c.addrs) }
-
 // Addrs returns the node addresses (vertex i at index i).
 func (c *Cluster) Addrs() []string { return append([]string(nil), c.addrs...) }
 
@@ -198,45 +169,45 @@ func (c *Cluster) Close() error {
 }
 
 // Ping verifies every node answers.
-func (c *Cluster) Ping() error {
-	return c.sweep(MethodPing, func(i int) (interface{}, error) { return nil, nil }, nil)
-}
+func (c *Cluster) Ping() error { return c.sweep(MethodPing, nil, nil) }
 
 // Shutdown sends SHUTDOWN to every node (trial teardown; remote hosts
 // started with -exit-on-shutdown also exit).
-func (c *Cluster) Shutdown() error {
-	return c.sweep(MethodShutdown, func(i int) (interface{}, error) { return nil, nil }, nil)
+func (c *Cluster) Shutdown() error { return c.sweep(MethodShutdown, nil, nil) }
+
+// call sends one control message to node i and returns its reply.
+func (c *Cluster) call(i int, method string, payload interface{}) (*Envelope, error) {
+	env, err := NewEnvelope(method, CoordinatorFrom, payload)
+	if err != nil {
+		return nil, err
+	}
+	c.metrics.sent.With(method).Inc()
+	reply, err := c.tr.callChecked(c.addrs[i], env, gossipCallTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("node %d (%s): %w", i, c.addrs[i], err)
+	}
+	return reply, nil
 }
 
 // sweep fans one control message out to every node in parallel.
-// payload(i) builds node i's payload; decode(i, reply), when non-nil,
-// consumes node i's reply. The first error wins.
-func (c *Cluster) sweep(method string, payload func(i int) (interface{}, error), decode func(i int, reply *Envelope) error) error {
+// payload(i), when non-nil, builds node i's payload; decode(i, reply),
+// when non-nil, consumes node i's reply. The first error wins.
+func (c *Cluster) sweep(method string, payload func(i int) interface{}, decode func(i int, reply *Envelope) error) error {
 	errs := make([]error, len(c.addrs))
 	var wg sync.WaitGroup
 	for i := range c.addrs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := payload(i)
-			if err != nil {
-				errs[i] = err
-				return
+			var p interface{}
+			if payload != nil {
+				p = payload(i)
 			}
-			env, err := NewEnvelope(method, CoordinatorFrom, p)
-			if err != nil {
-				errs[i] = err
-				return
+			reply, err := c.call(i, method, p)
+			if err == nil && decode != nil {
+				err = decode(i, reply)
 			}
-			c.metrics.sent.With(method).Inc()
-			reply, err := c.tr.callChecked(c.addrs[i], env, gossipCallTimeout)
-			if err != nil {
-				errs[i] = fmt.Errorf("node %d (%s): %w", i, c.addrs[i], err)
-				return
-			}
-			if decode != nil {
-				errs[i] = decode(i, reply)
-			}
+			errs[i] = err
 		}(i)
 	}
 	wg.Wait()
@@ -248,34 +219,95 @@ func (c *Cluster) sweep(method string, payload func(i int) (interface{}, error),
 	return nil
 }
 
-// RunTrial drives one live measurement: STARTUP every node with its
-// vertex's neighbor addresses, DISTRIBUTE the rumor to the source,
-// drive rounds (sync) or wait on the exponential clocks (async),
-// REPORT-sweep the informed set, and SHUTDOWN. The cluster size must
-// match the built graph exactly.
-func (c *Cluster) RunTrial(spec TrialSpec) (*TrialResult, error) {
-	g, err := service.BuildGraph(spec.Cell)
+// countInformed sweeps method — ROUND with its command, or a REPORT —
+// and counts the nodes whose reply says they hold the rumor.
+func (c *Cluster) countInformed(method string, payload interface{}) (int, error) {
+	var count atomic.Int64 // decode callbacks run concurrently
+	err := c.sweep(method, func(int) interface{} { return payload }, func(i int, reply *Envelope) error {
+		var ack RoundAck // a Report's informed field reads the same
+		if err := reply.Decode(&ack); err != nil {
+			return err
+		}
+		if ack.Informed {
+			count.Add(1)
+		}
+		return nil
+	})
+	c.metrics.informed.Set(float64(count.Load()))
+	return int(count.Load()), err
+}
+
+// host checks that this cluster can run cell and builds its graph.
+// Anything else is service.ErrBadSpec before a message is sent: a source
+// outside the cluster, an invalid cell, a kind other than time, a
+// scenario field the live nodes do not implement — they play one static
+// vertex each, crash-free, from a single source, under the global-clock
+// view — a graph of another size than the cluster.
+func (c *Cluster) host(cell service.CellSpec) (*graph.Graph, error) {
+	if n := len(c.addrs); cell.Source < 0 || cell.Source >= n {
+		return nil, fmt.Errorf("%w: %w: %d (n=%d)", service.ErrBadSpec, core.ErrBadSource, cell.Source, n)
+	}
+	if err := cell.Validate(); err != nil {
+		return nil, err
+	}
+	for _, f := range []struct {
+		set  bool
+		name string
+	}{
+		{cell.Kind != "" && cell.Kind != service.KindTime, "kind " + cell.Kind},
+		{len(cell.Crashes) > 0, "crashes"},
+		{len(cell.Churn) > 0, "churn"},
+		{cell.Dynamic != "", "dynamic " + cell.Dynamic},
+		{cell.Variant != "", "variant " + cell.Variant},
+		{cell.Quasirandom, "quasirandom"},
+		{len(cell.ExtraSources) > 0, "extra_sources"},
+		{cell.View != "" && cell.View != core.GlobalClock.String(), "view " + cell.View},
+	} {
+		if f.set {
+			return nil, fmt.Errorf("%w: a live cluster cannot host %s", service.ErrBadSpec, f.name)
+		}
+	}
+	g, err := service.BuildGraph(cell)
 	if err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
-	if n != len(c.addrs) {
-		return nil, fmt.Errorf("gossip: graph %s has %d nodes, cluster has %d", g.Name(), n, len(c.addrs))
+	if n := g.NumNodes(); n != len(c.addrs) {
+		return nil, fmt.Errorf("%w: graph %s has %d nodes, cluster has %d", service.ErrBadSpec, g.Name(), n, len(c.addrs))
 	}
-	source := spec.Cell.Source
-	if source < 0 || source >= n {
-		return nil, fmt.Errorf("gossip: %w: %d (n=%d)", core.ErrBadSource, source, n)
-	}
+	return g, nil
+}
 
-	// Per-node seeds derive from the trial seed through one root
-	// stream, so a trial is reproducible end to end.
-	root := xrand.New(spec.Cell.TrialSeed)
-	seeds := make([]uint64, n)
+// RunTrial is one live trial of spec.Cell outside any context, with the
+// nodes seeded from the cell's trial seed itself.
+func (c *Cluster) RunTrial(spec TrialSpec) (*TrialResult, error) {
+	g, err := c.host(spec.Cell)
+	if err != nil {
+		return nil, err
+	}
+	return c.runTrial(context.Background(), spec, g, xrand.New(spec.Cell.TrialSeed))
+}
+
+// runTrial drives one live measurement: STARTUP every node with its
+// vertex's neighbor addresses, DISTRIBUTE the rumor to the source,
+// drive rounds (sync) or wait on the exponential clocks (async),
+// REPORT-sweep the informed set, and SHUTDOWN. Per-node seeds are drawn
+// from rng, so a trial is reproducible end to end. ctx is honoured
+// between rounds and polls; on that and every other failure the nodes
+// still get their SHUTDOWN, so none is left with a running clock.
+func (c *Cluster) runTrial(ctx context.Context, spec TrialSpec, g *graph.Graph, rng *xrand.RNG) (res *TrialResult, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			c.Shutdown() // best effort
+		}
+	}()
+	seeds := make([]uint64, len(c.addrs))
 	for i := range seeds {
-		seeds[i] = root.Uint64()
+		seeds[i] = rng.Uint64()
 	}
-
-	if err := c.sweep(MethodStartup, func(i int) (interface{}, error) {
+	if err := c.sweep(MethodStartup, func(i int) interface{} {
 		nbrs := g.Neighbors(graph.NodeID(i))
 		addrs := make([]string, len(nbrs))
 		for j, v := range nbrs {
@@ -289,43 +321,32 @@ func (c *Cluster) RunTrial(spec TrialSpec) (*TrialResult, error) {
 			LossProb:  spec.Cell.LossProb,
 			Threshold: spec.Threshold,
 			Seed:      seeds[i],
-			TimeUnit:  spec.timeUnit(),
+			TimeUnit:  orDefault(spec.TimeUnit, DefaultTimeUnit),
 			Latency:   spec.Latency,
-		}, nil
+		}
 	}, nil); err != nil {
 		return nil, fmt.Errorf("gossip: startup: %w", err)
 	}
 
 	start := time.Now()
-	distEnv, err := NewEnvelope(MethodDistribute, CoordinatorFrom, Ack{})
-	if err != nil {
-		return nil, err
-	}
-	c.metrics.sent.With(MethodDistribute).Inc()
-	if _, err := c.tr.callChecked(c.addrs[source], distEnv, gossipCallTimeout); err != nil {
-		return nil, fmt.Errorf("gossip: distribute to node %d: %w", source, err)
+	if _, err := c.call(spec.Cell.Source, MethodDistribute, Ack{}); err != nil {
+		return nil, fmt.Errorf("gossip: distribute: %w", err)
 	}
 
 	var rounds int
-	switch spec.Cell.Timing {
-	case service.TimingSync:
-		rounds, err = c.driveRounds(spec)
-	case service.TimingAsync:
-		err = c.waitAsync(spec)
-	default:
-		err = fmt.Errorf("gossip: unknown timing %q", spec.Cell.Timing)
+	if spec.Cell.Timing == service.TimingSync {
+		rounds, err = c.driveRounds(ctx, spec)
+	} else {
+		err = c.waitAsync(ctx, spec)
 	}
 	if err != nil {
-		c.Shutdown() // best effort: do not leak running clocks
 		return nil, err
 	}
 
-	reports := make([]Report, n)
-	if err := c.sweep(MethodReport, func(i int) (interface{}, error) { return nil, nil },
-		func(i int, reply *Envelope) error {
-			return reply.Decode(&reports[i])
-		}); err != nil {
-		c.Shutdown()
+	reports := make([]Report, len(c.addrs))
+	if err := c.sweep(MethodReport, nil, func(i int, reply *Envelope) error {
+		return reply.Decode(&reports[i])
+	}); err != nil {
 		return nil, fmt.Errorf("gossip: report: %w", err)
 	}
 	wall := time.Since(start)
@@ -333,7 +354,7 @@ func (c *Cluster) RunTrial(spec TrialSpec) (*TrialResult, error) {
 		return nil, fmt.Errorf("gossip: shutdown: %w", err)
 	}
 
-	res := buildResult(spec, g, source, rounds, reports)
+	res = buildResult(spec, g, rounds, reports)
 	res.Wall = wall
 	c.metrics.informed.Set(float64(res.Informed))
 	c.metrics.runs.Inc()
@@ -343,127 +364,180 @@ func (c *Cluster) RunTrial(spec TrialSpec) (*TrialResult, error) {
 
 // driveRounds runs the synchronous schedule: one ROUND fan-out per
 // round, a barrier on the acks, stop at full coverage or the cap.
-func (c *Cluster) driveRounds(spec TrialSpec) (int, error) {
-	n := len(c.addrs)
-	maxRounds := spec.maxRounds()
+func (c *Cluster) driveRounds(ctx context.Context, spec TrialSpec) (int, error) {
+	maxRounds := orDefault(spec.MaxRounds, DefaultMaxRounds)
 	for r := 1; r <= maxRounds; r++ {
-		informed := make([]bool, n)
-		err := c.sweep(MethodRound,
-			func(i int) (interface{}, error) { return RoundCmd{Round: int32(r)}, nil },
-			func(i int, reply *Envelope) error {
-				var ack RoundAck
-				if err := reply.Decode(&ack); err != nil {
-					return err
-				}
-				informed[i] = ack.Informed
-				return nil
-			})
+		if err := ctx.Err(); err != nil {
+			return r, err
+		}
+		informed, err := c.countInformed(MethodRound, RoundCmd{Round: int32(r)})
 		if err != nil {
 			return r, fmt.Errorf("gossip: round %d: %w", r, err)
 		}
-		count := 0
-		for _, ok := range informed {
-			if ok {
-				count++
-			}
-		}
-		c.metrics.informed.Set(float64(count))
-		if count == n {
+		if informed == len(c.addrs) {
 			return r, nil
 		}
 	}
 	return maxRounds, nil
 }
 
-// waitAsync polls REPORT sweeps until full coverage or the deadline.
-// Coverage timing does not depend on the poll cadence: the curve is
-// reconstructed afterwards from the nodes' acceptance timestamps.
-func (c *Cluster) waitAsync(spec TrialSpec) error {
-	deadline := time.Now().Add(spec.maxWait())
+// waitAsync polls REPORT sweeps until full coverage, the deadline or the
+// end of ctx. Coverage timing does not depend on the poll cadence: the
+// curve is reconstructed afterwards from the nodes' acceptance
+// timestamps.
+func (c *Cluster) waitAsync(ctx context.Context, spec TrialSpec) error {
+	deadline := time.Now().Add(orDefault(spec.MaxWait, DefaultMaxWait))
 	for {
-		var count atomic.Int64 // decode callbacks run concurrently
-		err := c.sweep(MethodReport,
-			func(i int) (interface{}, error) { return nil, nil },
-			func(i int, reply *Envelope) error {
-				var rep Report
-				if err := reply.Decode(&rep); err != nil {
-					return err
-				}
-				if rep.Informed {
-					count.Add(1)
-				}
-				return nil
-			})
+		informed, err := c.countInformed(MethodReport, nil)
 		if err != nil {
 			return fmt.Errorf("gossip: async poll: %w", err)
 		}
-		informed := int(count.Load())
-		c.metrics.informed.Set(float64(informed))
-		if informed == len(c.addrs) {
-			return nil
-		}
-		if time.Now().After(deadline) {
+		if informed == len(c.addrs) || time.Now().After(deadline) {
 			return nil // partial coverage is a result, not an error
 		}
-		time.Sleep(spec.poll())
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(orDefault(spec.poll, defaultPoll)):
+		}
 	}
 }
 
-// buildResult turns the final reports into coverage curves. Sync times
-// come from the exact per-node informed rounds; async times from the
-// wall-clock acceptance stamps relative to the source's, in time
-// units.
-func buildResult(spec TrialSpec, g *graph.Graph, source, rounds int, reports []Report) *TrialResult {
+// buildResult measures a trial from its final reports with the
+// simulator's own code: the informing times — exact per-node informed
+// rounds for sync trials, wall-clock acceptance stamps relative to the
+// source's in time units for async ones, -1 for a node never informed —
+// fill the engine's result type, and milestones, spread time and curve
+// are what core reads off it.
+func buildResult(spec TrialSpec, g *graph.Graph, rounds int, reports []Report) *TrialResult {
 	n := len(reports)
 	res := &TrialResult{
-		Graph:    g.Name(),
-		N:        n,
-		M:        g.NumEdges(),
-		Rounds:   rounds,
-		Coverage: make(map[string]float64),
-		Reports:  reports,
+		Graph:      g.Name(),
+		N:          n,
+		M:          g.NumEdges(),
+		Rounds:     rounds,
+		SpreadTime: -1,
+		Reports:    reports,
 	}
-	var times []float64
-	for _, rep := range reports {
+	sync := spec.Cell.Timing == service.TimingSync
+	at := make([]float64, n)
+	for i, rep := range reports {
 		res.Sent += rep.Sent
 		res.Received += rep.Received
 		res.Dropped += rep.Dropped
-		if !rep.Informed {
+		switch {
+		case !rep.Informed:
+			at[i] = -1
 			continue
+		case sync:
+			at[i] = float64(rep.InformedRound)
+		default:
+			delta := rep.InformedAtUnixNano - reports[spec.Cell.Source].InformedAtUnixNano
+			at[i] = float64(delta) / float64(orDefault(spec.TimeUnit, DefaultTimeUnit))
 		}
+		at[i] = max(at[i], 0)
 		res.Informed++
-		var t float64
-		if spec.Cell.Timing == service.TimingSync {
-			t = float64(rep.InformedRound)
-		} else {
-			delta := rep.InformedAtUnixNano - reports[source].InformedAtUnixNano
-			t = float64(delta) / float64(spec.timeUnit())
-		}
-		if t < 0 {
-			t = 0
-		}
-		times = append(times, t)
 	}
-	sort.Float64s(times)
-	for i, t := range times {
-		res.Curve = append(res.Curve, CurvePoint{T: t, Frac: float64(i+1) / float64(n)})
-	}
-	for _, frac := range spec.coverageFracs() {
-		name := service.CoverageName(frac)
-		k := int(math.Ceil(frac * float64(n)))
-		if k < 1 {
-			k = 1
+	var curve *core.Curve
+	if sync {
+		r := &core.SyncResult{Rounds: int(slices.Max(at)), InformedAt: make([]int32, n), NumInformed: res.Informed, Complete: res.Informed == n}
+		for i, t := range at {
+			r.InformedAt[i] = int32(t)
 		}
-		if k <= len(times) {
-			res.Coverage[name] = times[k-1]
-		} else {
-			res.Coverage[name] = -1
-		}
-	}
-	if res.Informed == n && len(times) > 0 {
-		res.SpreadTime = times[len(times)-1]
+		res.outcome, curve = core.Outcome{Sync: r}, r.Curve()
 	} else {
-		res.SpreadTime = -1
+		r := &core.AsyncResult{Time: slices.Max(at), InformedAt: at, NumInformed: res.Informed, Complete: res.Informed == n}
+		res.outcome, curve = core.Outcome{Async: r}, r.Curve()
 	}
+	for i, t := range curve.Times {
+		res.Curve = append(res.Curve, CurvePoint{T: t, Frac: curve.Fractions[i]})
+	}
+	if t, err := res.outcome.SpreadingTime(); err == nil {
+		res.SpreadTime = t
+	}
+	one := spec.Cell // the trial's own milestones are a one-trial cell's
+	one.Trials = 1
+	fold := service.NewTimeFold(one)
+	fold.Add(0, res.outcome)
+	res.Coverage = fold.Result(nil).Coverage
 	return res
+}
+
+// LiveRunner is a cluster in service.CellRunner form, the sixth door to
+// the execution spine: a time cell's trials run on real nodes and come
+// back as the CellResult the simulator would build. Spec holds the
+// live-only knobs every trial runs under; its Cell is ignored, each cell
+// run takes its place.
+type LiveRunner struct {
+	Cluster *Cluster
+	Spec    TrialSpec
+}
+
+// seriesInformed is the per-trial series of a live CellResult that tells
+// a complete trial (N) from one that ended short; "rounds" (sync rounds
+// driven), "wall_s" (injection to final report), "sent", "received" and
+// "dropped" ride beside it.
+const seriesInformed = "informed"
+
+// RunCells runs each cell's Trials live trials one after another (a
+// cluster plays one trial at a time) and returns the results in input
+// order; nothing is cached, a live result is not a function of its spec.
+// A cell the cluster cannot host fails the batch with service.ErrBadSpec.
+func (r LiveRunner) RunCells(ctx context.Context, cells []service.CellSpec) ([]*service.CellResult, error) {
+	results := make([]*service.CellResult, len(cells))
+	for i, cell := range cells {
+		res, _, err := r.RunTrials(ctx, cell)
+		if err != nil {
+			return nil, fmt.Errorf("gossip: cell %d: %w", i, err)
+		}
+		res.Index = i
+		results[i] = res
+	}
+	return results, nil
+}
+
+// RunTrials is RunCells for one cell, with each trial's own result beside
+// the cell's. Trial t's nodes are seeded from the stream harness.Runner
+// gives trial t of a simulated cell with the same trial seed. A cancelled
+// ctx ends the trial in flight between two rounds or polls, SHUTDOWN
+// sweep included, and returns ctx's error.
+func (r LiveRunner) RunTrials(ctx context.Context, cell service.CellSpec) (*service.CellResult, []*TrialResult, error) {
+	g, err := r.Cluster.host(cell)
+	if err != nil {
+		return nil, nil, err
+	}
+	spec := r.Spec
+	spec.Cell = cell
+	trials := make([]*TrialResult, cell.Trials)
+	if _, err := (harness.Runner{Trials: cell.Trials, Seed: cell.TrialSeed, Workers: 1}).Run(func(t int, rng *xrand.RNG) (float64, error) {
+		tr, err := r.Cluster.runTrial(ctx, spec, g, rng)
+		trials[t] = tr
+		return 0, err
+	}); err != nil {
+		return nil, nil, err
+	}
+	return cellResult(cell, g, trials), trials, nil
+}
+
+// cellResult folds a cell's live trials the way the time kind folds
+// simulated ones — a milestone some trial fell short of is -1 — and wraps
+// them as the executor would. Times holds each trial's last informing
+// time, complete or not; seriesInformed tells which.
+func cellResult(cell service.CellSpec, g *graph.Graph, trials []*TrialResult) *service.CellResult {
+	fold := service.NewTimeFold(cell)
+	times := make([]float64, len(trials))
+	series := make(map[string][]float64)
+	for t, tr := range trials {
+		fold.Add(t, tr.outcome)
+		times[t] = tr.outcome.Time()
+		for name, v := range map[string]float64{
+			seriesInformed: float64(tr.Informed), "rounds": float64(tr.Rounds), "wall_s": tr.Wall.Seconds(),
+			"sent": float64(tr.Sent), "received": float64(tr.Received), "dropped": float64(tr.Dropped),
+		} {
+			series[name] = append(series[name], v)
+		}
+	}
+	kr := fold.Result(times)
+	kr.Series = series
+	return service.NewCellResult(cell, cell.Key(), g, kr)
 }

@@ -23,15 +23,6 @@ func overlayFracs() []float64 {
 	return []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0}
 }
 
-// OverlayConfig parameterizes one overlay run.
-type OverlayConfig struct {
-	// Spec is the live trial spec; Spec.Cell is also the simulator's
-	// cell (its Trials field sets the simulator trial count).
-	Spec TrialSpec
-	// LiveTrials is the number of live trials averaged (0 = 3).
-	LiveTrials int
-}
-
 // OverlaySide is one side's aggregated coverage curve.
 type OverlaySide struct {
 	// Coverage maps milestone names to mean times (protocol units);
@@ -64,89 +55,52 @@ type OverlayResult struct {
 	LiveOnly []string `json:"live_only,omitempty"`
 }
 
-// RunOverlay executes E16 on the given cluster: cfg.LiveTrials live
-// trials, one simulator run of the identical cell, and the comparison.
-func RunOverlay(c *Cluster, cfg OverlayConfig) (*OverlayResult, error) {
-	spec := cfg.Spec
-	if spec.Cell.Trials <= 0 {
-		spec.Cell.Trials = 5
-	}
-	spec.Cell.CoverageFracs = overlayFracs()
-	liveTrials := cfg.LiveTrials
-	if liveTrials <= 0 {
-		liveTrials = 3
-	}
-
-	// Simulator side: the one execution spine, same cell.
-	exec := &service.Executor{Graphs: service.NewGraphCache(0)}
-	simResults, err := exec.RunCells(context.Background(), []service.CellSpec{spec.Cell})
+// RunOverlay executes E16: cell, with the overlay's milestone grid, runs
+// through sim as it stands and through live with liveTrials trials, and
+// the two results are read by one rule. Neither runner needs to be what
+// its name says — two fakes test all of this without a socket.
+func RunOverlay(ctx context.Context, live, sim service.CellRunner, cell service.CellSpec, liveTrials int) (*OverlayResult, error) {
+	cell.CoverageFracs = overlayFracs()
+	res := &OverlayResult{Cell: cell, Ratio: -1}
+	simRes, err := res.Sim.run(ctx, sim, cell)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: overlay simulator run: %w", err)
 	}
-	sim := simResults[0]
-
-	res := &OverlayResult{
-		Cell:  spec.Cell,
-		Graph: sim.Graph,
-		N:     sim.N,
-		M:     sim.M,
-		Sim: OverlaySide{
-			Coverage:   sim.Coverage,
-			SpreadTime: sim.Summary.Mean,
-			Trials:     spec.Cell.Trials,
-		},
+	res.Graph, res.N, res.M = simRes.Graph, simRes.N, simRes.M
+	cell.Trials = liveTrials
+	liveRes, err := res.Live.run(ctx, live, cell)
+	if err != nil {
+		return nil, fmt.Errorf("gossip: overlay live run: %w", err)
 	}
-	if cov, ok := sim.Coverage[service.CoverageName(1.0)]; ok {
-		res.Sim.SpreadTime = cov
-	}
-
-	// Live side: independent trials, each reseeded off the cell's
-	// trial seed.
-	sums := make(map[string]float64)
-	counts := make(map[string]int)
-	for t := 0; t < liveTrials; t++ {
-		trial := spec
-		trial.Cell.TrialSeed = spec.Cell.TrialSeed + uint64(t)*0x9E3779B97F4A7C15
-		tr, err := c.RunTrial(trial)
-		if err != nil {
-			return nil, fmt.Errorf("gossip: overlay live trial %d: %w", t, err)
-		}
-		if tr.SpreadTime < 0 {
+	for _, informed := range liveRes.Series[seriesInformed] {
+		if int(informed) < liveRes.N {
 			res.LiveIncomplete++
 		}
-		for name, v := range tr.Coverage {
-			if v >= 0 {
-				sums[name] += v
-				counts[name]++
-			}
-		}
 	}
-	live := OverlaySide{Coverage: make(map[string]float64), Trials: liveTrials}
-	for _, frac := range overlayFracs() {
-		name := service.CoverageName(frac)
-		if counts[name] > 0 {
-			live.Coverage[name] = sums[name] / float64(counts[name])
-		} else {
-			live.Coverage[name] = -1
-		}
-	}
-	q100 := service.CoverageName(1.0)
-	live.SpreadTime = -1
-	if counts[q100] == liveTrials { // mean over full-coverage-only is biased otherwise
-		live.SpreadTime = live.Coverage[q100]
-	}
-	res.Live = live
-
-	res.Ratio = -1
 	if res.Live.SpreadTime > 0 && res.Sim.SpreadTime > 0 {
 		res.Ratio = res.Live.SpreadTime / res.Sim.SpreadTime
 	}
-	if spec.Threshold > 1 {
-		res.LiveOnly = append(res.LiveOnly, fmt.Sprintf("acceptance threshold %d", spec.Threshold))
+	if lr, ok := live.(LiveRunner); ok {
+		if lr.Spec.Threshold > 1 {
+			res.LiveOnly = append(res.LiveOnly, fmt.Sprintf("acceptance threshold %d", lr.Spec.Threshold))
+		}
+		if lr.Spec.Latency.Dist != LatencyNone {
+			res.LiveOnly = append(res.LiveOnly, fmt.Sprintf("link latency %s:%s", lr.Spec.Latency.Dist, lr.Spec.Latency.Mean))
+		}
 	}
-	if spec.Latency.Dist != LatencyNone {
-		res.LiveOnly = append(res.LiveOnly, fmt.Sprintf("link latency %s:%s", spec.Latency.Dist, spec.Latency.Mean))
+	return res, nil
+}
+
+// run executes cell on r and fills the side from its result: the mean
+// milestones as the cell's fold left them — -1 where any trial fell
+// short — with the last one as the spreading time.
+func (s *OverlaySide) run(ctx context.Context, r service.CellRunner, cell service.CellSpec) (*service.CellResult, error) {
+	results, err := r.RunCells(ctx, []service.CellSpec{cell})
+	if err != nil {
+		return nil, err
 	}
+	res := results[0]
+	*s = OverlaySide{Coverage: res.Coverage, SpreadTime: res.Coverage[service.CoverageName(1.0)], Trials: cell.Trials}
 	return res, nil
 }
 
@@ -163,17 +117,11 @@ func (r *OverlayResult) RenderText(w io.Writer) error {
 		fmt.Fprintf(w, "live-only effects: %v\n", r.LiveOnly)
 	}
 	fmt.Fprintf(w, "%-6s %12s %12s %10s %10s\n", "frac", "live", "sim", "live/t100", "sim/t100")
-	fracs := overlayFracs()
-	names := make([]string, 0, len(fracs))
-	for _, f := range fracs {
-		names = append(names, service.CoverageName(f))
-	}
-	liveT100 := r.Live.SpreadTime
-	simT100 := r.Sim.SpreadTime
-	for i, name := range names {
+	for _, frac := range overlayFracs() {
+		name := service.CoverageName(frac)
 		lv, sv := r.Live.Coverage[name], r.Sim.Coverage[name]
-		ln, sn := norm(lv, liveT100), norm(sv, simT100)
-		fmt.Fprintf(w, "%-6.2f %12s %12s %10s %10s\n", fracs[i],
+		ln, sn := norm(lv, r.Live.SpreadTime), norm(sv, r.Sim.SpreadTime)
+		fmt.Fprintf(w, "%-6.2f %12s %12s %10s %10s\n", frac,
 			fmtTime(lv), fmtTime(sv), fmtTime(ln), fmtTime(sn))
 	}
 	if r.LiveIncomplete > 0 {
