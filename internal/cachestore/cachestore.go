@@ -52,12 +52,14 @@ const (
 	segSuffix = ".ndjson"
 )
 
-// Defaults for Options zero values.
+// DefaultQueueLimit bounds the write-behind queue; callers batching
+// Puts stay under it.
+const DefaultQueueLimit = 4096
+
 const (
-	DefaultSegmentBytes    = 4 << 20
-	DefaultQueueLimit      = 4096
-	DefaultCompactFraction = 0.5
-	DefaultCompactMinBytes = 64 << 10
+	defaultSegmentBytes    = 4 << 20
+	defaultCompactFraction = 0.5
+	defaultCompactMinBytes = 64 << 10
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -78,23 +80,6 @@ type Options struct {
 	// version stamp through compaction; new writes always use
 	// KeyVersion.
 	CompatVersions []string
-	// SegmentBytes rolls the active segment once it exceeds this size;
-	// 0 selects DefaultSegmentBytes.
-	SegmentBytes int64
-	// QueueLimit bounds the write-behind queue; a Put past the bound is
-	// dropped (counted in Stats.Dropped — losing a cache write is
-	// correctness-neutral, the result is just recomputed next time).
-	// 0 selects DefaultQueueLimit.
-	QueueLimit int
-	// CompactFraction triggers background compaction once dead bytes
-	// exceed this fraction of total bytes (and CompactMinBytes); 0
-	// selects DefaultCompactFraction.
-	CompactFraction float64
-	// CompactMinBytes is the minimum dead-byte volume before background
-	// compaction is worth it; 0 selects DefaultCompactMinBytes.
-	CompactMinBytes int64
-	// NoSync skips the per-batch fsync (tests only).
-	NoSync bool
 	// Logf receives recovery and compaction log lines; nil discards.
 	Logf func(format string, args ...interface{})
 	// Metrics instruments the store (flush latency, torn-tail
@@ -102,6 +87,19 @@ type Options struct {
 	// means off. Create it with NewMetrics before Open so recovery is
 	// already instrumented.
 	Metrics *Metrics
+
+	// Tuning with one value in use outside this package's tests, which
+	// set these to reach rolling, drops and compaction on small inputs;
+	// zero selects the default.
+	segmentBytes int64 // rolls the active segment past this size
+	// queueLimit bounds the write-behind queue (DefaultQueueLimit); a Put
+	// past the bound is dropped (counted in Stats.Dropped — losing a
+	// cache write is correctness-neutral, the result is just recomputed
+	// next time).
+	queueLimit      int
+	compactFraction float64 // background compaction once dead bytes exceed this share of all bytes...
+	compactMinBytes int64   // ...and this volume
+	noSync          bool    // skip the per-batch fsync
 }
 
 // Stats is a point-in-time snapshot of store counters. All fields are
@@ -256,17 +254,17 @@ func Open(opts Options) (*Store, error) {
 	if opts.KeyVersion == "" {
 		return nil, errors.New("cachestore: Options.KeyVersion is required")
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = defaultSegmentBytes
 	}
-	if opts.QueueLimit <= 0 {
-		opts.QueueLimit = DefaultQueueLimit
+	if opts.queueLimit <= 0 {
+		opts.queueLimit = DefaultQueueLimit
 	}
-	if opts.CompactFraction <= 0 {
-		opts.CompactFraction = DefaultCompactFraction
+	if opts.compactFraction <= 0 {
+		opts.compactFraction = defaultCompactFraction
 	}
-	if opts.CompactMinBytes <= 0 {
-		opts.CompactMinBytes = DefaultCompactMinBytes
+	if opts.compactMinBytes <= 0 {
+		opts.compactMinBytes = defaultCompactMinBytes
 	}
 	opts.Metrics = obs.OrZero(opts.Metrics)
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -550,7 +548,7 @@ func (s *Store) Put(key string, value []byte) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || len(s.queue) >= s.opts.QueueLimit {
+	if s.closed || len(s.queue) >= s.opts.queueLimit {
 		s.st.Dropped++
 		return
 	}
@@ -671,8 +669,8 @@ func (s *Store) flusher() {
 
 // shouldCompactLocked applies the background-compaction trigger.
 func (s *Store) shouldCompactLocked() bool {
-	return s.st.DeadBytes >= s.opts.CompactMinBytes &&
-		float64(s.st.DeadBytes) >= s.opts.CompactFraction*float64(s.st.Bytes)
+	return s.st.DeadBytes >= s.opts.compactMinBytes &&
+		float64(s.st.DeadBytes) >= s.opts.compactFraction*float64(s.st.Bytes)
 }
 
 // writeBatch appends a batch of queued records to the active segment
@@ -683,7 +681,7 @@ func (s *Store) writeBatch(batch []queued) {
 	s.mu.Lock()
 	seg := s.segs[s.active]
 	s.mu.Unlock()
-	if seg.size >= s.opts.SegmentBytes {
+	if seg.size >= s.opts.segmentBytes {
 		s.mu.Lock()
 		next, err := s.createSegment()
 		if err != nil {
@@ -717,7 +715,7 @@ func (s *Store) writeBatch(batch []queued) {
 		s.mu.Unlock()
 		return
 	}
-	if !s.opts.NoSync {
+	if !s.opts.noSync {
 		if err := seg.f.Sync(); err != nil {
 			s.mu.Lock()
 			s.failBatchLocked(batch, err)
@@ -849,7 +847,7 @@ func (s *Store) runCompaction() {
 		finish(err)
 		return
 	}
-	if !s.opts.NoSync {
+	if !s.opts.noSync {
 		if err := f.Sync(); err != nil {
 			f.Close()
 			os.Remove(path)

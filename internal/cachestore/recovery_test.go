@@ -133,7 +133,7 @@ func TestRecoveryStopsAtCorruptRecord(t *testing.T) {
 // and the next compaction rewrites the segment away.
 func TestRecoveryCorruptSealedSegment(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, KeyVersion: "v2", SegmentBytes: 128})
+	s := mustOpen(t, Options{Dir: dir, KeyVersion: "v2", segmentBytes: 128})
 	for i := 0; i < 8; i++ {
 		s.Put(fmt.Sprintf("k%d", i), val(i))
 		if err := s.Flush(); err != nil {
@@ -157,7 +157,7 @@ func TestRecoveryCorruptSealedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := mustOpen(t, Options{Dir: dir, KeyVersion: "v2", SegmentBytes: 128})
+	r := mustOpen(t, Options{Dir: dir, KeyVersion: "v2", segmentBytes: 128})
 	st := r.Stats()
 	if st.CorruptRecords == 0 || st.DeadBytes == 0 {
 		t.Errorf("sealed-segment corruption not counted: %+v", st)

@@ -21,9 +21,6 @@ type Config struct {
 	// Peers are the rumord peer base URLs. A bare "host:port" is
 	// normalized to "http://host:port". At least one peer is required.
 	Peers []string
-	// Replicas is the number of virtual ring points per peer;
-	// 0 selects DefaultReplicas.
-	Replicas int
 	// ClientOptions are applied to every peer's SDK client (custom
 	// transports for fault injection, retry/backoff tuning). The
 	// client's retry budget doubles as the peer-death detector: a peer
@@ -57,7 +54,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	co := &Coordinator{
-		ring:    NewRing(cfg.Replicas),
+		ring:    NewRing(0),
 		clients: make(map[string]*client.Client, len(urls)),
 		metrics: obs.OrZero(cfg.Metrics),
 		log:     obs.OrDiscard(cfg.Log),
