@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"rumor/internal/api"
+	"rumor/internal/obs"
 	"rumor/internal/service"
 )
 
@@ -198,6 +199,11 @@ func (c *Client) do(ctx context.Context, method, path string, header http.Header
 		}
 		if len(body) > 0 {
 			req.Header.Set("Content-Type", "application/json")
+		}
+		if id := obs.RequestID(ctx); id != "" {
+			// The server logs this request under the caller's ID, not one of
+			// its own: a coordinator's calls to its peers read as one trace.
+			req.Header.Set(api.RequestIDHeader, id)
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {

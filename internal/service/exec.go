@@ -120,6 +120,7 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 	if workers <= 0 {
 		workers = 1
 	}
+	trialsStart := time.Now()
 	kr, err := kind.Run(ctx, cell, g, workers)
 	if err != nil {
 		if ctx.Err() == nil {
@@ -128,6 +129,8 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 		}
 		return nil, false, err
 	}
+	trials := time.Since(trialsStart)
+	o.cellTrials.Observe(trials.Seconds())
 	e.engineUpdates.Add(kr.Work)
 	o.engineUpdates.Add(float64(kr.Work))
 	res := NewCellResult(cell, key, g, kr)
@@ -139,7 +142,8 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 	o.Log.LogAttrs(ctx, slog.LevelDebug, "cell computed",
 		slog.String("kind", cell.kind()), slog.String("key", key),
 		slog.Float64("duration_ms", took.Seconds()*1e3),
-		slog.Float64("graph_build_ms", graphBuild.Seconds()*1e3))
+		slog.Float64("graph_build_ms", graphBuild.Seconds()*1e3),
+		slog.Float64("trials_ms", trials.Seconds()*1e3))
 	out := *res
 	out.Index = index
 	return &out, false, nil

@@ -40,6 +40,7 @@ type Observability struct {
 	jobsByState   *obs.GaugeVec // state
 	engineUpdates *obs.Counter  // node updates simulated by computed cells
 	graphBuild    *obs.Histogram
+	cellTrials    *obs.Histogram
 
 	// Cache tiers (collect-mirrored from CacheStats snapshots).
 	cacheHits       *obs.CounterVec // cache, tier
@@ -84,9 +85,13 @@ func NewObservability(reg *obs.Registry, log *slog.Logger) *Observability {
 		"Known jobs by current state.", "state")
 	o.engineUpdates = reg.NewCounter("rumor_engine_node_updates_total",
 		"Engine node updates (simulated contact decisions and clock ticks) across computed cells — the throughput unit of the BENCH suites.")
-	// Builds run from microseconds (n = 64) to tens of seconds (n = 10^7).
+	// Builds, and a cell's trials, run from microseconds (n = 64) to tens
+	// of seconds (n = 10^7).
 	o.graphBuild = reg.NewHistogram("rumor_graph_build_seconds",
 		"Time computed cells spent constructing their graph (generation, CSR build, connectivity check); graph-cache hits observe nothing.",
+		obs.ExpBuckets(0.0001, 4, 10))
+	o.cellTrials = reg.NewHistogram("rumor_cell_trials_seconds",
+		"Time computed cells spent in their kind's trials, after the graph and before the summary.",
 		obs.ExpBuckets(0.0001, 4, 10))
 	o.cacheHits = reg.NewCounterVec("rumor_cache_hits_total",
 		"Cache hits by cache (result, graph) and serving tier (mem, disk).",

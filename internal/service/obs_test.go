@@ -412,7 +412,9 @@ func TestHealthzBuildInfo(t *testing.T) {
 // that ran, not the cells — one per graph through a GraphCache however
 // many cells share it, one per computed cell without a cache — and the
 // debug line of a computed cell says how long its own build took (0 on
-// a graph hit). Result bytes carry none of it.
+// a graph hit). rumor_cell_trials_seconds counts every computed cell,
+// and none served from the result cache, with trials_ms on the same
+// line. Result bytes carry none of it.
 func TestGraphBuildObserved(t *testing.T) {
 	var logs strings.Builder
 	log, err := obs.NewLogger(&logs, "json", "debug")
@@ -424,14 +426,17 @@ func TestGraphBuildObserved(t *testing.T) {
 	again := cell
 	again.TrialSeed = 2
 
-	cached := &Executor{Graphs: NewGraphCache(4), Obs: observ}
-	for _, c := range []CellSpec{cell, again} {
+	cached := &Executor{Results: NewResultCache(4), Graphs: NewGraphCache(4), Obs: observ}
+	for _, c := range []CellSpec{cell, again, cell} {
 		if _, _, err := cached.Run(context.Background(), 0, c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := observ.graphBuild.Count(); got != 1 {
 		t.Errorf("two cells on one cached graph observed %d builds, want 1", got)
+	}
+	if got := observ.cellTrials.Count(); got != 2 {
+		t.Errorf("two computed cells and a result hit observed %d trial phases, want 2", got)
 	}
 	bare := &Executor{Obs: observ}
 	res, _, err := bare.Run(context.Background(), 0, cell)
@@ -441,8 +446,11 @@ func TestGraphBuildObserved(t *testing.T) {
 	if got := observ.graphBuild.Count(); got != 2 {
 		t.Errorf("a cache-less cell brought the build count to %d, want 2", got)
 	}
-	if row, _ := api.Marshal(res); strings.Contains(string(row), "build") {
-		t.Errorf("result row mentions the build: %s", row)
+	if got := observ.cellTrials.Count(); got != 3 {
+		t.Errorf("a third computed cell brought the trial-phase count to %d, want 3", got)
+	}
+	if row, _ := api.Marshal(res); strings.Contains(string(row), "build") || strings.Contains(string(row), "trials_") {
+		t.Errorf("result row mentions a phase: %s", row)
 	}
 
 	var builds []float64
@@ -450,6 +458,7 @@ func TestGraphBuildObserved(t *testing.T) {
 		var rec struct {
 			Msg          string   `json:"msg"`
 			GraphBuildMs *float64 `json:"graph_build_ms"`
+			TrialsMs     *float64 `json:"trials_ms"`
 		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("log line %q: %v", line, err)
@@ -459,6 +468,9 @@ func TestGraphBuildObserved(t *testing.T) {
 		}
 		if rec.GraphBuildMs == nil {
 			t.Fatalf("computed-cell line without graph_build_ms: %s", line)
+		}
+		if rec.TrialsMs == nil || *rec.TrialsMs <= 0 {
+			t.Fatalf("computed-cell line without a positive trials_ms: %s", line)
 		}
 		builds = append(builds, *rec.GraphBuildMs)
 	}

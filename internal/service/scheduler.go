@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"rumor/internal/obs"
 )
 
 // Scheduler errors.
@@ -168,6 +170,14 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 // after a terminal failure runs fresh. An empty key degrades to plain
 // Submit.
 func (s *Scheduler) SubmitIdempotent(key string, spec JobSpec) (*Job, bool, error) {
+	return s.submit(context.Background(), key, spec)
+}
+
+// submit is SubmitIdempotent on behalf of the request ctx belongs to:
+// the job's own context — what its cells run and log under, and what a
+// Remote's calls to its peers carry — keeps the request's correlation
+// ID, and nothing else of ctx (the job outlives the request).
+func (s *Scheduler) submit(ctx context.Context, key string, spec JobSpec) (*Job, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -181,7 +191,7 @@ func (s *Scheduler) SubmitIdempotent(key string, spec JobSpec) (*Job, bool, erro
 		return nil, false, fmt.Errorf("%w: %d cells > limit %d; split the job or raise the queue limit",
 			ErrJobTooLarge, count, s.queueLimit)
 	}
-	return s.enqueue(spec.Priority, spec.Cells(), key)
+	return s.enqueue(obs.RequestID(ctx), spec.Priority, spec.Cells(), key)
 }
 
 // SubmitCells validates and enqueues an explicit cell sequence (the
@@ -223,12 +233,13 @@ type idemEntry struct {
 	specHash string
 }
 
-// enqueue registers the validated, size-checked job. cells is the
+// enqueue registers the validated, size-checked job. requestID is the
+// submitting request's correlation ID ("" outside one); cells is the
 // spec's expansion, owned by the job from here on; idemKey, when
 // non-empty, registers the job for idempotent replay. The replay lookup
 // and the enqueue share one critical section, so two racing submits
 // with the same key can never both enqueue.
-func (s *Scheduler) enqueue(priority int, cells []CellSpec, idemKey string) (*Job, bool, error) {
+func (s *Scheduler) enqueue(requestID string, priority int, cells []CellSpec, idemKey string) (*Job, bool, error) {
 	var specHash string
 	if idemKey != "" {
 		specHash = hashCells(priority, cells)
@@ -263,7 +274,7 @@ func (s *Scheduler) enqueue(priority int, cells []CellSpec, idemKey string) (*Jo
 			ErrQueueFull, s.pending, len(cells), s.queueLimit)
 	}
 	s.nextSeq++
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(obs.WithRequestID(context.Background(), requestID))
 	job := &Job{
 		sched:    s,
 		id:       fmt.Sprintf("job-%08d", s.nextSeq),

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -428,6 +429,106 @@ func TestAllDuplicatePeersRejectedUpFront(t *testing.T) {
 			t.Errorf("shard.New(%q) accepted an all-duplicates peer list", peers)
 		} else if !strings.Contains(err.Error(), "duplicate") {
 			t.Errorf("shard.New(%q) error = %v, want duplicate rejection", peers, err)
+		}
+	}
+}
+
+// logged is one daemon's JSON log, written by its handlers and read by
+// the test.
+type logged struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *logged) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+// accessLines returns the log's "http request" lines as route → the
+// request IDs seen on it.
+func (l *logged) accessLines(t *testing.T) map[string][]string {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	byRoute := map[string][]string{}
+	for _, line := range strings.Split(strings.TrimSpace(l.buf.String()), "\n") {
+		var rec struct {
+			Msg       string `json:"msg"`
+			Route     string `json:"route"`
+			RequestID string `json:"request_id"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec.Msg == "http request" {
+			byRoute[rec.Route] = append(byRoute[rec.Route], rec.RequestID)
+		}
+	}
+	return byRoute
+}
+
+// startDaemon is one rumord HTTP surface with its access log captured;
+// remote, when non-nil, makes it a -peers coordinator.
+func startDaemon(t *testing.T, remote service.CellStreamer) (string, *logged) {
+	t.Helper()
+	out := &logged{}
+	log, err := obs.NewLogger(out, "json", "debug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	observ := service.NewObservability(obs.NewRegistry(), log)
+	sched := service.NewScheduler(service.SchedulerConfig{Workers: 2, Obs: observ, Remote: remote})
+	ts := httptest.NewServer(service.NewServer(sched, service.WithObservability(observ)))
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = sched.Shutdown(ctx)
+	})
+	return ts.URL, out
+}
+
+// TestRequestIDForwarded: the SDK sends the request ID its context
+// carries, and a job keeps the ID of the request that submitted it, so
+// one ID names a sharded job on every daemon it touched: the caller's
+// submit on the coordinator, and the coordinator's own submit and result
+// stream on the peer, which used to be logged under IDs the peer made up.
+func TestRequestIDForwarded(t *testing.T) {
+	peerURL, peerLog := startDaemon(t, nil)
+	co, err := shard.New(shard.Config{Peers: []string{peerURL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordURL, coordLog := startDaemon(t, co)
+
+	const id = "trace-me-42"
+	ctx := obs.WithRequestID(context.Background(), id)
+	cl, err := client.New(coordURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.SubmitJob(ctx, service.JobSpec{CellList: testCells(t)[:3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream is read under a context with no ID: what reaches the
+	// peer below came with the job, not with this request.
+	if err := cl.StreamResults(context.Background(), st.ID, -1, func(*service.CellResult) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := coordLog.accessLines(t)["POST /v1/jobs"]; len(got) != 1 || got[0] != id {
+		t.Errorf("coordinator logged the submit under %v, want [%s]", got, id)
+	}
+	if got := coordLog.accessLines(t)["GET /v1/jobs/{id}/results"]; len(got) != 1 || got[0] == id || got[0] == "" {
+		t.Errorf("coordinator logged the ID-less stream request under %v, want an ID of its own", got)
+	}
+	peer := peerLog.accessLines(t)
+	for _, route := range []string{"POST /v1/jobs", "GET /v1/jobs/{id}/results"} {
+		if got := peer[route]; len(got) == 0 || slices.ContainsFunc(got, func(s string) bool { return s != id }) {
+			t.Errorf("peer logged %s under %v, want every line under %s", route, got, id)
 		}
 	}
 }
