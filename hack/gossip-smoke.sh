@@ -15,7 +15,9 @@
 #      and nobody may have lost a message to the transport.
 #   2. Self-hosted E16 overlay (sync): live cluster vs simulator on the
 #      identical cell, 10% loss; the spreading-time ratio must print
-#      and fall inside the -max-ratio bound.
+#      and fall inside the -max-ratio bound. Then a coordinator is sent
+#      SIGINT in the middle of an async trial: it must exit non-zero
+#      within 2 s, with every node's SHUTDOWN in its -metrics-out.
 #   3. Self-hosted E16 overlay (async): the per-node exponential-clock
 #      path, same bound; the coordinator's metrics snapshot must record
 #      the live runs.
@@ -118,6 +120,28 @@ grep -q "spreading-time ratio (live/sim): [0-9]" "$workdir/overlay-sync.out" || 
     echo "FAIL: sync overlay printed no numeric ratio" >&2
     exit 1
 }
+
+echo "==> phase 2b: SIGINT a coordinator in the middle of an async trial"
+# Clocks that tick once a minute: the trial cannot end by itself inside
+# -max-wait. The coordinator must give up between two polls, sweep
+# SHUTDOWN over its nodes, write its snapshot, and exit non-zero.
+"$BIN" -coordinator -overlay=false -family cycle -n 8 -protocol push-pull -timing async \
+    -time-unit 1m -trials 1 -seed 5 -metrics-out "$workdir/sigint.metrics" >"$workdir/sigint.out" 2>&1 &
+sigint_pid=$!
+sleep 1
+kill -INT "$sigint_pid" || true # already gone: the checks below say why
+sigint_at=$(date +%s%N)
+sigint_rc=0
+wait "$sigint_pid" || sigint_rc=$?
+sigint_ms=$(( ($(date +%s%N) - sigint_at) / 1000000 ))
+shutdowns=$(awk '$1 == "rumor_gossip_messages_received_total{method=\"shutdown\"}" {printf "%d", $2}' "$workdir/sigint.metrics")
+echo "==> coordinator exited $sigint_rc after ${sigint_ms} ms; nodes counted ${shutdowns:-0} SHUTDOWNs"
+if [ "$sigint_rc" -eq 0 ] || [ "$sigint_ms" -gt 2000 ] || [ "${shutdowns:-0}" -ne 8 ] ||
+    ! grep -q "context canceled" "$workdir/sigint.out"; then
+    echo "FAIL: an interrupted coordinator must exit non-zero within 2 s with all 8 nodes shut down" >&2
+    cat "$workdir/sigint.out" >&2
+    exit 1
+fi
 
 echo "==> phase 3: self-hosted E16 overlay, async, 8 nodes, 10% loss"
 "$BIN" -coordinator -family complete -n 8 -protocol push-pull -timing async \
