@@ -26,6 +26,7 @@ package cachestore
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -254,18 +255,10 @@ func Open(opts Options) (*Store, error) {
 	if opts.KeyVersion == "" {
 		return nil, errors.New("cachestore: Options.KeyVersion is required")
 	}
-	if opts.segmentBytes <= 0 {
-		opts.segmentBytes = defaultSegmentBytes
-	}
-	if opts.queueLimit <= 0 {
-		opts.queueLimit = DefaultQueueLimit
-	}
-	if opts.compactFraction <= 0 {
-		opts.compactFraction = defaultCompactFraction
-	}
-	if opts.compactMinBytes <= 0 {
-		opts.compactMinBytes = defaultCompactMinBytes
-	}
+	opts.segmentBytes = cmp.Or(opts.segmentBytes, defaultSegmentBytes)
+	opts.queueLimit = cmp.Or(opts.queueLimit, DefaultQueueLimit)
+	opts.compactFraction = cmp.Or(opts.compactFraction, defaultCompactFraction)
+	opts.compactMinBytes = cmp.Or(opts.compactMinBytes, defaultCompactMinBytes)
 	opts.Metrics = obs.OrZero(opts.Metrics)
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err

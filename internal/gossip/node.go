@@ -280,7 +280,7 @@ func (n *Node) handleDistribute(env *Envelope) (interface{}, error) {
 	}
 	if !n.informed {
 		n.informed = true
-		n.hearings = maxInt(n.cfg.Threshold, 1)
+		n.hearings = max(n.cfg.Threshold, 1)
 		n.informedRound = 0
 		n.informedAt = time.Now()
 	}
@@ -510,7 +510,7 @@ func (n *Node) hear(round int32) {
 		return
 	}
 	n.hearings++
-	threshold := maxInt(n.cfg.Threshold, 1)
+	threshold := max(n.cfg.Threshold, 1)
 	if n.hearings >= threshold {
 		n.informed = true
 		n.informedRound = round
@@ -526,11 +526,4 @@ func (n *Node) sleepOrDone(d time.Duration) {
 	case <-t.C:
 	case <-n.done:
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
