@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -129,15 +128,11 @@ func run(args []string) error {
 	// its own registry (the same instruments rumord exports), so a CLI
 	// sweep's latency histograms and cache counters land in a
 	// scrape-compatible snapshot.
-	trialWorkers := *workers
-	if trialWorkers <= 0 {
-		trialWorkers = runtime.GOMAXPROCS(0)
-	}
 	runner, err := runmode.New(runmode.Config{
 		Server:       *server,
 		Cache:        *useCache,
 		CellWorkers:  1,
-		TrialWorkers: trialWorkers,
+		TrialWorkers: *workers,
 		Metrics:      *metricsOut != "",
 	})
 	if err != nil {

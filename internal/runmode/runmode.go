@@ -29,7 +29,11 @@ type Config struct {
 	CacheDir string // -cache-dir: persistent result store under the LRU
 
 	// CellWorkers and TrialWorkers shape the in-process executor (see
-	// service.Executor); remote modes ignore them.
+	// service.Executor); remote modes ignore them. TrialWorkers 0 lets
+	// each cell borrow the cores the other cell workers leave idle, so
+	// rumorsim's one cell worker runs min(trials, GOMAXPROCS) trials at
+	// once; a daemon's trial parallelism is its own -trial-workers (1
+	// unless set).
 	CellWorkers  int
 	TrialWorkers int
 

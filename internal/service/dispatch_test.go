@@ -117,7 +117,42 @@ const (
 // v4 keys when the event-heap engines were deleted. Run with -update
 // only for an intentional, key-version-bumped change.
 func TestDispatchGolden(t *testing.T) {
-	exec := &service.Executor{TrialWorkers: 2}
+	rows := dispatchRows(t, &service.Executor{TrialWorkers: 2})
+	// A lone Run on a zero Executor runs its trials on every idle core.
+	if lone := dispatchRows(t, &service.Executor{}); lone != rows {
+		t.Errorf("lone Runs on a zero Executor:\n%s\ntwo explicit trial workers:\n%s", lone, rows)
+	}
+
+	path := filepath.Join("testdata", "dispatch.golden")
+	if f := flag.Lookup("update"); f != nil && f.Value.String() == "true" {
+		if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update to create): %v", err)
+	}
+	if rows != string(want) {
+		gotLines, wantLines := strings.Split(rows, "\n"), strings.Split(string(want), "\n")
+		for i := range gotLines {
+			if i >= len(wantLines) || gotLines[i] != wantLines[i] {
+				t.Errorf("dispatch result drifted from %s at line %d:\ngot:  %s", path, i+1, gotLines[i])
+				if i < len(wantLines) {
+					t.Errorf("want: %s", wantLines[i])
+				}
+			}
+		}
+		if len(wantLines) > len(gotLines) {
+			t.Errorf("golden file has %d lines, run produced %d", len(wantLines), len(gotLines))
+		}
+	}
+}
+
+// dispatchRows runs every dispatch cell on exec: one golden line each.
+func dispatchRows(t *testing.T, exec *service.Executor) string {
+	t.Helper()
 	var b strings.Builder
 	seen := map[string]string{}
 	for _, tc := range dispatchCells() {
@@ -141,32 +176,7 @@ func TestDispatchGolden(t *testing.T) {
 		sum := sha256.Sum256(raw)
 		b.WriteString(tc.name + "\t" + res.Key + "\t" + hex.EncodeToString(sum[:]) + "\n")
 	}
-
-	path := filepath.Join("testdata", "dispatch.golden")
-	if f := flag.Lookup("update"); f != nil && f.Value.String() == "true" {
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden file (run with -update to create): %v", err)
-	}
-	if got := b.String(); got != string(want) {
-		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range gotLines {
-			if i >= len(wantLines) || gotLines[i] != wantLines[i] {
-				t.Errorf("dispatch result drifted from %s at line %d:\ngot:  %s", path, i+1, gotLines[i])
-				if i < len(wantLines) {
-					t.Errorf("want: %s", wantLines[i])
-				}
-			}
-		}
-		if len(wantLines) > len(gotLines) {
-			t.Errorf("golden file has %d lines, run produced %d", len(wantLines), len(gotLines))
-		}
-	}
+	return b.String()
 }
 
 // TestOutOfRangeSourceFailsCell: a source the built graph does not have

@@ -46,9 +46,10 @@ type Executor struct {
 	Results ResultStore
 	// Graphs is the constructed-graph LRU; nil disables graph sharing.
 	Graphs *GraphCache
-	// TrialWorkers bounds the per-cell trial parallelism; 0 means 1
-	// (cells themselves are the unit of parallelism in the scheduler
-	// and in RunCells).
+	// TrialWorkers bounds the per-cell trial parallelism. 0 gives a
+	// computing cell its own core plus those nothing else of this
+	// executor holds, up to its Trials: a lone Run gets min(Trials,
+	// GOMAXPROCS), a cell of a full RunCells batch 1.
 	TrialWorkers int
 	// CellWorkers bounds how many cells RunCells executes concurrently;
 	// 0 means GOMAXPROCS. This is the single parallelism knob for
@@ -65,6 +66,8 @@ type Executor struct {
 	// total engine node updates this executor has simulated. Mirrored
 	// to rumor_engine_node_updates_total.
 	engineUpdates atomic.Int64
+	// claimed counts the cores this executor's cells hold (see claim).
+	claimed atomic.Int64
 }
 
 // EngineUpdates returns the total engine node updates simulated by
@@ -76,6 +79,11 @@ func (e *Executor) EngineUpdates() int64 { return e.engineUpdates.Load() }
 // from the cache. ctx cancels between trials; a cancelled run returns
 // ctx's error and caches nothing.
 func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResult, bool, error) {
+	return e.run(ctx, index, cell, 0)
+}
+
+// run is Run for a caller already holding held cores (see claim).
+func (e *Executor) run(ctx context.Context, index int, cell CellSpec, held int) (*CellResult, bool, error) {
 	if err := cell.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -116,12 +124,13 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 		}
 	}
 
-	workers := e.TrialWorkers
+	workers, claim := e.TrialWorkers, 0
 	if workers <= 0 {
-		workers = 1
+		workers, claim = e.claim(cell.Trials, held)
 	}
 	trialsStart := time.Now()
 	kr, err := kind.Run(ctx, cell, g, workers)
+	e.claimed.Add(int64(-claim))
 	if err != nil {
 		if ctx.Err() == nil {
 			// A context abort is a cancellation, not a kind failure.
@@ -143,10 +152,28 @@ func (e *Executor) Run(ctx context.Context, index int, cell CellSpec) (*CellResu
 		slog.String("kind", cell.kind()), slog.String("key", key),
 		slog.Float64("duration_ms", took.Seconds()*1e3),
 		slog.Float64("graph_build_ms", graphBuild.Seconds()*1e3),
-		slog.Float64("trials_ms", trials.Seconds()*1e3))
+		slog.Float64("trials_ms", trials.Seconds()*1e3),
+		slog.Int("trial_workers", workers))
 	out := *res
 	out.Index = index
 	return &out, false, nil
+}
+
+// claim takes a cell's own core unless its caller holds it (held, 1 for
+// a RunCells worker), then up to trials−1 more while fewer than
+// GOMAXPROCS are claimed. It returns the trial workers and the count to
+// release when the trials end.
+func (e *Executor) claim(trials, held int) (workers, claimed int) {
+	own := int64(1 - held)
+	for c := e.claimed.Add(own); ; c = e.claimed.Load() {
+		extra := min(int64(trials-1), int64(runtime.GOMAXPROCS(0))-c)
+		if extra <= 0 {
+			return 1, int(own)
+		}
+		if e.claimed.CompareAndSwap(c, c+extra) {
+			return 1 + int(extra), int(own + extra)
+		}
+	}
 }
 
 // NewCellResult wraps what a cell's kind measured on g (nil for a
@@ -189,16 +216,19 @@ func (e *Executor) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResul
 	var next int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
+	// Claim every worker's core up front, or the first cell borrows them.
+	e.claimed.Add(int64(workers))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer e.claimed.Add(-1)
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= len(cells) || failed.Load() || ctx.Err() != nil {
 					return
 				}
-				res, _, err := e.Run(ctx, i, cells[i])
+				res, _, err := e.run(ctx, i, cells[i], 1)
 				results[i] = res
 				errs[i] = err
 				if err != nil {

@@ -478,3 +478,37 @@ func TestGraphBuildObserved(t *testing.T) {
 		t.Errorf("graph_build_ms per computed cell = %v, want [>0, 0, >0]", builds)
 	}
 }
+
+// TestSchedulerRunCellsKeepsRequestID: Scheduler.RunCells submits its
+// job on behalf of ctx, so the job's cells log under ctx's request ID.
+func TestSchedulerRunCellsKeepsRequestID(t *testing.T) {
+	var logs strings.Builder
+	log, err := obs.NewLogger(&logs, "json", "debug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestScheduler(t, SchedulerConfig{Workers: 2, Obs: NewObservability(obs.NewRegistry(), log)})
+	cells := []CellSpec{
+		{Family: "complete", N: 16, Protocol: "push", Timing: TimingSync, Trials: 2, GraphSeed: 1, TrialSeed: 1},
+		{Family: "complete", N: 16, Protocol: "push", Timing: TimingAsync, Trials: 2, GraphSeed: 1, TrialSeed: 2},
+	}
+	if _, err := s.RunCells(obs.WithRequestID(context.Background(), "rc-7"), cells); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct {
+			Msg       string `json:"msg"`
+			RequestID string `json:"request_id"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec.Msg == "cell computed" {
+			ids = append(ids, rec.RequestID)
+		}
+	}
+	if len(ids) != len(cells) || ids[0] != "rc-7" || ids[1] != "rc-7" {
+		t.Errorf("cell computed lines carry request IDs %q, want rc-7 on each of %d", ids, len(cells))
+	}
+}

@@ -48,7 +48,8 @@ type SchedulerConfig struct {
 	// across all jobs; a submit that would exceed it is rejected with
 	// ErrQueueFull. 0 means 4096.
 	QueueLimit int
-	// TrialWorkers bounds per-cell trial parallelism (see Executor).
+	// TrialWorkers bounds per-cell trial parallelism (see Executor); 0
+	// lends idle cores per running cell. rumord -trial-workers stays 1.
 	TrialWorkers int
 	// JobRetention bounds how many terminal (done/failed/cancelled)
 	// jobs are kept for status/result queries; the oldest are evicted
@@ -208,9 +209,12 @@ func (s *Scheduler) SubmitCells(cells []CellSpec, priority int) (*Job, error) {
 
 // RunCells implements CellRunner on the scheduler: it submits the cells
 // as one job (at default priority) and blocks until every result is in.
-// ctx cancels the job and returns early.
+// ctx (and its request ID) is the job's; cancelling it returns early.
 func (s *Scheduler) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResult, error) {
-	job, err := s.SubmitCells(cells, 0)
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("%w: no cells", ErrBadSpec)
+	}
+	job, _, err := s.submit(ctx, "", JobSpec{CellList: cells})
 	if err != nil {
 		return nil, err
 	}

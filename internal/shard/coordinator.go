@@ -207,7 +207,7 @@ func (co *Coordinator) StreamCells(ctx context.Context, cells []service.CellSpec
 			// undelivered cells go back to pending below.
 			ring.Remove(peers[pi])
 			co.metrics.peerFailures.With(peers[pi]).Inc()
-			co.log.Warn("shard peer failed, reassigning its unfinished cells",
+			co.log.WarnContext(ctx, "shard peer failed, reassigning its unfinished cells",
 				"peer", peers[pi], "error", err.Error(), "survivors", ring.Len())
 		}
 

@@ -532,3 +532,57 @@ func TestRequestIDForwarded(t *testing.T) {
 		}
 	}
 }
+
+// TestFailoverLogCarriesRequestID: the coordinator's failover line is
+// logged under the batch's ctx, so it carries the request ID of the
+// caller whose batch lost a peer.
+func TestFailoverLogCarriesRequestID(t *testing.T) {
+	urls := startPeers(t, 2)
+	victim, err := url.Parse(urls[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill := &clienttest.PeerDownTransport{Host: victim.Host, Match: "/results", After: 1}
+	out := &logged{}
+	log, err := obs.NewLogger(out, "json", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := shard.New(shard.Config{
+		Peers: urls,
+		Log:   log,
+		ClientOptions: []client.Option{
+			client.WithHTTPClient(&http.Client{Transport: kill}),
+			client.WithRetries(1),
+			client.WithBackoff(time.Millisecond, 2*time.Millisecond),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "failover-9"
+	if _, err := co.RunCells(obs.WithRequestID(context.Background(), id), testCells(t)); err != nil {
+		t.Fatalf("sharded run did not survive the peer kill: %v", err)
+	}
+	if !kill.Down() {
+		t.Fatal("the victim peer was never killed: the fixture did not engage")
+	}
+	out.mu.Lock()
+	defer out.mu.Unlock()
+	var ids []string
+	for _, line := range strings.Split(strings.TrimSpace(out.buf.String()), "\n") {
+		var rec struct {
+			Msg       string `json:"msg"`
+			RequestID string `json:"request_id"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if strings.HasPrefix(rec.Msg, "shard peer failed") {
+			ids = append(ids, rec.RequestID)
+		}
+	}
+	if len(ids) != 1 || ids[0] != id {
+		t.Errorf("failover lines carry request IDs %q, want exactly one under %s", ids, id)
+	}
+}
