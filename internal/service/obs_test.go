@@ -495,6 +495,10 @@ func TestSchedulerRunCellsKeepsRequestID(t *testing.T) {
 	if _, err := s.RunCells(obs.WithRequestID(context.Background(), "rc-7"), cells); err != nil {
 		t.Fatal(err)
 	}
+	// A worker logs the job's finish after RunCells has its results.
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	var ids []string
 	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
 		var rec struct {
