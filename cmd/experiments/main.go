@@ -134,12 +134,10 @@ func runSuite(cfg experiments.Config, runID, markdown string, stdout io.Writer) 
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "=== %s: %s ===\n%s\n\n", e.ID, e.Title, e.Claim)
 		o, err := e.Run(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "%s verdict: %v — %s\n", o.ID, o.Verdict, o.Summary)
 		if o.Verdict == experiments.Failed {
 			return errVerdictFailed
 		}

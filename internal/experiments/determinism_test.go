@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"rumor/internal/service"
@@ -52,14 +51,10 @@ func TestExperimentDeterminismAcrossWorkersAndCache(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var details strings.Builder
-				redCfg := cfg
-				redCfg.Out = &details
-				o, err := e.Reduce(redCfg, results)
+				o, err := e.reduce(cfg, results)
 				if err != nil {
 					t.Fatalf("%s: reduce: %v", r.name, err)
 				}
-				o.Details = details.String()
 				oData, err := json.Marshal(o)
 				if err != nil {
 					t.Fatal(err)

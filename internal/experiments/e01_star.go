@@ -108,15 +108,8 @@ func e01Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	fmt.Fprintf(cfg.out(), "sync-push mean ≈ C·n^α: α=%.3f R²=%.3f (paper: Θ(n log n), i.e. α slightly above 1)\n", fit.Alpha, fit.R2)
 	pushOK := fit.Alpha > 0.85 && fit.Alpha < 1.35 && fit.R2 > 0.95
 
-	verdict := Supported
-	switch {
-	case !syncOK:
-		verdict = Failed
-	case !asyncOK || !pushOK:
-		verdict = Borderline
-	}
 	return &Outcome{
-		ID: "E1", Title: "Star graph anomaly", Verdict: verdict,
+		Verdict: worst(holds(syncOK, Failed), holds(asyncOK && pushOK, Borderline)),
 		Summary: fmt.Sprintf("sync-pp q99 ≤ 2: %v; async log-fit slope %.2f (R²=%.2f); push power-fit α=%.2f",
 			syncOK, b, r2, fit.Alpha),
 	}, nil

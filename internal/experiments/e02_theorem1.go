@@ -78,15 +78,8 @@ func e02Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	}
 	fmt.Fprintf(cfg.out(), "max ratio %.3f (family %s); Theorem 1 predicts a universal constant\n", maxRatio, worstFamily)
 
-	verdict := Supported
-	if maxRatio > 6 {
-		verdict = Borderline
-	}
-	if maxRatio > 12 {
-		verdict = Failed
-	}
 	return &Outcome{
-		ID: "E2", Title: "Theorem 1 (async ≤ sync + log n)", Verdict: verdict,
+		Verdict: atMost(maxRatio, 6, 12),
 		Summary: fmt.Sprintf("max over %d families of q99(async)/(q99(sync)+ln n) = %.2f (%s)",
 			len(connectedFamilies()), maxRatio, worstFamily),
 	}, nil

@@ -50,15 +50,8 @@ func e03Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	}
 	fmt.Fprintf(cfg.out(), "max of E[sync]/(√n·E[async]) = %.3f (%s); Theorem 2 predicts a universal constant\n", maxRatio, worstFamily)
 
-	verdict := Supported
-	if maxRatio > 2 {
-		verdict = Borderline
-	}
-	if maxRatio > 6 {
-		verdict = Failed
-	}
 	return &Outcome{
-		ID: "E3", Title: "Theorem 2 (sync ≤ sqrt(n)·async)", Verdict: verdict,
+		Verdict: atMost(maxRatio, 2, 6),
 		Summary: fmt.Sprintf("max over families of E[sync]/(√n·E[async]) = %.3f (%s)", maxRatio, worstFamily),
 	}, nil
 }

@@ -80,15 +80,8 @@ func e04Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	}
 	fmt.Fprintf(cfg.out(), "push/push-pull q99 ratios in [%.2f, %.2f]; Corollary 3 predicts Θ(1) and ≥ 1\n", minRatio, maxRatio)
 
-	verdict := Supported
-	if maxRatio > 5 || !growthOK || minRatio < 0.9 {
-		verdict = Borderline
-	}
-	if maxRatio > 12 {
-		verdict = Failed
-	}
 	return &Outcome{
-		ID: "E4", Title: "Corollary 3 (push = Θ(push-pull) sync, regular)", Verdict: verdict,
+		Verdict: worst(atMost(maxRatio, 5, 12), holds(growthOK && minRatio >= 0.9, Borderline)),
 		Summary: fmt.Sprintf("push/pp q99 ratios across regular families in [%.2f, %.2f], growth bounded: %v",
 			minRatio, maxRatio, growthOK),
 	}, nil

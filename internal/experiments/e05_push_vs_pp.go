@@ -73,15 +73,8 @@ func e05Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	}
 	fmt.Fprintf(cfg.out(), "min KS p-value %.4f (%s); identity predicts large p-values\n", minP, worstFam)
 
-	verdict := Supported
-	if minP < 0.005 {
-		verdict = Borderline
-	}
-	if minP < 1e-6 {
-		verdict = Failed
-	}
 	return &Outcome{
-		ID: "E5", Title: "Async push ~ 2× async push-pull (regular)", Verdict: verdict,
+		Verdict: atLeast(minP, 0.005, 1e-6),
 		Summary: fmt.Sprintf("KS test of T(push-a) vs 2·T(pp-a): min p = %.4f across regular families", minP),
 	}, nil
 }

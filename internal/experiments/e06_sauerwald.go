@@ -61,15 +61,8 @@ func e06Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	}
 	fmt.Fprintf(cfg.out(), "max q99(sync push)/q99(async push) = %.2f (%s); Sauerwald predicts O(1)\n", maxRatio, worstFam)
 
-	verdict := Supported
-	if maxRatio > 4 {
-		verdict = Borderline
-	}
-	if maxRatio > 10 {
-		verdict = Failed
-	}
 	return &Outcome{
-		ID: "E6", Title: "Sync push ≤ O(async push)", Verdict: verdict,
+		Verdict: atMost(maxRatio, 4, 10),
 		Summary: fmt.Sprintf("max q99(sync push)/q99(async push) = %.2f (%s)", maxRatio, worstFam),
 	}, nil
 }

@@ -101,15 +101,8 @@ func e07Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	fmt.Fprintf(cfg.out(), "Lemma 6 domination: %v; Lemma 9 bound: %v; Lemma 10 bound: %v; coupled excesses ≤ 14 ln n: %v\n",
 		allDominated, l9OK, l10OK, coupledOK)
 
-	verdict := Supported
-	if !allDominated || !coupledOK {
-		verdict = Borderline
-	}
-	if !l9OK || !l10OK {
-		verdict = Failed
-	}
 	return &Outcome{
-		ID: "E7", Title: "Coupling ladder pp→ppx→ppy→pp-a", Verdict: verdict,
+		Verdict: worst(holds(allDominated && coupledOK, Borderline), holds(l9OK && l10OK, Failed)),
 		Summary: fmt.Sprintf("L6 dom=%v, L9=%v, L10=%v, coupled excess ≤ 14 ln n=%v",
 			allDominated, l9OK, l10OK, coupledOK),
 	}, nil

@@ -94,15 +94,9 @@ func e08Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	fmt.Fprintf(cfg.out(), "subset invariant: %v; seq=parallel: %v; ρ bound: %v; ρ_left bound: %v; ρ_special bound: %v\n",
 		subsetOK, seqParOK, rhoOK, leftOK, specialOK)
 
-	verdict := Supported
-	if !rhoOK || !leftOK || !specialOK {
-		verdict = Borderline
-	}
-	if !subsetOK || !seqParOK {
-		verdict = Failed // these are exact invariants; any violation is a bug
-	}
 	return &Outcome{
-		ID: "E8", Title: "Lower-bound block coupling", Verdict: verdict,
+		// Subset and seq=par are exact invariants: any violation is a bug.
+		Verdict: worst(holds(rhoOK && leftOK && specialOK, Borderline), holds(subsetOK && seqParOK, Failed)),
 		Summary: fmt.Sprintf("Lemma 13 subset=%v, Remark 12=%v, Lemma 14 bounds (ρ=%v, left=%v, special=%v)",
 			subsetOK, seqParOK, rhoOK, leftOK, specialOK),
 	}, nil

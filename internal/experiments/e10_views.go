@@ -73,15 +73,8 @@ func e10Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	}
 	fmt.Fprintf(cfg.out(), "min pairwise KS p-value = %.4f; equivalence predicts non-small p-values\n", minP)
 
-	verdict := Supported
-	if minP < 0.005 {
-		verdict = Borderline
-	}
-	if minP < 1e-6 {
-		verdict = Failed
-	}
 	return &Outcome{
-		ID: "E10", Title: "Equivalent async process views", Verdict: verdict,
+		Verdict: atLeast(minP, 0.005, 1e-6),
 		Summary: fmt.Sprintf("pairwise KS of 3 views on 2 graphs: min p = %.4f", minP),
 	}, nil
 }

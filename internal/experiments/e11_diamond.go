@@ -86,17 +86,13 @@ func e11Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 
 	syncOK := syncFit.Alpha > 0.22 && syncFit.Alpha < 0.45
 	asyncOK := asyncFit.Alpha < 0.2
-	gapOK := gap < 0.5 && gapBelowSqrtN
-	verdict := Supported
-	if !syncOK || !asyncOK {
-		verdict = Borderline
-	}
-	if !gapOK {
-		verdict = Failed
+	gapCmp := "≥"
+	if gap < 0.5 {
+		gapCmp = "<"
 	}
 	return &Outcome{
-		ID: "E11", Title: "Diamond chain: polylog async vs n^(1/3) sync", Verdict: verdict,
-		Summary: fmt.Sprintf("sync exponent %.2f (want ~0.33), async exponent %.2f (want ~0), gap %.2f < 0.5",
-			syncFit.Alpha, asyncFit.Alpha, gap),
+		Verdict: worst(holds(syncOK && asyncOK, Borderline), holds(gap < 0.5 && gapBelowSqrtN, Failed)),
+		Summary: fmt.Sprintf("sync exponent %.2f (want ~0.33), async exponent %.2f (want ~0), gap %.2f %s 0.5",
+			syncFit.Alpha, asyncFit.Alpha, gap, gapCmp),
 	}, nil
 }

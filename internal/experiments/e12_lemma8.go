@@ -65,15 +65,8 @@ func e12Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 		"accepted %d/%d draws; conditional mean %.4f (Exp(kλ) mean %.4f); KS stat %.4f p %.4f\n",
 		len(conditional), attempts, condMean, wantMean, ks.Statistic, ks.PValue)
 
-	verdict := Supported
-	if ks.PValue < 0.005 {
-		verdict = Borderline
-	}
-	if ks.PValue < 1e-6 {
-		verdict = Failed
-	}
 	return &Outcome{
-		ID: "E12", Title: "Lemma 8 (conditional min of exponentials)", Verdict: verdict,
+		Verdict: atLeast(ks.PValue, 0.005, 1e-6),
 		Summary: fmt.Sprintf("conditional law vs Exp(kλ): KS p = %.4f, mean %.4f vs %.4f",
 			ks.PValue, condMean, wantMean),
 	}, nil

@@ -90,7 +90,7 @@ func e13Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	}
 	fmt.Fprintf(cfg.out(), "work units are exact and deterministic; see BENCH_2.json for wall-clock throughput\n")
 	return &Outcome{
-		ID: "E13", Title: "Engine work units", Verdict: Supported,
+		Verdict: Supported,
 		Summary: fmt.Sprintf("global-clock async engine: %.3g ticks/run to complete hypercube n=%d", globalSteps/float64(len(syncRes.Times)), n),
 	}, nil
 }

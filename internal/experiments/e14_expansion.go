@@ -77,15 +77,8 @@ func e14Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	fmt.Fprintf(cfg.out(), "max q99(pp-a)·gap/log n = %.3f (%s); the carried-over bound predicts a universal constant\n",
 		maxRatio, worstFam)
 
-	verdict := Supported
-	if maxRatio > 3 {
-		verdict = Borderline
-	}
-	if maxRatio > 10 {
-		verdict = Failed
-	}
 	return &Outcome{
-		ID: "E14", Title: "Conductance bounds carry over to async", Verdict: verdict,
+		Verdict: atMost(maxRatio, 3, 10),
 		Summary: fmt.Sprintf("max over families of q99(pp-a) / (log n / gap) = %.3f (%s)", maxRatio, worstFam),
 	}, nil
 }

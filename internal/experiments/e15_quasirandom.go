@@ -65,15 +65,8 @@ func e15Reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
 	}
 	fmt.Fprintf(cfg.out(), "quasirandom/random q99 ratios in [%.2f, %.2f]; [11] predicts ≈ 1\n", minRatio, maxRatio)
 
-	verdict := Supported
-	if maxRatio > 2 || minRatio < 0.4 {
-		verdict = Borderline
-	}
-	if maxRatio > 5 {
-		verdict = Failed
-	}
 	return &Outcome{
-		ID: "E15", Title: "Quasirandom push-pull (extension, ref [11])", Verdict: verdict,
+		Verdict: worst(atMost(maxRatio, 2, 5), holds(minRatio >= 0.4, Borderline)),
 		Summary: fmt.Sprintf("quasirandom/random q99 ratios in [%.2f, %.2f] across %d families", minRatio, maxRatio, len(e15Families)),
 	}, nil
 }

@@ -169,20 +169,43 @@ type Experiment struct {
 	// be deterministic in cfg (same cfg, same cells) and cheap: no
 	// simulation happens here.
 	Cells func(cfg Config) []service.CellSpec
-	// Reduce folds the cell results (same order as Cells) into an
-	// outcome, writing tables to cfg.Out. It is pure: tables and
-	// verdict are functions of the results alone.
+	// Reduce folds the cell results (same order as Cells) into the
+	// outcome's Verdict and Summary, writing tables to cfg.Out. It is
+	// pure: tables and verdict are functions of the results alone. Run,
+	// RunAll and the HTTP endpoint fill in the outcome's ID, Title and
+	// Details.
 	Reduce func(cfg Config, results []*service.CellResult) (*Outcome, error)
 }
 
-// Run executes the experiment's cells on cfg's runner and reduces them.
+// Run executes the experiment's cells on cfg's runner and reduces them,
+// writing to cfg.Out the `=== ID: Title ===` header with the claim, the
+// tables, and the `ID verdict:` line.
 func (e Experiment) Run(cfg Config) (*Outcome, error) {
-	cells := e.Cells(cfg)
-	results, err := cfg.runner().RunCells(context.Background(), cells)
+	fmt.Fprintf(cfg.out(), "=== %s: %s ===\n%s\n\n", e.ID, e.Title, e.Claim)
+	results, err := cfg.runner().RunCells(context.Background(), e.Cells(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
 	}
-	return e.Reduce(cfg, results)
+	o, err := e.reduce(cfg, results)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(cfg.out(), "%s verdict: %v — %s\n", e.ID, o.Verdict, o.Summary)
+	return o, nil
+}
+
+// reduce is the one path from cell results to an outcome: it runs
+// e.Reduce with the tables teed into the outcome's Details and stamps
+// the experiment's ID and Title on it.
+func (e Experiment) reduce(cfg Config, results []*service.CellResult) (*Outcome, error) {
+	var details strings.Builder
+	cfg.Out = io.MultiWriter(cfg.out(), &details)
+	o, err := e.Reduce(cfg, results)
+	if err != nil {
+		return nil, err
+	}
+	o.ID, o.Title, o.Details = e.ID, e.Title, details.String()
+	return o, nil
 }
 
 // All returns every experiment in order.
@@ -230,16 +253,11 @@ func RunAll(cfg Config) ([]*Outcome, error) {
 	}
 	var outcomes []*Outcome
 	for _, e := range All() {
-		fmt.Fprintf(cfg.out(), "\n=== %s: %s ===\n%s\n\n", e.ID, e.Title, e.Claim)
-		var details strings.Builder
-		runCfg := cfg
-		runCfg.Out = io.MultiWriter(cfg.out(), &details)
-		o, err := e.Run(runCfg)
+		fmt.Fprintln(cfg.out())
+		o, err := e.Run(cfg)
 		if err != nil {
 			return outcomes, fmt.Errorf("experiments: %s: %w", e.ID, err)
 		}
-		o.Details = details.String()
-		fmt.Fprintf(cfg.out(), "%s verdict: %v — %s\n", e.ID, o.Verdict, o.Summary)
 		outcomes = append(outcomes, o)
 	}
 	fmt.Fprintf(cfg.out(), "\n=== Summary ===\n")
@@ -262,6 +280,34 @@ func worst(vs ...Verdict) Verdict {
 		}
 	}
 	return w
+}
+
+// atMost judges a statistic the claim bounds from above: Supported up
+// to and including the supported edge, Borderline up to and including
+// the borderline edge, Failed beyond it or when x is NaN.
+func atMost(x, supported, borderline float64) Verdict {
+	switch {
+	case x <= supported:
+		return Supported
+	case x <= borderline:
+		return Borderline
+	}
+	return Failed
+}
+
+// atLeast judges a statistic the claim bounds from below (a p-value,
+// a ratio that must not shrink): atMost with every sign flipped.
+func atLeast(x, supported, borderline float64) Verdict {
+	return atMost(-x, -supported, -borderline)
+}
+
+// holds judges a check with no statistic to band: Supported when ok,
+// otherwise the verdict a miss costs.
+func holds(ok bool, otherwise Verdict) Verdict {
+	if ok {
+		return Supported
+	}
+	return otherwise
 }
 
 // sortedKeys returns the sorted keys of a string-keyed map.

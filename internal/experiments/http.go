@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strings"
 
 	"rumor/internal/api"
 	"rumor/internal/service"
@@ -84,18 +83,14 @@ func runHandler(srv *service.Server, sched *service.Scheduler) http.HandlerFunc 
 			return
 		}
 
-		// Reduce with the tables captured into the outcome's Details, so
-		// the stream's last row carries everything cmd/experiments prints.
-		// The handler's return flushes it; a failed write means the client
-		// went away.
-		var details strings.Builder
-		cfg.Out = &details
-		outcome, err := e.Reduce(cfg, results)
+		// The outcome's Details carry the tables cmd/experiments prints.
+		// The handler's return flushes the row; a failed write means the
+		// client went away.
+		outcome, err := e.reduce(cfg, results)
 		if err != nil {
 			_ = api.EncodeRow(w, api.Envelope{Error: &api.Error{Code: api.CodeInternal, Message: err.Error()}})
 			return
 		}
-		outcome.Details = details.String()
 		_ = api.EncodeRow(w, outcome)
 	}
 }

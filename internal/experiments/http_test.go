@@ -154,15 +154,11 @@ func TestAllExperimentsOverSDKMatchCLI(t *testing.T) {
 			if want := len(e.Cells(cfg)); cells != want {
 				t.Fatalf("streamed %d cells, want %d", cells, want)
 			}
-			var details strings.Builder
-			cliCfg := cfg
-			cliCfg.Out = &details
-			cliCfg.Runner = local
-			cli, err := e.Run(cliCfg)
+			cfg.Runner = local
+			cli, err := e.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cli.Details = details.String()
 			if streamed.Verdict != cli.Verdict.String() || streamed.Summary != cli.Summary || streamed.Details != cli.Details {
 				t.Errorf("SDK outcome differs from CLI outcome:\n%+v\nvs\n%+v", streamed, cli)
 			}
@@ -208,12 +204,10 @@ func TestExperimentStreamDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var details strings.Builder
-	local, err := e.Run(Config{Quick: true, Seed: 1, Out: &details})
+	local, err := e.Run(Config{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	local.Details = details.String()
 	if streamed.Verdict != local.Verdict || streamed.Summary != local.Summary || streamed.Details != local.Details {
 		t.Errorf("streamed outcome differs from local run:\n%+v\nvs\n%+v", streamed, local)
 	}

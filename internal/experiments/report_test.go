@@ -46,20 +46,19 @@ func TestRunAllCapturesDetails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick suite")
 	}
-	// Run just via the registry path with a single cheap experiment by
-	// temporarily relying on RunAll for the whole quick suite would be
-	// slow here; instead emulate what RunAll does for one experiment.
+	// Run is what RunAll calls per experiment: the outcome's Details are
+	// exactly the tables between the header and the verdict line.
 	e, err := ByID("E12")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var details strings.Builder
-	o, err := e.Run(Config{Quick: true, Seed: 1, Out: &details})
+	var out strings.Builder
+	o, err := e.Run(Config{Quick: true, Seed: 1, Out: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if details.Len() == 0 {
-		t.Fatal("experiment produced no output to capture")
+	header := "=== E12: " + e.Title + " ===\n" + e.Claim + "\n\n"
+	if want := header + o.Details + "E12 verdict: "; o.Details == "" || !strings.HasPrefix(out.String(), want) {
+		t.Fatalf("Details %q are not the tables Run printed:\n%s", o.Details, out.String())
 	}
-	_ = o
 }

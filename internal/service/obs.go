@@ -69,11 +69,14 @@ func NewObservability(reg *obs.Registry, log *slog.Logger) *Observability {
 		"Cells waiting in the scheduler's pending queue.")
 	o.workers = reg.NewGauge("rumor_scheduler_workers",
 		"Size of the scheduler's cell worker pool.")
+	// Queue waits, cells, builds and a cell's trials all run from
+	// microseconds (n = 64) to tens of seconds (n = 10^7).
 	o.queueWait = reg.NewHistogram("rumor_scheduler_queue_wait_seconds",
-		"Time a cell spends queued before a worker picks it up.", nil)
+		"Time a cell spends queued before a worker picks it up.",
+		obs.ExpBuckets(0.0001, 4, 10))
 	o.cellDuration = reg.NewHistogramVec("rumor_scheduler_cell_duration_seconds",
 		"Execution latency of computed (non-cached) cells, by cell kind.",
-		nil, "kind")
+		obs.ExpBuckets(0.0001, 4, 10), "kind")
 	o.cellsTotal = reg.NewCounterVec("rumor_scheduler_cells_total",
 		"Cells finished, by cell kind and outcome (computed, cached, error).",
 		"kind", "outcome")
@@ -85,8 +88,6 @@ func NewObservability(reg *obs.Registry, log *slog.Logger) *Observability {
 		"Known jobs by current state.", "state")
 	o.engineUpdates = reg.NewCounter("rumor_engine_node_updates_total",
 		"Engine node updates (simulated contact decisions and clock ticks) across computed cells — the throughput unit of the BENCH suites.")
-	// Builds, and a cell's trials, run from microseconds (n = 64) to tens
-	// of seconds (n = 10^7).
 	o.graphBuild = reg.NewHistogram("rumor_graph_build_seconds",
 		"Time computed cells spent constructing their graph (generation, CSR build, connectivity check); graph-cache hits observe nothing.",
 		obs.ExpBuckets(0.0001, 4, 10))

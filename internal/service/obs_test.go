@@ -479,6 +479,36 @@ func TestGraphBuildObserved(t *testing.T) {
 	}
 }
 
+// TestSchedulerHistogramsStartAt100us: a 50 µs queue wait and a 50 µs
+// cell each land in their histogram's 100 µs bucket, the floor the
+// graph-build and trials histograms have, instead of sharing one 5 ms
+// bucket with every other fast observation.
+func TestSchedulerHistogramsStartAt100us(t *testing.T) {
+	reg := obs.NewRegistry()
+	observ := NewObservability(reg, nil)
+	observ.queueWait.Observe(50e-6)
+	observ.observeCell("time", "computed", 50*time.Microsecond)
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := obs.ParseText(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sample string
+		labels map[string]string
+	}{
+		{"rumor_scheduler_queue_wait_seconds_bucket", map[string]string{"le": "0.0001"}},
+		{"rumor_scheduler_cell_duration_seconds_bucket", map[string]string{"kind": "time", "le": "0.0001"}},
+	} {
+		if v, ok := scrape.Value(tc.sample, tc.labels); !ok || v != 1 {
+			t.Errorf("%s%v = %v (present: %v), want 1", tc.sample, tc.labels, v, ok)
+		}
+	}
+}
+
 // TestSchedulerRunCellsKeepsRequestID: Scheduler.RunCells submits its
 // job on behalf of ctx, so the job's cells log under ctx's request ID.
 func TestSchedulerRunCellsKeepsRequestID(t *testing.T) {
