@@ -1,11 +1,18 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"rumor/internal/core"
+	"rumor/internal/graph"
+	"rumor/internal/harness"
 )
 
 // fuzzSpec derives a CellSpec from raw fuzz inputs. It intentionally
@@ -272,4 +279,168 @@ func FuzzCellSpecKey(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzValidCellRuns pins the contract between validation and the
+// engines, in both directions:
+//
+//  1. Every time cell Validate accepts runs through Executor.Run; the
+//     only failure allowed is a node the built graph does not have (a
+//     source, crash or churn node out of range), which only the built
+//     graph's n can decide.
+//  2. Every scenario core.NewTrial accepts on a static 16-node graph is
+//     a cell Validate accepts: validation refuses nothing the engines
+//     can run.
+//
+// The seed corpus is a deterministic sweep of fuzzSpec's selector space:
+// every kind, timing, protocol, view, variant, quasirandom and dynamic
+// selector crossed with the empty, crash, churn and extra-source
+// schedules.
+func FuzzValidCellRuns(f *testing.F) {
+	schedules := []struct{ extras, crashes, churn []byte }{
+		{},
+		{crashes: []byte{3, 16}},           // node 3 crashes at time 1
+		{churn: []byte{2, 8, 0, 2, 32, 3}}, // node 2 leaves at 1/2, rejoins without its rumor at 2
+		{extras: []byte{5}},
+	}
+	families := runnableFamilies()
+	seed := uint64(0)
+	for kind := range 2 {
+		for timing := range 3 {
+			for proto := range 4 {
+				for view := range 4 {
+					for variant := range 3 {
+						for _, qr := range []bool{false, true} {
+							for dyn := range 3 {
+								rate := 0.0
+								if dyn == 2 {
+									rate = 0.5
+								}
+								for _, s := range schedules {
+									seed++
+									f.Add(uint8(kind), uint8(proto), uint8(timing), uint8(view), uint8(variant),
+										families[seed%uint64(len(families))], 16, 2, 0, qr, 0.0, seed, seed,
+										s.extras, s.crashes, []byte(nil), math.NaN(), uint8(dyn), 0.0, rate, s.churn)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	exec := &Executor{TrialWorkers: 1}
+	static := graph.NewStatic(mustComplete(f, 16))
+	f.Fuzz(func(t *testing.T, kindSel, protoSel, timingSel, viewSel, variantSel uint8,
+		family string, n, trials, source int, qr bool, loss float64,
+		gseed, tseed uint64, extras, crashes, covs []byte, param float64,
+		dynSel uint8, dynPeriod, perturbRate float64, churn []byte) {
+		spec := runnable(fuzzSpec(kindSel, protoSel, timingSel, viewSel, variantSel, family,
+			n, trials, source, qr, loss, gseed, tseed, extras, crashes, covs, param,
+			dynSel, dynPeriod, perturbRate, churn))
+
+		if spec.Validate() == nil {
+			_, _, err := exec.Run(context.Background(), 0, spec)
+			if err != nil && !nodeRangeError(err) {
+				t.Errorf("valid cell %s failed: %v", spec.canonical(), err)
+			}
+		}
+
+		if spec.Dynamic != "" || spec.DynamicPeriod != 0 || spec.PerturbRate != 0 {
+			return // core's image below is of a static graph
+		}
+		scenario := spec
+		scenario.Params, scenario.CoverageFracs = nil, nil // no core counterpart
+		if ok, err := newTrialOf(scenario, static); ok && err == nil {
+			if err := scenario.Validate(); err != nil {
+				t.Errorf("core runs %s, Validate refuses it: %v", scenario.canonical(), err)
+			}
+		}
+	})
+}
+
+// runnableFamilies lists the standard families whose every instance is
+// connected, so a static cell on one completes.
+func runnableFamilies() []string {
+	var names []string
+	for _, fam := range harness.StandardFamilies() {
+		if !fam.MaybeDisconnected {
+			names = append(names, fam.Name)
+		}
+	}
+	return names
+}
+
+// runnable clamps a fuzzed spec to a cell the fuzz loop can afford to
+// run: a family from runnableFamilies, 8 <= n <= 16, one or two trials,
+// loss at most 1/2 and an epoch of at least 1/4 (more extreme values
+// exercise only the trial budget and the epoch count).
+func runnable(spec CellSpec) CellSpec {
+	families := runnableFamilies()
+	if !slices.Contains(families, spec.Family) {
+		spec.Family = families[len(spec.Family)%len(families)]
+	}
+	spec.N = 8 + int(uint(spec.N)%9)
+	spec.Trials = 1 + int(uint(spec.Trials)%2)
+	spec.LossProb = min(spec.LossProb, 0.5)
+	if spec.DynamicPeriod > 0 {
+		spec.DynamicPeriod = max(spec.DynamicPeriod, 0.25)
+	}
+	return spec
+}
+
+// nodeRangeError reports whether err is the one failure a valid cell may
+// have at run time: a bad spec naming a node outside the built graph.
+func nodeRangeError(err error) bool {
+	return errors.Is(err, ErrBadSpec) && (errors.Is(err, core.ErrBadSource) ||
+		(errors.Is(err, core.ErrBadCrash) || errors.Is(err, core.ErrBadChurn)) && strings.Contains(err.Error(), "out of range"))
+}
+
+// newTrialOf compiles spec's scenario fields straight into core.NewTrial
+// on topo, without the service: ok is false when the spec has no core
+// image (an unparsable name, an unknown timing, a view on a sync cell).
+func newTrialOf(spec CellSpec, topo graph.Provider) (ok bool, err error) {
+	proto, err1 := ParseProtocol(spec.Protocol)
+	view, err2 := ParseView(spec.View)
+	variant, err3 := ParseVariant(spec.Variant)
+	if err1 != nil || err2 != nil || err3 != nil {
+		return false, nil
+	}
+	var extra []graph.NodeID
+	for _, s := range spec.ExtraSources {
+		extra = append(extra, graph.NodeID(s))
+	}
+	var crashes []core.Crash
+	for _, c := range spec.Crashes {
+		crashes = append(crashes, core.Crash{Node: graph.NodeID(c.Node), Time: c.Time})
+	}
+	var churn []core.ChurnEvent
+	for _, ev := range spec.Churn {
+		op := core.ChurnLeave
+		if ev.Op == ChurnOpJoin {
+			op = core.ChurnJoin
+		}
+		churn = append(churn, core.ChurnEvent{Node: graph.NodeID(ev.Node), Time: ev.Time, Op: op, DropState: ev.DropState})
+	}
+	src, prob := graph.NodeID(spec.Source), 1-spec.LossProb
+	switch {
+	case spec.Timing == TimingSync && spec.View == "":
+		_, err = core.NewTrial(topo, src, core.SyncConfig{Protocol: proto, TransmitProb: prob,
+			ExtraSources: extra, Crashes: crashes, Churn: churn}, variant, spec.Quasirandom)
+	case spec.Timing == TimingAsync:
+		_, err = core.NewTrial(topo, src, core.AsyncConfig{Protocol: proto, View: view, TransmitProb: prob,
+			ExtraSources: extra, Crashes: crashes, Churn: churn}, variant, spec.Quasirandom)
+	default:
+		return false, nil
+	}
+	return true, err
+}
+
+func mustComplete(tb testing.TB, n int) *graph.Graph {
+	tb.Helper()
+	g, err := graph.Complete(n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }
