@@ -494,8 +494,9 @@ func TestScheduleMeansTheSameUnderBothTimings(t *testing.T) {
 
 // TestConstructionErrorPrecedence: when two fields of a scenario are bad
 // at once, which error the constructor reports is part of its behaviour
-// (callers match on it and the service prints it). The order is: graph,
-// protocol, source, probability; view and its combinations; extra
+// (callers match on it and the service prints it). The order is:
+// CheckScenario's options (protocol, probability, view and its
+// combinations) before anything on the graph; then graph, source; extra
 // sources; crashes; churn.
 func TestConstructionErrorPrecedence(t *testing.T) {
 	g := mustGraph(graph.Complete(8))
@@ -515,16 +516,16 @@ func TestConstructionErrorPrecedence(t *testing.T) {
 	}{
 		{"empty graph + bad protocol", graph.NewStatic(empty), 0,
 			&SyncConfig{Protocol: 9}, AsyncConfig{Protocol: 9},
-			"core: empty graph"},
+			"core: invalid protocol: 9"},
 		{"bad protocol + out-of-range source", graph.NewStatic(g), 8,
 			&SyncConfig{Protocol: 9}, AsyncConfig{Protocol: 9},
 			"core: invalid protocol: 9"},
 		{"out-of-range source + bad probability", graph.NewStatic(g), 8,
 			&SyncConfig{Protocol: Push, TransmitProb: 2}, AsyncConfig{Protocol: Push, TransmitProb: 2},
-			"core: source out of range: 8 (n=8)"},
+			"core: transmit probability outside (0, 1]: 2"},
 		{"bad view + out-of-range source", graph.NewStatic(g), -1,
 			nil, AsyncConfig{Protocol: Push, View: 7},
-			"core: source out of range: -1 (n=8)"},
+			"core: invalid async view: 7"},
 		{"bad view + bad probability", graph.NewStatic(g), 0,
 			nil, AsyncConfig{Protocol: Push, View: 7, TransmitProb: -0.5},
 			"core: transmit probability outside (0, 1]: -0.5"},

@@ -344,25 +344,16 @@ func selectNth(xs []float64, k int) float64 {
 	return xs[k]
 }
 
-// validateCommon checks parameters shared by all engines and returns the
-// effective transmit probability.
-func validateCommon(g *graph.Graph, src graph.NodeID, p Protocol, prob float64) (float64, error) {
+// checkStart validates what every engine needs of the graph: a node,
+// and the source among them. The scenario's options are CheckScenario's.
+func checkStart(g *graph.Graph, src graph.NodeID) error {
 	if g.NumNodes() == 0 {
-		return 0, ErrEmptyGraph
-	}
-	if !p.valid() {
-		return 0, fmt.Errorf("%w: %d", ErrBadProtocol, int(p))
+		return ErrEmptyGraph
 	}
 	if src < 0 || int(src) >= g.NumNodes() {
-		return 0, fmt.Errorf("%w: %d (n=%d)", ErrBadSource, src, g.NumNodes())
+		return fmt.Errorf("%w: %d (n=%d)", ErrBadSource, src, g.NumNodes())
 	}
-	if prob == 0 {
-		prob = 1
-	}
-	if prob < 0 || prob > 1 || math.IsNaN(prob) {
-		return 0, fmt.Errorf("%w: %v", ErrBadProb, prob)
-	}
-	return prob, nil
+	return nil
 }
 
 // spreadState tracks the informed set, first-informer tree, and — only

@@ -44,8 +44,9 @@ func (v PPVariant) String() string {
 //	Tδ(ppy) ≤ 2·Tδ/2(ppx) + O(log(n/δ))   (Lemma 9)
 //	Tδ(pp-a) ≤ 4·Tδ/2(ppy) + O(log(n/δ))  (Lemma 10)
 //
-// Push behaviour and round semantics are identical to RunSync;
-// ExtraSources and Crashes in cfg are ignored.
+// Push behaviour and round semantics are identical to RunSync. Both
+// processes are single-source and crash-free: cfg must leave
+// ExtraSources, Crashes and Churn empty (see CheckScenario).
 func RunPPVariant(g *graph.Graph, src graph.NodeID, variant PPVariant, cfg SyncConfig, rng *xrand.RNG) (*SyncResult, error) {
 	if variant == 0 {
 		return nil, fmt.Errorf("%w: variant %d", ErrBadProtocol, int(variant))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -29,10 +30,13 @@ import (
 // Cost is Θ(n) per round regardless of progress, so use it on small
 // graphs only.
 func RunSyncReference(g *graph.Graph, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncResult, error) {
-	prob, err := validateCommon(g, src, cfg.Protocol, cfg.TransmitProb)
-	if err != nil {
+	if err := CheckScenario(cfg, 0, false, false); err != nil {
 		return nil, err
 	}
+	if err := checkStart(g, src); err != nil {
+		return nil, err
+	}
+	prob := cmp.Or(cfg.TransmitProb, 1)
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = defaultMaxRounds(g.NumNodes())
@@ -212,17 +216,13 @@ type refClock struct {
 // Static topologies only; cost is Θ(clocks) per tick, so use it on small
 // graphs.
 func RunAsyncReference(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncResult, error) {
-	prob, err := validateCommon(g, src, cfg.Protocol, cfg.TransmitProb)
-	if err != nil {
+	if err := CheckScenario(cfg, 0, false, false); err != nil {
 		return nil, err
 	}
-	view := cfg.View
-	if view == 0 {
-		view = GlobalClock
+	if err := checkStart(g, src); err != nil {
+		return nil, err
 	}
-	if !view.valid() {
-		return nil, fmt.Errorf("%w: %d", ErrBadView, int(view))
-	}
+	prob, view := cmp.Or(cfg.TransmitProb, 1), cmp.Or(cfg.View, GlobalClock)
 	n := g.NumNodes()
 	sources, err := gatherSources(g, src, cfg.ExtraSources)
 	if err != nil {

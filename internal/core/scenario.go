@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+
 	"rumor/internal/graph"
 )
 
@@ -37,17 +39,14 @@ type scenario struct {
 	terr          error
 }
 
-// newScenario binds topo's first graph and validates what every engine
-// checks first: graph, protocol, source, transmit probability. The
-// embedding stepper follows with the checks of its own timing, build, its
-// forget hook and reset, in that order.
+// newScenario binds topo's first graph and checks it holds the source;
+// the options were CheckScenario's. The embedding stepper follows with
+// build, its forget hook and reset, in that order.
 func newScenario(topo graph.Provider, src graph.NodeID, p Protocol, prob float64, observer Observer) (scenario, error) {
 	_, static := topo.(*graph.Static)
-	sc := scenario{protocol: p, observer: observer, topo: topo, dynamic: !static}
+	sc := scenario{protocol: p, prob: cmp.Or(prob, 1), observer: observer, topo: topo, dynamic: !static}
 	sc.rewind()
-	var err error
-	sc.prob, err = validateCommon(sc.g, src, p, prob)
-	return sc, err
+	return sc, checkStart(sc.g, src)
 }
 
 // build gathers the sources, indexes the schedule and allocates the

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"cmp"
 	"sort"
 
 	"rumor/internal/graph"
@@ -42,16 +42,20 @@ type syncPending struct{ v, from graph.NodeID }
 // the sources informed at round 0. MaxRounds in cfg is ignored — the
 // caller controls the loop.
 func NewSyncStepper(g *graph.Graph, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncStepper, error) {
+	if err := CheckScenario(cfg, 0, false, false); err != nil {
+		return nil, err
+	}
 	return newSyncStepper(graph.NewStatic(g), src, cfg, rng)
 }
 
 // newSyncStepper is NewSyncStepper over a possibly time-varying
-// topology: round r executes on topo's graph at time r-1 (round 1 on the
-// epoch-0 graph). Reachability-based early termination is disabled on a
-// dynamic one — a future epoch may reconnect the rumor — so runs that
-// never reach some node end only at the caller's round budget (or when
-// churn has permanently removed the unreachable nodes). Topology
-// materialization errors surface through Err.
+// topology, for a cfg CheckScenario accepted: round r executes on topo's
+// graph at time r-1 (round 1 on the epoch-0 graph). Reachability-based
+// early termination is disabled on a dynamic one — a future epoch may
+// reconnect the rumor — so runs that never reach some node end only at
+// the caller's round budget (or when churn has permanently removed the
+// unreachable nodes). Topology materialization errors surface through
+// Err.
 func newSyncStepper(topo graph.Provider, src graph.NodeID, cfg SyncConfig, rng *xrand.RNG) (*SyncStepper, error) {
 	sc, err := newScenario(topo, src, cfg.Protocol, cfg.TransmitProb, cfg.Observer)
 	if err == nil {
@@ -283,32 +287,23 @@ const asyncBlock = 64
 // MaxSteps in cfg is ignored — the caller controls the loop. View
 // selects the tick semantics as in RunAsync (0 means GlobalClock).
 func NewAsyncStepper(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncStepper, error) {
+	if err := CheckScenario(cfg, 0, false, false); err != nil {
+		return nil, err
+	}
 	return newAsyncStepper(graph.NewStatic(g), src, cfg, rng)
 }
 
 // newAsyncStepper is NewAsyncStepper over a possibly time-varying
-// topology: the contact at each tick uses topo's graph at the tick time.
-// On a dynamic one reachability-based early termination is disabled and
-// the PerEdgeClocks view rejected — its rates are tied to a fixed
-// adjacency. Topology errors surface through Err.
+// topology, for a cfg CheckScenario accepted: the contact at each tick
+// uses topo's graph at the tick time. On a dynamic one
+// reachability-based early termination is disabled. Topology errors
+// surface through Err.
 func newAsyncStepper(topo graph.Provider, src graph.NodeID, cfg AsyncConfig, rng *xrand.RNG) (*AsyncStepper, error) {
 	sc, err := newScenario(topo, src, cfg.Protocol, cfg.TransmitProb, cfg.Observer)
 	if err != nil {
 		return nil, err
 	}
-	view := cfg.View
-	if view == 0 {
-		view = GlobalClock
-	}
-	if !view.valid() {
-		return nil, fmt.Errorf("%w: %d", ErrBadView, int(view))
-	}
-	if view == PerEdgeClocks && len(cfg.Churn) > 0 {
-		return nil, fmt.Errorf("%w: churn schedules are not supported in the per-edge-clocks view", ErrBadView)
-	}
-	if view == PerEdgeClocks && sc.dynamic {
-		return nil, fmt.Errorf("%w: per-edge-clocks is not supported on a dynamic topology", ErrBadView)
-	}
+	view := cmp.Or(cfg.View, GlobalClock)
 	// A tick reads only the informed set, never the boundary.
 	if err := sc.build(src, cfg.ExtraSources, cfg.Crashes, cfg.Churn, false); err != nil {
 		return nil, err

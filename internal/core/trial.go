@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
@@ -27,9 +29,10 @@ type Trial struct {
 // NewTrial compiles a scenario. cfg's type is the timing: a SyncConfig
 // runs lock-step rounds (round r on topo's graph at time r-1), an
 // AsyncConfig runs Poisson clocks (each tick on topo's graph at the
-// tick time). A fixed graph is graph.NewStatic(g). variant (ppx/ppy,
-// push-pull only) and quasirandom select the auxiliary synchronous
-// processes; both need a static topology and no churn.
+// tick time). A fixed graph is graph.NewStatic(g). variant (ppx/ppy)
+// and quasirandom select the auxiliary synchronous processes.
+// CheckScenario judges the options first; what is left to fail needs
+// the graph: an empty one, or a source or schedule node outside it.
 //
 // There is one engine per timing:
 //
@@ -43,17 +46,23 @@ type Trial struct {
 //
 // MaxRounds/MaxSteps in cfg bound Run; 0 selects a generous default.
 func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID, cfg C, variant PPVariant, quasirandom bool) (*Trial, error) {
-	n := topo.NumNodes()
 	_, static := topo.(*graph.Static)
+	if err := CheckScenario(cfg, variant, quasirandom, !static); err != nil {
+		return nil, err
+	}
+	n := topo.NumNodes()
 	t := &Trial{fresh: true}
 	var err error
 	switch cfg := any(cfg).(type) {
 	case SyncConfig:
-		t.label = fmt.Sprintf("sync %v", cfg.Protocol)
-		if variant != 0 || quasirandom {
-			if cfg, t.label, err = auxiliaryConfig(cfg, variant, quasirandom, static); err != nil {
-				return nil, err
-			}
+		switch {
+		case variant != 0:
+			cfg.Protocol = PushPull // 0 selects it too
+			t.label = variant.String()
+		case quasirandom:
+			t.label = fmt.Sprintf("quasirandom %v", cfg.Protocol)
+		default:
+			t.label = fmt.Sprintf("sync %v", cfg.Protocol)
 		}
 		t.budget = int64(cfg.MaxRounds)
 		if t.budget <= 0 {
@@ -70,9 +79,6 @@ func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID,
 			t.sync.offsets = make([]int32, n)
 		}
 	case AsyncConfig:
-		if variant != 0 || quasirandom {
-			return nil, fmt.Errorf("%w: ppx, ppy and quasirandom are synchronous processes", ErrBadProtocol)
-		}
 		t.label = fmt.Sprintf("async %v", cfg.Protocol)
 		t.budget = cfg.MaxSteps
 		if t.budget <= 0 {
@@ -85,33 +91,79 @@ func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID,
 	return t, nil
 }
 
-// auxiliaryConfig validates a ppx/ppy or quasirandom scenario and
-// returns the configuration its round body runs under and its name.
-func auxiliaryConfig(cfg SyncConfig, variant PPVariant, quasirandom, static bool) (SyncConfig, string, error) {
+// CheckScenario reports whether a scenario's options combine, before
+// any graph is seen. cfg's type is the timing, variant and quasirandom
+// select the auxiliary synchronous processes (as in NewTrial), and
+// dynamic says the topology varies in time. It is the one judge of
+// these rules; NewTrial and both stepper constructors call it first:
+//
+//   - the protocol is Push, Pull or PushPull (0 selects PushPull under a
+//     variant), and the transmit probability is in [0, 1] (0 means 1);
+//   - the view is valid, and per-edge-clocks takes no churn and no
+//     dynamic topology;
+//   - ppx, ppy and quasirandom are synchronous, and a variant cannot be
+//     quasirandom;
+//   - a variant is push-pull from one source, with no crashes;
+//   - quasirandom takes no crashes;
+//   - a variant or quasirandom takes no churn and needs a static
+//     topology.
+//
+// What it accepts fails later only on the graph: an empty one, or a
+// source or schedule node outside it, or a schedule entry's own time
+// or op.
+func CheckScenario[C SyncConfig | AsyncConfig](cfg C, variant PPVariant, quasirandom, dynamic bool) error {
+	var sc SyncConfig // the options both timings share
+	var view AsyncView
+	switch cfg := any(cfg).(type) {
+	case SyncConfig:
+		sc = cfg
+	case AsyncConfig:
+		if variant != 0 || quasirandom {
+			return fmt.Errorf("%w: ppx, ppy and quasirandom are synchronous processes", ErrBadProtocol)
+		}
+		sc = SyncConfig{Protocol: cfg.Protocol, TransmitProb: cfg.TransmitProb,
+			ExtraSources: cfg.ExtraSources, Crashes: cfg.Crashes, Churn: cfg.Churn}
+		view = cmp.Or(cfg.View, GlobalClock)
+	}
+	p := sc.Protocol
+	if variant != 0 && p == 0 {
+		p = PushPull
+	}
+	switch prob := sc.TransmitProb; {
+	case !p.valid():
+		return fmt.Errorf("%w: %d", ErrBadProtocol, int(p))
+	case prob < 0 || prob > 1 || math.IsNaN(prob):
+		return fmt.Errorf("%w: %v", ErrBadProb, prob)
+	case view != 0 && !view.valid():
+		return fmt.Errorf("%w: %d", ErrBadView, int(view))
+	case view == PerEdgeClocks && len(sc.Churn) > 0:
+		return fmt.Errorf("%w: churn schedules are not supported in the per-edge-clocks view", ErrBadView)
+	case view == PerEdgeClocks && dynamic:
+		return fmt.Errorf("%w: per-edge-clocks is not supported on a dynamic topology", ErrBadView)
+	case variant == 0 && !quasirandom:
+		return nil
+	}
 	name := variant.String()
 	if variant == 0 {
-		name = fmt.Sprintf("quasirandom %v", cfg.Protocol)
+		name = fmt.Sprintf("quasirandom %v", p)
 	}
-	var err error
 	switch {
 	case variant != 0 && quasirandom:
-		err = fmt.Errorf("%w: %s cannot be quasirandom", ErrBadProtocol, name)
+		return fmt.Errorf("%w: %s cannot be quasirandom", ErrBadProtocol, name)
 	case variant != 0 && variant != PPX && variant != PPY:
-		err = fmt.Errorf("%w: variant %d", ErrBadProtocol, int(variant))
-	case variant != 0 && cfg.Protocol != 0 && cfg.Protocol != PushPull:
-		err = fmt.Errorf("%w: %s is defined for push-pull only", ErrBadProtocol, name)
-	case quasirandom && len(cfg.Crashes) > 0:
-		err = fmt.Errorf("%w: %s does not support crash injection", ErrBadCrash, name)
-	case len(cfg.Churn) > 0:
-		err = fmt.Errorf("%w: %s does not support churn", ErrBadChurn, name)
-	case !static:
-		err = fmt.Errorf("%w: %s needs a static topology", ErrBadProtocol, name)
+		return fmt.Errorf("%w: variant %d", ErrBadProtocol, int(variant))
+	case variant != 0 && p != PushPull:
+		return fmt.Errorf("%w: %s is defined for push-pull only", ErrBadProtocol, name)
+	case variant != 0 && len(sc.ExtraSources) > 0:
+		return fmt.Errorf("%w: %s is a single-source process", ErrBadProtocol, name)
+	case len(sc.Crashes) > 0:
+		return fmt.Errorf("%w: %s does not support crash injection", ErrBadCrash, name)
+	case len(sc.Churn) > 0:
+		return fmt.Errorf("%w: %s does not support churn", ErrBadChurn, name)
+	case dynamic:
+		return fmt.Errorf("%w: %s needs a static topology", ErrBadProtocol, name)
 	}
-	if variant != 0 {
-		// ppx/ppy are single-source, crash-free processes by definition.
-		cfg.Protocol, cfg.ExtraSources, cfg.Crashes = PushPull, nil, nil
-	}
-	return cfg, name, err
+	return nil
 }
 
 // Run simulates one trial driven by rng, to completion or to the

@@ -238,6 +238,12 @@ func TestTrialRejectsUnsupportedScenarios(t *testing.T) {
 		"variant push":          {func() (*Trial, error) { return NewTrial(static, 0, SyncConfig{Protocol: Push}, PPX, false) }, ErrBadProtocol},
 		"variant churn":         {func() (*Trial, error) { return NewTrial(static, 0, SyncConfig{Churn: leave}, PPX, false) }, ErrBadChurn},
 		"variant dynamic":       {func() (*Trial, error) { return NewTrial(dynamic, 0, SyncConfig{}, PPX, false) }, ErrBadProtocol},
+		"variant crashes": {func() (*Trial, error) {
+			return NewTrial(static, 0, SyncConfig{Crashes: []Crash{{Node: 1, Time: 1}}}, PPY, false)
+		}, ErrBadCrash},
+		"variant extra sources": {func() (*Trial, error) {
+			return NewTrial(static, 0, SyncConfig{ExtraSources: []graph.NodeID{3}}, PPX, false)
+		}, ErrBadProtocol},
 		"quasirandom crashes": {func() (*Trial, error) {
 			return NewTrial(static, 0, SyncConfig{Protocol: Push, Crashes: []Crash{{Node: 1, Time: 1}}}, 0, true)
 		}, ErrBadCrash},
@@ -317,5 +323,58 @@ func TestTrialZeroAllocSteadyState(t *testing.T) {
 		if allocs > 0 {
 			t.Errorf("%s: Run on a reused trial allocates %.1f objects/op, want 0", name, allocs)
 		}
+	}
+}
+
+// TestCheckScenarioIsNewTrialsJudge: over the whole option space (timing,
+// protocol, view, variant, quasirandom, topology, schedule), NewTrial on
+// a graph that holds every node fails exactly when CheckScenario does,
+// with its error.
+func TestCheckScenarioIsNewTrialsJudge(t *testing.T) {
+	g := mustGraph(graph.Hypercube(4))
+	dynamic, err := graph.NewResample(g, 1, func(uint64) (*graph.Graph, error) { return g, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedules := []SyncConfig{
+		{},
+		{ExtraSources: []graph.NodeID{5}},
+		{Crashes: []Crash{{Node: 3, Time: 1}}},
+		{Churn: []ChurnEvent{{Node: 2, Time: 1, Op: ChurnLeave}, {Node: 2, Time: 2, Op: ChurnJoin, DropState: true}}},
+	}
+	accepted := 0
+	for _, topo := range []graph.Provider{graph.NewStatic(g), dynamic} {
+		_, static := topo.(*graph.Static)
+		for p := Protocol(0); p <= PushPull+1; p++ {
+			for _, prob := range []float64{0, 0.5, 1.5} {
+				for variant := PPVariant(0); variant <= PPY+1; variant++ {
+					for _, qr := range []bool{false, true} {
+						for _, s := range schedules {
+							s.Protocol, s.TransmitProb = p, prob
+							check := func(name string, want, got error) {
+								if (want == nil) != (got == nil) || want != nil && want.Error() != got.Error() {
+									t.Errorf("%s p=%d prob=%v variant=%d qr=%t static=%t %+v: CheckScenario %v, NewTrial %v",
+										name, p, prob, variant, qr, static, s, want, got)
+								}
+								if got == nil {
+									accepted++
+								}
+							}
+							_, got := NewTrial(topo, 0, s, variant, qr)
+							check("sync", CheckScenario(s, variant, qr, !static), got)
+							for view := AsyncView(0); view <= PerEdgeClocks+1; view++ {
+								a := AsyncConfig{Protocol: p, View: view, TransmitProb: prob,
+									ExtraSources: s.ExtraSources, Crashes: s.Crashes, Churn: s.Churn}
+								_, got := NewTrial(topo, 0, a, variant, qr)
+								check("async", CheckScenario(a, variant, qr, !static), got)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no scenario accepted")
 	}
 }

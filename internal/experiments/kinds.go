@@ -96,24 +96,17 @@ func validateBareGraphCell(c service.CellSpec) error {
 	return nil
 }
 
+// validateEngineSteps accepts a time cell of the plain engines.
 func validateEngineSteps(c service.CellSpec) error {
-	if c.Timing != service.TimingSync && c.Timing != service.TimingAsync {
-		return fmt.Errorf("unknown timing %q (want sync or async)", c.Timing)
-	}
-	if _, err := service.ParseProtocol(c.Protocol); err != nil {
-		return err
-	}
-	if _, err := service.ParseView(c.View); err != nil {
-		return err
-	}
-	if c.View != "" && c.Timing != service.TimingAsync {
-		return fmt.Errorf("view %q requires async timing", c.View)
-	}
 	if c.Variant != "" || c.Quasirandom || c.LossProb != 0 ||
 		len(c.ExtraSources) > 0 || len(c.Crashes) > 0 || len(c.Params) > 0 {
 		return fmt.Errorf("engine-steps cells measure the plain engines only")
 	}
-	return nil
+	timeKind, err := service.KindByName(service.KindTime)
+	if err != nil {
+		return err
+	}
+	return timeKind.Validate(c)
 }
 
 func runCouplingUpper(ctx context.Context, cell service.CellSpec, g *graph.Graph, trialWorkers int) (*service.KindResult, error) {

@@ -119,67 +119,76 @@ func init() {
 	})
 }
 
-// validateTimeCell checks the scenario-field combinations the engines
-// support. Rejecting unsupported combinations here (rather than at run
-// time) keeps invalid cells out of the queue and the cache key space.
+// validateTimeCell accepts a time cell that compiles and takes no params.
+// Rejecting unsupported combinations here (rather than at run time)
+// keeps invalid cells out of the queue and the cache key space.
 func validateTimeCell(c CellSpec) error {
-	if c.Timing != TimingSync && c.Timing != TimingAsync {
-		return fmt.Errorf("unknown timing %q (want sync or async)", c.Timing)
-	}
-	proto, err := ParseProtocol(c.Protocol)
-	if err != nil {
+	if _, err := c.compile(); err != nil {
 		return err
-	}
-	if _, err := ParseView(c.View); err != nil {
-		return err
-	}
-	if c.View != "" && c.Timing != TimingAsync {
-		return fmt.Errorf("view %q requires async timing", c.View)
-	}
-	variant, err := ParseVariant(c.Variant)
-	if err != nil {
-		return err
-	}
-	if variant != 0 {
-		if c.Timing != TimingSync {
-			return fmt.Errorf("variant %q is a synchronous process", c.Variant)
-		}
-		if proto != core.PushPull {
-			return fmt.Errorf("variant %q is defined for push-pull only", c.Variant)
-		}
-		if c.Quasirandom {
-			return fmt.Errorf("variant %q cannot be quasirandom", c.Variant)
-		}
-		// ppx/ppy are single-source, crash-free processes: the engine
-		// would drop these fields, and the cell would be the crash-free
-		// measurement under a second key.
-		if len(c.Crashes) > 0 || len(c.ExtraSources) > 0 {
-			return fmt.Errorf("variant %q takes no crashes or extra sources", c.Variant)
-		}
-	}
-	if c.Quasirandom {
-		if c.Timing != TimingSync {
-			return fmt.Errorf("quasirandom is a synchronous protocol")
-		}
-		if len(c.Crashes) > 0 {
-			return fmt.Errorf("quasirandom engine does not support crash injection")
-		}
 	}
 	if len(c.Params) > 0 {
 		return fmt.Errorf("time cells take no params")
 	}
-	if c.dynamicScenario() {
-		if c.Variant != "" {
-			return fmt.Errorf("variant %q does not support dynamic topologies or churn", c.Variant)
-		}
-		if c.Quasirandom {
-			return fmt.Errorf("quasirandom engine does not support dynamic topologies or churn")
-		}
-		if c.effectiveView() == core.PerEdgeClocks.String() {
-			return fmt.Errorf("per-edge-clocks is not supported with dynamic topologies or churn")
-		}
-	}
 	return nil
+}
+
+// compile translates the cell's scenario fields into core's terms — the
+// timing, protocol, view and variant parsed, the crash and churn
+// schedules converted — and has core.CheckScenario judge whether they
+// combine. The result builds one trial on a topology of the cell; what
+// can still fail there needs the built graph (a node outside it).
+func (c CellSpec) compile() (func(topo graph.Provider) (*core.Trial, error), error) {
+	if c.Timing != TimingSync && c.Timing != TimingAsync {
+		return nil, fmt.Errorf("unknown timing %q (want sync or async)", c.Timing)
+	}
+	proto, err := ParseProtocol(c.Protocol)
+	if err != nil {
+		return nil, err
+	}
+	view, err := ParseView(c.View)
+	if err != nil {
+		return nil, err
+	}
+	variant, err := ParseVariant(c.Variant)
+	if err != nil {
+		return nil, err
+	}
+	extra := make([]graph.NodeID, len(c.ExtraSources))
+	for i, s := range c.ExtraSources {
+		extra[i] = graph.NodeID(s)
+	}
+	crashes := make([]core.Crash, len(c.Crashes))
+	for i, cr := range c.Crashes {
+		crashes[i] = core.Crash{Node: graph.NodeID(cr.Node), Time: cr.Time}
+	}
+	churn := make([]core.ChurnEvent, len(c.Churn))
+	for i, ev := range c.Churn {
+		op := core.ChurnLeave
+		if ev.Op == ChurnOpJoin {
+			op = core.ChurnJoin
+		}
+		churn[i] = core.ChurnEvent{Node: graph.NodeID(ev.Node), Time: ev.Time, Op: op, DropState: ev.DropState}
+	}
+	src, prob, dynamic := graph.NodeID(c.Source), 1-c.LossProb, c.Dynamic != ""
+	if c.Timing == TimingAsync {
+		return compileAs(core.AsyncConfig{Protocol: proto, View: view, TransmitProb: prob,
+			ExtraSources: extra, Crashes: crashes, Churn: churn}, src, variant, c.Quasirandom, dynamic)
+	}
+	if c.View != "" {
+		return nil, fmt.Errorf("view %q requires async timing", c.View)
+	}
+	return compileAs(core.SyncConfig{Protocol: proto, TransmitProb: prob,
+		ExtraSources: extra, Crashes: crashes, Churn: churn}, src, variant, c.Quasirandom, dynamic)
+}
+
+// compileAs is compile's last step under one timing.
+func compileAs[C core.SyncConfig | core.AsyncConfig](cfg C, src graph.NodeID, variant core.PPVariant, quasirandom, dynamic bool) (func(graph.Provider) (*core.Trial, error), error) {
+	if err := core.CheckScenario(cfg, variant, quasirandom, dynamic); err != nil {
+		return nil, err
+	}
+	return func(topo graph.Provider) (*core.Trial, error) {
+		return core.NewTrial(topo, src, cfg, variant, quasirandom)
+	}, nil
 }
 
 // CoverageName renders a coverage fraction as a milestone name: 0.5 →
@@ -257,62 +266,27 @@ func (f *TimeFold) Result(times []float64) *KindResult {
 	return &KindResult{Times: times, Coverage: cov, Work: f.work.Load()}
 }
 
-// RunTrials compiles the cell's scenario fields into core trials on g,
-// runs cell.Trials of them through harness.Runner's pooled trial loop,
+// RunTrials compiles the cell (see CellSpec.compile) into core trials
+// on g, runs cell.Trials of them through harness.Runner's pooled trial loop,
 // and returns measure's value per trial. Per-trial seeding comes from
 // the Runner, so the sample is identical for any worker count. A
 // scenario the built graph cannot host (a source or schedule node
 // outside it) fails with ErrBadSpec wrapping the core cause.
 func RunTrials(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorkers int, measure func(trial int, out core.Outcome) (float64, error)) ([]float64, error) {
-	proto, err := ParseProtocol(cell.Protocol)
+	compiled, err := cell.compile()
 	if err != nil {
-		return nil, err
-	}
-	view, err := ParseView(cell.View)
-	if err != nil {
-		return nil, err
-	}
-	variant, err := ParseVariant(cell.Variant)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
 	newTopo, err := topology(cell, g)
 	if err != nil {
 		return nil, err
-	}
-	src := graph.NodeID(cell.Source)
-	extra := make([]graph.NodeID, len(cell.ExtraSources))
-	for i, s := range cell.ExtraSources {
-		extra[i] = graph.NodeID(s)
-	}
-	crashes := make([]core.Crash, len(cell.Crashes))
-	for i, cr := range cell.Crashes {
-		crashes[i] = core.Crash{Node: graph.NodeID(cr.Node), Time: cr.Time}
-	}
-	churn := make([]core.ChurnEvent, len(cell.Churn))
-	for i, ev := range cell.Churn {
-		op := core.ChurnLeave
-		if ev.Op == ChurnOpJoin {
-			op = core.ChurnJoin
-		}
-		churn[i] = core.ChurnEvent{Node: graph.NodeID(ev.Node), Time: ev.Time, Op: op, DropState: ev.DropState}
 	}
 	newTrial := func() (*core.Trial, error) {
 		topo, err := newTopo()
 		if err != nil {
 			return nil, err
 		}
-		var trial *core.Trial
-		switch cell.Timing {
-		case TimingSync:
-			trial, err = core.NewTrial(topo, src, core.SyncConfig{Protocol: proto, TransmitProb: 1 - cell.LossProb,
-				ExtraSources: extra, Crashes: crashes, Churn: churn}, variant, cell.Quasirandom)
-		case TimingAsync:
-			trial, err = core.NewTrial(topo, src, core.AsyncConfig{Protocol: proto, View: view, TransmitProb: 1 - cell.LossProb,
-				ExtraSources: extra, Crashes: crashes, Churn: churn}, variant, cell.Quasirandom)
-		default:
-			return nil, fmt.Errorf("%w: unknown timing %q", ErrBadSpec, cell.Timing)
-		}
+		trial, err := compiled(topo)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 		}
