@@ -72,7 +72,7 @@ func runHandler(srv *service.Server, sched *service.Scheduler) http.HandlerFunc 
 			return
 		}
 		cfg := Config{Quick: req.Quick, Seed: req.Seed}
-		job, err := sched.SubmitCells(e.Cells(cfg), req.Priority)
+		job, _, err := sched.SubmitIdempotent(r.Context(), "", service.JobSpec{CellList: e.Cells(cfg), Priority: req.Priority})
 		if err != nil {
 			service.WriteSchedulerError(w, err)
 			return

@@ -12,6 +12,7 @@ import (
 
 	"rumor/client"
 	"rumor/internal/api"
+	"rumor/internal/obs"
 	"rumor/internal/service"
 )
 
@@ -325,5 +326,63 @@ func TestExperimentStreamErrorRow(t *testing.T) {
 				t.Errorf("stream carries %d error rows, want exactly 1", n)
 			}
 		})
+	}
+}
+
+// TestExperimentRunKeepsRequestID: the job POST /v1/experiments/{id}
+// submits runs under the request's X-Request-Id, so its "job submitted"
+// line and every "cell computed" line carry it.
+func TestExperimentRunKeepsRequestID(t *testing.T) {
+	var logs strings.Builder
+	log, err := obs.NewLogger(&logs, "text", "debug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := service.NewObservability(obs.NewRegistry(), log)
+	sched := service.NewScheduler(service.SchedulerConfig{Workers: 2, Obs: o})
+	srv := service.NewServer(sched, service.WithObservability(o))
+	Mount(srv, sched)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/experiments/e1", strings.NewReader(`{"quick":true,"seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(api.RequestIDHeader, "exp-28")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("run: %d %v", resp.StatusCode, err)
+	}
+	// A worker logs the job's finish after the stream has its results.
+	if err := sched.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err := ByID("e1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted, computed := 0, 0
+	for _, line := range strings.Split(logs.String(), "\n") {
+		switch {
+		case strings.Contains(line, `msg="job submitted"`):
+			submitted++
+		case strings.Contains(line, `msg="cell computed"`):
+			computed++
+		default:
+			continue
+		}
+		if !strings.Contains(line, "request_id=exp-28") {
+			t.Errorf("log line without the request ID: %s", line)
+		}
+	}
+	if want := len(e.Cells(Config{Quick: true, Seed: 1})); submitted != 1 || computed != want {
+		t.Errorf("%d job submitted and %d cell computed lines, want 1 and %d", submitted, computed, want)
 	}
 }

@@ -211,7 +211,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		api.WriteDecodeError(w, "job spec", err)
 		return
 	}
-	job, replayed, err := s.sched.submit(r.Context(), r.Header.Get(api.IdempotencyKeyHeader), spec)
+	job, replayed, err := s.sched.SubmitIdempotent(r.Context(), r.Header.Get(api.IdempotencyKeyHeader), spec)
 	if err != nil {
 		WriteSchedulerError(w, err)
 		return

@@ -157,28 +157,23 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 // Submit rejects with ErrQueueFull when the pending queue cannot hold
 // the job's cells and with ErrShuttingDown after Shutdown began.
 func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
-	job, _, err := s.SubmitIdempotent("", spec)
+	job, _, err := s.SubmitIdempotent(context.Background(), "", spec)
 	return job, err
 }
 
-// SubmitIdempotent is Submit with an idempotency key: a resubmit with
-// the same non-empty key and an equivalent spec (same canonical cell
-// hashes, same priority) returns the original job with replayed = true
-// instead of enqueueing a duplicate — a client that lost the response
-// to its first submit retries safely. A reused key with a different
-// spec is rejected with ErrIdempotencyMismatch. Keys whose job failed,
-// was cancelled, or was evicted by retention are forgotten, so a retry
-// after a terminal failure runs fresh. An empty key degrades to plain
-// Submit.
-func (s *Scheduler) SubmitIdempotent(key string, spec JobSpec) (*Job, bool, error) {
-	return s.submit(context.Background(), key, spec)
-}
-
-// submit is SubmitIdempotent on behalf of the request ctx belongs to:
-// the job's own context — what its cells run and log under, and what a
-// Remote's calls to its peers carry — keeps the request's correlation
-// ID, and nothing else of ctx (the job outlives the request).
-func (s *Scheduler) submit(ctx context.Context, key string, spec JobSpec) (*Job, bool, error) {
+// SubmitIdempotent is Submit with an idempotency key, on behalf of the
+// request ctx belongs to. A resubmit with the same non-empty key and an
+// equivalent spec (same canonical cell hashes, same priority) returns
+// the original job with replayed = true instead of enqueueing a
+// duplicate — a client that lost the response to its first submit
+// retries safely. A reused key with a different spec is rejected with
+// ErrIdempotencyMismatch. Keys whose job failed, was cancelled, or was
+// evicted by retention are forgotten, so a retry after a terminal
+// failure runs fresh. An empty key degrades to plain Submit. The job's
+// own context — what its cells run and log under, and what a Remote's
+// calls to its peers carry — keeps ctx's request ID, and nothing else
+// of ctx (the job outlives the request).
+func (s *Scheduler) SubmitIdempotent(ctx context.Context, key string, spec JobSpec) (*Job, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -214,7 +209,7 @@ func (s *Scheduler) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResu
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("%w: no cells", ErrBadSpec)
 	}
-	job, _, err := s.submit(ctx, "", JobSpec{CellList: cells})
+	job, _, err := s.SubmitIdempotent(ctx, "", JobSpec{CellList: cells})
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +308,7 @@ func (s *Scheduler) enqueue(requestID string, priority int, cells []CellSpec, id
 	}
 	s.pruneJobsLocked()
 	s.cond.Broadcast()
-	s.obs.Log.Info("job submitted",
+	s.obs.Log.InfoContext(job.ctx, "job submitted",
 		"job_id", job.id, "cells", len(cells), "priority", priority,
 		"queue_depth", s.pending)
 	return job, false, nil
