@@ -42,8 +42,9 @@ const (
 	// MaxRequestBytes (HTTP 413); the server stopped reading it. Do not
 	// retry; split the job.
 	CodeRequestTooLarge = "request_too_large"
-	// CodeCellTooLarge: a cell's n or trial count is above MaxCellNodes
-	// or MaxCellTrials; nothing was queued or allocated. Do not retry.
+	// CodeCellTooLarge: a cell's n, trial count or adjacency is above
+	// MaxCellNodes, MaxCellTrials or MaxCellBytes; nothing was queued or
+	// allocated. Do not retry.
 	CodeCellTooLarge = "cell_too_large"
 	// CodeShuttingDown: the server is draining and accepts no new work.
 	CodeShuttingDown = "shutting_down"
@@ -172,11 +173,14 @@ const MaxRequestBytes = 8 << 20
 // Admission limits on one cell, above every size this repository runs
 // (the benchmark's large cell is n = 250 000, the README's largest run
 // n = 10^7, the longest sample 30 000 trials) and below what takes a
-// daemon down: an n = 10^9 graph, or the 8 GB Times slice of 10^9
-// trials, is refused with CodeCellTooLarge before anything is built.
+// daemon down: an n = 10^9 graph, the 8 GB Times slice of 10^9 trials,
+// or a complete graph at n = 10^8, is refused with CodeCellTooLarge
+// before anything is built. MaxCellBytes bounds the graph's adjacency,
+// 8(n+1) + 8m bytes for m edges as the family estimates them.
 const (
 	MaxCellNodes  = 100_000_000
 	MaxCellTrials = 10_000_000
+	MaxCellBytes  = 8 << 30
 )
 
 // DecodeRequest decodes r's JSON body into v, rejecting unknown fields

@@ -59,3 +59,18 @@ func TestKindParamValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryExperimentCellValidates: the admission limits (n, trials and
+// the adjacency bytes a family's edge estimate implies) refuse no cell
+// of the suite, in quick or full mode.
+func TestEveryExperimentCellValidates(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		for _, e := range All() {
+			for i, c := range e.Cells(Config{Quick: quick}) {
+				if err := c.Validate(); err != nil {
+					t.Errorf("%s quick=%t cell %d: %v", e.ID, quick, i, err)
+				}
+			}
+		}
+	}
+}

@@ -251,3 +251,27 @@ func ExampleRunner() {
 	fmt.Println(results)
 	// Output: [0 10 20]
 }
+
+// TestFamilyEdgeEstimates: each family's Edges is within a factor of 2
+// of the instance Build makes, at the size it rounds to, and
+// nondecreasing in n — admission relies on both.
+func TestFamilyEdgeEstimates(t *testing.T) {
+	for _, fam := range StandardFamilies() {
+		for _, n := range []int{64, 1024, 4096} {
+			g, err := fam.Build(n, 1)
+			if err != nil {
+				t.Fatalf("%s(%d): %v", fam.Name, n, err)
+			}
+			est, got := fam.Edges(n), float64(g.NumEdges())
+			if est > 2*got || got > 2*est {
+				t.Errorf("%s(%d): estimate %.0f edges, built %.0f", fam.Name, n, est, got)
+			}
+		}
+		for n := 2; n <= 1<<16; n++ {
+			if fam.Edges(n) < fam.Edges(n-1) {
+				t.Errorf("%s: Edges(%d) = %v < Edges(%d) = %v", fam.Name, n, fam.Edges(n), n-1, fam.Edges(n-1))
+				break
+			}
+		}
+	}
+}

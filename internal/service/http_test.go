@@ -465,10 +465,12 @@ func TestHTTPErrorEnvelopeCodes(t *testing.T) {
 		t.Errorf("oversized job: %d %q", resp.StatusCode, e.Code)
 	}
 	// A cell over the admission limits — ROADMAP's n = 10^9 in a grid, a
-	// 10^9-trial sample in a cell list: cell_too_large, nothing queued.
+	// 10^9-trial sample in a cell list, a complete graph at n = 10^8
+	// (~36 PiB of adjacency): cell_too_large, nothing queued.
 	for _, body := range []string{
 		`{"families":["complete"],"sizes":[8,1000000000],"protocols":["push"],"timings":["sync"],"trials":1}`,
 		`{"cells":[{"family":"complete","n":8,"protocol":"push","timing":"sync","trials":1000000000}]}`,
+		`{"cells":[{"family":"complete","n":100000000,"protocol":"push","timing":"sync","trials":1}]}`,
 	} {
 		resp = post(body, nil)
 		if e := decodeEnvelope(t, resp); resp.StatusCode != 400 || e.Code != api.CodeCellTooLarge {

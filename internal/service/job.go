@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,15 +90,23 @@ var (
 	errCellTooLarge = errors.New("cell too large")
 )
 
-// checkCellSize refuses an n or a trial count above the admission
-// limits: validation runs before a job is queued or a graph or sample
-// is allocated, so a hostile size costs nothing.
-func checkCellSize(n, trials int) error {
+// checkCellSize refuses an n, a trial count or a graph adjacency above
+// the admission limits; edges is the family's estimate (nil for a
+// graphless kind). Validation runs before a job is queued or a graph or
+// sample is allocated, so a hostile size costs nothing.
+func checkCellSize(edges func(n int) float64, n, trials int) error {
 	if n > api.MaxCellNodes {
 		return fmt.Errorf("%w: n = %d (limit %d): %w", ErrBadSpec, n, api.MaxCellNodes, errCellTooLarge)
 	}
 	if trials > api.MaxCellTrials {
 		return fmt.Errorf("%w: trials = %d (limit %d): %w", ErrBadSpec, trials, api.MaxCellTrials, errCellTooLarge)
+	}
+	if edges == nil {
+		return nil
+	}
+	if bytes := 8*float64(n+1) + 8*edges(n); bytes > api.MaxCellBytes {
+		return fmt.Errorf("%w: n = %d needs ~%.3g GiB of adjacency (limit %d GiB): %w",
+			ErrBadSpec, n, bytes/(1<<30), api.MaxCellBytes>>30, errCellTooLarge)
 	}
 	return nil
 }
@@ -397,10 +406,13 @@ func (c CellSpec) Validate() error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
+	var edges func(int) float64
 	if kind.NeedsGraph {
-		if _, err := harness.FamilyByName(c.Family); err != nil {
+		fam, err := harness.FamilyByName(c.Family)
+		if err != nil {
 			return fmt.Errorf("%w: unknown family %q", ErrBadSpec, c.Family)
 		}
+		edges = fam.Edges
 		if c.N < 1 {
 			return fmt.Errorf("%w: n = %d", ErrBadSpec, c.N)
 		}
@@ -412,7 +424,7 @@ func (c CellSpec) Validate() error {
 	if c.Trials < 1 {
 		return fmt.Errorf("%w: trials = %d", ErrBadSpec, c.Trials)
 	}
-	if err := checkCellSize(c.N, c.Trials); err != nil {
+	if err := checkCellSize(edges, c.N, c.Trials); err != nil {
 		return err
 	}
 	if c.Source < 0 {
@@ -601,16 +613,20 @@ func (s JobSpec) Validate() error {
 	if len(s.Timings) == 0 {
 		return fmt.Errorf("%w: no timings", ErrBadSpec)
 	}
-	for _, f := range s.Families {
-		if _, err := harness.FamilyByName(f); err != nil {
-			return fmt.Errorf("%w: unknown family %q", ErrBadSpec, f)
-		}
-	}
 	for _, n := range s.Sizes {
 		if n < 1 {
 			return fmt.Errorf("%w: n = %d", ErrBadSpec, n)
 		}
-		if err := checkCellSize(n, s.Trials); err != nil {
+	}
+	// Every family's edge estimate is nondecreasing in n: the largest size
+	// is the one to check.
+	maxN := slices.Max(s.Sizes)
+	for _, f := range s.Families {
+		fam, err := harness.FamilyByName(f)
+		if err != nil {
+			return fmt.Errorf("%w: unknown family %q", ErrBadSpec, f)
+		}
+		if err := checkCellSize(fam.Edges, maxN, s.Trials); err != nil {
 			return err
 		}
 	}

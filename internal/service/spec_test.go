@@ -126,11 +126,15 @@ func TestCellKeyNormalization(t *testing.T) {
 // limits and refused one past them, as ErrBadSpec marked too-large (so
 // HTTP answers cell_too_large) — on a cell and on every size of a grid.
 func TestValidateSizeLimits(t *testing.T) {
+	// A star's adjacency is 16n bytes: only n and trials can refuse it.
 	cell := func(n, trials int) CellSpec {
-		return CellSpec{Family: "complete", N: n, Protocol: "push", Timing: TimingSync, Trials: trials}
+		return CellSpec{Family: "star", N: n, Protocol: "push", Timing: TimingSync, Trials: trials}
 	}
 	grid := func(trials int, sizes ...int) JobSpec {
-		return JobSpec{Families: []string{"complete"}, Sizes: sizes, Protocols: []string{"push"}, Timings: []string{TimingSync}, Trials: trials}
+		return JobSpec{Families: []string{"star"}, Sizes: sizes, Protocols: []string{"push"}, Timings: []string{TimingSync}, Trials: trials}
+	}
+	complete := func(n int) CellSpec {
+		return CellSpec{Family: "complete", N: n, Protocol: "push", Timing: TimingSync, Trials: 1}
 	}
 	for _, tc := range []struct {
 		name     string
@@ -145,6 +149,17 @@ func TestValidateSizeLimits(t *testing.T) {
 		{"grid second size over", grid(1, 8, api.MaxCellNodes+1), true},
 		{"grid trials over", grid(api.MaxCellTrials+1, 8), true},
 		{"cell list entry over", JobSpec{CellList: []CellSpec{cell(8, 1), cell(api.MaxCellNodes+1, 1)}}, true},
+		// 8(n+1) + 8m bytes of adjacency: complete at n = 46 000 is
+		// ~7.9 GiB, at 47 000 ~8.2 GiB, at 10^8 ~3.7e7 GiB.
+		{"complete under the byte limit", complete(46_000), false},
+		{"complete over the byte limit", complete(47_000), true},
+		{"complete at n = 10^8", complete(api.MaxCellNodes), true},
+		{"hypercube at n = 10^8 (built at 2^27)", CellSpec{Family: "hypercube", N: api.MaxCellNodes,
+			Protocol: "push", Timing: TimingSync, Trials: 1}, true},
+		{"torus at n = 10^8", CellSpec{Family: "torus", N: api.MaxCellNodes,
+			Protocol: "push", Timing: TimingSync, Trials: 1}, false},
+		{"grid family over the byte limit", JobSpec{Families: []string{"star", "complete"}, Sizes: []int{64, 50_000},
+			Protocols: []string{"push"}, Timings: []string{TimingSync}, Trials: 1}, true},
 	} {
 		err := tc.spec.Validate()
 		if !tc.tooLarge {
