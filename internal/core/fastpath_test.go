@@ -266,29 +266,44 @@ func TestBitsetEngineLawMatchesOracleAllFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
-	const trials = 200
 	for name, g := range familyGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			ref := make([]float64, trials)
-			opt := make([]float64, trials)
-			for i := 0; i < trials; i++ {
-				r1, err := RunSyncReference(g, 0, SyncConfig{Protocol: PushPull, MaxRounds: 100000}, xrand.New(uint64(i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				r2, err := RunSync(g, 0, SyncConfig{Protocol: PushPull, MaxRounds: 100000}, xrand.New(uint64(i+trials)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref[i] = float64(r1.Rounds)
-				opt[i] = float64(r2.Rounds)
-			}
-			ks := stats.KolmogorovSmirnov(ref, opt)
-			if ks.PValue < 0.001 {
+			ref, opt := syncLawSample(t, g, 0)
+			if ks, differ := syncLawsDiffer(ref, opt); differ {
 				t.Errorf("%s: bitset engine law differs from oracle (KS=%.3f p=%.5f)", name, ks.Statistic, ks.PValue)
 			}
 		})
 	}
+}
+
+// syncLawTrials is the sample size a side of the sync oracle gate.
+const syncLawTrials = 200
+
+// syncLawSample draws the two sides of the sync oracle gate on g: the
+// rounds of syncLawTrials push-pull runs from node 0 of the reference
+// and of the engine, on seed block block (block 0 is the gate's own).
+func syncLawSample(t *testing.T, g *graph.Graph, block int) (ref, opt []float64) {
+	t.Helper()
+	base := uint64(2 * syncLawTrials * block)
+	ref, opt = make([]float64, syncLawTrials), make([]float64, syncLawTrials)
+	for i := range syncLawTrials {
+		r1, err := RunSyncReference(g, 0, SyncConfig{Protocol: PushPull, MaxRounds: 100000}, xrand.New(base+uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := RunSync(g, 0, SyncConfig{Protocol: PushPull, MaxRounds: 100000}, xrand.New(base+uint64(i+syncLawTrials)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[i], opt[i] = float64(r1.Rounds), float64(r2.Rounds)
+	}
+	return ref, opt
+}
+
+// syncLawsDiffer is the sync oracle gate: a two-sample KS test at 0.001.
+func syncLawsDiffer(ref, opt []float64) (stats.KSResult, bool) {
+	ks := stats.KolmogorovSmirnov(ref, opt)
+	return ks, ks.PValue < 0.001
 }
 
 // The three views remain one law through the fast path (the paper's
