@@ -496,8 +496,8 @@ func TestScheduleMeansTheSameUnderBothTimings(t *testing.T) {
 // at once, which error the constructor reports is part of its behaviour
 // (callers match on it and the service prints it). The order is:
 // CheckScenario's options (protocol, probability, view and its
-// combinations) before anything on the graph; then graph, source; extra
-// sources; crashes; churn.
+// combinations, crash and churn times and ops) before anything on the
+// graph; then graph, source; extra sources; crash nodes; churn nodes.
 func TestConstructionErrorPrecedence(t *testing.T) {
 	g := mustGraph(graph.Complete(8))
 	empty := graph.NewBuilder(0).MustBuild()

@@ -241,8 +241,7 @@ func RunAsyncReference(g *graph.Graph, src graph.NodeID, cfg AsyncConfig, rng *x
 	}
 	sched = append(sched, cfg.Churn...)
 	for i, ev := range sched {
-		if ev.Node < 0 || int(ev.Node) >= n || !(ev.Time >= 0) || math.IsInf(ev.Time, 0) ||
-			(ev.Op != ChurnLeave && ev.Op != ChurnJoin) || (ev.DropState && ev.Op != ChurnJoin) {
+		if ev.Node < 0 || int(ev.Node) >= n {
 			bad := ErrBadChurn
 			if i < len(cfg.Crashes) {
 				bad = ErrBadCrash

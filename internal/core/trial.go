@@ -101,6 +101,8 @@ func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID,
 //     variant), and the transmit probability is in [0, 1] (0 means 1);
 //   - the view is valid, and per-edge-clocks takes no churn and no
 //     dynamic topology;
+//   - every crash and churn time is finite and not negative, every churn
+//     op is ChurnLeave or ChurnJoin, and only a join drops state;
 //   - ppx, ppy and quasirandom are synchronous, and a variant cannot be
 //     quasirandom;
 //   - a variant is push-pull from one source, with no crashes;
@@ -109,8 +111,7 @@ func NewTrial[C SyncConfig | AsyncConfig](topo graph.Provider, src graph.NodeID,
 //     topology.
 //
 // What it accepts fails later only on the graph: an empty one, or a
-// source or schedule node outside it, or a schedule entry's own time
-// or op.
+// source or schedule node outside it.
 func CheckScenario[C SyncConfig | AsyncConfig](cfg C, variant PPVariant, quasirandom, dynamic bool) error {
 	var sc SyncConfig // the options both timings share
 	var view AsyncView
@@ -140,7 +141,23 @@ func CheckScenario[C SyncConfig | AsyncConfig](cfg C, variant PPVariant, quasira
 		return fmt.Errorf("%w: churn schedules are not supported in the per-edge-clocks view", ErrBadView)
 	case view == PerEdgeClocks && dynamic:
 		return fmt.Errorf("%w: per-edge-clocks is not supported on a dynamic topology", ErrBadView)
-	case variant == 0 && !quasirandom:
+	}
+	for _, c := range sc.Crashes {
+		if !(c.Time >= 0) || math.IsInf(c.Time, 1) {
+			return fmt.Errorf("%w: time %v", ErrBadCrash, c.Time)
+		}
+	}
+	for _, ev := range sc.Churn {
+		switch {
+		case !(ev.Time >= 0) || math.IsInf(ev.Time, 1):
+			return fmt.Errorf("%w: time %v", ErrBadChurn, ev.Time)
+		case ev.Op != ChurnLeave && ev.Op != ChurnJoin:
+			return fmt.Errorf("%w: op %d", ErrBadChurn, int(ev.Op))
+		case ev.DropState && ev.Op != ChurnJoin:
+			return fmt.Errorf("%w: DropState is a join option", ErrBadChurn)
+		}
+	}
+	if variant == 0 && !quasirandom {
 		return nil
 	}
 	name := variant.String()

@@ -469,25 +469,18 @@ func (c CellSpec) Validate() error {
 		return fmt.Errorf("%w: unknown dynamic mode %q (want %q or %q)",
 			ErrBadSpec, c.Dynamic, DynamicResample, DynamicPerturb)
 	}
+	if c.dynamicScenario() && !kind.Dynamics {
+		return fmt.Errorf("%w: kind %q does not support dynamic topologies or churn", ErrBadSpec, c.kind())
+	}
+	// A churn event's time and drop_state are core.CheckScenario's to
+	// judge: only the time kind takes churn, and it compiles the cell.
 	for _, ev := range c.Churn {
 		if ev.Node < 0 {
 			return fmt.Errorf("%w: churn node = %d", ErrBadSpec, ev.Node)
 		}
-		if ev.Time < 0 || math.IsNaN(ev.Time) || math.IsInf(ev.Time, 0) {
-			return fmt.Errorf("%w: churn time = %v", ErrBadSpec, ev.Time)
-		}
-		switch ev.Op {
-		case ChurnOpLeave:
-			if ev.DropState {
-				return fmt.Errorf("%w: drop_state is a join option", ErrBadSpec)
-			}
-		case ChurnOpJoin:
-		default:
+		if ev.Op != ChurnOpLeave && ev.Op != ChurnOpJoin {
 			return fmt.Errorf("%w: churn op %q (want %q or %q)", ErrBadSpec, ev.Op, ChurnOpLeave, ChurnOpJoin)
 		}
-	}
-	if c.dynamicScenario() && !kind.Dynamics {
-		return fmt.Errorf("%w: kind %q does not support dynamic topologies or churn", ErrBadSpec, c.kind())
 	}
 	for _, f := range c.CoverageFracs {
 		if !(f > 0 && f <= 1) {
@@ -588,7 +581,7 @@ func (s JobSpec) explicit() bool { return len(s.CellList) > 0 }
 
 // Validate checks the grid components (each axis value once, not the
 // expanded cross product — a 4096-cell job validates in O(axes)) or, for
-// an explicit job, every listed cell.
+// an explicit job, every listed cell; both through CellSpec.Validate.
 func (s JobSpec) Validate() error {
 	if s.explicit() {
 		if len(s.Families) > 0 || len(s.Sizes) > 0 || len(s.Protocols) > 0 || len(s.Timings) > 0 {
@@ -613,38 +606,23 @@ func (s JobSpec) Validate() error {
 	if len(s.Timings) == 0 {
 		return fmt.Errorf("%w: no timings", ErrBadSpec)
 	}
-	for _, n := range s.Sizes {
-		if n < 1 {
-			return fmt.Errorf("%w: n = %d", ErrBadSpec, n)
-		}
+	// No rule couples two axes of a grid cell, and every family's edge
+	// estimate is nondecreasing in n: a cell at the smallest size, and
+	// cells that take every family, protocol and timing at the largest,
+	// meet every rule the grid's cells can break.
+	probe := CellSpec{Family: s.Families[0], N: slices.Min(s.Sizes), Protocol: s.Protocols[0],
+		Timing: s.Timings[0], Trials: s.Trials, Source: s.Source}
+	if err := probe.Validate(); err != nil {
+		return err
 	}
-	// Every family's edge estimate is nondecreasing in n: the largest size
-	// is the one to check.
-	maxN := slices.Max(s.Sizes)
-	for _, f := range s.Families {
-		fam, err := harness.FamilyByName(f)
-		if err != nil {
-			return fmt.Errorf("%w: unknown family %q", ErrBadSpec, f)
-		}
-		if err := checkCellSize(fam.Edges, maxN, s.Trials); err != nil {
+	probe.N = slices.Max(s.Sizes)
+	for i := range max(len(s.Families), len(s.Protocols), len(s.Timings)) {
+		probe.Family = s.Families[min(i, len(s.Families)-1)]
+		probe.Protocol = s.Protocols[min(i, len(s.Protocols)-1)]
+		probe.Timing = s.Timings[min(i, len(s.Timings)-1)]
+		if err := probe.Validate(); err != nil {
 			return err
 		}
-	}
-	for _, p := range s.Protocols {
-		if _, err := ParseProtocol(p); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadSpec, err)
-		}
-	}
-	for _, tm := range s.Timings {
-		if tm != TimingSync && tm != TimingAsync {
-			return fmt.Errorf("%w: unknown timing %q (want sync or async)", ErrBadSpec, tm)
-		}
-	}
-	if s.Trials < 1 {
-		return fmt.Errorf("%w: trials = %d", ErrBadSpec, s.Trials)
-	}
-	if s.Source < 0 {
-		return fmt.Errorf("%w: source = %d", ErrBadSpec, s.Source)
 	}
 	return nil
 }

@@ -112,6 +112,11 @@ func TestJobSpecValidate(t *testing.T) {
 		{Families: []string{"complete"}, Sizes: []int{8}, Protocols: []string{"push"}, Timings: []string{"sometimes"}, Trials: 1},
 		{Families: []string{"complete"}, Sizes: []int{8}, Protocols: []string{"push"}, Timings: []string{"sync"}, Trials: 0},
 		{Families: []string{"complete"}, Sizes: []int{0}, Protocols: []string{"push"}, Timings: []string{"sync"}, Trials: 1},
+		// A bad value late in a longer axis than the others.
+		{Families: []string{"complete", "star", "nope"}, Sizes: []int{8}, Protocols: []string{"push"}, Timings: []string{"sync"}, Trials: 1},
+		{Families: []string{"complete"}, Sizes: []int{8, 16}, Protocols: []string{"push", "pull", "smoke"}, Timings: []string{"sync"}, Trials: 1},
+		{Families: []string{"complete"}, Sizes: []int{8}, Protocols: []string{"push"}, Timings: []string{"sync", "async", "sometimes"}, Trials: 1},
+		{Families: []string{"complete"}, Sizes: []int{8, 0, 16}, Protocols: []string{"push"}, Timings: []string{"sync"}, Trials: 1},
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {
