@@ -194,14 +194,17 @@ func CellsIdempotencyKey(cells []service.CellSpec) string {
 	return "sdk-cells-" + service.JobSpec{CellList: cells}.Hash()
 }
 
-// RunCells implements service.CellRunner against the server: it
-// submits the cells as one explicit-cell job — idempotently, keyed by
-// CellsIdempotencyKey over the spec's canonical hash, so a retried or
-// repeated call binds to the same server-side job — and streams the
-// results back with transparent cursor resume. Results are indexed
-// like the input, and are byte-identical to what an in-process
-// Executor computes for the same cells.
+// RunCells implements service.CellRunner: StreamCells with no callback.
 func (c *Client) RunCells(ctx context.Context, cells []service.CellSpec) ([]*service.CellResult, error) {
+	return c.StreamCells(ctx, cells, nil)
+}
+
+// StreamCells implements service.CellStreamer against the server: it
+// submits the cells as one job, keyed by CellsIdempotencyKey so a retry
+// binds to the same server-side job, and streams the results back with
+// cursor resume, handing each row to fn (if non-nil) in canonical order;
+// an fn error ends the stream. Results are byte-identical to an Executor's.
+func (c *Client) StreamCells(ctx context.Context, cells []service.CellSpec, fn func(*service.CellResult) error) ([]*service.CellResult, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("client: no cells")
 	}
@@ -216,6 +219,9 @@ func (c *Client) RunCells(ctx context.Context, cells []service.CellSpec) ([]*ser
 			return fmt.Errorf("client: result index %d out of range [0, %d)", res.Index, len(results))
 		}
 		results[res.Index] = res
+		if fn != nil {
+			return fn(res)
+		}
 		return nil
 	})
 	if err != nil {
@@ -229,5 +235,5 @@ func (c *Client) RunCells(ctx context.Context, cells []service.CellSpec) ([]*ser
 	return results, nil
 }
 
-// Compile-time check: the SDK is a drop-in cell runner.
-var _ service.CellRunner = (*Client)(nil)
+// Compile-time check: the SDK is a drop-in streaming cell runner.
+var _ service.CellStreamer = (*Client)(nil)

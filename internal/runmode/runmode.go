@@ -1,5 +1,5 @@
 // Package runmode turns the CLIs' execution-mode flags into the one
-// thing they all select: a service.CellRunner. rumorsim and experiments
+// thing they all select: a service.CellStreamer. rumorsim and experiments
 // run the same cells locally, through a result cache (-cache,
 // -cache-dir), on one daemon (-server) or sharded over several
 // (-peers); this is the single place that knows which flags combine,
@@ -47,9 +47,10 @@ type Config struct {
 	ClientOptions []client.Option
 }
 
-// Runner is a cell runner plus the two things its mode owes the CLI.
+// Runner is a streaming cell runner plus the two things its mode owes
+// the CLI.
 type Runner struct {
-	service.CellRunner
+	service.CellStreamer
 	// Snapshot writes one Prometheus exposition of the run: the local
 	// registry (rumor_scheduler_*/rumor_cache_* for in-process modes,
 	// rumor_shard_* for -peers), or a scrape of the -server daemon.
@@ -87,7 +88,7 @@ func New(cfg Config) (*Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.CellRunner = c
+		r.CellStreamer = c
 		r.Snapshot = func(w io.Writer) error {
 			data, err := c.PromMetricsText(context.Background())
 			if err != nil {
@@ -101,7 +102,7 @@ func New(cfg Config) (*Runner, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-peers: %w", err)
 		}
-		r.CellRunner, err = shard.New(shard.Config{
+		r.CellStreamer, err = shard.New(shard.Config{
 			Peers:         urls,
 			ClientOptions: cfg.ClientOptions,
 			Metrics:       shard.NewMetrics(reg),
@@ -116,7 +117,7 @@ func New(cfg Config) (*Runner, error) {
 			Graphs:       service.NewGraphCache(0),
 			Obs:          service.NewObservability(reg, nil),
 		}
-		r.CellRunner = exec
+		r.CellStreamer = exec
 		if cfg.Cache {
 			exec.Results = service.NewResultCache(0)
 		}

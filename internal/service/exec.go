@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
@@ -22,13 +23,12 @@ type CellRunner interface {
 	RunCells(ctx context.Context, cells []CellSpec) ([]*CellResult, error)
 }
 
-// CellStreamer is an optional CellRunner extension for incremental
-// delivery: fn (which may be nil) is invoked as each result completes,
-// in completion order — not canonical order — and the returned slice
-// is the same canonical-order batch RunCells returns. The scheduler's
-// remote-delegation path prefers it so streaming consumers (NDJSON
-// cursors, SSE watchers) observe per-cell progress instead of one
-// burst at batch end.
+// CellStreamer is a CellRunner with incremental delivery: fn (which may
+// be nil) is invoked serially as each result completes, in completion
+// order — not canonical order — and an fn error aborts the batch; the
+// returned slice is the same canonical-order batch RunCells returns.
+// The scheduler's remote delegation and the experiment suite use it to
+// observe per-cell progress instead of one burst at batch end.
 type CellStreamer interface {
 	CellRunner
 	StreamCells(ctx context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error)
@@ -198,12 +198,17 @@ func NewCellResult(cell CellSpec, key string, g *graph.Graph, kr *KindResult) *C
 	return res
 }
 
-// RunCells executes the cells on a bounded worker pool (CellWorkers)
-// and returns results indexed like the input. Results are a pure
-// function of the specs: worker count and cache state change only
-// speed. The first error by cell index aborts the batch (in-flight
-// cells finish; cells not yet started are skipped).
+// RunCells is StreamCells with no callback.
 func (e *Executor) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResult, error) {
+	return e.StreamCells(ctx, cells, nil)
+}
+
+// StreamCells executes the cells on a bounded worker pool (CellWorkers),
+// handing each result to fn (if non-nil) as it completes, one call at a
+// time, and returns results indexed like the input: a pure function of
+// the specs. An error from fn (returned as is), or else the first cell
+// error by index, stops cells not yet started; in-flight cells finish.
+func (e *Executor) StreamCells(ctx context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error) {
 	workers := e.CellWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -215,6 +220,8 @@ func (e *Executor) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResul
 	errs := make([]error, len(cells))
 	var next int64
 	var failed atomic.Bool
+	var mu sync.Mutex // serializes fn
+	var fnErr error
 	var wg sync.WaitGroup
 	// Claim every worker's core up front, or the first cell borrows them.
 	e.claimed.Add(int64(workers))
@@ -229,8 +236,15 @@ func (e *Executor) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResul
 					return
 				}
 				res, _, err := e.run(ctx, i, cells[i], 1)
-				results[i] = res
-				errs[i] = err
+				results[i], errs[i] = res, err
+				if err == nil && fn != nil {
+					mu.Lock()
+					if fnErr == nil {
+						fnErr = fn(res)
+					}
+					err = fnErr
+					mu.Unlock()
+				}
 				if err != nil {
 					failed.Store(true)
 				}
@@ -238,7 +252,7 @@ func (e *Executor) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResul
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := cmp.Or(ctx.Err(), fnErr); err != nil {
 		return nil, err
 	}
 	for i, err := range errs {
