@@ -1,13 +1,16 @@
 // Command experiments regenerates the paper's evaluation: it runs the
-// E1–E15 experiment suite (every theorem, corollary, lemma, and worked
-// example the paper states) and prints paper-expected versus measured
-// results with a verdict per experiment.
+// E1–E15 and E17 experiment suite (every theorem, corollary, lemma, and
+// worked example the paper states, plus the dynamic-graph extension)
+// and prints paper-expected versus measured results with a verdict per
+// experiment.
 //
 // Every experiment is a grid of service cells reduced by a pure
 // function; this command runs the grids through the same executor the
 // rumord daemon uses, so a result computed here is byte-identical with
 // the daemon's (and, with -cache, repeated cells — e.g. the grid E2 and
-// E3 share — are computed once).
+// E3 share — are mostly computed once). The suite's grids go to the
+// runner as one batch, and each experiment prints as soon as its cells
+// and those of every experiment before it are in.
 //
 // Examples:
 //

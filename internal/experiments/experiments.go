@@ -1,9 +1,9 @@
 // Package experiments regenerates every empirical claim extracted from
 // the paper. The paper is a theory paper with no tables or figures; its
 // "evaluation" is a set of theorems, corollaries, lemmas, and worked
-// examples, each of which maps here to one experiment (E1–E15) that
-// prints the measured analogue next to the paper's prediction and issues
-// a verdict.
+// examples, each of which maps here to one experiment (E1–E15, plus the
+// dynamic-graph extension E17) that prints the measured analogue next to
+// the paper's prediction and issues a verdict.
 //
 // Every experiment is a grid of service cells plus a pure reducer: the
 // Cells function declares what to measure (as service.CellSpec values,
@@ -17,6 +17,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -92,9 +93,9 @@ type Config struct {
 	Workers int
 	// Out receives human-readable tables; nil discards them.
 	Out io.Writer
-	// Runner executes the experiment's cells; nil selects an in-process
-	// executor (NewLocalRunner) with Workers cells in flight and the
-	// graph tier enabled.
+	// Runner executes the cells, a whole suite as one batch; nil selects
+	// an in-process executor (NewLocalRunner) with Workers cells in
+	// flight and the graph tier enabled.
 	Runner service.CellRunner
 }
 
@@ -181,17 +182,64 @@ type Experiment struct {
 // writing to cfg.Out the `=== ID: Title ===` header with the claim, the
 // tables, and the `ID verdict:` line.
 func (e Experiment) Run(cfg Config) (*Outcome, error) {
-	fmt.Fprintf(cfg.out(), "=== %s: %s ===\n%s\n\n", e.ID, e.Title, e.Claim)
-	results, err := cfg.runner().RunCells(context.Background(), e.Cells(cfg))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
-	}
-	o, err := e.reduce(cfg, results)
+	outcomes, err := runBatch(cfg, []Experiment{e}, "")
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(cfg.out(), "%s verdict: %v — %s\n", e.ID, o.Verdict, o.Summary)
-	return o, nil
+	return outcomes[0], nil
+}
+
+// runBatch runs the cells of exps as one batch on cfg's runner, and
+// reduces experiment i, printing lead, header, tables and verdict, once
+// it and all before it have their results. On error it returns the
+// outcomes so far; the error names the first experiment not finished.
+func runBatch(cfg Config, exps []Experiment, lead string) ([]*Outcome, error) {
+	var cells []service.CellSpec
+	offs := make([]int, len(exps)+1) // experiment i's cells are cells[offs[i]:offs[i+1]]
+	for i, e := range exps {
+		cells = append(cells, e.Cells(cfg)...)
+		offs[i+1] = len(cells)
+	}
+	results := make([]*service.CellResult, len(cells)) // each indexed within its experiment
+	filled := 0                                        // results[:filled] are all in
+	var outcomes []*Outcome
+	err := stream(context.Background(), cfg.runner(), cells, func(res *service.CellResult) error {
+		local := *res
+		local.Index -= offs[sort.SearchInts(offs, res.Index+1)-1]
+		results[res.Index] = &local
+		for filled < len(results) && results[filled] != nil {
+			filled++
+		}
+		for i := len(outcomes); i < len(exps) && offs[i+1] <= filled; i++ {
+			e := exps[i]
+			fmt.Fprintf(cfg.out(), "%s=== %s: %s ===\n%s\n\n", lead, e.ID, e.Title, e.Claim)
+			o, err := e.reduce(cfg, results[offs[i]:offs[i+1]])
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(cfg.out(), "%s verdict: %v — %s\n", e.ID, o.Verdict, o.Summary)
+			outcomes = append(outcomes, o)
+		}
+		return nil
+	})
+	if len(outcomes) < len(exps) {
+		err = fmt.Errorf("experiments: %s: %w", exps[len(outcomes)].ID, cmp.Or(err, fmt.Errorf("runner returned without every result")))
+	}
+	return outcomes, err
+}
+
+// stream hands fn each result of cells on r: as it completes, or in
+// index order after RunCells if r is not a service.CellStreamer.
+func stream(ctx context.Context, r service.CellRunner, cells []service.CellSpec, fn func(*service.CellResult) error) error {
+	if s, ok := r.(service.CellStreamer); ok {
+		_, err := s.StreamCells(ctx, cells, fn)
+		return err
+	}
+	results, err := r.RunCells(ctx, cells)
+	for i := 0; err == nil && i < len(results); i++ {
+		err = fn(results[i])
+	}
+	return err
 }
 
 // reduce is the one path from cell results to an outcome: it runs
@@ -242,23 +290,15 @@ func ByID(id string) (Experiment, error) {
 
 // RunAll executes every experiment and returns outcomes in order,
 // followed by a rendered summary table on cfg.Out. Each outcome's
-// Details field captures that experiment's rendered tables. All
-// experiments share one runner (cfg.Runner, or a fresh local runner),
-// so graphs repeated across experiments are built once and — with a
+// Details field captures that experiment's rendered tables. The suite
+// is one batch on one runner (cfg.Runner, or a fresh local runner), so
+// graphs repeated across experiments are built once and — with a
 // result-caching runner — cells repeated across experiments (e.g. the
-// E2/E3 shared grid) are computed once.
+// E2/E3 shared grid) are mostly computed once.
 func RunAll(cfg Config) ([]*Outcome, error) {
-	if cfg.Runner == nil {
-		cfg.Runner = NewLocalRunner(cfg.Workers, false)
-	}
-	var outcomes []*Outcome
-	for _, e := range All() {
-		fmt.Fprintln(cfg.out())
-		o, err := e.Run(cfg)
-		if err != nil {
-			return outcomes, fmt.Errorf("experiments: %s: %w", e.ID, err)
-		}
-		outcomes = append(outcomes, o)
+	outcomes, err := runBatch(cfg, All(), "\n")
+	if err != nil {
+		return outcomes, err
 	}
 	fmt.Fprintf(cfg.out(), "\n=== Summary ===\n")
 	tab := stats.NewTable("id", "title", "verdict", "summary")

@@ -34,23 +34,31 @@ func TestQuickSuiteGolden(t *testing.T) {
 		}
 		return
 	}
+	assertGolden(t, path, out.String())
+}
+
+// assertGolden fails t at the first line where got differs from the
+// file at path.
+func assertGolden(t *testing.T, path, got string) {
+	t.Helper()
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading golden file (run with -update to create): %v", err)
 	}
-	if got := out.String(); got != string(want) {
-		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-			var g, w string
-			if i < len(gotLines) {
-				g = gotLines[i]
-			}
-			if i < len(wantLines) {
-				w = wantLines[i]
-			}
-			if g != w {
-				t.Fatalf("quick suite output drifted from %s at line %d:\ngot:  %s\nwant: %s", path, i+1, g, w)
-			}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("output drifted from %s at line %d:\ngot:  %s\nwant: %s", path, i+1, g, w)
 		}
 	}
 }
