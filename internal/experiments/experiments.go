@@ -200,8 +200,7 @@ func runBatch(cfg Config, exps []Experiment, lead string) ([]*Outcome, error) {
 		cells = append(cells, e.Cells(cfg)...)
 		offs[i+1] = len(cells)
 	}
-	results := make([]*service.CellResult, len(cells)) // each indexed within its experiment
-	filled := 0                                        // results[:filled] are all in
+	results, filled := make([]*service.CellResult, len(cells)), 0 // results[:filled] are all in
 	var outcomes []*Outcome
 	err := stream(context.Background(), cfg.runner(), cells, func(res *service.CellResult) error {
 		local := *res
@@ -228,8 +227,7 @@ func runBatch(cfg Config, exps []Experiment, lead string) ([]*Outcome, error) {
 	return outcomes, err
 }
 
-// stream hands fn each result of cells on r: as it completes, or in
-// index order after RunCells if r is not a service.CellStreamer.
+// stream feeds fn each result of cells on r, in index order unless r streams.
 func stream(ctx context.Context, r service.CellRunner, cells []service.CellSpec, fn func(*service.CellResult) error) error {
 	if s, ok := r.(service.CellStreamer); ok {
 		_, err := s.StreamCells(ctx, cells, fn)

@@ -203,25 +203,22 @@ func (e *Executor) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResul
 	return e.StreamCells(ctx, cells, nil)
 }
 
-// StreamCells executes the cells on a bounded worker pool (CellWorkers),
-// handing each result to fn (if non-nil) as it completes, one call at a
-// time, and returns results indexed like the input: a pure function of
-// the specs. An error from fn (returned as is), or else the first cell
-// error by index, stops cells not yet started; in-flight cells finish.
+// StreamCells executes the cells on a bounded worker pool (CellWorkers)
+// and returns results indexed like the input: a pure function of the
+// specs. fn (if non-nil) gets each result as it completes, on the
+// caller's goroutine. An error from fn (returned as is), or else the
+// first cell error by index, stops cells not yet started.
 func (e *Executor) StreamCells(ctx context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error) {
 	workers := e.CellWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+	workers = min(workers, len(cells))
 	results := make([]*CellResult, len(cells))
 	errs := make([]error, len(cells))
+	done := make(chan int, len(cells)) // finished indices; never blocks a worker
 	var next int64
 	var failed atomic.Bool
-	var mu sync.Mutex // serializes fn
-	var fnErr error
 	var wg sync.WaitGroup
 	// Claim every worker's core up front, or the first cell borrows them.
 	e.claimed.Add(int64(workers))
@@ -237,21 +234,25 @@ func (e *Executor) StreamCells(ctx context.Context, cells []CellSpec, fn func(*C
 				}
 				res, _, err := e.run(ctx, i, cells[i], 1)
 				results[i], errs[i] = res, err
-				if err == nil && fn != nil {
-					mu.Lock()
-					if fnErr == nil {
-						fnErr = fn(res)
-					}
-					err = fnErr
-					mu.Unlock()
-				}
 				if err != nil {
 					failed.Store(true)
 				}
+				done <- i
 			}
 		}()
 	}
-	wg.Wait()
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	var fnErr error
+	for i := range done {
+		if fn != nil && fnErr == nil && errs[i] == nil {
+			if fnErr = fn(results[i]); fnErr != nil {
+				failed.Store(true)
+			}
+		}
+	}
 	if err := cmp.Or(ctx.Err(), fnErr); err != nil {
 		return nil, err
 	}

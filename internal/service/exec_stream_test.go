@@ -42,10 +42,16 @@ func TestExecutorStreamCells(t *testing.T) {
 		t.Error("StreamCells' batch differs from RunCells'")
 	}
 
+	// fn runs on this goroutine, beside the workers: cells of a few
+	// milliseconds each leave it ample time to stop a 64-cell batch.
+	slow := testCells(64)
+	for i := range slow {
+		slow[i].Trials = 2000
+	}
 	stop := errors.New("stop")
 	e := &Executor{CellWorkers: 2, Results: NewResultCache(0)}
 	calls := 0
-	_, err = e.StreamCells(ctx, testCells(64), func(*CellResult) error {
+	_, err = e.StreamCells(ctx, slow, func(*CellResult) error {
 		calls++
 		if calls == 3 {
 			return stop
