@@ -27,10 +27,9 @@ func (s *asyncSample) scaled(f float64) *asyncSample {
 // TestAsyncOracleHasTeeth states what TestAsyncEnginesMatchReference
 // would catch, at its committed sample size and on its own seed blocks:
 // a reference whose clocks are 20 % slow is rejected on every scenario
-// row; one whose clocks are 5 % slow is rejected on the rows it logs,
-// and 3, 2 and 1 % slow on the counts it logs; none of those is
-// required. The other side of
-// the trade: over 100 further seed blocks, dealt round the rows, the
+// row. Clocks 5 % slow (the rows that reject it) and 3, 2 and 1 % slow
+// (how many rows do) are logged, not required. The other side of the
+// trade: over 100 further seed blocks, dealt round the rows, the
 // unmutated pair raises no more false alarms than its 0.001 a quantity
 // allows.
 func TestAsyncOracleHasTeeth(t *testing.T) {
