@@ -14,9 +14,10 @@
 //	...
 //	results, err := c.RunCells(ctx, cells) // submit + resumable stream
 //
-// Client implements service.CellRunner, so anything that runs cell
-// grids locally (experiments.Config.Runner, harness code) runs them on
-// a server by swapping in a Client.
+// Client implements service.CellRunner (StreamCells: per-cell delivery
+// in canonical order, fn's error returned as is), so anything that runs
+// cell grids locally (experiments.Config.Runner, a shard coordinator's
+// partitions) runs them on a server by swapping in a Client.
 package client
 
 import (

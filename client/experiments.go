@@ -35,7 +35,7 @@ func (c *Client) Experiments(ctx context.Context) ([]api.ExperimentInfo, error) 
 // row the server's reducer computed. This single-shot stream is not
 // cursor-resumable — the reduction happens server-side; for a
 // resumable experiment run, submit the experiment's cells through
-// RunCells and reduce locally, as cmd/experiments -server does.
+// StreamCells and reduce locally, as cmd/experiments -server does.
 func (c *Client) RunExperiment(ctx context.Context, id string, req api.RunExperimentRequest, onCell func(*service.CellResult) error) (*api.ExperimentOutcome, error) {
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -185,7 +185,7 @@ func (c *Client) StreamResults(ctx context.Context, id string, after int, fn fun
 	}
 }
 
-// CellsIdempotencyKey is the Idempotency-Key RunCells submits an
+// CellsIdempotencyKey is the Idempotency-Key StreamCells submits an
 // explicit cell list under: a deterministic digest of the cells'
 // canonical hashes, so any client (re)running the same cells binds to
 // the same server-side job. Exported so tests and future peers can
@@ -194,19 +194,19 @@ func CellsIdempotencyKey(cells []service.CellSpec) string {
 	return "sdk-cells-" + service.JobSpec{CellList: cells}.Hash()
 }
 
-// RunCells implements service.CellRunner: StreamCells with no callback.
+// RunCells is StreamCells with no callback.
 func (c *Client) RunCells(ctx context.Context, cells []service.CellSpec) ([]*service.CellResult, error) {
 	return c.StreamCells(ctx, cells, nil)
 }
 
-// StreamCells implements service.CellStreamer against the server: it
+// StreamCells implements service.CellRunner against the server: it
 // submits the cells as one job, keyed by CellsIdempotencyKey so a retry
 // binds to the same server-side job, and streams the results back with
-// cursor resume, handing each row to fn (if non-nil) in canonical order;
-// an fn error ends the stream. Results are byte-identical to an Executor's.
+// cursor resume, handing each row to fn in canonical order. Results are
+// byte-identical to an Executor's.
 func (c *Client) StreamCells(ctx context.Context, cells []service.CellSpec, fn func(*service.CellResult) error) ([]*service.CellResult, error) {
 	if len(cells) == 0 {
-		return nil, fmt.Errorf("client: no cells")
+		return nil, fmt.Errorf("client: %w: no cells", service.ErrBadSpec)
 	}
 	spec := service.JobSpec{CellList: cells}
 	st, err := c.SubmitJob(ctx, spec, WithIdempotencyKey(CellsIdempotencyKey(cells)))
@@ -214,16 +214,20 @@ func (c *Client) StreamCells(ctx context.Context, cells []service.CellSpec, fn f
 		return nil, fmt.Errorf("client: submitting %d cells: %w", len(cells), err)
 	}
 	results := make([]*service.CellResult, len(cells))
+	var fnErr error
 	err = c.StreamResults(ctx, st.ID, -1, func(res *service.CellResult) error {
 		if res.Index < 0 || res.Index >= len(results) {
 			return fmt.Errorf("client: result index %d out of range [0, %d)", res.Index, len(results))
 		}
 		results[res.Index] = res
 		if fn != nil {
-			return fn(res)
+			fnErr = fn(res)
 		}
-		return nil
+		return fnErr
 	})
+	if fnErr != nil {
+		return nil, fnErr
+	}
 	if err != nil {
 		return nil, fmt.Errorf("client: streaming job %s: %w", st.ID, err)
 	}
@@ -235,5 +239,5 @@ func (c *Client) StreamCells(ctx context.Context, cells []service.CellSpec, fn f
 	return results, nil
 }
 
-// Compile-time check: the SDK is a drop-in streaming cell runner.
-var _ service.CellStreamer = (*Client)(nil)
+// Compile-time check: the SDK is a drop-in cell runner.
+var _ service.CellRunner = (*Client)(nil)

@@ -7,8 +7,8 @@
 // Every experiment is a grid of service cells reduced by a pure
 // function; this command runs the grids through the same executor the
 // rumord daemon uses, so a result computed here is byte-identical with
-// the daemon's (and, with -cache, repeated cells — e.g. the grid E2 and
-// E3 share — are mostly computed once). The suite's grids go to the
+// the daemon's (and repeated cells — e.g. the grid E2 and E3 share — are
+// served from the result LRU, computed once). The suite's grids go to the
 // runner as one batch, and each experiment prints as soon as its cells
 // and those of every experiment before it are in.
 //
@@ -17,7 +17,6 @@
 //	experiments                      # full suite (minutes)
 //	experiments -quick               # reduced sizes/trials (seconds)
 //	experiments -run E11             # a single experiment
-//	experiments -quick -cache        # serve repeated cells from the result LRU
 //	experiments -quick -cache-dir D  # persistent cache: warm replay survives restarts
 //	experiments -quick -metrics-out M.prom
 //	                                 # dump a Prometheus snapshot of the
@@ -81,7 +80,6 @@ func run(args []string, stdout io.Writer) error {
 		seed       = fs.Uint64("seed", 0, "root seed (0 = default)")
 		workers    = fs.Int("workers", 0, "parallel cells in flight (0 = all cores)")
 		markdown   = fs.String("md", "", "also write a Markdown report to this file")
-		cache      = fs.Bool("cache", false, "serve repeated cells from a result LRU (rumord's cache tier)")
 		cacheDir   = fs.String("cache-dir", "", "persistent cell-result store directory: cells computed by any prior run (or a rumord with the same dir) replay from disk")
 		server     = fs.String("server", "", "run every cell on a rumord server at this base URL via the client SDK (reducers still run locally; output is byte-identical to the in-process path)")
 		peersFlag  = fs.String("peers", "", "comma-separated rumord peer base URLs: shard every cell over the cluster by cell key, with failover (like -server across many daemons; output stays byte-identical)")
@@ -97,7 +95,6 @@ func run(args []string, stdout io.Writer) error {
 	runner, err := runmode.New(runmode.Config{
 		Server:        *server,
 		Peers:         *peersFlag,
-		Cache:         *cache,
 		CacheDir:      *cacheDir,
 		CellWorkers:   *workers,
 		Metrics:       *metricsOut != "",

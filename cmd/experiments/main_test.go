@@ -147,7 +147,6 @@ func TestServerModeSingleExperiment(t *testing.T) {
 
 func TestServerModeFlagConflicts(t *testing.T) {
 	for _, args := range [][]string{
-		{"-server", "http://localhost:1", "-cache"},
 		{"-server", "http://localhost:1", "-cache-dir", "/tmp/x"},
 		{"-server", "://bad"},
 	} {
@@ -234,7 +233,6 @@ func TestPeersModeSingleExperiment(t *testing.T) {
 func TestPeersModeFlagConflicts(t *testing.T) {
 	for _, args := range [][]string{
 		{"-peers", "http://localhost:1", "-server", "http://localhost:2"},
-		{"-peers", "http://localhost:1", "-cache"},
 		{"-peers", "http://localhost:1", "-cache-dir", "/tmp/x"},
 		{"-peers", " , "},
 	} {

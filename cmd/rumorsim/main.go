@@ -57,7 +57,6 @@ func run(args []string) error {
 		perturb    = fs.Float64("perturb-rate", 0, "per-epoch edge flip rate in (0, 1] for -dynamic perturb")
 		churnSpec  = fs.String("churn", "", "comma-separated churn events node@time:op, op in leave, join, join-drop (e.g. 5@2:leave,5@8:join-drop)")
 		csv        = fs.Bool("csv", false, "emit CSV instead of an aligned table")
-		useCache   = fs.Bool("cache", false, "serve repeated cells from a result LRU (rumord's cache tier)")
 		server     = fs.String("server", "", "run the cells on a rumord server at this base URL (typed client SDK) instead of in-process")
 		curve      = fs.Bool("curve", false, "emit the mean spreading curve (informed fraction vs time) instead of summary rows")
 		curvePts   = fs.Int("curve-points", 40, "number of grid points for -curve")
@@ -121,16 +120,15 @@ func run(args []string) error {
 	// executor (cells serial, trials parallel — the historical CLI
 	// parallelism shape) or — with -server — by a rumord daemon through
 	// the client SDK. Results are byte-identical either way; only where
-	// they compute changes. Locally the graph tier is always on (sync
-	// and async of one sweep size share one built instance) and -cache
-	// additionally turns on the completed-cell result LRU; on a server
-	// the daemon's own tiers apply. With -metrics-out a local run carries
+	// they compute changes. Locally both tiers are always on (sync and
+	// async of one sweep size share one built instance, a repeated sweep
+	// size is served from the result LRU); on a server the daemon's own
+	// tiers apply. With -metrics-out a local run carries
 	// its own registry (the same instruments rumord exports), so a CLI
 	// sweep's latency histograms and cache counters land in a
 	// scrape-compatible snapshot.
 	runner, err := runmode.New(runmode.Config{
 		Server:       *server,
-		Cache:        *useCache,
 		CellWorkers:  1,
 		TrialWorkers: *workers,
 		Metrics:      *metricsOut != "",
@@ -176,7 +174,7 @@ func run(args []string) error {
 			cellTimings = append(cellTimings, tm)
 		}
 	}
-	results, err := runner.RunCells(context.Background(), cells)
+	results, err := runner.StreamCells(context.Background(), cells, nil)
 	if err != nil {
 		return err
 	}

@@ -150,7 +150,6 @@ func TestRunServerModeMatchesLocal(t *testing.T) {
 
 func TestRunServerModeFlagConflicts(t *testing.T) {
 	for _, args := range [][]string{
-		{"-server", "http://localhost:1", "-cache"},
 		{"-server", "http://localhost:1", "-curve"},
 		{"-server", "://bad-url"},
 	} {

@@ -17,22 +17,18 @@ import (
 // only the first of them computes the quick suite's cells.
 var batchCache = sync.OnceValue(func() *service.Executor { return NewLocalRunner(0, true) })
 
-// countingRunner is a plain CellRunner: it records each batch it is
-// handed and runs it on the shared executor.
+// countingRunner records each batch it is handed and streams it on the
+// shared executor.
 type countingRunner struct{ batches []int }
 
-func (r *countingRunner) RunCells(ctx context.Context, cells []service.CellSpec) ([]*service.CellResult, error) {
+func (r *countingRunner) StreamCells(ctx context.Context, cells []service.CellSpec, fn func(*service.CellResult) error) ([]*service.CellResult, error) {
 	r.batches = append(r.batches, len(cells))
-	return batchCache().RunCells(ctx, cells)
+	return batchCache().StreamCells(ctx, cells, fn)
 }
 
-// reorderingRunner is a CellStreamer that computes the whole batch and
-// then hands fn its results in the order order gives.
+// reorderingRunner computes the whole batch and then hands fn its
+// results in the order order gives.
 type reorderingRunner struct{ order func(n int) []int }
-
-func (r reorderingRunner) RunCells(ctx context.Context, cells []service.CellSpec) ([]*service.CellResult, error) {
-	return r.StreamCells(ctx, cells, nil)
-}
 
 func (r reorderingRunner) StreamCells(ctx context.Context, cells []service.CellSpec, fn func(*service.CellResult) error) ([]*service.CellResult, error) {
 	results, err := batchCache().RunCells(ctx, cells)
@@ -51,10 +47,6 @@ func (r reorderingRunner) StreamCells(ctx context.Context, cells []service.CellS
 // with every cell whose key is bad swapped for one that cannot run.
 type breakingRunner struct{ bad string }
 
-func (r breakingRunner) RunCells(ctx context.Context, cells []service.CellSpec) ([]*service.CellResult, error) {
-	return r.StreamCells(ctx, cells, nil)
-}
-
 func (r breakingRunner) StreamCells(ctx context.Context, cells []service.CellSpec, fn func(*service.CellResult) error) ([]*service.CellResult, error) {
 	cells = slices.Clone(cells)
 	for i, c := range cells {
@@ -68,8 +60,7 @@ func (r breakingRunner) StreamCells(ctx context.Context, cells []service.CellSpe
 }
 
 // TestSuiteBatchIsOneRunnerCall: the quick suite reaches its runner as
-// one batch of all 174 cells, and a plain CellRunner, fed in index
-// order afterwards, still prints the golden suite.
+// one batch of all 174 cells and prints the golden suite.
 func TestSuiteBatchIsOneRunnerCall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick suite")
@@ -85,13 +76,21 @@ func TestSuiteBatchIsOneRunnerCall(t *testing.T) {
 	assertGolden(t, filepath.Join("testdata", "quick_suite.golden"), out.String())
 }
 
-// TestSuiteBatchAnyCompletionOrder: results that complete in reverse or
-// shuffled order are reduced in suite order, byte for byte the golden.
+// TestSuiteBatchAnyCompletionOrder: results that complete in index,
+// reverse or shuffled order are reduced in suite order, byte for byte
+// the golden.
 func TestSuiteBatchAnyCompletionOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick suite")
 	}
 	orders := map[string]func(n int) []int{
+		"index": func(n int) []int {
+			o := make([]int, n)
+			for i := range o {
+				o[i] = i
+			}
+			return o
+		},
 		"reverse": func(n int) []int {
 			o := make([]int, n)
 			for i := range o {

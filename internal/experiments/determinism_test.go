@@ -43,7 +43,7 @@ func TestExperimentDeterminismAcrossWorkersAndCache(t *testing.T) {
 			}
 			var wantCells, wantOutcome string
 			for _, r := range runs {
-				results, err := r.runner.RunCells(context.Background(), cells)
+				results, err := r.runner.StreamCells(context.Background(), cells, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", r.name, err)
 				}

@@ -202,7 +202,7 @@ func runBatch(cfg Config, exps []Experiment, lead string) ([]*Outcome, error) {
 	}
 	results, filled := make([]*service.CellResult, len(cells)), 0 // results[:filled] are all in
 	var outcomes []*Outcome
-	err := stream(context.Background(), cfg.runner(), cells, func(res *service.CellResult) error {
+	_, err := cfg.runner().StreamCells(context.Background(), cells, func(res *service.CellResult) error {
 		local := *res
 		local.Index -= offs[sort.SearchInts(offs, res.Index+1)-1]
 		results[res.Index] = &local
@@ -225,19 +225,6 @@ func runBatch(cfg Config, exps []Experiment, lead string) ([]*Outcome, error) {
 		err = fmt.Errorf("experiments: %s: %w", exps[len(outcomes)].ID, cmp.Or(err, fmt.Errorf("runner returned without every result")))
 	}
 	return outcomes, err
-}
-
-// stream feeds fn each result of cells on r, in index order unless r streams.
-func stream(ctx context.Context, r service.CellRunner, cells []service.CellSpec, fn func(*service.CellResult) error) error {
-	if s, ok := r.(service.CellStreamer); ok {
-		_, err := s.StreamCells(ctx, cells, fn)
-		return err
-	}
-	results, err := r.RunCells(ctx, cells)
-	for i := 0; err == nil && i < len(results); i++ {
-		err = fn(results[i])
-	}
-	return err
 }
 
 // reduce is the one path from cell results to an outcome: it runs

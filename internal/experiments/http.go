@@ -33,7 +33,7 @@ type RunRequest = api.RunExperimentRequest
 // both ride the same cells and reducer. This run stream is not
 // cursor-resumable (the reduction happens server-side); resumable
 // experiment runs go through the jobs API instead, as the SDK's
-// RunCells does — which is exactly how cmd/experiments -server runs the
+// StreamCells does — which is exactly how cmd/experiments -server runs the
 // suite.
 func Mount(srv *service.Server, sched *service.Scheduler) {
 	mux := http.NewServeMux()

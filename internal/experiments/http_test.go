@@ -235,10 +235,6 @@ type scriptedRemote struct {
 	delivered chan struct{}
 }
 
-func (r *scriptedRemote) RunCells(ctx context.Context, cells []service.CellSpec) ([]*service.CellResult, error) {
-	return r.StreamCells(ctx, cells, nil)
-}
-
 func (r *scriptedRemote) StreamCells(ctx context.Context, cells []service.CellSpec, fn func(*service.CellResult) error) ([]*service.CellResult, error) {
 	var exec service.Executor
 	for i := 0; i < r.deliver; i++ {

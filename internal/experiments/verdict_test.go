@@ -74,7 +74,7 @@ func TestUpperBoundVerdictsHaveTeeth(t *testing.T) {
 	} {
 		t.Run(tc.e.ID, func(t *testing.T) {
 			cfg := Config{Quick: true}
-			results, err := cfg.runner().RunCells(context.Background(), tc.e.Cells(cfg))
+			results, err := cfg.runner().StreamCells(context.Background(), tc.e.Cells(cfg), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

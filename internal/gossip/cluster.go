@@ -470,11 +470,15 @@ type LiveRunner struct {
 // "dropped" ride beside it.
 const seriesInformed = "informed"
 
-// RunCells runs each cell's Trials live trials one after another (a
-// cluster plays one trial at a time) and returns the results in input
-// order; nothing is cached, a live result is not a function of its spec.
-// A cell the cluster cannot host fails the batch with service.ErrBadSpec.
-func (r LiveRunner) RunCells(ctx context.Context, cells []service.CellSpec) ([]*service.CellResult, error) {
+// StreamCells implements service.CellRunner: it runs each cell's Trials
+// live trials, one cell after another (a cluster plays one trial at a
+// time), and hands fn each cell as its trials end. Nothing is cached; a
+// live result is not a function of its spec. A cell the cluster cannot
+// host fails the batch with service.ErrBadSpec.
+func (r LiveRunner) StreamCells(ctx context.Context, cells []service.CellSpec, fn func(*service.CellResult) error) ([]*service.CellResult, error) {
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("gossip: %w: no cells", service.ErrBadSpec)
+	}
 	results := make([]*service.CellResult, len(cells))
 	for i, cell := range cells {
 		res, _, err := r.RunTrials(ctx, cell)
@@ -483,11 +487,16 @@ func (r LiveRunner) RunCells(ctx context.Context, cells []service.CellSpec) ([]*
 		}
 		res.Index = i
 		results[i] = res
+		if fn != nil {
+			if err := fn(res); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return results, nil
 }
 
-// RunTrials is RunCells for one cell, with each trial's own result beside
+// RunTrials is StreamCells for one cell, with each trial's own result beside
 // the cell's. Trial t's nodes are seeded from the stream harness.Runner
 // gives trial t of a simulated cell with the same trial seed. A cancelled
 // ctx ends the trial in flight between two rounds or polls, SHUTDOWN

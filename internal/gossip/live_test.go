@@ -105,8 +105,8 @@ func TestLiveRunnerRefusesUnhostableCells(t *testing.T) {
 		}},
 	} {
 		cell := tc.cell()
-		if _, err := (LiveRunner{Cluster: c}).RunCells(context.Background(), []service.CellSpec{cell}); !errors.Is(err, service.ErrBadSpec) {
-			t.Errorf("%s: RunCells err = %v, want service.ErrBadSpec", tc.name, err)
+		if _, err := (LiveRunner{Cluster: c}).StreamCells(context.Background(), []service.CellSpec{cell}, nil); !errors.Is(err, service.ErrBadSpec) {
+			t.Errorf("%s: StreamCells err = %v, want service.ErrBadSpec", tc.name, err)
 		}
 		if _, err := c.RunTrial(TrialSpec{Cell: cell}); !errors.Is(err, service.ErrBadSpec) {
 			t.Errorf("%s: RunTrial err = %v, want service.ErrBadSpec", tc.name, err)
@@ -230,7 +230,7 @@ func TestLiveTrialCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(100*time.Millisecond, cancel)
 	start := time.Now()
-	_, err = LiveRunner{Cluster: c, Spec: spec}.RunCells(ctx, []service.CellSpec{spec.Cell})
+	_, err = LiveRunner{Cluster: c, Spec: spec}.StreamCells(ctx, []service.CellSpec{spec.Cell}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

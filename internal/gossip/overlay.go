@@ -95,7 +95,7 @@ func RunOverlay(ctx context.Context, live, sim service.CellRunner, cell service.
 // milestones as the cell's fold left them — -1 where any trial fell
 // short — with the last one as the spreading time.
 func (s *OverlaySide) run(ctx context.Context, r service.CellRunner, cell service.CellSpec) (*service.CellResult, error) {
-	results, err := r.RunCells(ctx, []service.CellSpec{cell})
+	results, err := r.StreamCells(ctx, []service.CellSpec{cell}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ type fakeRunner struct {
 	cells []service.CellSpec
 }
 
-func (f *fakeRunner) RunCells(ctx context.Context, cells []service.CellSpec) ([]*service.CellResult, error) {
+func (f *fakeRunner) StreamCells(ctx context.Context, cells []service.CellSpec, fn func(*service.CellResult) error) ([]*service.CellResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -28,6 +28,9 @@ func (f *fakeRunner) RunCells(ctx context.Context, cells []service.CellSpec) ([]
 	for i, cell := range cells {
 		f.cells = append(f.cells, cell)
 		res, err := f.run(cell)
+		if err == nil && fn != nil {
+			err = fn(res)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -92,7 +92,6 @@ func TestCLIModeTable(t *testing.T) {
 		modes []mode
 	}{
 		{"experiments", []string{"-quick", "-run", "E12", "-seed", "1"}, []mode{
-			{name: "-cache", args: []string{"-cache"}, families: local, absent: "rumor_shard_"},
 			{name: "-cache-dir cold", args: []string{"-cache-dir", cacheDir}, families: local, absent: "rumor_shard_",
 				check: func(t *testing.T, sc obs.Scrape) {
 					if cells(sc, "computed") == 0 || cells(sc, "cached") != 0 {
@@ -114,7 +113,6 @@ func TestCLIModeTable(t *testing.T) {
 				}},
 		}},
 		{"rumorsim", []string{"-graph", "hypercube", "-sweep", "64,128", "-timing", "both", "-trials", "20", "-csv"}, []mode{
-			{name: "-cache", args: []string{"-cache"}, families: local, absent: "rumor_shard_"},
 			{name: "-server", args: []string{"-server", daemon}, families: []string{"rumor_scheduler_", "rumor_http_"}, absent: "rumor_shard_"},
 		}},
 	}
@@ -163,20 +161,19 @@ func TestCLIModeTable(t *testing.T) {
 		args []string
 		want string // substring of the error on stderr
 	}{
-		{"experiments", []string{"-server", dead, "-cache"}, "-cache is in-process only; with -server, caching is the daemon's"},
-		{"experiments", []string{"-server", dead, "-cache-dir", cacheDir}, "-cache-dir is in-process only; with -server"},
+		{"experiments", []string{"-server", dead, "-cache-dir", cacheDir}, "-cache-dir is in-process only; with -server, caching is the daemon's (-result-cache/-cache-dir)"},
 		{"experiments", []string{"-server", "://bad"}, "://bad"},
 		{"experiments", []string{"-peers", dead, "-server", dead}, "-peers is incompatible with -server"},
-		{"experiments", []string{"-peers", dead, "-cache"}, "-cache is in-process only; with -peers"},
 		{"experiments", []string{"-peers", dead, "-cache-dir", cacheDir}, "-cache-dir is in-process only; with -peers"},
 		{"experiments", []string{"-peers", " , "}, "-peers: "},
 		{"experiments", []string{"-bench", "b.json"}, "flag provided but not defined: -bench"},
 		{"experiments", []string{"-bench-large"}, "flag provided but not defined: -bench-large"},
-		{"rumorsim", []string{"-server", dead, "-cache"}, "-cache is in-process only; with -server, caching is the daemon's (-result-cache/-cache-dir)"},
+		{"experiments", []string{"-cache"}, "flag provided but not defined: -cache"},
 		{"rumorsim", []string{"-server", dead, "-curve"}, "-curve runs in-process only"},
 		{"rumorsim", []string{"-server", "://bad"}, "://bad"},
 		{"rumorsim", []string{"-peers", dead}, "flag provided but not defined: -peers"},
 		{"rumorsim", []string{"-cache-dir", cacheDir}, "flag provided but not defined: -cache-dir"},
+		{"rumorsim", []string{"-cache"}, "flag provided but not defined: -cache"},
 	} {
 		_, stderr, err := run(tc.cli, tc.args...)
 		if err == nil {

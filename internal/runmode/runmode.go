@@ -1,10 +1,10 @@
 // Package runmode turns the CLIs' execution-mode flags into the one
-// thing they all select: a service.CellStreamer. rumorsim and experiments
-// run the same cells locally, through a result cache (-cache,
-// -cache-dir), on one daemon (-server) or sharded over several
-// (-peers); this is the single place that knows which flags combine,
-// what each mode's -metrics-out snapshot is, and what must be closed
-// before the process exits.
+// thing they all select: a service.CellRunner. rumorsim and experiments
+// run the same cells in-process (always over a result LRU, tiered over
+// a persistent store with -cache-dir), on one daemon (-server) or
+// sharded over several (-peers); this is the single place that knows
+// which flags combine, what each mode's -metrics-out snapshot is, and
+// what must be closed before the process exits.
 package runmode
 
 import (
@@ -25,7 +25,6 @@ import (
 type Config struct {
 	Server   string // -server: rumord base URL
 	Peers    string // -peers: comma-separated rumord base URLs
-	Cache    bool   // -cache: in-memory result LRU
 	CacheDir string // -cache-dir: persistent result store under the LRU
 
 	// CellWorkers and TrialWorkers shape the in-process executor (see
@@ -47,10 +46,9 @@ type Config struct {
 	ClientOptions []client.Option
 }
 
-// Runner is a streaming cell runner plus the two things its mode owes
-// the CLI.
+// Runner is a cell runner plus the two things its mode owes the CLI.
 type Runner struct {
-	service.CellStreamer
+	service.CellRunner
 	// Snapshot writes one Prometheus exposition of the run: the local
 	// registry (rumor_scheduler_*/rumor_cache_* for in-process modes,
 	// rumor_shard_* for -peers), or a scrape of the -server daemon.
@@ -70,12 +68,8 @@ func New(cfg Config) (*Runner, error) {
 	case cfg.Server != "":
 		remote = "-server"
 	}
-	if remote != "" && (cfg.Cache || cfg.CacheDir != "") {
-		flag := "-cache"
-		if !cfg.Cache {
-			flag = "-cache-dir"
-		}
-		return nil, fmt.Errorf("%s is in-process only; with %s, caching is the daemon's (-result-cache/-cache-dir)", flag, remote)
+	if remote != "" && cfg.CacheDir != "" {
+		return nil, fmt.Errorf("-cache-dir is in-process only; with %s, caching is the daemon's (-result-cache/-cache-dir)", remote)
 	}
 	var reg *obs.Registry // nil (un-instrumented) unless a snapshot is wanted
 	if cfg.Metrics {
@@ -88,7 +82,7 @@ func New(cfg Config) (*Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.CellStreamer = c
+		r.CellRunner = c
 		r.Snapshot = func(w io.Writer) error {
 			data, err := c.PromMetricsText(context.Background())
 			if err != nil {
@@ -102,7 +96,7 @@ func New(cfg Config) (*Runner, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-peers: %w", err)
 		}
-		r.CellStreamer, err = shard.New(shard.Config{
+		r.CellRunner, err = shard.New(shard.Config{
 			Peers:         urls,
 			ClientOptions: cfg.ClientOptions,
 			Metrics:       shard.NewMetrics(reg),
@@ -111,16 +105,16 @@ func New(cfg Config) (*Runner, error) {
 			return nil, err
 		}
 	default:
+		// Results are pure functions of their keys, so the result LRU
+		// changes no byte: it only serves repeated cells.
 		exec := &service.Executor{
 			CellWorkers:  cfg.CellWorkers,
 			TrialWorkers: cfg.TrialWorkers,
+			Results:      service.NewResultCache(0),
 			Graphs:       service.NewGraphCache(0),
 			Obs:          service.NewObservability(reg, nil),
 		}
-		r.CellStreamer = exec
-		if cfg.Cache {
-			exec.Results = service.NewResultCache(0)
-		}
+		r.CellRunner = exec
 		if cfg.CacheDir != "" {
 			store, err := cachestore.Open(cachestore.Options{
 				Dir:            cfg.CacheDir,

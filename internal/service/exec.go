@@ -14,23 +14,19 @@ import (
 	"rumor/internal/stats"
 )
 
-// CellRunner executes a batch of cells and returns their results in
-// input order. Both the in-process Executor and the daemon's Scheduler
-// implement it, so callers (the CLI, the experiment suite, tests) can
-// run the same cell grid locally or through the job queue without
-// changing anything else.
+// CellRunner is the one door to the execution spine: the in-process
+// Executor, the daemon's Scheduler, the SDK Client, the shard
+// Coordinator and the live cluster all implement it, so callers (the
+// CLIs, the experiment suite, a -peers daemon, tests) run the same cells
+// through any of them without changing anything else.
+//
+// StreamCells runs a batch and returns its results indexed like the
+// input. fn (which may be nil) is called serially, once per delivered
+// cell, with the cell's batch index in Index; delivery order is the
+// runner's own (completion order for an Executor, canonical order for a
+// Scheduler). An fn error stops the batch, is returned as is, and fn is
+// not called again. An empty batch is an error wrapping ErrBadSpec.
 type CellRunner interface {
-	RunCells(ctx context.Context, cells []CellSpec) ([]*CellResult, error)
-}
-
-// CellStreamer is a CellRunner with incremental delivery: fn (which may
-// be nil) is invoked serially as each result completes, in completion
-// order — not canonical order — and an fn error aborts the batch; the
-// returned slice is the same canonical-order batch RunCells returns.
-// The scheduler's remote delegation and the experiment suite use it to
-// observe per-cell progress instead of one burst at batch end.
-type CellStreamer interface {
-	CellRunner
 	StreamCells(ctx context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error)
 }
 
@@ -203,12 +199,15 @@ func (e *Executor) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResul
 	return e.StreamCells(ctx, cells, nil)
 }
 
-// StreamCells executes the cells on a bounded worker pool (CellWorkers)
-// and returns results indexed like the input: a pure function of the
-// specs. fn (if non-nil) gets each result as it completes, on the
-// caller's goroutine. An error from fn (returned as is), or else the
-// first cell error by index, stops cells not yet started.
+// StreamCells implements CellRunner: it executes the cells on a bounded
+// worker pool (CellWorkers) and returns results indexed like the input,
+// a pure function of the specs. fn gets each result as it completes, on
+// the caller's goroutine. An error from fn, or else the first cell error
+// by index, stops cells not yet started.
 func (e *Executor) StreamCells(ctx context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error) {
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("%w: no cells", ErrBadSpec)
+	}
 	workers := e.CellWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

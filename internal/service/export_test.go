@@ -1,0 +1,20 @@
+package service
+
+import "reflect"
+
+// SweepCells is FuzzValidCellRuns's seed corpus as the cells its fuzz
+// loop runs: each point of selectorSweep through fuzzSpec, clamped by
+// runnable. The external test package's door tests run them as
+// generated scenarios.
+func SweepCells() []CellSpec {
+	spec := reflect.ValueOf(fuzzSpec)
+	var cells []CellSpec
+	for _, args := range selectorSweep() {
+		in := make([]reflect.Value, len(args))
+		for i, a := range args {
+			in[i] = reflect.ValueOf(a)
+		}
+		cells = append(cells, runnable(spec.Call(in)[0].Interface().(CellSpec)))
+	}
+	return cells
+}

@@ -683,7 +683,7 @@ func (s JobSpec) Cells() []CellSpec {
 // canonical order, by their versioned canonical renderings) plus the
 // priority. Two specs share a hash iff they enqueue the same work, so
 // the hash is the natural idempotency token — the SDK derives its
-// Idempotency-Key for RunCells from it, and the server verifies a
+// Idempotency-Key for StreamCells from it, and the server verifies a
 // replayed key against it.
 func (s JobSpec) Hash() string {
 	return hashCells(s.Priority, s.Cells())

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// fakeStreamRemote is a CellStreamer backed by a real Executor:
+// fakeStreamRemote is a CellRunner backed by a real Executor:
 // delegation semantics under test, real results for byte-comparison.
 // Delivery is gated per cell so tests can observe mid-batch progress
 // deterministically.
@@ -18,10 +18,6 @@ type fakeStreamRemote struct {
 	calls atomic.Int32
 	fail  error
 	gate  chan struct{} // when non-nil, each delivery after the first consumes one token
-}
-
-func (f *fakeStreamRemote) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResult, error) {
-	return f.StreamCells(ctx, cells, nil)
 }
 
 func (f *fakeStreamRemote) StreamCells(ctx context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error) {

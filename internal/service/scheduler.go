@@ -70,10 +70,10 @@ type SchedulerConfig struct {
 	// the local worker pool — the coordinator mode behind rumord -peers:
 	// the daemon keeps its whole HTTP surface (jobs, result streams, SSE
 	// watchers, idempotent replay) but the cells run on peer daemons, and
-	// no local workers are started. Results are delivered as they land,
-	// so cursor streams and watchers observe per-cell progress exactly as
-	// they do against the local pool.
-	Remote CellStreamer
+	// no local workers are started. The remote's StreamCells delivers
+	// results as they land, so cursor streams and watchers observe
+	// per-cell progress exactly as they do against the local pool.
+	Remote CellRunner
 }
 
 // Scheduler runs jobs on a bounded worker pool with priorities,
@@ -86,8 +86,8 @@ type SchedulerConfig struct {
 // never depend on it.
 type Scheduler struct {
 	exec       Executor
-	remote     CellStreamer // non-nil delegates jobs to peers (see SchedulerConfig.Remote)
-	workers    int          // local worker goroutines; 0 when remote is set
+	remote     CellRunner // non-nil delegates jobs to peers (see SchedulerConfig.Remote)
+	workers    int        // local worker goroutines; 0 when remote is set
 	queueLimit int
 	retention  int
 
@@ -202,10 +202,16 @@ func (s *Scheduler) SubmitCells(cells []CellSpec, priority int) (*Job, error) {
 	return s.Submit(JobSpec{Priority: priority, CellList: cells}) // JobSpec.Cells takes the job's own copy
 }
 
-// RunCells implements CellRunner on the scheduler: it submits the cells
-// as one job (at default priority) and blocks until every result is in.
-// ctx (and its request ID) is the job's; cancelling it returns early.
+// RunCells is StreamCells with no callback.
 func (s *Scheduler) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResult, error) {
+	return s.StreamCells(ctx, cells, nil)
+}
+
+// StreamCells implements CellRunner on the scheduler: it submits the
+// cells as one job (at default priority) and hands fn each result as the
+// job's cursor yields it, in canonical order. ctx (and its request ID)
+// is the job's; cancelling it, or an fn error, cancels the job.
+func (s *Scheduler) StreamCells(ctx context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("%w: no cells", ErrBadSpec)
 	}
@@ -215,6 +221,9 @@ func (s *Scheduler) RunCells(ctx context.Context, cells []CellSpec) ([]*CellResu
 	}
 	results := make([]*CellResult, 0, len(cells))
 	for res, err := range job.Results(ctx, -1) {
+		if err == nil && fn != nil {
+			err = fn(res)
+		}
 		if err != nil {
 			job.Cancel()
 			return nil, err
@@ -481,7 +490,7 @@ func (s *Scheduler) runCell(job *Job, i int) {
 	job.completeCell(i, res, cached)
 }
 
-// runRemote drives one delegated job against the remote streamer,
+// runRemote drives one delegated job against the remote runner,
 // completing cells as their results land. Remote results arrive indexed
 // by the job's canonical cell order, so they slot straight into the
 // Job's result array.

@@ -74,34 +74,20 @@ func New(cfg Config) (*Coordinator, error) {
 // Peers returns the normalized peer URLs, sorted.
 func (co *Coordinator) Peers() []string { return co.ring.Peers() }
 
-// RunCells implements service.CellRunner: the cells run sharded over
-// the peers and come back indexed like the input, byte-identical to
-// what a single daemon (or an in-process Executor) computes for the
-// same specs.
+// RunCells is StreamCells with no callback.
 func (co *Coordinator) RunCells(ctx context.Context, cells []service.CellSpec) ([]*service.CellResult, error) {
 	return co.StreamCells(ctx, cells, nil)
 }
-
-// fatalError marks an error that must abort the whole batch rather
-// than fail over a peer: the coordinator's own delivery callback
-// rejected a result. Wrapping it keeps it distinguishable from the
-// transport errors StreamResults reports on a dead peer.
-type fatalError struct{ err error }
-
-func (e fatalError) Error() string { return e.err.Error() }
-func (e fatalError) Unwrap() error { return e.err }
 
 // isPeerFailure classifies a partition error: transport-shaped
 // failures (connection refused, a resume budget drained against a
 // dead peer) fail the peer over; everything that would reproduce on
 // any peer — a typed API error (bad spec, failed job), a cancelled
-// context, a delivery-callback rejection — aborts the batch.
+// context — aborts the batch.
 func isPeerFailure(err error) bool {
 	var apiErr *api.Error
-	var fatal fatalError
 	switch {
-	case errors.As(err, &fatal),
-		errors.As(err, &apiErr),
+	case errors.As(err, &apiErr),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
 		return false
@@ -109,45 +95,56 @@ func isPeerFailure(err error) bool {
 	return true
 }
 
-// StreamCells implements service.CellStreamer: it partitions the
-// cells over the ring by canonical cell key, runs one idempotent job
-// per peer concurrently, and invokes fn (if non-nil) once per cell as
-// results land — exactly once, even across failovers. When a peer
-// dies mid-batch it is removed from the (batch-local) ring and its
-// unfinished cells are re-partitioned over the survivors; cells the
-// dead peer already delivered are kept, and any cell a dying peer
+// StreamCells implements service.CellRunner: the cells run sharded over
+// the peers and come back indexed like the input, byte-identical to
+// what a single daemon (or an in-process Executor) computes for the
+// same specs. It partitions the cells over the ring by canonical cell
+// key, runs one idempotent job per peer concurrently, and invokes fn
+// once per cell as results land — exactly once, even across failovers.
+// When a peer dies mid-batch it is removed from the (batch-local) ring
+// and its unfinished cells are re-partitioned over the survivors; cells
+// the dead peer already delivered are kept, and any cell a dying peer
 // manages to deliver late is deduplicated by the merge (results are
-// content-addressed, so the copies are identical). The batch fails
-// only when every peer has died or a non-transport error occurs.
+// content-addressed, so the copies are identical). An fn error stops
+// every partition and is returned as is; otherwise the batch fails only
+// when every peer has died or a non-transport error occurs.
 func (co *Coordinator) StreamCells(ctx context.Context, cells []service.CellSpec, fn func(*service.CellResult) error) ([]*service.CellResult, error) {
 	if len(cells) == 0 {
-		return nil, fmt.Errorf("shard: no cells")
+		return nil, fmt.Errorf("shard: %w: no cells", service.ErrBadSpec)
 	}
+	// batch ends every partition's stream once the batch must stop.
+	batch, stop := context.WithCancel(ctx)
+	defer stop()
 	results := make([]*service.CellResult, len(cells))
-	var mu sync.Mutex // guards results and fn
+	var mu sync.Mutex // guards results, fatal and fn
+	var fatal error   // the first error that stops the batch: fn's, or a key mismatch
 	deliver := func(peer string, global int, res *service.CellResult) error {
 		out := *res
 		out.Index = global
 		mu.Lock()
 		defer mu.Unlock()
-		if prev := results[global]; prev != nil {
+		if fatal != nil {
+			return fatal
+		}
+		switch prev := results[global]; {
+		case prev == nil:
+			results[global] = &out
+			co.metrics.cells.With(peer).Inc()
+			if fn != nil {
+				fatal = fn(&out)
+			}
+		case prev.Key == out.Key:
 			// Double-computed (a reassignment raced a slow delivery):
 			// content-addressing guarantees the copies agree, so keep
 			// the first and count the discard.
-			if prev.Key != out.Key {
-				return fatalError{fmt.Errorf("shard: cell %d key mismatch across peers: %s vs %s", global, prev.Key, out.Key)}
-			}
 			co.metrics.duplicates.Inc()
-			return nil
+		default:
+			fatal = fmt.Errorf("shard: cell %d key mismatch across peers: %s vs %s", global, prev.Key, out.Key)
 		}
-		results[global] = &out
-		co.metrics.cells.With(peer).Inc()
-		if fn != nil {
-			if err := fn(&out); err != nil {
-				return fatalError{err}
-			}
+		if fatal != nil {
+			stop()
 		}
-		return nil
+		return fatal
 	}
 
 	ring := co.ring.Clone()
@@ -184,11 +181,14 @@ func (co *Coordinator) StreamCells(ctx context.Context, cells []service.CellSpec
 			wg.Add(1)
 			go func(pi int, peer string) {
 				defer wg.Done()
-				errs[pi] = co.runPartition(ctx, peer, cells, parts[peer], deliver)
+				errs[pi] = co.runPartition(batch, peer, cells, parts[peer], deliver)
 			}(pi, peer)
 		}
 		wg.Wait()
 
+		if fatal != nil {
+			return nil, fatal
+		}
 		for pi, err := range errs {
 			if err == nil {
 				continue
@@ -196,10 +196,6 @@ func (co *Coordinator) StreamCells(ctx context.Context, cells []service.CellSpec
 			if !isPeerFailure(err) {
 				if ctx.Err() != nil {
 					return nil, ctx.Err()
-				}
-				var fatal fatalError
-				if errors.As(err, &fatal) {
-					return nil, fatal.err
 				}
 				return nil, fmt.Errorf("shard: peer %s: %w", peers[pi], err)
 			}
@@ -224,35 +220,23 @@ func (co *Coordinator) StreamCells(ctx context.Context, cells []service.CellSpec
 	return results, nil
 }
 
-// runPartition runs one peer's share as a single idempotent job:
-// submit keyed by the partition's spec hash (a retry or a second
-// coordinator binds to the same server-side job), then stream the
-// results back with the SDK's cursor resume, re-indexing each
+// runPartition runs one peer's share as a single idempotent job through
+// the peer's SDK client — keyed by the partition's spec hash, so a retry
+// or a second coordinator binds to the same server-side job, and
+// streamed back with the SDK's cursor resume — re-indexing each
 // partition-local row to its global cell index.
 func (co *Coordinator) runPartition(ctx context.Context, peer string, cells []service.CellSpec, idx []int, deliver func(string, int, *service.CellResult) error) error {
 	sub := make([]service.CellSpec, len(idx))
 	for j, i := range idx {
 		sub[j] = cells[i]
 	}
-	cl := co.clients[peer]
 	start := time.Now()
 	defer func() { co.metrics.streamSecs.With(peer).Observe(time.Since(start).Seconds()) }()
-	st, err := cl.SubmitJob(ctx, service.JobSpec{CellList: sub},
-		client.WithIdempotencyKey(client.CellsIdempotencyKey(sub)))
-	if err != nil {
-		return err
-	}
-	return cl.StreamResults(ctx, st.ID, -1, func(res *service.CellResult) error {
-		if res.Index < 0 || res.Index >= len(idx) {
-			return fatalError{fmt.Errorf("shard: peer %s returned index %d for a %d-cell partition", peer, res.Index, len(idx))}
-		}
+	_, err := co.clients[peer].StreamCells(ctx, sub, func(res *service.CellResult) error {
 		return deliver(peer, idx[res.Index], res)
 	})
+	return err
 }
 
-// Compile-time checks: the coordinator is a drop-in cell runner with
-// streaming delivery.
-var (
-	_ service.CellRunner   = (*Coordinator)(nil)
-	_ service.CellStreamer = (*Coordinator)(nil)
-)
+// Compile-time check: the coordinator is a drop-in cell runner.
+var _ service.CellRunner = (*Coordinator)(nil)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -342,15 +343,34 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestEmptyBatchRejected pins the CellRunner contract shared with the
-// SDK and the executor.
+// TestEmptyBatchRejected pins the CellRunner contract every door keeps:
+// an empty batch is a bad spec, refused before any peer is asked.
 func TestEmptyBatchRejected(t *testing.T) {
 	co, err := shard.New(shard.Config{Peers: []string{"http://localhost:1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.RunCells(context.Background(), nil); err == nil {
-		t.Error("empty batch accepted")
+	if _, err := co.RunCells(context.Background(), nil); !errors.Is(err, service.ErrBadSpec) {
+		t.Errorf("empty batch: err = %v, want service.ErrBadSpec", err)
+	}
+}
+
+// TestStreamCellsStopsAtFnError: fn's first error stops every partition,
+// not just the one that delivered the cell — fn is not called again and
+// its error comes back as is — so a failing reducer is never re-entered.
+func TestStreamCellsStopsAtFnError(t *testing.T) {
+	co, err := shard.New(shard.Config{Peers: startPeers(t, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("reducer failed")
+	calls := 0
+	_, err = co.StreamCells(context.Background(), testCells(t), func(*service.CellResult) error {
+		calls++
+		return stop
+	})
+	if err != stop || calls != 1 {
+		t.Errorf("err = %v after %d fn calls, want fn's own error after one", err, calls)
 	}
 }
 
@@ -471,7 +491,7 @@ func (l *logged) accessLines(t *testing.T) map[string][]string {
 
 // startDaemon is one rumord HTTP surface with its access log captured;
 // remote, when non-nil, makes it a -peers coordinator.
-func startDaemon(t *testing.T, remote service.CellStreamer) (string, *logged) {
+func startDaemon(t *testing.T, remote service.CellRunner) (string, *logged) {
 	t.Helper()
 	out := &logged{}
 	log, err := obs.NewLogger(out, "json", "debug")

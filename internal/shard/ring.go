@@ -8,9 +8,9 @@
 // unfinished cells to the survivors without recomputing or duplicating
 // anything already delivered.
 //
-// The Coordinator implements service.CellRunner (and the streaming
-// service.CellStreamer extension), so anything that runs cells locally
-// or on one daemon runs them sharded by swapping in a Coordinator:
+// The Coordinator implements service.CellRunner, each partition one
+// StreamCells call on its peer's SDK client, so anything that runs cells
+// locally or on one daemon runs them sharded by swapping in a Coordinator:
 // `rumord -peers=` turns a daemon into a coordinator, and
 // `experiments -peers=` runs the whole E1–E15 suite across a cluster.
 package shard
