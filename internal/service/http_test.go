@@ -10,10 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"rumor/internal/api"
+	"rumor/internal/graph"
 	"rumor/internal/obs"
 )
 
@@ -375,6 +377,92 @@ func TestHTTPStreamsWhileRunning(t *testing.T) {
 	}
 	if stateAtFirstRow == JobDone {
 		t.Logf("note: job already done at first row (fast machine); incremental delivery not observable")
+	}
+}
+
+// The flush-gate test kind: the cell with TrialSeed 0 completes at once,
+// every other cell parks until the test opens the gate (or its run is
+// cancelled). Registered once; each test swaps in a fresh gate.
+var (
+	flushGateMu   sync.Mutex
+	flushGate     chan struct{}
+	flushKindOnce sync.Once
+)
+
+// armFlushGateKind installs a fresh gate and returns its idempotent
+// opener.
+func armFlushGateKind() (open func()) {
+	flushKindOnce.Do(func() {
+		MustRegisterKind(CellKind{
+			Name: "flush-gate",
+			Run: func(ctx context.Context, cell CellSpec, _ *graph.Graph, _ int) (*KindResult, error) {
+				flushGateMu.Lock()
+				gate := flushGate
+				flushGateMu.Unlock()
+				if cell.TrialSeed != 0 {
+					select {
+					case <-gate:
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					}
+				}
+				return &KindResult{Times: []float64{1}}, nil
+			},
+		})
+	})
+	gate := make(chan struct{})
+	flushGateMu.Lock()
+	flushGate = gate
+	flushGateMu.Unlock()
+	var once sync.Once
+	return func() { once.Do(func() { close(gate) }) }
+}
+
+// TestHTTPResultsFlushBeforeWaiting: the NDJSON handler must flush the
+// rows it has written before it blocks for the next cell. Cell 1 cannot
+// finish until the reader has decoded row 0, so a handler that keeps
+// row 0 in its write buffer while it waits wedges the stream and the
+// test times out.
+func TestHTTPResultsFlushBeforeWaiting(t *testing.T) {
+	srv, _ := newTestServer(t, SchedulerConfig{Workers: 1})
+	open := armFlushGateKind()
+	t.Cleanup(open) // runs before the server's cleanup, so no cell stays parked
+	st := submitJob(t, srv.URL, JobSpec{CellList: []CellSpec{
+		{Kind: "flush-gate", Trials: 1, TrialSeed: 0},
+		{Kind: "flush-gate", Trials: 1, TrialSeed: 1},
+	}})
+
+	// The reader goroutine does the GET too: unflushed, even the status
+	// line stays in the handler's buffer.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rows := make(chan CellResult, 4)
+	go func() {
+		defer close(rows)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+st.ID+"/results", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var res CellResult
+			if json.Unmarshal(sc.Bytes(), &res) != nil {
+				return
+			}
+			rows <- res
+		}
+	}()
+	if res := recv(t, rows, "row 0 while cell 1 is parked"); res.Index != 0 {
+		t.Fatalf("first row has index %d, want 0", res.Index)
+	}
+	open()
+	if res := recv(t, rows, "row 1"); res.Index != 1 {
+		t.Fatalf("second row has index %d, want 1", res.Index)
+	}
+	if res, ok := <-rows; ok {
+		t.Fatalf("unexpected row after the last cell: %+v", res)
 	}
 }
 
