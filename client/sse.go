@@ -131,5 +131,5 @@ func (c *Client) Watch(ctx context.Context, id string, lastEventID int) (*EventS
 	if err != nil {
 		return nil, err
 	}
-	return &EventStream{body: resp.Body, br: bufio.NewReaderSize(resp.Body, 1<<20)}, nil
+	return &EventStream{body: resp.Body, br: bufio.NewReader(resp.Body)}, nil
 }

@@ -28,7 +28,7 @@ type ResultStream struct {
 
 func newResultStream(body io.ReadCloser) *ResultStream {
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 	return &ResultStream{body: body, sc: sc}
 }
 
