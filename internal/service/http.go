@@ -329,8 +329,9 @@ func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 }
 
 // StreamResults answers r with the job's cell results after index after
-// as NDJSON in canonical cell order, flushing after every row so
-// clients see cells as they complete, and counts the stream on the
+// as NDJSON in canonical cell order, flushing once per run of ready
+// rows — before it waits for the next cell — so clients see cells as
+// they complete, and counts the stream on the
 // active-streams gauge while it lasts. Because cell order and cell
 // contents are pure functions of the job spec, the streamed bytes are
 // identical across runs, worker counts, and cache states — and a
@@ -348,7 +349,7 @@ func (s *Server) StreamResults(w http.ResponseWriter, r *http.Request, job *Job,
 	w.WriteHeader(http.StatusOK)
 	flush := flushFunc(w)
 	results := make([]*CellResult, 0, job.NumCells()-after-1)
-	for res, err := range job.Results(r.Context(), after) {
+	for ready, err := range job.batches(r.Context(), after) {
 		if err != nil {
 			if r.Context().Err() == nil { // else the client went away; nobody is reading
 				_ = api.EncodeRow(w, api.Envelope{Error: &api.Error{
@@ -358,11 +359,13 @@ func (s *Server) StreamResults(w http.ResponseWriter, r *http.Request, job *Job,
 			}
 			return results, false
 		}
-		if api.EncodeRow(w, res) != nil {
-			return results, false // client went away
+		for _, res := range ready {
+			if api.EncodeRow(w, res) != nil {
+				return results, false // client went away
+			}
+			results = append(results, res)
 		}
 		flush()
-		results = append(results, res)
 	}
 	return results, true
 }

@@ -724,12 +724,31 @@ func (j *Job) Watch(next int) ([]*CellResult, JobStatus, <-chan struct{}) {
 // ctx's error or the ErrJobNotDone-wrapped terminal error.
 func (j *Job) Results(ctx context.Context, after int) iter.Seq2[*CellResult, error] {
 	return func(yield func(*CellResult, error) bool) {
-		for next := after + 1; next < len(j.cells); {
-			ready, st, changed := j.Watch(next)
+		for ready, err := range j.batches(ctx, after) {
+			if err != nil {
+				yield(nil, err)
+				return
+			}
 			for _, res := range ready {
 				if !yield(res, nil) {
 					return
 				}
+			}
+		}
+	}
+}
+
+// batches is the cursor behind Results, one step coarser: it yields
+// each non-empty run of cells that is ready when it looks (the caller
+// must not modify the slice), so a reader can finish its work on a run
+// — a writer can flush — before the cursor blocks for the next cell.
+// Its end is Results': after the last cell, or one (nil, error) pair.
+func (j *Job) batches(ctx context.Context, after int) iter.Seq2[[]*CellResult, error] {
+	return func(yield func([]*CellResult, error) bool) {
+		for next := after + 1; next < len(j.cells); {
+			ready, st, changed := j.Watch(next)
+			if len(ready) > 0 && !yield(ready, nil) {
+				return
 			}
 			next += len(ready)
 			switch {
