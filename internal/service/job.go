@@ -16,13 +16,13 @@
 package service
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -286,6 +286,9 @@ func (c CellSpec) effectiveDynamicPeriod() float64 {
 // fmtFloat renders a float64 canonically (shortest exact form).
 func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
+// appendFloat appends fmtFloat's rendering of f to b.
+func appendFloat(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
+
 // Key returns the canonical cache key of the cell: a SHA-256 hash of an
 // unambiguous rendering of every field, normalized so that equivalent
 // specs hash identically: defaults are made explicit (kind, async view,
@@ -299,8 +302,11 @@ func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 // never alias. The golden-key tests pin the current form, and
 // FuzzCellSpecKey guards its round-trip stability.
 func (c CellSpec) Key() string {
-	sum := sha256.Sum256([]byte(c.canonical()))
-	return hex.EncodeToString(sum[:16])
+	var buf [256]byte
+	sum := sha256.Sum256(c.appendCanonical(buf[:0]))
+	var key [32]byte
+	hex.Encode(key[:], sum[:16])
+	return string(key[:])
 }
 
 // canonical renders the unambiguous, normalized form Key hashes. Two
@@ -310,87 +316,133 @@ func (c CellSpec) Key() string {
 // "v2|..." string is the original rendering (pinned by the golden
 // regression tests), "v3|..." is the v2 body with the dynamic fields
 // appended, and "v4|..." is the v2 body unchanged.
-func (c CellSpec) canonical() string {
-	var b strings.Builder
-	b.WriteString(c.keyVersion())
-	b.WriteString("|kind=")
-	b.WriteString(c.kind())
-	fmt.Fprintf(&b, "|family=%s|n=%d|protocol=%s|timing=%s|view=%s|variant=%s",
-		c.Family, c.N, c.Protocol, c.Timing, c.effectiveView(), c.Variant)
-	fmt.Fprintf(&b, "|qr=%t|loss=%s", c.Quasirandom, fmtFloat(c.LossProb))
-	fmt.Fprintf(&b, "|trials=%d|gseed=%d|tseed=%d|source=%d",
-		c.Trials, c.GraphSeed, c.TrialSeed, c.Source)
+func (c CellSpec) canonical() string { return string(c.appendCanonical(nil)) }
 
-	b.WriteString("|extra=")
-	extras := append([]int(nil), c.ExtraSources...)
-	sort.Ints(extras)
+// appendCanonical appends the canonical form to b. Keys are rendered
+// once per cell on every submit, hash and run, so this writes bytes
+// with strconv's appenders rather than through fmt.
+func (c CellSpec) appendCanonical(b []byte) []byte {
+	b = append(b, c.keyVersion()...)
+	b = append(b, "|kind="...)
+	b = append(b, c.kind()...)
+	b = append(b, "|family="...)
+	b = append(b, c.Family...)
+	b = append(b, "|n="...)
+	b = strconv.AppendInt(b, int64(c.N), 10)
+	b = append(b, "|protocol="...)
+	b = append(b, c.Protocol...)
+	b = append(b, "|timing="...)
+	b = append(b, c.Timing...)
+	b = append(b, "|view="...)
+	b = append(b, c.effectiveView()...)
+	b = append(b, "|variant="...)
+	b = append(b, c.Variant...)
+	b = append(b, "|qr="...)
+	b = strconv.AppendBool(b, c.Quasirandom)
+	b = append(b, "|loss="...)
+	b = appendFloat(b, c.LossProb)
+	b = append(b, "|trials="...)
+	b = strconv.AppendInt(b, int64(c.Trials), 10)
+	b = append(b, "|gseed="...)
+	b = strconv.AppendUint(b, c.GraphSeed, 10)
+	b = append(b, "|tseed="...)
+	b = strconv.AppendUint(b, c.TrialSeed, 10)
+	b = append(b, "|source="...)
+	b = strconv.AppendInt(b, int64(c.Source), 10)
+
+	b = append(b, "|extra="...)
+	extras := slices.Clone(c.ExtraSources)
+	slices.Sort(extras)
 	for i, v := range extras {
 		if i > 0 && v == extras[i-1] {
 			continue // duplicates do not change the process
 		}
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(v))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
 
-	b.WriteString("|crash=")
-	crashes := append([]CrashSpec(nil), c.Crashes...)
-	sort.Slice(crashes, func(i, j int) bool {
-		if crashes[i].Time != crashes[j].Time {
-			return crashes[i].Time < crashes[j].Time
+	b = append(b, "|crash="...)
+	crashes := slices.Clone(c.Crashes)
+	slices.SortFunc(crashes, func(x, y CrashSpec) int {
+		if x.Time != y.Time {
+			return lessCmp(x.Time, y.Time)
 		}
-		return crashes[i].Node < crashes[j].Node
+		return cmp.Compare(x.Node, y.Node)
 	})
 	for i, cr := range crashes {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		fmt.Fprintf(&b, "%d@%s", cr.Node, fmtFloat(cr.Time))
+		b = strconv.AppendInt(b, int64(cr.Node), 10)
+		b = append(b, '@')
+		b = appendFloat(b, cr.Time)
 	}
 
-	b.WriteString("|cov=")
+	b = append(b, "|cov="...)
 	for i, f := range c.effectiveCoverage() {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(fmtFloat(f))
+		b = appendFloat(b, f)
 	}
 
-	b.WriteString("|params=")
+	b = append(b, "|params="...)
 	keys := make([]string, 0, len(c.Params))
 	for k := range c.Params {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%s", k, fmtFloat(c.Params[k]))
+		b = append(b, k...)
+		b = append(b, '=')
+		b = appendFloat(b, c.Params[k])
 	}
 
 	if c.dynamicScenario() {
-		fmt.Fprintf(&b, "|dyn=%s|dynperiod=%s|dynrate=%s",
-			c.Dynamic, fmtFloat(c.effectiveDynamicPeriod()), fmtFloat(c.PerturbRate))
-		b.WriteString("|churn=")
-		churn := append([]ChurnSpec(nil), c.Churn...)
+		b = append(b, "|dyn="...)
+		b = append(b, c.Dynamic...)
+		b = append(b, "|dynperiod="...)
+		b = appendFloat(b, c.effectiveDynamicPeriod())
+		b = append(b, "|dynrate="...)
+		b = appendFloat(b, c.PerturbRate)
+		b = append(b, "|churn="...)
+		churn := slices.Clone(c.Churn)
 		// Stable by time only: same-time events apply in listed order,
 		// so that order is part of the measurement's identity.
-		sort.SliceStable(churn, func(i, j int) bool { return churn[i].Time < churn[j].Time })
+		slices.SortStableFunc(churn, func(x, y ChurnSpec) int { return lessCmp(x.Time, y.Time) })
 		for i, ev := range churn {
 			if i > 0 {
-				b.WriteByte(';')
+				b = append(b, ';')
 			}
-			op := ev.Op
+			b = strconv.AppendInt(b, int64(ev.Node), 10)
+			b = append(b, '@')
+			b = appendFloat(b, ev.Time)
+			b = append(b, ':')
+			b = append(b, ev.Op...)
 			if ev.DropState {
-				op += "-drop"
+				b = append(b, "-drop"...)
 			}
-			fmt.Fprintf(&b, "%d@%s:%s", ev.Node, fmtFloat(ev.Time), op)
 		}
 	}
+	return b
+}
 
-	return b.String()
+// lessCmp is x < y as a comparator: negative iff x < y. The sorts only
+// test a comparison's sign, so the canonical order of times is the one
+// the < ordering always gave, NaN included.
+func lessCmp(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
 }
 
 // GraphKey identifies the graph instance the cell runs on; cells that
@@ -692,10 +744,14 @@ func (s JobSpec) Hash() string {
 // hashCells digests (priority, cells) — see JobSpec.Hash.
 func hashCells(priority int, cells []CellSpec) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "job|%s|priority=%d", CellKeyVersion, priority)
+	b := append([]byte("job|"), CellKeyVersion...)
+	b = append(b, "|priority="...)
+	b = strconv.AppendInt(b, int64(priority), 10)
 	for _, c := range cells {
-		fmt.Fprintf(h, "|%s", c.canonical())
+		h.Write(b)
+		b = c.appendCanonical(append(b[:0], '|'))
 	}
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
