@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -122,27 +121,13 @@ func checkAgainstOracle(t *testing.T, spec CellSpec) {
 	}
 }
 
-// sweepCells is selectorSweep's arguments as cells.
-func sweepCells() []CellSpec {
-	build := reflect.ValueOf(fuzzSpec)
-	var cells []CellSpec
-	for _, args := range selectorSweep() {
-		in := make([]reflect.Value, len(args))
-		for i, a := range args {
-			in[i] = reflect.ValueOf(a)
-		}
-		cells = append(cells, build.Call(in)[0].Interface().(CellSpec))
-	}
-	return cells
-}
-
 // TestCanonicalMatchesFmtOracle: every cell of the selector sweep (each
 // kind, timing, protocol, view, variant, quasirandom and dynamic
 // selector crossed with the empty, crash, churn and extra-source
 // schedules) renders and hashes as the fmt oracle does, alone and as a
 // job.
 func TestCanonicalMatchesFmtOracle(t *testing.T) {
-	cells := sweepCells()
+	cells := SweepCells()
 	for _, spec := range cells {
 		checkAgainstOracle(t, spec)
 	}

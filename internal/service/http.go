@@ -331,12 +331,12 @@ func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 // StreamResults answers r with the job's cell results after index after
 // as NDJSON in canonical cell order, flushing once per run of ready
 // rows — before it waits for the next cell — so clients see cells as
-// they complete, and counts the stream on the
-// active-streams gauge while it lasts. Because cell order and cell
-// contents are pure functions of the job spec, the streamed bytes are
-// identical across runs, worker counts, and cache states — and a
-// resumed stream is a byte-exact suffix of the full one, served from
-// the job's completed results without recomputation.
+// they complete, and counts the stream on the active-streams gauge
+// while it lasts. Because cell order and cell contents are pure
+// functions of the job spec, the streamed bytes are identical across
+// runs, worker counts, and cache states — and a resumed stream is a
+// byte-exact suffix of the full one, served from the job's completed
+// results without recomputation.
 //
 // It returns the results it streamed and whether it reached the job's
 // last cell; the caller may then append rows of its own (the experiment

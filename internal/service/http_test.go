@@ -436,7 +436,7 @@ func TestHTTPResultsFlushBeforeWaiting(t *testing.T) {
 	// line stays in the handler's buffer.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rows := make(chan CellResult, 4)
+	rows := make(chan CellResult, 2) // one slot per cell: the reader never blocks on a test that stopped reading
 	go func() {
 		defer close(rows)
 		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+st.ID+"/results", nil)

@@ -747,11 +747,11 @@ func hashCells(priority int, cells []CellSpec) string {
 	b := append([]byte("job|"), CellKeyVersion...)
 	b = append(b, "|priority="...)
 	b = strconv.AppendInt(b, int64(priority), 10)
-	for _, c := range cells {
-		h.Write(b)
-		b = c.appendCanonical(append(b[:0], '|'))
-	}
 	h.Write(b)
+	for _, c := range cells {
+		b = c.appendCanonical(append(b[:0], '|'))
+		h.Write(b)
+	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 

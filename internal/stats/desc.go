@@ -1,10 +1,12 @@
 // Package stats provides the statistical substrate for the experiment
-// harness: descriptive statistics, exact empirical quantiles, bootstrap
-// confidence intervals, a two-sample Kolmogorov–Smirnov test (used to
-// verify distributional identities the paper asserts, e.g. the
-// equivalence of the three asynchronous process views), and log-log
+// harness: descriptive statistics, exact empirical quantiles and the
+// high-probability spreading time, a two-sample Kolmogorov–Smirnov test
+// and empirical stochastic-dominance checks (used to verify
+// distributional identities the paper asserts, e.g. the equivalence of
+// the three asynchronous process views), log-log and logarithmic
 // least-squares fits (used to estimate growth exponents such as the
-// Θ(n^{1/3}) sync spreading time on the diamond chain).
+// Θ(n^{1/3}) sync spreading time on the diamond chain), and the text
+// and CSV tables the experiments print.
 package stats
 
 import (
