@@ -39,6 +39,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"rumor/internal/obs"
 )
@@ -101,6 +102,8 @@ type Options struct {
 	compactFraction float64 // background compaction once dead bytes exceed this share of all bytes...
 	compactMinBytes int64   // ...and this volume
 	noSync          bool    // skip the per-batch fsync
+	// afterCompactCopy runs between compaction's copy and its index swap.
+	afterCompactCopy func()
 }
 
 // Stats is a point-in-time snapshot of store counters. All fields are
@@ -136,8 +139,8 @@ type Stats struct {
 }
 
 // record is the on-disk NDJSON schema. Field order is part of the
-// format: encoding/json emits struct fields in declaration order, and
-// the golden test pins the resulting bytes.
+// format: appendRecord writes the fields in this order, the general
+// decoder reads them in any order, and the golden test pins the bytes.
 type record struct {
 	Format     int             `json:"format"`
 	KeyVersion string          `json:"key_version"`
@@ -146,52 +149,190 @@ type record struct {
 	Value      json.RawMessage `json:"value"`
 }
 
+// recordView is a verified record's fields. On the fast path they are
+// sub-slices of the line they were read from.
+type recordView struct {
+	keyVersion, key, value []byte
+}
+
+// The pinned v1 layout around the three header strings and the value:
+// {"format":1,"key_version":"…","key":"…","crc32c":"xxxxxxxx","value":…}
+const (
+	layoutHead  = `{"format":1,"key_version":"`
+	layoutKey   = `","key":"`
+	layoutCRC   = `","crc32c":"`
+	layoutValue = `","value":`
+)
+
+var nul = []byte{0}
+
 // checksum covers the key version, the key, and the value bytes, each
 // separated by a NUL (which JSON strings cannot contain unescaped), so
 // a record whose fields were individually valid but re-associated by
 // corruption still fails verification.
-func checksum(keyVersion, key string, value []byte) string {
-	h := crc32.New(crcTable)
-	io.WriteString(h, keyVersion)
-	h.Write([]byte{0})
-	io.WriteString(h, key)
-	h.Write([]byte{0})
-	h.Write(value)
-	return fmt.Sprintf("%08x", h.Sum32())
+func checksum(keyVersion, key, value []byte) uint32 {
+	c := crc32.Update(0, crcTable, keyVersion)
+	c = crc32.Update(c, crcTable, nul)
+	c = crc32.Update(c, crcTable, key)
+	c = crc32.Update(c, crcTable, nul)
+	return crc32.Update(c, crcTable, value)
 }
 
-// encodeRecord renders one record line (including the trailing
-// newline). value must be compact valid JSON.
-func encodeRecord(keyVersion, key string, value []byte) ([]byte, error) {
-	rec := record{
-		Format:     Format,
-		KeyVersion: keyVersion,
-		Key:        key,
-		CRC:        checksum(keyVersion, key, value),
-		Value:      json.RawMessage(value),
+const hexDigits = "0123456789abcdef"
+
+// appendCRC appends c as the 8 lower-case hex digits the record stores.
+func appendCRC(dst []byte, c uint32) []byte {
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, hexDigits[c>>uint(shift)&0xf])
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
+	return dst
+}
+
+// plainString reports whether s goes into a JSON string unescaped:
+// valid UTF-8 with no quote, backslash, control byte, or any of the
+// characters encoding/json escapes (<, >, &, U+2028, U+2029).
+func plainString(s string) bool {
+	for _, r := range s {
+		switch {
+		case r < 0x20, r == '"', r == '\\', r == '<', r == '>', r == '&',
+			r == '\u2028', r == '\u2029', r == utf8.RuneError:
+			return false
+		}
 	}
-	return append(b, '\n'), nil
+	return true
+}
+
+// appendRecord appends one record line, trailing newline included, in
+// the pinned layout. value must be compact valid JSON; it is written
+// verbatim, so the bytes read back are the bytes checksummed.
+func appendRecord(dst []byte, keyVersion, key string, value []byte) []byte {
+	if !plainString(keyVersion) || !plainString(key) {
+		// json.Marshal escapes the strings and writes the same field
+		// order; a placeholder stands in for the value, which is
+		// spliced in verbatim as on the plain path.
+		line, _ := json.Marshal(record{
+			Format:     Format,
+			KeyVersion: keyVersion,
+			Key:        key,
+			CRC:        string(appendCRC(nil, checksum([]byte(keyVersion), []byte(key), value))),
+			Value:      json.RawMessage("0"),
+		})
+		dst = append(dst, line[:len(line)-len("0}")]...)
+	} else {
+		dst = append(dst, layoutHead...)
+		kv := len(dst)
+		dst = append(dst, keyVersion...)
+		kvEnd := len(dst)
+		dst = append(dst, layoutKey...)
+		k := len(dst)
+		dst = append(dst, key...)
+		sum := checksum(dst[kv:kvEnd], dst[k:], value)
+		dst = append(dst, layoutCRC...)
+		dst = appendCRC(dst, sum)
+		dst = append(dst, layoutValue...)
+	}
+	dst = append(dst, value...)
+	return append(dst, '}', '\n')
 }
 
 // decodeRecord parses and verifies one record line (with or without
-// its trailing newline).
-func decodeRecord(line []byte) (record, error) {
+// its trailing newline): format, then checksum. A line in the pinned
+// layout is parsed in place, its value a sub-slice of line. Any other
+// line, or one that fails verification there, gets its verdict from
+// the general decoder. The value is not checked as JSON here: a read
+// leaves that to its caller's decode, while recovery and compaction
+// use decodeValidRecord.
+func decodeRecord(line []byte) (recordView, error) {
 	line = bytes.TrimSuffix(line, []byte{'\n'})
+	if rec, ok := parseLayout(line); ok {
+		return rec, nil
+	}
+	return decodeGeneral(line)
+}
+
+// decodeValidRecord is decodeRecord plus a JSON validity check of the
+// value.
+func decodeValidRecord(line []byte) (recordView, error) {
+	rec, err := decodeRecord(line)
+	if err == nil && !json.Valid(rec.value) {
+		// Only a pinned-layout line reaches this; the general decoder
+		// states why the whole line is no valid record.
+		return decodeGeneral(bytes.TrimSuffix(line, []byte{'\n'}))
+	}
+	return rec, err
+}
+
+// parseLayout reads line in the layout appendRecord writes and reports
+// whether it is that layout with a matching checksum. The three strings
+// must be plain (no escapes) and the value must start and end on a
+// non-space byte, so that an accepted line decodes to the same fields
+// under encoding/json whenever its value is valid JSON.
+func parseLayout(line []byte) (recordView, bool) {
+	var rec recordView
+	rest, ok := bytes.CutPrefix(line, []byte(layoutHead))
+	if !ok {
+		return rec, false
+	}
+	var crc []byte
+	if rec.keyVersion, rest, ok = cutPlain(rest, layoutKey); !ok {
+		return rec, false
+	}
+	if rec.key, rest, ok = cutPlain(rest, layoutCRC); !ok {
+		return rec, false
+	}
+	if crc, rest, ok = cutPlain(rest, layoutValue); !ok || len(crc) != 8 {
+		return rec, false
+	}
+	n := len(rest) - 1
+	if n < 1 || rest[n] != '}' || isSpace(rest[0]) || isSpace(rest[n-1]) {
+		return rec, false
+	}
+	rec.value = rest[:n]
+	var want [8]byte
+	if !bytes.Equal(appendCRC(want[:0], checksum(rec.keyVersion, rec.key, rec.value)), crc) {
+		return rec, false
+	}
+	return rec, true
+}
+
+// cutPlain reads a plain JSON string body up to its closing quote,
+// which must be followed by the rest of sep. It fails on a backslash,
+// a control byte, or invalid UTF-8.
+func cutPlain(b []byte, sep string) (str, rest []byte, ok bool) {
+	i := bytes.IndexByte(b, '"')
+	if i < 0 || !bytes.HasPrefix(b[i:], []byte(sep)) {
+		return nil, nil, false
+	}
+	str = b[:i]
+	for _, c := range str {
+		if c < 0x20 || c == '\\' {
+			return nil, nil, false
+		}
+	}
+	if !utf8.Valid(str) {
+		return nil, nil, false
+	}
+	return str, b[i+len(sep):], true
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
+
+// decodeGeneral decodes a line in any field order through
+// encoding/json, which also checks the whole line, value included, as
+// JSON.
+func decodeGeneral(line []byte) (recordView, error) {
 	var rec record
 	if err := json.Unmarshal(line, &rec); err != nil {
-		return rec, fmt.Errorf("cachestore: parsing record: %w", err)
+		return recordView{}, fmt.Errorf("cachestore: parsing record: %w", err)
 	}
 	if rec.Format != Format {
-		return rec, fmt.Errorf("cachestore: record format %d, want %d", rec.Format, Format)
+		return recordView{}, fmt.Errorf("cachestore: record format %d, want %d", rec.Format, Format)
 	}
-	if got := checksum(rec.KeyVersion, rec.Key, rec.Value); got != rec.CRC {
-		return rec, fmt.Errorf("cachestore: checksum mismatch: %s != %s", got, rec.CRC)
+	kv, key := []byte(rec.KeyVersion), []byte(rec.Key)
+	if got := string(appendCRC(nil, checksum(kv, key, rec.Value))); got != rec.CRC {
+		return recordView{}, fmt.Errorf("cachestore: checksum mismatch: %s != %s", got, rec.CRC)
 	}
-	return rec, nil
+	return recordView{keyVersion: kv, key: key, value: rec.Value}, nil
 }
 
 // segment is one on-disk file. Compaction unlinks and closes
@@ -374,22 +515,23 @@ func (s *Store) recoverSegment(id int, active bool) error {
 			f.Close()
 			return err
 		}
-		rec, derr := decodeRecord(line)
+		rec, derr := decodeValidRecord(line)
 		if derr != nil {
 			bad = derr
 			break
 		}
 		n := int64(len(line))
-		switch {
-		case rec.KeyVersion != s.opts.KeyVersion && !s.compatVersion(rec.KeyVersion):
+		switch kv := string(rec.keyVersion); {
+		case kv != s.opts.KeyVersion && !s.compatVersion(kv):
 			// Stale key format: never served, reclaimed by compaction.
 			s.st.DeadBytes += n
 		default:
-			if old, ok := s.index[rec.Key]; ok {
+			key := string(rec.key)
+			if old, ok := s.index[key]; ok {
 				s.st.DeadBytes += old.len
 				s.st.Records--
 			}
-			s.index[rec.Key] = recordLoc{seg: id, off: off, len: n}
+			s.index[key] = recordLoc{seg: id, off: off, len: n}
 			s.st.Records++
 		}
 		off += n
@@ -449,14 +591,30 @@ func (s *Store) Has(key string) bool {
 	return ok
 }
 
-// Get returns the stored value for key. A record that fails its
-// checksum on read is dropped from the index and reported as a miss.
-func (s *Store) Get(key string) ([]byte, bool) {
+// Get returns the stored value for key and reports whether it was
+// found. Every read checks the value as JSON once: each decode given
+// runs in turn on the checksum-verified bytes (typically json.Unmarshal
+// into the caller's type, so a value is validated and decoded in one
+// pass); with none, the check is json.Valid. A record that fails its
+// checksum, its key match or that check is dropped from the index,
+// counted in CorruptRecords, and reported as a miss, so the caller's
+// next Put writes a fresh record. The returned bytes are the caller's.
+func (s *Store) Get(key string, decode ...func(value []byte) error) ([]byte, bool) {
 	s.mu.Lock()
 	if v, ok := s.pending[key]; ok {
-		s.st.Hits++
 		s.mu.Unlock()
-		return append([]byte(nil), v...), true
+		v = append([]byte(nil), v...)
+		err := checkValue(v, decode)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err != nil {
+			s.logf("cachestore: queued value for %s fails its check: %v", key, err)
+			s.st.CorruptRecords++
+			s.st.Misses++
+			return nil, false
+		}
+		s.st.Hits++
+		return v, true
 	}
 	loc, ok := s.index[key]
 	if !ok {
@@ -469,11 +627,14 @@ func (s *Store) Get(key string) ([]byte, bool) {
 
 	buf := make([]byte, loc.len)
 	_, err := seg.f.ReadAt(buf, loc.off)
-	var rec record
+	var rec recordView
 	if err == nil {
 		rec, err = decodeRecord(buf)
-		if err == nil && rec.Key != key {
-			err = fmt.Errorf("cachestore: record at %s+%d holds key %s, want %s", segName(loc.seg), loc.off, rec.Key, key)
+		if err == nil && string(rec.key) != key {
+			err = fmt.Errorf("cachestore: record at %s+%d holds key %s, want %s", segName(loc.seg), loc.off, rec.key, key)
+		}
+		if err == nil {
+			err = checkValue(rec.value, decode)
 		}
 	}
 	s.mu.Lock()
@@ -484,7 +645,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		// current index before declaring the record corrupt.
 		if cur, ok := s.index[key]; ok && cur != loc {
 			s.mu.Unlock()
-			v, hit := s.Get(key)
+			v, hit := s.Get(key, decode...)
 			s.mu.Lock()
 			return v, hit
 		}
@@ -499,23 +660,25 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.st.Hits++
-	return rec.Value, true
+	return rec.value, true
 }
 
-// Drop removes key from the index, so the caller's next Put can write
-// a fresh record. It is the self-heal hook for callers that find a
-// checksum-valid record semantically unreadable (e.g. a value schema
-// change without a key-version bump): the stale bytes become dead
-// weight for compaction instead of shadowing every future Put of the
-// key. Queued (pending) writes are unaffected.
-func (s *Store) Drop(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if loc, ok := s.index[key]; ok {
-		delete(s.index, key)
-		s.st.Records--
-		s.st.DeadBytes += loc.len
+var errInvalidValue = errors.New("cachestore: value is not valid JSON")
+
+// checkValue runs a read's value check: each decode, or json.Valid.
+func checkValue(value []byte, decode []func([]byte) error) error {
+	if len(decode) == 0 {
+		if !json.Valid(value) {
+			return errInvalidValue
+		}
+		return nil
 	}
+	for _, d := range decode {
+		if err := d(value); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Put enqueues a write-behind append of value (which must be a valid
@@ -523,20 +686,14 @@ func (s *Store) Drop(key string) {
 // at most one flush batch. A Put that finds the queue full, the store
 // closed, or the value invalid is dropped and counted.
 func (s *Store) Put(key string, value []byte) {
-	if !json.Valid(value) {
-		s.mu.Lock()
-		s.st.Dropped++
-		s.mu.Unlock()
-		s.logf("cachestore: dropping invalid JSON value for %s", key)
-		return
-	}
+	// Compact is the validity check (it rejects what json.Valid
+	// rejects), and makes every stored value the one compact form.
 	compact := &bytes.Buffer{}
-	// Compact so the bytes we checksum are exactly the bytes the record
-	// encoder emits (encoding/json compacts RawMessage on marshal).
 	if err := json.Compact(compact, value); err != nil {
 		s.mu.Lock()
 		s.st.Dropped++
 		s.mu.Unlock()
+		s.logf("cachestore: dropping invalid JSON value for %s", key)
 		return
 	}
 	s.mu.Lock()
@@ -687,22 +844,16 @@ func (s *Store) writeBatch(batch []queued) {
 		seg = next
 	}
 
-	var buf bytes.Buffer
+	var buf []byte
 	locs := make([]recordLoc, len(batch))
 	off := seg.size
 	for i, q := range batch {
-		line, err := encodeRecord(s.opts.KeyVersion, q.key, q.value)
-		if err != nil {
-			s.mu.Lock()
-			s.failBatchLocked(batch, err)
-			s.mu.Unlock()
-			return
-		}
-		locs[i] = recordLoc{seg: seg.id, off: off, len: int64(len(line))}
-		off += int64(len(line))
-		buf.Write(line)
+		n := len(buf)
+		buf = appendRecord(buf, s.opts.KeyVersion, q.key, q.value)
+		locs[i] = recordLoc{seg: seg.id, off: off, len: int64(len(buf) - n)}
+		off += int64(len(buf) - n)
 	}
-	if _, err := seg.f.WriteAt(buf.Bytes(), seg.size); err != nil {
+	if _, err := seg.f.WriteAt(buf, seg.size); err != nil {
 		s.mu.Lock()
 		s.failBatchLocked(batch, err)
 		s.mu.Unlock()
@@ -802,7 +953,6 @@ func (s *Store) runCompaction() {
 	}
 	w := bufio.NewWriterSize(f, 1<<16)
 	newLocs := make(map[string]recordLoc, len(live))
-	dropped := make(map[string]recordLoc)
 	var off int64
 	for _, lr := range live {
 		seg := segsByID[lr.loc.seg]
@@ -813,12 +963,11 @@ func (s *Store) runCompaction() {
 			finish(err)
 			return
 		}
-		if _, err := decodeRecord(buf); err != nil {
+		if _, err := decodeValidRecord(buf); err != nil {
 			// Bit rot found during compaction: drop the record rather
-			// than carry a corrupt copy forward. Remember it so the
-			// index swap below removes the key — a stale entry would
-			// point into a segment that no longer exists.
-			dropped[lr.key] = lr.loc
+			// than carry a corrupt copy forward. The index swap below
+			// removes the key, as it has no copy in newLocs — a stale
+			// entry would point into a segment that no longer exists.
 			s.mu.Lock()
 			s.st.CorruptRecords++
 			s.mu.Unlock()
@@ -849,6 +998,9 @@ func (s *Store) runCompaction() {
 		}
 	}
 
+	if s.opts.afterCompactCopy != nil {
+		s.opts.afterCompactCopy()
+	}
 	s.mu.Lock()
 	id := s.nextSeg
 	s.nextSeg++
@@ -863,19 +1015,28 @@ func (s *Store) runCompaction() {
 	newSeg := &segment{id: id, path: finalPath, f: f, size: off}
 	s.segs = map[int]*segment{id: newSeg}
 	s.active = id
-	for key, loc := range newLocs {
-		loc.seg = id
-		s.index[key] = loc
-	}
-	for key, loc := range dropped {
-		if cur, ok := s.index[key]; ok && cur == loc {
-			delete(s.index, key)
+	var dead int64
+	for _, lr := range live {
+		loc, copied := newLocs[lr.key]
+		if cur, ok := s.index[lr.key]; !ok || cur != lr.loc {
+			// Dropped by a read while the copy ran: the copy is dead
+			// weight, and reinstalling it would resurrect the key.
+			if copied {
+				dead += loc.len
+			}
+			continue
 		}
+		if !copied {
+			delete(s.index, lr.key) // corrupt: not carried forward
+			continue
+		}
+		loc.seg = id
+		s.index[lr.key] = loc
 	}
 	s.st.Records = len(s.index)
 	s.st.Segments = 1
 	s.st.Bytes = off
-	s.st.DeadBytes = 0
+	s.st.DeadBytes = dead
 	s.st.ReclaimedBytes += oldBytes - off
 	s.st.Compactions++
 	// Close the superseded handles now that no index entry points at

@@ -1,6 +1,7 @@
 package cachestore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -368,34 +369,89 @@ func TestCompactionClosesOldHandles(t *testing.T) {
 	}
 }
 
-// TestDropAllowsRewrite: Drop removes the key so a subsequent Put is
-// appended instead of suppressed — the self-heal path for records
-// whose bytes are checksum-valid but semantically stale.
-func TestDropAllowsRewrite(t *testing.T) {
+// TestDecodeErrorAllowsRewrite: a read whose decode rejects the value
+// drops the record, so a subsequent Put is appended instead of
+// suppressed — the self-heal path for records whose bytes are
+// checksum-valid but semantically stale.
+func TestDecodeErrorAllowsRewrite(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir, KeyVersion: "v2"})
 	s.Put("k", val(1))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s.Drop("k")
+	stale := errors.New("stale schema")
+	if _, ok := s.Get("k", func([]byte) error { return stale }); ok {
+		t.Fatal("value its decode rejected was served")
+	}
 	if s.Has("k") {
-		t.Fatal("dropped key still present")
+		t.Fatal("rejected key still present")
 	}
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("dropped record served")
-	}
-	if st := s.Stats(); st.Records != 0 || st.DeadBytes == 0 {
-		t.Fatalf("drop not accounted: %+v", st)
+	if st := s.Stats(); st.Records != 0 || st.DeadBytes == 0 || st.CorruptRecords != 1 || st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("rejection not accounted: %+v", st)
 	}
 	s.Put("k", val(2))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The rewrite supersedes the dropped bytes across a restart too.
+	// The rewrite supersedes the rejected bytes across a restart too.
 	r := mustOpen(t, Options{Dir: dir, KeyVersion: "v2"})
 	if v, ok := r.Get("k"); !ok || string(v) != string(val(2)) {
-		t.Fatalf("rewritten record after drop = %q, %v", v, ok)
+		t.Fatalf("rewritten record after rejection = %q, %v", v, ok)
+	}
+}
+
+// TestCompactionKeepsKeysDroppedDuringCopy: a key that leaves the
+// index while compaction copies (here a read that finds its record
+// corrupt) must stay gone after the index swap. Reinstalled, it would
+// shadow the key: Has reports it, so the recompute's Put is never
+// written and the key misses until the next restart.
+func TestCompactionKeepsKeysDroppedDuringCopy(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), KeyVersion: "v2"}
+	var s *Store
+	opts.afterCompactCopy = func() {
+		s.mu.Lock()
+		loc := s.index["k"]
+		path := s.segs[loc.seg].path
+		s.mu.Unlock()
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.Close()
+		// Flip a digit inside the value: the record fails its checksum.
+		if _, err := f.WriteAt([]byte("7"), loc.off+loc.len-12); err != nil {
+			t.Error(err)
+		}
+		if _, ok := s.Get("k"); ok {
+			t.Error("corrupt record served")
+		}
+	}
+	s = mustOpen(t, opts)
+	s.Put("k", val(1))
+	s.Put("other", val(2))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Has("k") {
+		t.Fatal("compaction reinstalled a key dropped during its copy")
+	}
+	if st := s.Stats(); st.Records != 1 {
+		t.Errorf("Records = %d after compaction, want 1", st.Records)
+	}
+	s.Put("k", val(3))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Get("k"); !ok || string(v) != string(val(3)) {
+		t.Fatalf("recomputed record = %q, %v", v, ok)
+	}
+	if v, ok := s.Get("other"); !ok || string(v) != string(val(2)) {
+		t.Fatalf("untouched record = %q, %v", v, ok)
 	}
 }
 

@@ -50,23 +50,21 @@ func (c *TieredResultCache) Get(key string) (*CellResult, bool) {
 		return res, true
 	}
 	if c.disk != nil {
-		if raw, ok := c.disk.Get(key); ok {
-			var res CellResult
-			if err := json.Unmarshal(raw, &res); err == nil {
-				// Promote without re-appending: the record is already
-				// durable.
-				c.mem.Put(key, &res)
-				c.mu.Lock()
-				c.diskHits++
-				c.promotions++
-				c.mu.Unlock()
-				return &res, true
-			}
-			// Checksum-valid bytes that no longer decode as a
-			// CellResult (a value schema drift): drop the record so
-			// the recompute's Put writes a fresh one — otherwise the
-			// stale record would shadow the key on every restart.
-			c.disk.Drop(key)
+		// The decode is the value's one JSON check. Checksum-valid bytes
+		// that do not decode as a CellResult (a value schema drift) are
+		// dropped by the store, so the recompute's Put writes a fresh
+		// record instead of the stale one shadowing the key.
+		var res CellResult
+		decode := func(v []byte) error { return json.Unmarshal(v, &res) }
+		if _, ok := c.disk.Get(key, decode); ok {
+			// Promote without re-appending: the record is already
+			// durable.
+			c.mem.Put(key, &res)
+			c.mu.Lock()
+			c.diskHits++
+			c.promotions++
+			c.mu.Unlock()
+			return &res, true
 		}
 	}
 	c.mu.Lock()

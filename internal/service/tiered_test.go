@@ -195,6 +195,12 @@ func TestTieredHealsUndecodableRecord(t *testing.T) {
 	if _, ok := tiered.Get("k"); ok {
 		t.Fatal("undecodable record served")
 	}
+	// The decode is the store's value check: the record is dropped as
+	// corrupt, and the lookup is one miss in both tiers.
+	if st := tiered.Stats(); st.Misses != 1 || st.DiskHits != 0 ||
+		st.Disk.Records != 0 || st.Disk.CorruptRecords != 1 || st.Disk.Hits != 0 || st.Disk.Misses != 1 {
+		t.Fatalf("stats after the undecodable read: %+v, disk %+v", st, *st.Disk)
+	}
 	fresh := &CellResult{Key: "k", Times: []float64{3}}
 	tiered.Put("k", fresh)
 	if err := tiered.Flush(); err != nil {
