@@ -21,12 +21,22 @@
 // does not match the store's configured version are ignored on open
 // and reclaimed by the next compaction — a key-format bump can never
 // alias stale results.
+//
+// Reads parse the pinned record layout: the encoder writes one fixed
+// field order (pinned byte for byte by testdata/segment-format-v1.ndjson),
+// so a record is read by matching that layout in place, and only a line
+// in another layout, or one that fails verification there, goes through
+// encoding/json. A value gets its JSON check once: on a read, in the
+// caller's decode (or json.Valid when there is none); at recovery and
+// compaction, with json.Valid on every value.
 package cachestore
 
 import (
 	"bufio"
 	"bytes"
 	"cmp"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -178,14 +188,11 @@ func checksum(keyVersion, key, value []byte) uint32 {
 	return crc32.Update(c, crcTable, value)
 }
 
-const hexDigits = "0123456789abcdef"
-
 // appendCRC appends c as the 8 lower-case hex digits the record stores.
 func appendCRC(dst []byte, c uint32) []byte {
-	for shift := 28; shift >= 0; shift -= 4 {
-		dst = append(dst, hexDigits[c>>uint(shift)&0xf])
-	}
-	return dst
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], c)
+	return hex.AppendEncode(dst, b[:])
 }
 
 // plainString reports whether s goes into a JSON string unescaped:
@@ -521,8 +528,8 @@ func (s *Store) recoverSegment(id int, active bool) error {
 			break
 		}
 		n := int64(len(line))
-		switch kv := string(rec.keyVersion); {
-		case kv != s.opts.KeyVersion && !s.compatVersion(kv):
+		switch {
+		case string(rec.keyVersion) != s.opts.KeyVersion && !s.compatVersion(string(rec.keyVersion)):
 			// Stale key format: never served, reclaimed by compaction.
 			s.st.DeadBytes += n
 		default:

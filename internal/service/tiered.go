@@ -55,7 +55,10 @@ func (c *TieredResultCache) Get(key string) (*CellResult, bool) {
 		// dropped by the store, so the recompute's Put writes a fresh
 		// record instead of the stale one shadowing the key.
 		var res CellResult
-		decode := func(v []byte) error { return json.Unmarshal(v, &res) }
+		decode := func(v []byte) error {
+			res = CellResult{} // a read the store retries decodes afresh
+			return json.Unmarshal(v, &res)
+		}
 		if _, ok := c.disk.Get(key, decode); ok {
 			// Promote without re-appending: the record is already
 			// durable.
