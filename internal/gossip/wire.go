@@ -19,6 +19,7 @@ package gossip
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -129,9 +130,17 @@ func WriteFrame(w io.Writer, env *Envelope) error {
 	return err
 }
 
+// errBadFrame marks a frame that breaks the wire protocol (a length out
+// of range, a body cut short, an envelope that does not decode), as
+// opposed to a stream that ended between frames.
+var errBadFrame = errors.New("gossip: bad frame")
+
 // ReadFrame reads one length-prefixed frame and decodes the envelope.
 // It reads the header and the body separately; over a socket, pass a
-// bufio.Reader so that is one receive.
+// bufio.Reader so that is one receive. An error is either the reader's
+// own, from the header (io.EOF when the stream ends between frames), or
+// wraps errBadFrame. The body buffer is the only allocation a header
+// can size, and it is at most MaxFrame.
 func ReadFrame(r io.Reader) (*Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -139,21 +148,21 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 {
-		return nil, fmt.Errorf("gossip: zero-length frame")
+		return nil, fmt.Errorf("%w: zero-length frame", errBadFrame)
 	}
 	if n > MaxFrame {
-		return nil, fmt.Errorf("gossip: frame of %d bytes exceeds the %d-byte limit", n, MaxFrame)
+		return nil, fmt.Errorf("%w: frame of %d bytes exceeds the %d-byte limit", errBadFrame, n, MaxFrame)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("gossip: truncated frame: %w", err)
+		return nil, fmt.Errorf("%w: truncated frame: %w", errBadFrame, err)
 	}
 	var env Envelope
 	if err := json.Unmarshal(body, &env); err != nil {
-		return nil, fmt.Errorf("gossip: decoding envelope: %w", err)
+		return nil, fmt.Errorf("%w: decoding envelope: %w", errBadFrame, err)
 	}
 	if env.Method == "" {
-		return nil, fmt.Errorf("gossip: envelope without a method tag")
+		return nil, fmt.Errorf("%w: envelope without a method tag", errBadFrame)
 	}
 	return &env, nil
 }

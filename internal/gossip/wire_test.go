@@ -3,6 +3,9 @@ package gossip
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -95,4 +98,80 @@ func TestDecodeEmptyPayload(t *testing.T) {
 	if err := env.Decode(&rep); err == nil {
 		t.Fatal("empty payload decoded")
 	}
+}
+
+// FuzzReadFrame feeds ReadFrame the bytes any TCP peer can send. It
+// never panics; every error is typed — the stream ended before a header
+// (io.EOF, io.ErrUnexpectedEOF) or the frame broke the protocol
+// (errBadFrame); a frame it accepts has a method tag and re-encodes to
+// a frame that reads back and re-encodes to the same bytes; and it allocates at most MaxFrame
+// plus a constant, whatever length the header claims. Inputs are capped
+// at 4 KiB, so decoding what was actually sent stays inside the
+// constant: the header is the only input that could size an allocation
+// beyond it.
+func FuzzReadFrame(f *testing.F) {
+	const maxInput, allocSlack = 4 << 10, 64 << 10
+	frame := func(body string) []byte {
+		b := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+		return append(b, body...)
+	}
+	push, err := NewEnvelope(MethodPush, 3, Rumor{Round: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := encodeFrame(push)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(append(append([]byte(nil), valid...), valid...))
+	f.Add(valid[:len(valid)-1])
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	f.Add(frame(""))
+	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrame))
+	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrame+1))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, '{', '}'})
+	f.Add(frame(`{"from":1}`))
+	f.Add(frame(`{"method":"pull","payload":{"round":`))
+	f.Add(frame(`{"method":"round","from":-1,"payload":{"round":2},"err":"x"}`))
+	f.Add(frame(`{"method":7}`))
+	f.Add(frame(`{"method":"x","payload": {"a" : "<&>"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > maxInput {
+			return
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		env, err := ReadFrame(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > MaxFrame+allocSlack {
+			t.Fatalf("ReadFrame of %d bytes allocated %d bytes, over MaxFrame+%d", len(data), alloc, allocSlack)
+		}
+		if err != nil {
+			if !errors.Is(err, errBadFrame) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			if env != nil {
+				t.Fatalf("an envelope came back with error %v", err)
+			}
+			return
+		}
+		if env.Method == "" {
+			t.Fatal("accepted an envelope without a method tag")
+		}
+		// Re-encoding normalizes the payload (compact JSON), so one
+		// round trip reaches a fixed point.
+		first, err := encodeFrame(env)
+		if err != nil {
+			t.Fatalf("accepted envelope does not re-encode: %v", err)
+		}
+		again, err := ReadFrame(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("re-encoded envelope does not read back: %v", err)
+		}
+		if second, err := encodeFrame(again); err != nil || !bytes.Equal(first, second) {
+			t.Fatalf("round trip is not a fixed point: %q vs %q (%v)", first, second, err)
+		}
+	})
 }

@@ -98,9 +98,11 @@ func isPeerFailure(err error) bool {
 // StreamCells implements service.CellRunner: the cells run sharded over
 // the peers and come back indexed like the input, byte-identical to
 // what a single daemon (or an in-process Executor) computes for the
-// same specs. It partitions the cells over the ring by canonical cell
-// key, runs one idempotent job per peer concurrently, and invokes fn
-// once per cell as results land — exactly once, even across failovers.
+// same specs. It splits the cells evenly over the ring by canonical
+// cell key (bounded-load placement: each cell on the XOR-nearest peer
+// with room), runs one idempotent job per peer concurrently, and
+// invokes fn once per cell as results land — exactly once, even across
+// failovers.
 // When a peer dies mid-batch it is removed from the (batch-local) ring
 // and its unfinished cells are re-partitioned over the survivors; cells
 // the dead peer already delivered are kept, and any cell a dying peer
@@ -157,13 +159,18 @@ func (co *Coordinator) StreamCells(ctx context.Context, cells []service.CellSpec
 			return nil, fmt.Errorf("shard: all %d peers failed with %d of %d cells unfinished",
 				len(co.clients), len(pending), len(cells))
 		}
-		// Partition the unfinished cells over the live ring. Keys, not
-		// indices, drive placement, so any coordinator with the same
-		// peer set routes a cell identically.
-		parts := make(map[string][]int, ring.Len())
-		for _, i := range pending {
-			peer, _ := ring.Owner(cells[i].Key())
-			parts[peer] = append(parts[peer], i)
+		// Partition the unfinished cells evenly over the live ring. Keys,
+		// not indices, drive placement, so any coordinator with the
+		// same peer set routes the same batch identically.
+		keys := make([]string, len(pending))
+		for j, i := range pending {
+			keys[j] = cells[i].Key()
+		}
+		parts := ring.partition(keys)
+		for _, idx := range parts {
+			for j, k := range idx {
+				idx[j] = pending[k]
+			}
 		}
 		peers := make([]string, 0, len(parts))
 		for p := range parts {

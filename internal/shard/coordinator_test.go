@@ -165,6 +165,45 @@ func TestShardedRunMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestEvenSplitOverTwoPeers: a batch shaped like the benchmark's
+// shard_fanout pass — 64 random-regular push-pull cells, sync and async
+// alternating, over 8 graphs — splits 32/32 over two peers whatever
+// their ring points, and still merges byte-identical to the in-process
+// executor.
+func TestEvenSplitOverTwoPeers(t *testing.T) {
+	urls := startPeers(t, 2)
+	reg := obs.NewRegistry()
+	co, err := shard.New(shard.Config{Peers: urls, Metrics: shard.NewMetrics(reg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]service.CellSpec, 64)
+	for k := range cells {
+		cells[k] = service.CellSpec{
+			Family: "random-regular", N: 128, Protocol: "push-pull",
+			Timing: []string{service.TimingSync, service.TimingAsync}[k%2],
+			Trials: 3, GraphSeed: uint64(k % 8), TrialSeed: uint64(100 + k),
+		}
+	}
+	got, err := co.RunCells(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, gotB := localReference(t, cells), marshalResults(t, got); !bytes.Equal(want, gotB) {
+		t.Errorf("evenly split results differ from single-node run")
+	}
+	families, err := obs.ParseText(bytes.NewReader(scrape(t, reg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, peer := range co.Peers() {
+		v, ok := families.Value("rumor_shard_assigned_cells_total", map[string]string{"peer": peer})
+		if !ok || v != 32 {
+			t.Errorf("peer %s assigned %v cells (present %v), want 32", peer, v, ok)
+		}
+	}
+}
+
 // dynamicCells is an explicit batch over the v3 scenario axes (the
 // JobSpec grid has no dynamic dimensions): re-sampling, perturbation,
 // and a churn schedule, in both timings.

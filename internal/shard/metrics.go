@@ -23,7 +23,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.cells = reg.NewCounterVec("rumor_shard_cells_total",
 		"Cell results delivered, by the peer that served them.", "peer")
 	m.assigned = reg.NewCounterVec("rumor_shard_assigned_cells_total",
-		"Cells assigned by the hash ring, by peer (reassigned cells count again on their new peer).",
+		"Cells assigned by the hash ring's bounded-load partition, by peer (reassigned cells count again on their new peer).",
 		"peer")
 	m.reassignments = reg.NewCounter("rumor_shard_reassignments_total",
 		"Unfinished cells reassigned from a failed peer to survivors.")
