@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -21,33 +26,102 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite golden testdata files")
+
+// frameSteps drive one node through a trial with a frame of every
+// method: the request as its caller builds it, and the reply the
+// node's dispatcher answers with. want is what the reply payload
+// decodes to; nil marks an error reply, which has none.
+var frameSteps = []struct {
+	method  string
+	from    int
+	payload interface{}
+	want    interface{}
+}{
+	{MethodPing, CoordinatorFrom, nil, Ack{}},
+	{MethodStartup, CoordinatorFrom, StartupConfig{Node: 5, Neighbors: []string{}, Protocol: "push-pull", Timing: "sync", Seed: 7}, Ack{}},
+	{MethodReport, CoordinatorFrom, nil, Report{Node: 5, InformedRound: -1}},
+	{MethodDistribute, CoordinatorFrom, Ack{}, Ack{}},
+	{MethodRound, CoordinatorFrom, RoundCmd{Round: 1}, RoundAck{Informed: true}},
+	{MethodPush, 3, Rumor{Round: 1}, Ack{}},
+	{MethodPull, 3, PullRequest{Round: 2}, PullReply{Informed: true}},
+	{MethodShutdown, CoordinatorFrom, nil, Ack{}},
+	{MethodRound, CoordinatorFrom, RoundCmd{Round: 2}, nil},
+	{"teleport", CoordinatorFrom, nil, nil},
+}
+
+// TestFrameRoundTrip pins the wire format in testdata/frames.golden:
+// nodes of different builds interoperate, so every frame a node or
+// the coordinator writes must stay byte for byte what it was. Each
+// frame is one Write, reads back as the envelope that was written, and
+// its payload decodes to the value it was built from.
 func TestFrameRoundTrip(t *testing.T) {
-	env, err := NewEnvelope(MethodPush, 3, Rumor{Round: 7})
+	n := NewNode(nil)
+	defer n.Close()
+	var golden bytes.Buffer
+	for _, s := range frameSteps {
+		req, err := NewEnvelope(s.method, s.from, s.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := frameRoundTrip(t, &golden, "request", req)
+		if s.payload != nil {
+			decodesTo(t, got, s.payload)
+		}
+		reply := frameRoundTrip(t, &golden, "reply", n.dispatch(got))
+		if (s.want == nil) != (reply.Err != "") {
+			t.Fatalf("%s reply %+v, want an error reply: %v", s.method, reply, s.want == nil)
+		}
+		if s.want != nil {
+			decodesTo(t, reply, s.want)
+		}
+	}
+	path := filepath.Join("testdata", "frames.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, golden.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(golden.Bytes(), want) {
+		t.Errorf("frames drifted from %s\n got:\n%s\nwant:\n%s", path, golden.Bytes(), want)
+	}
+}
+
+// frameRoundTrip writes env with WriteFrame, appends the frame to the
+// golden listing and returns what ReadFrame reads back from it.
+func frameRoundTrip(t *testing.T, golden *bytes.Buffer, kind string, env *Envelope) *Envelope {
+	t.Helper()
 	var buf writeCounter
 	if err := WriteFrame(&buf, env); err != nil {
 		t.Fatal(err)
 	}
-	// The wire format is pinned: nodes of different builds interoperate.
-	const body = `{"method":"push","from":3,"payload":{"round":7}}`
-	if want := "\x00\x00\x00" + string(rune(len(body))) + body; buf.String() != want || buf.writes != 1 {
-		t.Fatalf("frame = %q in %d writes, want %q in 1", buf.String(), buf.writes, want)
+	if buf.writes != 1 {
+		t.Fatalf("%s %s frame in %d writes, want 1", env.Method, kind, buf.writes)
 	}
+	fmt.Fprintf(golden, "%s %s %q\n", env.Method, kind, buf.Bytes())
 	got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Method != MethodPush || got.From != 3 {
-		t.Fatalf("round-trip envelope = %+v", got)
+	if !reflect.DeepEqual(got, env) || buf.Len() != 0 {
+		t.Fatalf("%s frame read back as %+v with %d bytes left, want %+v", kind, got, buf.Len(), env)
 	}
-	var r Rumor
-	if err := got.Decode(&r); err != nil {
+	return got
+}
+
+// decodesTo checks that env's payload decodes to want.
+func decodesTo(t *testing.T, env *Envelope, want interface{}) {
+	t.Helper()
+	got := reflect.New(reflect.TypeOf(want))
+	if err := env.Decode(got.Interface()); err != nil {
 		t.Fatal(err)
 	}
-	if r.Round != 7 {
-		t.Fatalf("round = %d, want 7", r.Round)
+	if !reflect.DeepEqual(got.Elem().Interface(), want) {
+		t.Fatalf("%s payload %s decoded to %+v, want %+v", env.Method, env.Payload, got.Elem().Interface(), want)
 	}
 }
 
