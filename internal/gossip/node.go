@@ -2,7 +2,6 @@ package gossip
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -194,7 +193,7 @@ func (n *Node) dispatch(env *Envelope) *Envelope {
 		return reply
 	}
 	if payload != nil {
-		raw, err := json.Marshal(payload)
+		raw, err := marshalPayload(payload)
 		if err != nil {
 			reply.Err = fmt.Sprintf("marshal reply: %v", err)
 			return reply

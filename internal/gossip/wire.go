@@ -17,11 +17,13 @@
 package gossip
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 )
 
@@ -84,7 +86,7 @@ type Envelope struct {
 func NewEnvelope(method string, from int, payload interface{}) (*Envelope, error) {
 	env := &Envelope{Method: method, From: from}
 	if payload != nil {
-		raw, err := json.Marshal(payload)
+		raw, err := marshalPayload(payload)
 		if err != nil {
 			return nil, fmt.Errorf("gossip: marshal %s payload: %w", method, err)
 		}
@@ -98,25 +100,152 @@ func (e *Envelope) Decode(out interface{}) error {
 	if len(e.Payload) == 0 {
 		return fmt.Errorf("gossip: %s: empty payload", e.Method)
 	}
+	if decodeHot(e.Payload, out) {
+		return nil
+	}
 	if err := json.Unmarshal(e.Payload, out); err != nil {
 		return fmt.Errorf("gossip: %s: decoding payload: %w", e.Method, err)
 	}
 	return nil
 }
 
+// The pinned layout. Every frame a node or the coordinator sends is an
+// envelope whose method and error text need no JSON escaping and whose
+// payload is compact JSON, and json.Marshal writes such an envelope as
+//
+//	{"method":"…","from":N[,"payload":…][,"err":"…"]}
+//
+// encodeFrame appends exactly those bytes and ReadFrame parses them in
+// place, the payload a validated sub-slice of the frame body; the hot
+// payloads (Ack, Rumor, PullRequest, RoundCmd and their replies) are
+// written and read by hand in the bytes json.Marshal gives them.
+// Anything else, in either direction, goes through encoding/json,
+// which then decides whether a frame is accepted and words every
+// error. FuzzFrameCodec holds both halves to the encoding/json codec
+// they replaced.
+
+// maxLayoutDepth bounds the payload nesting the layout scanner follows;
+// a deeper payload (no message has one) takes encoding/json.
+const maxLayoutDepth = 32
+
+// methods are the tags a parsed envelope shares instead of a copy.
+var methods = [...]string{MethodPush, MethodPull, MethodRound, MethodStartup, MethodDistribute, MethodReport, MethodShutdown, MethodPing}
+
+// marshalPayload renders payload as JSON: the hot payloads by hand,
+// anything else with json.Marshal.
+func marshalPayload(payload interface{}) ([]byte, error) {
+	switch p := payload.(type) {
+	case Ack:
+		return []byte("{}"), nil
+	case Rumor:
+		return appendRound(p.Round), nil
+	case PullRequest:
+		return appendRound(p.Round), nil
+	case RoundCmd:
+		return appendRound(p.Round), nil
+	case RoundAck:
+		return appendInformed(p.Informed), nil
+	case PullReply:
+		return appendInformed(p.Informed), nil
+	}
+	return json.Marshal(payload)
+}
+
+func appendRound(round int32) []byte {
+	b := append(make([]byte, 0, len(`{"round":-2147483648}`)), `{"round":`...)
+	return append(strconv.AppendInt(b, int64(round), 10), '}')
+}
+
+func appendInformed(informed bool) []byte {
+	if informed {
+		return []byte(`{"informed":true}`)
+	}
+	return []byte(`{"informed":false}`)
+}
+
+// decodeHot parses a hot payload in its one layout into out, and
+// reports whether it did; anything else is left to json.Unmarshal.
+func decodeHot(p []byte, out interface{}) bool {
+	switch out := out.(type) {
+	case *Ack:
+		return out != nil && string(p) == "{}"
+	case *Rumor:
+		return out != nil && parseRound(p, &out.Round)
+	case *PullRequest:
+		return out != nil && parseRound(p, &out.Round)
+	case *RoundCmd:
+		return out != nil && parseRound(p, &out.Round)
+	case *RoundAck:
+		return out != nil && parseInformed(p, &out.Informed)
+	case *PullReply:
+		return out != nil && parseInformed(p, &out.Informed)
+	}
+	return false
+}
+
+func parseRound(p []byte, round *int32) bool {
+	digits, ok := bytes.CutPrefix(p, []byte(`{"round":`))
+	if !ok {
+		return false
+	}
+	v, rest, ok := cutInt(digits)
+	if !ok || string(rest) != "}" || v != int64(int32(v)) {
+		return false
+	}
+	*round = int32(v)
+	return true
+}
+
+func parseInformed(p []byte, informed *bool) bool {
+	switch string(p) {
+	case `{"informed":true}`:
+		*informed = true
+	case `{"informed":false}`:
+		*informed = false
+	default:
+		return false
+	}
+	return true
+}
+
 // encodeFrame renders env as one length-prefixed frame: a 4-byte
 // big-endian length followed by the JSON envelope.
 func encodeFrame(env *Envelope) ([]byte, error) {
-	body, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("gossip: marshal envelope: %w", err)
+	var frame []byte
+	if plainString(env.Method) && plainString(env.Err) && (len(env.Payload) == 0 || compactValue(env.Payload, 0, 0) == len(env.Payload)) {
+		frame = appendEnvelope(make([]byte, 4, 4+len(`{"method":"","from":-9223372036854775808,"payload":,"err":""}`)+
+			len(env.Method)+len(env.Payload)+len(env.Err)), env)
+	} else {
+		body, err := json.Marshal(env)
+		if err != nil {
+			return nil, fmt.Errorf("gossip: marshal envelope: %w", err)
+		}
+		frame = append(make([]byte, 4, 4+len(body)), body...)
 	}
-	if len(body) > MaxFrame {
-		return nil, fmt.Errorf("gossip: frame of %d bytes exceeds the %d-byte limit", len(body), MaxFrame)
+	n := len(frame) - 4
+	if n > MaxFrame {
+		return nil, fmt.Errorf("gossip: frame of %d bytes exceeds the %d-byte limit", n, MaxFrame)
 	}
-	frame := make([]byte, 4, 4+len(body))
-	binary.BigEndian.PutUint32(frame, uint32(len(body)))
-	return append(frame, body...), nil
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	return frame, nil
+}
+
+// appendEnvelope appends env in the pinned layout.
+func appendEnvelope(b []byte, env *Envelope) []byte {
+	b = append(b, `{"method":"`...)
+	b = append(b, env.Method...)
+	b = append(b, `","from":`...)
+	b = strconv.AppendInt(b, int64(env.From), 10)
+	if len(env.Payload) > 0 {
+		b = append(b, `,"payload":`...)
+		b = append(b, env.Payload...)
+	}
+	if env.Err != "" {
+		b = append(b, `,"err":"`...)
+		b = append(b, env.Err...)
+		b = append(b, '"')
+	}
+	return append(b, '}')
 }
 
 // WriteFrame writes env as one length-prefixed frame, in one Write (on
@@ -157,6 +286,9 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("%w: truncated frame: %w", errBadFrame, err)
 	}
+	if env := parseEnvelope(body); env != nil {
+		return env, nil
+	}
 	var env Envelope
 	if err := json.Unmarshal(body, &env); err != nil {
 		return nil, fmt.Errorf("%w: decoding envelope: %w", errBadFrame, err)
@@ -165,6 +297,245 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 		return nil, fmt.Errorf("%w: envelope without a method tag", errBadFrame)
 	}
 	return &env, nil
+}
+
+// parseEnvelope parses a frame body in the pinned layout, or returns
+// nil when the body is anything else (an empty method tag included).
+func parseEnvelope(body []byte) *Envelope {
+	rest, ok := bytes.CutPrefix(body, []byte(`{"method":"`))
+	if !ok {
+		return nil
+	}
+	method, rest, ok := cutPlainString(rest)
+	if !ok || len(method) == 0 {
+		return nil
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"from":`)); !ok {
+		return nil
+	}
+	from, rest, ok := cutInt(rest)
+	if !ok || from != int64(int(from)) {
+		return nil
+	}
+	env := &Envelope{From: int(from)}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"payload":`)); ok {
+		end := compactValue(rest, 0, 0)
+		if end < 0 {
+			return nil
+		}
+		env.Payload, rest = json.RawMessage(rest[:end:end]), rest[end:]
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"err":"`)); ok {
+		var errText []byte
+		if errText, rest, ok = cutPlainString(rest); !ok {
+			return nil
+		}
+		env.Err = string(errText)
+	}
+	if string(rest) != "}" {
+		return nil
+	}
+	env.Method = internMethod(method)
+	return env
+}
+
+// internMethod returns the method constant b spells, or a copy of b.
+func internMethod(b []byte) string {
+	for _, m := range methods {
+		if string(b) == m {
+			return m
+		}
+	}
+	return string(b)
+}
+
+// plainString reports whether json.Marshal writes s between its quotes
+// unchanged: printable ASCII other than the quote, the backslash and
+// the HTML-escaped <, > and &.
+func plainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !plainByte(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func plainByte(c byte) bool {
+	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+// cutPlainString splits b after the closing quote of a string of
+// plainString bytes, returning its contents.
+func cutPlainString(b []byte) (s, rest []byte, ok bool) {
+	for i, c := range b {
+		if c == '"' {
+			return b[:i], b[i+1:], true
+		}
+		if !plainByte(c) {
+			return nil, nil, false
+		}
+	}
+	return nil, nil, false
+}
+
+// cutInt splits off the leading integer of b as json.Marshal writes
+// one — no sign on 0, no leading zero — of at most 18 digits, so it
+// fits an int64.
+func cutInt(b []byte) (v int64, rest []byte, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	digits := b
+	if neg {
+		digits = b[1:]
+	}
+	n := 0
+	for n < len(digits) && n < 19 && '0' <= digits[n] && digits[n] <= '9' {
+		v = 10*v + int64(digits[n]-'0')
+		n++
+	}
+	switch {
+	case n == 0 || n > 18 || (digits[0] == '0' && (n > 1 || neg)):
+		return 0, nil, false
+	case neg:
+		v = -v
+	}
+	return v, digits[n:], true
+}
+
+// compactValue returns the end of the JSON value that starts at b[i],
+// or -1 unless one starts there that json.Marshal would copy unchanged
+// into a frame: compact (no whitespace), with strings of printable
+// ASCII and no <, > or & (which it escapes), nested at most
+// maxLayoutDepth deep.
+func compactValue(b []byte, i, depth int) int {
+	if i >= len(b) {
+		return -1
+	}
+	switch b[i] {
+	case '{', '[':
+		if depth == maxLayoutDepth {
+			return -1
+		}
+		closing := byte('}')
+		if b[i] == '[' {
+			closing = ']'
+		}
+		if i++; i < len(b) && b[i] == closing {
+			return i + 1
+		}
+		for {
+			if closing == '}' {
+				if i = compactString(b, i); i < 0 || i >= len(b) || b[i] != ':' {
+					return -1
+				}
+				i++
+			}
+			if i = compactValue(b, i, depth+1); i < 0 || i >= len(b) {
+				return -1
+			}
+			switch b[i] {
+			case closing:
+				return i + 1
+			case ',':
+				i++
+			default:
+				return -1
+			}
+		}
+	case '"':
+		return compactString(b, i)
+	case 't':
+		return compactLiteral(b, i, "true")
+	case 'f':
+		return compactLiteral(b, i, "false")
+	case 'n':
+		return compactLiteral(b, i, "null")
+	}
+	return compactNumber(b, i)
+}
+
+// compactString returns the end of the string that starts at b[i], or
+// -1 (see compactValue).
+func compactString(b []byte, i int) int {
+	if i >= len(b) || b[i] != '"' {
+		return -1
+	}
+	for i++; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1
+		case c == '\\':
+			if i++; i >= len(b) {
+				return -1
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if i+4 >= len(b) || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
+					return -1
+				}
+				i += 4
+			default:
+				return -1
+			}
+		case !plainByte(c):
+			return -1
+		}
+	}
+	return -1
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+func compactLiteral(b []byte, i int, lit string) int {
+	if !bytes.HasPrefix(b[i:], []byte(lit)) {
+		return -1
+	}
+	return i + len(lit)
+}
+
+// compactNumber returns the end of the JSON number that starts at b[i],
+// or -1.
+func compactNumber(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return -1
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			return -1
+		}
+		i = j
+	}
+	return i
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // StartupConfig is the MethodStartup payload: everything a node needs
