@@ -124,6 +124,9 @@ func (e *Envelope) Decode(out interface{}) error {
 // error. FuzzFrameCodec holds both halves to the encoding/json codec
 // they replaced.
 
+// layoutBytes is the pinned layout's own text around the longest From.
+const layoutBytes = len(`{"method":"","from":-9223372036854775808,"payload":,"err":""}`)
+
 // maxLayoutDepth bounds the payload nesting the layout scanner follows;
 // a deeper payload (no message has one) takes encoding/json.
 const maxLayoutDepth = 32
@@ -213,8 +216,7 @@ func parseInformed(p []byte, informed *bool) bool {
 func encodeFrame(env *Envelope) ([]byte, error) {
 	var frame []byte
 	if plainString(env.Method) && plainString(env.Err) && (len(env.Payload) == 0 || compactValue(env.Payload, 0, 0) == len(env.Payload)) {
-		frame = appendEnvelope(make([]byte, 4, 4+len(`{"method":"","from":-9223372036854775808,"payload":,"err":""}`)+
-			len(env.Method)+len(env.Payload)+len(env.Err)), env)
+		frame = appendEnvelope(make([]byte, 4, 4+layoutBytes+len(env.Method)+len(env.Payload)+len(env.Err)), env)
 	} else {
 		body, err := json.Marshal(env)
 		if err != nil {
