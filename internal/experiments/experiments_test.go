@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,5 +103,31 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Errorf("%s produced no table output", e.ID)
 			}
 		})
+	}
+}
+
+// TestE10CellsShareOneCodePath pins what E10's cells measure: given one
+// common TrialSeed, the three view cells on each graph return the same
+// Times bit for bit. On a graph where every node has a neighbour the
+// engine draws the actor identically under every view, so the cells
+// differ only in their seeds and the KS tests compare one process with
+// itself.
+func TestE10CellsShareOneCodePath(t *testing.T) {
+	cfg := Config{Quick: true}
+	cells := e10Cells(cfg)
+	for i := range cells {
+		cells[i].TrialSeed = cells[0].TrialSeed
+	}
+	results, err := cfg.runner().StreamCells(context.Background(), cells, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, gr := range e10Graphs {
+		base := results[g*len(e10Views)]
+		for v := 1; v < len(e10Views); v++ {
+			if got := results[g*len(e10Views)+v]; !slices.Equal(got.Times, base.Times) {
+				t.Errorf("%s: %v and %v differ under one TrialSeed", gr.family, e10Views[0], e10Views[v])
+			}
+		}
 	}
 }
