@@ -21,7 +21,7 @@ func defaultMaxSteps(n int) int64 {
 // configured protocol) from src and returns the result.
 //
 // The three views are distributionally identical (Section 2 of the paper;
-// verified empirically by experiment E10):
+// experiment E10 tests it on RunAsyncReference's literal clocks):
 //
 //   - GlobalClock: steps occur at the ticks of one rate-n Poisson clock;
 //     each step a uniform node contacts a uniform neighbor.

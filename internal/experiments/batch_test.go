@@ -60,7 +60,7 @@ func (r breakingRunner) StreamCells(ctx context.Context, cells []service.CellSpe
 }
 
 // TestSuiteBatchIsOneRunnerCall: the quick suite reaches its runner as
-// one batch of all 174 cells and prints the golden suite.
+// one batch of all 170 cells and prints the golden suite.
 func TestSuiteBatchIsOneRunnerCall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick suite")
@@ -70,8 +70,8 @@ func TestSuiteBatchIsOneRunnerCall(t *testing.T) {
 	if _, err := RunAll(Config{Quick: true, Out: &out, Runner: r}); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(r.batches, []int{174}) {
-		t.Errorf("runner calls by batch size = %v, want one call of 174 cells", r.batches)
+	if !slices.Equal(r.batches, []int{170}) {
+		t.Errorf("runner calls by batch size = %v, want one call of 170 cells", r.batches)
 	}
 	assertGolden(t, filepath.Join("testdata", "quick_suite.golden"), out.String())
 }

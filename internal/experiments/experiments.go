@@ -1,9 +1,9 @@
 // Package experiments regenerates every empirical claim extracted from
 // the paper. The paper is a theory paper with no tables or figures; its
 // "evaluation" is a set of theorems, corollaries, lemmas, and worked
-// examples, each of which maps here to one experiment (E1–E15, plus the
-// dynamic-graph extension E17) that prints the measured analogue next to
-// the paper's prediction and issues a verdict.
+// examples, each of which maps here to one experiment (E1–E12, E14 and
+// E15, plus the dynamic-graph extension E17) that prints the measured
+// analogue next to the paper's prediction and issues a verdict.
 //
 // Every experiment is a grid of service cells plus a pure reducer: the
 // Cells function declares what to measure (as service.CellSpec values,
@@ -159,8 +159,9 @@ type Outcome struct {
 // Experiment is a runnable reproduction of one paper claim, declared as
 // a cell grid plus a reducer.
 type Experiment struct {
-	// ID is the experiment identifier ("E1".."E15", "E17"; E16 is the
-	// live gossip overlay, which runs outside this suite).
+	// ID is the experiment identifier ("E1".."E12", "E14", "E15",
+	// "E17"; E16 is the live gossip overlay, which runs outside this
+	// suite, and E13 is retired).
 	ID string
 	// Title is a short name.
 	Title string
@@ -256,7 +257,6 @@ func All() []Experiment {
 		E10AsyncViews(),
 		E11DiamondChain(),
 		E12Lemma8(),
-		E13Throughput(),
 		E14ExpansionBounds(),
 		E15Quasirandom(),
 		E17DynamicChurn(),

@@ -9,8 +9,8 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 16 {
-		t.Fatalf("registry has %d experiments, want 16 (E1–E15 and E17)", len(all))
+	if len(all) != 15 {
+		t.Fatalf("registry has %d experiments, want 15 (E1–E12, E14, E15 and E17)", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -106,13 +106,12 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
-// TestE10CellsShareOneCodePath pins what E10's cells measure: given one
-// common TrialSeed, the three view cells on each graph return the same
-// Times bit for bit. On a graph where every node has a neighbour the
-// engine draws the actor identically under every view, so the cells
-// differ only in their seeds and the KS tests compare one process with
-// itself.
-func TestE10CellsShareOneCodePath(t *testing.T) {
+// TestE10CellsReachDistinctViews: given one common TrialSeed, the three
+// view cells on each graph return three pairwise-different series. Each
+// cell runs its view's literal clocks, which consume randomness
+// differently, so E10's KS tests compare three code paths rather than
+// one path under three seeds.
+func TestE10CellsReachDistinctViews(t *testing.T) {
 	cfg := Config{Quick: true}
 	cells := e10Cells(cfg)
 	for i := range cells {
@@ -123,10 +122,12 @@ func TestE10CellsShareOneCodePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g, gr := range e10Graphs {
-		base := results[g*len(e10Views)]
-		for v := 1; v < len(e10Views); v++ {
-			if got := results[g*len(e10Views)+v]; !slices.Equal(got.Times, base.Times) {
-				t.Errorf("%s: %v and %v differ under one TrialSeed", gr.family, e10Views[0], e10Views[v])
+		series := results[g*len(e10Views) : (g+1)*len(e10Views)]
+		for i := range series {
+			for j := i + 1; j < len(series); j++ {
+				if slices.Equal(series[i].Times, series[j].Times) {
+					t.Errorf("%s: %v and %v are identical under one TrialSeed", gr.family, e10Views[i], e10Views[j])
+				}
 			}
 		}
 	}

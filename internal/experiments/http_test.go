@@ -79,8 +79,8 @@ func TestExperimentListEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 16 {
-		t.Fatalf("listed %d experiments, want 16", len(infos))
+	if len(infos) != 15 {
+		t.Fatalf("listed %d experiments, want 15", len(infos))
 	}
 	for _, info := range infos {
 		if info.ID == "" || info.Title == "" || info.Claim == "" || info.CellsQuick == 0 || info.CellsFull == 0 {
@@ -108,7 +108,7 @@ func TestExperimentRunEndpointErrors(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsOverSDKMatchCLI: every experiment E1–E15, run
+// TestAllExperimentsOverSDKMatchCLI: every experiment of All(), run
 // server-side through the typed client SDK (Client.RunExperiment over
 // POST /v1/experiments/{id}), streams its cell set and ends with an
 // outcome equal to what the in-process path (cmd/experiments) computes

@@ -18,8 +18,8 @@ import (
 
 // Experiment-specific cell kinds. Registering them with the service
 // registry lets the coupling ladder, the lower-bound block coupling,
-// the Lemma 8 sampler, the spectral-gap estimator, and the engine
-// work-count measurement ride the shared executor: they are scheduled,
+// the Lemma 8 sampler, the spectral-gap estimator, and the literal
+// Section 2 asynchronous process ride the shared executor: they are scheduled,
 // deduplicated, cached, and streamed exactly like spreading-time cells.
 // Importing this package (as cmd/experiments and cmd/rumord do) makes
 // the kinds available to any runner.
@@ -42,10 +42,11 @@ const (
 	// iteration (Params["iters"] iterations, default 5000). Times[t]
 	// is the per-trial gap estimate.
 	KindSpectralGap = "spectral-gap"
-	// KindEngineSteps counts the exact work units of one engine
-	// configuration: clock ticks for async cells (per view), rounds
-	// for sync cells. Times[t] is the trial's work-unit count.
-	KindEngineSteps = "engine-steps"
+	// KindAsyncReference runs the asynchronous process by the literal
+	// Section 2 definition of the cell's view (core.RunAsyncReference:
+	// one clock record per clock of the view). Times[t] is the trial's
+	// spreading time.
+	KindAsyncReference = "async-reference"
 )
 
 func init() {
@@ -73,10 +74,10 @@ func init() {
 		Run:        runSpectralGap,
 	})
 	service.MustRegisterKind(service.CellKind{
-		Name:       KindEngineSteps,
+		Name:       KindAsyncReference,
 		NeedsGraph: true,
-		Validate:   validateEngineSteps,
-		Run:        runEngineSteps,
+		Validate:   validateAsyncReference,
+		Run:        runAsyncReference,
 	})
 }
 
@@ -96,17 +97,37 @@ func validateBareGraphCell(c service.CellSpec) error {
 	return nil
 }
 
-// validateEngineSteps accepts a time cell of the plain engines.
-func validateEngineSteps(c service.CellSpec) error {
-	if c.Variant != "" || c.Quasirandom || c.LossProb != 0 ||
-		len(c.ExtraSources) > 0 || len(c.Crashes) > 0 || len(c.Params) > 0 {
-		return fmt.Errorf("engine-steps cells measure the plain engines only")
+// asyncReferenceMaxN bounds the reference cells: the reference scans
+// every clock of the view on every tick, so its cost grows with n times
+// the edge count.
+const asyncReferenceMaxN = 64
+
+// validateAsyncReference accepts a plain asynchronous time cell on at
+// most asyncReferenceMaxN nodes.
+func validateAsyncReference(c service.CellSpec) error {
+	if c.N > asyncReferenceMaxN {
+		return fmt.Errorf("n = %d (want <= %d)", c.N, asyncReferenceMaxN)
 	}
-	timeKind, err := service.KindByName(service.KindTime)
+	if c.Variant != "" || c.Quasirandom || c.LossProb != 0 || len(c.ExtraSources) > 0 ||
+		len(c.Crashes) > 0 || len(c.CoverageFracs) > 0 || len(c.Params) > 0 {
+		return fmt.Errorf("async-reference cells run the plain asynchronous process only")
+	}
+	_, err := asyncReferenceConfig(c)
+	return err
+}
+
+// asyncReferenceConfig is the reference's configuration for the cell's
+// timing, protocol and view.
+func asyncReferenceConfig(c service.CellSpec) (core.AsyncConfig, error) {
+	if c.Timing != service.TimingAsync {
+		return core.AsyncConfig{}, fmt.Errorf("timing %q (want async)", c.Timing)
+	}
+	proto, err := service.ParseProtocol(c.Protocol)
 	if err != nil {
-		return err
+		return core.AsyncConfig{}, err
 	}
-	return timeKind.Validate(c)
+	view, err := service.ParseView(c.View)
+	return core.AsyncConfig{Protocol: proto, View: view}, err
 }
 
 func runCouplingUpper(ctx context.Context, cell service.CellSpec, g *graph.Graph, trialWorkers int) (*service.KindResult, error) {
@@ -325,26 +346,30 @@ func runSpectralGap(ctx context.Context, cell service.CellSpec, g *graph.Graph, 
 	return &service.KindResult{Times: times}, nil
 }
 
-func runEngineSteps(ctx context.Context, cell service.CellSpec, g *graph.Graph, trialWorkers int) (*service.KindResult, error) {
-	times, err := service.RunTrials(ctx, cell, g, trialWorkers, func(_ int, out core.Outcome) (float64, error) {
-		if out.Async != nil {
-			return float64(out.Async.Steps), nil
+func runAsyncReference(ctx context.Context, cell service.CellSpec, g *graph.Graph, trialWorkers int) (*service.KindResult, error) {
+	cfg, err := asyncReferenceConfig(cell)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", service.ErrBadSpec, err)
+	}
+	if n := g.NumNodes(); cell.Source >= n {
+		return nil, fmt.Errorf("%w: %w: %d (n=%d)", service.ErrBadSpec, core.ErrBadSource, cell.Source, n)
+	}
+	src := graph.NodeID(cell.Source)
+	r := harness.Runner{Trials: cell.Trials, Seed: cell.TrialSeed, Workers: trialWorkers}
+	times, err := r.Run(func(_ int, rng *xrand.RNG) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
-		return out.Time(), nil
+		res, err := core.RunAsyncReference(g, src, cfg, rng)
+		if err != nil {
+			return 0, err
+		}
+		return core.Outcome{Async: res}.SpreadingTime()
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &service.KindResult{Times: times}, nil
-}
-
-// sum folds a series.
-func sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // maxOf returns the maximum of a non-empty series (negative infinity

@@ -37,8 +37,16 @@ func TestKindParamValidation(t *testing.T) {
 			Protocol: "push", Trials: 1}},
 		{"coupling with loss", service.CellSpec{Kind: KindCouplingLower, Family: "complete", N: 16,
 			LossProb: 0.5, Trials: 1}},
-		{"engine-steps with variant", service.CellSpec{Kind: KindEngineSteps, Family: "complete", N: 16,
-			Protocol: "push-pull", Timing: "sync", Variant: "ppx", Trials: 1}},
+		{"async-reference n = 65", service.CellSpec{Kind: KindAsyncReference, Family: "complete", N: 65,
+			Protocol: "push-pull", Timing: "async", Trials: 1}},
+		{"async-reference sync timing", service.CellSpec{Kind: KindAsyncReference, Family: "complete", N: 16,
+			Protocol: "push-pull", Timing: "sync", Trials: 1}},
+		{"async-reference with loss", service.CellSpec{Kind: KindAsyncReference, Family: "complete", N: 16,
+			Protocol: "push-pull", Timing: "async", LossProb: 0.5, Trials: 1}},
+		{"async-reference with crashes", service.CellSpec{Kind: KindAsyncReference, Family: "complete", N: 16,
+			Protocol: "push-pull", Timing: "async", Crashes: []service.CrashSpec{{Node: 1, Time: 1}}, Trials: 1}},
+		{"async-reference with variant", service.CellSpec{Kind: KindAsyncReference, Family: "complete", N: 16,
+			Protocol: "push-pull", Timing: "async", Variant: "ppx", Trials: 1}},
 	}
 	for _, tc := range bad {
 		if err := tc.spec.Validate(); err == nil {
@@ -50,8 +58,10 @@ func TestKindParamValidation(t *testing.T) {
 		{Kind: KindLemma8, Trials: 1, Params: map[string]float64{"k": 3, "lambda": 1, "target": 2, "alpha1": 2}},
 		{Kind: KindSpectralGap, Family: "complete", N: 16, Trials: 1, Params: map[string]float64{"iters": 100}},
 		{Kind: KindCouplingUpper, Family: "complete", N: 16, Trials: 1},
-		{Kind: KindEngineSteps, Family: "complete", N: 16, Protocol: "push-pull",
+		{Kind: KindAsyncReference, Family: "complete", N: 16, Protocol: "push-pull",
 			Timing: "async", View: "per-node-clocks", Trials: 1},
+		{Kind: KindAsyncReference, Family: "star", N: 64, Protocol: "pull",
+			Timing: "async", View: "per-edge-clocks", Trials: 1},
 	}
 	for i, spec := range good {
 		if err := spec.Validate(); err != nil {

@@ -119,24 +119,52 @@ func TestUpperBoundVerdictsHaveTeeth(t *testing.T) {
 // The reducer tests below feed synthetic cell results, so they run no
 // cells and stay on under -short.
 
+// e09Results is E9's four cells with the given 50 % milestones (sync,
+// async per family); every 99 % milestone is reached.
+func e09Results(powerSync, powerAsync, prefSync, prefAsync float64) []*service.CellResult {
+	cov := func(q50 float64) map[string]float64 {
+		return map[string]float64{service.CoverageName(0.5): q50, service.CoverageName(0.99): 9}
+	}
+	return []*service.CellResult{
+		{N: 1000, Coverage: cov(powerSync)},
+		{N: 1000, Coverage: cov(powerAsync)},
+		{N: 1000, Coverage: cov(prefSync)},
+		{N: 1000, Coverage: cov(prefAsync)},
+	}
+}
+
 // An async milestone some trial never reached reads −1; E9 must not
 // count it as async reaching 50 % coverage first.
 func TestE9UnreachedAsyncMilestoneIsNotFaster(t *testing.T) {
-	cov := func(q50, q99 float64) map[string]float64 {
-		return map[string]float64{service.CoverageName(0.5): q50, service.CoverageName(0.99): q99}
-	}
-	results := []*service.CellResult{
-		{N: 1000, Coverage: cov(4, 7)},   // powerlaw sync
-		{N: 1000, Coverage: cov(-1, -1)}, // powerlaw async: unreached
-		{N: 1000, Coverage: cov(5, 8)},   // pref-attach sync
-		{N: 1000, Coverage: cov(3, 6)},   // pref-attach async
-	}
-	o, err := E09SocialNetworks().Reduce(Config{Quick: true}, results)
+	o, err := E09SocialNetworks().Reduce(Config{Quick: true}, e09Results(4, -1, 5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Verdict != Borderline || !strings.HasSuffix(o.Summary, ": false") {
-		t.Errorf("unreached async milestone: %v — %s, want BORDERLINE and \"false\"", o.Verdict, o.Summary)
+	if o.Verdict != Failed || !strings.HasSuffix(o.Summary, ": +Inf") {
+		t.Errorf("unreached async milestone: %v — %s, want FAILED and \"+Inf\"", o.Verdict, o.Summary)
+	}
+}
+
+// TestE9VerdictEdges: E9 bands the worst async/sync ratio at 50 %
+// coverage, SUPPORTED up to 0.75 and FAILED above 1.
+func TestE9VerdictEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		results []*service.CellResult
+		want    Verdict
+	}{
+		{"ratio 0.5", e09Results(4, 2, 8, 3), Supported},
+		{"ratio 0.9", e09Results(4, 2, 10, 9), Borderline},
+		{"ratio 1.01", e09Results(100, 101, 4, 2), Failed},
+		{"unreached milestone", e09Results(4, 2, 8, -1), Failed},
+	} {
+		o, err := E09SocialNetworks().Reduce(Config{Quick: true}, tc.results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Verdict != tc.want {
+			t.Errorf("%s: %v — %s, want %v", tc.name, o.Verdict, o.Summary, tc.want)
+		}
 	}
 }
 

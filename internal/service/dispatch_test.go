@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"rumor/internal/core"
-	_ "rumor/internal/experiments" // registers the engine-steps kind
+	_ "rumor/internal/experiments" // registers the async-reference kind
 	"rumor/internal/service"
 )
 
@@ -96,10 +96,9 @@ func dispatchCells() []struct {
 		{budgetAsync, S{Family: "gnp-below-threshold", N: 16, Protocol: "push-pull", Timing: "async",
 			Dynamic: service.DynamicResample, DynamicPeriod: 1e9, Trials: 2, GraphSeed: 3, TrialSeed: 37}},
 
-		{"engine-steps sync", S{Kind: "engine-steps", Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "sync", Trials: 5, GraphSeed: 1, TrialSeed: 38}},
-		{"engine-steps async global", S{Kind: "engine-steps", Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "async", Trials: 5, GraphSeed: 1, TrialSeed: 39}},
-		{"engine-steps async per-node", S{Kind: "engine-steps", Family: "hypercube", N: 32, Protocol: "push", Timing: "async", View: perNode, Trials: 5, GraphSeed: 1, TrialSeed: 40}},
-		{"engine-steps async per-edge", S{Kind: "engine-steps", Family: "star", N: 20, Protocol: "pull", Timing: "async", View: perEdge, Trials: 5, GraphSeed: 1, TrialSeed: 41}},
+		{"async-reference global", S{Kind: "async-reference", Family: "hypercube", N: 32, Protocol: "push-pull", Timing: "async", Trials: 5, GraphSeed: 1, TrialSeed: 39}},
+		{"async-reference per-node", S{Kind: "async-reference", Family: "hypercube", N: 32, Protocol: "push", Timing: "async", View: perNode, Trials: 5, GraphSeed: 1, TrialSeed: 40}},
+		{"async-reference per-edge", S{Kind: "async-reference", Family: "star", N: 20, Protocol: "pull", Timing: "async", View: perEdge, Trials: 5, GraphSeed: 1, TrialSeed: 41}},
 	}
 }
 
@@ -193,11 +192,11 @@ func TestOutOfRangeSourceFailsCell(t *testing.T) {
 		// Crash per-node: the row name (a test ID) predates the single async engine.
 		"async heap": {Family: "complete", N: 16, Protocol: "push-pull", Timing: "async", View: "per-node-clocks", Source: 9999,
 			Crashes: []service.CrashSpec{{Node: 1, Time: 1}}, Trials: 3, GraphSeed: 1, TrialSeed: 2},
-		"ppx":          {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", Variant: "ppx", Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
-		"quasirandom":  {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", Quasirandom: true, Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
-		"dynamic":      {Family: "gnp", N: 16, Protocol: "push-pull", Timing: "sync", Dynamic: service.DynamicResample, Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
-		"extra source": {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", ExtraSources: []int{9999}, Trials: 3, GraphSeed: 1, TrialSeed: 2},
-		"engine-steps": {Kind: "engine-steps", Family: "complete", N: 16, Protocol: "push-pull", Timing: "async", Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"ppx":             {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", Variant: "ppx", Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"quasirandom":     {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", Quasirandom: true, Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"dynamic":         {Family: "gnp", N: 16, Protocol: "push-pull", Timing: "sync", Dynamic: service.DynamicResample, Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"extra source":    {Family: "complete", N: 16, Protocol: "push-pull", Timing: "sync", ExtraSources: []int{9999}, Trials: 3, GraphSeed: 1, TrialSeed: 2},
+		"async-reference": {Kind: "async-reference", Family: "complete", N: 16, Protocol: "push-pull", Timing: "async", Source: 9999, Trials: 3, GraphSeed: 1, TrialSeed: 2},
 	}
 	for name, cell := range cells {
 		t.Run(name, func(t *testing.T) {

@@ -109,8 +109,8 @@ func TestCellKeyV2Regression(t *testing.T) {
 			Crashes: crashes, Trials: 10, GraphSeed: 1, TrialSeed: 2},
 		{Family: "hypercube", N: 64, Protocol: "push-pull", Timing: "async", View: "global-clock",
 			Crashes: crashes, Trials: 10, GraphSeed: 1, TrialSeed: 2},
-		// engine-steps rejects crashes; its key never depended on them.
-		{Kind: "engine-steps", Family: "hypercube", N: 64, Protocol: "push-pull", Timing: "async",
+		// async-reference rejects crashes; its key never depended on them.
+		{Kind: "async-reference", Family: "hypercube", N: 64, Protocol: "push-pull", Timing: "async",
 			View: "per-node-clocks", Crashes: crashes, Trials: 10, GraphSeed: 1, TrialSeed: 2},
 	}
 	for i, spec := range v2 {
