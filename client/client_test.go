@@ -377,7 +377,7 @@ func TestCacheStatsAndMetrics(t *testing.T) {
 		t.Errorf("scraped computed cells = %v, workers = %v, want 8 and 2", computed, workers)
 	}
 	infos, err := c.Experiments(ctx)
-	if err != nil || len(infos) != 16 {
+	if err != nil || len(infos) != 15 {
 		t.Fatalf("experiments listing: %d entries (%v)", len(infos), err)
 	}
 }

@@ -1,6 +1,6 @@
 // Command experiments regenerates the paper's evaluation: it runs the
-// E1–E15 and E17 experiment suite (every theorem, corollary, lemma, and
-// worked example the paper states, plus the dynamic-graph extension)
+// experiment suite (every theorem, corollary, lemma, and worked example
+// the paper states, plus the dynamic-graph extension)
 // and prints paper-expected versus measured results with a verdict per
 // experiment.
 //
@@ -76,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		quick      = fs.Bool("quick", false, "reduced sizes and trial counts")
-		runID      = fs.String("run", "", "run a single experiment (E1..E15, E17)")
+		runID      = fs.String("run", "", "run a single experiment (E1..E12, E14, E15, E17)")
 		seed       = fs.Uint64("seed", 0, "root seed (0 = default)")
 		workers    = fs.Int("workers", 0, "parallel cells in flight (0 = all cores)")
 		markdown   = fs.String("md", "", "also write a Markdown report to this file")

@@ -158,7 +158,7 @@ func TestServerModeFlagConflicts(t *testing.T) {
 
 // TestServerModeSuiteMatchesLocalWithReconnect is the acceptance check
 // of the SDK spine: `experiments -quick -server URL` reproduces the
-// E1–E15, E17 suite verdicts byte-identical to the in-process path, even
+// suite verdicts byte-identical to the in-process path, even
 // when one result stream is force-cut mid-suite — the SDK reconnects
 // with a cursor and no cell is recomputed or dropped.
 func TestServerModeSuiteMatchesLocalWithReconnect(t *testing.T) {
@@ -243,7 +243,7 @@ func TestPeersModeFlagConflicts(t *testing.T) {
 }
 
 // TestPeersModeSuiteSurvivesPeerKill is the churn acceptance check at
-// suite scale: the quick E1–E15, E17 suite shards over three peers, one peer
+// suite scale: the quick suite shards over three peers, one peer
 // is killed mid-suite (stream cut, then every request refused), and the
 // suite still finishes with output byte-identical to the in-process
 // run — the coordinator reassigns the dead peer's cells to survivors.

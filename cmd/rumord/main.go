@@ -2,7 +2,7 @@
 // bounded worker pool executes batches of simulation cells with
 // deterministic seeding, a two-tier cache (cell results + constructed
 // graphs) exploits the purity of every measurement, and results stream
-// back as NDJSON while a job runs. The paper's E1–E15 experiment suite
+// back as NDJSON while a job runs. The paper's experiment suite
 // rides the same scheduler: each experiment runs as a job whose cells
 // stream back followed by the experiment's verdict.
 //

@@ -187,14 +187,14 @@ func TestRumordServesAndDrainsOnSIGTERM(t *testing.T) {
 		t.Fatalf("streamed %d rows, want 4", rows)
 	}
 
-	// Experiment endpoints: the registry lists E1–E15, and running one
+	// Experiment endpoints: the registry lists the suite, and running one
 	// (E12 is graphless and cheap) streams its cells plus an outcome.
 	infos, err := c.Experiments(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 16 {
-		t.Fatalf("experiment registry lists %d entries, want 16", len(infos))
+	if len(infos) != 15 {
+		t.Fatalf("experiment registry lists %d entries, want 15", len(infos))
 	}
 	cells := 0
 	outcome, err := c.RunExperiment(ctx, "e12", client.RunExperimentRequest{Quick: true, Seed: 1},

@@ -161,7 +161,7 @@ type Outcome struct {
 type Experiment struct {
 	// ID is the experiment identifier ("E1".."E12", "E14", "E15",
 	// "E17"; E16 is the live gossip overlay, which runs outside this
-	// suite, and E13 is retired).
+	// suite).
 	ID string
 	// Title is a short name.
 	Title string

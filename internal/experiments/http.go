@@ -21,7 +21,7 @@ type RunRequest = api.RunExperimentRequest
 // Mount attaches the experiment endpoints under the service API's
 // versioned /v1/experiments resource:
 //
-//	GET  /v1/experiments       list the E1–E15 registry with cell counts
+//	GET  /v1/experiments       list the experiment registry with cell counts
 //	POST /v1/experiments/{id}  run one experiment through the scheduler,
 //	                           streaming its cell results as NDJSON in
 //	                           canonical order and ending with the

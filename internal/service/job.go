@@ -6,7 +6,7 @@
 // exact), and streamed back to clients as NDJSON while the job runs.
 //
 // The cell model is the repository's single execution spine: the rumord
-// daemon, the rumorsim CLI, and the E1–E15 experiment suite all express
+// daemon, the rumorsim CLI, and the experiment suite all express
 // their measurements as cells and run them through the same executor, so
 // any result computed anywhere is cache-shareable everywhere.
 //

@@ -13,7 +13,7 @@
 // StreamCells call on its peer's SDK client, so anything that runs cells
 // locally or on one daemon runs them sharded by swapping in a Coordinator:
 // `rumord -peers=` turns a daemon into a coordinator, and
-// `experiments -peers=` runs the whole E1–E15 suite across a cluster.
+// `experiments -peers=` runs the whole experiment suite across a cluster.
 package shard
 
 import (

@@ -13,7 +13,7 @@
 //   - graph generators for the families the paper discusses, including
 //     the adversarial diamond chain with the extremal sync/async gap;
 //   - a deterministic parallel experiment harness, statistics, and the
-//     E1–E17 experiment suite that regenerates every claim (see the
+//     experiment suite that regenerates every claim (see the
 //     README's "Experiments — CLI and service" section).
 //
 // Quickstart:
