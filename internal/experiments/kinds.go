@@ -19,8 +19,9 @@ import (
 // Experiment-specific cell kinds. Registering them with the service
 // registry lets the coupling ladder, the lower-bound block coupling,
 // the Lemma 8 sampler, the spectral-gap estimator, and the literal
-// Section 2 asynchronous process ride the shared executor: they are scheduled,
-// deduplicated, cached, and streamed exactly like spreading-time cells.
+// Section 2 asynchronous process ride the shared executor: they are
+// scheduled, deduplicated, cached, and streamed exactly like
+// spreading-time cells.
 // Importing this package (as cmd/experiments and cmd/rumord do) makes
 // the kinds available to any runner.
 const (
