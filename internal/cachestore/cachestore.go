@@ -24,9 +24,10 @@
 //
 // Reads parse the pinned record layout: the encoder writes one fixed
 // field order (pinned byte for byte by testdata/segment-format-v1.ndjson),
-// so a record is read by matching that layout in place, and only a line
-// in another layout, or one that fails verification there, goes through
-// encoding/json. A value gets its JSON check once: on a read, in the
+// so a record is read by matching that layout in place, its header
+// strings under internal/jsonlayout's one plain-string rule, and only a
+// line in another layout, or one that fails verification there, goes
+// through encoding/json. A value gets its JSON check once: on a read, in the
 // caller's decode (or json.Valid when there is none); at recovery and
 // compaction, with json.Valid on every value.
 package cachestore
@@ -49,8 +50,8 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unicode/utf8"
 
+	"rumor/internal/jsonlayout"
 	"rumor/internal/obs"
 )
 
@@ -195,25 +196,11 @@ func appendCRC(dst []byte, c uint32) []byte {
 	return hex.AppendEncode(dst, b[:])
 }
 
-// plainString reports whether s goes into a JSON string unescaped:
-// valid UTF-8 with no quote, backslash, control byte, or any of the
-// characters encoding/json escapes (<, >, &, U+2028, U+2029).
-func plainString(s string) bool {
-	for _, r := range s {
-		switch {
-		case r < 0x20, r == '"', r == '\\', r == '<', r == '>', r == '&',
-			r == '\u2028', r == '\u2029', r == utf8.RuneError:
-			return false
-		}
-	}
-	return true
-}
-
 // appendRecord appends one record line, trailing newline included, in
 // the pinned layout. value must be compact valid JSON; it is written
 // verbatim, so the bytes read back are the bytes checksummed.
 func appendRecord(dst []byte, keyVersion, key string, value []byte) []byte {
-	if !plainString(keyVersion) || !plainString(key) {
+	if !jsonlayout.Plain(keyVersion) || !jsonlayout.Plain(key) {
 		// json.Marshal escapes the strings and writes the same field
 		// order; a placeholder stands in for the value, which is
 		// spliced in verbatim as on the plain path.
@@ -271,9 +258,9 @@ func decodeValidRecord(line []byte) (recordView, error) {
 
 // parseLayout reads line in the layout appendRecord writes and reports
 // whether it is that layout with a matching checksum. The three strings
-// must be plain (no escapes) and the value must start and end on a
-// non-space byte, so that an accepted line decodes to the same fields
-// under encoding/json whenever its value is valid JSON.
+// must be jsonlayout.Plain (no escapes) and the value must start and end
+// on a non-space byte, so that an accepted line decodes to the same
+// fields under encoding/json whenever its value is valid JSON.
 func parseLayout(line []byte) (recordView, bool) {
 	var rec recordView
 	rest, ok := bytes.CutPrefix(line, []byte(layoutHead))
@@ -281,17 +268,17 @@ func parseLayout(line []byte) (recordView, bool) {
 		return rec, false
 	}
 	var crc []byte
-	if rec.keyVersion, rest, ok = cutPlain(rest, layoutKey); !ok {
+	if rec.keyVersion, rest, ok = jsonlayout.CutString(rest, layoutKey); !ok {
 		return rec, false
 	}
-	if rec.key, rest, ok = cutPlain(rest, layoutCRC); !ok {
+	if rec.key, rest, ok = jsonlayout.CutString(rest, layoutCRC); !ok {
 		return rec, false
 	}
-	if crc, rest, ok = cutPlain(rest, layoutValue); !ok || len(crc) != 8 {
+	if crc, rest, ok = jsonlayout.CutString(rest, layoutValue); !ok || len(crc) != 8 {
 		return rec, false
 	}
 	n := len(rest) - 1
-	if n < 1 || rest[n] != '}' || isSpace(rest[0]) || isSpace(rest[n-1]) {
+	if n < 1 || rest[n] != '}' || len(bytes.TrimSpace(rest[:n])) != n {
 		return rec, false
 	}
 	rec.value = rest[:n]
@@ -301,28 +288,6 @@ func parseLayout(line []byte) (recordView, bool) {
 	}
 	return rec, true
 }
-
-// cutPlain reads a plain JSON string body up to its closing quote,
-// which must be followed by the rest of sep. It fails on a backslash,
-// a control byte, or invalid UTF-8.
-func cutPlain(b []byte, sep string) (str, rest []byte, ok bool) {
-	i := bytes.IndexByte(b, '"')
-	if i < 0 || !bytes.HasPrefix(b[i:], []byte(sep)) {
-		return nil, nil, false
-	}
-	str = b[:i]
-	for _, c := range str {
-		if c < 0x20 || c == '\\' {
-			return nil, nil, false
-		}
-	}
-	if !utf8.Valid(str) {
-		return nil, nil, false
-	}
-	return str, b[i+len(sep):], true
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 // decodeGeneral decodes a line in any field order through
 // encoding/json, which also checks the whole line, value included, as

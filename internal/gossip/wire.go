@@ -25,6 +25,8 @@ import (
 	"io"
 	"strconv"
 	"time"
+
+	"rumor/internal/jsonlayout"
 )
 
 // Wire methods. The gossip plane (push, pull) is what nodes exchange;
@@ -110,8 +112,9 @@ func (e *Envelope) Decode(out interface{}) error {
 }
 
 // The pinned layout. Every frame a node or the coordinator sends is an
-// envelope whose method and error text need no JSON escaping and whose
-// payload is compact JSON, and json.Marshal writes such an envelope as
+// envelope whose method and error text are jsonlayout.Plain and whose
+// payload is a compact value jsonlayout.ValueEnd accepts, and
+// json.Marshal writes such an envelope as
 //
 //	{"method":"…","from":N[,"payload":…][,"err":"…"]}
 //
@@ -126,10 +129,6 @@ func (e *Envelope) Decode(out interface{}) error {
 
 // layoutBytes is the pinned layout's own text around the longest From.
 const layoutBytes = len(`{"method":"","from":-9223372036854775808,"payload":,"err":""}`)
-
-// maxLayoutDepth bounds the payload nesting the layout scanner follows;
-// a deeper payload (no message has one) takes encoding/json.
-const maxLayoutDepth = 32
 
 // methods are the tags a parsed envelope shares instead of a copy.
 var methods = [...]string{MethodPush, MethodPull, MethodRound, MethodStartup, MethodDistribute, MethodReport, MethodShutdown, MethodPing}
@@ -191,7 +190,7 @@ func parseRound(p []byte, round *int32) bool {
 	if !ok {
 		return false
 	}
-	v, rest, ok := cutInt(digits)
+	v, rest, ok := jsonlayout.CutInt(digits)
 	if !ok || string(rest) != "}" || v != int64(int32(v)) {
 		return false
 	}
@@ -215,7 +214,7 @@ func parseInformed(p []byte, informed *bool) bool {
 // big-endian length followed by the JSON envelope.
 func encodeFrame(env *Envelope) ([]byte, error) {
 	var frame []byte
-	if plainString(env.Method) && plainString(env.Err) && (len(env.Payload) == 0 || compactValue(env.Payload, 0, 0) == len(env.Payload)) {
+	if jsonlayout.Plain(env.Method) && jsonlayout.Plain(env.Err) && (len(env.Payload) == 0 || jsonlayout.ValueEnd(env.Payload) == len(env.Payload)) {
 		frame = appendEnvelope(make([]byte, 4, 4+layoutBytes+len(env.Method)+len(env.Payload)+len(env.Err)), env)
 	} else {
 		body, err := json.Marshal(env)
@@ -308,20 +307,17 @@ func parseEnvelope(body []byte) *Envelope {
 	if !ok {
 		return nil
 	}
-	method, rest, ok := cutPlainString(rest)
+	method, rest, ok := jsonlayout.CutString(rest, `","from":`)
 	if !ok || len(method) == 0 {
 		return nil
 	}
-	if rest, ok = bytes.CutPrefix(rest, []byte(`,"from":`)); !ok {
-		return nil
-	}
-	from, rest, ok := cutInt(rest)
+	from, rest, ok := jsonlayout.CutInt(rest)
 	if !ok || from != int64(int(from)) {
 		return nil
 	}
 	env := &Envelope{From: int(from)}
 	if rest, ok = bytes.CutPrefix(rest, []byte(`,"payload":`)); ok {
-		end := compactValue(rest, 0, 0)
+		end := jsonlayout.ValueEnd(rest)
 		if end < 0 {
 			return nil
 		}
@@ -329,7 +325,7 @@ func parseEnvelope(body []byte) *Envelope {
 	}
 	if rest, ok = bytes.CutPrefix(rest, []byte(`,"err":"`)); ok {
 		var errText []byte
-		if errText, rest, ok = cutPlainString(rest); !ok {
+		if errText, rest, ok = jsonlayout.CutString(rest, `"`); !ok {
 			return nil
 		}
 		env.Err = string(errText)
@@ -349,195 +345,6 @@ func internMethod(b []byte) string {
 		}
 	}
 	return string(b)
-}
-
-// plainString reports whether json.Marshal writes s between its quotes
-// unchanged: printable ASCII other than the quote, the backslash and
-// the HTML-escaped <, > and &.
-func plainString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if !plainByte(s[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func plainByte(c byte) bool {
-	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-}
-
-// cutPlainString splits b after the closing quote of a string of
-// plainString bytes, returning its contents.
-func cutPlainString(b []byte) (s, rest []byte, ok bool) {
-	for i, c := range b {
-		if c == '"' {
-			return b[:i], b[i+1:], true
-		}
-		if !plainByte(c) {
-			return nil, nil, false
-		}
-	}
-	return nil, nil, false
-}
-
-// cutInt splits off the leading integer of b as json.Marshal writes
-// one — no sign on 0, no leading zero — of at most 18 digits, so it
-// fits an int64.
-func cutInt(b []byte) (v int64, rest []byte, ok bool) {
-	neg := len(b) > 0 && b[0] == '-'
-	digits := b
-	if neg {
-		digits = b[1:]
-	}
-	n := 0
-	for n < len(digits) && n < 19 && '0' <= digits[n] && digits[n] <= '9' {
-		v = 10*v + int64(digits[n]-'0')
-		n++
-	}
-	switch {
-	case n == 0 || n > 18 || (digits[0] == '0' && (n > 1 || neg)):
-		return 0, nil, false
-	case neg:
-		v = -v
-	}
-	return v, digits[n:], true
-}
-
-// compactValue returns the end of the JSON value that starts at b[i],
-// or -1 unless one starts there that json.Marshal would copy unchanged
-// into a frame: compact (no whitespace), with strings of printable
-// ASCII and no <, > or & (which it escapes), nested at most
-// maxLayoutDepth deep.
-func compactValue(b []byte, i, depth int) int {
-	if i >= len(b) {
-		return -1
-	}
-	switch b[i] {
-	case '{', '[':
-		if depth == maxLayoutDepth {
-			return -1
-		}
-		closing := byte('}')
-		if b[i] == '[' {
-			closing = ']'
-		}
-		if i++; i < len(b) && b[i] == closing {
-			return i + 1
-		}
-		for {
-			if closing == '}' {
-				if i = compactString(b, i); i < 0 || i >= len(b) || b[i] != ':' {
-					return -1
-				}
-				i++
-			}
-			if i = compactValue(b, i, depth+1); i < 0 || i >= len(b) {
-				return -1
-			}
-			switch b[i] {
-			case closing:
-				return i + 1
-			case ',':
-				i++
-			default:
-				return -1
-			}
-		}
-	case '"':
-		return compactString(b, i)
-	case 't':
-		return compactLiteral(b, i, "true")
-	case 'f':
-		return compactLiteral(b, i, "false")
-	case 'n':
-		return compactLiteral(b, i, "null")
-	}
-	return compactNumber(b, i)
-}
-
-// compactString returns the end of the string that starts at b[i], or
-// -1 (see compactValue).
-func compactString(b []byte, i int) int {
-	if i >= len(b) || b[i] != '"' {
-		return -1
-	}
-	for i++; i < len(b); i++ {
-		switch c := b[i]; {
-		case c == '"':
-			return i + 1
-		case c == '\\':
-			if i++; i >= len(b) {
-				return -1
-			}
-			switch b[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if i+4 >= len(b) || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
-					return -1
-				}
-				i += 4
-			default:
-				return -1
-			}
-		case !plainByte(c):
-			return -1
-		}
-	}
-	return -1
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-func compactLiteral(b []byte, i int, lit string) int {
-	if !bytes.HasPrefix(b[i:], []byte(lit)) {
-		return -1
-	}
-	return i + len(lit)
-}
-
-// compactNumber returns the end of the JSON number that starts at b[i],
-// or -1.
-func compactNumber(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i)
-	default:
-		return -1
-	}
-	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return -1
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			return -1
-		}
-		i = j
-	}
-	return i
-}
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
 }
 
 // StartupConfig is the MethodStartup payload: everything a node needs
