@@ -209,36 +209,32 @@ func TestSchedulerPriorityOrdersQueue(t *testing.T) {
 	}
 }
 
+// TestSchedulerCancelStopsJob: cancelling a job while its first cell
+// runs ends it cancelled, and every cell, the aborted one included, then
+// reports ErrJobNotDone. The pin-order kind parks each cell until the
+// test releases it, and it releases none, so no cell can finish before
+// Cancel lands.
 func TestSchedulerCancelStopsJob(t *testing.T) {
+	started, _ := armOrderKind()
 	s := newTestScheduler(t, SchedulerConfig{Workers: 1})
-	spec := gridSpec()
-	spec.Trials = 50
-	job, err := s.Submit(spec)
+	job, err := s.SubmitCells(orderCells(1, 4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recv(t, started, "the first cell to start")
 	job.Cancel()
 	if err := job.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if st := job.Status(); st.State != JobCancelled {
-		t.Errorf("state = %s, want cancelled", st.State)
+	if st := job.Status(); st.State != JobCancelled || st.CellsDone != 0 {
+		t.Errorf("status = %+v, want cancelled with no cells done", st)
 	}
-	// Streaming a cancelled job terminates with ErrJobNotDone for any
-	// cell that never completed.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	sawError := false
 	for i := 0; i < job.NumCells(); i++ {
-		if _, err := job.WaitCell(ctx, i); err != nil {
-			if !errors.Is(err, ErrJobNotDone) {
-				t.Fatalf("cell %d: err = %v, want ErrJobNotDone", i, err)
-			}
-			sawError = true
+		if _, err := job.WaitCell(ctx, i); !errors.Is(err, ErrJobNotDone) {
+			t.Fatalf("cell %d: err = %v, want ErrJobNotDone", i, err)
 		}
-	}
-	if !sawError {
-		t.Skip("job finished before cancel landed; nothing to assert")
 	}
 }
 

@@ -528,6 +528,23 @@ func (l *logged) accessLines(t *testing.T) map[string][]string {
 	return byRoute
 }
 
+// waitAccessLines is accessLines once every route in routes has a line,
+// or after five seconds: a daemon logs a request when its handler
+// returns, and a peer's stream handler can return after the coordinator
+// has read its last row and finished the caller's job.
+func (l *logged) waitAccessLines(t *testing.T, routes ...string) map[string][]string {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		byRoute := l.accessLines(t)
+		missing := slices.ContainsFunc(routes, func(r string) bool { return len(byRoute[r]) == 0 })
+		if !missing || time.Now().After(deadline) {
+			return byRoute
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // startDaemon is one rumord HTTP surface with its access log captured;
 // remote, when non-nil, makes it a -peers coordinator.
 func startDaemon(t *testing.T, remote service.CellRunner) (string, *logged) {
@@ -578,14 +595,16 @@ func TestRequestIDForwarded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := coordLog.accessLines(t)["POST /v1/jobs"]; len(got) != 1 || got[0] != id {
+	routes := []string{"POST /v1/jobs", "GET /v1/jobs/{id}/results"}
+	coord := coordLog.waitAccessLines(t, routes...)
+	if got := coord["POST /v1/jobs"]; len(got) != 1 || got[0] != id {
 		t.Errorf("coordinator logged the submit under %v, want [%s]", got, id)
 	}
-	if got := coordLog.accessLines(t)["GET /v1/jobs/{id}/results"]; len(got) != 1 || got[0] == id || got[0] == "" {
+	if got := coord["GET /v1/jobs/{id}/results"]; len(got) != 1 || got[0] == id || got[0] == "" {
 		t.Errorf("coordinator logged the ID-less stream request under %v, want an ID of its own", got)
 	}
-	peer := peerLog.accessLines(t)
-	for _, route := range []string{"POST /v1/jobs", "GET /v1/jobs/{id}/results"} {
+	peer := peerLog.waitAccessLines(t, routes...)
+	for _, route := range routes {
 		if got := peer[route]; len(got) == 0 || slices.ContainsFunc(got, func(s string) bool { return s != id }) {
 			t.Errorf("peer logged %s under %v, want every line under %s", route, got, id)
 		}
