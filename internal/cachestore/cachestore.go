@@ -27,9 +27,9 @@
 // so a record is read by matching that layout in place, its header
 // strings under internal/jsonlayout's one plain-string rule, and only a
 // line in another layout, or one that fails verification there, goes
-// through encoding/json. A value gets its JSON check once: on a read, in the
-// caller's decode (or json.Valid when there is none); at recovery and
-// compaction, with json.Valid on every value.
+// through encoding/json. A value gets its JSON check once: on a read,
+// in the caller's decode (or json.Valid when there is none); at
+// recovery and compaction, with json.Valid on every value.
 package cachestore
 
 import (

@@ -13,7 +13,9 @@ import (
 	"unicode/utf8"
 )
 
-// maxDepth bounds the nesting ValueEnd follows.
+// maxDepth bounds the nesting ValueEnd follows, and with it the
+// recursion a hostile input can cause; no layout nests deeper, and a
+// deeper value is left to encoding/json.
 const maxDepth = 32
 
 // Plain reports whether json.Marshal writes s between its quotes
