@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -50,9 +51,15 @@ func (c *Client) RunExperiment(ctx context.Context, id string, req api.RunExperi
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 	for sc.Scan() {
 		line := sc.Bytes()
-		// Rows are discriminated by shape: an error envelope terminates
-		// the stream, a verdict marks the final outcome row, everything
-		// else is a cell result.
+		// Rows are discriminated by shape: a cell result starts with its
+		// index, an error envelope terminates the stream, a verdict marks
+		// the final outcome row, and everything else is a cell result.
+		if bytes.HasPrefix(line, []byte(`{"index":`)) {
+			if err := cellRow(line, onCell); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		var probe struct {
 			Error   *api.Error `json:"error"`
 			Verdict string     `json:"verdict"`
@@ -70,14 +77,8 @@ func (c *Client) RunExperiment(ctx context.Context, id string, req api.RunExperi
 			}
 			return &outcome, nil
 		default:
-			var res service.CellResult
-			if err := json.Unmarshal(line, &res); err != nil {
-				return nil, fmt.Errorf("client: decoding cell row: %w", err)
-			}
-			if onCell != nil {
-				if err := onCell(&res); err != nil {
-					return nil, err
-				}
+			if err := cellRow(line, onCell); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -85,4 +86,17 @@ func (c *Client) RunExperiment(ctx context.Context, id string, req api.RunExperi
 		return nil, err
 	}
 	return nil, fmt.Errorf("client: experiment %s stream ended without an outcome row", id)
+}
+
+// cellRow decodes one cell row of an experiment stream and hands it to
+// onCell, if set.
+func cellRow(line []byte, onCell func(*service.CellResult) error) error {
+	var res service.CellResult
+	if err := service.DecodeResult(line, &res); err != nil {
+		return fmt.Errorf("client: decoding cell row: %w", err)
+	}
+	if onCell == nil {
+		return nil
+	}
+	return onCell(&res)
 }

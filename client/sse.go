@@ -99,7 +99,7 @@ func (s *EventStream) decode(ev *Event) error {
 		}
 	case api.EventCell:
 		ev.Result = new(service.CellResult)
-		if err := json.Unmarshal(ev.Data, ev.Result); err != nil {
+		if err := service.DecodeResult(ev.Data, ev.Result); err != nil {
 			return fmt.Errorf("client: decoding cell event: %w", err)
 		}
 	case api.EventError:

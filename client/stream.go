@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -63,13 +64,21 @@ func (s *ResultStream) Next() (*service.CellResult, error) {
 		return nil, io.EOF
 	}
 	s.raw = append(s.raw[:0], s.sc.Bytes()...)
-	// One decode discriminates the row: a result row never carries an
-	// "error" key, an error row nothing else we care about.
+	// A result row starts with its index, the first field of a
+	// CellResult, and goes through the result codec. Any other row is
+	// decoded once, which also discriminates it: a result row never
+	// carries an "error" key, an error row nothing else we care about.
 	var row struct {
 		Error *api.Error `json:"error"`
 		service.CellResult
 	}
-	if err := json.Unmarshal(s.raw, &row); err != nil {
+	var err error
+	if bytes.HasPrefix(s.raw, []byte(`{"index":`)) {
+		err = service.DecodeResult(s.raw, &row.CellResult)
+	} else {
+		err = json.Unmarshal(s.raw, &row)
+	}
+	if err != nil {
 		s.done = true
 		// bufio.Scanner flushes the buffered tail of an errored
 		// connection as a final token, so an undecodable row can be a

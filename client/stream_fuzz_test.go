@@ -3,11 +3,13 @@ package client
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"testing"
 
 	"rumor/internal/api"
+	"rumor/internal/service"
 )
 
 // FuzzResultStream feeds arbitrary bytes, as a server could send them,
@@ -26,6 +28,19 @@ import (
 // none carries its typed payload. The end comes within one call per
 // byte plus one.
 func FuzzResultStream(f *testing.F) {
+	// A real result row and cell frame, which take the result codec's
+	// fast path.
+	res, _, err := (&service.Executor{TrialWorkers: 1}).Run(context.Background(), 1, service.CellSpec{
+		Family: "hypercube", N: 64, Protocol: "push-pull", Timing: "async", Trials: 2, GraphSeed: 1, TrialSeed: 16045690984503098381})
+	if err != nil {
+		f.Fatal(err)
+	}
+	row, err := api.Marshal(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(row, '\n'))
+	f.Add([]byte("event: cell\nid: 1\ndata: " + string(row) + "\n\nevent: state\ndata: {\"id\":\"job-1\",\"state\":\"done\"}\n\n"))
 	f.Add([]byte(`{"index":0,"key":"k0"}` + "\n" + `{"index":1,"key":"k1"}` + "\n"))
 	f.Add([]byte(`{"index":0}` + "\n" + `{"error":{"code":"cancelled","message":"job cancelled"}}` + "\n"))
 	f.Add([]byte(`{"index":1,` + "\n"))

@@ -1,14 +1,18 @@
 // Package jsonlayout holds the lexical rules of the fixed JSON layouts
-// that the disk tier's record codec (internal/cachestore) and the gossip
-// wire's frame codec (internal/gossip) write as json.Marshal would and
-// parse in place. There is one string rule, Plain; CutString reads a
-// string under it, CutInt an integer, and ValueEnd a compact value. Each
-// reader accepts a subset of what encoding/json accepts and rejects
-// rather than guesses, and its caller then falls back to encoding/json.
+// that three codecs write as json.Marshal would and parse in place: the
+// disk tier's records (internal/cachestore), the gossip wire's frames
+// (internal/gossip) and cell results (internal/service). There is one
+// string rule, Plain; CutString reads a string under it, CutInt an
+// integer, CutUint an unsigned one, CutFloat a number as a float64, and
+// ValueEnd a compact value; AppendFloat writes a float64. Each reader
+// accepts a subset of what encoding/json accepts and rejects rather
+// than guesses, and its caller then falls back to encoding/json.
 package jsonlayout
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 )
@@ -88,6 +92,57 @@ func CutInt(b []byte) (v int64, rest []byte, ok bool) {
 		v = -v
 	}
 	return v, digits[n:], true
+}
+
+// CutUint splits off the leading unsigned integer of b as json.Marshal
+// writes one — no sign, no leading zero — of at most 20 digits and at
+// most math.MaxUint64.
+func CutUint(b []byte) (v uint64, rest []byte, ok bool) {
+	n := 0
+	for n < len(b) && n < 21 && '0' <= b[n] && b[n] <= '9' {
+		d := uint64(b[n] - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, nil, false
+		}
+		v = 10*v + d
+		n++
+	}
+	if n == 0 || n > 20 || b[0] == '0' && n > 1 {
+		return 0, nil, false
+	}
+	return v, b[n:], true
+}
+
+// AppendFloat appends f as json.Marshal writes a float64: the shortest
+// decimal that reads back as f, in exponent form below 1e-6 and from
+// 1e21 on (with "e-7", not "e-07"). f must be finite; json.Marshal
+// refuses NaN and ±Inf.
+func AppendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// CutFloat splits off the leading JSON number of b and returns the
+// float64 json.Unmarshal reads it as. It fails where json.Unmarshal
+// would: on no number, and on one beyond float64's range.
+func CutFloat(b []byte) (v float64, rest []byte, ok bool) {
+	n := number(b, 0)
+	if n < 0 {
+		return 0, nil, false
+	}
+	v, err := strconv.ParseFloat(string(b[:n]), 64)
+	if err != nil {
+		return 0, nil, false
+	}
+	return v, b[n:], true
 }
 
 // ValueEnd returns the length of the JSON value b starts with, or -1

@@ -18,3 +18,10 @@ func SweepCells() []CellSpec {
 	}
 	return cells
 }
+
+// AppendResult and ParseResult are the result codec's writer and its
+// in-place reader, for FuzzResultCodec in the external test package.
+var (
+	AppendResult = appendResult
+	ParseResult  = parseResult
+)

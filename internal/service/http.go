@@ -349,6 +349,7 @@ func (s *Server) StreamResults(w http.ResponseWriter, r *http.Request, job *Job,
 	w.WriteHeader(http.StatusOK)
 	flush := flushFunc(w)
 	results := make([]*CellResult, 0, job.NumCells()-after-1)
+	var row []byte
 	for ready, err := range job.batches(r.Context(), after) {
 		if err != nil {
 			if r.Context().Err() == nil { // else the client went away; nobody is reading
@@ -360,7 +361,15 @@ func (s *Server) StreamResults(w http.ResponseWriter, r *http.Request, job *Job,
 			return results, false
 		}
 		for _, res := range ready {
-			if api.EncodeRow(w, res) != nil {
+			var ok bool
+			var err error
+			if row, ok = appendResult(row[:0], res); ok {
+				row = append(row, '\n')
+				_, err = w.Write(row)
+			} else {
+				err = api.EncodeRow(w, res)
+			}
+			if err != nil {
 				return results, false // client went away
 			}
 			results = append(results, res)
@@ -400,15 +409,18 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	flush := flushFunc(w)
 	next := after + 1
 	var lastState JobState
+	var data []byte
 	for {
 		ready, st, changed := job.Watch(next)
-		// Every cell completed so far, in canonical order. The canonical
-		// api.Marshal keeps an SSE cell payload bit-identical to the same
-		// cell's NDJSON results row.
+		// Every cell completed so far, in canonical order. The result
+		// codec, or else the canonical api.Marshal, keeps an SSE cell
+		// payload bit-identical to the same cell's NDJSON results row.
 		for _, res := range ready {
-			data, err := api.Marshal(res)
-			if err != nil {
-				return
+			if data, ok = appendResult(data[:0], res); !ok {
+				var err error
+				if data, err = api.Marshal(res); err != nil {
+					return
+				}
 			}
 			if err := api.WriteSSE(w, api.EventCell, strconv.Itoa(next), data); err != nil {
 				return // client went away

@@ -53,12 +53,10 @@ func (c *TieredResultCache) Get(key string) (*CellResult, bool) {
 		// The decode is the value's one JSON check. Checksum-valid bytes
 		// that do not decode as a CellResult (a value schema drift) are
 		// dropped by the store, so the recompute's Put writes a fresh
-		// record instead of the stale one shadowing the key.
+		// record instead of the stale one shadowing the key. A read the
+		// store retries decodes afresh: DecodeResult starts from zero.
 		var res CellResult
-		decode := func(v []byte) error {
-			res = CellResult{} // a read the store retries decodes afresh
-			return json.Unmarshal(v, &res)
-		}
+		decode := func(v []byte) error { return DecodeResult(v, &res) }
 		if _, ok := c.disk.Get(key, decode); ok {
 			// Promote without re-appending: the record is already
 			// durable.
@@ -83,9 +81,14 @@ func (c *TieredResultCache) Put(key string, res *CellResult) {
 	if c.disk == nil || c.disk.Has(key) {
 		return
 	}
-	if raw, err := json.Marshal(res); err == nil {
-		c.disk.Put(key, raw)
+	raw, ok := appendResult(nil, res)
+	if !ok {
+		var err error
+		if raw, err = json.Marshal(res); err != nil {
+			return
+		}
 	}
+	c.disk.Put(key, raw)
 }
 
 // Stats implements ResultStore: one consistent cross-tier snapshot.
