@@ -377,13 +377,10 @@ func (p *resultReader) floats() []float64 {
 func (p *resultReader) coverage() map[string]float64 {
 	m := make(map[string]float64, 4)
 	var prev []byte
-	for first := true; p.ok; first = false {
+	for i := 0; p.ok; i++ {
 		p.lit(`"`)
-		if !p.ok {
-			return nil
-		}
 		k, rest, ok := jsonlayout.CutString(p.rest, `":`)
-		if !ok || !first && bytes.Compare(prev, k) >= 0 {
+		if !p.ok || !ok || i > 0 && bytes.Compare(prev, k) >= 0 {
 			p.ok = false
 			return nil
 		}

@@ -96,7 +96,7 @@ func FuzzResultCodec(f *testing.F) {
 	// Edits: a non-plain family, a NaN time, nil and empty Times, and
 	// each optional field in turn.
 	f.Add([]byte(small), []byte{1, 3, 'a', '<', 'b'})
-	f.Add([]byte(small), append([]byte{13, 0}, binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))...))
+	f.Add([]byte(small), append([]byte{13}, binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))...))
 	f.Add([]byte(small), []byte{22})
 	f.Add([]byte(small), []byte{23, 32})
 	f.Add([]byte(small), []byte{25, 26, 27, 28, 29, 30, 31})
