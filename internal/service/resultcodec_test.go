@@ -17,38 +17,6 @@ import (
 	"rumor/internal/service"
 )
 
-// TestResultCodecCoversPlainCells: the writer takes every golden cell
-// without a schedule, coverage fractions or params, and the reader
-// takes back what it wrote, so the fast paths are the ones the golden
-// rows run through.
-func TestResultCodecCoversPlainCells(t *testing.T) {
-	covered := 0
-	for _, tc := range rowsGoldenCells() {
-		res, _, err := (&service.Executor{TrialWorkers: 1}).Run(context.Background(), 3, tc.cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := tc.cell
-		plain := len(c.ExtraSources) == 0 && len(c.Crashes) == 0 && len(c.Churn) == 0 && len(c.CoverageFracs) == 0
-		row, ok := service.AppendResult(nil, res)
-		if ok != plain {
-			t.Errorf("%s: appendResult ok = %v, want %v", tc.name, ok, plain)
-			continue
-		}
-		if !ok {
-			continue
-		}
-		covered++
-		var back service.CellResult
-		if !service.ParseResult(row, &back) {
-			t.Errorf("%s: the reader declines the writer's row %s", tc.name, row)
-		}
-	}
-	if covered < 20 {
-		t.Errorf("the codec covers %d golden cells, want most of them", covered)
-	}
-}
-
 // FuzzResultCodec holds the result codec to encoding/json.
 //
 //   - On a CellResult built from a decoded row and fuzzed edits (strings
@@ -62,18 +30,23 @@ func TestResultCodecCoversPlainCells(t *testing.T) {
 //     and its result is reflect.DeepEqual to what json.Unmarshal makes
 //     of a zero CellResult, whatever *r held before.
 func FuzzResultCodec(f *testing.F) {
-	rows := 0
+	// The writer takes exactly the golden cells without a schedule or
+	// coverage fractions, so the golden rows run through the fast paths.
 	for _, tc := range rowsGoldenCells() {
 		res, _, err := (&service.Executor{TrialWorkers: 1}).Run(context.Background(), 7, tc.cell)
 		if err != nil {
 			f.Fatal(err)
+		}
+		c := tc.cell
+		plain := len(c.ExtraSources) == 0 && len(c.Crashes) == 0 && len(c.Churn) == 0 && len(c.CoverageFracs) == 0
+		if _, ok := service.AppendResult(nil, res); ok != plain {
+			f.Errorf("%s: appendResult ok = %v, want %v", tc.name, ok, plain)
 		}
 		row, err := api.Marshal(res)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(row, []byte{})
-		rows++
 	}
 	const small = `{"index":3,"cell":{"family":"hypercube","n":64,"protocol":"push-pull","timing":"async","trials":2,` +
 		`"graph_seed":1,"trial_seed":16045690984503098381,"source":0},"key":"v2|k","graph":"hypercube(6)","n":64,"m":192,` +
