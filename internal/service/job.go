@@ -250,6 +250,10 @@ func (c CellSpec) effectiveCoverage() []float64 {
 	return c.CoverageFracs
 }
 
+// defaultCoverageCanonical is the canonical rendering of the default
+// milestones, which appendCanonical writes for most cells.
+const defaultCoverageCanonical = "0.5,0.9,1"
+
 // dynamicScenario reports whether any v3 field is set; such cells
 // render the extended v3 canonical form.
 func (c CellSpec) dynamicScenario() bool {
@@ -381,7 +385,10 @@ func (c CellSpec) appendCanonical(b []byte) []byte {
 	}
 
 	b = append(b, "|cov="...)
-	for i, f := range c.effectiveCoverage() {
+	if len(c.CoverageFracs) == 0 && c.kind() == KindTime {
+		b = append(b, defaultCoverageCanonical...)
+	}
+	for i, f := range c.CoverageFracs {
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -738,6 +745,9 @@ func (s JobSpec) Cells() []CellSpec {
 // Idempotency-Key for StreamCells from it, and the server verifies a
 // replayed key against it.
 func (s JobSpec) Hash() string {
+	if s.explicit() {
+		return hashCells(s.Priority, s.CellList) // Cells would copy the list
+	}
 	return hashCells(s.Priority, s.Cells())
 }
 

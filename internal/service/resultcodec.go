@@ -19,13 +19,17 @@ import (
 // json.Marshal and api.EncodeRow write the same bytes, in one fixed
 // field order:
 //
-//	{"index":I,"cell":{["kind":"…",]["family":"…",]["n":N,]["protocol":"…",]
-//	 ["timing":"…",]["view":"…",]["variant":"…",]["quasirandom":true,]
-//	 ["loss_prob":F,]"trials":T,"graph_seed":U,"trial_seed":U,"source":S
-//	 [,"dynamic":"…"][,"dynamic_period":F][,"perturb_rate":F]},
-//	 "key":"…"[,"graph":"…"],"n":N,"m":M,"times":[F,…],
+//	{"index":I,"cell":C,"key":"…"[,"graph":"…"],"n":N,"m":M,"times":[F,…],
 //	 "summary":{"N":N,"Mean":F,"Variance":F,"StdDev":F,"Min":F,"Max":F,
 //	 "Median":F,"Q25":F,"Q75":F}[,"coverage":{"k":F,…}]}
+//
+// where C is the cell's object (resultWriter.cell, resultReader.cell;
+// the job body of jobbody.go is a list of them),
+//
+//	{["kind":"…",]["family":"…",]["n":N,]["protocol":"…",]["timing":"…",]
+//	 ["view":"…",]["variant":"…",]["quasirandom":true,]["loss_prob":F,]
+//	 "trials":T,"graph_seed":U,"trial_seed":U,"source":S
+//	 [,"dynamic":"…"][,"dynamic_period":F][,"perturb_rate":F]}
 //
 // with coverage keys in ascending byte order. appendResult writes that
 // layout and DecodeResult reads it in place; anything else goes through
@@ -40,56 +44,16 @@ import (
 // an integer of more than 18 digits (which the reader would not take
 // back).
 func appendResult(b []byte, r *CellResult) ([]byte, bool) {
-	c := &r.Cell
-	if r.Times == nil || len(c.ExtraSources) > 0 || len(c.Crashes) > 0 || len(c.Churn) > 0 ||
-		len(c.CoverageFracs) > 0 || len(c.Params) > 0 || len(r.Series) > 0 || len(r.Values) > 0 {
+	if r.Times == nil || len(r.Series) > 0 || len(r.Values) > 0 {
 		return b, false
 	}
 	start := len(b)
 	w := resultWriter{b: b, ok: true}
 	w.raw(`{"index":`)
 	w.int(r.Index)
-	w.raw(`,"cell":{`)
-	w.optStr(`"kind":`, c.Kind)
-	w.optStr(`"family":`, c.Family)
-	if c.N != 0 {
-		w.raw(`"n":`)
-		w.int(c.N)
-		w.raw(",")
-	}
-	w.optStr(`"protocol":`, c.Protocol)
-	w.optStr(`"timing":`, c.Timing)
-	w.optStr(`"view":`, c.View)
-	w.optStr(`"variant":`, c.Variant)
-	if c.Quasirandom {
-		w.raw(`"quasirandom":true,`)
-	}
-	if c.LossProb != 0 {
-		w.raw(`"loss_prob":`)
-		w.float(c.LossProb)
-		w.raw(",")
-	}
-	w.raw(`"trials":`)
-	w.int(c.Trials)
-	w.raw(`,"graph_seed":`)
-	w.b = strconv.AppendUint(w.b, c.GraphSeed, 10)
-	w.raw(`,"trial_seed":`)
-	w.b = strconv.AppendUint(w.b, c.TrialSeed, 10)
-	w.raw(`,"source":`)
-	w.int(c.Source)
-	if c.Dynamic != "" {
-		w.raw(`,"dynamic":`)
-		w.str(c.Dynamic)
-	}
-	if c.DynamicPeriod != 0 {
-		w.raw(`,"dynamic_period":`)
-		w.float(c.DynamicPeriod)
-	}
-	if c.PerturbRate != 0 {
-		w.raw(`,"perturb_rate":`)
-		w.float(c.PerturbRate)
-	}
-	w.raw(`},"key":`)
+	w.raw(`,"cell":`)
+	w.cell(&r.Cell)
+	w.raw(`,"key":`)
 	w.str(r.Key)
 	if r.Graph != "" {
 		w.raw(`,"graph":`)
@@ -155,6 +119,58 @@ type resultWriter struct {
 
 func (w *resultWriter) raw(s string) { w.b = append(w.b, s...) }
 
+// cell writes c's object, or turns ok false without writing when c is
+// outside the layout: extra sources, a schedule, coverage fractions or
+// params.
+func (w *resultWriter) cell(c *CellSpec) {
+	if len(c.ExtraSources) > 0 || len(c.Crashes) > 0 || len(c.Churn) > 0 ||
+		len(c.CoverageFracs) > 0 || len(c.Params) > 0 {
+		w.ok = false
+		return
+	}
+	w.raw("{")
+	w.optStr(`"kind":`, c.Kind)
+	w.optStr(`"family":`, c.Family)
+	if c.N != 0 {
+		w.raw(`"n":`)
+		w.int(c.N)
+		w.raw(",")
+	}
+	w.optStr(`"protocol":`, c.Protocol)
+	w.optStr(`"timing":`, c.Timing)
+	w.optStr(`"view":`, c.View)
+	w.optStr(`"variant":`, c.Variant)
+	if c.Quasirandom {
+		w.raw(`"quasirandom":true,`)
+	}
+	if c.LossProb != 0 {
+		w.raw(`"loss_prob":`)
+		w.float(c.LossProb)
+		w.raw(",")
+	}
+	w.raw(`"trials":`)
+	w.int(c.Trials)
+	w.raw(`,"graph_seed":`)
+	w.b = strconv.AppendUint(w.b, c.GraphSeed, 10)
+	w.raw(`,"trial_seed":`)
+	w.b = strconv.AppendUint(w.b, c.TrialSeed, 10)
+	w.raw(`,"source":`)
+	w.int(c.Source)
+	if c.Dynamic != "" {
+		w.raw(`,"dynamic":`)
+		w.str(c.Dynamic)
+	}
+	if c.DynamicPeriod != 0 {
+		w.raw(`,"dynamic_period":`)
+		w.float(c.DynamicPeriod)
+	}
+	if c.PerturbRate != 0 {
+		w.raw(`,"perturb_rate":`)
+		w.float(c.PerturbRate)
+	}
+	w.raw("}")
+}
+
 // int writes v if jsonlayout.CutInt reads it back: at most 18 digits.
 func (w *resultWriter) int(v int) {
 	if v < -maxLayoutInt || v > maxLayoutInt {
@@ -207,43 +223,11 @@ func DecodeResult(b []byte, r *CellResult) error {
 // b is in the pinned layout. On false, r holds whatever it read.
 func parseResult(b []byte, r *CellResult) bool {
 	p := resultReader{rest: b, ok: true}
-	c := &r.Cell
 	p.lit(`{"index":`)
 	r.Index = p.int()
-	p.lit(`,"cell":{`)
-	c.Kind = p.optStr(`"kind":"`)
-	c.Family = p.optStr(`"family":"`)
-	if p.opt(`"n":`) {
-		c.N = p.int()
-		p.lit(",")
-	}
-	c.Protocol = p.optStr(`"protocol":"`)
-	c.Timing = p.optStr(`"timing":"`)
-	c.View = p.optStr(`"view":"`)
-	c.Variant = p.optStr(`"variant":"`)
-	c.Quasirandom = p.opt(`"quasirandom":true,`)
-	if p.opt(`"loss_prob":`) {
-		c.LossProb = p.float()
-		p.lit(",")
-	}
-	p.lit(`"trials":`)
-	c.Trials = p.int()
-	p.lit(`,"graph_seed":`)
-	c.GraphSeed = p.uint()
-	p.lit(`,"trial_seed":`)
-	c.TrialSeed = p.uint()
-	p.lit(`,"source":`)
-	c.Source = p.int()
-	if p.opt(`,"dynamic":"`) {
-		c.Dynamic = p.str()
-	}
-	if p.opt(`,"dynamic_period":`) {
-		c.DynamicPeriod = p.float()
-	}
-	if p.opt(`,"perturb_rate":`) {
-		c.PerturbRate = p.float()
-	}
-	p.lit(`},"key":"`)
+	p.lit(`,"cell":`)
+	p.cell(&r.Cell)
+	p.lit(`,"key":"`)
 	r.Key = p.str()
 	if p.opt(`,"graph":"`) {
 		r.Graph = p.str()
@@ -282,6 +266,44 @@ func parseResult(b []byte, r *CellResult) bool {
 type resultReader struct {
 	rest []byte
 	ok   bool
+}
+
+// cell reads a cell's object into the zero spec c.
+func (p *resultReader) cell(c *CellSpec) {
+	p.lit("{")
+	c.Kind = p.optStr(`"kind":"`)
+	c.Family = p.optStr(`"family":"`)
+	if p.opt(`"n":`) {
+		c.N = p.int()
+		p.lit(",")
+	}
+	c.Protocol = p.optStr(`"protocol":"`)
+	c.Timing = p.optStr(`"timing":"`)
+	c.View = p.optStr(`"view":"`)
+	c.Variant = p.optStr(`"variant":"`)
+	c.Quasirandom = p.opt(`"quasirandom":true,`)
+	if p.opt(`"loss_prob":`) {
+		c.LossProb = p.float()
+		p.lit(",")
+	}
+	p.lit(`"trials":`)
+	c.Trials = p.int()
+	p.lit(`,"graph_seed":`)
+	c.GraphSeed = p.uint()
+	p.lit(`,"trial_seed":`)
+	c.TrialSeed = p.uint()
+	p.lit(`,"source":`)
+	c.Source = p.int()
+	if p.opt(`,"dynamic":"`) {
+		c.Dynamic = p.str()
+	}
+	if p.opt(`,"dynamic_period":`) {
+		c.DynamicPeriod = p.float()
+	}
+	if p.opt(`,"perturb_rate":`) {
+		c.PerturbRate = p.float()
+	}
+	p.lit("}")
 }
 
 // lit consumes s, which must come next.

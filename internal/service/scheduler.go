@@ -96,6 +96,7 @@ type Scheduler struct {
 	queue   []*Job     // jobs with unstarted cells, in scheduling order
 	pending int        // unstarted cells across queue
 	jobs    map[string]*Job
+	order   []*Job               // the jobs of jobs, in submission (seq) order
 	idem    map[string]idemEntry // Idempotency-Key -> submitted job
 	nextSeq int64
 	closed  bool
@@ -295,8 +296,10 @@ func (s *Scheduler) enqueue(requestID string, priority int, cells []CellSpec, id
 		changed:  make(chan struct{}),
 		ctx:      ctx,
 		cancel:   cancel,
+		idemKey:  idemKey,
 	}
 	s.jobs[job.id] = job
+	s.order = append(s.order, job)
 	if idemKey != "" {
 		s.idem[idemKey] = idemEntry{jobID: job.id, specHash: specHash}
 	}
@@ -325,43 +328,37 @@ func (s *Scheduler) enqueue(requestID string, priority int, cells []CellSpec, id
 
 // pruneJobsLocked evicts the oldest terminal jobs once the registry
 // exceeds the retention bound, so a long-running daemon does not
-// accumulate every job's results forever. Live jobs are never evicted.
-// Caller holds s.mu.
+// accumulate every job's results forever. Live jobs are never evicted:
+// the walk from the oldest job keeps them in place. Caller holds s.mu.
 func (s *Scheduler) pruneJobsLocked() {
-	excess := len(s.jobs) - s.retention
+	excess := len(s.order) - s.retention
 	if excess <= 0 {
 		return
 	}
-	terminal := make([]*Job, 0, excess)
-	for _, j := range s.jobs {
-		select {
-		case <-j.terminal:
-			terminal = append(terminal, j)
-		default:
-		}
-	}
-	sort.Slice(terminal, func(i, k int) bool { return terminal[i].seq < terminal[k].seq })
-	evicted := false
-	for _, j := range terminal {
-		if excess <= 0 {
+	kept := s.order[:0]
+	for i, j := range s.order {
+		if excess == 0 {
+			kept = append(kept, s.order[i:]...)
 			break
 		}
+		select {
+		case <-j.terminal:
+		default:
+			kept = append(kept, j)
+			continue
+		}
 		delete(s.jobs, j.id)
-		evicted = true
 		excess--
-	}
-	if !evicted {
-		return
-	}
-	// Idempotency entries whose job was just evicted are dead: a replay
-	// could no longer return the job, so forget the key (the resubmit
-	// will enqueue fresh — and, with caching, replay from the cell
-	// cache anyway).
-	for k, e := range s.idem {
-		if _, ok := s.jobs[e.jobID]; !ok {
-			delete(s.idem, k)
+		// The evicted job's key is dead: a replay could no longer return
+		// the job, so forget it (the resubmit enqueues fresh — and, with
+		// caching, replays from the cell cache anyway). A key that a
+		// retry has since bound to a newer job stays.
+		if e, ok := s.idem[j.idemKey]; ok && e.jobID == j.id {
+			delete(s.idem, j.idemKey)
 		}
 	}
+	clear(s.order[len(kept):])
+	s.order = kept
 }
 
 // Job returns a submitted job by ID.
@@ -411,14 +408,9 @@ func ParseJobSeq(id string) (int64, error) {
 // existing cursor).
 func (s *Scheduler) JobsFiltered(f JobsFilter) []JobStatus {
 	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		if j.seq > f.AfterSeq {
-			jobs = append(jobs, j)
-		}
-	}
+	at := sort.Search(len(s.order), func(i int) bool { return s.order[i].seq > f.AfterSeq })
+	jobs := slices.Clone(s.order[at:])
 	s.mu.Unlock()
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
 	out := make([]JobStatus, 0, len(jobs))
 	for _, j := range jobs {
 		st := j.Status()
@@ -648,6 +640,7 @@ type Job struct {
 	cells    []CellSpec
 	ctx      context.Context
 	cancel   context.CancelFunc
+	idemKey  string // the Idempotency-Key it was submitted under, or ""
 
 	// The job's place in the queue; guarded by sched.mu.
 	next       int       // first cell no worker has taken yet
