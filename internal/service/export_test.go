@@ -25,3 +25,16 @@ var (
 	AppendResult = appendResult
 	ParseResult  = parseResult
 )
+
+// AppendJobBody, ParseJobBody and DecodeJobBody are the job body's
+// writer, in-place reader and decoder, and ReadBody the submit's body
+// reader, for FuzzJobBody in the external test package.
+var (
+	AppendJobBody = appendJobBody
+	ParseJobBody  = parseJobBody
+	DecodeJobBody = decodeJobBody
+	ReadBody      = readBody
+)
+
+// SDKJobCells is the SDK's 32-cell job of TestSubmitBodyVerdicts.
+var SDKJobCells = sdkJobCells

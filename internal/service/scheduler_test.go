@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -349,6 +350,127 @@ func TestSchedulerJobRetention(t *testing.T) {
 	if n := len(s.JobsFiltered(JobsFilter{})); n > 3 {
 		t.Errorf("%d jobs retained, want <= 3", n)
 	}
+
+	t.Run("registry", testJobRegistry)
+}
+
+// runnerFunc is a CellRunner in one function.
+type runnerFunc func(ctx context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error)
+
+func (f runnerFunc) StreamCells(ctx context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error) {
+	return f(ctx, cells, fn)
+}
+
+// testJobRegistry holds the registry of a scheduler with retention 2 to
+// its invariants: it keeps its jobs in submission order; a live job
+// older than the terminal ones survives pruning; an evicted job's
+// Idempotency-Key is forgotten, unless a retry after a failed attempt
+// has rebound it to a newer job; and listing pages as before. Its cells
+// run on a stub remote: a cell of trial seed 1 runs until its job is
+// cancelled, one of trial seed 2 fails on its first run, and every
+// other cell completes at once.
+func testJobRegistry(t *testing.T) {
+	var failed atomic.Bool
+	remote := runnerFunc(func(ctx context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error) {
+		for i, c := range cells {
+			switch {
+			case c.TrialSeed == 1:
+				<-ctx.Done()
+				return nil, ctx.Err()
+			case c.TrialSeed == 2 && !failed.Swap(true):
+				return nil, errors.New("stub: first run fails")
+			}
+			if err := fn(&CellResult{Index: i, Cell: c}); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+	s := newTestScheduler(t, SchedulerConfig{Remote: remote, JobRetention: 2})
+	checkOrder := func() {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if len(s.order) != len(s.jobs) {
+			t.Fatalf("%d jobs in order, %d in the map", len(s.order), len(s.jobs))
+		}
+		for i, j := range s.order {
+			if s.jobs[j.id] != j || i > 0 && s.order[i-1].seq >= j.seq {
+				t.Fatalf("order[%d] = %s is out of order or not registered", i, j.id)
+			}
+		}
+	}
+	submit := func(key string, trialSeed uint64) (*Job, bool) {
+		t.Helper()
+		spec := JobSpec{CellList: []CellSpec{{Family: "complete", N: 8, Protocol: "push", Timing: TimingSync, Trials: 1, TrialSeed: trialSeed}}}
+		job, replayed, err := s.SubmitIdempotent(context.Background(), key, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOrder()
+		if !replayed {
+			select {
+			case <-job.Terminal():
+			case <-time.After(50 * time.Millisecond): // the live job
+			}
+		}
+		return job, replayed
+	}
+	idemJob := func(key string) string {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.idem[key].jobID
+	}
+
+	live, _ := submit("", 1)
+	done, _ := submit("k-done", 0)
+	first, _ := submit("k-retry", 2) // fails: done is evicted, live stays
+	if st := first.Status().State; st != JobFailed {
+		t.Fatalf("first attempt is %s, want failed", st)
+	}
+	if _, err := s.Job(done.ID()); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("terminal job %s survived pruning", done.ID())
+	}
+	if _, err := s.Job(live.ID()); err != nil {
+		t.Errorf("live job %s, older than the terminal ones, was evicted: %v", live.ID(), err)
+	}
+	if id := idemJob("k-done"); id != "" {
+		t.Errorf("evicted job's key still names %s", id)
+	}
+	retry, _ := submit("k-retry", 2) // binds k-retry to itself; first is evicted
+	if _, err := s.Job(first.ID()); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("failed job %s survived pruning", first.ID())
+	}
+	if id := idemJob("k-retry"); id != retry.ID() {
+		t.Errorf("rebound key names %q after its old job's eviction, want %s", id, retry.ID())
+	}
+	if again, replayed := submit("k-retry", 2); !replayed || again != retry {
+		t.Errorf("resubmit under the rebound key: replayed %v, job %s; want a replay of %s", replayed, again.ID(), retry.ID())
+	}
+
+	ids := func(sts []JobStatus) (out []string) {
+		for _, st := range sts {
+			out = append(out, st.ID)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		f    JobsFilter
+		want []string
+	}{
+		{JobsFilter{}, []string{live.ID(), retry.ID()}},
+		{JobsFilter{AfterSeq: live.seq}, []string{retry.ID()}},
+		{JobsFilter{AfterSeq: first.seq}, []string{retry.ID()}}, // an evicted job's cursor
+		{JobsFilter{AfterSeq: retry.seq}, nil},
+		{JobsFilter{Limit: 1}, []string{live.ID()}},
+		{JobsFilter{State: JobDone}, []string{retry.ID()}},
+		{JobsFilter{State: JobRunning, Limit: 5}, []string{live.ID()}},
+	} {
+		if got := ids(s.JobsFiltered(tc.f)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("JobsFiltered(%+v) = %v, want %v", tc.f, got, tc.want)
+		}
+	}
+	live.Cancel()
 }
 
 func TestSchedulerUnknownJob(t *testing.T) {
