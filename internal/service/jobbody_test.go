@@ -59,6 +59,9 @@ func FuzzJobBody(f *testing.F) {
 		string(indented),
 		`{"cells":[` + cell + `]}`,
 		`{"cells":[` + cell + `,` + cell + `],"priority":0}`,
+		`{"families":["complete"],"cells":[` + cell + `]}`, `{"sizes":[8],"cells":[` + cell + `]}`,
+		`{"protocols":["push"],"cells":[` + cell + `]}`, `{"timings":["sync"],"cells":[` + cell + `]}`,
+		`{"trials":2,"cells":[` + cell + `]}`, `{"seed":5,"cells":[` + cell + `]}`, `{"source":1,"cells":[` + cell + `]}`,
 		`{"families":["complete","hypercube"],"sizes":[16],"protocols":["push"],"timings":["sync","async"],"trials":2,"seed":5}`,
 		`{"cells":[{"trials":1,"graph_seed":1,"trial_seed":1,"source":0,"extra_sources":[2],"coverage_fracs":[0.5]}]}`,
 		strings.Replace(body, `{"cells":`, `{"bogus":1,"cells":`, 1),

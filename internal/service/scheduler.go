@@ -96,7 +96,7 @@ type Scheduler struct {
 	queue   []*Job     // jobs with unstarted cells, in scheduling order
 	pending int        // unstarted cells across queue
 	jobs    map[string]*Job
-	order   []*Job               // the jobs of jobs, in submission (seq) order
+	order   []*Job               // the same jobs, in submission (seq) order
 	idem    map[string]idemEntry // Idempotency-Key -> submitted job
 	nextSeq int64
 	closed  bool
