@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -17,9 +16,17 @@ import (
 // already at its retention of 256 jobs, so that every submit reads and
 // decodes a body, hashes the cells, enqueues a job and evicts one.
 // Bodies cycle through 512 distinct jobs, so no submit is a replay. The
-// cells run on a remote stub that completes them at once.
+// cells run on a stub remote that completes them at once.
 func BenchmarkSubmit(b *testing.B) {
-	sched := NewScheduler(SchedulerConfig{Remote: instantRunner{}, JobRetention: 256})
+	instant := runnerFunc(func(_ context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error) {
+		for i, c := range cells {
+			if err := fn(&CellResult{Index: i, Cell: c}); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+	sched := NewScheduler(SchedulerConfig{Remote: instant, JobRetention: 256})
 	defer sched.Shutdown(context.Background())
 	srv := NewServer(sched)
 	type post struct {
@@ -61,16 +68,4 @@ func BenchmarkSubmit(b *testing.B) {
 	for b.Loop() {
 		submit()
 	}
-}
-
-// instantRunner completes every cell of a job at once.
-type instantRunner struct{}
-
-func (instantRunner) StreamCells(_ context.Context, cells []CellSpec, fn func(*CellResult) error) ([]*CellResult, error) {
-	for i, c := range cells {
-		if err := fn(&CellResult{Index: i, Cell: c}); err != nil {
-			return nil, fmt.Errorf("cell %d: %w", i, err)
-		}
-	}
-	return nil, nil
 }
