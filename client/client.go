@@ -303,7 +303,7 @@ func (c *Client) SubmitJob(ctx context.Context, spec service.JobSpec, opts ...Su
 	for _, o := range opts {
 		o(&header)
 	}
-	body, err := service.MarshalJobSpec(&spec)
+	body, err := json.Marshal(spec)
 	if err != nil {
 		return service.JobStatus{}, err
 	}

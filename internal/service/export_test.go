@@ -26,14 +26,11 @@ var (
 	ParseResult  = parseResult
 )
 
-// AppendJobBody, ParseJobBody and DecodeJobBody are the job body's
-// writer, in-place reader and decoder, and ReadBody the submit's body
-// reader, for FuzzJobBody in the external test package.
+// ParseJobBody and DecodeJobBody are the job body's in-place reader and
+// its decoder, for FuzzJobBody in the external test package.
 var (
-	AppendJobBody = appendJobBody
 	ParseJobBody  = parseJobBody
 	DecodeJobBody = decodeJobBody
-	ReadBody      = readBody
 )
 
 // SDKJobCells is the SDK's 32-cell job of TestSubmitBodyVerdicts.

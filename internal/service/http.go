@@ -207,7 +207,7 @@ func WriteSchedulerError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	body, readErr := readBody(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes), r.ContentLength)
+	body, readErr := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes))
 	var spec JobSpec
 	if err := decodeJobBody(body, readErr, &spec); err != nil {
 		api.WriteDecodeError(w, "job spec", err)
@@ -224,27 +224,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	api.WriteJSON(w, http.StatusAccepted, job.Status())
-}
-
-// readBody reads rd to its end and returns the bytes read and the
-// reader's error (nil at the end). size is the length the request
-// declared, or -1; it sizes the buffer up to a bound, so that a
-// Content-Length alone does not buy a large one.
-func readBody(rd io.Reader, size int64) ([]byte, error) {
-	b := make([]byte, 0, min(max(size, 0), 64<<10)+512)
-	for {
-		n, err := rd.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-	}
 }
 
 func (s *Server) list(w http.ResponseWriter, r *http.Request) {

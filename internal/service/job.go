@@ -242,17 +242,27 @@ func (c CellSpec) effectiveView() string {
 	return c.View
 }
 
+// defaultCoverage is the coverage milestones a time cell reports when
+// it names none, and defaultCoverageCanonical their canonical rendering,
+// which appendCanonical writes for most cells.
+var (
+	defaultCoverage          = []float64{0.5, 0.9, 1.0}
+	defaultCoverageCanonical = appendFloats(nil, defaultCoverage)
+)
+
 // effectiveCoverage returns the coverage milestones the cell reports.
 func (c CellSpec) effectiveCoverage() []float64 {
-	if len(c.CoverageFracs) == 0 && c.kind() == KindTime {
-		return []float64{0.5, 0.9, 1.0}
+	if c.usesDefaultCoverage() {
+		return slices.Clone(defaultCoverage)
 	}
 	return c.CoverageFracs
 }
 
-// defaultCoverageCanonical is the canonical rendering of the default
-// milestones, which appendCanonical writes for most cells.
-const defaultCoverageCanonical = "0.5,0.9,1"
+// usesDefaultCoverage reports whether the cell reports the default
+// milestones.
+func (c CellSpec) usesDefaultCoverage() bool {
+	return len(c.CoverageFracs) == 0 && c.kind() == KindTime
+}
 
 // dynamicScenario reports whether any v3 field is set; such cells
 // render the extended v3 canonical form.
@@ -292,6 +302,17 @@ func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // appendFloat appends fmtFloat's rendering of f to b.
 func appendFloat(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
+
+// appendFloats appends fs to b with appendFloat, comma-separated.
+func appendFloats(b []byte, fs []float64) []byte {
+	for i, f := range fs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloat(b, f)
+	}
+	return b
+}
 
 // Key returns the canonical cache key of the cell: a SHA-256 hash of an
 // unambiguous rendering of every field, normalized so that equivalent
@@ -385,14 +406,10 @@ func (c CellSpec) appendCanonical(b []byte) []byte {
 	}
 
 	b = append(b, "|cov="...)
-	if len(c.CoverageFracs) == 0 && c.kind() == KindTime {
+	if c.usesDefaultCoverage() {
 		b = append(b, defaultCoverageCanonical...)
-	}
-	for i, f := range c.CoverageFracs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendFloat(b, f)
+	} else {
+		b = appendFloats(b, c.CoverageFracs)
 	}
 
 	b = append(b, "|params="...)

@@ -7,59 +7,17 @@ import (
 )
 
 // The pinned job body. The SDK submits every job as an explicit cell
-// list, so the body of nearly every POST /v1/jobs is
+// list, and json.Marshal writes that as
 //
 //	{"cells":[C,…][,"priority":P]}
 //
 // with each C a cell object in the result codec's layout (see
-// resultcodec.go). appendJobBody writes that body as json.Marshal would
-// and parseJobBody reads it in place; any other body (a grid, unknown
-// fields, whitespace, trailing bytes) goes through the json.Decoder
-// with DisallowUnknownFields that used to read every body, fed the same
-// bytes and read error, so its verdicts stay as they were.
-// TestSubmitBodyVerdicts pins those verdicts and FuzzJobBody holds both
-// halves to encoding/json.
-
-// appendJobBody appends spec to b as json.Marshal writes it and reports
-// true; or it reports false, with b's contents unchanged, unless spec is
-// a non-empty cell list with no grid field set whose every cell is in
-// the layout.
-func appendJobBody(b []byte, spec *JobSpec) ([]byte, bool) {
-	if len(spec.CellList) == 0 || len(spec.Families) > 0 || len(spec.Sizes) > 0 || len(spec.Protocols) > 0 ||
-		len(spec.Timings) > 0 || spec.Trials != 0 || spec.Seed != 0 || spec.Source != 0 {
-		return b, false
-	}
-	start := len(b)
-	w := resultWriter{b: b, ok: true}
-	w.raw(`{"cells":[`)
-	for i := range spec.CellList {
-		if i > 0 {
-			w.raw(",")
-		}
-		if w.cell(&spec.CellList[i]); !w.ok {
-			return w.b[:start], false
-		}
-	}
-	w.raw("]")
-	if spec.Priority != 0 {
-		w.raw(`,"priority":`)
-		w.int(spec.Priority)
-	}
-	w.raw("}")
-	if !w.ok {
-		return w.b[:start], false
-	}
-	return w.b, true
-}
-
-// MarshalJobSpec returns json.Marshal(spec): the request body of a job
-// submit. The SDK writes every body through it.
-func MarshalJobSpec(spec *JobSpec) ([]byte, error) {
-	if b, ok := appendJobBody(nil, spec); ok {
-		return b, nil
-	}
-	return json.Marshal(spec)
-}
+// resultcodec.go). parseJobBody reads that body in place; any other
+// body (a grid, unknown fields, whitespace, trailing bytes) goes through
+// the json.Decoder with DisallowUnknownFields that used to read every
+// body, fed the same bytes and read error, so its verdicts stay as they
+// were. TestSubmitBodyVerdicts pins those verdicts and FuzzJobBody holds
+// the reader to encoding/json.
 
 // decodeJobBody sets *spec to what a json.Decoder with
 // DisallowUnknownFields decodes into a zero JobSpec from a reader that
@@ -88,14 +46,11 @@ func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // parseJobBody reads b into the zero spec and reports whether all of b
 // is a job body in the pinned layout. On false, spec holds whatever it
-// read.
+// read. The cell list grows by append, so what it allocates follows the
+// cells read, never a count taken from bytes not yet read.
 func parseJobBody(b []byte, spec *JobSpec) bool {
 	p := resultReader{rest: b, ok: true}
 	p.lit(`{"cells":[`)
-	if !p.ok {
-		return false
-	}
-	spec.CellList = make([]CellSpec, 0, bytes.Count(b, []byte("},{"))+1)
 	for p.ok {
 		spec.CellList = append(spec.CellList, CellSpec{})
 		p.cell(&spec.CellList[len(spec.CellList)-1])

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,18 +27,16 @@ func decodeJobBodyOracle(body io.ReadCloser, limit int64, v interface{}) error {
 	return dec.Decode(v)
 }
 
-// FuzzJobBody holds the job body codec to encoding/json.
+// FuzzJobBody holds the job body reader to encoding/json.
 //
 //   - On arbitrary bytes behind a MaxBytesReader whose limit is above,
-//     at or below their length, ReadBody and then DecodeJobBody, into a
-//     dirty spec, return the oracle's error text and a spec
+//     at or below their length, io.ReadAll and then DecodeJobBody, into
+//     a dirty spec, return the oracle's error text and a spec
 //     reflect.DeepEqual to the oracle's.
 //   - On a JobSpec decoded from those bytes and changed by fuzzed edits
-//     to its first cell, appendJobBody either declines, leaving its
-//     buffer's contents as they were, or writes exactly json.Marshal's
-//     bytes, which the reader takes back; it declines exactly the specs
-//     outside the layout. MarshalJobSpec always writes json.Marshal's
-//     bytes.
+//     to its first cell, the reader takes json.Marshal's bytes, the body
+//     the SDK sends, exactly when the spec is in the layout, and decodes
+//     them as the oracle does.
 func FuzzJobBody(f *testing.F) {
 	sdk, err := json.Marshal(service.JobSpec{CellList: service.SDKJobCells()})
 	if err != nil {
@@ -100,17 +99,17 @@ func FuzzJobBody(f *testing.F) {
 			applyEdits(&r, edits)
 			spec.CellList[0] = r.Cell
 		}
-		checkAppendJobBody(t, &spec)
+		checkMarshalledJobBody(t, &spec)
 	})
 }
 
 // checkDecodeJobBody reads b behind a MaxBytesReader of limit with
-// ReadBody and decodes it with DecodeJobBody, into a dirty spec, and
+// io.ReadAll and decodes it with DecodeJobBody, into a dirty spec, and
 // compares that with the oracle's decode of the same reader.
 func checkDecodeJobBody(t *testing.T, b []byte, limit int64) {
 	t.Helper()
 	got := service.JobSpec{Families: []string{"stale"}, Priority: 9, CellList: []service.CellSpec{{N: 1}}}
-	read, readErr := service.ReadBody(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(b)), limit), int64(len(b)))
+	read, readErr := io.ReadAll(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(b)), limit))
 	gotErr := service.DecodeJobBody(read, readErr, &got)
 	var want service.JobSpec
 	wantErr := decodeJobBodyOracle(io.NopCloser(bytes.NewReader(b)), limit, &want)
@@ -119,41 +118,24 @@ func checkDecodeJobBody(t *testing.T, b []byte, limit int64) {
 	}
 }
 
-// checkAppendJobBody holds appendJobBody and MarshalJobSpec on spec to
-// json.Marshal, and the writer's output to the reader.
-func checkAppendJobBody(t *testing.T, spec *service.JobSpec) {
+// checkMarshalledJobBody holds the reader to spec's json.Marshal bytes:
+// it takes them in place exactly when spec is in the layout, and
+// decodes them as the oracle does.
+func checkMarshalledJobBody(t *testing.T, spec *service.JobSpec) {
 	t.Helper()
-	marshalled, err := json.Marshal(spec)
-	if body, bodyErr := service.MarshalJobSpec(spec); fmt.Sprint(bodyErr) != fmt.Sprint(err) || !bytes.Equal(body, marshalled) {
-		t.Fatalf("MarshalJobSpec writes %s, %v\njson.Marshal writes %s, %v", body, bodyErr, marshalled, err)
-	}
-	prefix := []byte("prefix")
-	out, ok := service.AppendJobBody(prefix, spec)
-	if !bytes.HasPrefix(out, []byte("prefix")) {
-		t.Fatalf("appendJobBody overwrote its buffer: %q", out)
-	}
-	if covered := err == nil && jobInLayout(spec); ok != covered {
-		t.Fatalf("appendJobBody(%+v) ok = %v, want %v (json.Marshal: %v)", spec, ok, covered, err)
-	}
-	if !ok {
-		if len(out) != len(prefix) {
-			t.Fatalf("appendJobBody declined but wrote %q", out[len(prefix):])
-		}
+	body, err := json.Marshal(spec)
+	if err != nil {
 		return
 	}
-	enc := out[len(prefix):]
-	if !bytes.Equal(enc, marshalled) {
-		t.Fatalf("appendJobBody writes\n%s\njson.Marshal writes\n%s", enc, marshalled)
-	}
 	var back service.JobSpec
-	if !service.ParseJobBody(enc, &back) {
-		t.Fatalf("the reader declines the writer's %s", enc)
+	if ok := service.ParseJobBody(body, &back); ok != jobInLayout(spec) {
+		t.Fatalf("the reader's verdict on %s is %v, want %v", body, ok, !ok)
 	}
-	checkDecodeJobBody(t, enc, int64(len(enc)))
+	checkDecodeJobBody(t, body, int64(len(body)))
 }
 
-// jobInLayout reports whether spec is a job the pinned body covers,
-// floats aside: a non-empty cell list, no grid field, every cell in the
+// jobInLayout reports whether spec is a job the pinned body covers: a
+// non-empty cell list, no grid field, every cell in the
 // result layout's cell object and a priority of at most 18 digits.
 func jobInLayout(spec *service.JobSpec) bool {
 	if len(spec.CellList) == 0 || len(spec.Families) > 0 || len(spec.Sizes) > 0 || len(spec.Protocols) > 0 ||
@@ -166,4 +148,43 @@ func jobInLayout(spec *service.JobSpec) bool {
 		}
 	}
 	return len(strings.TrimPrefix(strconv.Itoa(spec.Priority), "-")) <= 18
+}
+
+// TestJobBodyAllocation holds what a submit allocates to what its body
+// holds. A body that leaves the layout at its first cell, however many
+// cell separators follow, costs a few times its length; a long cell
+// list costs no more than the old decoder spends on it.
+func TestJobBodyAllocation(t *testing.T) {
+	allocated := func(body []byte, decode func([]byte)) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		decode(body)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	decode := func(body []byte) {
+		read, readErr := io.ReadAll(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), int64(len(body))))
+		var spec service.JobSpec
+		_ = service.DecodeJobBody(read, readErr, &spec)
+	}
+	oracle := func(body []byte) {
+		var spec service.JobSpec
+		_ = decodeJobBodyOracle(io.NopCloser(bytes.NewReader(body)), int64(len(body)), &spec)
+	}
+
+	bogus := []byte(`{"cells":[` + strings.Repeat(`},{`, 1<<18))
+	if got, bound := allocated(bogus, decode), 8*uint64(len(bogus)); got > bound {
+		t.Errorf("a %d-byte body that leaves the layout at its first cell allocates %d bytes, want at most %d", len(bogus), got, bound)
+	}
+
+	cell := `{"trials":1,"graph_seed":1,"trial_seed":1,"source":0}`
+	cells := []byte(`{"cells":[` + strings.Repeat(cell+`,`, 1<<14) + cell + `]}`)
+	var spec service.JobSpec
+	if !service.ParseJobBody(cells, &spec) || len(spec.CellList) != 1<<14+1 {
+		t.Fatalf("the reader declines a list of %d minimal cells", 1<<14+1)
+	}
+	if got, old := allocated(cells, decode), allocated(cells, oracle); got > old+old/4 {
+		t.Errorf("a list of %d minimal cells allocates %d bytes, the old decoder %d", 1<<14+1, got, old)
+	}
 }
