@@ -14,6 +14,20 @@ import (
 // ResultStream: the SDK's per-stream and per-row decode cost, without
 // the HTTP transport. B/op includes the stream's reader buffer.
 func BenchmarkResultStream(b *testing.B) {
+	body := resultStreamBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if rows := drainResultStream(b, body); rows != 32 {
+			b.Fatalf("drained %d rows, want 32", rows)
+		}
+	}
+}
+
+// resultStreamBody is the NDJSON results body of 32 cells shaped like
+// the service benchmarks' (64 nodes, 2 trials, four families, both
+// timings).
+func resultStreamBody(tb testing.TB) []byte {
 	families := []string{"complete", "hypercube", "star", "cycle"}
 	cells := make([]service.CellSpec, 32)
 	for k := range cells {
@@ -24,29 +38,28 @@ func BenchmarkResultStream(b *testing.B) {
 	}
 	results, err := (&service.Executor{TrialWorkers: 1}).RunCells(context.Background(), cells)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var body bytes.Buffer
 	for _, res := range results {
 		if err := api.EncodeRow(&body, res); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(body.Len()))
-	b.ReportAllocs()
-	for b.Loop() {
-		s := newResultStream(io.NopCloser(bytes.NewReader(body.Bytes())))
-		rows := 0
-		for {
-			if _, err := s.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
-			rows++
+	return body.Bytes()
+}
+
+// drainResultStream reads body through a ResultStream to its end and
+// returns the number of rows.
+func drainResultStream(tb testing.TB, body []byte) int {
+	s := newResultStream(io.NopCloser(bytes.NewReader(body)))
+	rows := 0
+	for {
+		if _, err := s.Next(); err == io.EOF {
+			return rows
+		} else if err != nil {
+			tb.Fatal(err)
 		}
-		if rows != len(cells) {
-			b.Fatalf("drained %d rows, want %d", rows, len(cells))
-		}
+		rows++
 	}
 }

@@ -1,0 +1,55 @@
+//go:build !race
+
+package service
+
+import (
+	"context"
+	"testing"
+
+	"rumor/internal/api"
+)
+
+// The race detector inflates allocation counts, so these pins build
+// only without it.
+
+// TestValidateAllocs: validating a time cell of the SDK's job, under
+// either timing, allocates nothing. The verdict depends only on the
+// cell's fields, so no trial constructor is built for it.
+func TestValidateAllocs(t *testing.T) {
+	for _, c := range sdkJobCells() {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := c.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("Validate of a %s %s %s cell: %v allocs, want 0", c.Family, c.Protocol, c.Timing, allocs)
+		}
+	}
+}
+
+// TestDecodeResultAllocs: decoding a plain result row with the default
+// milestones allocates the key, the graph name, the times, and the
+// coverage map, and no copy of a name the service already knows.
+func TestDecodeResultAllocs(t *testing.T) {
+	cell := CellSpec{Family: "hypercube", N: 64, Protocol: "push-pull", Timing: TimingAsync, Trials: 2,
+		GraphSeed: 1, TrialSeed: mixSeed(0x5eed, 1)}
+	res, _, err := (&Executor{TrialWorkers: 1}).Run(context.Background(), 3, cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := api.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r CellResult
+	if !parseResult(row, &r) {
+		t.Fatalf("the reader declines %s", row)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := DecodeResult(row, &r); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 6 {
+		t.Errorf("DecodeResult(%s): %v allocs, want at most 6", row, allocs)
+	}
+}
