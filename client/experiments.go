@@ -48,7 +48,7 @@ func (c *Client) RunExperiment(ctx context.Context, id string, req api.RunExperi
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	for sc.Scan() {
 		line := sc.Bytes()
 		// Rows are discriminated by shape: a cell result starts with its

@@ -29,7 +29,9 @@ type ResultStream struct {
 
 func newResultStream(body io.ReadCloser) *ResultStream {
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
+	// bufio's own 4 KiB start holds a typical row; the buffer doubles
+	// toward the 16 MiB cap only for a row that needs it.
+	sc.Buffer(nil, 1<<24)
 	return &ResultStream{body: body, sc: sc}
 }
 

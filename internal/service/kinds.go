@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -119,11 +120,12 @@ func init() {
 	})
 }
 
-// validateTimeCell accepts a time cell that compiles and takes no params.
-// Rejecting unsupported combinations here (rather than at run time)
-// keeps invalid cells out of the queue and the cache key space.
+// validateTimeCell accepts a time cell whose scenario core accepts and
+// that takes no params. Rejecting unsupported combinations here (rather
+// than at run time) keeps invalid cells out of the queue and the cache
+// key space.
 func validateTimeCell(c CellSpec) error {
-	if _, err := c.compile(); err != nil {
+	if _, err := c.scenario(); err != nil {
 		return err
 	}
 	if len(c.Params) > 0 {
@@ -132,26 +134,38 @@ func validateTimeCell(c CellSpec) error {
 	return nil
 }
 
-// compile translates the cell's scenario fields into core's terms — the
-// timing, protocol, view and variant parsed, the crash and churn
+// scenario is a time cell's scenario in core's terms: the config of its
+// timing (syncCfg or asyncCfg, as async says), its source and its
+// variant.
+type scenario struct {
+	async       bool
+	syncCfg     core.SyncConfig
+	asyncCfg    core.AsyncConfig
+	src         graph.NodeID
+	variant     core.PPVariant
+	quasirandom bool
+}
+
+// scenario translates the cell's scenario fields into core's terms —
+// the timing, protocol, view and variant parsed, the crash and churn
 // schedules converted — and has core.CheckScenario judge whether they
-// combine. The result builds one trial on a topology of the cell; what
-// can still fail there needs the built graph (a node outside it).
-func (c CellSpec) compile() (func(topo graph.Provider) (*core.Trial, error), error) {
+// combine. What can still fail in newTrial needs the built graph (a
+// node outside it).
+func (c CellSpec) scenario() (scenario, error) {
 	if c.Timing != TimingSync && c.Timing != TimingAsync {
-		return nil, fmt.Errorf("unknown timing %q (want sync or async)", c.Timing)
+		return scenario{}, fmt.Errorf("unknown timing %q (want sync or async)", c.Timing)
 	}
 	proto, err := ParseProtocol(c.Protocol)
 	if err != nil {
-		return nil, err
+		return scenario{}, err
 	}
 	view, err := ParseView(c.View)
 	if err != nil {
-		return nil, err
+		return scenario{}, err
 	}
 	variant, err := ParseVariant(c.Variant)
 	if err != nil {
-		return nil, err
+		return scenario{}, err
 	}
 	extra := make([]graph.NodeID, len(c.ExtraSources))
 	for i, s := range c.ExtraSources {
@@ -169,37 +183,49 @@ func (c CellSpec) compile() (func(topo graph.Provider) (*core.Trial, error), err
 		}
 		churn[i] = core.ChurnEvent{Node: graph.NodeID(ev.Node), Time: ev.Time, Op: op, DropState: ev.DropState}
 	}
-	src, prob, dynamic := graph.NodeID(c.Source), 1-c.LossProb, c.Dynamic != ""
-	if c.Timing == TimingAsync {
-		return compileAs(core.AsyncConfig{Protocol: proto, View: view, TransmitProb: prob,
-			ExtraSources: extra, Crashes: crashes, Churn: churn}, src, variant, c.Quasirandom, dynamic)
+	s := scenario{async: c.Timing == TimingAsync, src: graph.NodeID(c.Source), variant: variant, quasirandom: c.Quasirandom}
+	prob, dynamic := 1-c.LossProb, c.Dynamic != ""
+	if s.async {
+		s.asyncCfg = core.AsyncConfig{Protocol: proto, View: view, TransmitProb: prob,
+			ExtraSources: extra, Crashes: crashes, Churn: churn}
+		err = core.CheckScenario(s.asyncCfg, variant, c.Quasirandom, dynamic)
+	} else if c.View != "" {
+		err = fmt.Errorf("view %q requires async timing", c.View)
+	} else {
+		s.syncCfg = core.SyncConfig{Protocol: proto, TransmitProb: prob,
+			ExtraSources: extra, Crashes: crashes, Churn: churn}
+		err = core.CheckScenario(s.syncCfg, variant, c.Quasirandom, dynamic)
 	}
-	if c.View != "" {
-		return nil, fmt.Errorf("view %q requires async timing", c.View)
+	if err != nil {
+		return scenario{}, err
 	}
-	return compileAs(core.SyncConfig{Protocol: proto, TransmitProb: prob,
-		ExtraSources: extra, Crashes: crashes, Churn: churn}, src, variant, c.Quasirandom, dynamic)
+	return s, nil
 }
 
-// compileAs is compile's last step under one timing.
-func compileAs[C core.SyncConfig | core.AsyncConfig](cfg C, src graph.NodeID, variant core.PPVariant, quasirandom, dynamic bool) (func(graph.Provider) (*core.Trial, error), error) {
-	if err := core.CheckScenario(cfg, variant, quasirandom, dynamic); err != nil {
-		return nil, err
+// newTrial builds one trial of the scenario on topo.
+func (s *scenario) newTrial(topo graph.Provider) (*core.Trial, error) {
+	if s.async {
+		return core.NewTrial(topo, s.src, s.asyncCfg, s.variant, s.quasirandom)
 	}
-	return func(topo graph.Provider) (*core.Trial, error) {
-		return core.NewTrial(topo, src, cfg, variant, quasirandom)
-	}, nil
+	return core.NewTrial(topo, s.src, s.syncCfg, s.variant, s.quasirandom)
 }
 
 // CoverageName renders a coverage fraction as a milestone name: 0.5 →
 // "q50", 0.99 → "q99", 1.0 → "q100". Reducers reading CellResult.Coverage
 // should use it rather than formatting fractions themselves.
 func CoverageName(frac float64) string {
+	var buf [32]byte
+	return intern(appendCoverageName(buf[:0], frac))
+}
+
+// appendCoverageName appends CoverageName(frac) to b.
+func appendCoverageName(b []byte, frac float64) []byte {
+	b = append(b, 'q')
 	pct := frac * 100
 	if r := math.Round(pct); math.Abs(pct-r) < 1e-9 {
-		return fmt.Sprintf("q%d", int(r))
+		return strconv.AppendInt(b, int64(int(r)), 10)
 	}
-	return "q" + fmtFloat(pct)
+	return appendFloat(b, pct)
 }
 
 // runTimeCell samples the cell's spreading times and folds the trials'
@@ -266,14 +292,14 @@ func (f *TimeFold) Result(times []float64) *KindResult {
 	return &KindResult{Times: times, Coverage: cov, Work: f.work.Load()}
 }
 
-// RunTrials compiles the cell (see CellSpec.compile) into core trials
+// RunTrials translates the cell (see CellSpec.scenario) into core trials
 // on g, runs cell.Trials of them through harness.Runner's pooled trial loop,
 // and returns measure's value per trial. Per-trial seeding comes from
 // the Runner, so the sample is identical for any worker count. A
 // scenario the built graph cannot host (a source or schedule node
 // outside it) fails with ErrBadSpec wrapping the core cause.
 func RunTrials(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorkers int, measure func(trial int, out core.Outcome) (float64, error)) ([]float64, error) {
-	compiled, err := cell.compile()
+	sc, err := cell.scenario()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
@@ -286,7 +312,7 @@ func RunTrials(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorkers 
 		if err != nil {
 			return nil, err
 		}
-		trial, err := compiled(topo)
+		trial, err := sc.newTrial(topo)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 		}

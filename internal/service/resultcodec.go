@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strconv"
 
+	"rumor/internal/core"
+	"rumor/internal/harness"
 	"rumor/internal/jsonlayout"
 )
 
@@ -295,7 +297,7 @@ func (p *resultReader) cell(c *CellSpec) {
 	p.lit(`,"source":`)
 	c.Source = p.int()
 	if p.opt(`,"dynamic":"`) {
-		c.Dynamic = p.str()
+		c.Dynamic = p.name()
 	}
 	if p.opt(`,"dynamic_period":`) {
 		c.DynamicPeriod = p.float()
@@ -323,24 +325,68 @@ func (p *resultReader) opt(s string) bool {
 }
 
 // str reads a plain string's contents and its closing quote.
-func (p *resultReader) str() string {
+func (p *resultReader) str() string { return string(p.strBytes()) }
+
+// name is str for a cell's names: a known name comes from knownNames
+// instead of being copied.
+func (p *resultReader) name() string { return intern(p.strBytes()) }
+
+// strBytes reads a plain string's contents, which it returns in place,
+// and its closing quote.
+func (p *resultReader) strBytes() []byte {
 	if !p.ok {
-		return ""
+		return nil
 	}
 	s, rest, ok := jsonlayout.CutString(p.rest, `"`)
 	p.rest, p.ok = rest, ok
-	return string(s)
+	return s
 }
 
-// optStr reads an omitempty string field of the cell, key being its
-// name up to the opening quote of its value, and its comma.
+// optStr reads an omitempty name field of the cell, key being its name
+// up to the opening quote of its value, and its comma.
 func (p *resultReader) optStr(key string) string {
 	if !p.opt(key) {
 		return ""
 	}
-	s := p.str()
+	s := p.name()
 	p.lit(",")
 	return s
+}
+
+// knownNames holds the names that cells and results repeat: the
+// canonical kind, timing, protocol, view, variant and dynamic names
+// Validate accepts, the standard families, and the coverage names of
+// the default milestones. It is built at init and only read after, so
+// no input can grow it.
+var knownNames = func() map[string]string {
+	names := []string{KindTime, TimingSync, TimingAsync, DynamicResample, DynamicPerturb}
+	for _, p := range []core.Protocol{core.Push, core.Pull, core.PushPull} {
+		names = append(names, p.String())
+	}
+	for _, v := range []core.AsyncView{core.GlobalClock, core.PerNodeClocks, core.PerEdgeClocks} {
+		names = append(names, v.String())
+	}
+	for _, v := range []core.PPVariant{core.PPX, core.PPY} {
+		names = append(names, v.String())
+	}
+	names = append(names, harness.FamilyNames()...)
+	for _, f := range defaultCoverage {
+		names = append(names, string(appendCoverageName(nil, f)))
+	}
+	m := make(map[string]string, len(names))
+	for _, s := range names {
+		m[s] = s
+	}
+	return m
+}()
+
+// intern returns the known name b spells, or else a copy of b. The
+// lookup on string(b) does not allocate.
+func intern(b []byte) string {
+	if s, ok := knownNames[string(b)]; ok {
+		return s
+	}
+	return string(b)
 }
 
 func (p *resultReader) int() int {
@@ -407,7 +453,7 @@ func (p *resultReader) coverage() map[string]float64 {
 			return nil
 		}
 		p.rest, prev = rest, k
-		m[string(k)] = p.float()
+		m[intern(k)] = p.float()
 		if p.opt("}") {
 			break
 		}
