@@ -107,6 +107,50 @@ func hashCellsFmt(priority int, cells []CellSpec) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
+// coverageNameFmt and graphKeyFmt are the fmt-based renderings
+// CoverageName and CellSpec.GraphKey replaced, kept verbatim as the
+// oracles: a milestone name is a result's coverage key, and a graph key
+// names the graph cache's entries.
+func coverageNameFmt(frac float64) string {
+	pct := frac * 100
+	if r := math.Round(pct); math.Abs(pct-r) < 1e-9 {
+		return fmt.Sprintf("q%d", int(r))
+	}
+	return "q" + fmtFloat(pct)
+}
+
+func graphKeyFmt(c CellSpec) string {
+	return fmt.Sprintf("%s|%d|%d", c.Family, c.N, c.GraphSeed)
+}
+
+// TestNamesMatchFmtOracle: CoverageName renders every fraction from 0.01
+// to 1 in steps of 0.01 (reached by division and by multiplication,
+// whose products miss the integer percent by an ulp) and a few that are
+// not whole percents as the fmt oracle does, and GraphKey renders as
+// its oracle up to the largest graph seed.
+func TestNamesMatchFmtOracle(t *testing.T) {
+	fracs := []float64{0.125, 0.333, 0.999, 1e-9, 2.5, math.Copysign(0, -1), math.NaN()}
+	for i := 1; i <= 100; i++ {
+		fracs = append(fracs, float64(i)/100, float64(i)*0.01)
+	}
+	for _, frac := range fracs {
+		if got, want := CoverageName(frac), coverageNameFmt(frac); got != want {
+			t.Errorf("CoverageName(%v) = %q, oracle %q", frac, got, want)
+		}
+	}
+	for _, c := range []CellSpec{
+		{Family: "hypercube", N: 64, GraphSeed: 1},
+		{Family: "gnp", N: 1_000_000, GraphSeed: math.MaxUint64},
+		{Family: strings.Repeat("f", 100), N: math.MaxInt, GraphSeed: math.MaxUint64},
+		{N: -1},
+		{},
+	} {
+		if got, want := c.GraphKey(), graphKeyFmt(c); got != want {
+			t.Errorf("GraphKey() = %q, oracle %q", got, want)
+		}
+	}
+}
+
 // checkAgainstOracle fails t unless the cell's canonical form and key
 // are the oracle's.
 func checkAgainstOracle(t *testing.T, spec CellSpec) {

@@ -472,7 +472,10 @@ func lessCmp(x, y float64) int {
 // GraphKey identifies the graph instance the cell runs on; cells that
 // share it can share one constructed graph.
 func (c CellSpec) GraphKey() string {
-	return fmt.Sprintf("%s|%d|%d", c.Family, c.N, c.GraphSeed)
+	var buf [64]byte
+	b := append(append(buf[:0], c.Family...), '|')
+	b = append(strconv.AppendInt(b, int64(c.N), 10), '|')
+	return string(strconv.AppendUint(b, c.GraphSeed, 10))
 }
 
 // Validate checks the cell against the kind registry, the family
