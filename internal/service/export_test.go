@@ -1,6 +1,9 @@
 package service
 
-import "reflect"
+import (
+	"reflect"
+	"slices"
+)
 
 // SweepCells is FuzzValidCellRuns's seed corpus as the cells its fuzz
 // loop runs: each point of selectorSweep through fuzzSpec, clamped by
@@ -35,3 +38,14 @@ var (
 
 // SDKJobCells is the SDK's 32-cell job of TestSubmitBodyVerdicts.
 var SDKJobCells = sdkJobCells
+
+// KnownNames is the result reader's name table in byte order, for the
+// codec fuzzers' seeds.
+func KnownNames() []string {
+	var names []string
+	for s := range knownNames {
+		names = append(names, s)
+	}
+	slices.Sort(names)
+	return names
+}

@@ -87,6 +87,11 @@ func FuzzJobBody(f *testing.F) {
 	f.Add(sdk, uint8(0), append([]byte{18}, binary.LittleEndian.AppendUint64(nil, 1<<62)...))
 	f.Add(sdk, uint8(0), []byte{25})
 	f.Add(sdk, uint8(0), []byte{26, 27, 28, 29})
+	// Each known name and near misses of them in every name field of
+	// the first cell.
+	for _, name := range seedNames() {
+		f.Add(sdk, uint8(0), nameEdits(name))
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte, short uint8, edits []byte) {
 		limit := max(int64(len(b))+1-int64(short), 0)

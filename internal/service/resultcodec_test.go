@@ -74,6 +74,14 @@ func FuzzResultCodec(f *testing.F) {
 	f.Add([]byte(small), []byte{23, 32})
 	f.Add([]byte(small), []byte{25, 26, 27, 28, 29, 30, 31})
 	f.Add([]byte(small), append([]byte{20}, binary.LittleEndian.AppendUint64(nil, math.MaxUint64)...))
+	// Each known name and near misses of them in every name field and
+	// as a coverage key: the reader's shared strings must equal the
+	// copies json.Unmarshal makes.
+	for _, name := range seedNames() {
+		edits := append(nameEdits(name), 9, byte(len(name)))
+		edits = append(append(edits, name...), binary.LittleEndian.AppendUint64(nil, math.Float64bits(2.5))...)
+		f.Add([]byte(small), edits)
+	}
 
 	f.Fuzz(func(t *testing.T, row, edits []byte) {
 		checkDecodeResult(t, row)
@@ -156,6 +164,23 @@ func inLayout(r *service.CellResult) bool {
 		}
 	}
 	return true
+}
+
+// seedNames is every name the result reader knows and near misses of
+// them: another case, a byte short, a trailing space, an alias Validate
+// accepts but the table does not hold, and non-ASCII.
+func seedNames() []string {
+	return append(service.KnownNames(), "Push", "push-pul", "q100 ", "q5", "pushpull", "", "hypercübe", "q１００")
+}
+
+// nameEdits is the edits that set each name field of the cell (kind,
+// family, protocol, timing, view, variant, dynamic) to name.
+func nameEdits(name string) []byte {
+	var edits []byte
+	for op := byte(0); op <= 6; op++ {
+		edits = append(append(edits, op, byte(len(name))), name...)
+	}
+	return edits
 }
 
 // applyEdits changes r as edits says: each edit is an opcode byte,
