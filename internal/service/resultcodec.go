@@ -273,16 +273,16 @@ type resultReader struct {
 // cell reads a cell's object into the zero spec c.
 func (p *resultReader) cell(c *CellSpec) {
 	p.lit("{")
-	c.Kind = p.optStr(`"kind":"`)
-	c.Family = p.optStr(`"family":"`)
+	c.Kind = p.optName(`"kind":"`)
+	c.Family = p.optName(`"family":"`)
 	if p.opt(`"n":`) {
 		c.N = p.int()
 		p.lit(",")
 	}
-	c.Protocol = p.optStr(`"protocol":"`)
-	c.Timing = p.optStr(`"timing":"`)
-	c.View = p.optStr(`"view":"`)
-	c.Variant = p.optStr(`"variant":"`)
+	c.Protocol = p.optName(`"protocol":"`)
+	c.Timing = p.optName(`"timing":"`)
+	c.View = p.optName(`"view":"`)
+	c.Variant = p.optName(`"variant":"`)
 	c.Quasirandom = p.opt(`"quasirandom":true,`)
 	if p.opt(`"loss_prob":`) {
 		c.LossProb = p.float()
@@ -342,9 +342,9 @@ func (p *resultReader) strBytes() []byte {
 	return s
 }
 
-// optStr reads an omitempty name field of the cell, key being its name
+// optName reads an omitempty name field of the cell, key being its name
 // up to the opening quote of its value, and its comma.
-func (p *resultReader) optStr(key string) string {
+func (p *resultReader) optName(key string) string {
 	if !p.opt(key) {
 		return ""
 	}
