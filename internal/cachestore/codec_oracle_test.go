@@ -3,13 +3,17 @@ package cachestore
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"rumor/internal/jsonlayout/layouttest"
 )
 
 // oracleChecksum, oracleEncodeRecord and oracleDecodeRecord are the
@@ -57,39 +61,53 @@ func oracleDecodeRecord(line []byte) (record, error) {
 	return rec, nil
 }
 
-// sameRecord reports whether the oracle's record has rec's fields.
-func sameRecord(rec recordView, want record) bool {
-	return string(rec.keyVersion) == want.KeyVersion && string(rec.key) == want.Key &&
-		bytes.Equal(rec.value, want.Value)
+// recordsOf describes the record codec with decode as its full decode:
+// appendRecord and decode, held to oracleEncodeRecord and
+// oracleDecodeRecord on the verdict and the fields, not the error text.
+// The writer falls back to encoding/json inside.
+func recordsOf(decode func(line []byte) (recordView, error)) layouttest.Codec[record] {
+	return layouttest.Codec[record]{
+		Decode: func(line []byte, rec *record) error {
+			v, err := decode(line)
+			*rec = record{KeyVersion: string(v.keyVersion), Key: string(v.key), Value: v.value}
+			return err
+		},
+		Oracle: func(line []byte, rec *record) (err error) {
+			*rec, err = oracleDecodeRecord(line)
+			return err
+		},
+		Dirty: func() record { return record{KeyVersion: "v0", Key: "stale", Value: []byte("0")} },
+		Same: func(got, want record, err, _ error) bool {
+			return err != nil || got.KeyVersion == want.KeyVersion && got.Key == want.Key && bytes.Equal(got.Value, want.Value)
+		},
+		Append: func(b []byte, rec *record) ([]byte, bool) {
+			return appendRecord(b, rec.KeyVersion, rec.Key, rec.Value), true
+		},
+		Encode: func(rec *record) ([]byte, error) { return oracleEncodeRecord(rec.KeyVersion, rec.Key, rec.Value) },
+	}
 }
 
-// checkAgainstOracle fails t unless decodeValidRecord and the oracle
-// give line the same verdict and, on acceptance, the same fields, and
-// unless decodeRecord accepts no line the oracle rejects other than
-// for an invalid value.
-func checkAgainstOracle(t *testing.T, line []byte) {
-	t.Helper()
-	want, werr := oracleDecodeRecord(line)
-	got, err := decodeValidRecord(line)
-	switch {
-	case (err == nil) != (werr == nil):
-		t.Fatalf("verdicts differ on %q: got %v, oracle %v", line, err, werr)
-	case err == nil && !sameRecord(got, want):
-		t.Fatalf("fields differ on %q: got %q %q %q, oracle %+v", line, got.keyVersion, got.key, got.value, want)
-	}
-	if raw, err := decodeRecord(line); err == nil && werr != nil && json.Valid(raw.value) {
-		t.Fatalf("decodeRecord accepts %q with a valid value; oracle: %v", line, werr)
-	}
-}
+// records is the codec recovery and compaction read with, and
+// readRecords the one a read uses: decodeRecord, whose caller's decode
+// then rejects an invalid value.
+var (
+	records     = recordsOf(decodeValidRecord)
+	readRecords = recordsOf(func(line []byte) (recordView, error) {
+		v, err := decodeRecord(line)
+		if err == nil && !json.Valid(v.value) {
+			err = errors.New("cachestore: invalid value")
+		}
+		return v, err
+	})
+)
 
-// FuzzDecodeRecord checks the pinned-layout codec against the oracle.
-// Every line appendRecord writes for a (key version, key, compact
-// value) decodes the same on both paths, to the fields it was written
-// from when the strings are valid UTF-8; its bytes are the old
-// encoder's wherever the old encoder wrote a readable record (it
-// HTML-escaped <, > and & inside the value, which the checksum does
-// not cover, so such a record never verified); and a line mutated by
-// one byte gets the oracle's verdict and fields.
+// FuzzDecodeRecord holds the record codec to the oracle on the line
+// appendRecord writes for a (key version, key, compact value) and on
+// that line mutated by one byte. The written line is the old encoder's
+// wherever the old encoder wrote a readable record (it HTML-escaped <,
+// > and & inside the value, which the checksum does not cover, so such
+// a record never verified), and it reads back as the fields it was
+// written from when the strings are valid UTF-8.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, r := range goldenRecords {
 		f.Add(r.keyVersion, r.key, []byte(r.value), uint16(30), byte('x'), uint8(0))
@@ -102,35 +120,38 @@ func FuzzDecodeRecord(f *testing.F) {
 		if json.Compact(&compact, value) != nil {
 			return // Put stores only compact valid JSON
 		}
-		value = compact.Bytes()
-		line := appendRecord(nil, keyVersion, key, value)
-		old, err := oracleEncodeRecord(keyVersion, key, value)
-		if err != nil {
+		rec := record{KeyVersion: keyVersion, Key: key, Value: compact.Bytes()}
+		if old, err := oracleEncodeRecord(keyVersion, key, rec.Value); err != nil {
 			t.Fatal(err)
+		} else if _, err := oracleDecodeRecord(old); err == nil {
+			records.Writes(t, &rec)
 		}
-		if _, err := oracleDecodeRecord(old); err == nil && !bytes.Equal(line, old) {
-			t.Fatalf("encoding differs from the old encoder\n got: %q\nwant: %q", line, old)
-		}
-		checkAgainstOracle(t, line)
-		if rec, err := decodeRecord(line); utf8.ValidString(keyVersion) && utf8.ValidString(key) &&
-			(err != nil || !sameRecord(rec, record{KeyVersion: keyVersion, Key: key, Value: value})) {
+		line := appendRecord(nil, keyVersion, key, rec.Value)
+		var back record
+		if err := readRecords.Decode(line, &back); utf8.ValidString(keyVersion) && utf8.ValidString(key) &&
+			(err != nil || !records.Same(back, rec, nil, nil)) {
 			t.Fatalf("written record does not read back: %q: %v", line, err)
 		}
-
-		i := int(pos) % len(line)
-		mutated := append([]byte(nil), line...)
-		switch op % 4 {
-		case 0:
-			mutated[i] = b
-		case 1:
-			mutated = append(mutated[:i], append([]byte{b}, mutated[i:]...)...)
-		case 2:
-			mutated = append(mutated[:i], mutated[i+1:]...)
-		case 3:
-			mutated = mutated[:i]
+		for _, l := range [][]byte{line, layouttest.Mutate(line, int(pos)%len(line), b, op)} {
+			records.Reads(t, l)
+			readRecords.Reads(t, l)
 		}
-		checkAgainstOracle(t, mutated)
 	})
+}
+
+// TestRecordCodecShapes holds the record codec to the oracle and to its
+// allocation bound on lines whose value is a long run of one shape, and
+// on a record with a long escaped key, which encoding/json reads at
+// about 3 bytes per byte.
+func TestRecordCodecShapes(t *testing.T) {
+	const n = 1 << 20
+	lines := layouttest.Shapes(`{"format":1,"key_version":"v2","key":"k","crc32c":"00000000","value":`, "}\n", n)
+	for _, line := range append(lines, appendRecord(nil, "v2", strings.Repeat("<", n), []byte("1"))) {
+		for _, c := range []layouttest.Codec[record]{records, readRecords} {
+			c.Reads(t, line)
+			c.Allocates(t, line, 4, 4<<10)
+		}
+	}
 }
 
 // TestGeneralDecoderLines: lines outside the pinned layout take the
@@ -181,7 +202,8 @@ func TestGeneralDecoderLines(t *testing.T) {
 			if _, err := oracleDecodeRecord(row.line); (err == nil) != row.accept {
 				t.Fatalf("fixture: oracle verdict %v, row says accept=%v", err, row.accept)
 			}
-			checkAgainstOracle(t, row.line)
+			records.Reads(t, row.line)
+			readRecords.Reads(t, row.line)
 			dir := t.TempDir()
 			seg := bytes.Join([][]byte{first, row.line, last}, nil)
 			if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {

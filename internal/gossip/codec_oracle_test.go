@@ -7,8 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"reflect"
 	"testing"
+
+	"rumor/internal/jsonlayout/layouttest"
 )
 
 // oracleNewEnvelope, oracleDecode, oracleEncodeFrame and
@@ -78,49 +79,76 @@ func oracleReadFrame(r io.Reader) (*Envelope, error) {
 	return &env, nil
 }
 
-// checkReadAgainstOracle fails t unless ReadFrame and the oracle give
-// the frame the same verdict, the same error text and, on acceptance,
-// the same envelope.
-func checkReadAgainstOracle(t *testing.T, frame []byte) {
-	t.Helper()
-	want, werr := oracleReadFrame(bytes.NewReader(frame))
-	got, err := ReadFrame(bytes.NewReader(frame))
-	switch {
-	case (err == nil) != (werr == nil):
-		t.Fatalf("verdicts differ on %q: got %v, oracle %v", frame, err, werr)
-	case err != nil && err.Error() != werr.Error():
-		t.Fatalf("errors differ on %q: got %v, oracle %v", frame, err, werr)
-	case !reflect.DeepEqual(got, want):
-		t.Fatalf("envelopes differ on %q: got %+v, oracle %+v", frame, got, want)
+// frames is the frame codec, encodeFrame and ReadFrame, held to
+// oracleEncodeFrame and oracleReadFrame, error text included. Its
+// writer falls back to encoding/json inside.
+var frames = layouttest.Codec[*Envelope]{
+	Decode: func(b []byte, env **Envelope) (err error) {
+		*env, err = ReadFrame(bytes.NewReader(b))
+		return err
+	},
+	Oracle: func(b []byte, env **Envelope) (err error) {
+		*env, err = oracleReadFrame(bytes.NewReader(b))
+		return err
+	},
+	Append: func(b []byte, env **Envelope) ([]byte, bool) {
+		frame, err := encodeFrame(*env)
+		return append(b, frame...), err == nil
+	},
+	Encode: func(env **Envelope) ([]byte, error) { return oracleEncodeFrame(*env) },
+}
+
+// payloads is the codec of method's payloads of type P: Decode and
+// marshalPayload, NewEnvelope's writer, held to oracleDecode and the
+// json.Marshal of oracleNewEnvelope. The hot payloads are written and
+// read by hand, every other one by encoding/json.
+func payloads[P any](method string) layouttest.Codec[P] {
+	return layouttest.Codec[P]{
+		Decode: func(b []byte, v *P) error { return (&Envelope{Method: method, Payload: b}).Decode(v) },
+		Oracle: func(b []byte, v *P) error { return oracleDecode(&Envelope{Method: method, Payload: b}, v) },
+		Append: func(b []byte, v *P) ([]byte, bool) {
+			p, err := marshalPayload(*v)
+			return append(b, p...), err == nil
+		},
+		Encode: func(v *P) ([]byte, error) { return json.Marshal(*v) },
 	}
 }
 
-// checkDecodeAgainstOracle fails t unless Decode and the oracle give
-// env's payload the same verdict, error text and value in every hot
-// payload type, and in Report, which stays on encoding/json.
-func checkDecodeAgainstOracle(t *testing.T, env *Envelope) {
+// checkPayloads holds method's payloads of type P to the oracle: each
+// of bs read, and v written.
+func checkPayloads[P any](t *testing.T, method string, v P, bs [][]byte) {
 	t.Helper()
-	for _, v := range []interface{}{Rumor{}, PullRequest{}, RoundCmd{}, RoundAck{}, PullReply{}, Ack{}, Report{}} {
-		got, want := reflect.New(reflect.TypeOf(v)), reflect.New(reflect.TypeOf(v))
-		err, werr := env.Decode(got.Interface()), oracleDecode(env, want.Interface())
-		switch {
-		case (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()):
-			t.Fatalf("%T from %q: got %v, oracle %v", v, env.Payload, err, werr)
-		case !reflect.DeepEqual(got.Interface(), want.Interface()):
-			t.Fatalf("%T from %q: got %+v, oracle %+v", v, env.Payload, got.Elem(), want.Elem())
-		}
+	c := payloads[P](method)
+	for _, b := range bs {
+		c.Reads(t, b)
+	}
+	c.Writes(t, &v)
+}
+
+// TestFrameCodecShapes holds the frame and payload codecs to the oracle
+// and to their allocation bounds on payloads that are a long run of one
+// shape, framed in an envelope and alone. A frame costs its body
+// buffer and a copy of the payload where encoding/json reads it; a
+// payload read by encoding/json costs up to seven copies of a long
+// number, in the error that says it does not fit a Round.
+func TestFrameCodecShapes(t *testing.T) {
+	const head = `{"method":"push","from":1,"payload":`
+	rumors := payloads[Rumor](MethodPush)
+	for _, payload := range layouttest.Shapes(`{"round":`, "}", MaxFrame-len(head)-16) {
+		body := append(append([]byte(head), payload...), '}')
+		frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+		frames.Reads(t, frame)
+		frames.Allocates(t, frame, 2, 64<<10)
+		rumors.Reads(t, payload)
+		rumors.Allocates(t, payload, 8, 4<<10)
 	}
 }
 
-// FuzzFrameCodec holds the pinned-layout codec to the encoding/json
-// one it replaced. For a fuzzed (method, from, payload, err) envelope:
-// wherever the oracle encodes it, encodeFrame writes the oracle's
-// bytes (and fails where it fails); that frame, a copy of it with byte
-// c set, inserted or deleted at pos, and the payload framed as a whole
-// body all get the oracle's verdict and envelope from ReadFrame; and
-// the fuzzed payload, the same mutation of it, its suffix from pos and
-// the hot payloads built from from all decode as the oracle decodes
-// them.
+// FuzzFrameCodec holds the frame and payload codecs to the oracle on a
+// fuzzed (method, from, payload, err) envelope: its frame, that frame
+// with byte c set, inserted or deleted at pos, and the payload framed
+// as a whole body; and the payload, the same mutation of it, its suffix
+// from pos and the hot payloads built from from, in every payload type.
 func FuzzFrameCodec(f *testing.F) {
 	for _, s := range frameSteps {
 		env, err := oracleNewEnvelope(s.method, s.from, s.payload)
@@ -140,48 +168,28 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(MethodReport, 9, []byte(`{"node":1,"informed":true,"hearings":2,"informed_round":3,"sent":1}`), "", uint16(0), byte(0), uint8(3))
 	f.Fuzz(func(t *testing.T, method string, from int, payload []byte, errText string, pos uint16, c byte, op uint8) {
 		env := &Envelope{Method: method, From: from, Payload: payload, Err: errText}
-		frame, err := encodeFrame(env)
-		want, werr := oracleEncodeFrame(env)
-		switch {
-		case (err == nil) != (werr == nil):
-			t.Fatalf("encode verdicts differ on %+v: got %v, oracle %v", env, err, werr)
-		case !bytes.Equal(frame, want):
-			t.Fatalf("frames differ on %+v\n got: %q\nwant: %q", env, frame, want)
-		}
+		frames.Writes(t, &env)
 		// mutate returns a copy of b with one byte set, inserted or
 		// deleted at an offset of pos past skip.
 		mutate := func(b []byte, skip int) []byte {
-			i := skip + int(pos)%(len(b)-skip)
-			m := append([]byte(nil), b[:i]...)
-			switch op % 3 {
-			case 0:
-				return append(append(m, c), b[i+1:]...)
-			case 1:
-				return append(append(m, c), b[i:]...)
-			}
-			return append(m, b[i+1:]...)
+			return layouttest.Mutate(b, skip+int(pos)%(len(b)-skip), c, op%3)
 		}
-		if err == nil {
-			checkReadAgainstOracle(t, frame)
+		if frame, err := encodeFrame(env); err == nil {
 			mutated := mutate(frame, 4)
 			binary.BigEndian.PutUint32(mutated, uint32(len(mutated)-4))
-			checkReadAgainstOracle(t, mutated)
+			frames.Reads(t, mutated)
 		}
-		checkDecodeAgainstOracle(t, env)
+		bs := [][]byte{payload, []byte("{}"), appendRound(int32(from)), appendInformed(from&1 == 1), appendInformed(from&2 == 2)}
 		if len(payload) > 0 && len(payload) <= MaxFrame {
-			checkReadAgainstOracle(t, append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...))
-			checkDecodeAgainstOracle(t, &Envelope{Method: method, Payload: mutate(payload, 0)})
-			checkDecodeAgainstOracle(t, &Envelope{Method: method, Payload: payload[int(pos)%len(payload):]})
+			frames.Reads(t, append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...))
+			bs = append(bs, mutate(payload, 0), payload[int(pos)%len(payload):])
 		}
-
-		for _, v := range []interface{}{Ack{}, Rumor{Round: int32(from)}, PullRequest{Round: int32(from)}, RoundCmd{Round: int32(from)},
-			RoundAck{Informed: from&1 == 1}, PullReply{Informed: from&2 == 2}} {
-			got, err := NewEnvelope(method, from, v)
-			want, werr := oracleNewEnvelope(method, from, v)
-			if err != nil || werr != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("NewEnvelope(%q, %d, %+v) = %+v, %v; oracle %+v, %v", method, from, v, got, err, want, werr)
-			}
-			checkDecodeAgainstOracle(t, got)
-		}
+		checkPayloads(t, method, Ack{}, bs)
+		checkPayloads(t, method, Rumor{Round: int32(from)}, bs)
+		checkPayloads(t, method, PullRequest{Round: int32(from)}, bs)
+		checkPayloads(t, method, RoundCmd{Round: int32(from)}, bs)
+		checkPayloads(t, method, RoundAck{Informed: from&1 == 1}, bs)
+		checkPayloads(t, method, PullReply{Informed: from&2 == 2}, bs)
+		checkPayloads(t, method, Report{Node: from, Hearings: int(pos)}, bs)
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -215,13 +214,8 @@ func FuzzReadFrame(f *testing.F) {
 		if len(data) > maxInput {
 			return
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		frames.Allocates(t, data, 0, MaxFrame+allocSlack)
 		env, err := ReadFrame(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > MaxFrame+allocSlack {
-			t.Fatalf("ReadFrame of %d bytes allocated %d bytes, over MaxFrame+%d", len(data), alloc, allocSlack)
-		}
 		if err != nil {
 			if !errors.Is(err, errBadFrame) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("untyped error %T: %v", err, err)

@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"reflect"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"rumor/internal/jsonlayout/layouttest"
 	"rumor/internal/service"
 )
 
@@ -27,16 +25,34 @@ func decodeJobBodyOracle(body io.ReadCloser, limit int64, v interface{}) error {
 	return dec.Decode(v)
 }
 
-// FuzzJobBody holds the job body reader to encoding/json.
-//
-//   - On arbitrary bytes behind a MaxBytesReader whose limit is above,
-//     at or below their length, io.ReadAll and then DecodeJobBody, into
-//     a dirty spec, return the oracle's error text and a spec
-//     reflect.DeepEqual to the oracle's.
-//   - On a JobSpec decoded from those bytes and changed by fuzzed edits
-//     to its first cell, the reader takes json.Marshal's bytes, the body
-//     the SDK sends, exactly when the spec is in the layout, and decodes
-//     them as the oracle does.
+// jobBody is the job body codec behind a MaxBytesReader whose limit is
+// short bytes below one past the body's length: io.ReadAll and
+// DecodeJobBody, with parseJobBody in place, held to the old decoder
+// over the same reader. It has no writer: the SDK sends json.Marshal's
+// body.
+func jobBody(short uint8) layouttest.Codec[service.JobSpec] {
+	limit := func(b []byte) int64 { return max(int64(len(b))+1-int64(short), 0) }
+	return layouttest.Codec[service.JobSpec]{
+		Decode: func(b []byte, spec *service.JobSpec) error {
+			read, readErr := io.ReadAll(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(b)), limit(b)))
+			return service.DecodeJobBody(read, readErr, spec)
+		},
+		Oracle: func(b []byte, spec *service.JobSpec) error {
+			return decodeJobBodyOracle(io.NopCloser(bytes.NewReader(b)), limit(b), spec)
+		},
+		Dirty: func() service.JobSpec {
+			return service.JobSpec{Families: []string{"stale"}, Priority: 9, CellList: []service.CellSpec{{N: 1}}}
+		},
+		InPlace: service.ParseJobBody,
+		Encode:  func(spec *service.JobSpec) ([]byte, error) { return json.Marshal(spec) },
+		Layout:  jobInLayout,
+	}
+}
+
+// FuzzJobBody holds the job body codec to the oracle on arbitrary bytes
+// behind a limit above, at or below their length, and on a JobSpec
+// decoded from those bytes and changed by fuzzed edits to its first
+// cell.
 func FuzzJobBody(f *testing.F) {
 	sdk, err := json.Marshal(service.JobSpec{CellList: service.SDKJobCells()})
 	if err != nil {
@@ -94,8 +110,7 @@ func FuzzJobBody(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte, short uint8, edits []byte) {
-		limit := max(int64(len(b))+1-int64(short), 0)
-		checkDecodeJobBody(t, b, limit)
+		jobBody(short).Reads(t, b)
 
 		var spec service.JobSpec
 		_ = json.Unmarshal(b, &spec) // a realistic start when b is a body
@@ -104,39 +119,8 @@ func FuzzJobBody(f *testing.F) {
 			applyEdits(&r, edits)
 			spec.CellList[0] = r.Cell
 		}
-		checkMarshalledJobBody(t, &spec)
+		jobBody(1).Writes(t, &spec)
 	})
-}
-
-// checkDecodeJobBody reads b behind a MaxBytesReader of limit with
-// io.ReadAll and decodes it with DecodeJobBody, into a dirty spec, and
-// compares that with the oracle's decode of the same reader.
-func checkDecodeJobBody(t *testing.T, b []byte, limit int64) {
-	t.Helper()
-	got := service.JobSpec{Families: []string{"stale"}, Priority: 9, CellList: []service.CellSpec{{N: 1}}}
-	read, readErr := io.ReadAll(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(b)), limit))
-	gotErr := service.DecodeJobBody(read, readErr, &got)
-	var want service.JobSpec
-	wantErr := decodeJobBodyOracle(io.NopCloser(bytes.NewReader(b)), limit, &want)
-	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
-		t.Fatalf("limit %d: DecodeJobBody(%q) = %+v, %v\nthe oracle gives %+v, %v", limit, b, got, gotErr, want, wantErr)
-	}
-}
-
-// checkMarshalledJobBody holds the reader to spec's json.Marshal bytes:
-// it takes them in place exactly when spec is in the layout, and
-// decodes them as the oracle does.
-func checkMarshalledJobBody(t *testing.T, spec *service.JobSpec) {
-	t.Helper()
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return
-	}
-	var back service.JobSpec
-	if ok := service.ParseJobBody(body, &back); ok != jobInLayout(spec) {
-		t.Fatalf("the reader's verdict on %s is %v, want %v", body, ok, !ok)
-	}
-	checkDecodeJobBody(t, body, int64(len(body)))
 }
 
 // jobInLayout reports whether spec is a job the pinned body covers: a
@@ -158,30 +142,13 @@ func jobInLayout(spec *service.JobSpec) bool {
 // TestJobBodyAllocation holds what a submit allocates to what its body
 // holds. A body that leaves the layout at its first cell, however many
 // cell separators follow, costs a few times its length; a long cell
-// list costs no more than the old decoder spends on it.
+// list costs no more than the old decoder spends on it; and a cell list
+// that is a long run of one shape goes to the old decoder, which holds
+// the body a second time.
 func TestJobBodyAllocation(t *testing.T) {
-	allocated := func(body []byte, decode func([]byte)) uint64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		decode(body)
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	decode := func(body []byte) {
-		read, readErr := io.ReadAll(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), int64(len(body))))
-		var spec service.JobSpec
-		_ = service.DecodeJobBody(read, readErr, &spec)
-	}
-	oracle := func(body []byte) {
-		var spec service.JobSpec
-		_ = decodeJobBodyOracle(io.NopCloser(bytes.NewReader(body)), int64(len(body)), &spec)
-	}
-
+	body := jobBody(1)
 	bogus := []byte(`{"cells":[` + strings.Repeat(`},{`, 1<<18))
-	if got, bound := allocated(bogus, decode), 8*uint64(len(bogus)); got > bound {
-		t.Errorf("a %d-byte body that leaves the layout at its first cell allocates %d bytes, want at most %d", len(bogus), got, bound)
-	}
+	body.Allocates(t, bogus, 8, 0)
 
 	cell := `{"trials":1,"graph_seed":1,"trial_seed":1,"source":0}`
 	cells := []byte(`{"cells":[` + strings.Repeat(cell+`,`, 1<<14) + cell + `]}`)
@@ -189,7 +156,11 @@ func TestJobBodyAllocation(t *testing.T) {
 	if !service.ParseJobBody(cells, &spec) || len(spec.CellList) != 1<<14+1 {
 		t.Fatalf("the reader declines a list of %d minimal cells", 1<<14+1)
 	}
-	if got, old := allocated(cells, decode), allocated(cells, oracle); got > old+old/4 {
-		t.Errorf("a list of %d minimal cells allocates %d bytes, the old decoder %d", 1<<14+1, got, old)
+	old := layouttest.Allocated(func() { _ = body.Oracle(cells, new(service.JobSpec)) })
+	body.Allocates(t, cells, 0, old+old/4)
+
+	for _, b := range layouttest.Shapes(`{"cells":[`, "]}", 1<<20) {
+		body.Reads(t, b)
+		body.Allocates(t, b, 16, 4<<10)
 	}
 }

@@ -7,28 +7,44 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"rumor/internal/api"
 	"rumor/internal/jsonlayout"
+	"rumor/internal/jsonlayout/layouttest"
 	"rumor/internal/service"
 )
 
-// FuzzResultCodec holds the result codec to encoding/json.
-//
-//   - On a CellResult built from a decoded row and fuzzed edits (strings
-//     that are not plain, NaN and ±Inf, nil or empty Times, every
-//     optional field), appendResult either declines, leaving its buffer's
-//     contents as they were, or writes exactly json.Marshal's bytes,
-//     which are api.EncodeRow's without the newline; it declines exactly
-//     the results outside the layout, and the reader takes back what it
-//     wrote.
-//   - On arbitrary bytes, DecodeResult returns json.Unmarshal's error,
-//     and its result is reflect.DeepEqual to what json.Unmarshal makes
-//     of a zero CellResult, whatever *r held before.
+// results is the result codec: appendResult and DecodeResult, with
+// parseResult in place, held to json.Marshal, api.EncodeRow (which must
+// write json.Marshal's bytes and a newline for every result in the
+// layout) and json.Unmarshal. Its writer declines every result outside
+// the layout.
+var results = layouttest.Codec[service.CellResult]{
+	Decode: service.DecodeResult,
+	Oracle: func(b []byte, r *service.CellResult) error { return json.Unmarshal(b, r) },
+	Dirty: func() service.CellResult {
+		return service.CellResult{Index: 9, Key: "stale", Times: []float64{1}, Coverage: map[string]float64{"q1": 1}}
+	},
+	InPlace: service.ParseResult,
+	Append:  service.AppendResult,
+	Encode: func(r *service.CellResult) ([]byte, error) {
+		b, err := json.Marshal(r)
+		var row bytes.Buffer
+		if err == nil && inLayout(r) && (api.EncodeRow(&row, r) != nil || row.String() != string(b)+"\n") {
+			return nil, fmt.Errorf("api.EncodeRow writes %s", row.Bytes())
+		}
+		return b, err
+	},
+	Layout: inLayout,
+}
+
+// FuzzResultCodec holds the result codec to the oracle on arbitrary
+// bytes, and on a CellResult built from a decoded row and fuzzed edits:
+// strings that are not plain, NaN and ±Inf, nil or empty Times, every
+// optional field.
 func FuzzResultCodec(f *testing.F) {
 	// The writer takes exactly the golden cells without a schedule or
 	// coverage fractions, so the golden rows run through the fast paths.
@@ -84,58 +100,25 @@ func FuzzResultCodec(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, row, edits []byte) {
-		checkDecodeResult(t, row)
+		results.Reads(t, row)
 
 		var r service.CellResult
 		_ = json.Unmarshal(row, &r) // a realistic start when row is one
 		applyEdits(&r, edits)
-		checkAppendResult(t, &r)
+		results.Writes(t, &r)
 	})
 }
 
-// checkDecodeResult decodes b with DecodeResult, into a dirty result,
-// and with json.Unmarshal, into a zero one, and compares the two.
-func checkDecodeResult(t *testing.T, b []byte) {
-	t.Helper()
-	got := service.CellResult{Index: 9, Key: "stale", Times: []float64{1}, Coverage: map[string]float64{"q1": 1}}
-	gotErr := service.DecodeResult(b, &got)
-	var want service.CellResult
-	wantErr := json.Unmarshal(b, &want)
-	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
-		t.Fatalf("DecodeResult(%q) = %+v, %v\njson.Unmarshal gives %+v, %v", b, got, gotErr, want, wantErr)
+// TestResultCodecShapes holds the result codec to the oracle and to its
+// allocation bound on rows whose times are a long run of one shape. The
+// bound is what the bytes can hold: a time takes at least a digit and a
+// comma of the row, and 8 bytes of the slice.
+func TestResultCodecShapes(t *testing.T) {
+	const head = `{"index":0,"cell":{"trials":1,"graph_seed":1,"trial_seed":1,"source":0},"key":"k","n":1,"m":0,"times":[`
+	for _, row := range layouttest.Shapes(head, "]", 1<<20) {
+		results.Allocates(t, row, 4, 4<<10)
+		results.Reads(t, row)
 	}
-}
-
-// checkAppendResult holds appendResult on r to json.Marshal and
-// api.EncodeRow, and its output to the reader.
-func checkAppendResult(t *testing.T, r *service.CellResult) {
-	t.Helper()
-	prefix := []byte("prefix")
-	out, ok := service.AppendResult(prefix, r)
-	if !bytes.HasPrefix(out, []byte("prefix")) {
-		t.Fatalf("appendResult overwrote its buffer: %q", out)
-	}
-	marshalled, err := json.Marshal(r)
-	var row bytes.Buffer
-	rowErr := api.EncodeRow(&row, r)
-	if covered := err == nil && inLayout(r); ok != covered {
-		t.Fatalf("appendResult(%+v) ok = %v, want %v (json.Marshal: %v)", r, ok, covered, err)
-	}
-	if !ok {
-		if len(out) != len(prefix) {
-			t.Fatalf("appendResult declined but wrote %q", out[len(prefix):])
-		}
-		return
-	}
-	enc := out[len(prefix):]
-	if !bytes.Equal(enc, marshalled) || rowErr != nil || !bytes.Equal(append(enc, '\n'), row.Bytes()) {
-		t.Fatalf("appendResult writes\n%s\njson.Marshal writes\n%s\napi.EncodeRow writes\n%s (%v)", enc, marshalled, row.Bytes(), rowErr)
-	}
-	var back service.CellResult
-	if !service.ParseResult(enc, &back) {
-		t.Fatalf("the reader declines the writer's %s", enc)
-	}
-	checkDecodeResult(t, enc)
 }
 
 // inLayout reports whether r is a result the pinned layout covers,
