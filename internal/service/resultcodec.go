@@ -424,7 +424,7 @@ func (p *resultReader) floats() []float64 {
 	}
 	n := 0
 	if end := bytes.IndexByte(p.rest, ']'); end > 0 {
-		n = bytes.Count(p.rest[:end], []byte{','}) + 1
+		n = min(bytes.Count(p.rest[:end], []byte{','})+1, (end+1)/2)
 	}
 	vs := make([]float64, 0, n)
 	if p.opt("]") {
