@@ -1,12 +1,16 @@
 // Package jsonlayout holds the lexical rules of the fixed JSON layouts
-// that three codecs write as json.Marshal would and parse in place: the
-// disk tier's records (internal/cachestore), the gossip wire's frames
-// (internal/gossip) and cell results (internal/service). There is one
-// string rule, Plain; CutString reads a string under it, CutInt an
-// integer, CutUint an unsigned one, CutFloat a number as a float64, and
-// ValueEnd a compact value; AppendFloat writes a float64. Each reader
-// accepts a subset of what encoding/json accepts and rejects rather
-// than guesses, and its caller then falls back to encoding/json.
+// that four codecs parse in place, in the bytes json.Marshal writes:
+// the disk tier's records (internal/cachestore), the gossip wire's
+// frames (internal/gossip), and cell results and the job body, a list
+// of cells in the result layout (internal/service). The first three
+// also write their layout. There is one string rule, Plain; CutString
+// reads a string under it, CutInt an integer, CutUint an unsigned one,
+// CutFloat a number as a float64, and ValueEnd a compact value;
+// AppendFloat writes a float64. Each reader accepts a subset of what
+// encoding/json accepts and rejects rather than guesses, and its caller
+// then falls back to encoding/json. The contract the four codecs keep
+// against the encoding/json codecs they replaced, allocation included,
+// is checked in one place, package layouttest.
 package jsonlayout
 
 import (
