@@ -248,37 +248,3 @@ func (p *Perturb) Reset() {
 
 // Err implements Provider.
 func (p *Perturb) Err() error { return p.err }
-
-// addPairsBernoulli adds each unordered pair {u, v} as an edge
-// independently with probability q, using the same geometric-skipping
-// enumeration as GNP.
-func addPairsBernoulli(b *Builder, n int, q float64, rng *xrand.RNG) {
-	if q <= 0 || n < 2 {
-		return
-	}
-	if q >= 1 {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				b.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
-		return
-	}
-	logq := math.Log1p(-q)
-	maxSkip := float64(n)*float64(n) + 2
-	u, v := 0, 0
-	for u < n-1 {
-		fskip := math.Log(rng.Float64Open())/logq + 1
-		if fskip > maxSkip {
-			break
-		}
-		v += int(fskip)
-		for v >= n && u < n-1 {
-			u++
-			v = v - n + u + 1
-		}
-		if u < n-1 && v < n {
-			b.AddEdge(NodeID(u), NodeID(v))
-		}
-	}
-}

@@ -15,37 +15,7 @@ func GNP(n int, p float64, rng *xrand.RNG) (*Graph, error) {
 		return nil, fmt.Errorf("%w: GNP(%d, %v)", ErrInvalidParam, n, p)
 	}
 	b := NewBuilder(n).SetName(fmt.Sprintf("gnp(%d,p=%.4g)", n, p))
-	if p == 0 {
-		return b.Build()
-	}
-	if p == 1 {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				b.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
-		return b.Build()
-	}
-	// Enumerate pairs (u, v), u < v, in lexicographic order; jump ahead
-	// by Geometric(p) positions between successive edges.
-	logq := math.Log1p(-p)
-	maxSkip := float64(n)*float64(n) + 2
-	u, v := 0, 0
-	for u < n-1 {
-		fskip := math.Log(rng.Float64Open())/logq + 1
-		if fskip > maxSkip {
-			// The jump passes every remaining pair: no more edges.
-			break
-		}
-		v += int(fskip)
-		for v >= n && u < n-1 {
-			u++
-			v = v - n + u + 1
-		}
-		if u < n-1 && v < n {
-			b.AddEdge(NodeID(u), NodeID(v))
-		}
-	}
+	addPairsBernoulli(b, n, p, rng)
 	return b.Build()
 }
 
@@ -167,4 +137,41 @@ func RandomRegular(n, d int, rng *xrand.RNG) (*Graph, error) {
 		}
 	}
 	return nil, fmt.Errorf("graph: RandomRegular(%d, %d) repair did not converge", n, d)
+}
+
+// addPairsBernoulli adds each unordered pair {u, v} as an edge
+// independently with probability q (GNP, and the fresh edges of a Perturb
+// epoch). Pairs (u, v), u < v, are enumerated in lexicographic order,
+// jumping ahead by Geometric(q) positions between successive edges, so
+// the cost is O(n + m) and the Builder receives its edges in order.
+func addPairsBernoulli(b *Builder, n int, q float64, rng *xrand.RNG) {
+	if q <= 0 || n < 2 {
+		return
+	}
+	if q >= 1 {
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				b.AddEdge(NodeID(u), NodeID(v))
+			}
+		}
+		return
+	}
+	logq := math.Log1p(-q)
+	maxSkip := float64(n)*float64(n) + 2
+	u, v := 0, 0
+	for u < n-1 {
+		fskip := math.Log(rng.Float64Open())/logq + 1
+		if fskip > maxSkip {
+			// The jump passes every remaining pair: no more edges.
+			break
+		}
+		v += int(fskip)
+		for v >= n && u < n-1 {
+			u++
+			v = v - n + u + 1
+		}
+		if u < n-1 && v < n {
+			b.AddEdge(NodeID(u), NodeID(v))
+		}
+	}
 }
