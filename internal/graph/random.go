@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"rumor/internal/xrand"
 )
@@ -144,7 +145,47 @@ func RandomRegular(n, d int, rng *xrand.RNG) (*Graph, error) {
 // epoch). Pairs (u, v), u < v, are enumerated in lexicographic order,
 // jumping ahead by Geometric(q) positions between successive edges, so
 // the cost is O(n + m) and the Builder receives its edges in order.
+//
+// From pairsPipelineMinEdges expected edges on, and with more than one
+// core, the skips are drawn on a helper goroutine while this one walks
+// the pairs (see pairsBlock); the edges and where rng is left are the
+// same either way.
 func addPairsBernoulli(b *Builder, n int, q float64, rng *xrand.RNG) {
+	addPairsBernoulliBlocks(b, n, q, rng, pairsBlock(n, q))
+}
+
+// pairsPipelineMinEdges is the expected edge count q·n(n−1)/2 from which
+// addPairsBernoulli draws its skips on a helper goroutine. Below it the
+// goroutine, the wait for the first block and the block drawn past the
+// last pair cost more than the overlap saves: on a 2-vCPU host
+// BenchmarkPairsPipeline has the caller's goroutine ahead at 1<<13
+// expected edges (0.35 ms against 0.43) and the pipeline ahead from
+// 1<<14 on (0.65 against 0.76; 0.09 s against 0.19 at 1<<22). The
+// quick suite's G(n,p) graphs, a resample or Perturb epoch's included,
+// expect at most 1<<12 edges, so none of them starts a goroutine.
+const pairsPipelineMinEdges = 1 << 14
+
+// pairsSkipBlock is the number of skips in one block of the pipeline.
+// Smaller blocks pay a goroutine wake-up per few draws (1<<10: 0.13 s
+// at 1<<22 expected edges); larger ones make the walk wait longer for
+// the first block (1<<14: 2.3 ms against 1.6 at 1<<16).
+const pairsSkipBlock = 1 << 12
+
+// pairsBlock is addPairsBernoulli's block size for G(n, q): 0 (draw in
+// the caller's goroutine) below pairsPipelineMinEdges expected edges or
+// on one core, else pairsSkipBlock.
+func pairsBlock(n int, q float64) int {
+	if q*float64(n)*float64(n-1)/2 < pairsPipelineMinEdges || runtime.GOMAXPROCS(0) < 2 {
+		return 0
+	}
+	return pairsSkipBlock
+}
+
+// addPairsBernoulliBlocks is addPairsBernoulli with an explicit block
+// size: 0 draws each skip in the caller's goroutine just before the walk
+// takes it; block > 0 has a helper goroutine draw blocks of that many
+// skips ahead of the walk, on a copy of rng.
+func addPairsBernoulliBlocks(b *Builder, n int, q float64, rng *xrand.RNG, block int) {
 	if q <= 0 || n < 2 {
 		return
 	}
@@ -157,21 +198,113 @@ func addPairsBernoulli(b *Builder, n int, q float64, rng *xrand.RNG) {
 		return
 	}
 	logq := math.Log1p(-q)
-	maxSkip := float64(n)*float64(n) + 2
-	u, v := 0, 0
-	for u < n-1 {
-		fskip := math.Log(rng.Float64Open())/logq + 1
-		if fskip > maxSkip {
-			// The jump passes every remaining pair: no more edges.
-			break
+	w := pairWalk{b: b, n: n, maxSkip: float64(n)*float64(n) + 2}
+	if block == 0 {
+		var skip [1]float64
+		for done := false; !done; {
+			skip[0] = math.Log(rng.Float64Open())/logq + 1
+			_, done = w.take(skip[:])
+		}
+		return
+	}
+	w.pipelined(rng, logq, block)
+}
+
+// pairWalk is the enumeration's cursor: the last pair (u, v) reached,
+// with v counting on past n - 1 until the walk carries it to a later u.
+type pairWalk struct {
+	b       *Builder
+	n       int
+	u, v    int
+	maxSkip float64
+}
+
+// take advances the walk by each skip in turn, adding the pair it lands
+// on as an edge, and returns how many skips it used and whether the
+// enumeration is over: a skip passed the last pair, or one passed
+// maxSkip, more than every remaining pair, which ends it too.
+func (w *pairWalk) take(skips []float64) (int, bool) {
+	n, u, v := w.n, w.u, w.v
+	for i, fskip := range skips {
+		if fskip > w.maxSkip {
+			return i + 1, true
 		}
 		v += int(fskip)
 		for v >= n && u < n-1 {
 			u++
 			v = v - n + u + 1
 		}
-		if u < n-1 && v < n {
-			b.AddEdge(NodeID(u), NodeID(v))
+		if u >= n-1 {
+			return i + 1, true
 		}
+		w.b.AddEdge(NodeID(u), NodeID(v))
+	}
+	w.u, w.v = u, v
+	return len(skips), false
+}
+
+// skipBlock is one block of the pipeline: the generator before the
+// block's first draw, and the skips its draws give.
+type skipBlock struct {
+	start xrand.RNG
+	skips []float64
+}
+
+// pipelinedDepth is the number of blocks in flight between the helper
+// and the walk.
+const pipelinedDepth = 4
+
+// pipelined runs the walk over blocks of skips that a helper goroutine
+// draws ahead on a copy of rng. When the walk ends on draw k of a block,
+// rng is set to that block's start and its first k draws are replayed
+// (a Float64Open may take more than one raw draw, so the position is
+// only known by drawing), which leaves rng where the draw-as-you-go
+// walk leaves it. The helper is stopped and has exited before pipelined
+// returns.
+func (w *pairWalk) pipelined(rng *xrand.RNG, logq float64, block int) {
+	// Both channels hold every block, so neither side's send blocks
+	// once the other has stopped receiving.
+	full := make(chan *skipBlock, pipelinedDepth)
+	free := make(chan *skipBlock, pipelinedDepth)
+	for range pipelinedDepth {
+		free <- &skipBlock{skips: make([]float64, block)}
+	}
+	stop, exited := make(chan struct{}), make(chan struct{})
+	go func(gen xrand.RNG) {
+		defer close(exited)
+		for {
+			// A stopped walk returns no more blocks, but free may still
+			// hold some: look at stop first, so none of them is filled.
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var blk *skipBlock
+			select {
+			case blk = <-free:
+			case <-stop:
+				return
+			}
+			blk.start = gen
+			for i := range blk.skips {
+				blk.skips[i] = math.Log(gen.Float64Open())/logq + 1
+			}
+			full <- blk
+		}
+	}(*rng)
+	for {
+		blk := <-full
+		k, done := w.take(blk.skips)
+		if done {
+			close(stop)
+			<-exited
+			*rng = blk.start
+			for range k {
+				rng.Float64Open()
+			}
+			return
+		}
+		free <- blk
 	}
 }
