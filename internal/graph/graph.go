@@ -133,9 +133,9 @@ func (g *Graph) String() string {
 //
 // Edges are staged in fixed-size chunks rather than one growing slice, so
 // recording m edges never re-copies the whole edge list, and Build
-// releases each chunk as soon as it has been scattered into the CSR
-// arrays — the peak footprint stays near the final graph size even at
-// n = 10^7.
+// releases each chunk as soon as every worker has scattered it into the
+// CSR arrays — the peak footprint stays near the final graph size even
+// at n = 10^7.
 type Builder struct {
 	n      int
 	chunks [][][2]NodeID
@@ -211,9 +211,10 @@ func (b *Builder) AddEdge(u, v NodeID) *Builder {
 // per-vertex sort+dedup that compacts the adjacency array in place. No
 // global edge sort, no doubling copy.
 //
-// From buildParallelMinEdges staged edges on, the count pass and the
-// scatter run on GOMAXPROCS workers (see buildWorkers); the arrays are
-// the same bytes whatever the worker count.
+// From buildParallelMinEdges (1<<18) staged edges on, where one and two
+// workers are level on a 2-vCPU host, the count pass and the scatter run
+// on GOMAXPROCS workers (see build); the arrays are the same bytes
+// whatever the worker count.
 func (b *Builder) Build() (*Graph, error) {
 	return b.build(buildWorkers(b.staged()))
 }
@@ -221,11 +222,14 @@ func (b *Builder) Build() (*Graph, error) {
 // buildParallelMinEdges is the staged edge count from which Build
 // spreads its count pass and scatter over the cores. Below it the
 // goroutines, the extra count arrays and every worker's read of every
-// chunk cost more than the halved passes save: on a 2-vCPU host
+// chunk cost more than the halved passes save: on an idle 2-vCPU host
 // BenchmarkBuildWorkers has one worker ahead at 1<<17 edges (1.65 ms
 // against 1.86), the two level at 1<<18 (4.72 against 4.40) and two
-// workers ahead at 1<<19 (13.3 against 8.6). No graph of the quick
-// suite stages more than 1<<15 edges.
+// workers ahead at 1<<19 (13.3 against 8.6). With the other core kept
+// busy two workers are behind at every size measured, 1<<17 to 1<<21
+// (60 ms against 86 at 1<<21): Build is not told whether the cores are
+// idle, so the gate is the idle crossover. No graph of the quick suite
+// stages 1<<15 edges.
 const buildParallelMinEdges = 1 << 18
 
 // buildWorkers is Build's worker count for a builder holding edges
@@ -280,7 +284,7 @@ func (b *Builder) build(w int) (*Graph, error) {
 		}
 		offsets[v+1] += offsets[v]
 	}
-	clear(counts[1:])
+	clear(counts[1:]) // collectable before adj is allocated
 	adj := make([]NodeID, offsets[b.n])
 	cursor := make([]int64, b.n)
 	copy(cursor, offsets[:b.n])

@@ -146,10 +146,12 @@ func RandomRegular(n, d int, rng *xrand.RNG) (*Graph, error) {
 // jumping ahead by Geometric(q) positions between successive edges, so
 // the cost is O(n + m) and the Builder receives its edges in order.
 //
-// From pairsPipelineMinEdges expected edges on, and with more than one
-// core, the skips are drawn on a helper goroutine while this one walks
-// the pairs (see pairsBlock); the edges and where rng is left are the
-// same either way.
+// From pairsPipelineMinEdges (1<<15) expected edges on, where the
+// pipeline wins on a 2-vCPU host idle or loaded, and with more than one
+// core, the
+// skips are drawn on a helper goroutine while this one walks the pairs
+// (see pipelined); the edges and where rng is left are the same either
+// way.
 func addPairsBernoulli(b *Builder, n int, q float64, rng *xrand.RNG) {
 	addPairsBernoulliBlocks(b, n, q, rng, pairsBlock(n, q))
 }
@@ -157,13 +159,16 @@ func addPairsBernoulli(b *Builder, n int, q float64, rng *xrand.RNG) {
 // pairsPipelineMinEdges is the expected edge count q·n(n−1)/2 from which
 // addPairsBernoulli draws its skips on a helper goroutine. Below it the
 // goroutine, the wait for the first block and the block drawn past the
-// last pair cost more than the overlap saves: on a 2-vCPU host
-// BenchmarkPairsPipeline has the caller's goroutine ahead at 1<<13
-// expected edges (0.35 ms against 0.43) and the pipeline ahead from
-// 1<<14 on (0.65 against 0.76; 0.09 s against 0.19 at 1<<22). The
-// quick suite's G(n,p) graphs, a resample or Perturb epoch's included,
-// expect at most 1<<12 edges, so none of them starts a goroutine.
-const pairsPipelineMinEdges = 1 << 14
+// last pair cost more than the overlap saves. BenchmarkPairsPipeline on
+// a 2-vCPU host: idle, the caller's goroutine is ahead at 1<<13 expected
+// edges (0.35 ms against 0.43) and the pipeline from 1<<14 on (0.65
+// against 0.76; 0.09 s against 0.19 at 1<<22); with the other core kept
+// busy, as in a full batch, the caller's goroutine is still ahead at
+// 1<<14 (1.13 ms against 1.36) and the pipeline from 1<<15 on (2.2
+// against 2.4; 6.2 against 7.5 at 1<<17). The gate is the larger
+// crossover. The quick suite's G(n,p) graphs, a resample or Perturb
+// epoch's included, expect fewer than 1<<12 edges.
+const pairsPipelineMinEdges = 1 << 15
 
 // pairsSkipBlock is the number of skips in one block of the pipeline.
 // Smaller blocks pay a goroutine wake-up per few draws (1<<10: 0.13 s
