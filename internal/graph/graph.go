@@ -229,7 +229,7 @@ func (b *Builder) Build() (*Graph, error) {
 // busy two workers are behind at every size measured, 1<<17 to 1<<21
 // (60 ms against 86 at 1<<21): Build is not told whether the cores are
 // idle, so the gate is the idle crossover. No graph of the quick suite
-// stages 1<<15 edges.
+// stages as many as 1<<15 edges.
 const buildParallelMinEdges = 1 << 18
 
 // buildWorkers is Build's worker count for a builder holding edges
