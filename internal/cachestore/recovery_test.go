@@ -7,6 +7,8 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -225,6 +227,208 @@ func TestCompactionDropsCorruptRecordFromIndex(t *testing.T) {
 	}
 	if st := s.Stats(); st.Records != 2 || st.CorruptRecords == 0 {
 		t.Errorf("after compacting rotted record: %+v", st)
+	}
+}
+
+// dirFiles reads every file in dir.
+func dirFiles(dir string) (map[string][]byte, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			return nil, err
+		}
+	}
+	return files, nil
+}
+
+// recordCuts lists the lengths to cut data to: every record boundary
+// and one byte either side of it.
+func recordCuts(data []byte) []int {
+	cuts := map[int]bool{}
+	for b := 0; b <= len(data); b++ {
+		if b == 0 || data[b-1] == '\n' {
+			for _, c := range []int{b - 1, b, b + 1} {
+				if c >= 0 && c <= len(data) {
+					cuts[c] = true
+				}
+			}
+		}
+	}
+	return slices.Sorted(maps.Keys(cuts))
+}
+
+// TestCompactionCrashStates: a crash at any point of a compaction pass
+// leaves a directory that reopens to the records flushed before it. The
+// states are the directory as the pass's copy completes; that directory
+// with the file the pass created cut at, and one byte either side of,
+// every record boundary; the directory after the pass; and that
+// directory with one pre-compaction segment put back, as a remove that
+// never persisted. In each, every flushed key is served with its last
+// bytes under the key-version stamp it was written with, and a second
+// open gives the same index and counters.
+func TestCompactionCrashStates(t *testing.T) {
+	dir := t.TempDir()
+	type stamped struct {
+		version string
+		value   []byte
+	}
+	want := map[string]stamped{}
+	put := func(s *Store, version, key string, value []byte) {
+		t.Helper()
+		s.Put(key, value)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want[key] = stamped{version, value}
+	}
+	// A record under a version no store below serves, then v2 records
+	// that the v3 store serves as compat records.
+	s := mustOpen(t, Options{Dir: dir, KeyVersion: "v1", segmentBytes: 256})
+	s.Put("orphan", val(99))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, Options{Dir: dir, KeyVersion: "v2", segmentBytes: 256})
+	for i := 0; i < 6; i++ {
+		put(s, "v2", fmt.Sprintf("old%d", i), val(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var atCopy map[string][]byte
+	opts := Options{Dir: dir, KeyVersion: "v3", CompatVersions: []string{"v2"}, segmentBytes: 256}
+	opts.afterCompactCopy = func() {
+		var err error
+		if atCopy, err = dirFiles(dir); err != nil {
+			t.Error(err)
+		}
+	}
+	s = mustOpen(t, opts)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 8; i++ {
+			put(s, "v3", fmt.Sprintf("new%d", i), val(100*round+i))
+		}
+	}
+	put(s, "v3", "old0", val(200))
+	put(s, "v3", "old1", val(201))
+	before, err := dirFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Segments < 4 || st.DeadBytes == 0 {
+		t.Fatalf("fixture: want rolled segments and superseded records, got %+v", st)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := dirFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if atCopy == nil {
+		t.Fatal("afterCompactCopy never ran")
+	}
+
+	// After the pass: one segment, numbered above every earlier one.
+	maxBefore := 0
+	for name := range before {
+		id, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix))
+		if err != nil {
+			t.Fatalf("fixture: unexpected file %s", name)
+		}
+		maxBefore = max(maxBefore, id)
+	}
+	if len(after) != 1 {
+		t.Fatalf("after the pass the directory holds %v, want one segment", slices.Sorted(maps.Keys(after)))
+	}
+	for name := range after {
+		if id, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)); err != nil || id <= maxBefore {
+			t.Fatalf("after the pass the directory holds %s, want a segment numbered above %d", name, maxBefore)
+		}
+	}
+
+	type state struct {
+		name  string
+		files map[string][]byte
+	}
+	states := []state{{"at copy", atCopy}, {"after", after}}
+	var created string
+	for name := range atCopy {
+		if _, ok := before[name]; !ok {
+			if created != "" {
+				t.Fatalf("the pass created %s and %s", created, name)
+			}
+			created = name
+		}
+	}
+	if created == "" {
+		t.Fatal("the pass created no file")
+	}
+	for _, cut := range recordCuts(atCopy[created]) {
+		files := maps.Clone(atCopy)
+		files[created] = atCopy[created][:cut]
+		states = append(states, state{fmt.Sprintf("at copy, %s cut to %d bytes", created, cut), files})
+	}
+	for name, data := range before {
+		files := maps.Clone(after)
+		files[name] = data
+		states = append(states, state{"after, " + name + " put back", files})
+	}
+
+	for _, st := range states {
+		d := t.TempDir()
+		for name, data := range st.files {
+			if err := os.WriteFile(filepath.Join(d, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		open := func() (map[string]recordLoc, Stats) {
+			r, err := Open(Options{Dir: d, KeyVersion: "v3", CompatVersions: []string{"v2"}, noSync: true})
+			if err != nil {
+				t.Fatalf("%s: Open: %v", st.name, err)
+			}
+			defer r.Close()
+			r.mu.Lock()
+			index := maps.Clone(r.index)
+			r.mu.Unlock()
+			if len(index) != len(want) {
+				t.Errorf("%s: %d keys indexed, want %d", st.name, len(index), len(want))
+			}
+			for key, w := range want {
+				loc, ok := index[key]
+				if !ok {
+					t.Errorf("%s: %s lost", st.name, key)
+					continue
+				}
+				buf := make([]byte, loc.len)
+				if _, err := r.segs[loc.seg].f.ReadAt(buf, loc.off); err != nil {
+					t.Fatal(err)
+				}
+				if rec, err := decodeRecord(buf); err != nil || string(rec.keyVersion) != w.version {
+					t.Errorf("%s: %s stamped %q, want %q (%v)", st.name, key, rec.keyVersion, w.version, err)
+				}
+				if v, ok := r.Get(key); !ok || !bytes.Equal(v, w.value) {
+					t.Errorf("%s: %s = %q, %v; want %q", st.name, key, v, ok, w.value)
+				}
+			}
+			return index, r.Stats()
+		}
+		index1, st1 := open()
+		index2, st2 := open()
+		if !maps.Equal(index1, index2) {
+			t.Errorf("%s: reopen moved the index:\n%v\n%v", st.name, index1, index2)
+		}
+		if st1.Records != st2.Records || st1.Bytes != st2.Bytes || st1.DeadBytes != st2.DeadBytes {
+			t.Errorf("%s: reopen moved the counters:\n%+v\n%+v", st.name, st1, st2)
+		}
 	}
 }
 
