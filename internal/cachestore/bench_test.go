@@ -109,3 +109,45 @@ func BenchmarkOpenReplay(b *testing.B) {
 		s.Close()
 	}
 }
+
+// BenchmarkCompact times one compaction pass over 20 000 live records
+// across rolled segments plus as many superseded ones: the scan of the
+// index, the copy of every live record into one new segment, and the
+// removal of the old ones. Syncs are off, so the pass's file writes are
+// timed but not their fsyncs. What a pass allocates should be its copy
+// chunk and index maps, not the live bytes.
+func BenchmarkCompact(b *testing.B) {
+	const live = 20000
+	s, err := Open(Options{Dir: b.TempDir(), KeyVersion: "v2", noSync: true, compactMinBytes: 1 << 62})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	keys, values := benchRecords(live)
+	// putAll writes every key once, superseding its last record.
+	putAll := func() {
+		for i := range keys {
+			s.Put(keys[i], values[i])
+			if i%1024 == 1023 || i == len(keys)-1 {
+				if err := s.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	putAll()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		putAll()
+		b.StartTimer()
+		if err := s.Compact(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.Records != live || st.Segments != 1 || st.Dropped != 0 {
+		b.Fatalf("after compaction: %+v", st)
+	}
+}

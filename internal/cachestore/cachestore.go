@@ -13,14 +13,25 @@
 //
 // Durability model: Put enqueues and returns immediately (write-behind
 // — the hot path never blocks on fsync); a background flusher appends
-// queued records in batches and fsyncs each batch. A crash can lose
-// only records still in the queue, never corrupt what was already
-// synced: recovery scans each segment record by record, stops at the
-// first torn or corrupt record, truncates a torn active-segment tail,
-// and reports the reclaimed bytes. Records whose cache-key version
-// does not match the store's configured version are ignored on open
-// and reclaimed by the next compaction — a key-format bump can never
-// alias stale results.
+// queued records in batches and fsyncs each batch. A segment's
+// directory entry is made durable when the segment is created, before
+// any record in it is acknowledged. A crash can lose only records still
+// in the queue, never corrupt what was already synced: recovery replays
+// the segments in id order, a key's later record superseding its
+// earlier ones, scans each segment record by record, stops at the first
+// torn or corrupt record, truncates a torn active-segment tail, and
+// reports the reclaimed bytes. Records whose cache-key version does not
+// match the store's configured version are ignored on open and
+// reclaimed by the next compaction — a key-format bump can never alias
+// stale results.
+//
+// Compaction is an ordinary append: a pass creates the next segment,
+// copies every live record into it verbatim, fsyncs, and only then
+// removes the older segments. A crash mid-pass leaves the old segments
+// and a prefix of the copies, which replay after their originals as the
+// same bytes; a remove that never persisted leaves an old segment that
+// the copies supersede. Either way the store reopens to the same
+// records.
 //
 // Reads parse the pinned record layout: the encoder writes one fixed
 // field order (pinned byte for byte by testdata/segment-format-v1.ndjson),
@@ -43,8 +54,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,7 +125,7 @@ type Options struct {
 	queueLimit      int
 	compactFraction float64 // background compaction once dead bytes exceed this share of all bytes...
 	compactMinBytes int64   // ...and this volume
-	noSync          bool    // skip the per-batch fsync
+	noSync          bool    // skip every fsync, of segments and of the directory
 	// afterCompactCopy runs between compaction's copy and its index swap.
 	afterCompactCopy func()
 }
@@ -420,8 +433,8 @@ func (s *Store) recover() error {
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasSuffix(name, ".compact") {
-			// Temp file from a compaction cut short by a crash: the old
-			// segments are still intact, so the partial copy is garbage.
+			// An earlier release's compaction temp file, cut short by a
+			// crash: the old segments are intact, so it is garbage.
 			os.Remove(filepath.Join(s.opts.Dir, name))
 			continue
 		}
@@ -436,23 +449,16 @@ func (s *Store) recover() error {
 	}
 	sort.Ints(ids)
 	for i, id := range ids {
-		last := i == len(ids)-1
-		if err := s.recoverSegment(id, last); err != nil {
+		if err := s.recoverSegment(id, i == len(ids)-1); err != nil {
 			return err
-		}
-		if id >= s.nextSeg {
-			s.nextSeg = id + 1
 		}
 	}
 	if len(ids) == 0 {
-		seg, err := s.createSegment()
-		if err != nil {
-			return err
-		}
-		s.active = seg.id
-	} else {
-		s.active = ids[len(ids)-1]
+		_, err := s.createSegment()
+		return err
 	}
+	s.active = ids[len(ids)-1]
+	s.nextSeg = s.active + 1
 	return nil
 }
 
@@ -534,9 +540,11 @@ func (s *Store) recoverSegment(id int, active bool) error {
 	return nil
 }
 
-// createSegment creates the next segment file. Caller guarantees no
-// concurrent createSegment (single flusher, or Open before the flusher
-// starts).
+// createSegment creates the next segment file, makes its directory
+// entry durable, and makes it the active segment, so no record is
+// acknowledged in a file a crash could still unname. Only the flusher
+// calls it (or Open, before the flusher starts), and never under s.mu:
+// a Get must not wait on the directory sync.
 func (s *Store) createSegment() (*segment, error) {
 	id := s.nextSeg
 	s.nextSeg++
@@ -545,10 +553,30 @@ func (s *Store) createSegment() (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := s.syncDir(); err != nil {
+		f.Close()
+		return nil, err
+	}
 	seg := &segment{id: id, path: path, f: f}
+	s.mu.Lock()
 	s.segs[id] = seg
 	s.st.Segments = len(s.segs)
+	s.active = id
+	s.mu.Unlock()
 	return seg, nil
+}
+
+// syncDir makes the store directory's entries durable.
+func (s *Store) syncDir() error {
+	if s.opts.noSync {
+		return nil
+	}
+	d, err := os.Open(s.opts.Dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Has reports whether key is present (indexed or queued). It never
@@ -804,46 +832,34 @@ func (s *Store) writeBatch(batch []queued) {
 	seg := s.segs[s.active]
 	s.mu.Unlock()
 	if seg.size >= s.opts.segmentBytes {
-		s.mu.Lock()
 		next, err := s.createSegment()
 		if err != nil {
-			s.failBatchLocked(batch, err)
-			s.mu.Unlock()
-			return
-		}
-		s.active = next.id
-		s.mu.Unlock()
-		seg = next
-	}
-
-	var buf []byte
-	locs := make([]recordLoc, len(batch))
-	off := seg.size
-	for i, q := range batch {
-		n := len(buf)
-		buf = appendRecord(buf, s.opts.KeyVersion, q.key, q.value)
-		locs[i] = recordLoc{seg: seg.id, off: off, len: int64(len(buf) - n)}
-		off += int64(len(buf) - n)
-	}
-	if _, err := seg.f.WriteAt(buf, seg.size); err != nil {
-		s.mu.Lock()
-		s.failBatchLocked(batch, err)
-		s.mu.Unlock()
-		return
-	}
-	if !s.opts.noSync {
-		if err := seg.f.Sync(); err != nil {
 			s.mu.Lock()
 			s.failBatchLocked(batch, err)
 			s.mu.Unlock()
 			return
 		}
+		seg = next
 	}
 
+	var buf []byte
+	locs := make([]recordLoc, len(batch))
+	from := seg.size
+	for i, q := range batch {
+		n := len(buf)
+		buf = appendRecord(buf, s.opts.KeyVersion, q.key, q.value)
+		locs[i] = recordLoc{seg: seg.id, off: from + int64(n), len: int64(len(buf) - n)}
+	}
+	err := s.write(seg, buf, true)
+
 	s.mu.Lock()
-	written := off - seg.size
-	seg.size = off
-	s.st.Bytes += written
+	defer s.mu.Unlock()
+	s.st.Bytes += seg.size - from
+	if err != nil {
+		s.st.DeadBytes += seg.size - from
+		s.failBatchLocked(batch, err)
+		return
+	}
 	s.st.Flushes++
 	for i, q := range batch {
 		if old, ok := s.index[q.key]; ok {
@@ -858,7 +874,20 @@ func (s *Store) writeBatch(batch []queued) {
 			delete(s.pending, q.key)
 		}
 	}
-	s.mu.Unlock()
+}
+
+// write appends buf to seg and, with sync, fsyncs it: the one step by
+// which a batch, and a compaction's copy, reach the disk. It advances
+// seg.size past whatever reached the file, so the bytes of a failed
+// write stay behind as dead bytes, never under the next append. Only
+// the flusher calls it.
+func (s *Store) write(seg *segment, buf []byte, sync bool) error {
+	n, err := seg.f.WriteAt(buf, seg.size)
+	seg.size += int64(n)
+	if err != nil || !sync || s.opts.noSync {
+		return err
+	}
+	return seg.f.Sync()
 }
 
 // failBatchLocked records a write failure: the batch is dropped (a
@@ -874,17 +903,15 @@ func (s *Store) failBatchLocked(batch []queued, err error) {
 	s.logf("cachestore: dropping batch of %d records: %v", len(batch), err)
 }
 
-// runCompaction rewrites the live record set into a fresh segment and
-// unlinks the superseded ones. Only the flusher calls it, so no append
-// can race the rewrite; Gets proceed concurrently against the old
-// segments (their handles stay open until Close) and switch to the new
-// one when the index is swapped.
+// runCompaction copies the live records into a new segment, the active
+// one from then on, and removes the older segments once the copy is
+// durable. Only the flusher calls it, so no append can race the copy;
+// Gets proceed against the old segments and switch to the copies when
+// the index is swapped. A failed pass moves no index entry; what it
+// wrote stays as dead bytes, copies a restart may replay.
 func (s *Store) runCompaction() {
 	s.mu.Lock()
-	oldSegs := make([]*segment, 0, len(s.segs))
-	for _, seg := range s.segs {
-		oldSegs = append(oldSegs, seg)
-	}
+	oldSegs := maps.Clone(s.segs)
 	type liveRec struct {
 		key string
 		loc recordLoc
@@ -902,91 +929,64 @@ func (s *Store) runCompaction() {
 		return live[i].loc.off < live[j].loc.off
 	})
 	oldBytes := s.st.Bytes
-	segsByID := make(map[int]*segment, len(s.segs))
-	for id, seg := range s.segs {
-		segsByID[id] = seg
-	}
 	s.mu.Unlock()
 
-	finish := func(err error) {
-		s.mu.Lock()
-		s.ioErr = err
-		s.st.Compactions++ // a failed pass still unblocks Compact waiters
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		s.logf("cachestore: compaction failed: %v", err)
-	}
-
-	path := filepath.Join(s.opts.Dir, segName(0)+".compact")
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		finish(err)
-		return
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
+	// copyLive reads the live records straight into one chunk buffer,
+	// writes each full chunk to seg, and syncs with the last.
 	newLocs := make(map[string]recordLoc, len(live))
-	var off int64
-	for _, lr := range live {
-		seg := segsByID[lr.loc.seg]
-		buf := make([]byte, lr.loc.len)
-		if _, err := seg.f.ReadAt(buf, lr.loc.off); err != nil {
-			f.Close()
-			os.Remove(path)
-			finish(err)
-			return
+	copyLive := func(seg *segment) error {
+		chunk := make([]byte, 0, 1<<16)
+		for _, lr := range live {
+			n := int(lr.loc.len)
+			if len(chunk) > 0 && len(chunk)+n > cap(chunk) {
+				if err := s.write(seg, chunk, false); err != nil {
+					return err
+				}
+				chunk = chunk[:0]
+			}
+			chunk = slices.Grow(chunk, n)
+			rec := chunk[len(chunk) : len(chunk)+n]
+			if _, err := oldSegs[lr.loc.seg].f.ReadAt(rec, lr.loc.off); err != nil {
+				return err
+			}
+			if _, err := decodeValidRecord(rec); err != nil {
+				// Bit rot found during compaction: drop the record rather
+				// than carry a corrupt copy forward. The index swap below
+				// removes the key, as it has no copy in newLocs — a stale
+				// entry would point into a segment that no longer exists.
+				s.mu.Lock()
+				s.st.CorruptRecords++
+				s.mu.Unlock()
+				s.logf("cachestore: compaction dropping corrupt record for %s: %v", lr.key, err)
+				continue
+			}
+			newLocs[lr.key] = recordLoc{seg: seg.id, off: seg.size + int64(len(chunk)), len: lr.loc.len}
+			chunk = chunk[:len(chunk)+n]
 		}
-		if _, err := decodeValidRecord(buf); err != nil {
-			// Bit rot found during compaction: drop the record rather
-			// than carry a corrupt copy forward. The index swap below
-			// removes the key, as it has no copy in newLocs — a stale
-			// entry would point into a segment that no longer exists.
-			s.mu.Lock()
-			s.st.CorruptRecords++
-			s.mu.Unlock()
-			s.logf("cachestore: compaction dropping corrupt record for %s: %v", lr.key, err)
-			continue
-		}
-		if _, err := w.Write(buf); err != nil {
-			f.Close()
-			os.Remove(path)
-			finish(err)
-			return
-		}
-		newLocs[lr.key] = recordLoc{off: off, len: lr.loc.len}
-		off += lr.loc.len
+		return s.write(seg, chunk, true)
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(path)
-		finish(err)
-		return
+	seg, err := s.createSegment()
+	if err == nil {
+		err = copyLive(seg)
 	}
-	if !s.opts.noSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(path)
-			finish(err)
-			return
-		}
-	}
-
-	if s.opts.afterCompactCopy != nil {
+	if err == nil && s.opts.afterCompactCopy != nil {
 		s.opts.afterCompactCopy()
 	}
+
 	s.mu.Lock()
-	id := s.nextSeg
-	s.nextSeg++
-	finalPath := filepath.Join(s.opts.Dir, segName(id))
-	if err := os.Rename(path, finalPath); err != nil {
+	s.st.Compactions++ // a failed pass still unblocks Compact waiters
+	s.cond.Broadcast()
+	if err != nil {
+		if seg != nil {
+			s.st.Bytes += seg.size
+			s.st.DeadBytes += seg.size
+		}
+		s.ioErr = err
 		s.mu.Unlock()
-		f.Close()
-		os.Remove(path)
-		finish(err)
+		s.logf("cachestore: compaction failed: %v", err)
 		return
 	}
-	newSeg := &segment{id: id, path: finalPath, f: f, size: off}
-	s.segs = map[int]*segment{id: newSeg}
-	s.active = id
+	s.segs = map[int]*segment{seg.id: seg}
 	var dead int64
 	for _, lr := range live {
 		loc, copied := newLocs[lr.key]
@@ -1002,27 +1002,24 @@ func (s *Store) runCompaction() {
 			delete(s.index, lr.key) // corrupt: not carried forward
 			continue
 		}
-		loc.seg = id
 		s.index[lr.key] = loc
 	}
 	s.st.Records = len(s.index)
 	s.st.Segments = 1
-	s.st.Bytes = off
+	s.st.Bytes = seg.size
 	s.st.DeadBytes = dead
-	s.st.ReclaimedBytes += oldBytes - off
-	s.st.Compactions++
+	s.st.ReclaimedBytes += oldBytes - seg.size
 	// Close the superseded handles now that no index entry points at
 	// them — holding them open would leak one fd per compaction and
 	// pin the unlinked segments' disk blocks. A Get that captured an
 	// old handle before the swap gets ErrClosed and retries through
 	// the fresh index.
-	for _, seg := range oldSegs {
-		os.Remove(seg.path)
-		seg.f.Close()
+	for _, old := range oldSegs {
+		os.Remove(old.path)
+		old.f.Close()
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.opts.Metrics.compactionRuns.Inc()
 	s.logf("cachestore: compacted %d segments (%d bytes) into %s (%d bytes, %d records)",
-		len(oldSegs), oldBytes, segName(id), off, len(newLocs))
+		len(oldSegs), oldBytes, segName(seg.id), seg.size, len(newLocs))
 }
