@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -91,6 +92,32 @@ func BenchmarkSyncPushPullGNPLarge(b *testing.B) {
 
 func BenchmarkAsyncPushPullGNPLarge(b *testing.B) {
 	benchAsync(b, largeGNP(b), AsyncConfig{Protocol: PushPull})
+}
+
+// BenchmarkEngineScaling is cliff A as one curve: push-pull from node 0
+// on G(n, 20/n) for n = 2^10 … 2^20, one sub-benchmark per engine, each
+// reporting updates/sec and the graph's CSR bytes (8-byte offsets, 4-byte
+// adjacency entries), so a row can be read against the host's cache
+// sizes. Each graph is built once per n, outside every timer.
+func BenchmarkEngineScaling(b *testing.B) {
+	for lg := 10; lg <= 20; lg++ {
+		n := 1 << lg
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g, err := graph.GNPConnected(n, 20/float64(n), xrand.New(9), 50)
+			if err != nil {
+				b.Fatal(err)
+			}
+			csr := float64(8*(g.NumNodes()+1) + 4*2*g.NumEdges())
+			b.Run("sync", func(b *testing.B) {
+				benchSync(b, g, SyncConfig{Protocol: PushPull})
+				b.ReportMetric(csr, "csr-bytes")
+			})
+			b.Run("async", func(b *testing.B) {
+				benchAsync(b, g, AsyncConfig{Protocol: PushPull})
+				b.ReportMetric(csr, "csr-bytes")
+			})
+		})
+	}
 }
 
 func BenchmarkAsyncGlobalHypercube14(b *testing.B) {
