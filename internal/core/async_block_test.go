@@ -115,3 +115,45 @@ func TestAsyncTickStreamMatchesTickAtATime(t *testing.T) {
 		})
 	}
 }
+
+// TestNeighborIndexMatchesUint64n holds drawBlock's reduction to the call
+// it stands in for: for every degree 1…4096 and a run of generator words,
+// whenever neighborIndex says its index is exact, Uint64n from the same
+// generator returns that index and draws that one word. The rows below
+// are the words on which it must say no: an isolated actor, and a low
+// product word under the degree, where Uint64n's rejection test may draw
+// again and drawBlock falls back to drawing the block tick by tick.
+func TestNeighborIndexMatchesUint64n(t *testing.T) {
+	rng := xrand.New(17)
+	for deg := uint64(1); deg <= 4096; deg++ {
+		for range 64 {
+			after := *rng
+			x := after.Uint64()
+			k, ok := neighborIndex(x, deg)
+			if want := rng.Uint64n(deg); ok && (k != want || *rng != after) {
+				t.Fatalf("deg %d, word %016x: index %d, Uint64n %d (one word drawn: %v)", deg, x, k, want, *rng == after)
+			}
+			if deg&(deg-1) == 0 && !ok {
+				t.Fatalf("deg %d, word %016x: a power of two always reduces by its mask", deg, x)
+			}
+		}
+	}
+	for _, row := range []struct {
+		x, deg, k uint64
+		ok        bool
+	}{
+		{x: 0, deg: 0},                    // isolated: Uint64n draws nothing
+		{x: 1 << 63, deg: 0},              // whatever the word
+		{x: 0, deg: 3},                    // lo = 0 < deg: the fallback
+		{x: 0, deg: 4095},                 // likewise at the top of the range
+		{x: 1, deg: 3, k: 0, ok: true},    // lo = 3, not below deg
+		{x: 0, deg: 1, k: 0, ok: true},    // a power of two takes the mask
+		{x: 0, deg: 4096, k: 0, ok: true}, // even on the word 0
+		{x: ^uint64(0), deg: 3, k: 2, ok: true},
+	} {
+		k, ok := neighborIndex(row.x, row.deg)
+		if ok != row.ok || (ok && k != row.k) {
+			t.Errorf("neighborIndex(%#x, %d) = %d, %v; want %d, %v", row.x, row.deg, k, ok, row.k, row.ok)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"sort"
 
 	"rumor/internal/graph"
@@ -228,11 +229,18 @@ func (s *SyncStepper) snapshot() SyncResult {
 //
 // Ticks are drawn a block at a time and executed one per Step. A tick's
 // draws (gap, actor, neighbor index) depend on the graph but never on the
-// informed set, so a first pass takes a whole block of them from the
-// generator in per-tick order and a second pass resolves every tick's
-// contact adj[offsets[v]+k]: those loads are independent, so on a graph
+// informed set, so a block is filled in three passes. The first takes
+// from the generator, in per-tick order, each tick's gap, its actor and
+// one raw word for its neighbor index, and reads no graph memory. The
+// second loads every actor's degree and reduces each raw word to an index
+// as Uint64n(deg) would; the third resolves every contact
+// adj[offsets[v]+k]. Each pass's loads are independent, so on a graph
 // larger than the cache their misses overlap instead of each tick paying
-// one in full before the next tick's address is known. Two things force
+// two in full before the next tick's addresses are known. Uint64n(deg)
+// draws exactly one word unless deg is 0 (an isolated actor draws none)
+// or its rejection test may fire (a chance below deg/2^64); the second
+// pass flags both, and a flagged block rewinds the generator and redraws
+// itself one tick at a time, so the stream is the same. Two things force
 // the block down to a single tick, both properties of the scenario:
 // TransmitProb < 1 (the Bernoulli draw of a transmitting contact sits
 // between two ticks' draws, and whether it is taken depends on the
@@ -385,7 +393,8 @@ func (s *AsyncStepper) Step() bool {
 	return true
 }
 
-// drawBlock refills the block: one pass of draws, one pass of loads.
+// drawBlock refills the block in three passes: the generator's draws,
+// the degree loads, the neighbor loads.
 func (s *AsyncStepper) drawBlock() {
 	s.mark = *s.rng
 	s.head = 0
@@ -395,13 +404,47 @@ func (s *AsyncStepper) drawBlock() {
 		s.block[0].dt = s.rng.Exp(s.rate)
 		return
 	}
+	var raw [asyncBlock]uint64
 	for i := range s.block {
-		s.block[i].dt = s.rng.Exp(s.rate)
-		s.drawContact(&s.block[i])
+		tk := &s.block[i]
+		tk.dt = s.rng.Exp(s.rate)
+		if s.eligible != nil {
+			tk.v = s.eligible[s.rng.Uint64n(s.n)]
+		} else {
+			tk.v = graph.NodeID(s.rng.Uint64n(s.n))
+		}
+		raw[i] = s.rng.Uint64()
+	}
+	exact := true
+	for i := range s.block {
+		k, ok := neighborIndex(raw[i], uint64(s.g.Degree(s.block[i].v)))
+		s.block[i].w = graph.NodeID(k)
+		exact = exact && ok
+	}
+	if !exact {
+		*s.rng = s.mark
+		for i := range s.block {
+			s.block[i].dt = s.rng.Exp(s.rate)
+			s.drawContact(&s.block[i])
+		}
 	}
 	for i := range s.block {
 		s.resolve(&s.block[i])
 	}
+}
+
+// neighborIndex reduces x, one raw draw, to [0, deg) as Uint64n(deg)
+// reduces the first word it draws: by a mask when deg is a power of two,
+// otherwise by Lemire's multiply-shift. ok is false when that call would
+// not have drawn exactly that one word — deg is 0 (an isolated actor
+// draws none), or the low product word is below deg (the rejection test
+// may draw more) — and then k is not the index Uint64n would return.
+func neighborIndex(x, deg uint64) (k uint64, ok bool) {
+	if deg&(deg-1) == 0 {
+		return x & (deg - 1), deg != 0
+	}
+	hi, lo := bits.Mul64(x, deg)
+	return hi, lo >= deg
 }
 
 // drawContact draws tk's actor and, unless the actor is isolated in the
