@@ -61,6 +61,15 @@ import (
 // for -addr :0).
 var onListen func(net.Addr)
 
+// The HTTP server's connection deadlines: a request header must arrive
+// within readHeaderTimeout, and a keep-alive connection with no request
+// for idleTimeout is closed. There is no write timeout and no deadline on
+// a whole request: a job's NDJSON and SSE streams last as long as the job.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "rumord:", err)
@@ -191,7 +200,7 @@ func serve(sched *service.Scheduler, tiered *service.TieredResultCache, observ *
 		outer.Handle("/", api)
 		handler = outer
 	}
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

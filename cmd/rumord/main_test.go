@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -399,6 +402,88 @@ func TestRumordSDKEndToEnd(t *testing.T) {
 	if lastState != service.JobDone {
 		t.Errorf("terminal state event = %q, want done", lastState)
 	}
+
+	stopRumord(t, errCh)
+}
+
+// TestRumordCutsSlowHeaderAndIdleClients pins the server's connection
+// deadlines: a client that never finishes its request header, and a
+// keep-alive client that sends nothing after its response, each have
+// their connection closed by the daemon within the deadline, and the
+// daemon's goroutines return to their baseline after each.
+func TestRumordCutsSlowHeaderAndIdleClients(t *testing.T) {
+	defer func(h, i time.Duration) { readHeaderTimeout, idleTimeout = h, i }(readHeaderTimeout, idleTimeout)
+	readHeaderTimeout, idleTimeout = 200*time.Millisecond, 300*time.Millisecond
+	const cutWithin = 5 * time.Second
+
+	c, errCh := startRumord(t, "-workers", "1")
+	addr := strings.TrimPrefix(c.BaseURL(), "http://")
+	// The baseline is taken once the daemon serves (one request on a
+	// connection it closes) and its goroutine count has stopped moving.
+	closed, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(closed, "GET /healthz HTTP/1.1\r\nHost: rumord\r\nConnection: close\r\n\r\n")
+	io.Copy(io.Discard, closed)
+	closed.Close()
+	baseline := runtime.NumGoroutine()
+	for stable := 0; stable < 10; stable++ {
+		time.Sleep(20 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n != baseline {
+			baseline, stable = n, 0
+		}
+	}
+
+	// cut waits for the daemon to close conn: a read that ends in EOF (or
+	// a reset) before cutWithin, not in the client's own deadline.
+	cut := func(name string, conn net.Conn, r io.Reader) {
+		t.Helper()
+		start := time.Now()
+		conn.SetReadDeadline(start.Add(cutWithin))
+		_, err := io.Copy(io.Discard, r)
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("%s: connection still open after %v", name, cutWithin)
+		}
+		t.Logf("%s: cut after %v (%v)", name, time.Since(start).Round(time.Millisecond), err)
+		conn.Close()
+		deadline := time.Now().Add(cutWithin)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, baseline %d", name, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	slow, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(slow, "GET /healthz HTTP/1.1\r\nHost: rumord\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	cut("slow header", slow, slow)
+
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(idle, "GET /healthz HTTP/1.1\r\nHost: rumord\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(idle)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Close {
+		t.Fatalf("healthz: status %d, close %v; want a kept-alive 200", resp.StatusCode, resp.Close)
+	}
+	cut("idle keep-alive", idle, br)
 
 	stopRumord(t, errCh)
 }
