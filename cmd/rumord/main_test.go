@@ -424,8 +424,12 @@ func TestRumordCutsSlowHeaderAndIdleClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.WriteString(closed, "GET /healthz HTTP/1.1\r\nHost: rumord\r\nConnection: close\r\n\r\n")
-	io.Copy(io.Discard, closed)
+	if _, err := io.WriteString(closed, "GET /healthz HTTP/1.1\r\nHost: rumord\r\nConnection: close\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, closed); err != nil {
+		t.Fatal(err)
+	}
 	closed.Close()
 	baseline := runtime.NumGoroutine()
 	for stable := 0; stable < 10; stable++ {
@@ -440,7 +444,9 @@ func TestRumordCutsSlowHeaderAndIdleClients(t *testing.T) {
 	cut := func(name string, conn net.Conn, r io.Reader) {
 		t.Helper()
 		start := time.Now()
-		conn.SetReadDeadline(start.Add(cutWithin))
+		if err := conn.SetReadDeadline(start.Add(cutWithin)); err != nil {
+			t.Fatal(err)
+		}
 		_, err := io.Copy(io.Discard, r)
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
@@ -478,7 +484,9 @@ func TestRumordCutsSlowHeaderAndIdleClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || resp.Close {
 		t.Fatalf("healthz: status %d, close %v; want a kept-alive 200", resp.StatusCode, resp.Close)
