@@ -84,3 +84,43 @@ func TestEveryExperimentCellValidates(t *testing.T) {
 		}
 	}
 }
+
+// TestBareKindsRejectScenarioFields: the Lemma 8 sampler and the
+// spectral-gap estimator run no rumor, so a scenario field they would
+// ignore is refused rather than forking the cell's key; the sampler
+// builds no graph, so it refuses a graph seed too.
+func TestBareKindsRejectScenarioFields(t *testing.T) {
+	lemma8 := service.CellSpec{Kind: KindLemma8, Trials: 1}
+	gap := service.CellSpec{Kind: KindSpectralGap, Family: "complete", N: 16, Trials: 1}
+	for _, base := range []service.CellSpec{lemma8, gap} {
+		if err := base.Validate(); err != nil {
+			t.Fatalf("%s: the bare cell is rejected: %v", base.Kind, err)
+		}
+		for _, tc := range []struct {
+			field string
+			edit  func(*service.CellSpec)
+		}{
+			{"protocol", func(c *service.CellSpec) { c.Protocol = "zzz" }},
+			{"timing", func(c *service.CellSpec) { c.Timing = "whatever" }},
+			{"view", func(c *service.CellSpec) { c.View = "per-node-clocks" }},
+			{"variant", func(c *service.CellSpec) { c.Variant = "ppx" }},
+			{"quasirandom", func(c *service.CellSpec) { c.Quasirandom = true }},
+			{"loss", func(c *service.CellSpec) { c.LossProb = 0.5 }},
+			{"extra sources", func(c *service.CellSpec) { c.ExtraSources = []int{1} }},
+			{"crashes", func(c *service.CellSpec) { c.Crashes = []service.CrashSpec{{Node: 1, Time: 1}} }},
+			{"source", func(c *service.CellSpec) { c.Source = 1 }},
+			{"coverage fractions", func(c *service.CellSpec) { c.CoverageFracs = []float64{0.5} }},
+		} {
+			spec := base
+			tc.edit(&spec)
+			if err := spec.Validate(); err == nil {
+				t.Errorf("%s with %s: accepted", base.Kind, tc.field)
+			}
+		}
+	}
+	seeded := lemma8
+	seeded.GraphSeed = 7
+	if err := seeded.Validate(); err == nil {
+		t.Error("lemma8 with a graph seed: accepted")
+	}
+}

@@ -27,6 +27,27 @@ func TestValidateAllocs(t *testing.T) {
 	}
 }
 
+// TestNameSpellingAllocs: a cell's key and its validation allocate as
+// much for names in any case as for the canonical names.
+func TestNameSpellingAllocs(t *testing.T) {
+	canonical := CellSpec{Family: "hypercube", N: 64, Protocol: "push-pull", Timing: TimingAsync,
+		View: "global-clock", Trials: 2, GraphSeed: 1, TrialSeed: 1}
+	mixed := canonical
+	mixed.Protocol, mixed.View = "PUSH-PULL", "Per-Node-Clocks"
+	want := testing.AllocsPerRun(100, func() { _ = canonical.Key() })
+	if got := testing.AllocsPerRun(100, func() { _ = mixed.Key() }); got != want {
+		t.Errorf("Key of a %s %s cell: %v allocs, of a %s %s cell: %v", mixed.Protocol, mixed.View, got,
+			canonical.Protocol, canonical.View, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := mixed.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate of a %s %s cell: %v allocs, want 0", mixed.Protocol, mixed.View, allocs)
+	}
+}
+
 // TestDecodeResultAllocs: decoding a plain result row with the default
 // milestones allocates the key, the graph name, the times, and the
 // coverage map, and no copy of a name the service already knows.

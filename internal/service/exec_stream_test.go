@@ -1,11 +1,44 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
 	"testing"
 )
+
+// TestHitEchoesItsOwnRequest: a row served from the cache carries the
+// request's own spelling of the cell, not the one that computed the
+// result, so its bytes are those of a cold run of the request.
+func TestHitEchoesItsOwnRequest(t *testing.T) {
+	cell := CellSpec{Family: "hypercube", N: 64, Protocol: "push-pull", Timing: TimingAsync,
+		View: "global-clock", Trials: 2, GraphSeed: 1, TrialSeed: 1}
+	exec := &Executor{Results: NewResultCache(16), TrialWorkers: 1}
+	if _, _, err := exec.Run(context.Background(), 0, cell); err != nil {
+		t.Fatal(err)
+	}
+	for _, edit := range []func(*CellSpec){
+		func(c *CellSpec) { c.View = "" },
+		func(c *CellSpec) { c.Protocol = "pp" },
+	} {
+		request := cell
+		edit(&request)
+		warm, hit, err := exec.Run(context.Background(), 0, request)
+		if err != nil || !hit {
+			t.Fatalf("Run(%+v) = hit %v, %v; want a hit", request, hit, err)
+		}
+		cold, _, err := (&Executor{TrialWorkers: 1}).Run(context.Background(), 0, request)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmRow, ok1 := appendResult(nil, warm)
+		coldRow, ok2 := appendResult(nil, cold)
+		if !ok1 || !ok2 || !bytes.Equal(warmRow, coldRow) {
+			t.Errorf("warm row differs from the cold row:\nwarm: %s\ncold: %s", warmRow, coldRow)
+		}
+	}
+}
 
 // TestExecutorStreamCells: fn sees every cell exactly once and one call
 // at a time (the race detector watches its unguarded counters), the

@@ -1,11 +1,15 @@
 package service
 
 import (
+	"context"
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"rumor/internal/api"
+	"rumor/internal/core"
 )
 
 // TestCellKeyGoldenV2 pins the v2 cache keys of representative specs.
@@ -298,6 +302,85 @@ func TestCoverageName(t *testing.T) {
 	for frac, want := range cases {
 		if got := CoverageName(frac); got != want {
 			t.Errorf("CoverageName(%v) = %q, want %q", frac, got, want)
+		}
+	}
+}
+
+// TestSpellingsShareOneKey: every spelling of one process that Validate
+// accepts — a protocol, view or variant name in any case or by alias, a
+// -0 loss or crash time, the source listed again as an extra source —
+// hashes to the canonical cell's key and runs to the same times. The
+// per-node and per-edge crash cells render the v4 form whatever the
+// view's case.
+func TestSpellingsShareOneKey(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	async := CellSpec{Family: "hypercube", N: 64, Protocol: "push-pull", Timing: TimingAsync,
+		Trials: 4, GraphSeed: 1, TrialSeed: 1}
+	with := func(base CellSpec, edit func(*CellSpec)) CellSpec {
+		base.ExtraSources = slices.Clone(base.ExtraSources)
+		base.Crashes = slices.Clone(base.Crashes)
+		edit(&base)
+		return base
+	}
+	crash := with(async, func(c *CellSpec) { c.Crashes = []CrashSpec{{Node: 3, Time: 0}} })
+	perNode := with(async, func(c *CellSpec) {
+		c.View, c.Crashes = "per-node-clocks", []CrashSpec{{Node: 3, Time: 0.5}}
+	})
+	perEdge := with(perNode, func(c *CellSpec) { c.View = "per-edge-clocks" })
+	pull := with(async, func(c *CellSpec) { c.Protocol, c.Timing = "pull", TimingSync })
+	ppx := with(pull, func(c *CellSpec) { c.Protocol, c.Variant = "push-pull", "ppx" })
+	for _, tc := range []struct {
+		name             string
+		canonical, alias CellSpec
+	}{
+		{"protocol pp", async, with(async, func(c *CellSpec) { c.Protocol = "pp" })},
+		{"protocol pushpull", async, with(async, func(c *CellSpec) { c.Protocol = "pushpull" })},
+		{"protocol PUSH-PULL", async, with(async, func(c *CellSpec) { c.Protocol = "PUSH-PULL" })},
+		{"protocol PULL", pull, with(pull, func(c *CellSpec) { c.Protocol = "PULL" })},
+		{"view GLOBAL-CLOCK", async, with(async, func(c *CellSpec) { c.View = "GLOBAL-CLOCK" })},
+		{"variant PPX", ppx, with(ppx, func(c *CellSpec) { c.Variant = "PPX" })},
+		{"loss -0", async, with(async, func(c *CellSpec) { c.LossProb = negZero })},
+		{"crash at -0", crash, with(crash, func(c *CellSpec) { c.Crashes[0].Time = negZero })},
+		{"extra source = source", async, with(async, func(c *CellSpec) { c.ExtraSources = []int{0} })},
+		{"PER-NODE-CLOCKS with a crash", perNode, with(perNode, func(c *CellSpec) { c.View = "PER-NODE-CLOCKS" })},
+		{"Per-Edge-Clocks with a crash", perEdge, with(perEdge, func(c *CellSpec) { c.View = "Per-Edge-Clocks" })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.alias.Validate(); err != nil {
+				t.Fatalf("the alias does not validate: %v", err)
+			}
+			if got, want := tc.alias.Key(), tc.canonical.Key(); got != want {
+				t.Errorf("key %s, canonical cell's %s:\nalias:     %s\ncanonical: %s",
+					got, want, tc.alias.canonical(), tc.canonical.canonical())
+			}
+			if v4 := tc.canonical.View != "" && len(tc.canonical.Crashes) > 0; v4 && !strings.HasPrefix(tc.alias.canonical(), CellKeyVersion+"|") {
+				t.Errorf("canonical form %q does not start with %q", tc.alias.canonical(), CellKeyVersion+"|")
+			}
+			exec := &Executor{TrialWorkers: 1}
+			got, _, err := exec.Run(context.Background(), 0, tc.alias)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := exec.Run(context.Background(), 0, tc.canonical)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Times, want.Times) {
+				t.Errorf("times %v, canonical cell's %v", got.Times, want.Times)
+			}
+		})
+	}
+	for name, want := range map[string]core.Protocol{
+		"push": core.Push, "PULL": core.Pull,
+		"push-pull": core.PushPull, "pushpull": core.PushPull, "pp": core.PushPull,
+	} {
+		if got, err := ParseProtocol(name); err != nil || got != want {
+			t.Errorf("ParseProtocol(%q) = %v, %v", name, got, err)
+		}
+	}
+	for _, name := range []string{"smoke", "push pull", "p"} {
+		if _, err := ParseProtocol(name); err == nil {
+			t.Errorf("ParseProtocol(%q) accepted", name)
 		}
 	}
 }
