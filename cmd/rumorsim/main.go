@@ -65,7 +65,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	proto, err := parseProtocol(*protoName)
+	proto, err := service.ParseProtocol(*protoName)
 	if err != nil {
 		return err
 	}
@@ -273,10 +273,6 @@ func emitCurves(g *rumor.Graph, src rumor.NodeID, scfg rumor.SyncConfig, acfg ru
 		return tab.WriteCSV(os.Stdout)
 	}
 	return tab.Render(os.Stdout)
-}
-
-func parseProtocol(name string) (core.Protocol, error) {
-	return service.ParseProtocol(name)
 }
 
 // parseChurn parses the -churn flag: comma-separated node@time:op

@@ -12,22 +12,6 @@ import (
 	"rumor/internal/service"
 )
 
-func TestParseProtocol(t *testing.T) {
-	cases := map[string]core.Protocol{
-		"push": core.Push, "PULL": core.Pull,
-		"push-pull": core.PushPull, "pushpull": core.PushPull, "pp": core.PushPull,
-	}
-	for name, want := range cases {
-		got, err := parseProtocol(name)
-		if err != nil || got != want {
-			t.Errorf("parseProtocol(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parseProtocol("smoke"); err == nil {
-		t.Error("unknown protocol accepted")
-	}
-}
-
 func TestRunHappyPath(t *testing.T) {
 	err := run([]string{"-graph", "complete", "-n", "32", "-trials", "5", "-timing", "both", "-seed", "7"})
 	if err != nil {

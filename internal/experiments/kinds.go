@@ -86,14 +86,21 @@ func init() {
 // not model (they implement the paper's lossless single-source
 // processes only).
 func validateBareGraphCell(c service.CellSpec) error {
-	if c.Protocol != "" || c.Timing != "" || c.View != "" || c.Variant != "" || c.Quasirandom {
-		return fmt.Errorf("coupling cells fix their own processes; protocol/timing/view/variant must be empty")
-	}
-	if c.LossProb != 0 || len(c.ExtraSources) > 0 || len(c.Crashes) > 0 {
-		return fmt.Errorf("coupling cells do not support loss, multi-source, or crashes")
-	}
 	if len(c.Params) > 0 {
 		return fmt.Errorf("coupling cells take no params")
+	}
+	c.Source = 0 // the one scenario field the coupling engines read
+	return validateBareScenario(c)
+}
+
+// validateBareScenario rejects every scenario field, source included,
+// of a kind that fixes its own process: set, one would fork the cell's
+// key without changing what it measures.
+func validateBareScenario(c service.CellSpec) error {
+	if c.Protocol != "" || c.Timing != "" || c.View != "" || c.Variant != "" || c.Quasirandom || c.Source != 0 ||
+		c.LossProb != 0 || len(c.ExtraSources) > 0 || len(c.Crashes) > 0 || len(c.CoverageFracs) > 0 {
+		return fmt.Errorf("the kind fixes its own process; protocol/timing/view/variant/quasirandom/source/" +
+			"loss/extra sources/crashes/coverage fractions must be unset")
 	}
 	return nil
 }
@@ -206,9 +213,12 @@ func param(cell service.CellSpec, key string, def float64) float64 {
 // single request allocate arbitrarily).
 const lemma8MaxK = 64
 
-// validateLemma8 bounds the sampler's parameter space; everything else
-// about the cell comes from the generic spec checks.
+// validateLemma8 refuses what the graphless sampler would ignore and
+// bounds its parameter space.
 func validateLemma8(c service.CellSpec) error {
+	if err := validateBareScenario(c); err != nil {
+		return err
+	}
 	k := int(param(c, "k", 6))
 	if k < 1 || k > lemma8MaxK {
 		return fmt.Errorf("param k = %v (want [1, %d])", param(c, "k", 6), lemma8MaxK)
@@ -245,6 +255,9 @@ func validateLemma8(c service.CellSpec) error {
 const spectralGapMaxIters = 1_000_000
 
 func validateSpectralGap(c service.CellSpec) error {
+	if err := validateBareScenario(c); err != nil {
+		return err
+	}
 	iters := param(c, "iters", 5000)
 	if iters != math.Trunc(iters) || iters < 1 || iters > spectralGapMaxIters {
 		return fmt.Errorf("param iters = %v (want an integer in [1, %d])", iters, spectralGapMaxIters)

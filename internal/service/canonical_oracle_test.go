@@ -4,11 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"rumor/internal/core"
 )
 
 // canonicalFmt is the fmt-based rendering CellSpec.canonical replaced,
@@ -19,8 +23,12 @@ func canonicalFmt(c CellSpec) string {
 	b.WriteString(c.keyVersion())
 	b.WriteString("|kind=")
 	b.WriteString(c.kind())
+	view := c.View
+	if c.Timing == TimingAsync && c.View == "" {
+		view = core.GlobalClock.String()
+	}
 	fmt.Fprintf(&b, "|family=%s|n=%d|protocol=%s|timing=%s|view=%s|variant=%s",
-		c.Family, c.N, c.Protocol, c.Timing, c.effectiveView(), c.Variant)
+		c.Family, c.N, c.Protocol, c.Timing, view, c.Variant)
 	fmt.Fprintf(&b, "|qr=%t|loss=%s", c.Quasirandom, fmtFloat(c.LossProb))
 	fmt.Fprintf(&b, "|trials=%d|gseed=%d|tseed=%d|source=%d",
 		c.Trials, c.GraphSeed, c.TrialSeed, c.Source)
@@ -97,14 +105,57 @@ func canonicalFmt(c CellSpec) string {
 	return b.String()
 }
 
-// hashCellsFmt is the fmt-based job digest hashCells replaced.
+// hashCellsFmt is the fmt-based job digest hashCells replaced, over the
+// cells' canonical spellings.
 func hashCellsFmt(priority int, cells []CellSpec) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "job|%s|priority=%d", CellKeyVersion, priority)
 	for _, c := range cells {
-		fmt.Fprintf(h, "|%s", canonicalFmt(c))
+		fmt.Fprintf(h, "|%s", canonicalFmt(canonicalSpelling(c)))
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// canonicalSpelling rewrites c into the spellings appendCanonical
+// renders: each protocol, view and variant name a parser accepts as its
+// value's own name, -0 as 0 in every float field, and no extra source
+// equal to the source. The oracle renders what it is given, so it holds
+// appendCanonical to its bytes through this rewrite.
+func canonicalSpelling(c CellSpec) CellSpec {
+	if p, err := ParseProtocol(c.Protocol); err == nil {
+		c.Protocol = p.String()
+	}
+	if v, err := ParseView(c.View); err == nil && c.View != "" {
+		c.View = v.String()
+	}
+	if v, err := ParseVariant(c.Variant); err == nil && c.Variant != "" {
+		c.Variant = v.String()
+	}
+	zero := func(f float64) float64 {
+		if f == 0 {
+			return 0
+		}
+		return f
+	}
+	c.LossProb, c.DynamicPeriod, c.PerturbRate = zero(c.LossProb), zero(c.DynamicPeriod), zero(c.PerturbRate)
+	c.ExtraSources = slices.DeleteFunc(slices.Clone(c.ExtraSources), func(s int) bool { return s == c.Source })
+	c.Crashes = slices.Clone(c.Crashes)
+	for i := range c.Crashes {
+		c.Crashes[i].Time = zero(c.Crashes[i].Time)
+	}
+	c.Churn = slices.Clone(c.Churn)
+	for i := range c.Churn {
+		c.Churn[i].Time = zero(c.Churn[i].Time)
+	}
+	c.CoverageFracs = slices.Clone(c.CoverageFracs)
+	for i := range c.CoverageFracs {
+		c.CoverageFracs[i] = zero(c.CoverageFracs[i])
+	}
+	c.Params = maps.Clone(c.Params)
+	for k, v := range c.Params {
+		c.Params[k] = zero(v)
+	}
+	return c
 }
 
 // coverageNameFmt and graphKeyFmt are the fmt-based renderings
@@ -152,10 +203,10 @@ func TestNamesMatchFmtOracle(t *testing.T) {
 }
 
 // checkAgainstOracle fails t unless the cell's canonical form and key
-// are the oracle's.
+// are the oracle's for its canonical spelling.
 func checkAgainstOracle(t *testing.T, spec CellSpec) {
 	t.Helper()
-	want := canonicalFmt(spec)
+	want := canonicalFmt(canonicalSpelling(spec))
 	if got := spec.canonical(); got != want {
 		t.Fatalf("canonical form differs from the fmt oracle:\n got: %s\nwant: %s", got, want)
 	}

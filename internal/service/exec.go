@@ -87,8 +87,10 @@ func (e *Executor) run(ctx context.Context, index int, cell CellSpec, held int) 
 	key := cell.Key()
 	if e.Results != nil {
 		if cached, ok := e.Results.Get(key); ok {
+			// The row echoes this request's spelling of the cell, not
+			// the one that computed the result.
 			res := *cached
-			res.Index = index
+			res.Index, res.Cell = index, cell
 			o.observeCell(cell.kind(), "cached", 0)
 			return &res, true, nil
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math"
 	"reflect"
 	"slices"
@@ -90,9 +91,11 @@ func fuzzSpec(kindSel, protoSel, timingSel, viewSel, variantSel uint8, family st
 //     the JSON wire (jobs API, persisted record) hashes identically to
 //     the original, so a cached result is findable from any surface.
 //  2. Semantically equivalent rewrites (defaults made explicit,
-//     extra-source order and duplicates) keep the key; semantically
-//     distinct mutations change the canonical form — equal keys mean
-//     equal measurements, so the durable cache can never alias.
+//     extra-source order and duplicates, the source listed as an extra,
+//     names in another case or by alias, -0 for a zero float) keep the
+//     key; semantically distinct mutations change the canonical form —
+//     equal keys mean equal measurements, so the durable cache can
+//     never alias.
 func FuzzCellSpecKey(f *testing.F) {
 	// Seed corpus: the golden-key specs plus scenario-space corners
 	// (static v2 shapes, and the v3 dynamic/churn axes).
@@ -187,6 +190,50 @@ func FuzzCellSpecKey(f *testing.F) {
 			}
 		}
 
+		negZero := func(f float64) float64 {
+			if f == 0 {
+				return math.Copysign(0, -1)
+			}
+			return f
+		}
+		respellings := []struct {
+			name    string
+			respell func(*CellSpec)
+		}{
+			{"upper-case names", func(c *CellSpec) {
+				c.Protocol, c.View, c.Variant = strings.ToUpper(c.Protocol), strings.ToUpper(c.View), strings.ToUpper(c.Variant)
+			}},
+			{"protocol alias", func(c *CellSpec) {
+				if c.Protocol == "push-pull" {
+					c.Protocol = []string{"pp", "PushPull"}[c.TrialSeed%2]
+				}
+			}},
+			{"source as an extra source", func(c *CellSpec) {
+				c.ExtraSources = append(slices.Clone(c.ExtraSources), c.Source)
+			}},
+			{"-0 for zero floats", func(c *CellSpec) {
+				c.LossProb, c.DynamicPeriod, c.PerturbRate = negZero(c.LossProb), negZero(c.DynamicPeriod), negZero(c.PerturbRate)
+				c.Crashes, c.Churn = slices.Clone(c.Crashes), slices.Clone(c.Churn)
+				for i := range c.Crashes {
+					c.Crashes[i].Time = negZero(c.Crashes[i].Time)
+				}
+				for i := range c.Churn {
+					c.Churn[i].Time = negZero(c.Churn[i].Time)
+				}
+				c.Params = maps.Clone(c.Params)
+				for k, v := range c.Params {
+					c.Params[k] = negZero(v)
+				}
+			}},
+		}
+		for _, r := range respellings {
+			respelled := spec
+			r.respell(&respelled)
+			if respelled.canonical() != canon {
+				t.Errorf("%s changed the canonical form:\n in: %s\nout: %s", r.name, canon, respelled.canonical())
+			}
+		}
+
 		// (2a-v3) The version prefix is per spec: dynamic scenarios render
 		// the v3 extension, static crash cells of the per-node and
 		// per-edge async views the v4 form, everything else the exact
@@ -231,13 +278,11 @@ func FuzzCellSpecKey(f *testing.F) {
 				}
 			}},
 			{"new extra source", func(c *CellSpec) {
-				max := -1
+				next := c.Source + 1 // the source itself adds no source
 				for _, s := range c.ExtraSources {
-					if s > max {
-						max = s
-					}
+					next = max(next, s+1)
 				}
-				c.ExtraSources = append(append([]int(nil), c.ExtraSources...), max+1)
+				c.ExtraSources = append(slices.Clone(c.ExtraSources), next)
 			}},
 			{"new crash", func(c *CellSpec) {
 				c.Crashes = append(append([]CrashSpec(nil), c.Crashes...), CrashSpec{Node: 1 << 20, Time: 1e9})

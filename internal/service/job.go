@@ -233,15 +233,6 @@ func (c CellSpec) kind() string {
 	return c.Kind
 }
 
-// effectiveView returns the async view the cell runs under (the default
-// view made explicit, so "" and "global-clock" hash identically).
-func (c CellSpec) effectiveView() string {
-	if c.Timing == TimingAsync && c.View == "" {
-		return core.GlobalClock.String()
-	}
-	return c.View
-}
-
 // defaultCoverage is the coverage milestones a time cell reports when
 // it names none, and defaultCoverageCanonical their canonical rendering,
 // which appendCanonical writes for most cells.
@@ -277,15 +268,15 @@ func (c CellSpec) dynamicScenario() bool {
 // everything else, which is what keeps older cache keys and persisted
 // records valid.
 func (c CellSpec) keyVersion() string {
-	switch {
-	case c.dynamicScenario():
+	if c.dynamicScenario() {
 		return CellKeyVersionV3
-	case c.kind() == KindTime && c.Timing == TimingAsync && len(c.Crashes) > 0 &&
-		(c.View == core.PerNodeClocks.String() || c.View == core.PerEdgeClocks.String()):
-		return CellKeyVersion
-	default:
-		return CellKeyVersionV2
 	}
+	if c.kind() == KindTime && c.Timing == TimingAsync && len(c.Crashes) > 0 {
+		if view, err := ParseView(c.View); err == nil && view != core.GlobalClock {
+			return CellKeyVersion
+		}
+	}
+	return CellKeyVersionV2
 }
 
 // effectiveDynamicPeriod returns the epoch length with the default made
@@ -300,8 +291,27 @@ func (c CellSpec) effectiveDynamicPeriod() float64 {
 // fmtFloat renders a float64 canonically (shortest exact form).
 func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// appendFloat appends fmtFloat's rendering of f to b.
-func appendFloat(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
+// appendFloat appends fmtFloat's rendering of f to b, with -0 rendered
+// as 0: no field of a cell tells the two apart.
+func appendFloat(b []byte, f float64) []byte {
+	if f == 0 {
+		f = 0
+	}
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
+}
+
+// appendName appends the name of the value parse reads from name, so
+// that every spelling a parser accepts renders as one. A name it rejects
+// is rendered as given, and "" (no name) as nothing.
+func appendName[T fmt.Stringer](b []byte, name string, parse func(string) (T, error)) []byte {
+	if name == "" {
+		return b
+	}
+	if v, err := parse(name); err == nil {
+		return append(b, v.String()...)
+	}
+	return append(b, name...)
+}
 
 // appendFloats appends fs to b with appendFloat, comma-separated.
 func appendFloats(b []byte, fs []float64) []byte {
@@ -317,10 +327,12 @@ func appendFloats(b []byte, fs []float64) []byte {
 // Key returns the canonical cache key of the cell: a SHA-256 hash of an
 // unambiguous rendering of every field, normalized so that equivalent
 // specs hash identically: defaults are made explicit (kind, async view,
-// coverage milestones), extra sources are sorted and deduplicated, crash
-// schedules are sorted, and params are rendered in sorted key order.
-// Two cells share a key iff they are the same measurement, and
-// determinism guarantees equal results.
+// coverage milestones), protocol, view and variant names are rendered by
+// the parsed value's name (any case, any alias), -0 is rendered as 0,
+// extra sources are sorted and deduplicated and the source is dropped
+// from them, crash schedules are sorted, and params are rendered in
+// sorted key order. Two cells share a key iff they are the same
+// measurement, and determinism guarantees equal results.
 //
 // The rendering is versioned (CellKeyVersion); any change to the
 // canonical form must bump the version so stale persisted caches can
@@ -355,13 +367,17 @@ func (c CellSpec) appendCanonical(b []byte) []byte {
 	b = append(b, "|n="...)
 	b = strconv.AppendInt(b, int64(c.N), 10)
 	b = append(b, "|protocol="...)
-	b = append(b, c.Protocol...)
+	b = appendName(b, c.Protocol, ParseProtocol)
 	b = append(b, "|timing="...)
 	b = append(b, c.Timing...)
 	b = append(b, "|view="...)
-	b = append(b, c.effectiveView()...)
+	view := c.View
+	if c.Timing == TimingAsync {
+		view = cmp.Or(view, core.GlobalClock.String()) // the default made explicit
+	}
+	b = appendName(b, view, ParseView)
 	b = append(b, "|variant="...)
-	b = append(b, c.Variant...)
+	b = appendName(b, c.Variant, ParseVariant)
 	b = append(b, "|qr="...)
 	b = strconv.AppendBool(b, c.Quasirandom)
 	b = append(b, "|loss="...)
@@ -378,10 +394,9 @@ func (c CellSpec) appendCanonical(b []byte) []byte {
 	b = append(b, "|extra="...)
 	extras := slices.Clone(c.ExtraSources)
 	slices.Sort(extras)
+	// Neither a duplicate nor the source itself changes the process.
+	extras = slices.DeleteFunc(slices.Compact(extras), func(v int) bool { return v == c.Source })
 	for i, v := range extras {
-		if i > 0 && v == extras[i-1] {
-			continue // duplicates do not change the process
-		}
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -496,8 +511,8 @@ func (c CellSpec) Validate() error {
 			return fmt.Errorf("%w: n = %d", ErrBadSpec, c.N)
 		}
 	} else {
-		if c.Family != "" || c.N != 0 {
-			return fmt.Errorf("%w: kind %q runs without a graph; family/n must be empty", ErrBadSpec, c.kind())
+		if c.Family != "" || c.N != 0 || c.GraphSeed != 0 {
+			return fmt.Errorf("%w: kind %q runs without a graph; family/n/graph_seed must be empty", ErrBadSpec, c.kind())
 		}
 	}
 	if c.Trials < 1 {
@@ -590,12 +605,12 @@ func (c CellSpec) Validate() error {
 
 // ParseProtocol maps the wire protocol name to core.Protocol.
 func ParseProtocol(name string) (core.Protocol, error) {
-	switch strings.ToLower(name) {
-	case "push":
+	switch {
+	case strings.EqualFold(name, "push"):
 		return core.Push, nil
-	case "pull":
+	case strings.EqualFold(name, "pull"):
 		return core.Pull, nil
-	case "push-pull", "pushpull", "pp":
+	case strings.EqualFold(name, "push-pull"), strings.EqualFold(name, "pushpull"), strings.EqualFold(name, "pp"):
 		return core.PushPull, nil
 	default:
 		return 0, fmt.Errorf("unknown protocol %q (want push, pull, push-pull)", name)
@@ -605,12 +620,12 @@ func ParseProtocol(name string) (core.Protocol, error) {
 // ParseView maps the wire async-view name to core.AsyncView; "" selects
 // the (fast) global clock.
 func ParseView(name string) (core.AsyncView, error) {
-	switch strings.ToLower(name) {
-	case "", "global-clock":
+	switch {
+	case name == "", strings.EqualFold(name, "global-clock"):
 		return core.GlobalClock, nil
-	case "per-node-clocks":
+	case strings.EqualFold(name, "per-node-clocks"):
 		return core.PerNodeClocks, nil
-	case "per-edge-clocks":
+	case strings.EqualFold(name, "per-edge-clocks"):
 		return core.PerEdgeClocks, nil
 	default:
 		return 0, fmt.Errorf("unknown async view %q (want global-clock, per-node-clocks, per-edge-clocks)", name)
@@ -620,12 +635,12 @@ func ParseView(name string) (core.AsyncView, error) {
 // ParseVariant maps the wire variant name to core.PPVariant; "" (no
 // auxiliary variant) returns 0.
 func ParseVariant(name string) (core.PPVariant, error) {
-	switch strings.ToLower(name) {
-	case "":
+	switch {
+	case name == "":
 		return 0, nil
-	case "ppx":
+	case strings.EqualFold(name, "ppx"):
 		return core.PPX, nil
-	case "ppy":
+	case strings.EqualFold(name, "ppy"):
 		return core.PPY, nil
 	default:
 		return 0, fmt.Errorf("unknown pp variant %q (want ppx or ppy)", name)
