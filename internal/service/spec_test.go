@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -319,6 +320,7 @@ func TestSpellingsShareOneKey(t *testing.T) {
 	with := func(base CellSpec, edit func(*CellSpec)) CellSpec {
 		base.ExtraSources = slices.Clone(base.ExtraSources)
 		base.Crashes = slices.Clone(base.Crashes)
+		base.CoverageFracs = slices.Clone(base.CoverageFracs)
 		edit(&base)
 		return base
 	}
@@ -329,6 +331,11 @@ func TestSpellingsShareOneKey(t *testing.T) {
 	perEdge := with(perNode, func(c *CellSpec) { c.View = "per-edge-clocks" })
 	pull := with(async, func(c *CellSpec) { c.Protocol, c.Timing = "pull", TimingSync })
 	ppx := with(pull, func(c *CellSpec) { c.Protocol, c.Variant = "push-pull", "ppx" })
+	covs := with(async, func(c *CellSpec) { c.CoverageFracs = []float64{0.5, 0.9} })
+	// 0.5 and 0.5+1e-12 share the milestone name q50 but not its rank.
+	twins := with(async, func(c *CellSpec) { c.CoverageFracs = []float64{0.5, 0.5 + 1e-12} })
+	crash1 := with(async, func(c *CellSpec) { c.Crashes = []CrashSpec{{Node: 3, Time: 1}} })
+	syncCrash1 := with(crash1, func(c *CellSpec) { c.Timing = TimingSync })
 	for _, tc := range []struct {
 		name             string
 		canonical, alias CellSpec
@@ -344,6 +351,12 @@ func TestSpellingsShareOneKey(t *testing.T) {
 		{"extra source = source", async, with(async, func(c *CellSpec) { c.ExtraSources = []int{0} })},
 		{"PER-NODE-CLOCKS with a crash", perNode, with(perNode, func(c *CellSpec) { c.View = "PER-NODE-CLOCKS" })},
 		{"Per-Edge-Clocks with a crash", perEdge, with(perEdge, func(c *CellSpec) { c.View = "Per-Edge-Clocks" })},
+		{"coverage unsorted", covs, with(covs, func(c *CellSpec) { c.CoverageFracs = []float64{0.9, 0.5} })},
+		{"coverage repeated", covs, with(covs, func(c *CellSpec) { c.CoverageFracs = []float64{0.5, 0.9, 0.5} })},
+		{"coverage twins reversed", twins, with(twins, func(c *CellSpec) { c.CoverageFracs = []float64{0.5 + 1e-12, 0.5} })},
+		{"a node crashed twice", crash1, with(crash1, func(c *CellSpec) { c.Crashes = []CrashSpec{{Node: 3, Time: 1}, {Node: 3, Time: 2}} })},
+		{"a node crashed twice, later first", crash1, with(crash1, func(c *CellSpec) { c.Crashes = []CrashSpec{{Node: 3, Time: 2}, {Node: 3, Time: 1}} })},
+		{"a sync node crashed twice", syncCrash1, with(syncCrash1, func(c *CellSpec) { c.Crashes = []CrashSpec{{Node: 3, Time: 2}, {Node: 3, Time: 1}} })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.alias.Validate(); err != nil {
@@ -368,7 +381,20 @@ func TestSpellingsShareOneKey(t *testing.T) {
 			if !slices.Equal(got.Times, want.Times) {
 				t.Errorf("times %v, canonical cell's %v", got.Times, want.Times)
 			}
+			if !maps.Equal(got.Coverage, want.Coverage) {
+				t.Errorf("coverage %v, canonical cell's %v", got.Coverage, want.Coverage)
+			}
 		})
+	}
+	// A join between two crashes of one node brings it back, so the
+	// second crash is live and must stay in the key.
+	rejoin := with(crash1, func(c *CellSpec) {
+		c.Crashes = append(c.Crashes, CrashSpec{Node: 3, Time: 2})
+		c.Churn = []ChurnSpec{{Node: 3, Time: 1.5, Op: ChurnOpJoin}}
+	})
+	once := with(rejoin, func(c *CellSpec) { c.Crashes = c.Crashes[:1] })
+	if rejoin.Key() == once.Key() {
+		t.Errorf("a crash after a rejoin was dropped from the key: %s", rejoin.canonical())
 	}
 	for name, want := range map[string]core.Protocol{
 		"push": core.Push, "PULL": core.Pull,
