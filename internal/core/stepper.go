@@ -272,10 +272,13 @@ type AsyncStepper struct {
 	steps      int64
 	finished   bool
 	// block[head:] are the ticks drawn but not yet executed; mark is the
-	// generator as it stood before block[0] was drawn.
+	// generator as it stood before block[0] was drawn; exact says each of
+	// the block's ticks drew one raw neighbor word, so FillTicks replays
+	// its draws.
 	block []asyncTick
 	head  int
 	mark  xrand.RNG
+	exact bool
 }
 
 // asyncTick is one pre-drawn clock tick.
@@ -393,8 +396,8 @@ func (s *AsyncStepper) Step() bool {
 	return true
 }
 
-// drawBlock refills the block in three passes: the generator's draws,
-// the degree loads, the neighbor loads.
+// drawBlock refills the block in three passes: the generator's draws
+// (one FillTicks call), the degree loads, the neighbor loads.
 func (s *AsyncStepper) drawBlock() {
 	s.mark = *s.rng
 	s.head = 0
@@ -404,24 +407,24 @@ func (s *AsyncStepper) drawBlock() {
 		s.block[0].dt = s.rng.Exp(s.rate)
 		return
 	}
-	var raw [asyncBlock]uint64
+	var dt [asyncBlock]float64
+	var idx, raw [asyncBlock]uint64
+	m := len(s.block)
+	s.rng.FillTicks(s.rate, s.n, dt[:m], idx[:m], raw[:m])
+	s.exact = true
 	for i := range s.block {
 		tk := &s.block[i]
-		tk.dt = s.rng.Exp(s.rate)
+		tk.dt = dt[i]
 		if s.eligible != nil {
-			tk.v = s.eligible[s.rng.Uint64n(s.n)]
+			tk.v = s.eligible[idx[i]]
 		} else {
-			tk.v = graph.NodeID(s.rng.Uint64n(s.n))
+			tk.v = graph.NodeID(idx[i])
 		}
-		raw[i] = s.rng.Uint64()
+		k, ok := neighborIndex(raw[i], uint64(s.g.Degree(tk.v)))
+		tk.w = graph.NodeID(k)
+		s.exact = s.exact && ok
 	}
-	exact := true
-	for i := range s.block {
-		k, ok := neighborIndex(raw[i], uint64(s.g.Degree(s.block[i].v)))
-		s.block[i].w = graph.NodeID(k)
-		exact = exact && ok
-	}
-	if !exact {
+	if !s.exact {
 		*s.rng = s.mark
 		for i := range s.block {
 			s.block[i].dt = s.rng.Exp(s.rate)
@@ -485,16 +488,28 @@ func (s *AsyncStepper) end(halted bool) {
 // already is in that position (and a lossy contact's Bernoulli draw may
 // have followed it). Otherwise the executed ticks are replayed from mark,
 // which is exact: their draws are a function of the generator and the
-// graph alone, and a one-tick block only ever replays its gap.
+// graph alone, and a one-tick block only ever replays its gap. A block
+// drawContact did not redraw replays in one FillTicks call.
 func (s *AsyncStepper) release(halted bool) {
 	if s.head < len(s.block) || halted {
 		*s.rng = s.mark
-		var tk asyncTick
-		for i := 1; i <= s.head; i++ {
-			s.rng.Exp(s.rate)
-			if i < s.head || !halted {
+		whole := s.head
+		if halted {
+			whole--
+		}
+		if s.exact {
+			var dt [asyncBlock]float64
+			var idx, raw [asyncBlock]uint64
+			s.rng.FillTicks(s.rate, s.n, dt[:whole], idx[:whole], raw[:whole])
+		} else {
+			var tk asyncTick
+			for range whole {
+				s.rng.Exp(s.rate)
 				s.drawContact(&tk)
 			}
+		}
+		if halted {
+			s.rng.Exp(s.rate)
 		}
 	}
 	s.head = len(s.block)

@@ -17,7 +17,9 @@ import (
 
 // canonicalFmt is the fmt-based rendering CellSpec.canonical replaced,
 // kept verbatim as the oracle: the appender form must produce the same
-// bytes for every spec, or persisted cache keys would move.
+// bytes for every spec, or persisted cache keys would move. It inlines
+// the helpers whose meaning has since moved (the async view default and
+// the coverage fractions as given).
 func canonicalFmt(c CellSpec) string {
 	var b strings.Builder
 	b.WriteString(c.keyVersion())
@@ -62,7 +64,11 @@ func canonicalFmt(c CellSpec) string {
 	}
 
 	b.WriteString("|cov=")
-	for i, f := range c.effectiveCoverage() {
+	covs := c.CoverageFracs
+	if len(covs) == 0 && c.kind() == KindTime {
+		covs = defaultCoverage
+	}
+	for i, f := range covs {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -118,8 +124,10 @@ func hashCellsFmt(priority int, cells []CellSpec) string {
 
 // canonicalSpelling rewrites c into the spellings appendCanonical
 // renders: each protocol, view and variant name a parser accepts as its
-// value's own name, -0 as 0 in every float field, and no extra source
-// equal to the source. The oracle renders what it is given, so it holds
+// value's own name, -0 as 0 in every float field, no extra source equal
+// to the source, coverage fractions sorted without repeats, and, with no
+// join in the churn, one crash per node at its earliest time. The
+// oracle renders what it is given, so it holds
 // appendCanonical to its bytes through this rewrite.
 func canonicalSpelling(c CellSpec) CellSpec {
 	if p, err := ParseProtocol(c.Protocol); err == nil {
@@ -140,6 +148,21 @@ func canonicalSpelling(c CellSpec) CellSpec {
 	c.LossProb, c.DynamicPeriod, c.PerturbRate = zero(c.LossProb), zero(c.DynamicPeriod), zero(c.PerturbRate)
 	c.ExtraSources = slices.DeleteFunc(slices.Clone(c.ExtraSources), func(s int) bool { return s == c.Source })
 	c.Crashes = slices.Clone(c.Crashes)
+	if !slices.ContainsFunc(c.Churn, func(ev ChurnSpec) bool { return ev.Op == ChurnOpJoin }) {
+		var kept []CrashSpec
+		for i, cr := range c.Crashes {
+			if slices.ContainsFunc(c.Crashes[:i], func(x CrashSpec) bool { return x.Node == cr.Node }) {
+				continue
+			}
+			for _, x := range c.Crashes[i+1:] {
+				if x.Node == cr.Node {
+					cr.Time = min(cr.Time, x.Time)
+				}
+			}
+			kept = append(kept, cr)
+		}
+		c.Crashes = kept
+	}
 	for i := range c.Crashes {
 		c.Crashes[i].Time = zero(c.Crashes[i].Time)
 	}
@@ -151,6 +174,8 @@ func canonicalSpelling(c CellSpec) CellSpec {
 	for i := range c.CoverageFracs {
 		c.CoverageFracs[i] = zero(c.CoverageFracs[i])
 	}
+	sort.Float64s(c.CoverageFracs)
+	c.CoverageFracs = slices.Compact(c.CoverageFracs)
 	c.Params = maps.Clone(c.Params)
 	for k, v := range c.Params {
 		c.Params[k] = zero(v)

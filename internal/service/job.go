@@ -241,12 +241,18 @@ var (
 	defaultCoverageCanonical = appendFloats(nil, defaultCoverage)
 )
 
-// effectiveCoverage returns the coverage milestones the cell reports.
+// effectiveCoverage returns the coverage milestones the cell reports,
+// sorted and without repeats: a result's coverage is a map by milestone
+// name, so their order and repeats are not part of the measurement. Two
+// fractions may share a name (CoverageName rounds); the larger one's
+// value is the name's.
 func (c CellSpec) effectiveCoverage() []float64 {
 	if c.usesDefaultCoverage() {
 		return slices.Clone(defaultCoverage)
 	}
-	return c.CoverageFracs
+	fracs := slices.Clone(c.CoverageFracs)
+	slices.Sort(fracs)
+	return slices.Compact(fracs)
 }
 
 // usesDefaultCoverage reports whether the cell reports the default
@@ -330,7 +336,9 @@ func appendFloats(b []byte, fs []float64) []byte {
 // coverage milestones), protocol, view and variant names are rendered by
 // the parsed value's name (any case, any alias), -0 is rendered as 0,
 // extra sources are sorted and deduplicated and the source is dropped
-// from them, crash schedules are sorted, and params are rendered in
+// from them, crash schedules are sorted and, unless the churn has a
+// join, keep one crash per node at its earliest time, coverage
+// fractions are sorted and deduplicated, and params are rendered in
 // sorted key order. Two cells share a key iff they are the same
 // measurement, and determinism guarantees equal results.
 //
@@ -405,6 +413,22 @@ func (c CellSpec) appendCanonical(b []byte) []byte {
 
 	b = append(b, "|crash="...)
 	crashes := slices.Clone(c.Crashes)
+	if len(crashes) > 1 && !slices.ContainsFunc(c.Churn, func(ev ChurnSpec) bool { return ev.Op == ChurnOpJoin }) {
+		// With no join to bring it back, a crashed node's later crashes
+		// find it offline and do nothing: keep each node's earliest, in
+		// the slot of its first listed crash.
+		slot := make(map[int]int, len(crashes))
+		kept := crashes[:0]
+		for _, cr := range crashes {
+			if k, ok := slot[cr.Node]; ok {
+				kept[k].Time = min(kept[k].Time, cr.Time)
+				continue
+			}
+			slot[cr.Node] = len(kept)
+			kept = append(kept, cr)
+		}
+		crashes = kept
+	}
 	slices.SortFunc(crashes, func(x, y CrashSpec) int {
 		if x.Time != y.Time {
 			return lessCmp(x.Time, y.Time)
@@ -424,7 +448,7 @@ func (c CellSpec) appendCanonical(b []byte) []byte {
 	if c.usesDefaultCoverage() {
 		b = append(b, defaultCoverageCanonical...)
 	} else {
-		b = appendFloats(b, c.CoverageFracs)
+		b = appendFloats(b, c.effectiveCoverage())
 	}
 
 	b = append(b, "|params="...)

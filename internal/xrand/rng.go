@@ -170,7 +170,82 @@ func (r *RNG) Exp(lambda float64) float64 {
 	if lambda <= 0 {
 		panic("xrand: Exp with lambda <= 0")
 	}
-	return r.expZig() / lambda
+	j := r.Uint64()
+	if i := j & 255; j < zigExpK[i] {
+		return u64ToFloat(j) * zigExpW[i] / lambda
+	}
+	return r.expZigFrom(j) / lambda
+}
+
+// FillTicks draws len(dt) clock ticks of a superposed process: it is
+// exactly
+//
+//	for i := range dt {
+//		dt[i] = r.Exp(rate)
+//		idx[i] = r.Uint64n(n)
+//		raw[i] = r.Uint64()
+//	}
+//
+// value for value, and leaves the generator where that loop would, but
+// keeps the generator state in registers across the block; a ziggurat
+// miss or a Lemire rejection stores it, takes the out-of-line path on r,
+// and reloads it. idx and raw must be at least as long as dt. It panics
+// if dt is not empty and rate <= 0 or n == 0.
+func (r *RNG) FillTicks(rate float64, n uint64, dt []float64, idx, raw []uint64) {
+	if len(dt) == 0 {
+		return
+	}
+	if rate <= 0 || n == 0 {
+		panic("xrand: FillTicks with rate <= 0 or n == 0")
+	}
+	idx, raw = idx[:len(dt)], raw[:len(dt)]
+	pow2 := n&(n-1) == 0
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for i := range dt {
+		j := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if k := j & 255; j < zigExpK[k] {
+			dt[i] = u64ToFloat(j) * zigExpW[k] / rate
+		} else {
+			r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+			dt[i] = r.expZigFrom(j) / rate
+			s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
+		}
+
+		x := rotl(s1*5, 7) * 9
+		t = s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if pow2 {
+			idx[i] = x & (n - 1)
+		} else if hi, lo := bits.Mul64(x, n); lo >= n {
+			idx[i] = hi
+		} else {
+			r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+			idx[i] = r.Uint64nFrom(x, n)
+			s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
+		}
+
+		raw[i] = rotl(s1*5, 7) * 9
+		t = s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
 
 // ExpInv is Exp by inverse-CDF sampling (-log(U)/lambda). It consumes

@@ -42,12 +42,14 @@ func init() {
 	}
 }
 
-// expZig returns an Exp(1)-distributed value.
-func (r *RNG) expZig() float64 {
+// expZigFrom finishes the ziggurat loop for a first draw j that missed
+// the fast test Exp makes inline: the wedge, the tail, and any redraw.
+// It is out of line so that Exp's common case stays small enough to
+// inline and keeps the generator in registers.
+func (r *RNG) expZigFrom(j uint64) float64 {
 	for {
-		j := r.Uint64()
 		i := j & 255
-		x := float64(j) * zigExpW[i]
+		x := u64ToFloat(j) * zigExpW[i]
 		if j < zigExpK[i] {
 			return x
 		}
@@ -61,5 +63,13 @@ func (r *RNG) expZig() float64 {
 		if zigExpF[i]+r.Float64()*(zigExpF[i-1]-zigExpF[i]) < math.Exp(-x) {
 			return x
 		}
+		j = r.Uint64()
 	}
+}
+
+// u64ToFloat is float64(j) without a branch: Go converts a uint64 with
+// a sign test that goes each way half the time on a uniform draw. Both
+// halves convert exactly, and the sum rounds once, as float64(j) does.
+func u64ToFloat(j uint64) float64 {
+	return float64(int64(j>>32))*0x1p32 + float64(int64(j&0xffffffff))
 }
