@@ -77,6 +77,21 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
+// step is Uint64 on a state held in locals: the output and the state
+// after it. Loops that keep the state in registers across many draws
+// (Fill, FillTicks) call it; Uint64 spells it out on the fields, since
+// calling step would put Uint64 over the inlining budget.
+func step(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return x, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
 // It uses Lemire's multiply-shift rejection method, which is unbiased.
 func (r *RNG) Uint64n(n uint64) uint64 {
@@ -117,14 +132,7 @@ func (r *RNG) Uint64nFrom(x, n uint64) uint64 {
 func (r *RNG) Fill(buf []uint64) {
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
 	for i := range buf {
-		buf[i] = rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
+		buf[i], s0, s1, s2, s3 = step(s0, s1, s2, s3)
 	}
 	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
@@ -163,7 +171,7 @@ func (r *RNG) Float64Open() float64 {
 
 // Exp returns an exponentially distributed value with rate lambda
 // (mean 1/lambda), via the ziggurat method (one raw draw and a table
-// lookup on ~98.9% of calls, versus a math.Log on every inverse-CDF
+// lookup on ~97.8% of calls, versus a math.Log on every inverse-CDF
 // draw — the exponential is the asynchronous engines' innermost
 // operation). It panics if lambda <= 0.
 func (r *RNG) Exp(lambda float64) float64 {
@@ -202,14 +210,8 @@ func (r *RNG) FillTicks(rate float64, n uint64, dt []float64, idx, raw []uint64)
 	pow2 := n&(n-1) == 0
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
 	for i := range dt {
-		j := rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
+		var j, x uint64
+		j, s0, s1, s2, s3 = step(s0, s1, s2, s3)
 		if k := j & 255; j < zigExpK[k] {
 			dt[i] = u64ToFloat(j) * zigExpW[k] / rate
 		} else {
@@ -218,14 +220,7 @@ func (r *RNG) FillTicks(rate float64, n uint64, dt []float64, idx, raw []uint64)
 			s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
 		}
 
-		x := rotl(s1*5, 7) * 9
-		t = s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
+		x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
 		if pow2 {
 			idx[i] = x & (n - 1)
 		} else if hi, lo := bits.Mul64(x, n); lo >= n {
@@ -236,14 +231,7 @@ func (r *RNG) FillTicks(rate float64, n uint64, dt []float64, idx, raw []uint64)
 			s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
 		}
 
-		raw[i] = rotl(s1*5, 7) * 9
-		t = s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
+		raw[i], s0, s1, s2, s3 = step(s0, s1, s2, s3)
 	}
 	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }

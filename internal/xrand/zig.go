@@ -10,7 +10,7 @@ import "math"
 // shrink as the layers stack up. One raw draw supplies both the layer
 // index (low 8 bits) and the horizontal position (the full value); the
 // draw is accepted immediately when the position lands left of the next
-// layer's edge, which happens ~98.9% of the time. Only the rare edge and
+// layer's edge, which happens ~97.8% of the time. Only the rare edge and
 // tail cases pay for an exp/log.
 const (
 	zigExpR = 7.69711747013104972      // start of the exponential tail
