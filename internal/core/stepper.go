@@ -272,13 +272,10 @@ type AsyncStepper struct {
 	steps      int64
 	finished   bool
 	// block[head:] are the ticks drawn but not yet executed; mark is the
-	// generator as it stood before block[0] was drawn; exact says each of
-	// the block's ticks drew one raw neighbor word, so FillTicks replays
-	// its draws.
+	// generator as it stood before block[0] was drawn.
 	block []asyncTick
 	head  int
 	mark  xrand.RNG
-	exact bool
 }
 
 // asyncTick is one pre-drawn clock tick.
@@ -411,7 +408,7 @@ func (s *AsyncStepper) drawBlock() {
 	var idx, raw [asyncBlock]uint64
 	m := len(s.block)
 	s.rng.FillTicks(s.rate, s.n, dt[:m], idx[:m], raw[:m])
-	s.exact = true
+	exact := true
 	for i := range s.block {
 		tk := &s.block[i]
 		tk.dt = dt[i]
@@ -422,9 +419,9 @@ func (s *AsyncStepper) drawBlock() {
 		}
 		k, ok := neighborIndex(raw[i], uint64(s.g.Degree(tk.v)))
 		tk.w = graph.NodeID(k)
-		s.exact = s.exact && ok
+		exact = exact && ok
 	}
-	if !s.exact {
+	if !exact {
 		*s.rng = s.mark
 		for i := range s.block {
 			s.block[i].dt = s.rng.Exp(s.rate)
@@ -488,28 +485,16 @@ func (s *AsyncStepper) end(halted bool) {
 // already is in that position (and a lossy contact's Bernoulli draw may
 // have followed it). Otherwise the executed ticks are replayed from mark,
 // which is exact: their draws are a function of the generator and the
-// graph alone, and a one-tick block only ever replays its gap. A block
-// drawContact did not redraw replays in one FillTicks call.
+// graph alone, and a one-tick block only ever replays its gap.
 func (s *AsyncStepper) release(halted bool) {
 	if s.head < len(s.block) || halted {
 		*s.rng = s.mark
-		whole := s.head
-		if halted {
-			whole--
-		}
-		if s.exact {
-			var dt [asyncBlock]float64
-			var idx, raw [asyncBlock]uint64
-			s.rng.FillTicks(s.rate, s.n, dt[:whole], idx[:whole], raw[:whole])
-		} else {
-			var tk asyncTick
-			for range whole {
-				s.rng.Exp(s.rate)
+		var tk asyncTick
+		for i := 1; i <= s.head; i++ {
+			s.rng.Exp(s.rate)
+			if i < s.head || !halted {
 				s.drawContact(&tk)
 			}
-		}
-		if halted {
-			s.rng.Exp(s.rate)
 		}
 	}
 	s.head = len(s.block)

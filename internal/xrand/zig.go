@@ -43,9 +43,10 @@ func init() {
 }
 
 // expZigFrom finishes the ziggurat loop for a first draw j that missed
-// the fast test Exp makes inline: the wedge, the tail, and any redraw.
-// It is out of line so that Exp's common case stays small enough to
-// inline and keeps the generator in registers.
+// the fast test Exp and FillTicks make themselves: the wedge, the tail,
+// and any redraw. It is out of line so that their common case stays a
+// draw, a table test and a multiply, with FillTicks's generator state
+// left in registers.
 func (r *RNG) expZigFrom(j uint64) float64 {
 	for {
 		i := j & 255
