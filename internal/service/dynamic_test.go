@@ -41,6 +41,29 @@ func dynamicTestCells() []CellSpec {
 	}
 }
 
+// revisitTestCells are dynamic cells whose trials revisit many epochs:
+// on one trial worker every trial after the first walks the epochs its
+// cursor walked before.
+func revisitTestCells() []CellSpec {
+	churn := []ChurnSpec{
+		{Node: 5, Time: 1, Op: ChurnOpLeave},
+		{Node: 5, Time: 3, Op: ChurnOpJoin, DropState: true},
+		{Node: 11, Time: 2, Op: ChurnOpLeave},
+	}
+	return []CellSpec{
+		{Family: "gnp-above-threshold", N: 64, Protocol: "push-pull", Timing: "sync",
+			Dynamic: DynamicResample, Trials: 12, GraphSeed: 21, TrialSeed: 22},
+		{Family: "gnp-above-threshold", N: 64, Protocol: "push-pull", Timing: "async",
+			Dynamic: DynamicResample, DynamicPeriod: 0.25, Trials: 12, GraphSeed: 21, TrialSeed: 23},
+		{Family: "gnp", N: 64, Protocol: "push-pull", Timing: "sync",
+			Dynamic: DynamicPerturb, PerturbRate: 0.25, Trials: 12, GraphSeed: 24, TrialSeed: 25},
+		{Family: "gnp", N: 64, Protocol: "push-pull", Timing: "async",
+			Dynamic: DynamicPerturb, DynamicPeriod: 0.5, PerturbRate: 0.25, Trials: 12, GraphSeed: 24, TrialSeed: 26},
+		{Family: "gnp-above-threshold", N: 64, Protocol: "push", Timing: "async",
+			Dynamic: DynamicResample, DynamicPeriod: 0.5, Churn: churn, Trials: 12, GraphSeed: 27, TrialSeed: 28},
+	}
+}
+
 // TestExecutorRunsDynamicCells drives every v3 scenario axis through
 // the executor end-to-end and checks the samples are sane.
 func TestExecutorRunsDynamicCells(t *testing.T) {
@@ -63,9 +86,12 @@ func TestExecutorRunsDynamicCells(t *testing.T) {
 
 // TestDynamicCellsDeterministicAcrossWorkersAndCache: dynamic cell
 // results are a pure function of the spec — worker counts and cache
-// state change only speed, never bytes.
+// state change only speed, never bytes. The revisiting cells hold a
+// cursor that keeps its epochs across trials to the graphs a fresh one
+// builds: one, two and three trial workers split the trials over as
+// many cursors.
 func TestDynamicCellsDeterministicAcrossWorkersAndCache(t *testing.T) {
-	cells := dynamicTestCells()
+	cells := append(dynamicTestCells(), revisitTestCells()...)
 	cached := &Executor{CellWorkers: 4, TrialWorkers: 4,
 		Results: NewResultCache(0), Graphs: NewGraphCache(0)}
 	cold, err := cached.RunCells(context.Background(), cells)
@@ -85,13 +111,15 @@ func TestDynamicCellsDeterministicAcrossWorkersAndCache(t *testing.T) {
 		t.Error("second run produced no cache hits")
 	}
 
-	serial := &Executor{CellWorkers: 1, TrialWorkers: 1}
-	rerun, err := serial.RunCells(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(marshalResults(t, rerun)); got != want {
-		t.Error("serial cache-less dynamic results differ from parallel cached results")
+	for _, workers := range []int{1, 2, 3} {
+		serial := &Executor{CellWorkers: 1, TrialWorkers: workers}
+		rerun, err := serial.RunCells(context.Background(), cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(marshalResults(t, rerun)); got != want {
+			t.Errorf("cache-less dynamic results on %d trial workers differ from parallel cached results", workers)
+		}
 	}
 }
 
