@@ -34,7 +34,10 @@ type Provider interface {
 	// call, which returns the epoch-0 graph).
 	At(t float64) (*Graph, bool)
 	// Reset rewinds the provider to epoch 0 for a fresh trial. The
-	// sequence replayed after a Reset is identical.
+	// sequence replayed after a Reset is identical. The dynamic
+	// providers keep the epoch graphs they have built, up to
+	// keptEpochBytes of CSR, so a replay reuses them instead of
+	// building them again; a deferred error is cleared.
 	Reset()
 	// Err returns the first epoch-materialization failure, or nil.
 	Err() error
@@ -49,6 +52,24 @@ func epochOf(t, period float64) uint64 {
 		return 0
 	}
 	return uint64(math.Floor(t / period))
+}
+
+// keptEpochBytes caps the CSR bytes a Resample or Perturb cursor keeps
+// across Resets. A cell may visit as many epochs as its round budget
+// allows, so without a cap keeping them all would hold every graph of
+// every epoch a trial ever reached.
+const keptEpochBytes = 64 << 20
+
+// keep reports whether g fits under keptEpochBytes on top of the *kept
+// bytes already held, counting a CSR as 8(n+1) + 8m bytes (the offsets
+// and both directions of every edge), and if so adds it to *kept.
+func keep(kept *int64, g *Graph) bool {
+	b := 8*int64(g.NumNodes()+1) + 8*int64(g.NumEdges())
+	if *kept+b > keptEpochBytes {
+		return false
+	}
+	*kept += b
+	return true
 }
 
 // mix64 is a splitmix64-style combiner used to derive independent
@@ -93,6 +114,10 @@ type Resample struct {
 	cur    *Graph
 	epoch  uint64
 	err    error
+	// built holds the epochs built so far, by epoch number (sparse: a
+	// small period skips most of them), and kept their CSR bytes.
+	built map[uint64]*Graph
+	kept  int64
 }
 
 // NewResample returns a resampling topology over base with the given
@@ -114,9 +139,11 @@ func NewResample(base *Graph, period float64, build func(epoch uint64) (*Graph, 
 // NumNodes implements Provider.
 func (r *Resample) NumNodes() int { return r.base.NumNodes() }
 
-// At implements Provider. Each epoch is built at most once per visit;
-// because epochs are independent, skipped epochs are never
-// materialized.
+// At implements Provider. Each epoch is built once per cursor: a built
+// epoch is kept across Resets while the kept graphs fit under
+// keptEpochBytes, and past that it is built again on every visit.
+// Because epochs are independent, skipped epochs are never
+// materialized; a failed build is not kept.
 func (r *Resample) At(t float64) (*Graph, bool) {
 	if r.err != nil {
 		return r.cur, false
@@ -129,15 +156,24 @@ func (r *Resample) At(t float64) (*Graph, bool) {
 		r.cur, r.epoch = r.base, 0
 		return r.cur, true
 	}
-	g, err := r.build(e)
-	if err != nil {
-		r.err = fmt.Errorf("graph: resample epoch %d: %w", e, err)
-		return r.cur, false
-	}
-	if g.NumNodes() != r.base.NumNodes() {
-		r.err = fmt.Errorf("%w: resample epoch %d has %d nodes, base has %d",
-			ErrDynamic, e, g.NumNodes(), r.base.NumNodes())
-		return r.cur, false
+	g, ok := r.built[e]
+	if !ok {
+		var err error
+		if g, err = r.build(e); err != nil {
+			r.err = fmt.Errorf("graph: resample epoch %d: %w", e, err)
+			return r.cur, false
+		}
+		if g.NumNodes() != r.base.NumNodes() {
+			r.err = fmt.Errorf("%w: resample epoch %d has %d nodes, base has %d",
+				ErrDynamic, e, g.NumNodes(), r.base.NumNodes())
+			return r.cur, false
+		}
+		if keep(&r.kept, g) {
+			if r.built == nil {
+				r.built = make(map[uint64]*Graph)
+			}
+			r.built[e] = g
+		}
 	}
 	r.cur, r.epoch = g, e
 	return r.cur, true
@@ -169,6 +205,11 @@ type Perturb struct {
 	cur     *Graph
 	epoch   uint64
 	err     error
+	// chain[e-1] is epoch e, kept across Resets up to keptEpochBytes
+	// (kept counts its CSR bytes); later epochs are evolved from its
+	// end on every visit.
+	chain []*Graph
+	kept  int64
 }
 
 // NewPerturb returns an edge-Markovian topology over base. rate is the
@@ -195,7 +236,10 @@ func NewPerturb(base *Graph, period, rate float64, seed uint64) (*Perturb, error
 // NumNodes implements Provider.
 func (p *Perturb) NumNodes() int { return p.base.NumNodes() }
 
-// At implements Provider.
+// At implements Provider. The chain is evolved once per cursor: At
+// walks the kept chain first, and evolves past its end as far as t
+// asks, keeping what it evolves while the chain fits under
+// keptEpochBytes.
 func (p *Perturb) At(t float64) (*Graph, bool) {
 	if p.err != nil {
 		return p.cur, false
@@ -205,17 +249,24 @@ func (p *Perturb) At(t float64) (*Graph, bool) {
 		return p.cur, false
 	}
 	if e < p.epoch {
-		// Defensive: replay from the base (the evolution is sequential).
+		// Defensive: replay from the base (the evolution is sequential),
+		// through the kept chain.
 		p.cur, p.epoch = p.base, 0
 		if e == 0 {
 			return p.cur, true
 		}
+	}
+	if k := min(e, uint64(len(p.chain))); k > p.epoch {
+		p.cur, p.epoch = p.chain[k-1], k
 	}
 	for p.epoch < e {
 		next, err := p.evolve(p.cur, p.epoch+1)
 		if err != nil {
 			p.err = fmt.Errorf("graph: perturb epoch %d: %w", p.epoch+1, err)
 			return p.cur, false
+		}
+		if p.epoch == uint64(len(p.chain)) && keep(&p.kept, next) {
+			p.chain = append(p.chain, next)
 		}
 		p.cur = next
 		p.epoch++

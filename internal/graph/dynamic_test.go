@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"rumor/internal/xrand"
@@ -270,4 +271,225 @@ func sameEdges(a, b *Graph) bool {
 		}
 	})
 	return same
+}
+
+// TestResampleKeepsEpochsAcrossReset: a Resample cursor builds each
+// epoch once; after Reset a revisit returns the graph it built before,
+// skipped epochs stay unbuilt, and a failed build is tried again.
+func TestResampleKeepsEpochsAcrossReset(t *testing.T) {
+	base, err := GNP(32, 0.2, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := map[uint64]int{}
+	r, err := NewResample(base, 1, buildCounter(32, 7, built))
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := []float64{0, 1.5, 2, 5, 7.25}
+	first := make([]*Graph, len(times))
+	for i, tm := range times {
+		first[i], _ = r.At(tm)
+	}
+	for pass := 0; pass < 3; pass++ {
+		r.Reset()
+		for i, tm := range times {
+			g, changed := r.At(tm)
+			if g != first[i] {
+				t.Fatalf("pass %d: At(%v) returned another graph than before the Reset", pass, tm)
+			}
+			if changed != (i > 0) {
+				t.Fatalf("pass %d: At(%v) changed = %v", pass, tm, changed)
+			}
+		}
+	}
+	for _, e := range []uint64{1, 2, 5, 7} {
+		if built[e] != 1 {
+			t.Errorf("epoch %d built %d times over four walks, want 1", e, built[e])
+		}
+	}
+	for _, e := range []uint64{3, 4, 6} {
+		if built[e] != 0 {
+			t.Errorf("skipped epoch %d was built %d times", e, built[e])
+		}
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A failed build is not kept: after the Reset the epoch is built
+	// again, and this time it succeeds.
+	calls := 0
+	flaky, err := NewResample(base, 1, func(epoch uint64) (*Graph, error) {
+		calls++
+		if calls == 1 {
+			return nil, fmt.Errorf("generator exploded")
+		}
+		return GNP(32, 0.2, xrand.New(epoch))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, changed := flaky.At(1); g != base || changed || flaky.Err() == nil {
+		t.Fatal("the failed build was not deferred to Err")
+	}
+	flaky.Reset()
+	if g, changed := flaky.At(1); g == base || !changed || flaky.Err() != nil || calls != 2 {
+		t.Fatalf("after Reset the failed epoch was not built again: %d calls, err %v", calls, flaky.Err())
+	}
+}
+
+// TestPerturbKeepsChainAcrossReset: a Perturb cursor evolves its chain
+// once; after Reset it returns the graphs it evolved before, evolves
+// past the chain's end on demand, and the sequence equals a fresh
+// cursor's edge for edge.
+func TestPerturbKeepsChainAcrossReset(t *testing.T) {
+	base, err := GNP(64, 0.15, xrand.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPerturb(base, 1, 0.3, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const walked = 6
+	var first [walked + 1]*Graph
+	for e := 0; e <= walked; e++ {
+		first[e], _ = p.At(float64(e))
+	}
+	p.Reset()
+	if g, _ := p.At(4); g != first[4] {
+		t.Fatal("a jump into the kept chain returned another graph than before the Reset")
+	}
+	for e := 5; e <= walked; e++ {
+		if g, changed := p.At(float64(e)); g != first[e] || !changed {
+			t.Fatalf("epoch %d after Reset: another graph than before, or unchanged", e)
+		}
+	}
+	// Past the chain's end, and back into it (the defensive replay).
+	far, _ := p.At(9)
+	if g, _ := p.At(2); g != first[2] {
+		t.Fatal("a backward replay returned another graph than the kept chain's")
+	}
+	if g, _ := p.At(9); g != far {
+		t.Fatal("epoch 9 was evolved again though the chain kept it")
+	}
+
+	fresh, err := NewPerturb(base, 1, 0.3, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Reset()
+	for e := 0; e <= 9; e++ {
+		want, _ := fresh.At(float64(e))
+		got, _ := p.At(float64(e))
+		if !sameEdges(got, want) {
+			t.Fatalf("epoch %d differs from a fresh cursor's", e)
+		}
+	}
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKeptEpochsStayUnderCap: a cursor whose epochs are a few MB each
+// keeps epochs until the next one would take its CSR bytes past
+// keptEpochBytes, builds every later epoch again on each visit, and
+// gives the same graphs either way.
+func TestKeptEpochsStayUnderCap(t *testing.T) {
+	const n = 1 << 18
+	path, err := Path(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := Cycle(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Odd epochs are the path, even ones the cycle: 16n and 16n + 8
+	// CSR bytes.
+	epochGraph := func(e uint64) *Graph {
+		if e%2 == 1 {
+			return path
+		}
+		return cycle
+	}
+	built := map[uint64]int{}
+	r, err := NewResample(path, 1, func(e uint64) (*Graph, error) {
+		built[e]++
+		return epochGraph(e), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 40
+	// The first epoch that does not fit: the sum of CSR bytes through it
+	// exceeds the cap.
+	var total int64
+	var firstPast uint64
+	for e := uint64(1); e <= epochs && firstPast == 0; e++ {
+		g := epochGraph(e)
+		if total += 8*int64(g.NumNodes()+1) + 8*int64(g.NumEdges()); total > keptEpochBytes {
+			firstPast = e
+		}
+	}
+	if firstPast == 0 || firstPast > epochs/2 {
+		t.Fatalf("the cap binds at epoch %d of %d; the test needs it to bind early", firstPast, epochs)
+	}
+	for walk := 1; walk <= 2; walk++ {
+		r.Reset()
+		for e := uint64(1); e <= epochs; e++ {
+			g, _ := r.At(float64(e))
+			if g != epochGraph(e) {
+				t.Fatalf("walk %d, epoch %d: another graph than the build's", walk, e)
+			}
+			if r.kept > keptEpochBytes {
+				t.Fatalf("walk %d, epoch %d: %d kept bytes, cap %d", walk, e, r.kept, int64(keptEpochBytes))
+			}
+		}
+	}
+	for e := uint64(1); e <= epochs; e++ {
+		want := 1
+		if e >= firstPast {
+			want = 2
+		}
+		if built[e] != want {
+			t.Errorf("epoch %d built %d times over two walks, want %d (the cap binds at epoch %d)", e, built[e], want, firstPast)
+		}
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A Perturb chain stops growing at the first epoch that does not
+	// fit; later epochs are evolved again from its end, to the same
+	// arrays.
+	p, err := NewPerturb(path, 1, 0.5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const evolved = 20
+	var first [evolved + 1]*Graph
+	for e := 1; e <= evolved; e++ {
+		first[e], _ = p.At(float64(e))
+		if p.kept > keptEpochBytes {
+			t.Fatalf("perturb epoch %d: %d kept bytes, cap %d", e, p.kept, int64(keptEpochBytes))
+		}
+	}
+	if len(p.chain) == 0 || len(p.chain) >= evolved {
+		t.Fatalf("perturb kept %d of %d epochs; the test needs the cap to bind", len(p.chain), evolved)
+	}
+	p.Reset()
+	for e := 1; e <= evolved; e++ {
+		g, _ := p.At(float64(e))
+		if kept := e <= len(p.chain); kept != (g == first[e]) {
+			t.Fatalf("perturb epoch %d: kept %v, same graph %v", e, kept, g == first[e])
+		}
+		if !slices.Equal(g.offsets, first[e].offsets) || !slices.Equal(g.adj, first[e].adj) {
+			t.Fatalf("perturb epoch %d evolved again to another graph", e)
+		}
+	}
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
