@@ -27,6 +27,20 @@ func TestValidateAllocs(t *testing.T) {
 	}
 }
 
+// TestValidateSortedCoverageAllocs: the milestone-name check reads a
+// coverage list given sorted in place.
+func TestValidateSortedCoverageAllocs(t *testing.T) {
+	c := CellSpec{Family: "hypercube", N: 64, Protocol: "push-pull", Timing: TimingAsync,
+		Trials: 2, GraphSeed: 1, TrialSeed: 1, CoverageFracs: []float64{0.125, 0.5, 0.5, 0.9, 1}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate of a cell with coverage %v: %v allocs, want 0", c.CoverageFracs, allocs)
+	}
+}
+
 // TestNameSpellingAllocs: a cell's key and its validation allocate as
 // much for names in any case as for the canonical names.
 func TestNameSpellingAllocs(t *testing.T) {

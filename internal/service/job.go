@@ -243,9 +243,9 @@ var (
 
 // effectiveCoverage returns the coverage milestones the cell reports,
 // sorted and without repeats: a result's coverage is a map by milestone
-// name, so their order and repeats are not part of the measurement. Two
-// fractions may share a name (CoverageName rounds); the larger one's
-// value is the name's.
+// name, so their order and repeats are not part of the measurement.
+// Validate refuses two fractions that share a name (CoverageName
+// rounds), so each milestone has its own entry.
 func (c CellSpec) effectiveCoverage() []float64 {
 	if c.usesDefaultCoverage() {
 		return slices.Clone(defaultCoverage)
@@ -253,6 +253,29 @@ func (c CellSpec) effectiveCoverage() []float64 {
 	fracs := slices.Clone(c.CoverageFracs)
 	slices.Sort(fracs)
 	return slices.Compact(fracs)
+}
+
+// checkCoverageNames refuses two distinct fractions with one milestone
+// name: the result's Coverage map is keyed by name, so one of the two
+// values would be dropped. CoverageName is monotone in the fraction, so
+// once the list is sorted any such pair has a neighbouring one. A list
+// given sorted is checked in place, without allocating.
+func checkCoverageNames(fracs []float64) error {
+	if !slices.IsSorted(fracs) {
+		fracs = slices.Clone(fracs)
+		slices.Sort(fracs)
+	}
+	var prev, cur [32]byte
+	for i := 1; i < len(fracs); i++ {
+		if fracs[i] == fracs[i-1] {
+			continue
+		}
+		if string(appendCoverageName(prev[:0], fracs[i-1])) == string(appendCoverageName(cur[:0], fracs[i])) {
+			return fmt.Errorf("%w: coverage fractions %v and %v share the milestone name %q",
+				ErrBadSpec, fracs[i-1], fracs[i], CoverageName(fracs[i]))
+		}
+	}
+	return nil
 }
 
 // usesDefaultCoverage reports whether the cell reports the default
@@ -604,6 +627,9 @@ func (c CellSpec) Validate() error {
 		if !(f > 0 && f <= 1) {
 			return fmt.Errorf("%w: coverage fraction = %v (want (0, 1])", ErrBadSpec, f)
 		}
+	}
+	if err := checkCoverageNames(c.CoverageFracs); err != nil {
+		return err
 	}
 	for k, v := range c.Params {
 		if k == "" {

@@ -332,8 +332,6 @@ func TestSpellingsShareOneKey(t *testing.T) {
 	pull := with(async, func(c *CellSpec) { c.Protocol, c.Timing = "pull", TimingSync })
 	ppx := with(pull, func(c *CellSpec) { c.Protocol, c.Variant = "push-pull", "ppx" })
 	covs := with(async, func(c *CellSpec) { c.CoverageFracs = []float64{0.5, 0.9} })
-	// 0.5 and 0.5+1e-12 share the milestone name q50 but not its rank.
-	twins := with(async, func(c *CellSpec) { c.CoverageFracs = []float64{0.5, 0.5 + 1e-12} })
 	crash1 := with(async, func(c *CellSpec) { c.Crashes = []CrashSpec{{Node: 3, Time: 1}} })
 	syncCrash1 := with(crash1, func(c *CellSpec) { c.Timing = TimingSync })
 	for _, tc := range []struct {
@@ -353,7 +351,6 @@ func TestSpellingsShareOneKey(t *testing.T) {
 		{"Per-Edge-Clocks with a crash", perEdge, with(perEdge, func(c *CellSpec) { c.View = "Per-Edge-Clocks" })},
 		{"coverage unsorted", covs, with(covs, func(c *CellSpec) { c.CoverageFracs = []float64{0.9, 0.5} })},
 		{"coverage repeated", covs, with(covs, func(c *CellSpec) { c.CoverageFracs = []float64{0.5, 0.9, 0.5} })},
-		{"coverage twins reversed", twins, with(twins, func(c *CellSpec) { c.CoverageFracs = []float64{0.5 + 1e-12, 0.5} })},
 		{"a node crashed twice", crash1, with(crash1, func(c *CellSpec) { c.Crashes = []CrashSpec{{Node: 3, Time: 1}, {Node: 3, Time: 2}} })},
 		{"a node crashed twice, later first", crash1, with(crash1, func(c *CellSpec) { c.Crashes = []CrashSpec{{Node: 3, Time: 2}, {Node: 3, Time: 1}} })},
 		{"a sync node crashed twice", syncCrash1, with(syncCrash1, func(c *CellSpec) { c.Crashes = []CrashSpec{{Node: 3, Time: 2}, {Node: 3, Time: 1}} })},
@@ -385,6 +382,16 @@ func TestSpellingsShareOneKey(t *testing.T) {
 				t.Errorf("coverage %v, canonical cell's %v", got.Coverage, want.Coverage)
 			}
 		})
+	}
+	// 0.5 and 0.5+1e-12 share the milestone name q50 but not its rank:
+	// one of the two values would be dropped, so both orders are refused
+	// with both fractions named.
+	for _, fracs := range [][]float64{{0.5, 0.5 + 1e-12}, {0.9, 0.5 + 1e-12, 0.5}} {
+		twins := with(async, func(c *CellSpec) { c.CoverageFracs = fracs })
+		err := twins.Validate()
+		if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), "0.5 and 0.500000000001") {
+			t.Errorf("coverage %v: Validate = %v, want %v naming both fractions", fracs, err, ErrBadSpec)
+		}
 	}
 	// A join between two crashes of one node brings it back, so the
 	// second crash is live and must stay in the key.
