@@ -120,6 +120,30 @@ func BenchmarkEngineScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkAsyncPushPullIsolated is async push-pull from node 0 under
+// the global view on G(2^14, 0.5 ln n / n), which has about √n = 128
+// isolated nodes: the row on which the async block's fallback for a
+// degree-0 actor is judged. The run ends when node 0's component is
+// informed.
+func BenchmarkAsyncPushPullIsolated(b *testing.B) {
+	const n = 1 << 14
+	g, err := graph.GNP(n, 0.5*math.Log(n)/n, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	isolated := 0
+	for v := range graph.NodeID(n) {
+		if g.Degree(v) == 0 {
+			isolated++
+		}
+	}
+	if reach := graph.Reachable(g, []graph.NodeID{0}); isolated == 0 || reach < n/2 {
+		b.Fatalf("%d isolated nodes, %d reachable from node 0: the row needs isolated nodes and a source in the giant component", isolated, reach)
+	}
+	benchAsync(b, g, AsyncConfig{Protocol: PushPull})
+	b.ReportMetric(float64(isolated), "isolated")
+}
+
 func BenchmarkAsyncGlobalHypercube14(b *testing.B) {
 	benchAsync(b, mustGraph(graph.Hypercube(14)), AsyncConfig{Protocol: PushPull})
 }
