@@ -133,7 +133,7 @@ func NewResample(base *Graph, period float64, build func(epoch uint64) (*Graph, 
 	if build == nil {
 		return nil, fmt.Errorf("%w: resample needs a build function", ErrDynamic)
 	}
-	return &Resample{base: base, period: period, build: build, cur: base}, nil
+	return &Resample{base: base, period: period, build: build, cur: base, built: make(map[uint64]*Graph)}, nil
 }
 
 // NumNodes implements Provider.
@@ -169,9 +169,6 @@ func (r *Resample) At(t float64) (*Graph, bool) {
 			return r.cur, false
 		}
 		if keep(&r.kept, g) {
-			if r.built == nil {
-				r.built = make(map[uint64]*Graph)
-			}
 			r.built[e] = g
 		}
 	}
