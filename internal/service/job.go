@@ -257,9 +257,10 @@ func (c CellSpec) effectiveCoverage() []float64 {
 
 // checkCoverageNames refuses two distinct fractions with one milestone
 // name: the result's Coverage map is keyed by name, so one of the two
-// values would be dropped. CoverageName is monotone in the fraction, so
-// once the list is sorted any such pair has a neighbouring one. A list
-// given sorted is checked in place, without allocating.
+// values would be dropped. The fractions with one name form an interval
+// (CoverageName rounds the percentage), so once the list is sorted any
+// such pair has a neighbouring one. A list given sorted is checked in
+// place, without allocating.
 func checkCoverageNames(fracs []float64) error {
 	if !slices.IsSorted(fracs) {
 		fracs = slices.Clone(fracs)
