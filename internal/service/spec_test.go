@@ -386,12 +386,17 @@ func TestSpellingsShareOneKey(t *testing.T) {
 	// 0.5 and 0.5+1e-12 share the milestone name q50 but not its rank:
 	// one of the two values would be dropped, so both orders are refused
 	// with both fractions named.
-	for _, fracs := range [][]float64{{0.5, 0.5 + 1e-12}, {0.9, 0.5 + 1e-12, 0.5}} {
-		twins := with(async, func(c *CellSpec) { c.CoverageFracs = fracs })
-		err := twins.Validate()
-		if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), "0.5 and 0.500000000001") {
-			t.Errorf("coverage %v: Validate = %v, want %v naming both fractions", fracs, err, ErrBadSpec)
-		}
+	for name, fracs := range map[string][]float64{
+		"coverage twins":          {0.5, 0.5 + 1e-12},
+		"coverage twins reversed": {0.9, 0.5 + 1e-12, 0.5},
+	} {
+		t.Run(name, func(t *testing.T) {
+			twins := with(async, func(c *CellSpec) { c.CoverageFracs = fracs })
+			err := twins.Validate()
+			if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), "0.5 and 0.500000000001") {
+				t.Errorf("coverage %v: Validate = %v, want %v naming both fractions", fracs, err, ErrBadSpec)
+			}
+		})
 	}
 	// A join between two crashes of one node brings it back, so the
 	// second crash is live and must stay in the key.
