@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -206,71 +208,138 @@ func TestSyncStepperWithCrashesFinishes(t *testing.T) {
 	}
 }
 
-// TestAsyncStepperStepGranularity: the stepper draws ticks a block at a
-// time but executes one per Step, and everything a caller can read
-// between two Steps is that one tick's state. Driven by hand, the
-// per-tick trace of (Time, Steps, NumInformed, Informed) reproduces the
-// whole run's InformedAt — over several block boundaries, and again
-// after a Reset in the middle of a block, which must drop the ticks
-// drawn from the old generator. The generator ends where the whole run
-// leaves it.
-func TestAsyncStepperStepGranularity(t *testing.T) {
-	g := mustGraph(graph.Hypercube(6))
-	cfg := AsyncConfig{Protocol: PushPull}
-	n := g.NumNodes()
-	stepper, err := NewAsyncStepper(g, 0, cfg, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
+// stepperRow is one asynchronous scenario the Step-by-Step pin drives:
+// its topology (a fresh cursor per call), its configuration, and
+// whether its runs end on a tick that the schedule or the topology
+// halts, which Step answers false although it counted the tick.
+type stepperRow struct {
+	name  string
+	topo  func() graph.Provider
+	cfg   AsyncConfig
+	halts bool
+}
+
+// stepperRows are the pin's rows: each protocol, each view, a crash
+// that strands the rumor, churn with an amnesiac rejoin, a lossy
+// channel, a resampled topology, one whose second epoch fails to
+// build, and a budget that ends inside a block.
+func stepperRows(t *testing.T) []stepperRow {
+	t.Helper()
+	cube := mustGraph(graph.Hypercube(6))
+	// Node 0 reaches most of this G(n, p), and some nodes are isolated,
+	// so the per-edge view draws its actors from a list.
+	sparse := mustGraph(graph.GNP(200, 1.5/200, xrand.New(3)))
+	static := func(g *graph.Graph) func() graph.Provider {
+		return func() graph.Provider { return graph.NewStatic(g) }
 	}
-	if len(stepper.block) != asyncBlock {
-		t.Fatalf("block length %d, want %d", len(stepper.block), asyncBlock)
-	}
-	for i := 0; i < asyncBlock/2-3; i++ { // abandon the first run mid-block
-		stepper.Step()
-	}
-	for seed := uint64(7); seed < 10; seed++ {
-		wantRNG := xrand.New(seed)
-		want, err := RunAsync(g, 0, cfg, wantRNG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Steps <= 2*asyncBlock {
-			t.Fatalf("seed %d: run of %d ticks does not cross two block boundaries", seed, want.Steps)
-		}
-		rng := xrand.New(seed)
-		stepper.Reset(rng)
-		at := make([]float64, n)
-		for v := range at {
-			at[v] = -1
-		}
-		at[0] = 0
-		informed, prev := 1, 0.0
-		for steps := int64(1); stepper.Step(); steps++ {
-			if stepper.Steps() != steps || stepper.Time() <= prev {
-				t.Fatalf("seed %d tick %d: Steps() = %d, Time() = %v after %v", seed, steps, stepper.Steps(), stepper.Time(), prev)
+	resample := func(period float64, fail uint64) func() graph.Provider {
+		return func() graph.Provider {
+			p, err := graph.NewResample(cube, period, func(epoch uint64) (*graph.Graph, error) {
+				if epoch == fail {
+					return nil, errors.New("epoch unavailable")
+				}
+				return graph.GNP(64, 0.1, xrand.New(epoch))
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			prev = stepper.Time()
-			for v := 0; v < n; v++ {
-				if at[v] < 0 && stepper.Informed(graph.NodeID(v)) {
-					at[v] = stepper.Time()
-					informed++
+			return p
+		}
+	}
+	return []stepperRow{
+		{name: "push", topo: static(cube), cfg: AsyncConfig{Protocol: Push}},
+		{name: "pull", topo: static(cube), cfg: AsyncConfig{Protocol: Pull}},
+		{name: "push-pull", topo: static(cube), cfg: AsyncConfig{Protocol: PushPull}},
+		{name: "per-node", topo: static(sparse), cfg: AsyncConfig{Protocol: PushPull, View: PerNodeClocks}},
+		{name: "per-edge", topo: static(sparse), cfg: AsyncConfig{Protocol: PushPull, View: PerEdgeClocks}},
+		{name: "global/isolated", topo: static(sparse), cfg: AsyncConfig{Protocol: Push}},
+		{name: "crash strands", topo: static(mustGraph(graph.Path(6))),
+			cfg: AsyncConfig{Protocol: PushPull, Crashes: []Crash{{Node: 2, Time: 0}}}, halts: true},
+		{name: "churn amnesiac", topo: static(cube), cfg: AsyncConfig{Protocol: PushPull, Churn: []ChurnEvent{
+			{Node: 1, Time: 1.5, Op: ChurnLeave}, {Node: 1, Time: 2.5, Op: ChurnJoin, DropState: true},
+			{Node: 2, Time: 1.5, Op: ChurnLeave}, {Node: 2, Time: 2.5, Op: ChurnJoin, DropState: true},
+			{Node: 4, Time: 2, Op: ChurnLeave}, {Node: 4, Time: 3, Op: ChurnJoin, DropState: true},
+			{Node: 40, Time: 1, Op: ChurnLeave}, {Node: 40, Time: 3, Op: ChurnJoin},
+		}}},
+		{name: "lossy", topo: static(cube), cfg: AsyncConfig{Protocol: PushPull, TransmitProb: 0.5}},
+		{name: "resample", topo: resample(0.5, 0), cfg: AsyncConfig{Protocol: PushPull, View: PerNodeClocks}},
+		{name: "resample fails", topo: resample(0.05, 2), cfg: AsyncConfig{Protocol: Push}, halts: true},
+		{name: "budget", topo: static(cube), cfg: AsyncConfig{Protocol: Push, MaxSteps: asyncBlock + 36}},
+	}
+}
+
+// stepByStep drives s one Step at a time to the end of its run, or to
+// budget as Trial.Run ends one, and returns the error Trial.Run would
+// and the answer of the last Step that executed a tick.
+func stepByStep(t *testing.T, s *AsyncStepper, budget int64) (err error, last bool) {
+	t.Helper()
+	for {
+		before, prev := s.Steps(), s.Time()
+		ok := s.Step()
+		switch moved := s.Steps() - before; {
+		case moved > 1 || moved == 0 && ok:
+			t.Fatalf("Step answered %v and executed %d ticks", ok, moved)
+		case moved == 1:
+			if s.Time() <= prev {
+				t.Fatalf("tick %d: Time() %v after %v", s.Steps(), s.Time(), prev)
+			}
+			last = ok
+		}
+		if !ok {
+			return s.Err(), last
+		}
+		if s.Steps() >= budget && !s.Finished() {
+			s.release(false) // the run ends here, as Trial.Run ends one
+			return ErrBudget, last
+		}
+	}
+}
+
+// TestAsyncStepperStepGranularity: a stepper driven one Step at a time
+// ends where Trial.Run ends the same scenario under the same generator —
+// InformedAt, Parent, Time, Steps, the error and the generator's next
+// draw — over several seeds on one stepper, the first run abandoned
+// inside a block, so Reset must drop the ticks it drew. Each Step
+// executes at most one tick, and answers false on the tick a schedule
+// or a topology halts although Steps counts it.
+func TestAsyncStepperStepGranularity(t *testing.T) {
+	for _, row := range stepperRows(t) {
+		t.Run(row.name, func(t *testing.T) {
+			trial, err := NewTrial(row.topo(), 0, row.cfg, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := newAsyncStepper(row.topo(), 0, row.cfg, xrand.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5 && s.Step(); i++ { // abandoned
+			}
+			for seed := uint64(7); seed < 10; seed++ {
+				wantRNG, rng := xrand.New(seed), xrand.New(seed)
+				out, werr := trial.Run(wantRNG)
+				want := out.Async
+				s.Reset(rng)
+				err, last := stepByStep(t, s, trial.budget)
+				got := s.Result()
+				sameErr := fmt.Sprint(err) == fmt.Sprint(werr)
+				if err == ErrBudget {
+					sameErr = errors.Is(werr, ErrBudget)
+				}
+				if !sameErr {
+					t.Fatalf("seed %d: Step by Step ends with %v, Trial.Run with %v", seed, err, werr)
+				}
+				if !equalAsync(got, want) {
+					t.Fatalf("seed %d: Step by Step ends at %v/%d with %d informed, Trial.Run at %v/%d with %d",
+						seed, got.Time, got.Steps, got.NumInformed, want.Time, want.Steps, want.NumInformed)
+				}
+				if last == row.halts {
+					t.Fatalf("seed %d: the run's last tick answered %v; the row halts: %v", seed, last, row.halts)
+				}
+				if g, w := rng.Uint64(), wantRNG.Uint64(); g != w {
+					t.Fatalf("seed %d: generator left at %x, Trial.Run leaves it at %x", seed, g, w)
 				}
 			}
-			if stepper.NumInformed() != informed {
-				t.Fatalf("seed %d tick %d: NumInformed() = %d, trace has %d", seed, steps, stepper.NumInformed(), informed)
-			}
-		}
-		if stepper.Steps() != want.Steps || stepper.Time() != want.Time {
-			t.Fatalf("seed %d: hand-driven run ended at %v/%d, whole run at %v/%d",
-				seed, stepper.Time(), stepper.Steps(), want.Time, want.Steps)
-		}
-		for v := range at {
-			if at[v] != want.InformedAt[v] {
-				t.Fatalf("seed %d: node %d seen informed at %v, InformedAt says %v", seed, v, at[v], want.InformedAt[v])
-			}
-		}
-		if got, want := rng.Uint64(), wantRNG.Uint64(); got != want {
-			t.Fatalf("seed %d: generator left at %x, the whole run leaves it at %x", seed, got, want)
-		}
+		})
 	}
 }
