@@ -128,19 +128,24 @@ func checkPayloads[P any](t *testing.T, method string, v P, bs [][]byte) {
 // TestFrameCodecShapes holds the frame and payload codecs to the oracle
 // and to their allocation bounds on payloads that are a long run of one
 // shape, framed in an envelope and alone. A frame costs its body
-// buffer and a copy of the payload where encoding/json reads it; a
-// payload read by encoding/json costs up to seven copies of a long
-// number, in the error that says it does not fit a Round.
+// buffer and a copy of the payload where encoding/json reads it. A
+// payload with a round field, read alone, costs at most two bytes per
+// byte: a long number that does not fit a Round is refused with one
+// copy of its digits in the error.
 func TestFrameCodecShapes(t *testing.T) {
 	const head = `{"method":"push","from":1,"payload":`
-	rumors := payloads[Rumor](MethodPush)
+	rumors, pulls, cmds := payloads[Rumor](MethodPush), payloads[PullRequest](MethodPull), payloads[RoundCmd](MethodRound)
 	for _, payload := range layouttest.Shapes(`{"round":`, "}", MaxFrame-len(head)-16) {
 		body := append(append([]byte(head), payload...), '}')
 		frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 		frames.Reads(t, frame)
 		frames.Allocates(t, frame, 2, 64<<10)
 		rumors.Reads(t, payload)
-		rumors.Allocates(t, payload, 8, 4<<10)
+		rumors.Allocates(t, payload, 2, 4<<10)
+		pulls.Reads(t, payload)
+		pulls.Allocates(t, payload, 2, 4<<10)
+		cmds.Reads(t, payload)
+		cmds.Allocates(t, payload, 2, 4<<10)
 	}
 }
 
