@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"rumor/internal/jsonlayout/layouttest"
@@ -146,6 +148,31 @@ func TestFrameCodecShapes(t *testing.T) {
 		pulls.Allocates(t, payload, 2, 4<<10)
 		cmds.Reads(t, payload)
 		cmds.Allocates(t, payload, 2, 4<<10)
+	}
+}
+
+// TestRoundRefusalIsEncodingJSONs: a round that no int32 holds is
+// refused with the error json.Unmarshal gives, field for field under
+// errors.As, offset included, and with Decode's wording; 0, -0, a
+// leading zero, a fraction and the int32 limits are not refused here.
+func TestRoundRefusalIsEncodingJSONs(t *testing.T) {
+	for _, n := range []string{"2147483648", "-2147483649", "9223372036854775808", "-99999999999999999999999"} {
+		p := []byte(`{"round":` + n + `}`)
+		for _, out := range []any{new(Rumor), new(PullRequest), new(RoundCmd)} {
+			got, want := (&Envelope{Method: MethodRound, Payload: p}).Decode(out), oracleDecode(&Envelope{Method: MethodRound, Payload: p}, out)
+			var gt, wt *json.UnmarshalTypeError
+			if !errors.As(got, &gt) || !errors.As(want, &wt) || !reflect.DeepEqual(gt, wt) || got.Error() != want.Error() {
+				t.Fatalf("%s into %T: %#v (%v), encoding/json %#v (%v)", p, out, gt, got, wt, want)
+			}
+		}
+	}
+	for _, n := range []string{"0", "-0", "2147483647", "-2147483648", "01", "1.5", "-", "1e3", "2147483648 "} {
+		if err := roundRefusal([]byte(`{"round":`+n+`}`), new(Rumor)); err != nil {
+			t.Fatalf("round %q refused: %v", n, err)
+		}
+	}
+	if err := roundRefusal([]byte(`{"round":2147483648}`), (*Rumor)(nil)); err != nil {
+		t.Fatalf("refused into a nil Rumor: %v", err)
 	}
 }
 

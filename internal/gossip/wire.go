@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -104,6 +106,9 @@ func (e *Envelope) Decode(out interface{}) error {
 	}
 	if decodeHot(e.Payload, out) {
 		return nil
+	}
+	if err := roundRefusal(e.Payload, out); err != nil {
+		return &payloadError{method: e.Method, err: err}
 	}
 	if err := json.Unmarshal(e.Payload, out); err != nil {
 		return fmt.Errorf("gossip: %s: decoding payload: %w", e.Method, err)
@@ -209,6 +214,72 @@ func parseInformed(p []byte, informed *bool) bool {
 	}
 	return true
 }
+
+// roundRefusal returns the error json.Unmarshal gives when out is a
+// non-nil round payload and p is {"round":N}, N an integer as JSON
+// writes one that no int32 holds; otherwise nil, and p is left to
+// json.Unmarshal. The error holds one copy of N. encoding/json's, with
+// Decode's wrapping through fmt, is written out as it is made: about
+// seven copies of a number that may be nearly MaxFrame long.
+func roundRefusal(p []byte, out interface{}) error {
+	var name string
+	switch out := out.(type) {
+	case *Rumor:
+		if out != nil {
+			name = "Rumor"
+		}
+	case *PullRequest:
+		if out != nil {
+			name = "PullRequest"
+		}
+	case *RoundCmd:
+		if out != nil {
+			name = "RoundCmd"
+		}
+	}
+	n, ok := bytes.CutPrefix(p, []byte(`{"round":`))
+	if n, ok = bytes.CutSuffix(n, []byte("}")); name == "" || !ok || !outsideInt32(n) {
+		return nil
+	}
+	// The offset is where encoding/json's reader stands after the number.
+	return &json.UnmarshalTypeError{Value: "number " + string(n), Type: reflect.TypeFor[int32](),
+		Offset: int64(len(p) - 1), Struct: name, Field: "round"}
+}
+
+// outsideInt32 reports whether n is an integer as JSON writes one — an
+// optional minus, then 0 or digits with no leading zero — that no int32
+// holds.
+func outsideInt32(n []byte) bool {
+	digits := bytes.TrimPrefix(n, []byte("-"))
+	if len(digits) == 0 || digits[0] == '0' {
+		return false // 0 and -0 fit; a leading zero is not JSON
+	}
+	var v int64 // saturates just past int32's range
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return false
+		}
+		v = min(10*v+int64(c-'0'), math.MaxInt32+2)
+	}
+	if len(digits) < len(n) {
+		return v > -math.MinInt32
+	}
+	return v > math.MaxInt32
+}
+
+// payloadError is Decode's error for a payload that encoding/json
+// refuses, worded as Decode wraps encoding/json's errors, but written
+// out only when read.
+type payloadError struct {
+	method string
+	err    error
+}
+
+func (e *payloadError) Error() string {
+	return "gossip: " + e.method + ": decoding payload: " + e.err.Error()
+}
+
+func (e *payloadError) Unwrap() error { return e.err }
 
 // encodeFrame renders env as one length-prefixed frame: a 4-byte
 // big-endian length followed by the JSON envelope.
