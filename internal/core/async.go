@@ -43,36 +43,6 @@ func RunAsyncTopo(topo graph.Provider, src graph.NodeID, cfg AsyncConfig, rng *x
 	return out.Async, err
 }
 
-// contact executes the tick in which v contacts w: the rumor crosses
-// between them at once if the protocol and the channel allow it.
-func (s *AsyncStepper) contact(v, w graph.NodeID) {
-	if !aliveIn(s.avail, v) || !aliveIn(s.avail, w) {
-		return
-	}
-	vInf, wInf := s.st.informed.get(v), s.st.informed.get(w)
-	if vInf == wInf {
-		return
-	}
-	switch s.protocol {
-	case Push:
-		if !vInf {
-			return
-		}
-	case Pull:
-		if !wInf {
-			return
-		}
-	}
-	if s.prob < 1 && !s.rng.Bernoulli(s.prob) {
-		return
-	}
-	if vInf {
-		v, w = w, v
-	}
-	s.informedAt[v] = s.t
-	s.inform(s.t, v, w)
-}
-
 // AsyncSpreadingTime runs pp-a with the given protocol (GlobalClock view)
 // and returns only T(α, G, u): the time before all nodes are informed.
 // It returns an error if the graph is disconnected or the budget is

@@ -13,56 +13,44 @@ import (
 // contact decision (one batched draw consumed), the unit the bench/
 // workloads' core.*_updates_per_s metrics track.
 
-func benchSync(b *testing.B, g *graph.Graph, cfg SyncConfig) {
+// benchTrial runs one trial per iteration through Trial.Run, the path
+// every cell takes, and reports updates/sec (Outcome.Work) and, for a
+// synchronous process, rounds/op.
+func benchTrial[C SyncConfig | AsyncConfig](b *testing.B, g *graph.Graph, cfg C) {
 	root := xrand.New(1)
-	s, err := NewSyncStepper(g, 0, cfg, root.Child(0))
+	trial, err := NewTrial(graph.NewStatic(g), 0, cfg, 0, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var updates, rounds int64
+	var work int64
+	var rounds float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Reset(root.Child(uint64(i)))
-		for s.Step() {
+		out, err := trial.Run(root.Child(uint64(i)))
+		if err != nil {
+			b.Fatal(err)
 		}
-		updates += s.Updates()
-		rounds += int64(s.Round())
+		work += out.Work()
+		if out.Sync != nil {
+			rounds += out.Time()
+		}
 	}
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(updates)/secs, "updates/sec")
-		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-	}
-}
-
-func benchAsync(b *testing.B, g *graph.Graph, cfg AsyncConfig) {
-	root := xrand.New(1)
-	s, err := NewAsyncStepper(g, 0, cfg, root.Child(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var steps int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset(root.Child(uint64(i)))
-		for s.Step() {
+		b.ReportMetric(float64(work)/secs, "updates/sec")
+		if _, sync := any(cfg).(SyncConfig); sync {
+			b.ReportMetric(rounds/float64(b.N), "rounds/op")
 		}
-		steps += s.Steps()
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(steps)/secs, "updates/sec")
 	}
 }
 
 func BenchmarkSyncPushPullHypercube14(b *testing.B) {
-	benchSync(b, mustGraph(graph.Hypercube(14)), SyncConfig{Protocol: PushPull})
+	benchTrial(b, mustGraph(graph.Hypercube(14)), SyncConfig{Protocol: PushPull})
 }
 
 func BenchmarkSyncPushComplete4096(b *testing.B) {
-	benchSync(b, mustGraph(graph.Complete(4096)), SyncConfig{Protocol: Push})
+	benchTrial(b, mustGraph(graph.Complete(4096)), SyncConfig{Protocol: Push})
 }
 
 func BenchmarkSyncPushPullGNP(b *testing.B) {
@@ -70,7 +58,7 @@ func BenchmarkSyncPushPullGNP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSync(b, g, SyncConfig{Protocol: PushPull})
+	benchTrial(b, g, SyncConfig{Protocol: PushPull})
 }
 
 // largeGNP is the bench/ engine_large_n workload's graph (CSR ~38 MB,
@@ -87,11 +75,11 @@ func largeGNP(b *testing.B) *graph.Graph {
 // BenchmarkSyncPushPullGNPLarge and BenchmarkAsyncPushPullGNPLarge are
 // the large-n cliff as `go test -bench` lines, one per engine.
 func BenchmarkSyncPushPullGNPLarge(b *testing.B) {
-	benchSync(b, largeGNP(b), SyncConfig{Protocol: PushPull})
+	benchTrial(b, largeGNP(b), SyncConfig{Protocol: PushPull})
 }
 
 func BenchmarkAsyncPushPullGNPLarge(b *testing.B) {
-	benchAsync(b, largeGNP(b), AsyncConfig{Protocol: PushPull})
+	benchTrial(b, largeGNP(b), AsyncConfig{Protocol: PushPull})
 }
 
 // BenchmarkEngineScaling is cliff A as one curve: push-pull from node 0
@@ -109,11 +97,11 @@ func BenchmarkEngineScaling(b *testing.B) {
 			}
 			csr := float64(8*(g.NumNodes()+1) + 4*2*g.NumEdges())
 			b.Run("sync", func(b *testing.B) {
-				benchSync(b, g, SyncConfig{Protocol: PushPull})
+				benchTrial(b, g, SyncConfig{Protocol: PushPull})
 				b.ReportMetric(csr, "csr-bytes")
 			})
 			b.Run("async", func(b *testing.B) {
-				benchAsync(b, g, AsyncConfig{Protocol: PushPull})
+				benchTrial(b, g, AsyncConfig{Protocol: PushPull})
 				b.ReportMetric(csr, "csr-bytes")
 			})
 		})
@@ -140,16 +128,16 @@ func BenchmarkAsyncPushPullIsolated(b *testing.B) {
 	if reach := graph.Reachable(g, []graph.NodeID{0}); isolated == 0 || reach < n/2 {
 		b.Fatalf("%d isolated nodes, %d reachable from node 0: the row needs isolated nodes and a source in the giant component", isolated, reach)
 	}
-	benchAsync(b, g, AsyncConfig{Protocol: PushPull})
+	benchTrial(b, g, AsyncConfig{Protocol: PushPull})
 	b.ReportMetric(float64(isolated), "isolated")
 }
 
 func BenchmarkAsyncGlobalHypercube14(b *testing.B) {
-	benchAsync(b, mustGraph(graph.Hypercube(14)), AsyncConfig{Protocol: PushPull})
+	benchTrial(b, mustGraph(graph.Hypercube(14)), AsyncConfig{Protocol: PushPull})
 }
 
 func BenchmarkAsyncPerEdgeHypercube14(b *testing.B) {
-	benchAsync(b, mustGraph(graph.Hypercube(14)), AsyncConfig{Protocol: PushPull, View: PerEdgeClocks})
+	benchTrial(b, mustGraph(graph.Hypercube(14)), AsyncConfig{Protocol: PushPull, View: PerEdgeClocks})
 }
 
 func BenchmarkReferenceSyncHypercube10(b *testing.B) {

@@ -205,6 +205,9 @@ type SyncResult struct {
 	// pull contact draws over all rounds) — the work unit reported by the
 	// throughput benchmarks.
 	Updates int64
+	// order is the informed set by informing time, as the stepper keeps
+	// it, or nil (see CoverageRounds).
+	order []graph.NodeID
 }
 
 // AsyncResult reports an asynchronous run.
@@ -228,6 +231,9 @@ type AsyncResult struct {
 	NumInformed int
 	// Complete reports whether every node in the graph was informed.
 	Complete bool
+	// order is the informed set by informing time, as the stepper keeps
+	// it, or nil (see CoverageTimes).
+	order []graph.NodeID
 }
 
 // CoverageRound returns the first round by which at least
@@ -238,19 +244,24 @@ func (r *SyncResult) CoverageRound(frac float64) int32 {
 
 // CoverageRounds returns, for each fraction, the first round by which at
 // least ceil(frac * n) nodes were informed, or -1 if that coverage was
-// never reached. Informing rounds lie in [0, Rounds], so one counting
-// pass (nodes per round, then a running total) serves all queries:
-// batching fractions is much cheaper than repeated CoverageRound calls.
+// never reached. A stepper's result reads each answer off the informing
+// order it keeps. Any other is served by one counting pass (nodes per
+// round, then a running total; informing rounds lie in [0, Rounds]).
+// Either way batching fractions is much cheaper than repeated
+// CoverageRound calls.
 func (r *SyncResult) CoverageRounds(fracs []float64) []int32 {
 	n := len(r.InformedAt)
-	informedBy := make([]int, r.Rounds+1) // nodes informed in round t, then by round t
-	for _, t := range r.InformedAt {
-		if t >= 0 {
-			informedBy[t]++
+	var informedBy []int // nodes informed in round t, then by round t
+	if r.order == nil {
+		informedBy = make([]int, r.Rounds+1)
+		for _, t := range r.InformedAt {
+			if t >= 0 {
+				informedBy[t]++
+			}
 		}
-	}
-	for t := 1; t < len(informedBy); t++ {
-		informedBy[t] += informedBy[t-1]
+		for t := 1; t < len(informedBy); t++ {
+			informedBy[t] += informedBy[t-1]
+		}
 	}
 	out := make([]int32, len(fracs))
 	for i, frac := range fracs {
@@ -258,11 +269,18 @@ func (r *SyncResult) CoverageRounds(fracs []float64) []int32 {
 			continue
 		}
 		need := max(int(math.Ceil(frac*float64(n))), 1)
-		t := sort.SearchInts(informedBy, need)
-		if t == len(informedBy) {
-			t = -1
+		switch {
+		case r.order == nil:
+			t := sort.SearchInts(informedBy, need)
+			if t == len(informedBy) {
+				t = -1
+			}
+			out[i] = int32(t)
+		case need > len(r.order):
+			out[i] = -1
+		default:
+			out[i] = r.InformedAt[r.order[need-1]]
 		}
-		out[i] = int32(t)
 	}
 	return out
 }
@@ -276,15 +294,22 @@ func (r *AsyncResult) CoverageTime(frac float64) float64 {
 // CoverageTimes returns, for each fraction, the earliest time by which at
 // least ceil(frac * n) nodes were informed, or -1 if that coverage was
 // never reached. Each answer is an order statistic of the informing
-// times, found by selection over one shared copy that every query
-// leaves more partitioned for the next, so batching fractions is much
-// cheaper than repeated CoverageTime calls and nothing is sorted.
+// times. A stepper's result reads it off the informing order the
+// stepper keeps, with no copy. Any other result finds it by selection
+// over one shared copy of the times that every query leaves more
+// partitioned for the next. Either way batching fractions is much
+// cheaper than repeated CoverageTime calls, and nothing is sorted.
 func (r *AsyncResult) CoverageTimes(fracs []float64) []float64 {
-	times := make([]float64, 0, len(r.InformedAt))
-	for _, t := range r.InformedAt {
-		if t >= 0 {
-			times = append(times, t)
+	informed := len(r.order)
+	var times []float64
+	if r.order == nil {
+		times = make([]float64, 0, len(r.InformedAt))
+		for _, t := range r.InformedAt {
+			if t >= 0 {
+				times = append(times, t)
+			}
 		}
+		informed = len(times)
 	}
 	out := make([]float64, len(fracs))
 	// times[:lo] holds the lo smallest times: a rank at or past lo is
@@ -294,8 +319,10 @@ func (r *AsyncResult) CoverageTimes(fracs []float64) []float64 {
 		k := max(int(math.Ceil(frac*float64(len(r.InformedAt)))), 1) - 1
 		switch {
 		case frac <= 0:
-		case k >= len(times):
+		case k >= informed:
 			out[i] = -1
+		case r.order != nil:
+			out[i] = r.InformedAt[r.order[k]]
 		case k >= lo:
 			out[i] = selectNth(times[lo:], k-lo)
 			lo = k

@@ -236,3 +236,55 @@ func TestCoverageTimesMatchesSortedOrder(t *testing.T) {
 	}
 	check("empty", nil)
 }
+
+// TestCoverageOrderMatchesSelection: a stepper's result reads coverage
+// off the informing order it keeps, and the same result without that
+// order takes the path of results built elsewhere — selection over the
+// informing times, or counting nodes per round. The two agree bit for
+// bit on every row of the Step-by-Step pin, under both timings (a row's
+// synchronous twin drops its view and bounds a budget row by rounds):
+// ties at time 0 and within a round, amnesiac rejoins, stranded runs,
+// failed epochs and budget cuts, for fractions in any order.
+func TestCoverageOrderMatchesSelection(t *testing.T) {
+	fracs := []float64{0.5, -1, 1, 0.25, 0.9, 0, 0.99, 1e-9, 0.75, 0.5, 0.01, 1.5, 1.0 / 64}
+	for _, row := range stepperRows(t) {
+		t.Run(row.name, func(t *testing.T) {
+			async, err := NewTrial(row.topo(), 0, row.cfg, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := SyncConfig{Protocol: row.cfg.Protocol, TransmitProb: row.cfg.TransmitProb,
+				Crashes: row.cfg.Crashes, Churn: row.cfg.Churn}
+			if row.cfg.MaxSteps > 0 {
+				cfg.MaxRounds = 3
+			}
+			sync, err := NewTrial(row.topo(), 0, cfg, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(0); seed < 4; seed++ {
+				out, _ := async.Run(xrand.New(seed))
+				plain := *out.Async
+				plain.order = nil
+				if out.Async.order == nil {
+					t.Fatal("the stepper's result has no informing order")
+				}
+				got, want := out.Async.CoverageTimes(fracs), plain.CoverageTimes(fracs)
+				for i := range fracs {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("async seed %d frac %v: order reads %v, selection %v", seed, fracs[i], got[i], want[i])
+					}
+				}
+				out, _ = sync.Run(xrand.New(seed))
+				splain := *out.Sync
+				splain.order = nil
+				if out.Sync.order == nil {
+					t.Fatal("the stepper's result has no informing order")
+				}
+				if got, want := out.Sync.CoverageRounds(fracs), splain.CoverageRounds(fracs); !slices.Equal(got, want) {
+					t.Fatalf("sync seed %d: order reads %v, counting %v (fractions %v)", seed, got, want, fracs)
+				}
+			}
+		})
+	}
+}

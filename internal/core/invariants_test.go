@@ -326,8 +326,8 @@ func TestAsyncBoundaryTracking(t *testing.T) {
 		s := run(t, graph.NewStatic(path), AsyncConfig{Protocol: PushPull, Crashes: []Crash{{Node: 2, Time: 0}}})
 		st := s.st
 		st.compactBoundary()
-		if !st.tracked || !s.finished || st.num != 2 || len(st.boundary) != 1 || st.boundary[0] != 2 || !st.inBoundary.get(2) || st.infNbrs != nil {
-			t.Fatalf("tracked=%v halted=%v informed=%d boundary=%v infNbrs=%d", st.tracked, s.finished, st.num, st.boundary, len(st.infNbrs))
+		if !st.tracked || !s.halted || st.num != 2 || len(st.boundary) != 1 || st.boundary[0] != 2 || !st.inBoundary.get(2) || st.infNbrs != nil {
+			t.Fatalf("tracked=%v halted=%v informed=%d boundary=%v infNbrs=%d", st.tracked, s.halted, st.num, st.boundary, len(st.infNbrs))
 		}
 	})
 	t.Run("dynamic: rebind scans nothing", func(t *testing.T) {

@@ -192,7 +192,8 @@ func (s *SyncStepper) Finished() bool {
 func (s *SyncStepper) Updates() int64 { return s.updates }
 
 // Result snapshots the current state as a SyncResult. The slices alias
-// the stepper's arenas: they are valid until the next Reset.
+// the stepper's arenas: they are valid until the next Reset, and read
+// as the snapshot's state only until the next Step.
 func (s *SyncStepper) Result() *SyncResult {
 	r := s.snapshot()
 	return &r
@@ -206,6 +207,7 @@ func (s *SyncStepper) snapshot() SyncResult {
 		NumInformed: s.st.num,
 		Complete:    s.st.num == s.g.NumNodes(),
 		Updates:     s.updates,
+		order:       s.st.order,
 	}
 }
 
@@ -227,28 +229,32 @@ func (s *SyncStepper) snapshot() SyncResult {
 // removing the offline clocks and restarting them on rejoin, which is how
 // RunAsyncReference, the specification, does it.
 //
-// Ticks are drawn a block at a time and executed one per Step. A tick's
-// draws (gap, actor, neighbor index) depend on the graph but never on the
-// informed set, so a block is filled in three passes. The first takes
-// from the generator, in per-tick order, each tick's gap, its actor and
-// one raw word for its neighbor index, and reads no graph memory. The
-// second loads every actor's degree and reduces each raw word to an index
-// as Uint64n(deg) would; the third resolves every contact
-// adj[offsets[v]+k]. Each pass's loads are independent, so on a graph
-// larger than the cache their misses overlap instead of each tick paying
-// two in full before the next tick's addresses are known. Uint64n(deg)
-// draws exactly one word unless deg is 0 (an isolated actor draws none)
-// or its rejection test may fire (a chance below deg/2^64); the second
-// pass flags both, and a flagged block rewinds the generator and redraws
-// itself one tick at a time, so the stream is the same. Two things force
-// the block down to a single tick, both properties of the scenario:
-// TransmitProb < 1 (the Bernoulli draw of a transmitting contact sits
-// between two ticks' draws, and whether it is taken depends on the
-// informed set) and a dynamic topology (the next tick may run on another
-// graph).
+// Ticks are drawn a block at a time and executed by run, in one loop
+// per call, until the run ends or a tick limit: Trial.Run's limit is its
+// budget, Step's the next tick. A tick's draws (gap, actor, neighbor
+// index) depend on the graph but never on the informed set, so a block
+// is filled in three passes. The first takes from the generator, in
+// per-tick order, each tick's gap, its actor and one raw word for its
+// neighbor index, and reads no graph memory. The second loads every
+// actor's degree and reduces each raw word to an index as Uint64n(deg)
+// would; the third resolves every contact adj[offsets[v]+k]. Each pass's
+// loads are independent, so on a graph larger than the cache their
+// misses overlap instead of each tick paying two in full before the next
+// tick's addresses are known. Uint64n(deg) draws exactly one word unless
+// deg is 0 (an isolated actor draws none) or its rejection test may fire
+// (a chance below deg/2^64); the second pass flags both, and a flagged
+// block rewinds the generator and redraws itself one tick at a time, so
+// the stream is the same. Two things force the block down to a single
+// tick, both properties of the scenario: TransmitProb < 1 (the Bernoulli
+// draw of a transmitting contact sits between two ticks' draws, and
+// whether it is taken depends on the informed set) and a dynamic
+// topology (the next tick may run on another graph). The same properties,
+// and a schedule, are all the tick loop asks about the scenario: a
+// static lossless run with no schedule executes a tick as its draws, two
+// informed-set bits and, if the rumor moves, the informing.
 //
-// The stepper therefore owns its generator between Step calls: while a
-// run is in progress the generator is up to a block ahead of the ticks
+// The stepper therefore owns its generator between calls: while a run
+// is in progress the generator is up to a block ahead of the ticks
 // executed. When the run ends — completion, a schedule tick that halts
 // it, a topology error, or Trial.Run's budget — the generator is put
 // back exactly where a tick-at-a-time engine would have left it, so a
@@ -270,12 +276,20 @@ type AsyncStepper struct {
 	checkEvery int64
 	t          float64
 	steps      int64
-	finished   bool
+	// halted says the schedule or the topology ended the run on its last
+	// tick; a run that completed is told by the spread state.
+	halted bool
 	// block[head:] are the ticks drawn but not yet executed; mark is the
 	// generator as it stood before block[0] was drawn.
 	block []asyncTick
 	head  int
 	mark  xrand.RNG
+	// draws is drawBlock's scratch: a block's gaps, actor indices and
+	// raw neighbor words.
+	draws struct {
+		dt       [asyncBlock]float64
+		idx, raw [asyncBlock]uint64
+	}
 }
 
 // asyncTick is one pre-drawn clock tick.
@@ -351,46 +365,92 @@ func (s *AsyncStepper) Reset(rng *xrand.RNG) {
 	startTimes(s.informedAt, s.sources)
 	s.t = 0
 	s.steps = 0
-	s.finished = false
+	s.halted = false
 	s.head = len(s.block)
 }
 
-// Step executes one clock tick and returns true, or returns false without
-// executing anything if no further progress is possible.
+// Step executes one clock tick and returns true, or returns false if no
+// further progress is possible: it executed nothing, or the schedule or
+// the topology ended the run on the tick it executed, which Steps and
+// Time count.
 func (s *AsyncStepper) Step() bool {
-	if s.finished || s.st.done() || s.n == 0 {
-		s.finished = true
+	before := s.steps
+	s.run(before + 1)
+	return s.steps > before && !s.halted
+}
+
+// run executes ticks until the run ends or steps reaches limit, and
+// reports whether it stopped at the limit with the run still going. A
+// run that ends has put the generator back (see release); one stopped
+// at the limit still holds the rest of its block.
+func (s *AsyncStepper) run(limit int64) bool {
+	if s.halted || s.st.done() || s.n == 0 {
 		return false
 	}
-	if s.head == len(s.block) {
-		s.drawBlock()
+	// special: a schedule or the topology comes into every tick; plain:
+	// neither does the channel, so a contact that would move the rumor
+	// does.
+	special := s.avail != nil || s.dynamic
+	plain := !special && s.prob >= 1
+	push, pull := s.protocol != Pull, s.protocol != Push
+	informed := s.st.informed.words
+	for s.steps < limit {
+		if s.head == len(s.block) {
+			s.drawBlock()
+		}
+		tk := &s.block[s.head]
+		s.head++
+		s.steps++
+		s.t += tk.dt
+		if special && !s.scheduleTick(tk) {
+			return false
+		}
+		v, w := tk.v, tk.w
+		if w < 0 {
+			continue
+		}
+		vInf := informed[uint32(v)>>6]&(1<<(uint32(v)&63)) != 0
+		wInf := informed[uint32(w)>>6]&(1<<(uint32(w)&63)) != 0
+		if vInf == wInf || vInf && !push || wInf && !pull || !plain && !s.admit(v, w) {
+			continue
+		}
+		if vInf {
+			v, w = w, v
+		}
+		s.informedAt[v] = s.t
+		s.inform(s.t, v, w)
+		if s.st.done() {
+			s.release(false)
+			return false
+		}
 	}
-	tk := &s.block[s.head]
-	s.head++
-	s.steps++
-	s.t += tk.dt
-	if s.avail != nil && s.advance(s.t, s.steps%s.checkEvery == 0) {
-		s.end(true)
+	return true
+}
+
+// scheduleTick applies the schedule and the topology to the tick just
+// begun and, on a dynamic topology, draws its contact. It reports
+// whether the tick goes on; a tick they end the run on halts it.
+func (s *AsyncStepper) scheduleTick(tk *asyncTick) bool {
+	if s.avail != nil && s.advance(s.t, s.steps%s.checkEvery == 0) || s.dynamic && !s.at(s.t) {
+		s.halted = true
+		s.release(true)
 		return false
 	}
 	if s.dynamic {
-		if !s.at(s.t) {
-			s.end(true)
-			return false
-		}
 		// The one draw that cannot move into drawBlock: which graph this
 		// tick runs on is known only now, and the neighbor draw is taken
 		// over the actor's degree in that graph.
 		s.drawContact(tk)
 		s.resolve(tk)
 	}
-	if tk.w >= 0 {
-		s.contact(tk.v, tk.w)
-		if s.st.done() {
-			s.end(false)
-		}
-	}
 	return true
+}
+
+// admit reports whether a contact that would move the rumor between v
+// and w goes through: both are online, and then the channel's Bernoulli
+// draw, the one draw a tick takes that depends on the informed set.
+func (s *AsyncStepper) admit(v, w graph.NodeID) bool {
+	return aliveIn(s.avail, v) && aliveIn(s.avail, w) && (s.prob >= 1 || s.rng.Bernoulli(s.prob))
 }
 
 // drawBlock refills the block in three passes: the generator's draws
@@ -404,8 +464,7 @@ func (s *AsyncStepper) drawBlock() {
 		s.block[0].dt = s.rng.Exp(s.rate)
 		return
 	}
-	var dt [asyncBlock]float64
-	var idx, raw [asyncBlock]uint64
+	dt, idx, raw := &s.draws.dt, &s.draws.idx, &s.draws.raw
 	m := len(s.block)
 	s.rng.FillTicks(s.rate, s.n, dt[:m], idx[:m], raw[:m])
 	exact := true
@@ -470,17 +529,10 @@ func (s *AsyncStepper) resolve(tk *asyncTick) {
 	}
 }
 
-// end finishes the run and releases the generator; halted says the last
-// tick stopped after its gap draw (the schedule or the topology ended the
-// run before the tick had an actor).
-func (s *AsyncStepper) end(halted bool) {
-	s.finished = true
-	s.release(halted)
-}
-
 // release puts the generator back where executing block[:head] one tick
 // at a time would have left it — after the whole draws of those ticks,
-// or after only the gap draw of the last one if it halted — and forgets
+// or after only the gap draw of the last one if it halted (the schedule
+// or the topology ended the run before the tick had an actor) — and forgets
 // the rest of the block. A block executed to its end without halting
 // already is in that position (and a lossy contact's Bernoulli draw may
 // have followed it). Otherwise the executed ticks are replayed from mark,
@@ -508,11 +560,12 @@ func (s *AsyncStepper) Steps() int64 { return s.steps }
 
 // Finished reports whether no further progress is possible.
 func (s *AsyncStepper) Finished() bool {
-	return s.finished || s.st.done()
+	return s.halted || s.st.done()
 }
 
 // Result snapshots the current state as an AsyncResult. The slices alias
-// the stepper's arenas: they are valid until the next Reset.
+// the stepper's arenas: they are valid until the next Reset, and read
+// as the snapshot's state only until the next Step.
 func (s *AsyncStepper) Result() *AsyncResult {
 	r := s.snapshot()
 	return &r
@@ -526,6 +579,7 @@ func (s *AsyncStepper) snapshot() AsyncResult {
 		Parent:      s.st.parent,
 		NumInformed: s.st.num,
 		Complete:    s.st.num == len(s.informedAt),
+		order:       s.st.order,
 	}
 }
 

@@ -215,13 +215,10 @@ func (t *Trial) Run(rng *xrand.RNG) (Outcome, error) {
 	} else {
 		s.Reset(rng)
 	}
-	for err == nil && s.Step() {
-		if s.steps >= t.budget && !s.Finished() {
-			err = t.budgetErr(s.steps, "steps", s.g)
-			s.release(false) // the run ends here, not in Step
-		}
-	}
-	if err == nil {
+	if s.run(t.budget) {
+		err = t.budgetErr(s.steps, "steps", s.g)
+		s.release(false) // the run ends here, not in run
+	} else {
 		err = s.terr
 	}
 	t.ares = s.snapshot()
