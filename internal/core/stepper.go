@@ -387,8 +387,8 @@ func (s *AsyncStepper) run(limit int64) bool {
 	if s.halted || s.st.done() || s.n == 0 {
 		return false
 	}
-	// special: a schedule or the topology comes into every tick; plain:
-	// neither does the channel, so a contact that would move the rumor
+	// special: the schedule or the topology comes into every tick. plain:
+	// nor does the channel, so every contact that would move the rumor
 	// does.
 	special := s.avail != nil || s.dynamic
 	plain := !special && s.prob >= 1
@@ -532,12 +532,13 @@ func (s *AsyncStepper) resolve(tk *asyncTick) {
 // release puts the generator back where executing block[:head] one tick
 // at a time would have left it — after the whole draws of those ticks,
 // or after only the gap draw of the last one if it halted (the schedule
-// or the topology ended the run before the tick had an actor) — and forgets
-// the rest of the block. A block executed to its end without halting
-// already is in that position (and a lossy contact's Bernoulli draw may
-// have followed it). Otherwise the executed ticks are replayed from mark,
-// which is exact: their draws are a function of the generator and the
-// graph alone, and a one-tick block only ever replays its gap.
+// or the topology ended the run before the tick had an actor) — and
+// forgets the rest of the block. A block executed to its end without
+// halting already is in that position (and a lossy contact's Bernoulli
+// draw may have followed it). Otherwise the executed ticks are replayed
+// from mark, which is exact: their draws are a function of the
+// generator and the graph alone, and a one-tick block only ever replays
+// its gap.
 func (s *AsyncStepper) release(halted bool) {
 	if s.head < len(s.block) || halted {
 		*s.rng = s.mark
