@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"rumor/internal/graph"
@@ -232,6 +233,8 @@ func stepperRows(t *testing.T) []stepperRow {
 	static := func(g *graph.Graph) func() graph.Provider {
 		return func() graph.Provider { return graph.NewStatic(g) }
 	}
+	// resample's epoch fail does not build (epoch 0, the base, is never
+	// built).
 	resample := func(period float64, fail uint64) func() graph.Provider {
 		return func() graph.Provider {
 			p, err := graph.NewResample(cube, period, func(epoch uint64) (*graph.Graph, error) {
@@ -268,13 +271,27 @@ func stepperRows(t *testing.T) []stepperRow {
 	}
 }
 
-// stepByStep drives s one Step at a time to the end of its run, or to
-// budget as Trial.Run ends one, and returns the error Trial.Run would
-// and the answer of the last Step that executed a tick.
-func stepByStep(t *testing.T, s *AsyncStepper, budget int64) (err error, last bool) {
+// informingLog records a run's informing events in order.
+type informingLog []informing
+
+type informing struct {
+	t       float64
+	v, from graph.NodeID
+}
+
+func (l *informingLog) OnInformed(t float64, v, from graph.NodeID) {
+	*l = append(*l, informing{t, v, from})
+}
+
+// stepByStep drives s, whose observer is log, one Step at a time to the
+// end of its run, or to budget as Trial.Run ends one, and returns the
+// answer of the last Step that executed a tick and the error Trial.Run
+// would. Each Step executes at most one tick, and every informing it
+// reports happens at that tick's time.
+func stepByStep(t *testing.T, s *AsyncStepper, log *informingLog, budget int64) (last bool, err error) {
 	t.Helper()
 	for {
-		before, prev := s.Steps(), s.Time()
+		before, prev, seen := s.Steps(), s.Time(), len(*log)
 		ok := s.Step()
 		switch moved := s.Steps() - before; {
 		case moved > 1 || moved == 0 && ok:
@@ -285,31 +302,41 @@ func stepByStep(t *testing.T, s *AsyncStepper, budget int64) (err error, last bo
 			}
 			last = ok
 		}
+		for _, ev := range (*log)[seen:] {
+			if ev.t != s.Time() {
+				t.Fatalf("tick %d at %v informed node %d at %v", s.Steps(), s.Time(), ev.v, ev.t)
+			}
+		}
 		if !ok {
-			return s.Err(), last
+			return last, s.Err()
 		}
 		if s.Steps() >= budget && !s.Finished() {
 			s.release(false) // the run ends here, as Trial.Run ends one
-			return ErrBudget, last
+			return last, ErrBudget
 		}
 	}
 }
 
 // TestAsyncStepperStepGranularity: a stepper driven one Step at a time
 // ends where Trial.Run ends the same scenario under the same generator —
-// InformedAt, Parent, Time, Steps, the error and the generator's next
-// draw — over several seeds on one stepper, the first run abandoned
-// inside a block, so Reset must drop the ticks it drew. Each Step
-// executes at most one tick, and answers false on the tick a schedule
-// or a topology halts although Steps counts it.
+// the informing events in order, InformedAt, Parent, Time, Steps, the
+// error and the generator's next draw — over several seeds on one
+// stepper, the first run abandoned inside a block, so Reset must drop
+// the ticks it drew. Each Step executes at most one tick, informs only
+// at its time, and answers false on the tick a schedule or a topology
+// halts although Steps counts it.
 func TestAsyncStepperStepGranularity(t *testing.T) {
 	for _, row := range stepperRows(t) {
 		t.Run(row.name, func(t *testing.T) {
-			trial, err := NewTrial(row.topo(), 0, row.cfg, 0, false)
+			var wantLog, log informingLog
+			cfg := row.cfg
+			cfg.Observer = &wantLog
+			trial, err := NewTrial(row.topo(), 0, cfg, 0, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := newAsyncStepper(row.topo(), 0, row.cfg, xrand.New(1))
+			cfg.Observer = &log
+			s, err := newAsyncStepper(row.topo(), 0, cfg, xrand.New(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,10 +344,11 @@ func TestAsyncStepperStepGranularity(t *testing.T) {
 			}
 			for seed := uint64(7); seed < 10; seed++ {
 				wantRNG, rng := xrand.New(seed), xrand.New(seed)
-				out, werr := trial.Run(wantRNG)
+				out, werr := trial.Run(wantRNG) // a fresh trial announced its source in NewTrial
 				want := out.Async
+				log = log[:0]
 				s.Reset(rng)
-				err, last := stepByStep(t, s, trial.budget)
+				last, err := stepByStep(t, s, &log, trial.budget)
 				got := s.Result()
 				sameErr := fmt.Sprint(err) == fmt.Sprint(werr)
 				if err == ErrBudget {
@@ -329,6 +357,10 @@ func TestAsyncStepperStepGranularity(t *testing.T) {
 				if !sameErr {
 					t.Fatalf("seed %d: Step by Step ends with %v, Trial.Run with %v", seed, err, werr)
 				}
+				if !slices.Equal(log, wantLog) {
+					t.Fatalf("seed %d: Step by Step informs %d times, Trial.Run %d, or in another order", seed, len(log), len(wantLog))
+				}
+				wantLog = wantLog[:0]
 				if !equalAsync(got, want) {
 					t.Fatalf("seed %d: Step by Step ends at %v/%d with %d informed, Trial.Run at %v/%d with %d",
 						seed, got.Time, got.Steps, got.NumInformed, want.Time, want.Steps, want.NumInformed)
