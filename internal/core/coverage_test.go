@@ -249,19 +249,7 @@ func TestCoverageOrderMatchesSelection(t *testing.T) {
 	fracs := []float64{0.5, -1, 1, 0.25, 0.9, 0, 0.99, 1e-9, 0.75, 0.5, 0.01, 1.5, 1.0 / 64}
 	for _, row := range stepperRows(t) {
 		t.Run(row.name, func(t *testing.T) {
-			async, err := NewTrial(row.topo(), 0, row.cfg, 0, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := SyncConfig{Protocol: row.cfg.Protocol, TransmitProb: row.cfg.TransmitProb,
-				Crashes: row.cfg.Crashes, Churn: row.cfg.Churn}
-			if row.cfg.MaxSteps > 0 {
-				cfg.MaxRounds = 3
-			}
-			sync, err := NewTrial(row.topo(), 0, cfg, 0, false)
-			if err != nil {
-				t.Fatal(err)
-			}
+			async, sync := stepperTwins(t, row)
 			for seed := uint64(0); seed < 4; seed++ {
 				out, _ := async.Run(xrand.New(seed))
 				plain := *out.Async

@@ -182,9 +182,10 @@ func TestCurveFromAsyncResult(t *testing.T) {
 }
 
 func TestCurveEmpty(t *testing.T) {
-	c := buildCurve(nil, 10)
-	if len(c.Times) != 0 || c.FractionAt(5) != 0 {
-		t.Fatal("empty curve not degenerate")
+	for _, c := range []*Curve{(&SyncResult{InformedAt: []int32{-1, -1}}).Curve(), (&AsyncResult{}).Curve()} {
+		if len(c.Times) != 0 || c.FractionAt(5) != 0 {
+			t.Fatal("empty curve not degenerate")
+		}
 	}
 }
 
