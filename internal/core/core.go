@@ -34,10 +34,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
@@ -206,7 +207,7 @@ type SyncResult struct {
 	// throughput benchmarks.
 	Updates int64
 	// order is the informed set by informing time, as the stepper keeps
-	// it, or nil (see CoverageRounds).
+	// it, or nil on a result built elsewhere (see informingOrder).
 	order []graph.NodeID
 }
 
@@ -232,57 +233,23 @@ type AsyncResult struct {
 	// Complete reports whether every node in the graph was informed.
 	Complete bool
 	// order is the informed set by informing time, as the stepper keeps
-	// it, or nil (see CoverageTimes).
+	// it, or nil on a result built elsewhere (see informingOrder).
 	order []graph.NodeID
 }
 
 // CoverageRound returns the first round by which at least
 // ceil(frac * n) nodes were informed, or -1 if coverage was never reached.
 func (r *SyncResult) CoverageRound(frac float64) int32 {
-	return int32(r.CoverageRounds([]float64{frac})[0])
+	return r.CoverageRounds([]float64{frac})[0]
 }
 
 // CoverageRounds returns, for each fraction, the first round by which at
 // least ceil(frac * n) nodes were informed, or -1 if that coverage was
-// never reached. A stepper's result reads each answer off the informing
-// order it keeps. Any other is served by one counting pass (nodes per
-// round, then a running total; informing rounds lie in [0, Rounds]).
-// Either way batching fractions is much cheaper than repeated
-// CoverageRound calls.
+// never reached: an order statistic of the informing rounds, read off
+// the result's informing order (see informingOrder), so batching
+// fractions is much cheaper than repeated CoverageRound calls.
 func (r *SyncResult) CoverageRounds(fracs []float64) []int32 {
-	n := len(r.InformedAt)
-	var informedBy []int // nodes informed in round t, then by round t
-	if r.order == nil {
-		informedBy = make([]int, r.Rounds+1)
-		for _, t := range r.InformedAt {
-			if t >= 0 {
-				informedBy[t]++
-			}
-		}
-		for t := 1; t < len(informedBy); t++ {
-			informedBy[t] += informedBy[t-1]
-		}
-	}
-	out := make([]int32, len(fracs))
-	for i, frac := range fracs {
-		if frac <= 0 {
-			continue
-		}
-		need := max(int(math.Ceil(frac*float64(n))), 1)
-		switch {
-		case r.order == nil:
-			t := sort.SearchInts(informedBy, need)
-			if t == len(informedBy) {
-				t = -1
-			}
-			out[i] = int32(t)
-		case need > len(r.order):
-			out[i] = -1
-		default:
-			out[i] = r.InformedAt[r.order[need-1]]
-		}
-	}
-	return out
+	return coverage(r.InformedAt, r.order, fracs)
 }
 
 // CoverageTime returns the earliest time by which at least ceil(frac * n)
@@ -293,82 +260,51 @@ func (r *AsyncResult) CoverageTime(frac float64) float64 {
 
 // CoverageTimes returns, for each fraction, the earliest time by which at
 // least ceil(frac * n) nodes were informed, or -1 if that coverage was
-// never reached. Each answer is an order statistic of the informing
-// times. A stepper's result reads it off the informing order the
-// stepper keeps, with no copy. Any other result finds it by selection
-// over one shared copy of the times that every query leaves more
-// partitioned for the next. Either way batching fractions is much
-// cheaper than repeated CoverageTime calls, and nothing is sorted.
+// never reached: an order statistic of the informing times, read off the
+// result's informing order (see informingOrder), so batching fractions
+// is much cheaper than repeated CoverageTime calls.
 func (r *AsyncResult) CoverageTimes(fracs []float64) []float64 {
-	informed := len(r.order)
-	var times []float64
-	if r.order == nil {
-		times = make([]float64, 0, len(r.InformedAt))
-		for _, t := range r.InformedAt {
-			if t >= 0 {
-				times = append(times, t)
-			}
-		}
-		informed = len(times)
-	}
-	out := make([]float64, len(fracs))
-	// times[:lo] holds the lo smallest times: a rank at or past lo is
-	// looked for in the rest only, one before it in that prefix only.
-	lo := 0
+	return coverage(r.InformedAt, r.order, fracs)
+}
+
+// coverage answers CoverageRounds and CoverageTimes: for each fraction
+// the ceil(frac * n)-th informing time, 0 for a non-positive fraction
+// and -1 past the informed count.
+func coverage[T int32 | float64](at []T, order []graph.NodeID, fracs []float64) []T {
+	order = informingOrder(at, order)
+	out := make([]T, len(fracs))
 	for i, frac := range fracs {
-		k := max(int(math.Ceil(frac*float64(len(r.InformedAt)))), 1) - 1
+		need := max(int(math.Ceil(frac*float64(len(at)))), 1)
 		switch {
 		case frac <= 0:
-		case k >= informed:
+		case need > len(order):
 			out[i] = -1
-		case r.order != nil:
-			out[i] = r.InformedAt[r.order[k]]
-		case k >= lo:
-			out[i] = selectNth(times[lo:], k-lo)
-			lo = k
 		default:
-			out[i] = selectNth(times[:lo], k)
+			out[i] = at[order[need-1]]
 		}
 	}
 	return out
 }
 
-// selectNth returns the k-th smallest element of xs (0-based), permuting
-// xs so that it sits at xs[k] with nothing larger before it and nothing
-// smaller after it: Hoare's FIND, expected linear time. The pivot
-// position comes from a fixed multiplicative sequence, not from the
-// data, so no arrangement of informing times (sorted along a path,
-// rising then falling around a cycle) is a bad case; the value
-// returned does not depend on the pivots.
-func selectNth(xs []float64, k int) float64 {
-	lo, hi := 0, len(xs)-1
-	for seq := uint64(1); lo < hi; {
-		seq *= 0x9e3779b97f4a7c15
-		pivot := xs[lo+int((seq>>33)%uint64(hi-lo+1))]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return xs[k]
+// informingOrder returns the informed nodes (at[v] >= 0) by informing
+// time, which is every milestone and curve point of a result: order
+// itself when a stepper kept it, and otherwise, for a result built
+// elsewhere (the reference engines, a live cluster's reports, a
+// hand-built one), the informed nodes sorted by time into a fresh slice.
+// The result is never written to, and any order among equal times gives
+// the same answers.
+func informingOrder[T int32 | float64](at []T, order []graph.NodeID) []graph.NodeID {
+	if order != nil {
+		return order
+	}
+	order = make([]graph.NodeID, 0, len(at))
+	for v, t := range at {
+		if t >= 0 {
+			order = append(order, graph.NodeID(v))
 		}
 	}
-	return xs[k]
+	slices.SortFunc(order, func(v, w graph.NodeID) int { return cmp.Compare(at[v], at[w]) })
+	return order
 }
 
 // checkStart validates what every engine needs of the graph: a node,

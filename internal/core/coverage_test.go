@@ -90,9 +90,9 @@ func coverageFromSorted(sorted []float64, n int, frac float64) float64 {
 	return sorted[need-1]
 }
 
-// CoverageRounds counts instead of sorting; it must return what the
-// sorted order statistics say, for every fraction, on complete, partial
-// (disconnected, amnesiac) and empty results.
+// CoverageRounds must return what the sorted order statistics say, for
+// every fraction, on complete, partial (disconnected, amnesiac) and
+// empty results.
 func TestCoverageRoundsMatchesSortedOrder(t *testing.T) {
 	fracs := []float64{-1, 0, 1e-9, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
 	check := func(name string, res *SyncResult) {
@@ -183,12 +183,11 @@ func TestAsyncCoverageGolden(t *testing.T) {
 	checkStreamGolden(t, "coverage.golden", buf.Bytes())
 }
 
-// CoverageTimes selects instead of sorting; it must return what the
-// sorted order statistics say on vectors with ties, with never-informed
-// (-1) entries, in the arrangements a deterministic pivot rule would
-// fear (sorted, reversed, rising then falling), and for fractions in any
-// order — a rank below an earlier one is looked for in the prefix the
-// earlier selection left.
+// CoverageTimes of a result without a stepper's informing order must
+// return what the sorted order statistics say on vectors with ties, with
+// never-informed (-1) entries, in sorted, reversed and rising-then-falling
+// arrangements, and for fractions in any order, leaving InformedAt as it
+// found it.
 func TestCoverageTimesMatchesSortedOrder(t *testing.T) {
 	rng := xrand.New(31)
 	fracs := []float64{0.5, -1, 1, 0.25, 0.9, 0, 0.99, 1e-9, 0.75, 0.5, 0.01}
@@ -237,42 +236,185 @@ func TestCoverageTimesMatchesSortedOrder(t *testing.T) {
 	check("empty", nil)
 }
 
-// TestCoverageOrderMatchesSelection: a stepper's result reads coverage
-// off the informing order it keeps, and the same result without that
-// order takes the path of results built elsewhere — selection over the
-// informing times, or counting nodes per round. The two agree bit for
-// bit on every row of the Step-by-Step pin, under both timings (a row's
-// synchronous twin drops its view and bounds a budget row by rounds):
-// ties at time 0 and within a round, amnesiac rejoins, stranded runs,
-// failed epochs and budget cuts, for fractions in any order.
+// countingCoverageRounds and selectionCoverageTimes are the coverage
+// paths results without an informing order took before every result
+// read one (a count of nodes per round, then a running total; Hoare
+// selection over one shared copy of the times), kept verbatim as the
+// oracle of CoverageRounds and CoverageTimes.
+func countingCoverageRounds(r *SyncResult, fracs []float64) []int32 {
+	n := len(r.InformedAt)
+	informedBy := make([]int, r.Rounds+1) // nodes informed in round t, then by round t
+	for _, t := range r.InformedAt {
+		if t >= 0 {
+			informedBy[t]++
+		}
+	}
+	for t := 1; t < len(informedBy); t++ {
+		informedBy[t] += informedBy[t-1]
+	}
+	out := make([]int32, len(fracs))
+	for i, frac := range fracs {
+		if frac <= 0 {
+			continue
+		}
+		need := max(int(math.Ceil(frac*float64(n))), 1)
+		t := sort.SearchInts(informedBy, need)
+		if t == len(informedBy) {
+			t = -1
+		}
+		out[i] = int32(t)
+	}
+	return out
+}
+
+func selectionCoverageTimes(r *AsyncResult, fracs []float64) []float64 {
+	times := make([]float64, 0, len(r.InformedAt))
+	for _, t := range r.InformedAt {
+		if t >= 0 {
+			times = append(times, t)
+		}
+	}
+	informed := len(times)
+	out := make([]float64, len(fracs))
+	// times[:lo] holds the lo smallest times: a rank at or past lo is
+	// looked for in the rest only, one before it in that prefix only.
+	lo := 0
+	for i, frac := range fracs {
+		k := max(int(math.Ceil(frac*float64(len(r.InformedAt)))), 1) - 1
+		switch {
+		case frac <= 0:
+		case k >= informed:
+			out[i] = -1
+		case k >= lo:
+			out[i] = selectNth(times[lo:], k-lo)
+			lo = k
+		default:
+			out[i] = selectNth(times[:lo], k)
+		}
+	}
+	return out
+}
+
+// selectNth returns the k-th smallest element of xs (0-based), permuting
+// xs so that it sits at xs[k] with nothing larger before it and nothing
+// smaller after it: Hoare's FIND, expected linear time. The pivot
+// position comes from a fixed multiplicative sequence, not from the
+// data, so no arrangement of informing times (sorted along a path,
+// rising then falling around a cycle) is a bad case; the value
+// returned does not depend on the pivots.
+func selectNth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for seq := uint64(1); lo < hi; {
+		seq *= 0x9e3779b97f4a7c15
+		pivot := xs[lo+int((seq>>33)%uint64(hi-lo+1))]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
+}
+
+// checkInformingOrder fails unless order is exactly the informed nodes
+// {v : at[v] >= 0}, each once, with at non-decreasing along it: what
+// reading every milestone and curve point off it rests on.
+func checkInformingOrder[T int32 | float64](t *testing.T, name string, at []T, order []graph.NodeID) {
+	t.Helper()
+	if order == nil {
+		t.Fatalf("%s: the stepper's result has no informing order", name)
+	}
+	seen := make([]bool, len(at))
+	for i, v := range order {
+		switch {
+		case at[v] < 0 || seen[v]:
+			t.Fatalf("%s: order[%d] = %d, informed at %v, seen before %v", name, i, v, at[v], seen[v])
+		case i > 0 && at[v] < at[order[i-1]]:
+			t.Fatalf("%s: order[%d] = %d informed at %v, before order[%d] at %v", name, i, v, at[v], i-1, at[order[i-1]])
+		}
+		seen[v] = true
+	}
+	for v, t0 := range at {
+		if t0 >= 0 && !seen[v] {
+			t.Fatalf("%s: node %d informed at %v is missing from the order", name, v, t0)
+		}
+	}
+}
+
+// TestCoverageOrderMatchesSelection: CoverageTimes and CoverageRounds
+// read every answer off one informing order, the stepper's own or a
+// sort of the informed nodes. Both agree bit for bit with the selection
+// and counting paths kept as the oracle, on a stepper's result and on
+// its twin without the order, for every row of the Step-by-Step pin
+// under both timings (a row's synchronous twin drops its view and
+// bounds a budget row by rounds): ties at time 0 and within a round,
+// amnesiac rejoins, stranded runs, failed epochs and budget cuts, for
+// fractions in any order; and on the literal engines' results. Each
+// stepper's order is exactly its informed set, in informing time.
 func TestCoverageOrderMatchesSelection(t *testing.T) {
 	fracs := []float64{0.5, -1, 1, 0.25, 0.9, 0, 0.99, 1e-9, 0.75, 0.5, 0.01, 1.5, 1.0 / 64}
+	checkAsync := func(name string, r *AsyncResult) {
+		t.Helper()
+		plain := *r
+		plain.order = nil
+		want := selectionCoverageTimes(r, fracs)
+		for _, res := range []*AsyncResult{r, &plain} {
+			got := res.CoverageTimes(fracs)
+			for i := range fracs {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s (order %v) frac %v: got %v, selection %v", name, res.order != nil, fracs[i], got[i], want[i])
+				}
+			}
+		}
+	}
+	checkSync := func(name string, r *SyncResult) {
+		t.Helper()
+		plain := *r
+		plain.order = nil
+		want := countingCoverageRounds(r, fracs)
+		for _, res := range []*SyncResult{r, &plain} {
+			if got := res.CoverageRounds(fracs); !slices.Equal(got, want) {
+				t.Fatalf("%s (order %v): got %v, counting %v (fractions %v)", name, res.order != nil, got, want, fracs)
+			}
+		}
+	}
 	for _, row := range stepperRows(t) {
 		t.Run(row.name, func(t *testing.T) {
 			async, sync := stepperTwins(t, row)
 			for seed := uint64(0); seed < 4; seed++ {
+				name := fmt.Sprintf("async seed %d", seed)
 				out, _ := async.Run(xrand.New(seed))
-				plain := *out.Async
-				plain.order = nil
-				if out.Async.order == nil {
-					t.Fatal("the stepper's result has no informing order")
-				}
-				got, want := out.Async.CoverageTimes(fracs), plain.CoverageTimes(fracs)
-				for i := range fracs {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("async seed %d frac %v: order reads %v, selection %v", seed, fracs[i], got[i], want[i])
-					}
-				}
+				checkInformingOrder(t, name, out.Async.InformedAt, out.Async.order)
+				checkAsync(name, out.Async)
+				name = fmt.Sprintf("sync seed %d", seed)
 				out, _ = sync.Run(xrand.New(seed))
-				splain := *out.Sync
-				splain.order = nil
-				if out.Sync.order == nil {
-					t.Fatal("the stepper's result has no informing order")
-				}
-				if got, want := out.Sync.CoverageRounds(fracs), splain.CoverageRounds(fracs); !slices.Equal(got, want) {
-					t.Fatalf("sync seed %d: order reads %v, counting %v (fractions %v)", seed, got, want, fracs)
-				}
+				checkInformingOrder(t, name, out.Sync.InformedAt, out.Sync.order)
+				checkSync(name, out.Sync)
 			}
 		})
+	}
+	for _, row := range referenceRows(t) {
+		if row.sync != nil {
+			checkSync(row.name, row.sync)
+		} else {
+			checkAsync(row.name, row.async)
+		}
 	}
 }

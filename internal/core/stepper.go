@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"math/bits"
-	"sort"
 
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
@@ -613,47 +612,22 @@ func (c *Curve) FractionAt(t float64) float64 {
 }
 
 // Curve extracts the spreading curve from a synchronous result.
-func (r *SyncResult) Curve() *Curve { return curveFromTimes32(r.InformedAt, len(r.InformedAt)) }
+func (r *SyncResult) Curve() *Curve { return curve(r.InformedAt, r.order) }
 
 // Curve extracts the spreading curve from an asynchronous result.
-func (r *AsyncResult) Curve() *Curve { return curveFromTimes(r.InformedAt, len(r.InformedAt)) }
+func (r *AsyncResult) Curve() *Curve { return curve(r.InformedAt, r.order) }
 
-func curveFromTimes32(at []int32, n int) *Curve {
-	times := make([]float64, 0, len(at))
-	for _, t := range at {
-		if t >= 0 {
-			times = append(times, float64(t))
-		}
-	}
-	return buildCurve(times, n)
-}
-
-func curveFromTimes(at []float64, n int) *Curve {
-	times := make([]float64, 0, len(at))
-	for _, t := range at {
-		if t >= 0 {
-			times = append(times, t)
-		}
-	}
-	return buildCurve(times, n)
-}
-
-func buildCurve(times []float64, n int) *Curve {
-	if len(times) == 0 || n == 0 {
-		return &Curve{}
-	}
-	sort.Float64s(times)
+// curve walks the informing order once, one point per distinct time.
+func curve[T int32 | float64](at []T, order []graph.NodeID) *Curve {
 	c := &Curve{}
-	count := 0
-	for i := 0; i < len(times); {
-		j := i
-		for j < len(times) && times[j] == times[i] {
-			j++
+	for i, v := range informingOrder(at, order) {
+		t, frac := float64(at[v]), float64(i+1)/float64(len(at))
+		if last := len(c.Times) - 1; last >= 0 && c.Times[last] == t {
+			c.Fractions[last] = frac
+			continue
 		}
-		count += j - i
-		c.Times = append(c.Times, times[i])
-		c.Fractions = append(c.Fractions, float64(count)/float64(n))
-		i = j
+		c.Times = append(c.Times, t)
+		c.Fractions = append(c.Fractions, frac)
 	}
 	return c
 }

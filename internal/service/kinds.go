@@ -253,9 +253,10 @@ func runTimeCell(ctx context.Context, cell CellSpec, g *graph.Graph, trialWorker
 // TimeFold is the per-trial to per-cell fold of a time cell, shared by
 // every runner that measures one (the time kind on simulated trials, the
 // live cluster on real ones): each trial's coverage milestones are
-// extracted with the batch helper (a count per round for sync trials, a
-// selection per fraction for async ones; neither sorts), and Result
-// averages each milestone over the trials.
+// read in one batch off the trial's informing order (core.Outcome's
+// Coverage; a simulated trial's stepper keeps that order, a live
+// trial's result sorts its informed nodes once), and Result averages
+// each milestone over the trials.
 type TimeFold struct {
 	fracs    []float64
 	coverage [][]float64 // coverage[i][t]: trial t's time to fracs[i]
