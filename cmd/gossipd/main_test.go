@@ -158,8 +158,12 @@ func TestNodeModeExitOnShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gossip.CallChecked(addr, env, 2*time.Second, nil); err != nil {
+	reply, err := gossip.Call(addr, env, 2*time.Second, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if reply.Err != "" || reply.Method != gossip.MethodShutdown {
+		t.Fatalf("SHUTDOWN reply %+v", reply)
 	}
 	select {
 	case err := <-errc:

@@ -7,7 +7,9 @@
 # before any `/`) on `|` and fails unless every alternative other than
 # `^$` (which runs nothing on purpose) matches a name `go test -list`
 # prints for that line's packages, under `-race` when the line has it
-# (a `!race` file's tests are not there). Alternatives are matched with
+# (a `!race` file's tests are not there) and with the line's
+# `GOEXPERIMENT=...` prefix applied (a file tagged with an experiment
+# lists its tests only under it). Alternatives are matched with
 # `grep -E`, which reads the plain names and anchors CI uses as RE2 does.
 #
 # Usage: bash hack/ci-run-names.sh [workflow.yml]
@@ -16,13 +18,15 @@ set -f # no globbing when a line is split into words
 cd "$(dirname "$0")/.."
 workflow=${1:-.github/workflows/ci.yml}
 
-declare -A listed # "flags pkg" -> the names go test -list prints
+declare -A listed # "experiment flags pkg" -> the names go test -list prints
 missing=0
 while IFS= read -r line; do
 	[[ $line =~ ^[[:space:]]*# ]] && continue
 	[[ $line =~ go\ test\ .*-run[=\ ]+(\'([^\']*)\'|\"([^\"]*)\"|([^ ]+)) ]] || continue
 	pattern=${BASH_REMATCH[2]}${BASH_REMATCH[3]}${BASH_REMATCH[4]}
 	[[ $pattern == '^$' ]] && continue
+	experiment=
+	[[ $line =~ (GOEXPERIMENT=[^[:space:]]+)[[:space:]]+go\ test ]] && experiment=${BASH_REMATCH[1]}
 	flags=
 	[[ $line == *' -race '* ]] && flags=-race
 	pkgs=()
@@ -37,16 +41,16 @@ while IFS= read -r line; do
 	fi
 	names=
 	for pkg in "${pkgs[@]}"; do
-		key="$flags $pkg"
+		key="$experiment $flags $pkg"
 		if [[ -z ${listed[$key]+set} ]]; then
-			listed[$key]=$(go test $flags -list . "$pkg" | grep -E '^(Test|Benchmark|Fuzz|Example)' || true)
+			listed[$key]=$(env $experiment go test $flags -list . "$pkg" | grep -E '^(Test|Benchmark|Fuzz|Example)' || true)
 		fi
 		names+=${listed[$key]}$'\n'
 	done
 	IFS='|' read -ra alts <<<"${pattern%%/*}"
 	for alt in "${alts[@]}"; do
 		if ! grep -Eq -- "$alt" <<<"$names"; then
-			echo "-run alternative '$alt' names no test in ${pkgs[*]}${flags:+ ($flags)}" >&2
+			echo "-run alternative '$alt' names no test in ${pkgs[*]}${flags:+ ($flags)}${experiment:+ ($experiment)}" >&2
 			missing=1
 		fi
 	done

@@ -100,11 +100,16 @@ func (n *Node) Listen(addr string) error {
 	if err != nil {
 		return fmt.Errorf("gossip: listen %s: %w", addr, err)
 	}
+	n.serve(ln)
+	return nil
+}
+
+// serve starts serving ln, which Close closes.
+func (n *Node) serve(ln net.Listener) {
 	n.ln = ln
 	n.metrics.nodes.Inc()
 	n.wg.Add(1)
 	go n.acceptLoop()
-	return nil
 }
 
 // Addr returns the bound listen address.

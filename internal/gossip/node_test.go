@@ -167,6 +167,15 @@ func TestProtocolSpellingSharedWithValidation(t *testing.T) {
 	}
 }
 
+// callOnce is a one-shot Call whose reply must pass checkReply.
+func callOnce(addr string, env *Envelope) (*Envelope, error) {
+	reply, err := Call(addr, env, time.Second, nil)
+	if err != nil {
+		return nil, err
+	}
+	return checkReply(addr, env, reply)
+}
+
 func TestStartupValidation(t *testing.T) {
 	node := NewNode(nil)
 	if err := node.Listen("127.0.0.1:0"); err != nil {
@@ -187,7 +196,7 @@ func TestStartupValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := CallChecked(node.Addr(), env, time.Second, nil); err == nil {
+		if _, err := callOnce(node.Addr(), env); err == nil {
 			t.Errorf("startup %+v accepted", cfg)
 		}
 	}
@@ -200,7 +209,7 @@ func TestUnknownMethodRejected(t *testing.T) {
 	}
 	defer node.Close()
 	env := &Envelope{Method: "teleport", From: CoordinatorFrom}
-	_, err := CallChecked(node.Addr(), env, time.Second, nil)
+	_, err := callOnce(node.Addr(), env)
 	if err == nil || !strings.Contains(err.Error(), "unknown method") {
 		t.Fatalf("err = %v, want unknown method rejection", err)
 	}
@@ -213,11 +222,11 @@ func TestControlBeforeStartupRejected(t *testing.T) {
 	}
 	defer node.Close()
 	dist, _ := NewEnvelope(MethodDistribute, CoordinatorFrom, Ack{})
-	if _, err := CallChecked(node.Addr(), dist, time.Second, nil); err == nil {
+	if _, err := callOnce(node.Addr(), dist); err == nil {
 		t.Error("distribute before startup accepted")
 	}
 	round, _ := NewEnvelope(MethodRound, CoordinatorFrom, RoundCmd{Round: 1})
-	if _, err := CallChecked(node.Addr(), round, time.Second, nil); err == nil {
+	if _, err := callOnce(node.Addr(), round); err == nil {
 		t.Error("round before startup accepted")
 	}
 }

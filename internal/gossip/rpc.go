@@ -50,9 +50,13 @@ type link struct {
 	idleSince time.Time // when it went onto the idle list
 }
 
-func dialLink(addr string, timeout time.Duration, metrics *Metrics) (*link, error) {
-	d := net.Dialer{Timeout: timeout}
-	conn, err := d.Dial("tcp", addr)
+// dialTCP is the dial of Call and of every transport newTransport builds.
+func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, timeout)
+}
+
+func dialLink(dial func(addr string, timeout time.Duration) (net.Conn, error), addr string, timeout time.Duration, metrics *Metrics) (*link, error) {
+	conn, err := dial(addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: dial %s: %w", addr, err)
 	}
@@ -89,7 +93,7 @@ func Call(addr string, env *Envelope, timeout time.Duration, metrics *Metrics) (
 	if err != nil {
 		return nil, fmt.Errorf("gossip: send %s to %s: %w", env.Method, addr, err)
 	}
-	l, err := dialLink(addr, timeout, obs.OrZero(metrics))
+	l, err := dialLink(dialTCP, addr, timeout, obs.OrZero(metrics))
 	if err != nil {
 		return nil, err
 	}
@@ -98,16 +102,8 @@ func Call(addr string, env *Envelope, timeout time.Duration, metrics *Metrics) (
 	return reply, err
 }
 
-// CallChecked is Call plus rejection of mismatched or failed replies:
-// the reply must echo env's method and carry no handler error.
-func CallChecked(addr string, env *Envelope, timeout time.Duration, metrics *Metrics) (*Envelope, error) {
-	reply, err := Call(addr, env, timeout, metrics)
-	if err != nil {
-		return nil, err
-	}
-	return checkReply(addr, env, reply)
-}
-
+// checkReply rejects a mismatched or failed reply: it must echo env's
+// method and carry no handler error.
 func checkReply(addr string, env, reply *Envelope) (*Envelope, error) {
 	if reply.Err != "" {
 		return nil, fmt.Errorf("gossip: %s on %s: %s", env.Method, addr, reply.Err)
@@ -136,6 +132,7 @@ func checkReply(addr string, env, reply *Envelope) (*Envelope, error) {
 type transport struct {
 	metrics *Metrics
 	maxIdle int
+	dial    func(addr string, timeout time.Duration) (net.Conn, error) // opens each new link; dialTCP
 
 	mu sync.Mutex
 	// idle[addr] is ordered by idleSince, oldest first; no list is
@@ -146,7 +143,7 @@ type transport struct {
 }
 
 func newTransport(maxIdle int, metrics *Metrics) *transport {
-	return &transport{metrics: metrics, maxIdle: maxIdle, idle: make(map[string][]*link)}
+	return &transport{metrics: metrics, maxIdle: maxIdle, dial: dialTCP, idle: make(map[string][]*link)}
 }
 
 // call sends env to addr and returns the reply.
@@ -159,7 +156,7 @@ func (t *transport) call(addr string, env *Envelope, timeout time.Duration) (*En
 	reused := l != nil // so the peer may have closed it since
 	for {
 		if l == nil {
-			if l, err = dialLink(addr, timeout, t.metrics); err != nil {
+			if l, err = dialLink(t.dial, addr, timeout, t.metrics); err != nil {
 				return nil, err
 			}
 			t.metrics.dials.Inc()
@@ -178,7 +175,7 @@ func (t *transport) call(addr string, env *Envelope, timeout time.Duration) (*En
 	}
 }
 
-// callChecked is call plus CallChecked's reply checks.
+// callChecked is call plus checkReply.
 func (t *transport) callChecked(addr string, env *Envelope, timeout time.Duration) (*Envelope, error) {
 	reply, err := t.call(addr, env, timeout)
 	if err != nil {

@@ -1,7 +1,6 @@
 package gossip
 
 import (
-	"bufio"
 	"net"
 	"strings"
 	"sync"
@@ -13,93 +12,6 @@ import (
 	"rumor/internal/service"
 )
 
-// Proxy behaviours once a request has been forwarded to the backend
-// and its reply read.
-const (
-	proxyRelay           int32 = iota // pass the reply on, keep the connection
-	proxyCloseAfterReply              // pass the reply on, then close: a one-shot server
-	proxyDropReply                    // close without passing the reply on
-	proxyStall                        // hold the reply until the test ends
-)
-
-// frameProxy sits in front of a real node and relays whole frames, so a
-// test can count the connections a caller opens and misbehave at exact
-// points of an exchange.
-type frameProxy struct {
-	ln       net.Listener
-	backend  string
-	mode     atomic.Int32
-	accepts  atomic.Int64
-	requests atomic.Int64  // requests forwarded to the backend
-	arrived  func()        // when non-nil, called with each request before it is forwarded
-	release  chan struct{} // closed at cleanup; frees stalled exchanges
-	wg       sync.WaitGroup
-}
-
-func startProxy(t *testing.T, backend string, arrived func()) *frameProxy {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &frameProxy{ln: ln, backend: backend, arrived: arrived, release: make(chan struct{})}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			p.accepts.Add(1)
-			p.wg.Add(1)
-			go p.serve(conn)
-		}
-	}()
-	t.Cleanup(func() {
-		ln.Close()
-		close(p.release)
-		p.wg.Wait()
-	})
-	return p
-}
-
-func (p *frameProxy) addr() string { return p.ln.Addr().String() }
-
-func (p *frameProxy) serve(client net.Conn) {
-	defer p.wg.Done()
-	defer client.Close()
-	go func() { // unblock the read below when the test ends
-		<-p.release
-		client.Close()
-	}()
-	br := bufio.NewReader(client)
-	for {
-		env, err := ReadFrame(br)
-		if err != nil {
-			return
-		}
-		if p.arrived != nil {
-			p.arrived()
-		}
-		p.requests.Add(1)
-		reply, err := Call(p.backend, env, 5*time.Second, nil)
-		if err != nil {
-			return
-		}
-		switch p.mode.Load() {
-		case proxyDropReply:
-			return
-		case proxyStall:
-			<-p.release
-			return
-		}
-		if WriteFrame(client, reply) != nil || p.mode.Load() == proxyCloseAfterReply {
-			return
-		}
-	}
-}
-
 func startNode(t *testing.T, addr string, metrics *Metrics) *Node {
 	t.Helper()
 	node := NewNode(metrics)
@@ -108,6 +20,15 @@ func startNode(t *testing.T, addr string, metrics *Metrics) *Node {
 	}
 	t.Cleanup(func() { node.Close() })
 	return node
+}
+
+// startMemNode serves a node on m at addr until the test ends.
+func startMemNode(t *testing.T, m *memnet, addr string) (*Node, *faultListener) {
+	t.Helper()
+	ln := m.listen(addr)
+	node := memNode(m, ln, nil)
+	t.Cleanup(func() { node.Close() })
+	return node, ln
 }
 
 func pingEnv(t *testing.T) *Envelope {
@@ -130,17 +51,18 @@ func metricValue(t *testing.T, reg *obs.Registry, family string) float64 {
 }
 
 func TestTransportSequentialCallsOneAccept(t *testing.T) {
-	proxy := startProxy(t, startNode(t, "127.0.0.1:0", nil).Addr(), nil)
+	m := newMemnet()
+	_, ln := startMemNode(t, m, "node")
 	reg := obs.NewRegistry()
-	tr := newTransport(maxIdleLinks, NewMetrics(reg))
+	tr := memTransport(m, maxIdleLinks, NewMetrics(reg))
 	defer tr.close()
 	const calls = 50
 	for i := 0; i < calls; i++ {
-		if _, err := tr.callChecked(proxy.addr(), pingEnv(t), time.Second); err != nil {
+		if _, err := tr.callChecked("node", pingEnv(t), time.Second); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if got := proxy.accepts.Load(); got != 1 {
+	if got := ln.accepts.Load(); got != 1 {
 		t.Fatalf("%d sequential calls opened %d connections, want 1", calls, got)
 	}
 	if d, r := metricValue(t, reg, "rumor_gossip_dials_total"), metricValue(t, reg, "rumor_gossip_conn_reuses_total"); d != 1 || r != calls-1 {
@@ -155,27 +77,30 @@ func TestTransportSequentialCallsOneAccept(t *testing.T) {
 	}
 }
 
-// TestTransportConcurrentCallsDistinctLinks holds every request at the
-// proxy until all of them have arrived: calls that shared a link would
-// queue behind one another and never get there.
+// TestTransportConcurrentCallsDistinctLinks holds every reply at the
+// node until all the requests have arrived: calls that shared a link
+// would queue behind one another and never get there.
 func TestTransportConcurrentCallsDistinctLinks(t *testing.T) {
 	const calls = 6
 	var barrier sync.WaitGroup
 	barrier.Add(calls)
 	var arrivals atomic.Int64
-	proxy := startProxy(t, startNode(t, "127.0.0.1:0", nil).Addr(), func() {
+	m := newMemnet()
+	_, ln := startMemNode(t, m, "node")
+	ln.setFault(func(*Envelope) fault {
 		if arrivals.Add(1) <= calls {
 			barrier.Done()
 			barrier.Wait()
 		}
+		return passReply
 	})
-	tr := newTransport(maxIdleLinks, &Metrics{})
+	tr := memTransport(m, maxIdleLinks, &Metrics{})
 	defer tr.close()
 	errs := make(chan error, calls)
 	for i := 0; i < calls; i++ {
 		env := pingEnv(t)
 		go func() {
-			_, err := tr.callChecked(proxy.addr(), env, 5*time.Second)
+			_, err := tr.callChecked("node", env, 5*time.Second)
 			errs <- err
 		}()
 	}
@@ -184,16 +109,16 @@ func TestTransportConcurrentCallsDistinctLinks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := proxy.accepts.Load(); got != calls {
+	if got := ln.accepts.Load(); got != calls {
 		t.Fatalf("%d concurrent calls used %d connections", calls, got)
 	}
 	// All of them are idle now; sequential calls need no new one.
 	for i := 0; i < calls; i++ {
-		if _, err := tr.callChecked(proxy.addr(), pingEnv(t), time.Second); err != nil {
+		if _, err := tr.callChecked("node", pingEnv(t), time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := proxy.accepts.Load(); got != calls {
+	if got := ln.accepts.Load(); got != calls {
 		t.Fatalf("sequential calls after the burst opened connections: %d, want %d", got, calls)
 	}
 }
@@ -218,61 +143,55 @@ func TestTransportRedialsRestartedPeer(t *testing.T) {
 }
 
 // TestTransportNoRetryOnceRequestMayHaveLanded pushes a rumor at a node
-// with a high acceptance threshold through a proxy that loses replies:
+// with a high acceptance threshold whose replies to pushes get lost:
 // each failed push must have been delivered exactly once.
 func TestTransportNoRetryOnceRequestMayHaveLanded(t *testing.T) {
-	node := startNode(t, "127.0.0.1:0", nil)
+	m := newMemnet()
+	node, ln := startMemNode(t, m, "node")
 	startup, err := NewEnvelope(MethodStartup, CoordinatorFrom, StartupConfig{
-		Protocol: "push", Timing: service.TimingSync, Threshold: 10, // far above the pushes below, so Hearings counts them all
+		Protocol: "push", Timing: service.TimingSync, Threshold: 10, // far above the pushes below, so hearings counts them all
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CallChecked(node.Addr(), startup, time.Second, nil); err != nil {
-		t.Fatal(err)
+	if reply := node.dispatch(startup); reply.Err != "" {
+		t.Fatal(reply.Err)
 	}
 	hearings := func() int {
-		t.Helper()
-		env, _ := NewEnvelope(MethodReport, CoordinatorFrom, nil)
-		reply, err := CallChecked(node.Addr(), env, time.Second, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep Report
-		if err := reply.Decode(&rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep.Hearings
+		node.mu.Lock()
+		defer node.mu.Unlock()
+		return node.hearings
 	}
 	push, err := NewEnvelope(MethodPush, 1, Rumor{Round: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := startProxy(t, node.Addr(), nil)
-	tr := newTransport(maxIdleLinks, &Metrics{})
+	var mode atomic.Int64
+	ln.setFault(func(*Envelope) fault { return fault(mode.Load()) })
+	tr := memTransport(m, maxIdleLinks, &Metrics{})
 	defer tr.close()
 
 	// A new link whose server takes the request and closes: no retry,
 	// a new link cannot be stale.
-	proxy.mode.Store(proxyDropReply)
-	if _, err := tr.call(proxy.addr(), push, time.Second); err == nil {
+	mode.Store(int64(dropReply))
+	if _, err := tr.call("node", push, time.Second); err == nil {
 		t.Fatal("push whose reply was dropped reported success")
 	}
-	if a, h := proxy.accepts.Load(), hearings(); a != 1 || h != 1 {
+	if a, h := ln.accepts.Load(), hearings(); a != 1 || h != 1 {
 		t.Fatalf("after a dropped reply: %d connections, %d hearings, want 1 and 1", a, h)
 	}
 
-	proxy.mode.Store(proxyRelay)
-	if _, err := tr.call(proxy.addr(), push, time.Second); err != nil {
+	mode.Store(int64(passReply))
+	if _, err := tr.call("node", push, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// A reused link whose server takes the request and stalls: the
 	// deadline passes, and a deadline is never retried.
-	proxy.mode.Store(proxyStall)
-	if _, err := tr.call(proxy.addr(), push, 200*time.Millisecond); err == nil {
+	mode.Store(int64(stallReply))
+	if _, err := tr.call("node", push, 200*time.Millisecond); err == nil {
 		t.Fatal("stalled push reported success")
 	}
-	if a, r, h := proxy.accepts.Load(), proxy.requests.Load(), hearings(); a != 2 || r != 3 || h != 3 {
+	if a, r, h := ln.accepts.Load(), ln.requests.Load(), hearings(); a != 2 || r != 3 || h != 3 {
 		t.Fatalf("after a stalled reply: %d connections, %d requests, %d hearings, want 2, 3 and 3", a, r, h)
 	}
 }
@@ -316,21 +235,22 @@ func TestTransportEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestTransportDropsLinksIdleTooLong(t *testing.T) {
-	proxy := startProxy(t, startNode(t, "127.0.0.1:0", nil).Addr(), nil)
-	tr := newTransport(maxIdleLinks, &Metrics{})
+	m := newMemnet()
+	_, ln := startMemNode(t, m, "node")
+	tr := memTransport(m, maxIdleLinks, &Metrics{})
 	defer tr.close()
-	if _, err := tr.callChecked(proxy.addr(), pingEnv(t), time.Second); err != nil {
+	if _, err := tr.callChecked("node", pingEnv(t), time.Second); err != nil {
 		t.Fatal(err)
 	}
 	tr.mu.Lock()
-	for _, l := range tr.idle[proxy.addr()] {
+	for _, l := range tr.idle["node"] {
 		l.idleSince = l.idleSince.Add(-linkIdleTimeout - time.Second)
 	}
 	tr.mu.Unlock()
-	if _, err := tr.callChecked(proxy.addr(), pingEnv(t), time.Second); err != nil {
+	if _, err := tr.callChecked("node", pingEnv(t), time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := proxy.accepts.Load(); got != 2 {
+	if got := ln.accepts.Load(); got != 2 {
 		t.Fatalf("%d connections, want 2: an expired link must not be reused", got)
 	}
 	tr.mu.Lock()
@@ -341,20 +261,28 @@ func TestTransportDropsLinksIdleTooLong(t *testing.T) {
 	}
 }
 
-// TestMixedFleetOneShotServers runs trials against nodes that close
-// after every reply, as a server without connection reuse would: every
-// reused link is stale, every call redials once, and nothing is lost
-// or delivered twice. (The other direction — a one-shot Call against a
-// node — is what every test using Call does.)
+// TestMixedFleetOneShotServers runs trials over loopback TCP against
+// nodes that close every connection after its first reply, as a server
+// without connection reuse would: every reused link is stale, every
+// call redials once, and nothing is lost or delivered twice. (The other
+// direction — a one-shot Call against a node — is what every test
+// using Call does.)
 func TestMixedFleetOneShotServers(t *testing.T) {
 	const n = 8
 	reg := obs.NewRegistry()
 	metrics := NewMetrics(reg)
 	var addrs []string
 	for i := 0; i < n; i++ {
-		proxy := startProxy(t, startNode(t, "127.0.0.1:0", metrics).Addr(), nil)
-		proxy.mode.Store(proxyCloseAfterReply)
-		addrs = append(addrs, proxy.addr())
+		tcp, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln := &faultListener{Listener: tcp}
+		ln.setFault(func(*Envelope) fault { return closeAfterReply })
+		node := NewNode(metrics)
+		node.serve(ln)
+		t.Cleanup(func() { node.Close() })
+		addrs = append(addrs, node.Addr())
 	}
 	c, err := Attach(addrs, metrics)
 	if err != nil {
